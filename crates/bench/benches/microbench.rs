@@ -31,11 +31,12 @@ use coca_core::driver::{
 };
 use coca_core::engine::{Scenario, ScenarioConfig};
 use coca_core::server::seed_global_table;
-use coca_core::{aca, infer_with_cache, CocaConfig, LookupScratch};
+use coca_core::{aca, infer_with_cache, CocaConfig, CocaServer, LookupScratch};
+use coca_daemon::{ClientMsg, RunSpec, ServerMsg, Workload};
 use coca_data::{DatasetSpec, Frame};
 use coca_math::{cosine, random_unit, ScoreScratch, VectorStore};
 use coca_model::{ClientFeatureView, ModelId};
-use coca_net::{decode_frame, encode_frame, WireSize};
+use coca_net::{decode_message, encode_frame, WireSize};
 use coca_sim::{SeedTree, SimDuration};
 use rand::Rng;
 
@@ -876,21 +877,55 @@ fn bench_server_tables(_c: &mut Criterion) {
 }
 
 fn bench_codec(c: &mut Criterion) {
-    #[derive(serde::Serialize, serde::Deserialize)]
-    struct Payload {
-        id: u64,
-        xs: Vec<f32>,
-    }
-    let msg = Payload {
-        id: 42,
-        xs: vec![0.5; 4096],
+    // The frames `cocad` actually carries on the paper's normal exchange
+    // (the benchmark's `daemon_bulk` shape): a quarter of the classes
+    // uploaded at every third layer, and the Π = 1/8-cache allocation the
+    // server answers with once those uploads are merged.
+    let spec = RunSpec::default();
+    let wl = Workload {
+        spec,
+        clients: 1,
+        rounds: 1,
     };
-    let bytes = encode_frame(&msg).unwrap();
-    c.bench_function("codec_encode_16kB", |b| {
-        b.iter(|| encode_frame(&msg).unwrap())
+    let (rt, cfg, seeds) = spec.build();
+    let mut server = CocaServer::new(&rt, cfg, &seeds);
+    let upload = wl.upload(&rt, &seeds, 0, 0);
+    server.handle_upload(upload.clone());
+    let request = wl.request(&rt, server.base_hit_profile(), 0, 0);
+    let (alloc, _) = server.handle_request(&request);
+    for (name, wire_bytes, frame) in [
+        (
+            "upload",
+            upload.wire_bytes(),
+            encode_frame(&ClientMsg::Upload(upload.clone())).unwrap(),
+        ),
+        (
+            "alloc",
+            alloc.wire_bytes(),
+            encode_frame(&ServerMsg::Alloc(alloc.clone())).unwrap(),
+        ),
+    ] {
+        println!(
+            "codec {name} frame: {} bytes for a {wire_bytes}-byte WireSize ({:.3}×)",
+            frame.len(),
+            frame.len() as f64 / wire_bytes as f64
+        );
+    }
+    let up_msg = ClientMsg::Upload(upload);
+    let up_frame = encode_frame(&up_msg).unwrap();
+    c.bench_function("codec_encode_upload_bulk", |b| {
+        b.iter(|| encode_frame(black_box(&up_msg)).unwrap())
     });
-    c.bench_function("codec_decode_16kB", |b| {
-        b.iter(|| decode_frame::<Payload>(&bytes).unwrap().unwrap())
+    c.bench_function("codec_decode_upload_bulk", |b| {
+        b.iter(|| decode_message::<ClientMsg>(black_box(&up_frame)).unwrap())
+    });
+    let alloc_msg = ServerMsg::Alloc(alloc);
+    let alloc_frame = encode_frame(&alloc_msg).unwrap();
+    c.bench_function("codec_encode_alloc_bulk", |b| {
+        b.iter(|| encode_frame(black_box(&alloc_msg)).unwrap())
+    });
+    c.bench_function("codec_decode_alloc_bulk", |b| {
+        b.iter(|| decode_message::<ServerMsg>(black_box(&alloc_frame)).unwrap())
     });
 }
 

@@ -33,6 +33,8 @@
 
 use coca_math::vector::l2_normalize;
 use coca_math::{merge_weighted_row, snap_row, Precision, VectorStore};
+use coca_net::wire::{codec_err, put_u32};
+use coca_net::{FrameError, Reader, Wire};
 use serde::{Deserialize, Serialize};
 
 /// Why a sample was absorbed (diagnostics + Fig. 6 accounting).
@@ -58,10 +60,12 @@ pub struct LayerUpdate {
 
 /// The client's sparse cache-update table, grouped by layer.
 ///
-/// Serializes as a sorted list of `(class, layer, vector)` triples — JSON
-/// (the TCP transport's payload format) cannot encode tuple-keyed maps —
-/// via the manual impls below. The wire format is unchanged from the
-/// boxed-row representation.
+/// Two encodings, one decoded shape. serde (WAL records, snapshots)
+/// writes a sorted list of `(class, layer, vector)` triples — JSON cannot
+/// encode tuple-keyed maps. The binary frame codec ([`Wire`]) writes the
+/// layer groups as they are stored. Either way a decoded table has its
+/// layers ascending by id and each layer's rows ascending by class,
+/// whatever absorption order the sender's table was in.
 #[derive(Debug, Clone, Default)]
 pub struct UpdateTable {
     /// Populated layers, sorted by layer id.
@@ -113,6 +117,71 @@ impl Deserialize for UpdateTable {
             g.push(c, &v);
         }
         Ok(table)
+    }
+}
+
+/// `[u32 n][n × ([u32 layer][u32 m][m × u32 class][VectorStore])]` in
+/// canonical order: layer ids strictly ascending, classes strictly
+/// ascending inside a layer. The encoder sorts; the decoder only checks,
+/// so a frame has one reading and the server never re-sorts an upload.
+/// One group per layer with one store per group makes a layer of mixed
+/// dimensions unrepresentable, and the strict orders rule out duplicate
+/// cells.
+impl Wire for UpdateTable {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_u32(out, self.layers.len());
+        for g in &self.layers {
+            g.layer.encode(out);
+            if g.classes.windows(2).all(|w| w[0] < w[1]) {
+                g.classes.encode(out);
+                g.vectors.encode(out);
+            } else {
+                let mut order: Vec<usize> = (0..g.len()).collect();
+                order.sort_unstable_by_key(|&i| g.classes[i]);
+                let classes: Vec<u32> = order.iter().map(|&i| g.classes[i]).collect();
+                classes.encode(out);
+                g.vectors.extract_rows(&order).encode(out);
+            }
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        // The smallest group is a layer id, a class count and a store
+        // header; groups are pushed one by one, never pre-sized.
+        let n = r.count(16)?;
+        let mut layers: Vec<LayerUpdate> = Vec::new();
+        for _ in 0..n {
+            let layer = u32::decode(r)?;
+            if layers.last().is_some_and(|prev| prev.layer >= layer) {
+                return codec_err(format!(
+                    "UpdateTable: layer {layer} repeats or is out of order \
+                     (one group per layer, ascending)"
+                ));
+            }
+            let classes = Vec::<u32>::decode(r)?;
+            let vectors = VectorStore::decode(r)?;
+            // With at least one row the store decoder has already
+            // insisted on a dimension: no cell vector is empty.
+            if classes.is_empty() || vectors.rows() != classes.len() {
+                return codec_err(format!(
+                    "UpdateTable: layer {layer} has {} classes vs {} vector rows",
+                    classes.len(),
+                    vectors.rows()
+                ));
+            }
+            if let Some(w) = classes.windows(2).find(|w| w[0] >= w[1]) {
+                return codec_err(format!(
+                    "UpdateTable: duplicate or out-of-order cell ({}, {layer})",
+                    w[1]
+                ));
+            }
+            layers.push(LayerUpdate {
+                layer,
+                classes,
+                vectors,
+            });
+        }
+        Ok(Self { layers })
     }
 }
 
@@ -256,8 +325,8 @@ impl UpdateTable {
     /// (quantize → dequantize in place; a no-op for [`Precision::F32`]).
     /// The sender calls this before upload so the f32 values it ships
     /// *are* the dequantized codes — the link prices the quantized
-    /// payload via [`UpdateTable::wire_bytes_at`] while the JSON debug
-    /// transport stays f32 triples. Vectors are intentionally **not**
+    /// payload via [`UpdateTable::wire_bytes_at`] while the frame codec
+    /// still carries f32 rows. Vectors are intentionally **not**
     /// re-normalized: the slight non-unit norm is the honest
     /// quantization error, and the server's Eq. 4 merge renormalizes.
     pub fn quantize_in_place(&mut self, precision: Precision) {

@@ -726,13 +726,82 @@ impl GlobalCacheTable {
     /// message rely on.
     pub fn digest(&self) -> u64 {
         let json = serde_json::to_string(self).expect("global table always serializes");
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in json.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-        h
+        let mut h = Fnv1a::default();
+        h.write(json.as_bytes());
+        h.0
     }
+}
+
+/// The FNV-1a state behind [`GlobalCacheTable::digest`].
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 ^= *b as u64;
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn write_json<T: Serialize + ?Sized>(&mut self, v: &T) {
+        self.write(
+            serde_json::to_string(v)
+                .expect("table parts always serialize")
+                .as_bytes(),
+        );
+    }
+}
+
+/// [`GlobalCacheTable::digest`] of the table these shards and Φ reassemble
+/// to ([`GlobalCacheTable::from_shards`]), without reassembling it: the
+/// same JSON text is hashed one store at a time, so the memory in flight
+/// is one layer's text rather than a copy of the table plus all of its.
+/// The sharded daemon answers `Digest` with this; key order and
+/// punctuation mirror the [`Serialize`] impl below (compact JSON, keys in
+/// insertion order), and a unit test holds the two equal.
+pub(crate) fn digest_shards<S>(shards: &[S], frequency: &[u64]) -> u64
+where
+    S: std::ops::Deref<Target = LayerShard>,
+{
+    assert!(!shards.is_empty(), "degenerate global cache shape");
+    let classes = shards[0].classes;
+    let precision = shards[0].precision;
+    let mut flat = OccupancyBitmap::new(classes * shards.len());
+    let mut h = Fnv1a::default();
+    h.write(b"{\"classes\":");
+    h.write_json(&classes);
+    h.write(b",\"layers\":");
+    h.write_json(&shards.len());
+    h.write(b",\"stores\":");
+    for (layer, s) in shards.iter().enumerate() {
+        h.write(if layer == 0 { b"[" } else { b"," });
+        h.write_json(&s.store);
+        for class in s.occupancy.iter_ones() {
+            flat.set(layer * classes + class);
+        }
+    }
+    h.write(b"],\"occupancy\":");
+    h.write_json(&flat);
+    h.write(b",\"frequency\":");
+    h.write_json(frequency);
+    if precision != Precision::F32 {
+        h.write(b",\"precision\":");
+        h.write_json(&precision);
+        h.write(b",\"qstores\":");
+        for (layer, s) in shards.iter().enumerate() {
+            h.write(if layer == 0 { b"[" } else { b"," });
+            h.write_json(&s.qstore);
+        }
+        h.write(b"]");
+    }
+    h.write(b"}");
+    h.0
 }
 
 /// One layer's share of the global table, carved out by
@@ -1315,6 +1384,25 @@ mod tests {
         let mut moved = t.clone();
         moved.advance_frequency(&[1, 0, 0, 0]);
         assert_ne!(moved.digest(), d0, "Φ is part of the fingerprint");
+    }
+
+    #[test]
+    fn digest_shards_hashes_the_text_the_whole_table_serializes_to() {
+        let mut t = table();
+        t.set(0, 0, vec![0.6, 0.8]);
+        t.set(2, 1, vec![1.0, 0.0]);
+        t.set(3, 1, vec![f32::NAN, -0.0]);
+        t.seed_frequency(&[9, 0, 4, 1]);
+        for precision in [Precision::F32, Precision::F16, Precision::I8] {
+            let mut t = t.clone();
+            t.convert_precision(precision);
+            let (shards, freq) = t.clone().into_shards();
+            let refs: Vec<&LayerShard> = shards.iter().collect();
+            assert_eq!(digest_shards(&refs, &freq), t.digest(), "{precision:?}");
+        }
+        let (shards, freq) = table().into_shards();
+        let refs: Vec<&LayerShard> = shards.iter().collect();
+        assert_eq!(digest_shards(&refs, &freq), table().digest(), "empty");
     }
 
     #[test]

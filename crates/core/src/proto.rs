@@ -1,13 +1,16 @@
 //! Client↔server protocol messages (§IV.A workflow).
 //!
-//! Serializable (serde) for the real TCP deployment; each message also
-//! reports its *logical* wire size — dense binary bytes — which is what the
-//! virtual-time link model charges.
+//! Each message has three faces: [`Wire`] — the dense binary encoding
+//! `cocad` frames carry; [`WireSize`] — the *logical* byte count the
+//! virtual-time link model charges (the real encoding adds only counts
+//! and tags to it); and serde, which the write-ahead log and snapshots
+//! still use.
 
 use coca_math::Precision;
 use serde::{Deserialize, Serialize};
 
-use coca_net::WireSize;
+use coca_net::wire::{decode_seq, encode_seq};
+use coca_net::{FrameError, Reader, Wire, WireSize};
 
 use crate::collect::UpdateTable;
 use crate::semantic::LocalCache;
@@ -30,6 +33,27 @@ pub struct CacheRequest {
 impl WireSize for CacheRequest {
     fn wire_bytes(&self) -> usize {
         8 + 8 + 4 * self.timestamps.len() + 8 * self.hit_ratio.len() + 8
+    }
+}
+
+/// `[u64 client][u64 round][u32 n][n × u32 τ][u32 m][m × f64 R][u64 Π]`.
+impl Wire for CacheRequest {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.client_id.encode(out);
+        self.round.encode(out);
+        self.timestamps.encode(out);
+        self.hit_ratio.encode(out);
+        self.budget_bytes.encode(out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        Ok(Self {
+            client_id: Wire::decode(r)?,
+            round: Wire::decode(r)?,
+            timestamps: Wire::decode(r)?,
+            hit_ratio: Wire::decode(r)?,
+            budget_bytes: Wire::decode(r)?,
+        })
     }
 }
 
@@ -61,6 +85,24 @@ impl WireSize for CacheAllocation {
     }
 }
 
+/// `[u64 round][LocalCache][u8 precision]`. The rows ship as f32 at every
+/// precision; `precision` travels as the tag the link model prices by.
+impl Wire for CacheAllocation {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.round.encode(out);
+        self.cache.encode(out);
+        self.precision.encode(out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        Ok(Self {
+            round: Wire::decode(r)?,
+            cache: Wire::decode(r)?,
+            precision: Wire::decode(r)?,
+        })
+    }
+}
+
 /// Step 3: end-of-round upload for global updates.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct UpdateUpload {
@@ -88,6 +130,29 @@ impl WireSize for UpdateUpload {
     }
 }
 
+/// `[u64 client][u64 round][UpdateTable][u32 n][n × u64 φ][u8 precision]`.
+/// φ ships at its in-memory width: the link model's 4-byte pricing rests
+/// on a bound (`frames_per_round`) the codec cannot assume of its input.
+impl Wire for UpdateUpload {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.client_id.encode(out);
+        self.round.encode(out);
+        self.table.encode(out);
+        self.frequency.encode(out);
+        self.precision.encode(out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        Ok(Self {
+            client_id: Wire::decode(r)?,
+            round: Wire::decode(r)?,
+            table: Wire::decode(r)?,
+            frequency: Wire::decode(r)?,
+            precision: Wire::decode(r)?,
+        })
+    }
+}
+
 /// One origin's share of a peer-sync delta: the sender's current merged
 /// centroids for the classes whose Φ mass (attributed to `origin`) grew
 /// since the last sync with the receiving peer, plus exactly that Φ
@@ -102,6 +167,23 @@ pub struct PeerDeltaEntry {
     pub table: UpdateTable,
     /// Per-class Φ growth since the last delta sent to this peer.
     pub frequency: Vec<u64>,
+}
+
+/// `[u32 origin][UpdateTable][u32 n][n × u64 Φ growth]`.
+impl Wire for PeerDeltaEntry {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.origin.encode(out);
+        self.table.encode(out);
+        self.frequency.encode(out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        Ok(Self {
+            origin: Wire::decode(r)?,
+            table: Wire::decode(r)?,
+            frequency: Wire::decode(r)?,
+        })
+    }
 }
 
 /// A cell→cell table delta ([`crate::server::CocaServer::export_delta`] →
@@ -123,6 +205,24 @@ impl PeerDelta {
     /// True iff the delta carries no mass (nothing new since last sync).
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+}
+
+/// `[u32 from_cell][u8 precision][u32 n][n × PeerDeltaEntry]`.
+impl Wire for PeerDelta {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.from_cell.encode(out);
+        self.precision.encode(out);
+        encode_seq(&self.entries, out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        Ok(Self {
+            from_cell: Wire::decode(r)?,
+            precision: Wire::decode(r)?,
+            // An empty entry is an origin and two zero counts.
+            entries: decode_seq(r, 12)?,
+        })
     }
 }
 

@@ -11,6 +11,8 @@
 //! what lets the lookup use the norm-free `dot_unit` kernel.
 
 use coca_math::{Precision, VectorStore};
+use coca_net::wire::{decode_seq, encode_seq, put_u32};
+use coca_net::{FrameError, Reader, Wire};
 use serde::Serialize;
 
 /// One activated cache layer.
@@ -24,13 +26,14 @@ pub struct CacheLayer {
     pub vectors: VectorStore,
 }
 
-// Deserialization is the one entry point that bypasses [`CacheLayer::
-// insert`]'s debug-time unit-norm assertion (allocations arrive over the
-// wire in the TCP deployment), and the norm-free lookup kernel would
-// silently mis-score a non-unit entry where the seed's `cosine` used to
-// renormalize it. So the wire boundary enforces the contract for real:
-// rows must be unit-norm (or zero — degenerate entries score 0) and
-// parallel to `classes`.
+// Decoding is the one entry point that bypasses [`CacheLayer::insert`]'s
+// debug-time unit-norm assertion (allocations arrive over the wire in the
+// TCP deployment), and the norm-free lookup kernel would silently
+// mis-score a non-unit entry where the seed's `cosine` used to
+// renormalize it. So both decoders — serde (WAL, snapshots) and the
+// binary frame codec — go through [`CacheLayer::from_untrusted`], which
+// enforces the contract for real: rows must be unit-norm (or zero —
+// degenerate entries score 0) and parallel to `classes`.
 impl serde::Deserialize for CacheLayer {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let serde::Value::Object(m) = v else {
@@ -39,29 +42,35 @@ impl serde::Deserialize for CacheLayer {
                 v.kind()
             )));
         };
-        let point: usize = serde::__field(m, "point")?;
-        let classes: Vec<usize> = serde::__field(m, "classes")?;
-        let vectors: VectorStore = serde::__field(m, "vectors")?;
-        if vectors.rows() != classes.len() {
-            return Err(serde::Error::custom(format!(
-                "CacheLayer: {} classes vs {} vector rows",
-                classes.len(),
-                vectors.rows()
-            )));
+        Self::from_untrusted(
+            serde::__field(m, "point")?,
+            serde::__field(m, "classes")?,
+            serde::__field(m, "vectors")?,
+        )
+        .map_err(serde::Error::custom)
+    }
+}
+
+/// `[u32 point][u32 n][n × u32 class][VectorStore]`.
+impl Wire for CacheLayer {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_u32(out, self.point);
+        put_u32(out, self.classes.len());
+        for &c in &self.classes {
+            put_u32(out, c);
         }
-        for (i, row) in vectors.iter_rows().enumerate() {
-            if !coca_math::is_unit(row, 1e-3) {
-                return Err(serde::Error::custom(format!(
-                    "CacheLayer: row {i} (class {}) is not unit-norm",
-                    classes[i]
-                )));
-            }
-        }
-        Ok(Self {
-            point,
-            classes,
-            vectors,
-        })
+        self.vectors.encode(out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        let point = u32::decode(r)? as usize;
+        let n = r.count(4)?;
+        let classes = r
+            .bytes(n * 4)?
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("chunks_exact(4)")) as usize)
+            .collect();
+        Self::from_untrusted(point, classes, VectorStore::decode(r)?).map_err(FrameError::Codec)
     }
 }
 
@@ -73,6 +82,34 @@ impl CacheLayer {
             classes: Vec::new(),
             vectors: VectorStore::empty(),
         }
+    }
+
+    /// A layer from decoded parts, with the in-memory contract checked.
+    fn from_untrusted(
+        point: usize,
+        classes: Vec<usize>,
+        vectors: VectorStore,
+    ) -> Result<Self, String> {
+        if vectors.rows() != classes.len() {
+            return Err(format!(
+                "CacheLayer: {} classes vs {} vector rows",
+                classes.len(),
+                vectors.rows()
+            ));
+        }
+        for (i, row) in vectors.iter_rows().enumerate() {
+            if !coca_math::is_unit(row, 1e-3) {
+                return Err(format!(
+                    "CacheLayer: row {i} (class {}) is not unit-norm",
+                    classes[i]
+                ));
+            }
+        }
+        Ok(Self {
+            point,
+            classes,
+            vectors,
+        })
     }
 
     /// Adds (or replaces) the entry for `class`.
@@ -141,12 +178,12 @@ pub struct LocalCache {
     layers: Vec<CacheLayer>,
 }
 
-// The derived impl would accept any `Vec<CacheLayer>` verbatim, letting a
-// wire allocation frame smuggle duplicate or unsorted layer points past
-// the [`LocalCache::from_layers`] invariant (which `panic`s — the right
-// response to a programming error, the wrong one to hostile bytes). The
-// wire boundary instead canonicalizes the order and turns duplicates
-// into a decode error.
+// A derived decoder would accept any `Vec<CacheLayer>` verbatim, letting
+// an allocation frame smuggle duplicate or unsorted layer points past the
+// [`LocalCache::from_layers`] invariant (which `panic`s — the right
+// response to a programming error, the wrong one to hostile bytes). Both
+// decoders instead canonicalize the order and turn duplicates into a
+// decode error ([`LocalCache::from_untrusted`]).
 impl serde::Deserialize for LocalCache {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let serde::Value::Object(m) = v else {
@@ -155,17 +192,19 @@ impl serde::Deserialize for LocalCache {
                 v.kind()
             )));
         };
-        let mut layers: Vec<CacheLayer> = serde::__field(m, "layers")?;
-        layers.sort_by_key(|l| l.point);
-        for w in layers.windows(2) {
-            if w[0].point == w[1].point {
-                return Err(serde::Error::custom(format!(
-                    "LocalCache: duplicate cache layer at point {}",
-                    w[0].point
-                )));
-            }
-        }
-        Ok(Self { layers })
+        Self::from_untrusted(serde::__field(m, "layers")?).map_err(serde::Error::custom)
+    }
+}
+
+/// `[u32 n][n × CacheLayer]`.
+impl Wire for LocalCache {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_seq(&self.layers, out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        // An empty layer is point + class count + store header.
+        Self::from_untrusted(decode_seq(r, 16)?).map_err(FrameError::Codec)
     }
 }
 
@@ -175,21 +214,28 @@ impl LocalCache {
         Self { layers: Vec::new() }
     }
 
+    /// [`LocalCache::from_layers`] for decoded layers: sorted by model
+    /// point, with a duplicate point an error instead of a panic.
+    fn from_untrusted(mut layers: Vec<CacheLayer>) -> Result<Self, String> {
+        layers.sort_by_key(|l| l.point);
+        for w in layers.windows(2) {
+            if w[0].point == w[1].point {
+                return Err(format!(
+                    "LocalCache: duplicate cache layer at point {}",
+                    w[0].point
+                ));
+            }
+        }
+        Ok(Self { layers })
+    }
+
     /// Builds from layers; they are sorted by model point and must not
     /// contain duplicates.
     ///
     /// # Panics
     /// Panics on duplicate points.
-    pub fn from_layers(mut layers: Vec<CacheLayer>) -> Self {
-        layers.sort_by_key(|l| l.point);
-        for w in layers.windows(2) {
-            assert_ne!(
-                w[0].point, w[1].point,
-                "duplicate cache layer at point {}",
-                w[0].point
-            );
-        }
-        Self { layers }
+    pub fn from_layers(layers: Vec<CacheLayer>) -> Self {
+        Self::from_untrusted(layers).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Activated layers, shallow to deep.

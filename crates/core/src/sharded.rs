@@ -46,7 +46,7 @@ use coca_sim::SeedTree;
 
 use crate::aca::{allocate, AcaInputs};
 use crate::config::{CocaConfig, FlushPolicy, MergeMode};
-use crate::global::{GlobalCacheTable, LayerShard};
+use crate::global::{digest_shards, GlobalCacheTable, LayerShard};
 use crate::proto::{CacheAllocation, CacheRequest, UpdateUpload};
 use crate::server::{profile_hit_ratios, seed_global_table};
 use crate::status::ClientStatus;
@@ -322,8 +322,8 @@ impl ShardedServer {
 
     /// Reassembles the full [`GlobalCacheTable`] from the shards — a
     /// consistent snapshot (taken under the flush gate, so no merge is
-    /// mid-flight across layers). Clones every store; diagnostics and
-    /// digests, not a hot path.
+    /// mid-flight across layers). Clones every store; diagnostics, not
+    /// a hot path.
     pub fn table_snapshot(&self) -> GlobalCacheTable {
         let _gate = self.flush_gate.lock().expect("flush gate poisoned");
         let shards: Vec<LayerShard> = self
@@ -336,11 +336,20 @@ impl ShardedServer {
     }
 
     /// The table digest ([`GlobalCacheTable::digest`]) of a consistent
-    /// snapshot — what the daemon's `Digest` protocol message returns.
+    /// view — what the daemon's `Digest` protocol message returns. Taken
+    /// under the flush gate like [`Self::table_snapshot`], but hashed in
+    /// place, one store at a time: no copy of the table is made.
     /// Note: pending (queued, unmerged) uploads are *not* part of the
     /// table; compare digests after a flush.
     pub fn digest(&self) -> u64 {
-        self.table_snapshot().digest()
+        let _gate = self.flush_gate.lock().expect("flush gate poisoned");
+        let shards: Vec<_> = self
+            .shards
+            .iter()
+            .map(|s| s.read().expect("layer shard poisoned"))
+            .collect();
+        let freq = self.freq.lock().expect("Φ poisoned").clone();
+        digest_shards(&shards, &freq)
     }
 
     /// Number of clients the registry has seen.

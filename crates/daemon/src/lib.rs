@@ -2,7 +2,7 @@
 //!
 //! Everything else in the workspace prices the server inside the
 //! virtual-time engine; this crate runs it for real: `cocad` serves the
-//! §IV.A protocol over TCP (the same `[u32 BE length][JSON]` frames as
+//! §IV.A protocol over TCP (`[u32 BE length][binary payload]` frames,
 //! [`coca_net::wire`]), and `coca-loadgen` measures it from the outside
 //! with per-request wall-clock latency (p50/p99/p999 over the exactly
 //! mergeable [`coca_metrics::LatencyHistogram`]).

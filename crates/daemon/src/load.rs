@@ -25,6 +25,8 @@ const CLIENT_READ_TIMEOUT: Duration = Duration::from_secs(60);
 pub struct DaemonClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// Frame scratch for both directions (one message in flight).
+    buf: Vec<u8>,
 }
 
 impl DaemonClient {
@@ -37,18 +39,19 @@ impl DaemonClient {
         Ok(Self {
             reader: BufReader::new(stream),
             writer,
+            buf: Vec::new(),
         })
     }
 
     /// Sends one message without waiting for the reply.
     pub fn send(&mut self, msg: &ClientMsg) -> Result<(), FrameError> {
-        write_message(&mut self.writer, msg)
+        write_message(&mut self.writer, msg, &mut self.buf)
     }
 
     /// Receives the next reply; a clean EOF mid-conversation is an
     /// error (the daemon always acks before closing).
     pub fn recv(&mut self) -> Result<ServerMsg, FrameError> {
-        read_message(&mut self.reader)?
+        read_message(&mut self.reader, &mut self.buf)?
             .ok_or_else(|| FrameError::Codec("daemon closed the connection mid-call".into()))
     }
 
@@ -205,11 +208,12 @@ fn run_open_client(
         // reply can arrive.
         let collector = scope.spawn(move || -> Result<LatencyHistogram, String> {
             let mut hist = LatencyHistogram::new();
+            let mut payload = Vec::new();
             for _ in 0..expected {
                 let sent = ts_rx
                     .recv_timeout(CLIENT_READ_TIMEOUT)
                     .map_err(|e| format!("send-timestamp channel: {e:?}"))?;
-                let reply: ServerMsg = read_message(&mut reader)
+                let reply: ServerMsg = read_message(&mut reader, &mut payload)
                     .map_err(fe)?
                     .ok_or("daemon closed the connection mid-run")?;
                 match reply {
@@ -225,6 +229,7 @@ fn run_open_client(
         // replies are.
         let start = Instant::now();
         let mut seq = 0u32;
+        let mut frame = Vec::new();
         for round in 0..wl.rounds {
             let ops = [
                 ClientMsg::Request(wl.request(rt, &profile, k, round)),
@@ -240,7 +245,7 @@ fn run_open_client(
                 ts_tx
                     .send(Instant::now())
                     .map_err(|_| "reply collector died early".to_string())?;
-                write_message(&mut writer, &op).map_err(fe)?;
+                write_message(&mut writer, &op, &mut frame).map_err(fe)?;
             }
         }
         drop(ts_tx);

@@ -7,7 +7,8 @@
 //!   1 ms, spawns a reader per accepted connection, and exits when the
 //!   stop flag rises.
 //! * **Readers** — one per connection, blocked in
-//!   [`coca_net::read_message`]; each decoded [`ClientMsg`] is pushed to
+//!   [`coca_net::read_message`] over one payload buffer that lives as
+//!   long as the connection; each decoded [`ClientMsg`] is pushed to
 //!   the connection's worker. A reader exits on clean EOF (client hung
 //!   up), after forwarding `Shutdown`, or when [`DaemonHandle::join`]
 //!   shuts the socket down under it.
@@ -15,8 +16,9 @@
 //!   channel (the vendored crossbeam shim has no untimed `recv`). Each
 //!   connection is pinned round-robin to exactly one worker, so replies
 //!   on a connection come back in request order and at most one thread
-//!   ever writes to a given socket. Workers drain their queue and exit
-//!   when every sender (acceptor + readers) is gone.
+//!   ever writes to a given socket. A worker encodes every reply into
+//!   one frame buffer it keeps for its lifetime. Workers drain their
+//!   queue and exit when every sender (acceptor + readers) is gone.
 //!
 //! Shutdown sequence: a `Shutdown` message (or
 //! [`DaemonHandle::shutdown`]) raises the stop flag → the acceptor
@@ -26,7 +28,7 @@
 //! unwrapped, flushed, digested, and returned in the [`DaemonReport`].
 
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -34,7 +36,6 @@ use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
-use coca_core::proto::PeerDelta;
 use coca_core::CocaServer;
 use coca_net::{read_message, write_message};
 
@@ -49,9 +50,11 @@ use crate::msg::{ClientMsg, ServerMsg};
 /// Sync fires on demand ([`ClientMsg::SyncNow`]) or on the optional
 /// period, from one dedicated thread — exports are cursor-based
 /// ([`coca_core::CocaServer::export_delta`]), so a tick with nothing
-/// new ships nothing. A delta whose ship fails is dropped (its cursor
-/// already advanced): peer sync is an eventual-convergence path, not a
-/// durability path — the authoritative Φ stays on the origin cell.
+/// new ships nothing. A delta whose ship fails — refused, or no ack
+/// within [`PEER_TIMEOUT`] — is dropped (its cursor already advanced)
+/// and the tick counts it as not shipped: peer sync is an
+/// eventual-convergence path, not a durability path — the authoritative
+/// Φ stays on the origin cell.
 #[derive(Debug, Default)]
 pub struct PeerSet {
     peers: Vec<(u32, String)>,
@@ -94,11 +97,12 @@ impl PeerSet {
     /// ones. Returns how many shipped (and were acknowledged).
     pub fn sync_now(&self, core: &ServerCore) -> usize {
         let mut sent = 0;
+        let mut buf = Vec::new();
         for (cell, addr) in &self.peers {
             let Some(delta) = core.export_delta(*cell) else {
                 break; // sharded core: no peer sync
             };
-            if !delta.is_empty() && ship_delta(addr, &delta) {
+            if !delta.is_empty() && ship_delta(addr, ClientMsg::Peer(delta), &mut buf) {
                 sent += 1;
             }
         }
@@ -106,18 +110,31 @@ impl PeerSet {
     }
 }
 
-/// Ships one delta to a peer daemon and waits for its ack.
-fn ship_delta(addr: &str, delta: &PeerDelta) -> bool {
-    let Ok(stream) = TcpStream::connect(addr) else {
+/// Bound on each step of shipping a delta — connect, write, wait for the
+/// ack. The sync runs on a worker (`SyncNow`) or the sync thread; a dead
+/// or silent peer may cost it this long, never park it.
+const PEER_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Ships one [`ClientMsg::Peer`] frame to a peer daemon and waits for its
+/// ack; `buf` is frame scratch shared across the tick's peers.
+fn ship_delta(addr: &str, delta: ClientMsg, buf: &mut Vec<u8>) -> bool {
+    let Some(stream) = addr
+        .to_socket_addrs()
+        .ok()
+        .and_then(|mut resolved| resolved.next())
+        .and_then(|sock| TcpStream::connect_timeout(&sock, PEER_TIMEOUT).ok())
+    else {
         return false;
     };
     let _ = stream.set_nodelay(true);
-    if write_message(&mut &stream, &ClientMsg::Peer(delta.clone())).is_err() {
+    if stream.set_read_timeout(Some(PEER_TIMEOUT)).is_err()
+        || stream.set_write_timeout(Some(PEER_TIMEOUT)).is_err()
+        || write_message(&mut &stream, &delta, buf).is_err()
+    {
         return false;
     }
-    let mut reader = BufReader::new(stream);
     matches!(
-        read_message::<_, ServerMsg>(&mut reader),
+        read_message::<_, ServerMsg>(&mut &stream, buf),
         Ok(Some(ServerMsg::PeerAck(true)))
     )
 }
@@ -358,9 +375,10 @@ fn accept_loop(
 
 fn reader_loop(stream: TcpStream, write: &Arc<TcpStream>, tx: &Sender<Job>) {
     let mut reader = BufReader::new(stream);
+    let mut payload = Vec::new();
     // A clean EOF (client hung up) or transport error / socket shutdown
     // during teardown ends the loop: either way this connection is done.
-    while let Ok(Some(msg)) = read_message::<_, ClientMsg>(&mut reader) {
+    while let Ok(Some(msg)) = read_message::<_, ClientMsg>(&mut reader, &mut payload) {
         let last = matches!(msg, ClientMsg::Shutdown);
         if tx
             .send(Job {
@@ -382,9 +400,10 @@ fn worker_loop(
     counters: &Arc<Counters>,
     peers: &Arc<PeerSet>,
 ) {
+    let mut frame = Vec::new();
     loop {
         match rx.recv_timeout(WORKER_POLL) {
-            Ok(job) => handle_job(job, core, stop, counters, peers),
+            Ok(job) => handle_job(job, core, stop, counters, peers, &mut frame),
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => break,
         }
@@ -397,6 +416,7 @@ fn handle_job(
     stop: &AtomicBool,
     counters: &Counters,
     peers: &PeerSet,
+    frame: &mut Vec<u8>,
 ) {
     let mut is_shutdown = false;
     let reply = match job.msg {
@@ -431,7 +451,7 @@ fn handle_job(
     // client sees its reply; a peer that already hung up is not an
     // error worth dying over.
     let mut w: &TcpStream = &job.conn;
-    let _ = write_message(&mut w, &reply);
+    let _ = write_message(&mut w, &reply, frame);
     if is_shutdown {
         stop.store(true, Ordering::SeqCst);
     }

@@ -10,7 +10,9 @@
 //!
 //! Serialization is a **flat-buffer encode** — `{"dim": d, "data":
 //! [...]}` — so a serialized cache layer ships one flat array instead of
-//! nested per-row arrays.
+//! nested per-row arrays. The binary frame codec moves the same buffer as
+//! raw little-endian bytes ([`VectorStore::extend_le_bytes`] /
+//! [`VectorStore::from_le_bytes`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -219,6 +221,53 @@ impl VectorStore {
         self.data.clear();
     }
 
+    // --------------------------------------------------- binary rows ----
+
+    /// The decoders' shape check: `floats` values must be whole rows of
+    /// `dim`, and data needs a dimension.
+    fn check_shape(dim: usize, floats: usize) -> Result<(), String> {
+        if dim == 0 && floats > 0 {
+            return Err("VectorStore: data without a dim".into());
+        }
+        if dim > 0 && !floats.is_multiple_of(dim) {
+            return Err(format!(
+                "VectorStore: {floats} floats is not a multiple of dim {dim}"
+            ));
+        }
+        Ok(())
+    }
+
+    /// Appends every row to `out` as raw little-endian f32 bytes
+    /// (`rows · dim · 4` of them) — the binary frame codec's payload
+    /// shape, written straight from the flat buffer.
+    pub fn extend_le_bytes(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.resize(start + self.data.len() * 4, 0);
+        for (dst, x) in out[start..].chunks_exact_mut(4).zip(self.data.iter()) {
+            dst.copy_from_slice(&x.to_le_bytes());
+        }
+    }
+
+    /// Rebuilds a store of dimension `dim` from raw little-endian f32
+    /// bytes, decoded straight into the aligned buffer. Errors — never
+    /// panics — on a byte count that is not whole rows, or on data
+    /// without a dimension.
+    pub fn from_le_bytes(dim: usize, bytes: &[u8]) -> Result<Self, String> {
+        if !bytes.len().is_multiple_of(4) {
+            return Err(format!(
+                "VectorStore: {} bytes is not whole f32s",
+                bytes.len()
+            ));
+        }
+        let floats = bytes.len() / 4;
+        Self::check_shape(dim, floats)?;
+        let mut data = AlignedF32::zeros(floats);
+        for (x, src) in data.iter_mut().zip(bytes.chunks_exact(4)) {
+            *x = f32::from_le_bytes(src.try_into().expect("chunks_exact(4) yields 4 bytes"));
+        }
+        Ok(Self { dim, data })
+    }
+
     // ------------------------------------------------- fused kernels ----
 
     /// One fused Eq. 1/2 pass over the store (see [`matrix::score_top2`]).
@@ -260,15 +309,7 @@ impl Deserialize for VectorStore {
             serde::Value::Object(m) => {
                 let dim: usize = serde::__field(m, "dim")?;
                 let data: Vec<f32> = serde::__field(m, "data")?;
-                if dim == 0 && !data.is_empty() {
-                    return Err(serde::Error::custom("VectorStore: data without a dim"));
-                }
-                if dim > 0 && !data.len().is_multiple_of(dim) {
-                    return Err(serde::Error::custom(format!(
-                        "VectorStore: {} floats is not a multiple of dim {dim}",
-                        data.len()
-                    )));
-                }
+                Self::check_shape(dim, data.len()).map_err(serde::Error::custom)?;
                 Ok(Self {
                     dim,
                     data: AlignedF32::from_slice(&data),
@@ -363,6 +404,42 @@ mod tests {
     fn serde_rejects_ragged_buffers() {
         assert!(serde_json::from_str::<VectorStore>("{\"dim\":3,\"data\":[1.0,2.0]}").is_err());
         assert!(serde_json::from_str::<VectorStore>("{\"dim\":0,\"data\":[1.0]}").is_err());
+    }
+
+    #[test]
+    fn le_bytes_round_trip_bit_exactly() {
+        let s =
+            VectorStore::from_rows(&[[1.5f32, -0.0], [f32::INFINITY, f32::from_bits(0x7fc0_1234)]]);
+        let mut bytes = vec![0xAA]; // appended after existing content
+        s.extend_le_bytes(&mut bytes);
+        assert_eq!(bytes.len(), 1 + 16);
+        assert_eq!(&bytes[1..5], &1.5f32.to_le_bytes());
+        let back = VectorStore::from_le_bytes(2, &bytes[1..]).unwrap();
+        assert_eq!(back.dim(), 2);
+        let bits = |s: &VectorStore| s.as_flat().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&s), "NaN payload and -0.0 survive");
+        // An empty store keeps its dimension, set or not.
+        assert_eq!(
+            VectorStore::from_le_bytes(0, &[]).unwrap(),
+            VectorStore::empty()
+        );
+        assert_eq!(VectorStore::from_le_bytes(3, &[]).unwrap().dim(), 3);
+    }
+
+    #[test]
+    fn le_bytes_reject_ragged_buffers() {
+        assert!(
+            VectorStore::from_le_bytes(2, &[0; 7]).is_err(),
+            "not whole f32s"
+        );
+        assert!(
+            VectorStore::from_le_bytes(3, &[0; 8]).is_err(),
+            "not whole rows"
+        );
+        assert!(
+            VectorStore::from_le_bytes(0, &[0; 4]).is_err(),
+            "data without a dim"
+        );
     }
 
     #[test]

@@ -12,19 +12,17 @@
 //!    from 60 → 160 clients) — modelled by [`queue::ServerQueue`], a
 //!    single-server FIFO in virtual time.
 //!
-//! For running the protocol across real processes, [`transport`] provides
-//! length-prefixed framing over TCP plus an in-memory loopback, both
-//! implementing the same [`transport::Transport`] trait; the
-//! `distributed_tcp` example and integration tests drive them.
+//! For running the protocol across real processes, [`wire`] provides the
+//! binary message codec and length-prefixed framing that `cocad` and its
+//! clients speak (`coca-daemon` owns the sockets).
 
 pub mod link;
 pub mod queue;
-pub mod transport;
 pub mod wire;
 
 pub use link::{LinkChangePoint, LinkModel, LinkSchedule, TESTBED_BOOT_WINDOW_MS};
 pub use queue::ServerQueue;
-pub use transport::{InMemoryTransport, TcpTransport, Transport};
 pub use wire::{
-    decode_frame, decode_message, encode_frame, read_message, write_message, FrameError, WireSize,
+    decode_frame, decode_message, encode_frame, read_message, write_message, FrameError, Reader,
+    Wire, WireSize,
 };

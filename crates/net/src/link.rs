@@ -234,8 +234,8 @@ mod tests {
                 bandwidth_bps: 5.0e6,
             },
         );
-        let text = serde_json::to_string(&s).unwrap();
-        let back: LinkSchedule = serde_json::from_str(&text).unwrap();
+        let text = serde::json::to_string(&s.to_value());
+        let back = LinkSchedule::from_value(&serde::json::from_str(&text).unwrap()).unwrap();
         assert_eq!(back.changes().len(), 1);
         let t = SimTime::from_millis_f64(300.0);
         assert_eq!(back.transfer_time(t, 4096), s.transfer_time(t, 4096));

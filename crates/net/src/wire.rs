@@ -1,22 +1,35 @@
-//! Wire sizing and length-prefixed framing.
+//! Wire sizing, the binary message codec, and length-prefixed framing.
 //!
-//! Two distinct concerns live here:
+//! Three concerns live here:
 //!
 //! * [`WireSize`] — how many bytes a message *logically* occupies on the
 //!   wire (dense binary: f32 vectors at 4 bytes each plus small headers).
 //!   The virtual-time link model charges this size. Implementations live
 //!   next to each message type.
-//! * [`encode_frame`]/[`decode_frame`] — the actual byte framing used by
-//!   the real transports: a 4-byte big-endian length prefix followed by a
-//!   JSON payload. JSON keeps the cross-process protocol debuggable; the
-//!   simulation never pays its size overhead because the link model uses
-//!   `WireSize` instead.
+//! * [`Wire`] — the real encoding: a hand-written dense little-endian
+//!   layout, implemented next to each message type and decoded through
+//!   the bounds-checked [`Reader`] cursor. It carries what `WireSize`
+//!   leaves out (a `u32` count per sequence, variant tags, the version
+//!   byte), so a real frame runs a few percent over the priced size.
+//! * [`encode_frame`]/[`decode_frame`] — the byte framing the daemon
+//!   speaks: a 4-byte big-endian length prefix followed by one
+//!   [`Wire`]-encoded payload.
+//!
+//! ## Payload conventions
+//!
+//! Every integer and float is little-endian and fixed-width. A sequence
+//! is a `u32` element count followed by the elements; the decoder checks
+//! the count against the bytes left in the frame **before** allocating,
+//! so a frame can never make the receiver reserve more than its own
+//! length. In-memory `usize` values ship as `u64` and are range-checked
+//! on the way back. A payload that ends early, runs long, or violates a
+//! type's invariants decodes to [`FrameError::Codec`] — never a panic.
+//! README § "Wire format" lists the layout of every message.
 
 use std::io::{Read, Write};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::de::DeserializeOwned;
-use serde::Serialize;
+use bytes::Bytes;
+use coca_math::{Precision, VectorStore};
 
 /// Logical wire size of a message in bytes.
 pub trait WireSize {
@@ -57,7 +70,7 @@ pub enum FrameError {
         /// Bytes actually present.
         buffer_bytes: usize,
     },
-    /// Payload failed to deserialize.
+    /// Payload failed to decode.
     Codec(String),
     /// Transport failure underneath the framing (streaming readers and
     /// writers only; the buffer-oriented codecs never perform I/O).
@@ -85,38 +98,265 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+// ------------------------------------------------------ payload codec ----
+
+/// Version byte that opens every protocol message (the daemon's
+/// `ClientMsg`/`ServerMsg`); a receiver rejects any other value.
+pub const WIRE_VERSION: u8 = 1;
+
+/// A value with a dense little-endian binary encoding — the payload of a
+/// frame.
+pub trait Wire: Sized {
+    /// Appends this value's encoding to `out`.
+    fn encode(&self, out: &mut Vec<u8>);
+    /// Decodes one value from the cursor, advancing past it. Every
+    /// invariant the type holds in memory is checked here: hostile bytes
+    /// yield [`FrameError::Codec`], never a panic and never an allocation
+    /// larger than the bytes left in the frame.
+    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError>;
+}
+
+/// Shorthand for a [`FrameError::Codec`] result.
+pub fn codec_err<T>(msg: impl Into<String>) -> Result<T, FrameError> {
+    Err(FrameError::Codec(msg.into()))
+}
+
+/// Bounds-checked cursor over one frame payload.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    buf: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    /// A cursor at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        Self { buf }
+    }
+
+    /// Consumes the next `n` bytes.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
+        if n > self.buf.len() {
+            return codec_err(format!(
+                "payload ends inside a field: {n} bytes wanted, {} left",
+                self.buf.len()
+            ));
+        }
+        let (head, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Ok(head)
+    }
+
+    /// Reads a sequence's `u32` element count and checks it against the
+    /// bytes left — each element occupies at least `min_elem_bytes` — so
+    /// the caller may size an allocation by the count it gets back.
+    pub fn count(&mut self, min_elem_bytes: usize) -> Result<usize, FrameError> {
+        let n = u32::decode(self)? as usize;
+        match n.checked_mul(min_elem_bytes) {
+            Some(need) if need <= self.buf.len() => Ok(n),
+            _ => codec_err(format!(
+                "count {n} × {min_elem_bytes} bytes exceeds the {} left in the frame",
+                self.buf.len()
+            )),
+        }
+    }
+
+    /// Succeeds iff the whole payload was consumed.
+    pub fn finish(&self) -> Result<(), FrameError> {
+        if self.buf.is_empty() {
+            Ok(())
+        } else {
+            codec_err(format!(
+                "{} trailing bytes after the message",
+                self.buf.len()
+            ))
+        }
+    }
+}
+
+/// Appends an in-memory `usize` that ships as `u32`: a sequence count, a
+/// vector dimension, a class or cache-point id.
+///
+/// # Panics
+/// Panics if `n` exceeds `u32::MAX` — no count that large fits the 64 MiB
+/// frame cap, and ids are bounded by the model's class and layer counts.
+pub fn put_u32(out: &mut Vec<u8>, n: usize) {
+    u32::try_from(n)
+        .expect("count or id exceeds u32")
+        .encode(out);
+}
+
+/// Encodes a sequence of composite values: count, then each element.
+pub fn encode_seq<T: Wire>(items: &[T], out: &mut Vec<u8>) {
+    put_u32(out, items.len());
+    for item in items {
+        item.encode(out);
+    }
+}
+
+/// Decodes a sequence of composite values, each at least
+/// `min_elem_bytes` on the wire. The vector grows as elements decode
+/// rather than being sized by the count: an element's in-memory size may
+/// exceed its wire size.
+pub fn decode_seq<T: Wire>(
+    r: &mut Reader<'_>,
+    min_elem_bytes: usize,
+) -> Result<Vec<T>, FrameError> {
+    let n = r.count(min_elem_bytes)?;
+    (0..n).map(|_| T::decode(r)).collect()
+}
+
+/// Fixed-width numbers, and vectors of them (count + packed elements).
+macro_rules! wire_num {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+                let raw = r.bytes(std::mem::size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes(raw.try_into().expect("bytes(n) yields n bytes")))
+            }
+        }
+
+        impl Wire for Vec<$t> {
+            fn encode(&self, out: &mut Vec<u8>) {
+                put_u32(out, self.len());
+                out.reserve(self.len() * std::mem::size_of::<$t>());
+                for x in self {
+                    x.encode(out);
+                }
+            }
+            fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+                const W: usize = std::mem::size_of::<$t>();
+                let n = r.count(W)?;
+                Ok(r.bytes(n * W)?
+                    .chunks_exact(W)
+                    .map(|c| <$t>::from_le_bytes(c.try_into().expect("chunks_exact(W)")))
+                    .collect())
+            }
+        }
+    )*};
+}
+
+wire_num!(u8, u32, u64, f64);
+
+/// `usize` ships as `u64`; the way back is range-checked.
+impl Wire for usize {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (*self as u64).encode(out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        let v = u64::decode(r)?;
+        usize::try_from(v).or_else(|_| codec_err(format!("{v} does not fit this host's usize")))
+    }
+}
+
+impl Wire for bool {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        match u8::decode(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => codec_err(format!("bool byte {other}")),
+        }
+    }
+}
+
+/// One tag byte: 0 = f32, 1 = f16, 2 = i8.
+impl Wire for Precision {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            Precision::F32 => 0,
+            Precision::F16 => 1,
+            Precision::I8 => 2,
+        });
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        match u8::decode(r)? {
+            0 => Ok(Precision::F32),
+            1 => Ok(Precision::F16),
+            2 => Ok(Precision::I8),
+            other => codec_err(format!("unknown precision tag {other}")),
+        }
+    }
+}
+
+/// `[u32 dim][u32 rows][rows · dim f32]` — the rows move as raw bytes
+/// between the frame and the aligned store.
+impl Wire for VectorStore {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_u32(out, self.dim());
+        put_u32(out, self.rows());
+        self.extend_le_bytes(out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        let dim = u32::decode(r)? as usize;
+        if dim == 0 {
+            return match u32::decode(r)? {
+                0 => Ok(VectorStore::empty()),
+                rows => codec_err(format!("VectorStore: {rows} rows without a dim")),
+            };
+        }
+        let row_bytes = dim
+            .checked_mul(4)
+            .ok_or_else(|| FrameError::Codec(format!("VectorStore: dim {dim} overflows")))?;
+        let rows = r.count(row_bytes)?;
+        VectorStore::from_le_bytes(dim, r.bytes(rows * row_bytes)?).map_err(FrameError::Codec)
+    }
+}
+
+// ------------------------------------------------------------ framing ----
+
 /// Hard cap on a single frame (64 MiB) — far above any CoCa exchange, low
 /// enough to fail fast on garbage length prefixes.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
-/// Encodes `msg` as `[u32 big-endian length][JSON bytes]`.
-pub fn encode_frame<T: Serialize>(msg: &T) -> Result<Bytes, FrameError> {
-    let payload = serde_json::to_vec(msg).map_err(|e| FrameError::Codec(e.to_string()))?;
-    if payload.len() > MAX_FRAME_BYTES {
-        return Err(FrameError::TooLarge(payload.len()));
+/// Writes `[u32 big-endian length][payload]` for `msg` into `out`,
+/// replacing its contents (the allocation is reused).
+fn frame_into<T: Wire>(msg: &T, out: &mut Vec<u8>) -> Result<(), FrameError> {
+    out.clear();
+    out.extend_from_slice(&[0; 4]);
+    msg.encode(out);
+    let len = out.len() - 4;
+    if len > MAX_FRAME_BYTES {
+        return Err(FrameError::TooLarge(len));
     }
-    let mut buf = BytesMut::with_capacity(4 + payload.len());
-    buf.put_u32(payload.len() as u32);
-    buf.put_slice(&payload);
-    Ok(buf.freeze())
+    out[..4].copy_from_slice(&(len as u32).to_be_bytes());
+    Ok(())
+}
+
+/// Decodes a payload that must be exactly one message.
+fn decode_payload<T: Wire>(payload: &[u8]) -> Result<T, FrameError> {
+    let mut r = Reader::new(payload);
+    let msg = T::decode(&mut r)?;
+    r.finish()?;
+    Ok(msg)
+}
+
+/// Encodes `msg` as `[u32 big-endian length][payload]` in a fresh buffer.
+pub fn encode_frame<T: Wire>(msg: &T) -> Result<Bytes, FrameError> {
+    let mut out = Vec::new();
+    frame_into(msg, &mut out)?;
+    Ok(Bytes::from(out))
 }
 
 /// Decodes one frame from `buf`. On success returns the message and the
 /// total bytes consumed; returns `Ok(None)` if `buf` does not yet hold a
 /// complete frame.
-pub fn decode_frame<T: DeserializeOwned>(mut buf: &[u8]) -> Result<Option<(T, usize)>, FrameError> {
-    if buf.len() < 4 {
+pub fn decode_frame<T: Wire>(buf: &[u8]) -> Result<Option<(T, usize)>, FrameError> {
+    let Some((prefix, rest)) = buf.split_first_chunk::<4>() else {
         return Ok(None);
-    }
-    let len = buf.get_u32() as usize;
+    };
+    let len = u32::from_be_bytes(*prefix) as usize;
     if len > MAX_FRAME_BYTES {
         return Err(FrameError::TooLarge(len));
     }
-    if buf.len() < len {
+    if rest.len() < len {
         return Ok(None);
     }
-    let msg = serde_json::from_slice(&buf[..len]).map_err(|e| FrameError::Codec(e.to_string()))?;
-    Ok(Some((msg, 4 + len)))
+    Ok(Some((decode_payload(&rest[..len])?, 4 + len)))
 }
 
 /// Decodes exactly one complete frame occupying the whole buffer — the
@@ -127,7 +367,7 @@ pub fn decode_frame<T: DeserializeOwned>(mut buf: &[u8]) -> Result<Option<(T, us
 /// completed and is an error: [`FrameError::Truncated`] when the buffer
 /// ends mid-frame, [`FrameError::LengthMismatch`] when bytes trail the
 /// frame the length prefix delimits. Never panics, whatever the input.
-pub fn decode_message<T: DeserializeOwned>(buf: &[u8]) -> Result<T, FrameError> {
+pub fn decode_message<T: Wire>(buf: &[u8]) -> Result<T, FrameError> {
     match decode_frame::<T>(buf)? {
         None => Err(FrameError::Truncated),
         Some((msg, used)) if used == buf.len() => Ok(msg),
@@ -169,17 +409,22 @@ fn fill<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<Filled, FrameError> {
     Ok(Filled::Full)
 }
 
-/// Reads exactly one `[u32 big-endian length][JSON]` frame from a
+/// Reads exactly one `[u32 big-endian length][payload]` frame from a
 /// blocking stream, however the transport fragments it — a socket is free
-/// to deliver a frame one byte per `read`. Returns `Ok(None)` on a clean
-/// EOF at a frame boundary (the peer closed between messages — a normal
-/// connection shutdown); a stream ending *inside* a frame is
-/// [`FrameError::Truncated`], a length prefix over [`MAX_FRAME_BYTES`]
-/// fails fast as [`FrameError::TooLarge`] before any payload allocation,
-/// and transport failures surface as [`FrameError::Io`]. The reassembled
-/// frame goes through [`decode_message`]'s strict whole-buffer decode,
-/// so payload errors carry the same typed causes buffer callers see.
-pub fn read_message<R: Read, T: DeserializeOwned>(r: &mut R) -> Result<Option<T>, FrameError> {
+/// to deliver a frame one byte per `read`. `buf` is the connection's
+/// payload scratch: it is resized to each frame and keeps its allocation
+/// across calls. Returns `Ok(None)` on a clean EOF at a frame boundary
+/// (the peer closed between messages — a normal connection shutdown); a
+/// stream ending *inside* a frame is [`FrameError::Truncated`], a length
+/// prefix over [`MAX_FRAME_BYTES`] fails fast as
+/// [`FrameError::TooLarge`] before any payload allocation, and transport
+/// failures surface as [`FrameError::Io`]. The payload gets the same
+/// strict whole-message decode as [`decode_message`], so payload errors
+/// carry the same typed causes buffer callers see.
+pub fn read_message<R: Read, T: Wire>(
+    r: &mut R,
+    buf: &mut Vec<u8>,
+) -> Result<Option<T>, FrameError> {
     let mut prefix = [0u8; 4];
     match fill(r, &mut prefix)? {
         Filled::Eof => return Ok(None),
@@ -190,33 +435,51 @@ pub fn read_message<R: Read, T: DeserializeOwned>(r: &mut R) -> Result<Option<T>
     if len > MAX_FRAME_BYTES {
         return Err(FrameError::TooLarge(len));
     }
-    let mut frame = vec![0u8; 4 + len];
-    frame[..4].copy_from_slice(&prefix);
-    match fill(r, &mut frame[4..])? {
+    buf.resize(len, 0);
+    match fill(r, buf)? {
         Filled::Full => {}
         Filled::Eof | Filled::Partial => return Err(FrameError::Truncated),
     }
-    decode_message(&frame).map(Some)
+    decode_payload(buf).map(Some)
 }
 
-/// Writes one encoded frame to a blocking stream and flushes it — the
-/// sending half of [`read_message`]. Transport failures surface as
+/// Encodes `msg` into `buf` (the connection's frame scratch, reused
+/// across calls), writes the frame to a blocking stream and flushes it —
+/// the sending half of [`read_message`]. Transport failures surface as
 /// [`FrameError::Io`].
-pub fn write_message<W: Write, T: Serialize>(w: &mut W, msg: &T) -> Result<(), FrameError> {
-    let frame = encode_frame(msg)?;
-    w.write_all(&frame).map_err(FrameError::Io)?;
+pub fn write_message<W: Write, T: Wire>(
+    w: &mut W,
+    msg: &T,
+    buf: &mut Vec<u8>,
+) -> Result<(), FrameError> {
+    frame_into(msg, buf)?;
+    w.write_all(buf).map_err(FrameError::Io)?;
     w.flush().map_err(FrameError::Io)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Deserialize;
 
-    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    /// A stand-in message: the framing tests need a payload, not a
+    /// protocol.
+    #[derive(Debug, PartialEq)]
     struct Demo {
         id: u32,
-        xs: Vec<f32>,
+        xs: Vec<f64>,
+    }
+
+    impl Wire for Demo {
+        fn encode(&self, out: &mut Vec<u8>) {
+            self.id.encode(out);
+            self.xs.encode(out);
+        }
+        fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+            Ok(Self {
+                id: u32::decode(r)?,
+                xs: Vec::decode(r)?,
+            })
+        }
     }
 
     #[test]
@@ -226,6 +489,7 @@ mod tests {
             xs: vec![1.0, 2.5, -3.0],
         };
         let bytes = encode_frame(&msg).unwrap();
+        assert_eq!(bytes.len(), 4 + 4 + 4 + 3 * 8, "prefix + id + count + xs");
         let (back, used): (Demo, usize) = decode_frame(&bytes).unwrap().unwrap();
         assert_eq!(back, msg);
         assert_eq!(used, bytes.len());
@@ -289,24 +553,98 @@ mod tests {
                 buffer_bytes,
             }) if frame_bytes == bytes.len() && buffer_bytes == bytes.len() + 1
         ));
+        // …and so are bytes trailing the message *inside* its frame.
+        let mut padded = bytes.to_vec();
+        padded.push(0);
+        let len = (padded.len() - 4) as u32;
+        padded[..4].copy_from_slice(&len.to_be_bytes());
+        let r: Result<Demo, _> = decode_message(&padded);
+        assert!(matches!(r, Err(FrameError::Codec(_))));
     }
 
     #[test]
     fn oversized_length_prefix_errors() {
-        let mut garbage = BytesMut::new();
-        garbage.put_u32(u32::MAX);
-        garbage.put_slice(&[0u8; 8]);
+        let mut garbage = u32::MAX.to_be_bytes().to_vec();
+        garbage.extend_from_slice(&[0u8; 8]);
         let r: Result<Option<(Demo, usize)>, _> = decode_frame(&garbage);
         assert!(matches!(r, Err(FrameError::TooLarge(_))));
     }
 
     #[test]
     fn corrupt_payload_is_a_codec_error() {
-        let mut buf = BytesMut::new();
-        buf.put_u32(3);
-        buf.put_slice(b"zzz");
+        let mut buf = 3u32.to_be_bytes().to_vec();
+        buf.extend_from_slice(b"zzz");
         let r: Result<Option<(Demo, usize)>, _> = decode_frame(&buf);
         assert!(matches!(r, Err(FrameError::Codec(_))));
+    }
+
+    #[test]
+    fn counts_are_checked_against_the_frame_before_allocating() {
+        // A count of u32::MAX over an 8-byte-per-element sequence, in a
+        // frame with nothing behind it: rejected by arithmetic alone.
+        let mut payload = Vec::new();
+        9u32.encode(&mut payload);
+        u32::MAX.encode(&mut payload);
+        let r: Result<Demo, _> = decode_payload(&payload);
+        assert!(matches!(r, Err(FrameError::Codec(_))));
+        // One element short is just as much an error as four billion.
+        let mut r = Reader::new(&[2, 0, 0, 0, 0xAA]);
+        assert!(r.count(1).is_err());
+        let mut r = Reader::new(&[1, 0, 0, 0, 0xAA]);
+        assert_eq!(r.count(1).unwrap(), 1);
+        assert_eq!(r.bytes(1).unwrap(), [0xAA]);
+        assert!(r.finish().is_ok());
+    }
+
+    #[test]
+    fn scalar_tags_reject_out_of_range_bytes() {
+        for (tag, want) in [
+            (0u8, Precision::F32),
+            (1, Precision::F16),
+            (2, Precision::I8),
+        ] {
+            let mut out = Vec::new();
+            want.encode(&mut out);
+            assert_eq!(out, [tag]);
+            assert_eq!(decode_payload::<Precision>(&out).unwrap(), want);
+        }
+        assert!(decode_payload::<Precision>(&[3]).is_err());
+        assert!(decode_payload::<bool>(&[2]).is_err());
+        assert!(decode_payload::<bool>(&[1]).unwrap());
+        let mut out = Vec::new();
+        usize::MAX.encode(&mut out);
+        assert_eq!(decode_payload::<usize>(&out).unwrap(), usize::MAX);
+    }
+
+    #[test]
+    fn vector_store_rows_round_trip_and_reject_bad_shapes() {
+        let s = VectorStore::from_rows(&[[0.6f32, 0.8], [f32::NAN, -0.0]]);
+        let mut out = Vec::new();
+        s.encode(&mut out);
+        assert_eq!(out.len(), 4 + 4 + 16);
+        let back: VectorStore = decode_payload(&out).unwrap();
+        let bits = |s: &VectorStore| s.as_flat().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!((back.dim(), bits(&back)), (2, bits(&s)));
+        // A never-filled store and a drained one both survive.
+        for s in [VectorStore::empty(), VectorStore::new(5)] {
+            let mut out = Vec::new();
+            s.encode(&mut out);
+            assert_eq!(decode_payload::<VectorStore>(&out).unwrap(), s);
+        }
+        // Rows without a dim; more rows than the frame holds; a dim whose
+        // row size overflows.
+        let frame = |dim: u32, rows: u32, data: &[u8]| {
+            let mut out = Vec::new();
+            dim.encode(&mut out);
+            rows.encode(&mut out);
+            out.extend_from_slice(data);
+            decode_payload::<VectorStore>(&out)
+        };
+        assert!(frame(0, 1, &[0; 4]).is_err());
+        assert!(frame(2, 2, &[0; 8]).is_err());
+        assert!(frame(2, u32::MAX, &[0; 8]).is_err());
+        assert!(frame(u32::MAX, u32::MAX, &[]).is_err());
+        assert!(frame(2, 1, &[0; 8]).is_ok());
     }
 
     /// A reader that hands bytes out in the given chunk sizes (then the
@@ -338,6 +676,7 @@ mod tests {
             xs: vec![1.0, -2.0, 3.5],
         };
         let bytes = encode_frame(&msg).unwrap().to_vec();
+        let mut scratch = Vec::new();
         // Delivery split at every byte boundary: first `cut` bytes in one
         // chunk, the rest byte by byte (a zero-length chunk would read as
         // EOF under the `Read` contract, so cut = 0 emits none).
@@ -351,10 +690,10 @@ mod tests {
                     .chain(std::iter::repeat_n(1, bytes.len() - cut))
                     .collect(),
             };
-            let back: Demo = read_message(&mut r).unwrap().unwrap();
+            let back: Demo = read_message(&mut r, &mut scratch).unwrap().unwrap();
             assert_eq!(back, msg, "split at {cut}");
             // The stream is exhausted: the next read is a clean EOF.
-            let next: Option<Demo> = read_message(&mut r).unwrap();
+            let next: Option<Demo> = read_message(&mut r, &mut scratch).unwrap();
             assert!(next.is_none(), "split at {cut}");
         }
     }
@@ -366,16 +705,29 @@ mod tests {
             id: 2,
             xs: vec![9.0],
         };
-        let mut data = encode_frame(&a).unwrap().to_vec();
-        data.extend_from_slice(&encode_frame(&b).unwrap());
+        // Large, small, large through one scratch buffer: a shorter frame
+        // must not see the tail of the longer one before it.
+        let c = Demo {
+            id: 3,
+            xs: vec![0.25; 40],
+        };
+        let mut data = Vec::new();
+        for m in [&c, &a, &b, &c] {
+            data.extend_from_slice(&encode_frame(m).unwrap());
+        }
         let mut r = ChunkedReader {
             data,
             pos: 0,
             chunks: vec![1; 4096],
         };
-        assert_eq!(read_message::<_, Demo>(&mut r).unwrap().unwrap(), a);
-        assert_eq!(read_message::<_, Demo>(&mut r).unwrap().unwrap(), b);
-        assert!(read_message::<_, Demo>(&mut r).unwrap().is_none());
+        let mut scratch = Vec::new();
+        for want in [&c, &a, &b, &c] {
+            let got: Demo = read_message(&mut r, &mut scratch).unwrap().unwrap();
+            assert_eq!(&got, want);
+        }
+        assert!(read_message::<_, Demo>(&mut r, &mut scratch)
+            .unwrap()
+            .is_none());
     }
 
     #[test]
@@ -391,7 +743,7 @@ mod tests {
                 pos: 0,
                 chunks: vec![],
             };
-            let res: Result<Option<Demo>, _> = read_message(&mut r);
+            let res: Result<Option<Demo>, _> = read_message(&mut r, &mut Vec::new());
             assert!(
                 matches!(res, Err(FrameError::Truncated)),
                 "eof at {cut} must be a torn frame"
@@ -409,8 +761,10 @@ mod tests {
             pos: 0,
             chunks: vec![],
         };
-        let res: Result<Option<Demo>, _> = read_message(&mut r);
+        let mut scratch = Vec::new();
+        let res: Result<Option<Demo>, _> = read_message(&mut r, &mut scratch);
         assert!(matches!(res, Err(FrameError::TooLarge(_))));
+        assert_eq!(scratch.capacity(), 0, "rejected before any allocation");
     }
 
     #[test]
@@ -424,7 +778,7 @@ mod tests {
                 ))
             }
         }
-        let res: Result<Option<Demo>, _> = read_message(&mut FailingReader);
+        let res: Result<Option<Demo>, _> = read_message(&mut FailingReader, &mut Vec::new());
         assert!(matches!(res, Err(FrameError::Io(_))));
     }
 
@@ -434,10 +788,17 @@ mod tests {
             id: 9,
             xs: vec![0.5],
         };
-        let mut buf: Vec<u8> = Vec::new();
-        write_message(&mut buf, &msg).unwrap();
-        let mut r = std::io::Cursor::new(buf);
-        assert_eq!(read_message::<_, Demo>(&mut r).unwrap().unwrap(), msg);
+        let mut wire: Vec<u8> = Vec::new();
+        let mut scratch = vec![0xEE; 64]; // stale contents are replaced
+        write_message(&mut wire, &msg, &mut scratch).unwrap();
+        assert_eq!(wire, encode_frame(&msg).unwrap().to_vec());
+        let mut r = std::io::Cursor::new(wire);
+        assert_eq!(
+            read_message::<_, Demo>(&mut r, &mut scratch)
+                .unwrap()
+                .unwrap(),
+            msg
+        );
     }
 
     #[test]

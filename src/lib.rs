@@ -23,7 +23,7 @@
 //! * [`model`](coca_model) — the DNN inference simulator substrate.
 //! * [`data`](coca_data) — datasets, non-IID partitioning, long-tail
 //!   construction, temporally local streams.
-//! * [`net`](coca_net) — link/queueing models and real TCP transports.
+//! * [`net`](coca_net) — link/queueing models, the binary wire codec and framing.
 //! * [`daemon`](coca_daemon) — `cocad`, the server as a networked daemon
 //!   (sharded-lock ingest over a worker pool), plus `coca-loadgen`, its
 //!   closed-/open-loop load generator.

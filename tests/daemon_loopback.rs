@@ -183,6 +183,57 @@ fn peer_sync_ships_the_table_delta_over_loopback() {
 }
 
 #[test]
+fn a_silent_peer_costs_a_sync_its_timeout_and_nothing_else() {
+    // A "peer" that accepts the connection and never answers. Before the
+    // ship had timeouts, the worker serving `SyncNow` parked in a read
+    // forever — and with it every connection pinned to that worker.
+    let silent = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let silent_addr = silent.local_addr().expect("silent peer address");
+    let (release, held) = std::sync::mpsc::channel::<()>();
+    let peer = std::thread::spawn(move || {
+        let conn = silent.accept().expect("the daemon connects");
+        let _ = held.recv(); // hold the socket open, unanswered
+        drop(conn);
+    });
+
+    // One worker, so both client connections below are pinned to it.
+    let wl = small_workload(MergeMode::PerUpload, false);
+    let (rt, cfg, seeds) = wl.spec.build();
+    let core = ServerCore::new(&rt, cfg, &seeds, LockMode::Single);
+    let peers = PeerSet::parse(&format!("1={silent_addr}")).expect("peer list parses");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let handle = serve_with_peers(core, listener, 1, peers).expect("daemon starts");
+    // Give the table some mass: an empty delta is never shipped at all.
+    assert!(run_verify(handle.addr(), &wl)
+        .expect("verify run")
+        .matches());
+
+    let mut syncer = DaemonClient::connect(handle.addr()).expect("connect");
+    let mut bystander = DaemonClient::connect(handle.addr()).expect("connect");
+    let started = std::time::Instant::now();
+    syncer.send(&ClientMsg::SyncNow).expect("send SyncNow");
+    bystander.send(&ClientMsg::Digest).expect("send Digest");
+    match syncer.recv().expect("the sync gives up on the silent peer") {
+        ServerMsg::SyncDone(shipped) => assert_eq!(shipped, 0, "no ack, not shipped"),
+        other => panic!("expected SyncDone, got {other:?}"),
+    }
+    // The daemon's own bound, not the client's 60 s read timeout.
+    assert!(started.elapsed() < std::time::Duration::from_secs(20));
+    match bystander
+        .recv()
+        .expect("the worker came back for its other connection")
+    {
+        ServerMsg::Digest(_) => {}
+        other => panic!("expected Digest, got {other:?}"),
+    }
+
+    release.send(()).expect("peer thread is waiting");
+    peer.join().expect("silent peer thread");
+    assert!(shutdown_daemon(handle.addr()));
+    handle.join();
+}
+
+#[test]
 fn concurrent_closed_loop_serves_every_op_exactly_once() {
     // Concurrency makes arrival order (and thus the digest) run-to-run
     // dependent, but op accounting and Φ conservation are exact: the

@@ -3,6 +3,7 @@
 use coca::core::aca::{allocate, AcaInputs};
 use coca::core::collect::UpdateTable;
 use coca::core::global::GlobalCacheTable;
+use coca::core::proto::CacheRequest;
 use coca::core::CocaConfig;
 use coca::data::distribution::{dirichlet, long_tail_weights};
 use coca::data::partition::{client_distributions, NonIidLevel};
@@ -111,15 +112,14 @@ proptest! {
     /// Wire frames decode to exactly what was encoded.
     #[test]
     fn frame_codec_round_trip(
-        id in any::<u32>(),
-        xs in prop::collection::vec(-1e6f32..1e6, 0..200),
+        id in any::<u64>(),
+        timestamps in prop::collection::vec(any::<u32>(), 0..200),
+        hit_ratio in prop::collection::vec(-1e6f64..1e6, 0..60),
     ) {
-        #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
-        struct Msg { id: u32, xs: Vec<f32> }
-        let msg = Msg { id, xs };
+        let msg = CacheRequest { client_id: id, round: id ^ 1, timestamps, hit_ratio, budget_bytes: !id };
         let bytes = encode_frame(&msg).unwrap();
-        let (back, used): (Msg, usize) = decode_frame(&bytes).unwrap().unwrap();
-        prop_assert_eq!(back, msg);
+        let (back, used): (CacheRequest, usize) = decode_frame(&bytes).unwrap().unwrap();
+        prop_assert_eq!(format!("{back:?}"), format!("{msg:?}"));
         prop_assert_eq!(used, bytes.len());
     }
 
