@@ -124,6 +124,21 @@ fn enforce_no_regression(label: &str, current_ns: f64, committed_ns: Option<f64>
     }
 }
 
+/// Fails the bench run (under `COCA_BENCH_ENFORCE=1`) when `current_ns`
+/// exceeds a fixed budget — the gate for costs whose committed trajectory
+/// is a target met, not a baseline to drift from.
+fn enforce_budget(label: &str, current_ns: f64, budget_ns: f64) {
+    let verdict = if current_ns > budget_ns {
+        "OVER BUDGET"
+    } else {
+        "ok"
+    };
+    println!("gate  {label:<40} {current_ns:>10.1} ns vs budget {budget_ns:.0} ns ({verdict})");
+    if enforce_mode() && current_ns > budget_ns {
+        panic!("{label}: {current_ns:.1} ns is over its {budget_ns:.0} ns budget");
+    }
+}
+
 fn scenario() -> Scenario {
     let mut sc = ScenarioConfig::new(ModelId::ResNet101, DatasetSpec::ucf101().subset(50));
     sc.seed = 9001;
@@ -731,7 +746,7 @@ fn bench_server_tables(_c: &mut Criterion) {
     // 32-client registry, an 8-upload pending queue): frame encode of the
     // full checksummed snapshot, decode+validate of the same bytes, WAL
     // record append through a Durability over MemStorage, and the replay
-    // decode (frame scan + CRC + JSON→record). These price the recovery
+    // decode (frame scan + CRC + payload→record). These price the recovery
     // subsystem's hot paths; `tests/proptest_recovery.rs` pins their
     // semantics.
     let (snapshot_bytes, snap_encode_ns, snap_decode_ns, wal_append_ns, wal_replay_ns) = {
@@ -808,10 +823,8 @@ fn bench_server_tables(_c: &mut Criterion) {
         }
         let replay_ns = measure_ns_min3(|| {
             let (payloads, _, _) = decode_frames(&segment, true).unwrap();
-            for p in &payloads {
-                black_box(
-                    serde_json::from_str::<WalRecord>(std::str::from_utf8(p).unwrap()).unwrap(),
-                );
+            for p in payloads {
+                black_box(WalRecord::from_payload(p).unwrap());
             }
         }) / records.len() as f64;
         (bytes.len(), encode_ns, decode_ns, append_ns, replay_ns)
@@ -825,26 +838,16 @@ fn bench_server_tables(_c: &mut Criterion) {
         wal_append_ns / 1e3,
         wal_replay_ns / 1e3,
     );
-    enforce_no_regression(
-        "persist_snapshot_encode_ns",
-        snap_encode_ns,
-        committed_summary("persist_snapshot_encode_ns"),
-    );
-    enforce_no_regression(
-        "persist_snapshot_decode_ns",
-        snap_decode_ns,
-        committed_summary("persist_snapshot_decode_ns"),
-    );
-    enforce_no_regression(
-        "persist_wal_append_ns_per_record",
-        wal_append_ns,
-        committed_summary("persist_wal_append_ns_per_record"),
-    );
-    enforce_no_regression(
-        "persist_wal_replay_ns_per_record",
-        wal_replay_ns,
-        committed_summary("persist_wal_replay_ns_per_record"),
-    );
+    // Absolute budgets, not ratios to the last committed run: about twice
+    // the committed binary-codec numbers, so a slow runner passes and a
+    // return to text payloads (15.6 ms append, 11.4 ms replay, 163 ms
+    // encode, 803 ms decode on this state) cannot. All four are bounded by
+    // the CRC pass (slice-by-8, ~1.5 GB/s) over the 245 KB record / 2.6 MB
+    // snapshot.
+    enforce_budget("persist_snapshot_encode_ns", snap_encode_ns, 4_000_000.0);
+    enforce_budget("persist_snapshot_decode_ns", snap_decode_ns, 4_000_000.0);
+    enforce_budget("persist_wal_append_ns_per_record", wal_append_ns, 400_000.0);
+    enforce_budget("persist_wal_replay_ns_per_record", wal_replay_ns, 300_000.0);
 
     let json = format!(
         "{{\n  \"bench\": \"server_tables\",\n  \"description\": \"per-cell global-table cost: \

@@ -18,7 +18,8 @@
 //! any deeper layer, so deeper layers should only be credited for the
 //! *additional* mass they capture.
 
-use serde::{Deserialize, Serialize};
+use coca_net::wire::{decode_seq, encode_seq};
+use coca_net::{FrameError, Reader, Wire};
 
 use crate::config::CocaConfig;
 
@@ -40,12 +41,29 @@ pub struct AcaInputs<'a> {
 }
 
 /// The allocation decision.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AcaOutput {
     /// Hot-spot classes (descending score order).
     pub hot_classes: Vec<usize>,
     /// Selected cache layers (selection order — by expected benefit).
     pub layers: Vec<usize>,
+}
+
+/// `[u32 n][n × u64 class][u32 m][m × u64 layer]`, both in decision
+/// order. Whether the indices fit a table is the snapshot validator's
+/// check: an allocation on its own has no table.
+impl Wire for AcaOutput {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_seq(&self.hot_classes, out);
+        encode_seq(&self.layers, out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        Ok(Self {
+            hot_classes: decode_seq(r, 8)?,
+            layers: decode_seq(r, 8)?,
+        })
+    }
 }
 
 impl AcaOutput {

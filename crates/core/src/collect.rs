@@ -60,10 +60,10 @@ pub struct LayerUpdate {
 
 /// The client's sparse cache-update table, grouped by layer.
 ///
-/// Two encodings, one decoded shape. serde (WAL records, snapshots)
-/// writes a sorted list of `(class, layer, vector)` triples — JSON cannot
-/// encode tuple-keyed maps. The binary frame codec ([`Wire`]) writes the
-/// layer groups as they are stored. Either way a decoded table has its
+/// Two encodings, one decoded shape. serde (JSON) writes a sorted list of
+/// `(class, layer, vector)` triples — JSON cannot encode tuple-keyed maps.
+/// The binary codec ([`Wire`]: socket frames, WAL records, snapshots)
+/// writes the layer groups as they are stored. Either way a decoded table has its
 /// layers ascending by id and each layer's rows ascending by class,
 /// whatever absorption order the sender's table was in.
 #[derive(Debug, Clone, Default)]

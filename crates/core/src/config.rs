@@ -2,6 +2,8 @@
 
 use coca_math::Precision;
 use coca_model::ModelId;
+use coca_net::wire::codec_err;
+use coca_net::{FrameError, Reader, Wire};
 use serde::{Deserialize, Serialize};
 
 /// When the server merges client uploads into the global cache table —
@@ -49,8 +51,42 @@ pub enum FlushPolicy {
     RoundAligned,
 }
 
+/// One tag byte: 0 = per-upload, 1 = queue-and-flush.
+impl Wire for MergeMode {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            MergeMode::PerUpload => 0,
+            MergeMode::QueueAndFlush => 1,
+        });
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        match u8::decode(r)? {
+            0 => Ok(MergeMode::PerUpload),
+            1 => Ok(MergeMode::QueueAndFlush),
+            other => codec_err(format!("unknown merge-mode tag {other}")),
+        }
+    }
+}
+
+/// One tag byte: 0 = every boundary, 1 = round-aligned.
+impl Wire for FlushPolicy {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            FlushPolicy::EveryBoundary => 0,
+            FlushPolicy::RoundAligned => 1,
+        });
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        match u8::decode(r)? {
+            0 => Ok(FlushPolicy::EveryBoundary),
+            1 => Ok(FlushPolicy::RoundAligned),
+            other => codec_err(format!("unknown flush-policy tag {other}")),
+        }
+    }
+}
+
 /// All tunables of the CoCa framework. Field docs cite the paper values.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CocaConfig {
     /// Θ — discriminative-score threshold for a cache hit (Eq. 2). Paper:
     /// 0.012 (ResNets, 3 % SLO), 0.008 (5 % SLO); 0.035 / 0.027 for
@@ -133,6 +169,62 @@ pub struct CocaConfig {
     /// cost of more frequent snapshot writes; only consulted when a
     /// [`Durability`](crate::persist::Durability) layer is attached.
     pub wal_rotate_records: usize,
+}
+
+/// Every field in declaration order, fixed width (88 bytes): `f32`/`f64`
+/// as themselves, `usize` as `u64`, `bool` and the three enums as one
+/// byte each. The snapshot embeds this so recovery can refuse a store
+/// written under a different configuration.
+impl Wire for CocaConfig {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.theta.encode(out);
+        self.gamma_collect.encode(out);
+        self.delta_collect.encode(out);
+        self.alpha.encode(out);
+        self.beta.encode(out);
+        self.gamma_global.encode(out);
+        self.leave_phi_decay.encode(out);
+        self.round_frames.encode(out);
+        self.hotspot_mass.encode(out);
+        self.recency_base.encode(out);
+        self.cache_budget_bytes.encode(out);
+        self.hit_ratio_ewma_alpha.encode(out);
+        self.enable_dca.encode(out);
+        self.enable_gcu.encode(out);
+        self.aca_deflation.encode(out);
+        self.aca_per_byte.encode(out);
+        self.merge_mode.encode(out);
+        self.parallel_merge.encode(out);
+        self.flush_policy.encode(out);
+        self.precision.encode(out);
+        self.wal_rotate_records.encode(out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        Ok(Self {
+            theta: Wire::decode(r)?,
+            gamma_collect: Wire::decode(r)?,
+            delta_collect: Wire::decode(r)?,
+            alpha: Wire::decode(r)?,
+            beta: Wire::decode(r)?,
+            gamma_global: Wire::decode(r)?,
+            leave_phi_decay: Wire::decode(r)?,
+            round_frames: Wire::decode(r)?,
+            hotspot_mass: Wire::decode(r)?,
+            recency_base: Wire::decode(r)?,
+            cache_budget_bytes: Wire::decode(r)?,
+            hit_ratio_ewma_alpha: Wire::decode(r)?,
+            enable_dca: Wire::decode(r)?,
+            enable_gcu: Wire::decode(r)?,
+            aca_deflation: Wire::decode(r)?,
+            aca_per_byte: Wire::decode(r)?,
+            merge_mode: Wire::decode(r)?,
+            parallel_merge: Wire::decode(r)?,
+            flush_policy: Wire::decode(r)?,
+            precision: Wire::decode(r)?,
+            wal_rotate_records: Wire::decode(r)?,
+        })
+    }
 }
 
 /// Reads the `COCA_MERGE_MODE` override (`per_upload` /
@@ -443,6 +535,36 @@ mod tests {
         let mut bad = cfg;
         bad.wal_rotate_records = 0;
         assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn wire_round_trips_every_field_and_rejects_bad_tags() {
+        let mut cfg = CocaConfig::for_model(ModelId::Vgg16Bn)
+            .with_merge_mode(MergeMode::QueueAndFlush)
+            .with_flush_policy(FlushPolicy::RoundAligned)
+            .with_precision(Precision::F16)
+            .with_parallel_merge(true)
+            .with_budget(12_345)
+            .with_wal_rotate(7);
+        cfg.enable_gcu = false;
+        cfg.leave_phi_decay = 0.75;
+        let mut bytes = Vec::new();
+        cfg.encode(&mut bytes);
+        assert_eq!(bytes.len(), 6 * 4 + 4 * 8 + 3 * 8 + 8);
+        let mut r = Reader::new(&bytes);
+        assert_eq!(CocaConfig::decode(&mut r).unwrap(), cfg);
+        assert!(r.finish().is_ok());
+        // Every tag and bool byte is range-checked; a short buffer errors.
+        for at in 72..80 {
+            let mut bad = bytes.clone();
+            bad[at] = 9;
+            assert!(
+                CocaConfig::decode(&mut Reader::new(&bad)).is_err(),
+                "byte {at}"
+            );
+        }
+        let short = &bytes[..bytes.len() - 1];
+        assert!(CocaConfig::decode(&mut Reader::new(short)).is_err());
     }
 
     #[test]

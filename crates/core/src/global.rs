@@ -40,6 +40,8 @@ use coca_math::{
     merge_weighted_row, merge_weighted_rows, OccupancyBitmap, Precision, QuantizedStore,
     VectorStore,
 };
+use coca_net::wire::put_u32;
+use coca_net::{FrameError, Reader, Wire};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -719,6 +721,82 @@ impl GlobalCacheTable {
         }
     }
 
+    /// Assembles a table from decoded parts — the one validator behind
+    /// both decoders (serde and [`Wire`]): `frequency` fixes the class
+    /// count, the three per-layer vectors the layer count. Rejects a
+    /// degenerate or ragged shape, a store whose row count is not the
+    /// class count, a quantized layer in an f32 table or at another
+    /// codec than the table's, a dense layer in a quantized table, a
+    /// layer that is both dense and quantized, and an occupied cell in a
+    /// layer that holds no store.
+    fn from_parts(
+        precision: Precision,
+        frequency: Vec<u64>,
+        stores: Vec<VectorStore>,
+        qstores: Vec<Option<QuantizedStore>>,
+        occupancy: Vec<OccupancyBitmap>,
+    ) -> Result<Self, String> {
+        let (classes, layers) = (frequency.len(), stores.len());
+        if classes == 0 || layers == 0 {
+            return Err("GlobalCacheTable: degenerate shape".to_string());
+        }
+        if qstores.len() != layers
+            || occupancy.len() != layers
+            || occupancy.iter().any(|o| o.len() != classes)
+        {
+            return Err("GlobalCacheTable: shape mismatch".to_string());
+        }
+        for (j, (s, q)) in stores.iter().zip(&qstores).enumerate() {
+            if s.dim() != 0 && s.rows() != classes {
+                return Err(format!(
+                    "GlobalCacheTable: layer {j} has {} rows for {classes} classes",
+                    s.rows()
+                ));
+            }
+            if s.dim() != 0 && precision != Precision::F32 && q.is_none() {
+                return Err(format!(
+                    "GlobalCacheTable: dense layer {j} in a {} table",
+                    precision.label()
+                ));
+            }
+            if let Some(q) = q {
+                if precision == Precision::F32 {
+                    return Err("GlobalCacheTable: quantized layer in an f32 table".to_string());
+                }
+                if q.precision() != precision {
+                    return Err(format!(
+                        "GlobalCacheTable: layer {j} codec {} in a {} table",
+                        q.precision().label(),
+                        precision.label()
+                    ));
+                }
+                if q.rows() != classes {
+                    return Err(format!(
+                        "GlobalCacheTable: layer {j} has {} rows for {classes} classes",
+                        q.rows()
+                    ));
+                }
+                if s.dim() != 0 {
+                    return Err(format!(
+                        "GlobalCacheTable: layer {j} is both dense and quantized"
+                    ));
+                }
+            }
+            if s.dim() == 0 && q.is_none() && occupancy[j].count_ones() != 0 {
+                return Err("GlobalCacheTable: occupied cell in an uninitialized layer".to_string());
+            }
+        }
+        Ok(Self {
+            classes,
+            layers,
+            stores,
+            occupancy,
+            frequency,
+            precision,
+            qstores,
+        })
+    }
+
     /// FNV-1a fingerprint of the serialized table (the wire shape, Φ
     /// included). Two tables with equal digests went through the same
     /// merge history bit for bit — the cheap equivalence check the
@@ -936,78 +1014,70 @@ impl Deserialize for GlobalCacheTable {
         let frequency: Vec<u64> = serde::__field(m, "frequency")?;
         let precision: Option<Precision> = serde::__field(m, "precision")?;
         let precision = precision.unwrap_or(Precision::F32);
+        // The declared shape must be the decoded one before anything is
+        // sized by it.
+        if classes == 0
+            || stores.len() != layers
+            || frequency.len() != classes
+            || classes.checked_mul(layers) != Some(occupancy.len())
+        {
+            return Err(serde::Error::custom("GlobalCacheTable: shape mismatch"));
+        }
         let qstores: Vec<Option<QuantizedStore>> = if precision == Precision::F32 {
             vec![None; layers]
         } else {
             serde::__field(m, "qstores")?
         };
-        if classes == 0 || layers == 0 {
-            return Err(serde::Error::custom("GlobalCacheTable: degenerate shape"));
-        }
-        if stores.len() != layers
-            || qstores.len() != layers
-            || occupancy.len() != classes * layers
-            || frequency.len() != classes
-        {
-            return Err(serde::Error::custom(
-                "GlobalCacheTable: shape mismatch".to_string(),
-            ));
-        }
-        for (j, s) in stores.iter().enumerate() {
-            if s.dim() != 0 && s.rows() != classes {
-                return Err(serde::Error::custom(format!(
-                    "GlobalCacheTable: layer {j} has {} rows for {classes} classes",
-                    s.rows()
-                )));
-            }
-        }
-        for (j, q) in qstores.iter().enumerate() {
-            let Some(q) = q else { continue };
-            if precision == Precision::F32 {
-                return Err(serde::Error::custom(
-                    "GlobalCacheTable: quantized layer in an f32 table".to_string(),
-                ));
-            }
-            if q.precision() != precision {
-                return Err(serde::Error::custom(format!(
-                    "GlobalCacheTable: layer {j} codec {} in a {} table",
-                    q.precision().label(),
-                    precision.label()
-                )));
-            }
-            if q.rows() != classes {
-                return Err(serde::Error::custom(format!(
-                    "GlobalCacheTable: layer {j} has {} rows for {classes} classes",
-                    q.rows()
-                )));
-            }
-            if stores[j].dim() != 0 {
-                return Err(serde::Error::custom(format!(
-                    "GlobalCacheTable: layer {j} is both dense and quantized"
-                )));
-            }
-        }
         // Split the layer-major wire bitmap into the per-layer bitmaps
-        // the table stores, validating as we go.
+        // the table stores; `from_parts` validates the rest.
         let mut per_layer = vec![OccupancyBitmap::new(classes); layers];
         for bit in occupancy.iter_ones() {
-            let layer = bit / classes;
-            if stores[layer].dim() == 0 && qstores[layer].is_none() {
-                return Err(serde::Error::custom(
-                    "GlobalCacheTable: occupied cell in an uninitialized layer".to_string(),
-                ));
-            }
-            per_layer[layer].set(bit % classes);
+            per_layer[bit / classes].set(bit % classes);
         }
-        Ok(Self {
-            classes,
-            layers,
-            stores,
-            occupancy: per_layer,
-            frequency,
-            precision,
-            qstores,
-        })
+        Self::from_parts(precision, frequency, stores, qstores, per_layer)
+            .map_err(serde::Error::custom)
+    }
+}
+
+/// `[u8 precision][u32 classes][classes × u64 Φ][u32 layers]`, then per
+/// layer `[⌈classes/64⌉ × u64 occupancy words][VectorStore][u8 0|1]
+/// [QuantizedStore]` — the table's own shape: one bitmap, one dense store
+/// (dim 0 while untouched or quantized) and one optional quantized store
+/// per layer. Decoding ends in [`GlobalCacheTable::from_parts`], the one
+/// validator both codecs share.
+impl Wire for GlobalCacheTable {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.precision.encode(out);
+        self.frequency.encode(out);
+        put_u32(out, self.layers);
+        for layer in 0..self.layers {
+            for w in self.occupancy[layer].words() {
+                w.encode(out);
+            }
+            self.stores[layer].encode(out);
+            self.qstores[layer].encode(out);
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        let precision = Precision::decode(r)?;
+        let frequency = Vec::<u64>::decode(r)?;
+        let classes = frequency.len();
+        let words = classes.div_ceil(64);
+        // The smallest layer: its bitmap, an empty store header, no
+        // quantized store.
+        let layers = r.count(words * 8 + 9)?;
+        let (mut stores, mut qstores, mut occupancy) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..layers {
+            let bits = (0..words)
+                .map(|_| u64::decode(r))
+                .collect::<Result<_, _>>()?;
+            occupancy.push(OccupancyBitmap::from_words(classes, bits).map_err(FrameError::Codec)?);
+            stores.push(VectorStore::decode(r)?);
+            qstores.push(Option::<QuantizedStore>::decode(r)?);
+        }
+        Self::from_parts(precision, frequency, stores, qstores, occupancy)
+            .map_err(FrameError::Codec)
     }
 }
 
@@ -1403,6 +1473,103 @@ mod tests {
         let (shards, freq) = table().into_shards();
         let refs: Vec<&LayerShard> = shards.iter().collect();
         assert_eq!(digest_shards(&refs, &freq), table().digest(), "empty");
+    }
+
+    /// Encodes `t` and decodes it back through the whole-payload reader.
+    fn wire_round_trip(t: &GlobalCacheTable) -> Result<GlobalCacheTable, FrameError> {
+        let mut bytes = Vec::new();
+        t.encode(&mut bytes);
+        let mut r = Reader::new(&bytes);
+        let back = GlobalCacheTable::decode(&mut r)?;
+        r.finish()?;
+        Ok(back)
+    }
+
+    #[test]
+    fn wire_round_trips_bit_exactly_at_every_precision() {
+        let mut t = GlobalCacheTable::new(70, 3); // two occupancy words
+        t.set(0, 0, vec![0.6, 0.8]);
+        t.set(69, 0, vec![f32::NAN, -0.0]);
+        t.set(64, 2, vec![1.0, 0.0, 0.0]);
+        t.seed_frequency(&(0..70).collect::<Vec<u64>>());
+        for precision in [Precision::F32, Precision::F16, Precision::I8] {
+            let mut t = t.clone();
+            t.convert_precision(precision);
+            let back = wire_round_trip(&t).unwrap();
+            assert_eq!(back.digest(), t.digest(), "{precision:?}");
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            t.encode(&mut a);
+            back.encode(&mut b);
+            assert_eq!(a, b, "{precision:?}: re-encoding must be byte-identical");
+            // Layer 1 was never touched: bitmap, empty store, no codes.
+            assert!(back.get(0, 1).is_none() && back.layer_dim(1).is_none());
+        }
+        assert!(wire_round_trip(&table()).is_ok(), "an empty table is valid");
+    }
+
+    #[test]
+    fn wire_decode_enforces_every_table_invariant() {
+        let mut valid = table();
+        valid.set(1, 0, vec![0.0, 1.0]);
+        let err = |t: &GlobalCacheTable| match wire_round_trip(t) {
+            Err(FrameError::Codec(msg)) => msg,
+            other => panic!("expected a codec error, got {other:?}"),
+        };
+        // Table shape: a dense store whose rows are not the classes.
+        let mut t = valid.clone();
+        t.stores[0] = VectorStore::zeros(2, 3);
+        assert!(err(&t).contains("rows for 4 classes"));
+        // Table shape: no layers at all.
+        let mut t = valid.clone();
+        (t.layers, t.stores, t.qstores, t.occupancy) = (0, vec![], vec![], vec![]);
+        assert!(err(&t).contains("degenerate"));
+        // An occupied cell in a layer that holds no store.
+        let mut t = valid.clone();
+        t.occupancy[2].set(3);
+        assert!(err(&t).contains("uninitialized layer"));
+        // Dense xor quantized: a quantized layer in an f32 table, a dense
+        // layer in a quantized one, a layer that is both, a codec other
+        // than the table's, a quantized store of the wrong height.
+        let q = |rows, p| Some(QuantizedStore::zeros(2, rows, p));
+        let mut t = valid.clone();
+        t.qstores[1] = q(4, Precision::I8);
+        assert!(err(&t).contains("quantized layer in an f32 table"));
+        let mut t = valid.clone();
+        t.precision = Precision::F16;
+        assert!(err(&t).contains("dense layer 0 in a f16 table"));
+        let mut quantized = valid.clone();
+        quantized.convert_precision(Precision::I8);
+        assert!(wire_round_trip(&quantized).is_ok());
+        let mut t = quantized.clone();
+        t.stores[0] = VectorStore::zeros(2, 4);
+        assert!(err(&t).contains("both dense and quantized"));
+        let mut t = quantized.clone();
+        t.qstores[1] = q(4, Precision::F16);
+        assert!(err(&t).contains("codec f16 in a i8 table"));
+        let mut t = quantized.clone();
+        t.qstores[1] = q(9, Precision::I8);
+        assert!(err(&t).contains("rows for 4 classes"));
+
+        // Byte-level: precision tag, ghost occupancy bits, inflated
+        // counts, a truncated tail.
+        let mut bytes = Vec::new();
+        valid.encode(&mut bytes);
+        let decode = |b: &[u8]| GlobalCacheTable::decode(&mut Reader::new(b));
+        let mut bad = bytes.clone();
+        bad[0] = 3;
+        assert!(decode(&bad).is_err(), "unknown precision tag");
+        let occ0 = 1 + 4 + 4 * 8 + 4;
+        let mut bad = bytes.clone();
+        bad[occ0] |= 1 << 4; // bit 4 of a 4-class bitmap
+        assert!(decode(&bad).is_err(), "set bits beyond the class count");
+        for count_at in [1, 1 + 4 + 4 * 8, occ0 + 8 + 4] {
+            let mut bad = bytes.clone();
+            bad[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(decode(&bad).is_err(), "count at {count_at} trusted");
+        }
+        for cut in 0..bytes.len() {
+            assert!(decode(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //!
 //! * Every state-mutating server event (request, upload, merge, batch,
 //!   leave, flush, watermark change) is appended to the WAL **before** the
-//!   mutation applies, as one CRC-framed JSON record.
+//!   mutation applies, as one CRC-framed binary record — one `write(2)`
+//!   per event.
 //! * Every `wal_rotate_records` appends the log rotates: the current
-//!   snapshot+WAL generation becomes the *previous* generation and a fresh
-//!   checksummed snapshot of the full server state opens the next one.
+//!   snapshot+WAL generation is *renamed* into the previous generation and
+//!   a fresh checksummed snapshot of the full server state opens the next
+//!   one.
 //! * Recovery loads the newest valid snapshot (falling back one generation
 //!   when the current snapshot is corrupt), replays the WAL tail through
 //!   the same merge kernels the live server runs, and truncates a torn
@@ -28,11 +30,43 @@
 //! [u32 LE payload length][u32 LE CRC-32 of payload][payload bytes]
 //! ```
 //!
-//! A snapshot is exactly one frame whose payload is the JSON
-//! [`Snapshot`]; a WAL segment is zero or more frames whose payloads are
-//! JSON [`WalRecord`]s. JSON through the vendored serde is canonical
-//! (insertion-ordered maps, shortest round-trip float formatting), so
-//! re-serializing a decoded snapshot reproduces its bytes exactly.
+//! Payloads use the [`Wire`] encoding the socket frames use
+//! (`coca_net::wire`: little-endian, fixed-width, a `u32` count before
+//! every sequence, `usize` as `u64`). A WAL segment is zero or more
+//! frames, one [`WalRecord`] each:
+//!
+//! ```text
+//! [u8 tag][body]
+//!   0 Request    CacheRequest
+//!   1 Merge      UpdateUpload
+//!   2 Upload     UpdateUpload
+//!   3 Batch      [u32 n][n × UpdateUpload]
+//!   4 Leave      —
+//!   5 Flush      —
+//!   6 Watermark  [u64 live members]
+//! ```
+//!
+//! A snapshot is exactly one frame holding a [`Snapshot`]:
+//!
+//! ```text
+//! [u8 version = 2]
+//! [CocaConfig]                              88 bytes, fields in order
+//! [GlobalCacheTable]                        precision, Φ, per-layer
+//!                                           occupancy words + stores
+//! [u32 n][n × ([u64 client id][ClientStatus])]   ascending by id
+//! [u32 m][m × UpdateUpload]                 the pending queue, FIFO
+//! [u64 flush watermark]
+//! [u8 0|1][AcaOutput]                       the static allocation
+//! ```
+//!
+//! Each type documents its own layout beside its `Wire` impl. Decoding
+//! checks every count against the bytes left in the frame before
+//! allocating, rejects trailing bytes, and validates every cross-field
+//! invariant ([`Snapshot::validate`]); the encoding is canonical, so
+//! re-encoding a decoded snapshot or record reproduces its bytes exactly.
+//! There is one format: a store written by a build that framed JSON
+//! payloads fails the version / tag byte and is refused with
+//! [`PersistError::Decode`], not migrated.
 //!
 //! ## Torn writes and corruption
 //!
@@ -43,14 +77,18 @@
 //! snapshot falls back to the previous generation (previous snapshot +
 //! previous WAL + current WAL), while a corrupt rotated WAL segment or a
 //! doubly-corrupt snapshot pair is unrecoverable and reported as a typed
-//! error, never a panic.
+//! error, never a panic. A rotation is four storage operations and is not
+//! itself a crash point of the fault model: [`CrashPlan`] faults fire at
+//! append boundaries.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fs::File;
 use std::io::Write as _;
 use std::path::PathBuf;
 
-use serde::{Deserialize, Serialize};
+use coca_net::wire::{decode_seq, encode_seq, put_u32};
+use coca_net::{FrameError, Reader, Wire};
 
 use crate::aca::AcaOutput;
 use crate::config::CocaConfig;
@@ -58,8 +96,9 @@ use crate::global::GlobalCacheTable;
 use crate::proto::{CacheRequest, UpdateUpload};
 use crate::status::ClientStatus;
 
-/// Snapshot payload schema version (bumped on incompatible changes).
-const SNAPSHOT_VERSION: u64 = 1;
+/// Snapshot payload version byte (bumped on incompatible changes;
+/// version 1 was the JSON payload).
+const SNAPSHOT_VERSION: u8 = 2;
 
 /// Storage key of the current-generation snapshot.
 pub const SNAP_CUR: &str = "snap.cur";
@@ -71,12 +110,13 @@ pub const WAL_CUR: &str = "wal.cur";
 pub const WAL_PREV: &str = "wal.prev";
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3 polynomial, reflected) — vendored shims carry no
-// checksum crate, and 16 lines of table-driven CRC beat a dependency.
+// CRC-32 (IEEE 802.3 polynomial, reflected), slice-by-8 — vendored shims
+// carry no checksum crate. Eight table lookups fold eight input bytes per
+// step; byte-at-a-time would be the largest stage of a 43 KB append.
 // ---------------------------------------------------------------------------
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -89,17 +129,42 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    // Table k advances table k-1 by one more zero byte.
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -108,12 +173,23 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // Frame codec
 // ---------------------------------------------------------------------------
 
+/// Replaces `out` with one frame whose payload is whatever `body` appends:
+/// the header is reserved first and patched once the payload is in place,
+/// so the payload is written exactly once, into its final position.
+fn frame_with(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    out.clear();
+    out.extend_from_slice(&[0; 8]);
+    body(out);
+    let len = u32::try_from(out.len() - 8).expect("frame payload exceeds u32");
+    let crc = crc32(&out[8..]);
+    out[..4].copy_from_slice(&len.to_le_bytes());
+    out[4..8].copy_from_slice(&crc.to_le_bytes());
+}
+
 /// Frames `payload` as `[u32 len][u32 crc][payload]` (little-endian).
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    frame_with(&mut out, |out| out.extend_from_slice(payload));
     out
 }
 
@@ -128,8 +204,9 @@ pub enum PersistError {
     /// A rotated (closed) WAL segment failed a length or CRC check. Only
     /// the final record of the *current* segment may legally be torn.
     CorruptClosedSegment(String),
-    /// A CRC-valid frame carried a payload that failed JSON or schema
-    /// validation — data corruption inside a committed record.
+    /// A CRC-valid frame carried a payload that failed to decode or
+    /// validate — data corruption inside a committed record, or a store
+    /// written in another format version.
     Decode(String),
     /// The snapshot was written under a different [`CocaConfig`] than the
     /// one the recovering server was constructed with.
@@ -155,7 +232,13 @@ impl fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-/// Decodes a frame sequence into payloads.
+impl From<FrameError> for PersistError {
+    fn from(e: FrameError) -> Self {
+        PersistError::Decode(e.to_string())
+    }
+}
+
+/// Decodes a frame sequence into payload slices borrowed from `bytes`.
 ///
 /// `lenient_tail` is the torn-write policy: when set (the *current* WAL
 /// segment), an incomplete or CRC-failing **final** frame is truncated and
@@ -167,7 +250,7 @@ impl std::error::Error for PersistError {}
 pub fn decode_frames(
     bytes: &[u8],
     lenient_tail: bool,
-) -> Result<(Vec<Vec<u8>>, usize, usize), PersistError> {
+) -> Result<(Vec<&[u8]>, usize, usize), PersistError> {
     let mut payloads = Vec::new();
     let mut pos = 0usize;
     while pos < bytes.len() {
@@ -187,7 +270,7 @@ pub fn decode_frames(
             } else if crc32(&bytes[pos + 8..pos + 8 + len]) != crc {
                 Some(format!("CRC mismatch at byte {pos}"))
             } else {
-                payloads.push(bytes[pos + 8..pos + 8 + len].to_vec());
+                payloads.push(&bytes[pos + 8..pos + 8 + len]);
                 pos += 8 + len;
                 None
             }
@@ -218,6 +301,20 @@ pub trait Storage: Send + Sync {
     fn append(&mut self, key: &str, bytes: &[u8]);
     /// Removes `key` (no-op when absent).
     fn remove(&mut self, key: &str);
+    /// Moves the contents under `from` to `to`, replacing what `to` held;
+    /// an absent `from` leaves `to` absent too. Provided as
+    /// load + save + remove; backends that can move without copying
+    /// ([`DirStorage`]) override it — rotation renames a whole WAL
+    /// segment through here.
+    fn rename(&mut self, from: &str, to: &str) {
+        match self.load(from) {
+            Some(bytes) => {
+                self.save(to, &bytes);
+                self.remove(from);
+            }
+            None => self.remove(to),
+        }
+    }
     /// Requests that every write reach stable media before returning
     /// (fsync-per-append). Provided as a no-op: only backends with a
     /// volatile write path ([`DirStorage`]) have anything to sync, and
@@ -290,8 +387,8 @@ impl Storage for MemStorage {
 }
 
 /// Directory-backed storage: one file per key. The deployment backend of
-/// the daemon and the TCP example; appends reopen in append mode, so
-/// per-event cost is one `write(2)`.
+/// the daemon and the TCP example. The file last appended to stays open,
+/// so per-event cost is one `write(2)` — no `open`/`close` around it.
 ///
 /// By default writes land in the page cache only — crash-safe against
 /// *process* death (the kernel still flushes), not power loss, and fast
@@ -302,6 +399,10 @@ impl Storage for MemStorage {
 pub struct DirStorage {
     dir: PathBuf,
     fsync: bool,
+    /// The key last appended to and its open append handle. Dropped
+    /// whenever that key is saved, removed or renamed (either side): the
+    /// descriptor would keep following the old inode.
+    tail: Option<(String, File)>,
 }
 
 impl DirStorage {
@@ -313,7 +414,11 @@ impl DirStorage {
         let fsync = std::env::var("COCA_FSYNC")
             .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
             .unwrap_or(false);
-        Ok(Self { dir, fsync })
+        Ok(Self {
+            dir,
+            fsync,
+            tail: None,
+        })
     }
 
     /// Whether save/append sync to stable media before returning.
@@ -324,6 +429,13 @@ impl DirStorage {
     fn path(&self, key: &str) -> PathBuf {
         self.dir.join(key)
     }
+
+    /// Closes the append handle if it belongs to `key`.
+    fn forget(&mut self, key: &str) {
+        if self.tail.as_ref().is_some_and(|(k, _)| k == key) {
+            self.tail = None;
+        }
+    }
 }
 
 impl Storage for DirStorage {
@@ -332,6 +444,7 @@ impl Storage for DirStorage {
     }
 
     fn save(&mut self, key: &str, bytes: &[u8]) {
+        self.forget(key);
         if self.fsync {
             let mut f = std::fs::OpenOptions::new()
                 .create(true)
@@ -348,11 +461,15 @@ impl Storage for DirStorage {
     }
 
     fn append(&mut self, key: &str, bytes: &[u8]) {
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.path(key))
-            .expect("durability dir must stay writable");
+        if self.tail.as_ref().is_none_or(|(k, _)| k != key) {
+            let f = std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(self.path(key))
+                .expect("durability dir must stay writable");
+            self.tail = Some((key.to_string(), f));
+        }
+        let (_, f) = self.tail.as_mut().expect("append handle opened above");
         f.write_all(bytes)
             .expect("durability dir must stay writable");
         if self.fsync {
@@ -361,7 +478,18 @@ impl Storage for DirStorage {
     }
 
     fn remove(&mut self, key: &str) {
+        self.forget(key);
         let _ = std::fs::remove_file(self.path(key));
+    }
+
+    fn rename(&mut self, from: &str, to: &str) {
+        self.forget(from);
+        self.forget(to);
+        match std::fs::rename(self.path(from), self.path(to)) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => self.remove(to),
+            Err(e) => panic!("durability dir must stay writable: {e}"),
+        }
     }
 
     fn set_fsync(&mut self, enabled: bool) {
@@ -394,130 +522,53 @@ pub struct Snapshot {
     pub static_alloc: Option<AcaOutput>,
 }
 
-impl Serialize for Snapshot {
-    fn to_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("version".into(), Serialize::to_value(&SNAPSHOT_VERSION));
-        m.insert("config".into(), Serialize::to_value(&self.config));
-        m.insert("global".into(), Serialize::to_value(&self.global));
-        m.insert("clients".into(), Serialize::to_value(&self.clients));
-        m.insert("pending".into(), Serialize::to_value(&self.pending));
-        m.insert(
-            "flush_watermark".into(),
-            Serialize::to_value(&self.flush_watermark),
-        );
-        m.insert(
-            "static_alloc".into(),
-            Serialize::to_value(&self.static_alloc),
-        );
-        serde::Value::Object(m)
-    }
-}
-
-impl Deserialize for Snapshot {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(m) = v else {
-            return Err(serde::Error::custom(format!(
-                "expected object for Snapshot, got {}",
-                v.kind()
-            )));
-        };
-        let version: u64 = serde::__field(m, "version")?;
-        if version != SNAPSHOT_VERSION {
-            return Err(serde::Error::custom(format!(
-                "Snapshot: unsupported version {version} (expected {SNAPSHOT_VERSION})"
-            )));
+/// Encodes the single-frame snapshot of the given state, every part by
+/// reference — the live server snapshots itself through here without
+/// cloning its table; [`Snapshot::to_bytes`] is the same call on owned
+/// parts. `clients` must iterate ascending by id.
+pub(crate) fn snapshot_frame<'a>(
+    config: &CocaConfig,
+    global: &GlobalCacheTable,
+    clients: impl ExactSizeIterator<Item = (u64, &'a ClientStatus)>,
+    pending: &[UpdateUpload],
+    flush_watermark: usize,
+    static_alloc: &Option<AcaOutput>,
+) -> Vec<u8> {
+    let mut out = Vec::new();
+    frame_with(&mut out, |out| {
+        out.push(SNAPSHOT_VERSION);
+        config.encode(out);
+        global.encode(out);
+        put_u32(out, clients.len());
+        for (id, status) in clients {
+            id.encode(out);
+            status.encode(out);
         }
-        let config: CocaConfig = serde::__field(m, "config")?;
-        let global: GlobalCacheTable = serde::__field(m, "global")?;
-        let clients: Vec<(u64, ClientStatus)> = serde::__field(m, "clients")?;
-        let pending: Vec<UpdateUpload> = serde::__field(m, "pending")?;
-        let flush_watermark: usize = serde::__field(m, "flush_watermark")?;
-        let static_alloc: Option<AcaOutput> = serde::__field(m, "static_alloc")?;
-
-        let classes = global.num_classes();
-        let layers = global.num_layers();
-        // Client registry: strictly id-sorted (the canonical byte form),
-        // every status shaped like the table it mirrors.
-        for w in clients.windows(2) {
-            if w[0].0 >= w[1].0 {
-                return Err(serde::Error::custom(format!(
-                    "Snapshot: client registry not strictly id-sorted at {}",
-                    w[1].0
-                )));
-            }
-        }
-        for (id, st) in &clients {
-            if st.timestamps().len() != classes || st.frequency().len() != classes {
-                return Err(serde::Error::custom(format!(
-                    "Snapshot: client {id} status tracks {}/{} classes in a {classes}-class table",
-                    st.timestamps().len(),
-                    st.frequency().len()
-                )));
-            }
-        }
-        // Pending uploads must be mergeable into this table: φ length,
-        // layer indices and per-layer entry dimensions all have to line
-        // up (the "layer dims" half of the snapshot hardening).
-        for (i, up) in pending.iter().enumerate() {
-            if up.frequency.len() != classes {
-                return Err(serde::Error::custom(format!(
-                    "Snapshot: pending upload {i} carries {} φ entries for {classes} classes",
-                    up.frequency.len()
-                )));
-            }
-            for g in up.table.layer_groups() {
-                let layer = g.layer as usize;
-                if layer >= layers {
-                    return Err(serde::Error::custom(format!(
-                        "Snapshot: pending upload {i} touches layer {layer} of a {layers}-layer table"
-                    )));
-                }
-                if let Some(d) = global.layer_dim(layer) {
-                    if g.vectors.dim() != d {
-                        return Err(serde::Error::custom(format!(
-                            "Snapshot: pending upload {i} layer {layer} dim {} vs table dim {d}",
-                            g.vectors.dim()
-                        )));
-                    }
-                }
-                if let Some(&c) = g.classes.iter().find(|&&c| c as usize >= classes) {
-                    return Err(serde::Error::custom(format!(
-                        "Snapshot: pending upload {i} layer {layer} touches class {c} of {classes}"
-                    )));
-                }
-            }
-        }
-        if let Some(alloc) = &static_alloc {
-            if alloc.hot_classes.iter().any(|&c| c >= classes)
-                || alloc.layers.iter().any(|&j| j >= layers)
-            {
-                return Err(serde::Error::custom(
-                    "Snapshot: static allocation indexes outside the table".to_string(),
-                ));
-            }
-        }
-        Ok(Self {
-            config,
-            global,
-            clients,
-            pending,
-            flush_watermark,
-            static_alloc,
-        })
-    }
+        encode_seq(pending, out);
+        flush_watermark.encode(out);
+        static_alloc.encode(out);
+    });
+    out
 }
 
 impl Snapshot {
     /// Serializes to the single-frame byte form stored under a snapshot
     /// key.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let json = serde_json::to_string(self).expect("snapshots always serialize");
-        encode_frame(json.as_bytes())
+        snapshot_frame(
+            &self.config,
+            &self.global,
+            self.clients.iter().map(|(id, st)| (*id, st)),
+            &self.pending,
+            self.flush_watermark,
+            &self.static_alloc,
+        )
     }
 
-    /// Parses the single-frame byte form, validating frame CRC, JSON and
-    /// schema. Exactly one frame must be present.
+    /// Parses the single-frame byte form, validating frame CRC, payload
+    /// encoding and every invariant of [`Snapshot::validate`]. Exactly
+    /// one frame must be present, and it must hold nothing but the
+    /// snapshot.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, PersistError> {
         let (payloads, _, _) = decode_frames(bytes, false)?;
         let [payload] = payloads.as_slice() else {
@@ -526,9 +577,97 @@ impl Snapshot {
                 payloads.len()
             )));
         };
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| PersistError::Decode(format!("snapshot is not UTF-8: {e}")))?;
-        serde_json::from_str(text).map_err(|e| PersistError::Decode(e.to_string()))
+        let mut r = Reader::new(payload);
+        let version = u8::decode(&mut r)?;
+        if version != SNAPSHOT_VERSION {
+            return Err(PersistError::Decode(format!(
+                "Snapshot: unsupported version {version} (expected {SNAPSHOT_VERSION})"
+            )));
+        }
+        let snap = Self {
+            config: Wire::decode(&mut r)?,
+            global: Wire::decode(&mut r)?,
+            clients: {
+                // An empty status is its two counts.
+                let n = r.count(16)?;
+                (0..n)
+                    .map(|_| Ok((u64::decode(&mut r)?, ClientStatus::decode(&mut r)?)))
+                    .collect::<Result<_, FrameError>>()?
+            },
+            // An empty upload: two ids, two counts, the precision tag.
+            pending: decode_seq(&mut r, 25)?,
+            flush_watermark: Wire::decode(&mut r)?,
+            static_alloc: Wire::decode(&mut r)?,
+        };
+        r.finish()?;
+        snap.validate().map_err(PersistError::Decode)?;
+        Ok(snap)
+    }
+
+    /// The cross-field invariants a decoded snapshot must hold before a
+    /// server adopts it (the table's own shape is checked as it decodes):
+    /// a strictly id-sorted client registry shaped like the table, pending
+    /// uploads the table can merge, a static allocation inside it.
+    pub fn validate(&self) -> Result<(), String> {
+        let classes = self.global.num_classes();
+        let layers = self.global.num_layers();
+        // Client registry: strictly id-sorted (the canonical byte form),
+        // every status shaped like the table it mirrors.
+        if let Some(w) = self.clients.windows(2).find(|w| w[0].0 >= w[1].0) {
+            return Err(format!(
+                "Snapshot: client registry not strictly id-sorted at {}",
+                w[1].0
+            ));
+        }
+        for (id, st) in &self.clients {
+            if st.timestamps().len() != classes || st.frequency().len() != classes {
+                return Err(format!(
+                    "Snapshot: client {id} status tracks {}/{} classes in a {classes}-class table",
+                    st.timestamps().len(),
+                    st.frequency().len()
+                ));
+            }
+        }
+        // Pending uploads must be mergeable into this table: φ length,
+        // layer indices and per-layer entry dimensions all have to line
+        // up.
+        for (i, up) in self.pending.iter().enumerate() {
+            if up.frequency.len() != classes {
+                return Err(format!(
+                    "Snapshot: pending upload {i} carries {} φ entries for {classes} classes",
+                    up.frequency.len()
+                ));
+            }
+            for g in up.table.layer_groups() {
+                let layer = g.layer as usize;
+                if layer >= layers {
+                    return Err(format!(
+                        "Snapshot: pending upload {i} touches layer {layer} of a {layers}-layer table"
+                    ));
+                }
+                if let Some(d) = self.global.layer_dim(layer) {
+                    if g.vectors.dim() != d {
+                        return Err(format!(
+                            "Snapshot: pending upload {i} layer {layer} dim {} vs table dim {d}",
+                            g.vectors.dim()
+                        ));
+                    }
+                }
+                if let Some(&c) = g.classes.iter().find(|&&c| c as usize >= classes) {
+                    return Err(format!(
+                        "Snapshot: pending upload {i} layer {layer} touches class {c} of {classes}"
+                    ));
+                }
+            }
+        }
+        if let Some(alloc) = &self.static_alloc {
+            if alloc.hot_classes.iter().any(|&c| c >= classes)
+                || alloc.layers.iter().any(|&j| j >= layers)
+            {
+                return Err("Snapshot: static allocation indexes outside the table".to_string());
+            }
+        }
+        Ok(())
     }
 }
 
@@ -539,7 +678,7 @@ impl Snapshot {
 /// One logged server event. Each variant carries exactly the input of the
 /// public handler it mirrors, so replay drives the same code path — same
 /// fused kernels, bit-identical state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum WalRecord {
     /// `handle_request`: flush boundary (policy-dependent), lazy static
     /// allocation, τ registry update.
@@ -558,17 +697,90 @@ pub enum WalRecord {
     Watermark(usize),
 }
 
+/// A [`WalRecord`] by reference: what the server's log sites hand the
+/// encoder, so logging an event never clones the event. The tag byte is
+/// the variant's position, shared with [`WalRecord::from_payload`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum WalRef<'a> {
+    Request(&'a CacheRequest),
+    Merge(&'a UpdateUpload),
+    Upload(&'a UpdateUpload),
+    Batch(&'a [UpdateUpload]),
+    Leave,
+    Flush,
+    Watermark(usize),
+}
+
+impl WalRef<'_> {
+    /// Replaces `out` with this record's frame.
+    pub(crate) fn frame_into(self, out: &mut Vec<u8>) {
+        frame_with(out, |out| match self {
+            WalRef::Request(req) => {
+                out.push(0);
+                req.encode(out);
+            }
+            WalRef::Merge(up) => {
+                out.push(1);
+                up.encode(out);
+            }
+            WalRef::Upload(up) => {
+                out.push(2);
+                up.encode(out);
+            }
+            WalRef::Batch(ups) => {
+                out.push(3);
+                encode_seq(ups, out);
+            }
+            WalRef::Leave => out.push(4),
+            WalRef::Flush => out.push(5),
+            WalRef::Watermark(n) => {
+                out.push(6);
+                n.encode(out);
+            }
+        });
+    }
+}
+
 impl WalRecord {
-    /// Serializes to the framed byte form appended to a WAL segment.
-    pub fn to_frame(&self) -> Vec<u8> {
-        let json = serde_json::to_string(self).expect("WAL records always serialize");
-        encode_frame(json.as_bytes())
+    fn as_ref(&self) -> WalRef<'_> {
+        match self {
+            WalRecord::Request(req) => WalRef::Request(req),
+            WalRecord::Merge(up) => WalRef::Merge(up),
+            WalRecord::Upload(up) => WalRef::Upload(up),
+            WalRecord::Batch(ups) => WalRef::Batch(ups),
+            WalRecord::Leave => WalRef::Leave,
+            WalRecord::Flush => WalRef::Flush,
+            WalRecord::Watermark(n) => WalRef::Watermark(*n),
+        }
     }
 
-    fn from_payload(payload: &[u8]) -> Result<Self, PersistError> {
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| PersistError::Decode(format!("WAL record is not UTF-8: {e}")))?;
-        serde_json::from_str(text).map_err(|e| PersistError::Decode(e.to_string()))
+    /// Serializes to the framed byte form appended to a WAL segment.
+    pub fn to_frame(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.as_ref().frame_into(&mut out);
+        out
+    }
+
+    /// Decodes one frame payload ([`decode_frames`] yields them), which
+    /// must hold exactly one record.
+    pub fn from_payload(payload: &[u8]) -> Result<Self, PersistError> {
+        let mut r = Reader::new(payload);
+        let rec = match u8::decode(&mut r)? {
+            0 => WalRecord::Request(Wire::decode(&mut r)?),
+            1 => WalRecord::Merge(Wire::decode(&mut r)?),
+            2 => WalRecord::Upload(Wire::decode(&mut r)?),
+            3 => WalRecord::Batch(decode_seq(&mut r, 25)?),
+            4 => WalRecord::Leave,
+            5 => WalRecord::Flush,
+            6 => WalRecord::Watermark(Wire::decode(&mut r)?),
+            tag => {
+                return Err(PersistError::Decode(format!(
+                    "unknown WAL record tag {tag}"
+                )))
+            }
+        };
+        r.finish()?;
+        Ok(rec)
     }
 }
 
@@ -672,6 +884,10 @@ pub struct Durability {
     /// plan's event-index space.
     events: u64,
     crash: Option<CrashPlan>,
+    /// The frame of the record being logged, reused across appends so a
+    /// steady-state append allocates nothing (the server encodes each
+    /// event into it by reference, see [`WalRef::frame_into`]).
+    pub(crate) frame: Vec<u8>,
 }
 
 impl fmt::Debug for Durability {
@@ -695,6 +911,7 @@ impl Durability {
             records_in_cur: 0,
             events: 0,
             crash: None,
+            frame: Vec::new(),
         }
     }
 
@@ -779,17 +996,13 @@ impl Durability {
         self.records_in_cur >= self.rotate_every
     }
 
-    /// Rotates generations: the current snapshot+WAL become the previous
-    /// generation and `snapshot_frame` (the state *before* the next
-    /// record's mutation) opens a fresh one.
+    /// Rotates generations: the current snapshot+WAL are renamed into the
+    /// previous generation — no segment is read back or rewritten — and
+    /// `snapshot_frame` (the state *before* the next record's mutation)
+    /// opens a fresh one.
     pub fn rotate(&mut self, snapshot_frame: &[u8]) {
-        let old_snap = self.store.load(SNAP_CUR);
-        let old_wal = self.store.load(WAL_CUR).unwrap_or_default();
-        match old_snap {
-            Some(s) => self.store.save(SNAP_PREV, &s),
-            None => self.store.remove(SNAP_PREV),
-        }
-        self.store.save(WAL_PREV, &old_wal);
+        self.store.rename(SNAP_CUR, SNAP_PREV);
+        self.store.rename(WAL_CUR, WAL_PREV);
         self.store.save(WAL_CUR, &[]);
         self.store.save(SNAP_CUR, snapshot_frame);
         self.records_in_cur = 0;
@@ -816,80 +1029,59 @@ impl Durability {
     /// Loads the newest valid snapshot generation and the WAL records to
     /// replay on top of it, truncating a torn final record. `None`
     /// snapshot means genesis: no snapshot was ever written and replay
-    /// starts from freshly constructed server state.
+    /// starts from freshly constructed server state. The previous
+    /// generation is only read when the current snapshot does not
+    /// validate.
     pub fn load_for_recovery(
         &mut self,
     ) -> Result<(Option<Snapshot>, Vec<WalRecord>, RecoveryInfo), PersistError> {
-        let cur_snap = self.store.load(SNAP_CUR);
-        let prev_snap = self.store.load(SNAP_PREV);
-        let wal_cur = self.store.load(WAL_CUR).unwrap_or_default();
-        let wal_prev = self.store.load(WAL_PREV).unwrap_or_default();
-
         // The current segment is the only one that may end in a torn
         // record; rotated segments were closed cleanly.
-        let (tail_payloads, _, truncated_bytes) = decode_frames(&wal_cur, true)?;
+        let wal_cur = self.store.load(WAL_CUR).unwrap_or_default();
+        let (tail, _, truncated_bytes) = decode_frames(&wal_cur, true)?;
+        let decode = |payloads: &[&[u8]]| -> Result<Vec<WalRecord>, PersistError> {
+            payloads
+                .iter()
+                .map(|p| WalRecord::from_payload(p))
+                .collect()
+        };
+        let done = |snap, records: Vec<WalRecord>, source| {
+            let replayed = records.len();
+            let info = RecoveryInfo {
+                source,
+                replayed,
+                truncated_bytes,
+            };
+            Ok((snap, records, info))
+        };
 
+        let cur_snap = self.store.load(SNAP_CUR);
         if let Some(snap) = cur_snap
             .as_deref()
             .and_then(|b| Snapshot::from_bytes(b).ok())
         {
-            let records = decode_wal_payloads(tail_payloads)?;
-            let replayed = records.len();
-            return Ok((
-                Some(snap),
-                records,
-                RecoveryInfo {
-                    source: SnapshotSource::Current,
-                    replayed,
-                    truncated_bytes,
-                },
-            ));
+            return done(Some(snap), decode(&tail)?, SnapshotSource::Current);
         }
-        if let Some(snap) = prev_snap
-            .as_deref()
-            .and_then(|b| Snapshot::from_bytes(b).ok())
-        {
-            let (prev_payloads, _, _) = decode_frames(&wal_prev, false)?;
-            let mut records = decode_wal_payloads(prev_payloads)?;
-            records.extend(decode_wal_payloads(tail_payloads)?);
-            let replayed = records.len();
-            return Ok((
-                Some(snap),
-                records,
-                RecoveryInfo {
-                    source: SnapshotSource::Previous,
-                    replayed,
-                    truncated_bytes,
-                },
-            ));
-        }
-        if cur_snap.is_some() || prev_snap.is_some() {
+        let snap = match self.store.load(SNAP_PREV).map(|b| Snapshot::from_bytes(&b)) {
+            Some(Ok(snap)) => Some(snap),
             // A snapshot existed but neither generation validates.
-            return Err(PersistError::NoValidSnapshot);
-        }
-        // Fresh store: genesis + whatever WAL exists (a store that never
-        // rotated never wrote wal.prev either).
-        let (prev_payloads, _, _) = decode_frames(&wal_prev, false)?;
-        let mut records = decode_wal_payloads(prev_payloads)?;
-        records.extend(decode_wal_payloads(tail_payloads)?);
-        let replayed = records.len();
-        Ok((
-            None,
-            records,
-            RecoveryInfo {
-                source: SnapshotSource::Genesis,
-                replayed,
-                truncated_bytes,
-            },
-        ))
+            Some(Err(_)) => return Err(PersistError::NoValidSnapshot),
+            None if cur_snap.is_some() => return Err(PersistError::NoValidSnapshot),
+            // Fresh store: genesis + whatever WAL exists (a store that
+            // never rotated never wrote wal.prev either).
+            None => None,
+        };
+        let wal_prev = self.store.load(WAL_PREV).unwrap_or_default();
+        let (closed, _, _) = decode_frames(&wal_prev, false)?;
+        let mut records = decode(&closed)?;
+        records.extend(decode(&tail)?);
+        let source = if snap.is_some() {
+            SnapshotSource::Previous
+        } else {
+            SnapshotSource::Genesis
+        };
+        done(snap, records, source)
     }
-}
-
-fn decode_wal_payloads(payloads: Vec<Vec<u8>>) -> Result<Vec<WalRecord>, PersistError> {
-    payloads
-        .iter()
-        .map(|p| WalRecord::from_payload(p))
-        .collect()
 }
 
 #[cfg(test)]
@@ -903,6 +1095,40 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The byte-at-a-time CRC the slice-by-8 kernel replaced — kept here
+    /// only as the reference.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn slice_by_8_crc_equals_the_bytewise_reference() {
+        // Every length across the 8-byte stride boundary, at every
+        // alignment of the same pseudo-random stream, then long buffers.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u8
+        };
+        let stream: Vec<u8> = (0..50_000).map(|_| next()).collect();
+        for len in 0..=64 {
+            for start in 0..8 {
+                let buf = &stream[start..start + len];
+                assert_eq!(crc32(buf), crc32_bytewise(buf), "len {len} start {start}");
+            }
+        }
+        for (start, len) in [(0, 43_546), (3, 49_997), (7, 1_000), (1, 4_095)] {
+            let buf = &stream[start..start + len];
+            assert_eq!(crc32(buf), crc32_bytewise(buf), "len {len} start {start}");
+        }
+    }
+
     #[test]
     fn frames_round_trip_and_reject_any_strict_prefix() {
         let payloads: Vec<&[u8]> = vec![b"alpha", b"", b"{\"k\":1}"];
@@ -911,10 +1137,7 @@ mod tests {
             bytes.extend_from_slice(&encode_frame(p));
         }
         let (decoded, committed, truncated) = decode_frames(&bytes, false).unwrap();
-        assert_eq!(
-            decoded.iter().map(Vec::as_slice).collect::<Vec<_>>(),
-            payloads
-        );
+        assert_eq!(decoded, payloads);
         assert_eq!(committed, bytes.len());
         assert_eq!(truncated, 0);
 
@@ -976,12 +1199,7 @@ mod tests {
 
     #[test]
     fn dir_storage_round_trips_through_files() {
-        let dir = std::env::temp_dir().join(format!(
-            "coca-persist-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("test");
         let mut s = DirStorage::open(&dir).unwrap();
         assert!(s.load(WAL_CUR).is_none());
         s.save(SNAP_CUR, b"snapshot");
@@ -997,12 +1215,7 @@ mod tests {
     #[test]
     fn dir_storage_fsync_toggle_keeps_bytes_identical() {
         // COCA_FSYNC changes the durability discipline, never the bytes.
-        let dir = std::env::temp_dir().join(format!(
-            "coca-persist-fsync-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("fsync");
         let mut s = DirStorage::open(&dir).unwrap();
         // Defaults off unless the env says otherwise (the benchmark mode).
         if std::env::var("COCA_FSYNC").is_err() {
@@ -1023,18 +1236,128 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "coca-persist-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn dir_storage_open_handle_follows_save_remove_and_rename() {
+        // The append handle must never outlive the file it was opened
+        // on: after a save, a remove or a rename of the appended key —
+        // or a rename *onto* it — the next append lands where MemStorage
+        // puts it.
+        let dir = temp_dir("handle");
+        let mut disk = DirStorage::open(&dir).unwrap();
+        let mut mem = MemStorage::new();
+        let script = |s: &mut dyn Storage| {
+            s.append(WAL_CUR, b"a1");
+            s.append(WAL_CUR, b"a2");
+            s.save(WAL_CUR, b"S"); // append → save → append
+            s.append(WAL_CUR, b"a3");
+            s.rename(WAL_CUR, WAL_PREV); // append → rename → append
+            s.append(WAL_CUR, b"a4");
+            s.append(WAL_PREV, b"p1");
+            s.append(WAL_CUR, b"a5"); // switching keys reopens
+            s.rename(WAL_PREV, WAL_CUR); // rename onto the appended key
+            s.append(WAL_CUR, b"a6");
+            s.remove(WAL_CUR); // append → remove → append
+            s.append(WAL_CUR, b"a7");
+            s.rename(SNAP_CUR, SNAP_PREV); // absent source: target absent too
+            s.save(SNAP_CUR, b"snap");
+            s.rename(SNAP_CUR, SNAP_PREV);
+        };
+        script(&mut disk);
+        script(&mut mem);
+        for key in [SNAP_CUR, SNAP_PREV, WAL_CUR, WAL_PREV] {
+            assert_eq!(disk.load(key), mem.load(key), "{key}");
+        }
+        assert_eq!(mem.load(WAL_CUR).as_deref(), Some(&b"a7"[..]));
+        assert_eq!(mem.load(SNAP_PREV).as_deref(), Some(&b"snap"[..]));
+        assert!(mem.load(SNAP_CUR).is_none() && mem.load(WAL_PREV).is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rotation_on_disk_matches_rotation_in_memory() {
+        let dir = temp_dir("rotate");
+        let mut disk = Durability::new(Box::new(DirStorage::open(&dir).unwrap()), 2);
+        let mut mem = Durability::new(Box::new(MemStorage::new()), 2);
+        for d in [&mut disk, &mut mem] {
+            d.ensure_genesis(b"S0");
+            for gen in 1..=3u8 {
+                d.append_frame(&[b'r', gen, 0]);
+                d.append_frame(&[b'r', gen, 1]);
+                assert!(d.needs_rotation());
+                d.rotate(&[b'S', gen]);
+            }
+            d.append_frame(b"tail");
+        }
+        for key in [SNAP_CUR, SNAP_PREV, WAL_CUR, WAL_PREV] {
+            assert_eq!(disk.storage().load(key), mem.storage().load(key), "{key}");
+        }
+        assert_eq!(
+            mem.storage().load(WAL_PREV).as_deref(),
+            Some(&[b'r', 3, 0, b'r', 3, 1][..])
+        );
+        assert_eq!(mem.storage().load(WAL_CUR).as_deref(), Some(&b"tail"[..]));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn wal_record_tags_are_variant_positions_and_unknown_tags_are_typed_errors() {
+        for (tag, rec) in [
+            (4u8, WalRecord::Leave),
+            (5, WalRecord::Flush),
+            (6, WalRecord::Watermark(9)),
+        ] {
+            let frame = rec.to_frame();
+            assert_eq!(frame[8], tag);
+            let (payloads, _, _) = decode_frames(&frame, false).unwrap();
+            assert_eq!(
+                WalRecord::from_payload(payloads[0]).unwrap().to_frame(),
+                frame
+            );
+        }
+        // A bare tag is the whole Leave record: 8 header bytes + 1.
+        assert_eq!(WalRecord::Leave.to_frame().len(), 9);
+        for bad in [&[7u8][..], &[255], b"{", &[]] {
+            assert!(
+                matches!(WalRecord::from_payload(bad), Err(PersistError::Decode(_))),
+                "{bad:?}"
+            );
+        }
+        // Trailing bytes after a complete record.
+        assert!(matches!(
+            WalRecord::from_payload(&[4, 0]),
+            Err(PersistError::Decode(_))
+        ));
+        // A batch count the payload cannot hold, before any allocation.
+        let mut batch = vec![3u8];
+        batch.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            WalRecord::from_payload(&batch),
+            Err(PersistError::Decode(_))
+        ));
+    }
+
     #[test]
     fn wal_record_frames_round_trip() {
         let rec = WalRecord::Watermark(7);
         let frame = rec.to_frame();
         let (payloads, _, _) = decode_frames(&frame, false).unwrap();
-        let back = WalRecord::from_payload(&payloads[0]).unwrap();
+        let back = WalRecord::from_payload(payloads[0]).unwrap();
         assert!(matches!(back, WalRecord::Watermark(7)));
 
         let leave = WalRecord::Leave.to_frame();
         let (payloads, _, _) = decode_frames(&leave, false).unwrap();
         assert!(matches!(
-            WalRecord::from_payload(&payloads[0]).unwrap(),
+            WalRecord::from_payload(payloads[0]).unwrap(),
             WalRecord::Leave
         ));
     }

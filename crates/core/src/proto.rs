@@ -1,10 +1,10 @@
 //! Client↔server protocol messages (§IV.A workflow).
 //!
 //! Each message has three faces: [`Wire`] — the dense binary encoding
-//! `cocad` frames carry; [`WireSize`] — the *logical* byte count the
-//! virtual-time link model charges (the real encoding adds only counts
-//! and tags to it); and serde, which the write-ahead log and snapshots
-//! still use.
+//! `cocad` frames, write-ahead-log records and snapshots carry;
+//! [`WireSize`] — the *logical* byte count the virtual-time link model
+//! charges (the real encoding adds only counts and tags to it); and serde,
+//! the JSON rendering tests and diagnostics read.
 
 use coca_math::Precision;
 use serde::{Deserialize, Serialize};

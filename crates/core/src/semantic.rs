@@ -30,8 +30,8 @@ pub struct CacheLayer {
 // debug-time unit-norm assertion (allocations arrive over the wire in the
 // TCP deployment), and the norm-free lookup kernel would silently
 // mis-score a non-unit entry where the seed's `cosine` used to
-// renormalize it. So both decoders — serde (WAL, snapshots) and the
-// binary frame codec — go through [`CacheLayer::from_untrusted`], which
+// renormalize it. So both decoders — serde and the binary frame codec —
+// go through [`CacheLayer::from_untrusted`], which
 // enforces the contract for real: rows must be unit-norm (or zero —
 // degenerate entries score 0) and parallel to `classes`.
 impl serde::Deserialize for CacheLayer {

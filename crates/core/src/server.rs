@@ -19,7 +19,9 @@ use crate::collect::UpdateTable;
 use crate::config::{CocaConfig, FlushPolicy, MergeMode};
 use crate::global::{GlobalCacheTable, MergeScratch};
 use crate::lookup::{infer_with_cache, LookupScratch};
-use crate::persist::{Durability, PersistError, RecoveryInfo, Snapshot, WalRecord};
+use crate::persist::{
+    snapshot_frame, Durability, PersistError, RecoveryInfo, Snapshot, WalRecord, WalRef,
+};
 use crate::proto::{CacheAllocation, CacheRequest, PeerDelta, PeerDeltaEntry, UpdateUpload};
 use crate::semantic::{CacheLayer, LocalCache};
 use crate::status::ClientStatus;
@@ -298,7 +300,7 @@ impl CocaServer {
     /// state — trigger one fleet-sized batched drain. Ignored unless
     /// [`CocaConfig::flush_policy`] is [`FlushPolicy::RoundAligned`].
     pub fn set_flush_watermark(&mut self, live_members: usize) {
-        self.wal(&WalRecord::Watermark(live_members));
+        self.wal(WalRef::Watermark(live_members));
         self.watermark_inner(live_members);
     }
 
@@ -364,9 +366,7 @@ impl CocaServer {
     /// exact either way; centroid positions may lag up to one round —
     /// the policy's documented relaxed observation contract).
     pub fn handle_request(&mut self, req: &CacheRequest) -> (CacheAllocation, SimDuration) {
-        if self.durability.is_some() {
-            self.wal(&WalRecord::Request(req.clone()));
-        }
+        self.wal(WalRef::Request(req));
         self.request_inner(req)
     }
 
@@ -455,9 +455,7 @@ impl CocaServer {
     /// [`CocaServer::handle_upload`], which dispatches on
     /// [`CocaConfig::merge_mode`].
     pub fn handle_update(&mut self, up: &UpdateUpload) -> SimDuration {
-        if self.durability.is_some() {
-            self.wal(&WalRecord::Merge(up.clone()));
-        }
+        self.wal(WalRef::Merge(up));
         self.merge_now(up)
     }
 
@@ -497,9 +495,7 @@ impl CocaServer {
     /// work, never a virtual millisecond, which is why the two modes
     /// produce byte-identical runs.
     pub fn handle_upload(&mut self, up: UpdateUpload) -> SimDuration {
-        if self.durability.is_some() {
-            self.wal(&WalRecord::Upload(up.clone()));
-        }
+        self.wal(WalRef::Upload(&up));
         self.upload_inner(up)
     }
 
@@ -539,8 +535,8 @@ impl CocaServer {
     /// and is WAL-logged as such; the flushes embedded in request/leave/
     /// watermark handling are covered by those events' own records.
     pub fn flush_pending(&mut self) {
-        if self.durability.is_some() && !self.pending.is_empty() {
-            self.wal(&WalRecord::Flush);
+        if !self.pending.is_empty() {
+            self.wal(WalRef::Flush);
         }
         self.flush_pending_inner();
     }
@@ -656,9 +652,7 @@ impl CocaServer {
                 client_id: w[0].client_id,
             });
         }
-        if self.durability.is_some() {
-            self.wal(&WalRecord::Batch(ups.to_vec()));
-        }
+        self.wal(WalRef::Batch(ups));
         Ok(self.batch_inner(ups))
     }
 
@@ -702,7 +696,7 @@ impl CocaServer {
     /// exponential Φ decay `Φ ← ⌈β·Φ⌉` so the leaver's frequency mass
     /// ages out of ACA's hot-spot scores (a no-op at the default β = 1).
     pub fn on_client_leave(&mut self) {
-        self.wal(&WalRecord::Leave);
+        self.wal(WalRef::Leave);
         self.leave_inner();
     }
 
@@ -842,7 +836,7 @@ impl CocaServer {
     /// valid generation to fall back to. From here on every state-mutating
     /// handler appends its WAL record *before* mutating.
     pub fn attach_durability(&mut self, mut durability: Durability) {
-        durability.ensure_genesis(&self.snapshot().to_bytes());
+        durability.ensure_genesis(&self.snapshot_frame());
         self.durability = Some(durability);
     }
 
@@ -872,8 +866,22 @@ impl CocaServer {
         let Some(mut d) = self.durability.take() else {
             return;
         };
-        d.checkpoint(&self.snapshot().to_bytes());
+        d.checkpoint(&self.snapshot_frame());
         self.durability = Some(d);
+    }
+
+    /// The framed snapshot of the current state, encoded straight from
+    /// the server's fields — what every rotation and checkpoint writes.
+    /// Byte-equal to `self.snapshot().to_bytes()` without the clone.
+    fn snapshot_frame(&self) -> Vec<u8> {
+        snapshot_frame(
+            &self.cfg,
+            &self.global,
+            self.clients.iter().map(|(id, st)| (*id, st)),
+            &self.pending,
+            self.flush_watermark,
+            &self.static_alloc,
+        )
     }
 
     /// A snapshot of the full mutable server state (the derived fields —
@@ -908,7 +916,7 @@ impl CocaServer {
     ) -> Result<(Self, RecoveryInfo), PersistError> {
         let mut server = Self::new(rt, cfg, seeds);
         let info = server.recover_from(&mut durability)?;
-        durability.checkpoint(&server.snapshot().to_bytes());
+        durability.checkpoint(&server.snapshot_frame());
         server.durability = Some(durability);
         Ok((server, info))
     }
@@ -923,9 +931,7 @@ impl CocaServer {
     fn recover_from(&mut self, durability: &mut Durability) -> Result<RecoveryInfo, PersistError> {
         let (snap, records, info) = durability.load_for_recovery()?;
         if let Some(snap) = snap {
-            let mine = serde_json::to_string(&self.cfg).expect("configs always serialize");
-            let theirs = serde_json::to_string(&snap.config).expect("configs always serialize");
-            if mine != theirs {
+            if snap.config != self.cfg {
                 return Err(PersistError::ConfigMismatch);
             }
             self.global = snap.global;
@@ -934,7 +940,7 @@ impl CocaServer {
             self.flush_watermark = snap.flush_watermark;
             self.static_alloc = snap.static_alloc;
         }
-        for rec in &records {
+        for rec in records {
             self.apply_wal(rec);
         }
         Ok(info)
@@ -943,23 +949,23 @@ impl CocaServer {
     /// Replays one WAL record by dispatching to the matching un-logged
     /// handler body. Service-time returns are discarded — virtual costs
     /// were already charged by the original run.
-    fn apply_wal(&mut self, rec: &WalRecord) {
+    fn apply_wal(&mut self, rec: WalRecord) {
         match rec {
             WalRecord::Request(req) => {
-                let _ = self.request_inner(req);
+                let _ = self.request_inner(&req);
             }
             WalRecord::Merge(up) => {
-                let _ = self.merge_now(up);
+                let _ = self.merge_now(&up);
             }
             WalRecord::Upload(up) => {
-                let _ = self.upload_inner(up.clone());
+                let _ = self.upload_inner(up);
             }
             WalRecord::Batch(ups) => {
-                let _ = self.batch_inner(ups);
+                let _ = self.batch_inner(&ups);
             }
             WalRecord::Leave => self.leave_inner(),
             WalRecord::Flush => self.flush_pending_inner(),
-            WalRecord::Watermark(n) => self.watermark_inner(*n),
+            WalRecord::Watermark(n) => self.watermark_inner(n),
         }
     }
 
@@ -971,26 +977,32 @@ impl CocaServer {
     /// from what survived, and the interrupted event is then redelivered
     /// — the synchronous equivalent of process death + restart +
     /// client retry.
-    fn wal(&mut self, rec: &WalRecord) {
+    ///
+    /// The record is encoded by reference into the durability layer's
+    /// reusable frame buffer: logging clones nothing, and without
+    /// durability attached this is one `None` check.
+    fn wal(&mut self, rec: WalRef<'_>) {
         let Some(mut d) = self.durability.take() else {
             return;
         };
-        let frame = rec.to_frame();
+        let mut frame = std::mem::take(&mut d.frame);
+        rec.frame_into(&mut frame);
         if d.crash_due() {
             d.fire_crash(&frame);
             // `durability` is detached here, so the replay inside
             // `recover_from` runs the un-logged bodies without re-logging.
             self.recover_from(&mut d)
                 .expect("crash injection must leave a recoverable snapshot generation");
-            d.checkpoint(&self.snapshot().to_bytes());
+            d.checkpoint(&self.snapshot_frame());
         }
         if d.needs_rotation() {
             // Rotate *before* appending: the rotation snapshot must hold
             // exactly the state the previous segment's records produce —
             // this record's mutation has not happened yet.
-            d.rotate(&self.snapshot().to_bytes());
+            d.rotate(&self.snapshot_frame());
         }
         d.append_frame(&frame);
+        d.frame = frame;
         self.durability = Some(d);
     }
 
@@ -1554,15 +1566,32 @@ mod tests {
 
     #[test]
     fn recovery_rejects_a_mismatched_config() {
-        let (rt, mut live) = durable_server(3);
-        drive_mixed(&rt, &mut live);
-        let d = live.detach_durability().unwrap();
         let dataset = DatasetSpec::ucf101().subset(20);
         let seeds = SeedTree::new(60);
         let rt2 = ModelRuntime::new(ModelId::ResNet101, &dataset, &seeds);
-        let cfg = CocaConfig::for_model(ModelId::ResNet101).with_theta(0.02);
-        let err = CocaServer::recover(&rt2, cfg, &seeds, d).unwrap_err();
-        assert!(matches!(err, PersistError::ConfigMismatch));
+        let base = CocaConfig::for_model(ModelId::ResNet101);
+        // A tunable, the table precision, the upload pipeline: whichever
+        // field differs from the one the snapshot embeds, recovery refuses
+        // (the env overrides may move the base, so flip relative to it).
+        let other_precision = match base.precision {
+            coca_math::Precision::I8 => coca_math::Precision::F16,
+            _ => coca_math::Precision::I8,
+        };
+        let other_mode = match base.merge_mode {
+            MergeMode::PerUpload => MergeMode::QueueAndFlush,
+            MergeMode::QueueAndFlush => MergeMode::PerUpload,
+        };
+        for cfg in [
+            base.with_theta(0.02),
+            base.with_precision(other_precision),
+            base.with_merge_mode(other_mode),
+        ] {
+            let (rt, mut live) = durable_server(3);
+            drive_mixed(&rt, &mut live);
+            let d = live.detach_durability().unwrap();
+            let err = CocaServer::recover(&rt2, cfg, &seeds, d).unwrap_err();
+            assert!(matches!(err, PersistError::ConfigMismatch), "{cfg:?}");
+        }
     }
 
     #[test]

@@ -9,14 +9,14 @@
 //! The client only knows its *predicted* labels, so both vectors track
 //! predictions, not ground truth — exactly what a deployed system can do.
 
-use serde::{Deserialize, Serialize};
+use coca_net::{FrameError, Reader, Wire};
 
 /// Saturation cap for timestamps: far beyond any recency horizon the score
 /// function can distinguish (0.2^(cap/F) underflows long before).
 const TAU_CAP: u32 = 1_000_000;
 
 /// The per-client status bookkeeping.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClientStatus {
     /// τ — steps since each class last appeared.
     timestamps: Vec<u32>,
@@ -25,6 +25,23 @@ pub struct ClientStatus {
     /// integer type end to end; a round's counts stay far below `u32`
     /// range, which is what the wire codec packs them as.
     frequency: Vec<u64>,
+}
+
+/// `[u32 n][n × u32 τ][u32 m][m × u64 φ]` — the snapshot's registry
+/// entry. Both lengths are checked against the table's class count by the
+/// snapshot validator, not here: a status on its own has no table.
+impl Wire for ClientStatus {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.timestamps.encode(out);
+        self.frequency.encode(out);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        Ok(Self {
+            timestamps: Wire::decode(r)?,
+            frequency: Wire::decode(r)?,
+        })
+    }
 }
 
 impl ClientStatus {

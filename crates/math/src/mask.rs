@@ -107,9 +107,26 @@ impl OccupancyBitmap {
         })
     }
 
-    /// The packed words (serde and diagnostics).
+    /// The packed words (serde, the snapshot codec and diagnostics).
     pub fn words(&self) -> &[u64] {
         &self.words
+    }
+
+    /// Rebuilds a bitmap over `len` slots from its packed words — the
+    /// decode boundary of both serde and the binary snapshot codec.
+    /// Errors on a word count other than `⌈len / 64⌉` and on set bits
+    /// beyond `len` (ghost bits would corrupt `count_ones`).
+    pub fn from_words(len: usize, words: Vec<u64>) -> Result<Self, String> {
+        if words.len() != len.div_ceil(64) {
+            return Err(format!(
+                "OccupancyBitmap: {} words for {len} bits",
+                words.len()
+            ));
+        }
+        if !len.is_multiple_of(64) && words.last().is_some_and(|&last| last >> (len % 64) != 0) {
+            return Err("OccupancyBitmap: set bits beyond len".to_string());
+        }
+        Ok(Self { words, len })
     }
 }
 
@@ -128,23 +145,7 @@ impl Deserialize for OccupancyBitmap {
             serde::Value::Object(m) => {
                 let len: usize = serde::__field(m, "len")?;
                 let words: Vec<u64> = serde::__field(m, "words")?;
-                if words.len() != len.div_ceil(64) {
-                    return Err(serde::Error::custom(format!(
-                        "OccupancyBitmap: {} words for {len} bits",
-                        words.len()
-                    )));
-                }
-                // Ghost bits beyond `len` would corrupt count_ones.
-                if !len.is_multiple_of(64) {
-                    if let Some(&last) = words.last() {
-                        if last >> (len % 64) != 0 {
-                            return Err(serde::Error::custom(
-                                "OccupancyBitmap: set bits beyond len".to_string(),
-                            ));
-                        }
-                    }
-                }
-                Ok(Self { words, len })
+                Self::from_words(len, words).map_err(serde::Error::custom)
             }
             other => Err(serde::Error::custom(format!(
                 "expected object for OccupancyBitmap, got {}",

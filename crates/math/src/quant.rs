@@ -354,6 +354,93 @@ impl QuantizedStore {
         let all: Vec<usize> = (0..self.rows).collect();
         self.dequantize_rows(&all)
     }
+
+    /// Appends the quantized payload to `out` as raw little-endian bytes
+    /// ([`QuantizedStore::bytes`] of them) — the binary snapshot codec's
+    /// payload shape. i8: the `rows · dim` codes, then the `rows` f32
+    /// scales; f16: the `rows · dim` half-float bit patterns.
+    pub fn extend_le_bytes(&self, out: &mut Vec<u8>) {
+        out.reserve(self.bytes());
+        match &self.payload {
+            Payload::I8 { codes, scales } => {
+                out.extend(codes.iter().map(|&c| c as u8));
+                for s in scales {
+                    out.extend_from_slice(&s.to_le_bytes());
+                }
+            }
+            Payload::F16 { bits } => {
+                for b in bits {
+                    out.extend_from_slice(&b.to_le_bytes());
+                }
+            }
+        }
+    }
+
+    /// Rebuilds a `rows × dim` store at `precision` from the raw bytes
+    /// [`QuantizedStore::extend_le_bytes`] writes. Errors — never panics —
+    /// on a zero dimension, an f32 precision, a byte count other than the
+    /// payload's, or i8 scales that break the per-row invariant.
+    pub fn from_le_bytes(
+        dim: usize,
+        rows: usize,
+        precision: Precision,
+        bytes: &[u8],
+    ) -> Result<Self, String> {
+        if dim == 0 {
+            return Err("QuantizedStore: dim must be positive".to_string());
+        }
+        let cells = rows
+            .checked_mul(dim)
+            .ok_or_else(|| format!("QuantizedStore: {rows} rows of dim {dim} overflow"))?;
+        let payload = match precision {
+            Precision::F32 => return Err("QuantizedStore: f32 payload".to_string()),
+            Precision::I8 => {
+                if cells.checked_add(rows.saturating_mul(4)) != Some(bytes.len()) {
+                    return Err("QuantizedStore: ragged i8 payload".to_string());
+                }
+                let (codes, scales) = bytes.split_at(cells);
+                let codes: Vec<i8> = codes.iter().map(|&b| b as i8).collect();
+                let scales: Vec<f32> = scales
+                    .chunks_exact(4)
+                    .map(|c| f32::from_le_bytes(c.try_into().expect("chunks_exact(4)")))
+                    .collect();
+                check_i8_scales(dim, &codes, &scales)?;
+                Payload::I8 { codes, scales }
+            }
+            Precision::F16 => {
+                if cells.checked_mul(2) != Some(bytes.len()) {
+                    return Err("QuantizedStore: ragged f16 payload".to_string());
+                }
+                let bits = bytes
+                    .chunks_exact(2)
+                    .map(|c| u16::from_le_bytes(c.try_into().expect("chunks_exact(2)")))
+                    .collect();
+                Payload::F16 { bits }
+            }
+        };
+        Ok(Self { dim, rows, payload })
+    }
+}
+
+/// The per-row i8 scale invariant every decode boundary enforces:
+/// `max|x| / 127` is always finite and non-negative, and a zero scale can
+/// only accompany an all-zero row (dequantizing nonzero codes by a zero
+/// scale would silently erase the row; a NaN/inf scale would poison every
+/// downstream kernel).
+fn check_i8_scales(dim: usize, codes: &[i8], scales: &[f32]) -> Result<(), String> {
+    for (r, &s) in scales.iter().enumerate() {
+        if !s.is_finite() || s < 0.0 {
+            return Err(format!(
+                "QuantizedStore: row {r} scale {s} is not a finite non-negative max-abs/127"
+            ));
+        }
+        if s == 0.0 && codes[r * dim..(r + 1) * dim].iter().any(|&c| c != 0) {
+            return Err(format!(
+                "QuantizedStore: row {r} has nonzero codes under a zero scale"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Snaps `row` onto the representable grid of `precision` in place:
@@ -422,23 +509,7 @@ impl Deserialize for QuantizedStore {
                 if codes.len() != rows * dim || scales.len() != rows {
                     return Err(serde::Error::custom("QuantizedStore: ragged i8 payload"));
                 }
-                // Per-row scale invariant: `max|x| / 127` is always finite
-                // and non-negative, and a zero scale can only accompany an
-                // all-zero row (dequantizing nonzero codes by a zero scale
-                // would silently erase the row; a NaN/inf scale would
-                // poison every downstream kernel).
-                for (r, &s) in scales.iter().enumerate() {
-                    if !s.is_finite() || s < 0.0 {
-                        return Err(serde::Error::custom(format!(
-                            "QuantizedStore: row {r} scale {s} is not a finite non-negative max-abs/127"
-                        )));
-                    }
-                    if s == 0.0 && codes[r * dim..(r + 1) * dim].iter().any(|&c| c != 0) {
-                        return Err(serde::Error::custom(format!(
-                            "QuantizedStore: row {r} has nonzero codes under a zero scale"
-                        )));
-                    }
-                }
+                check_i8_scales(dim, &codes, &scales).map_err(serde::Error::custom)?;
                 Payload::I8 { codes, scales }
             }
             Precision::F16 => {
@@ -653,6 +724,31 @@ mod tests {
         )
         .unwrap();
         assert_eq!(ok.dequantize_row(0), &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn le_bytes_round_trip_and_reject_bad_payloads() {
+        let src = VectorStore::from_rows(&[[0.6f32, -0.8, 0.0], [0.0, 0.0, 0.0]]);
+        for precision in [Precision::I8, Precision::F16] {
+            let q = QuantizedStore::quantize(&src, precision);
+            let mut bytes = vec![0xAA]; // appended after existing content
+            q.extend_le_bytes(&mut bytes);
+            assert_eq!(bytes.len(), 1 + q.bytes());
+            let back = QuantizedStore::from_le_bytes(3, 2, precision, &bytes[1..]).unwrap();
+            assert_eq!(back, q);
+            // One byte short, one long, no dimension, an f32 "codec".
+            assert!(QuantizedStore::from_le_bytes(3, 2, precision, &bytes[2..]).is_err());
+            assert!(QuantizedStore::from_le_bytes(3, 2, precision, &bytes).is_err());
+            assert!(QuantizedStore::from_le_bytes(0, 0, precision, &[]).is_err());
+            assert!(QuantizedStore::from_le_bytes(usize::MAX, 2, precision, &[]).is_err());
+        }
+        assert!(QuantizedStore::from_le_bytes(3, 0, Precision::F32, &[]).is_err());
+        // The i8 scale invariant holds at this boundary too.
+        let mut bad = vec![1u8, 0, 0];
+        bad.extend_from_slice(&0.0f32.to_le_bytes());
+        assert!(QuantizedStore::from_le_bytes(3, 1, Precision::I8, &bad).is_err());
+        bad[3..].copy_from_slice(&f32::NAN.to_le_bytes());
+        assert!(QuantizedStore::from_le_bytes(3, 1, Precision::I8, &bad).is_err());
     }
 
     #[test]

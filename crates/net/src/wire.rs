@@ -29,7 +29,7 @@
 use std::io::{Read, Write};
 
 use bytes::Bytes;
-use coca_math::{Precision, VectorStore};
+use coca_math::{Precision, QuantizedStore, VectorStore};
 
 /// Logical wire size of a message in bytes.
 pub trait WireSize {
@@ -238,7 +238,7 @@ macro_rules! wire_num {
     )*};
 }
 
-wire_num!(u8, u32, u64, f64);
+wire_num!(u8, u32, u64, f32, f64);
 
 /// `usize` ships as `u64`; the way back is range-checked.
 impl Wire for usize {
@@ -261,6 +261,19 @@ impl Wire for bool {
             1 => Ok(true),
             other => codec_err(format!("bool byte {other}")),
         }
+    }
+}
+
+/// One presence byte (0 = `None`, 1 = `Some`), then the value.
+impl<T: Wire> Wire for Option<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.is_some().encode(out);
+        if let Some(v) = self {
+            v.encode(out);
+        }
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        bool::decode(r)?.then(|| T::decode(r)).transpose()
     }
 }
 
@@ -304,6 +317,32 @@ impl Wire for VectorStore {
             .ok_or_else(|| FrameError::Codec(format!("VectorStore: dim {dim} overflows")))?;
         let rows = r.count(row_bytes)?;
         VectorStore::from_le_bytes(dim, r.bytes(rows * row_bytes)?).map_err(FrameError::Codec)
+    }
+}
+
+/// `[u8 precision][u32 dim][u32 rows][payload]` — the payload is the
+/// store's raw codes ([`QuantizedStore::extend_le_bytes`]): `rows · dim`
+/// i8 codes then `rows` f32 scales, or `rows · dim` f16 bit patterns.
+impl Wire for QuantizedStore {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.precision().encode(out);
+        put_u32(out, self.dim());
+        put_u32(out, self.rows());
+        self.extend_le_bytes(out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
+        let precision = Precision::decode(r)?;
+        let dim = u32::decode(r)? as usize;
+        let row_bytes = match precision {
+            Precision::F32 => return codec_err("QuantizedStore: f32 payload"),
+            Precision::F16 => dim.checked_mul(2),
+            Precision::I8 => dim.checked_add(4),
+        }
+        .filter(|_| dim > 0)
+        .ok_or_else(|| FrameError::Codec(format!("QuantizedStore: bad dim {dim}")))?;
+        let rows = r.count(row_bytes)?;
+        QuantizedStore::from_le_bytes(dim, rows, precision, r.bytes(rows * row_bytes)?)
+            .map_err(FrameError::Codec)
     }
 }
 
@@ -645,6 +684,37 @@ mod tests {
         assert!(frame(2, u32::MAX, &[0; 8]).is_err());
         assert!(frame(u32::MAX, u32::MAX, &[]).is_err());
         assert!(frame(2, 1, &[0; 8]).is_ok());
+    }
+
+    #[test]
+    fn quantized_stores_and_options_round_trip_and_reject_bad_shapes() {
+        let src = VectorStore::from_rows(&[[0.6f32, -0.8], [0.0, 0.0], [1.0, 0.0]]);
+        for precision in [Precision::I8, Precision::F16] {
+            let q = QuantizedStore::quantize(&src, precision);
+            let mut out = Vec::new();
+            Some(q.clone()).encode(&mut out);
+            assert_eq!(out.len(), 1 + 1 + 4 + 4 + q.bytes());
+            assert_eq!(
+                decode_payload::<Option<QuantizedStore>>(&out).unwrap(),
+                Some(q)
+            );
+            // A row count the frame cannot hold, rejected before allocating.
+            out[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(decode_payload::<Option<QuantizedStore>>(&out).is_err());
+        }
+        assert_eq!(decode_payload::<Option<u32>>(&[0]).unwrap(), None);
+        assert!(decode_payload::<Option<u32>>(&[2, 0, 0, 0, 0]).is_err());
+        // An f32 "codec", a zero dim, and an unknown precision tag.
+        let frame = |tag: u8, dim: u32| {
+            let mut out = vec![tag];
+            dim.encode(&mut out);
+            0u32.encode(&mut out);
+            decode_payload::<QuantizedStore>(&out)
+        };
+        assert!(frame(0, 4).is_err());
+        assert!(frame(2, 0).is_err());
+        assert!(frame(3, 4).is_err());
+        assert!(frame(2, 4).is_ok());
     }
 
     /// A reader that hands bytes out in the given chunk sizes (then the

@@ -1,20 +1,29 @@
 //! Persistence-hardening property tests: **random corruption of snapshot
 //! and WAL bytes never panics the recovery path** — it decodes, or it
-//! errors through `Result`/typed `PersistError`, nothing else. The
-//! mutation strategy extends `proptest_wire.rs` to the durability layer:
+//! errors through `Result`/typed `PersistError`, nothing else — and the
+//! binary encoding is canonical: whatever decodes re-encodes to the bytes
+//! it came from. The mutation strategy extends `proptest_wire.rs` to the
+//! durability layer:
 //!
+//! * random snapshots (f32/f16/i8 tables, a non-empty round-aligned
+//!   pending queue) and random WAL records of all seven variants round-trip
+//!   bit-exactly and re-encode byte-identically;
 //! * raw byte corruption of framed snapshots (caught by the CRC) *and*
-//!   payload-level corruption re-framed with a **valid** CRC, so the JSON
-//!   parser and every schema validator (occupancy-vs-row-count, layer
-//!   dims, φ lengths, sorted client registry, i8 per-row scale
-//!   invariants) get exercised past the checksum;
+//!   payload-level corruption re-framed with a **valid** CRC, so the
+//!   decoder and every validator (occupancy-vs-row-count, layer dims, φ
+//!   lengths, sorted client registry, i8 per-row scale invariants) get
+//!   exercised past the checksum;
+//! * every count field overwritten with `u32::MAX` is a typed error, not
+//!   an allocation;
 //! * corruption, truncation and cross-key swaps of whole storage states
 //!   driven through `Durability::load_for_recovery`;
-//! * structurally invalid snapshots (unsorted registry, ragged pending
-//!   φ, out-of-range layers/classes, wrong version) produce typed errors;
-//! * snapshots round-trip **byte-identically** under all three wire
-//!   precisions (f32/f16/i8) with a non-empty `RoundAligned` pending
-//!   queue aboard.
+//! * one structurally invalid snapshot per preserved check (wrong version,
+//!   unsorted registry, ragged τ/φ, out-of-range pending layers/dims/
+//!   classes, allocation indices, precision tags, trailing bytes) produces
+//!   its typed error — the table-shape checks have theirs beside
+//!   `GlobalCacheTable`'s `Wire` impl;
+//! * a record torn at every byte offset truncates leniently and is
+//!   rejected strictly.
 
 use coca::core::collect::UpdateTable;
 use coca::core::persist::{
@@ -22,9 +31,10 @@ use coca::core::persist::{
     WalRecord, SNAP_CUR, SNAP_PREV, WAL_CUR, WAL_PREV,
 };
 use coca::core::proto::{CacheRequest, UpdateUpload};
-use coca::core::AcaOutput;
+use coca::core::{AcaOutput, ClientStatus, GlobalCacheTable};
 use coca::core::{CocaServer, FlushPolicy, MergeMode};
 use coca::math::Precision;
+use coca::net::Wire;
 use coca::prelude::*;
 use proptest::prelude::*;
 use rand::Rng;
@@ -86,16 +96,203 @@ fn f32_state() -> &'static (Vec<u8>, Box<dyn Storage>) {
     STATE.get_or_init(|| sample_state(Precision::F32))
 }
 
-/// Extracts the JSON payload of a single-frame snapshot.
+/// Extracts the payload of a single-frame snapshot.
 fn frame_payload(bytes: &[u8]) -> Vec<u8> {
     let (payloads, _, _) = decode_frames(bytes, false).unwrap();
-    payloads.into_iter().next().unwrap()
+    payloads[0].to_vec()
+}
+
+// ------------------------------------------------------ generators ----
+
+fn random_unit(rng: &mut impl Rng, dim: usize) -> Vec<f32> {
+    let mut v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    v[0] += 2.0; // never the zero vector
+    v
+}
+
+/// `n` distinct values below `below`, in random order.
+fn distinct(rng: &mut impl Rng, n: usize, below: usize) -> Vec<usize> {
+    let mut pool: Vec<usize> = (0..below).collect();
+    (0..n.min(below))
+        .map(|_| pool.swap_remove(rng.gen_range(0..pool.len())))
+        .collect()
+}
+
+/// An upload into a table of `classes` classes whose layer `j` has
+/// dimension `dims[j]`, cells absorbed in random order (the encoder has to
+/// sort them), now and then a NaN or −0.0 lane.
+fn upload(rng: &mut impl Rng, classes: usize, dims: &[usize]) -> UpdateUpload {
+    let mut table = UpdateTable::new();
+    let touched = rng.gen_range(0..=dims.len());
+    for layer in distinct(rng, touched, dims.len()) {
+        let cells = rng.gen_range(1..=classes.min(6));
+        for class in distinct(rng, cells, classes) {
+            let mut v = random_unit(rng, dims[layer]);
+            match rng.gen_range(0..6) {
+                0 => v[0] = f32::NAN,
+                1 => v[0] = -0.0,
+                _ => {}
+            }
+            table.absorb(class, layer, &v, 0.95);
+        }
+    }
+    let precision = [Precision::F32, Precision::F16, Precision::I8][rng.gen_range(0..3usize)];
+    table.quantize_in_place(precision);
+    UpdateUpload {
+        client_id: rng.gen(),
+        round: rng.gen(),
+        table,
+        frequency: (0..classes).map(|_| rng.gen_range(0..1000)).collect(),
+        precision,
+    }
+}
+
+fn request(rng: &mut impl Rng) -> CacheRequest {
+    CacheRequest {
+        client_id: rng.gen(),
+        round: rng.gen(),
+        timestamps: (0..rng.gen_range(0..60)).map(|_| rng.gen()).collect(),
+        hit_ratio: (0..rng.gen_range(0..20))
+            .map(|_| match rng.gen_range(0..6) {
+                0 => f64::from_bits(0x7ff8_0000_dead_beef), // NaN with a payload
+                1 => -0.0,
+                _ => rng.gen_range(-1.0..2.0),
+            })
+            .collect(),
+        budget_bytes: rng.gen(),
+    }
+}
+
+/// One record of the given variant (0..7, the tag byte).
+fn wal_record(rng: &mut impl Rng, variant: u8) -> WalRecord {
+    let classes = rng.gen_range(1..40);
+    let dims: Vec<usize> = (0..rng.gen_range(1..5))
+        .map(|_| rng.gen_range(1..9))
+        .collect();
+    match variant {
+        0 => WalRecord::Request(request(rng)),
+        1 => WalRecord::Merge(upload(rng, classes, &dims)),
+        2 => WalRecord::Upload(upload(rng, classes, &dims)),
+        3 => WalRecord::Batch(
+            (0..rng.gen_range(0..4))
+                .map(|_| upload(rng, classes, &dims))
+                .collect(),
+        ),
+        4 => WalRecord::Leave,
+        5 => WalRecord::Flush,
+        _ => WalRecord::Watermark(rng.gen()),
+    }
+}
+
+/// A small random snapshot that satisfies every invariant: a sparsely
+/// seeded table at `precision` (some layers untouched), a sorted client
+/// registry, a non-empty pending queue that fits the table, and — half the
+/// time — a static allocation.
+fn snapshot(rng: &mut impl Rng, precision: Precision) -> Snapshot {
+    let classes = rng.gen_range(1..140); // up to three occupancy words
+    let dims: Vec<usize> = (0..rng.gen_range(1..5))
+        .map(|_| rng.gen_range(1..9))
+        .collect();
+    let mut global = GlobalCacheTable::with_precision(classes, dims.len(), precision);
+    for (layer, &dim) in dims.iter().enumerate() {
+        if rng.gen_range(0..4) == 0 {
+            continue; // a layer nothing ever touched
+        }
+        let cells = rng.gen_range(1..=classes);
+        for class in distinct(rng, cells, classes) {
+            global.set(class, layer, random_unit(rng, dim));
+        }
+    }
+    global.seed_frequency(&(0..classes).map(|_| rng.gen()).collect::<Vec<u64>>());
+    let registry = rng.gen_range(0..6);
+    let mut ids = distinct(rng, registry, 1000);
+    ids.sort_unstable();
+    let clients = ids
+        .into_iter()
+        .map(|id| {
+            let mut st = ClientStatus::new(classes);
+            st.record_timestamps(&(0..classes).map(|_| rng.gen()).collect::<Vec<u32>>());
+            st.record_frequency(&(0..classes).map(|_| rng.gen()).collect::<Vec<u64>>());
+            (id as u64, st)
+        })
+        .collect();
+    // A pending upload may only touch a layer at the dimension the table
+    // committed for it (`dims`); untouched layers accept any.
+    let pending = (0..rng.gen_range(1..4))
+        .map(|_| upload(rng, classes, &dims))
+        .collect();
+    let static_alloc = (rng.gen_range(0..2) == 0).then(|| {
+        let (hot, picked) = (rng.gen_range(0..=classes), rng.gen_range(0..=dims.len()));
+        AcaOutput {
+            hot_classes: distinct(rng, hot, classes),
+            layers: distinct(rng, picked, dims.len()),
+        }
+    });
+    Snapshot {
+        config: CocaConfig::for_model(ModelId::ResNet101)
+            .with_merge_mode(MergeMode::QueueAndFlush)
+            .with_flush_policy(FlushPolicy::RoundAligned)
+            .with_precision(precision)
+            .with_theta(rng.gen_range(0.001..0.1))
+            .with_budget(rng.gen_range(0..1 << 20))
+            .with_wal_rotate(rng.gen_range(1..512)),
+        global,
+        clients,
+        pending,
+        flush_watermark: rng.gen_range(0..64),
+        static_alloc,
+    }
 }
 
 proptest! {
+    /// Random snapshots at every table precision, pending queue aboard,
+    /// survive encode → decode → encode byte for byte; the decoded value
+    /// passes validation and keeps its shape.
+    #[test]
+    fn random_snapshots_round_trip_bit_exactly(seed in 0u64..10_000) {
+        let mut rng = SeedTree::new(seed).rng_for("snap-gen");
+        for precision in [Precision::F32, Precision::F16, Precision::I8] {
+            let snap = snapshot(&mut rng, precision);
+            prop_assert!(snap.validate().is_ok(), "{:?}", snap.validate());
+            let bytes = snap.to_bytes();
+            let back = Snapshot::from_bytes(&bytes).unwrap();
+            prop_assert_eq!(back.to_bytes(), bytes);
+            prop_assert_eq!(back.global.digest(), snap.global.digest());
+            prop_assert_eq!(back.config, snap.config);
+            prop_assert_eq!(back.pending.len(), snap.pending.len());
+            prop_assert_eq!(back.clients.len(), snap.clients.len());
+            prop_assert_eq!(back.flush_watermark, snap.flush_watermark);
+            prop_assert_eq!(back.static_alloc, snap.static_alloc);
+        }
+    }
+
+    /// Random records of all seven variants: the frame decodes to a record
+    /// that re-encodes to the same frame, tag byte = variant position, and
+    /// a segment of them torn at any byte keeps exactly the whole frames.
+    #[test]
+    fn random_wal_records_round_trip_bit_exactly(seed in 0u64..10_000) {
+        let mut rng = SeedTree::new(seed).rng_for("wal-gen");
+        let mut segment = Vec::new();
+        let mut ends = Vec::new();
+        for variant in 0..7u8 {
+            let frame = wal_record(&mut rng, variant).to_frame();
+            prop_assert_eq!(frame[8], variant);
+            let (payloads, committed, truncated) = decode_frames(&frame, false).unwrap();
+            prop_assert_eq!((payloads.len(), committed, truncated), (1, frame.len(), 0));
+            let back = WalRecord::from_payload(payloads[0]).unwrap();
+            prop_assert_eq!(back.to_frame(), frame.clone());
+            segment.extend_from_slice(&frame);
+            ends.push(segment.len());
+        }
+        let cut = rng.gen_range(0..=segment.len());
+        let (payloads, committed, truncated) = decode_frames(&segment[..cut], true).unwrap();
+        prop_assert_eq!(payloads.len(), ends.iter().filter(|&&e| e <= cut).count());
+        prop_assert_eq!(committed + truncated, cut);
+    }
+
     /// Raw byte corruption of a framed snapshot never panics — the CRC
-    /// (or the schema validators, if the flip lands after a re-frame)
-    /// turns it into a typed error or a harmless decode.
+    /// (or the validators, if the flip lands after a re-frame) turns it
+    /// into a typed error or a harmless decode.
     #[test]
     fn mutated_snapshot_bytes_never_panic(seed in 0u64..1500, mutations in 1usize..24) {
         let mut rng = SeedTree::new(seed).rng_for("snap-mutate");
@@ -108,20 +305,27 @@ proptest! {
         let _ = Snapshot::from_bytes(&bytes);
     }
 
-    /// Payload-level corruption **re-framed with a valid CRC**: the JSON
-    /// parser and every schema validator past the checksum must error,
-    /// not panic — the snapshot-hardening half of the wire mutation
-    /// strategy (occupancy bitmaps, layer dims, i8 row scales included).
+    /// Payload-level corruption **re-framed with a valid CRC**: the
+    /// decoder and every validator past the checksum must error, not
+    /// panic (occupancy bitmaps, layer dims, i8 row scales included) —
+    /// on the real server state and on small random snapshots, where a
+    /// flipped byte is far likelier to land on structure than on a float.
     #[test]
     fn mutated_snapshot_payloads_never_panic(seed in 0u64..1500, mutations in 1usize..16) {
         let mut rng = SeedTree::new(seed).rng_for("payload-mutate");
-        let (snap, _) = f32_state();
-        let mut payload = frame_payload(snap);
-        for _ in 0..mutations {
-            let at = rng.gen_range(0..payload.len());
-            payload[at] = rng.gen();
+        let small = [Precision::F32, Precision::F16, Precision::I8][(seed % 3) as usize];
+        let small = snapshot(&mut rng, small).to_bytes();
+        for snap in [&f32_state().0, &small] {
+            let mut payload = frame_payload(snap);
+            for _ in 0..mutations {
+                let at = rng.gen_range(0..payload.len());
+                payload[at] = rng.gen();
+            }
+            if let Ok(decoded) = Snapshot::from_bytes(&encode_frame(&payload)) {
+                // Whatever survives is valid enough to write back out.
+                let _ = decoded.to_bytes();
+            }
         }
-        let _ = Snapshot::from_bytes(&encode_frame(&payload));
     }
 
     /// Truncating a framed snapshot at any byte never panics, and a cut
@@ -195,91 +399,266 @@ proptest! {
         let cut = rng.gen_range(0..=wal.len());
         let (payloads, committed, truncated) = decode_frames(&wal[..cut], true).unwrap();
         prop_assert_eq!(committed + truncated, cut);
-        for p in &payloads {
-            serde_json::from_str::<WalRecord>(std::str::from_utf8(p).unwrap()).unwrap();
+        for p in payloads {
+            WalRecord::from_payload(p).unwrap();
         }
     }
 }
 
+/// A binary record torn at **every** byte offset: the lenient (current
+/// segment) decode keeps the whole frames before the tear and reports the
+/// rest truncated; the strict (closed segment) decode rejects every cut
+/// that is not a frame boundary.
+#[test]
+fn a_record_torn_at_every_byte_truncates_leniently_and_is_rejected_strictly() {
+    let mut rng = SeedTree::new(7).rng_for("torn");
+    let first = WalRecord::Watermark(3).to_frame();
+    let second = wal_record(&mut rng, 2).to_frame();
+    let mut segment = first.clone();
+    segment.extend_from_slice(&second);
+    for cut in 0..=segment.len() {
+        let (payloads, committed, truncated) = decode_frames(&segment[..cut], true).unwrap();
+        let whole = [first.len(), segment.len()]
+            .iter()
+            .filter(|&&end| end <= cut)
+            .count();
+        assert_eq!(payloads.len(), whole, "cut at {cut}");
+        assert_eq!(committed + truncated, cut);
+        assert_eq!(
+            committed,
+            [0, first.len(), segment.len()][whole],
+            "cut at {cut}"
+        );
+        let strict = decode_frames(&segment[..cut], false);
+        if truncated == 0 {
+            assert!(strict.is_ok(), "cut at {cut} is frame-aligned");
+        } else {
+            assert!(
+                matches!(strict, Err(PersistError::CorruptClosedSegment(_))),
+                "cut at {cut}"
+            );
+        }
+    }
+    // The same tear inside a payload whose frame header survives intact
+    // *and* whose length field is rewritten to match: the CRC still
+    // refuses it.
+    let mut short = second[..second.len() - 1].to_vec();
+    let len = (short.len() - 8) as u32;
+    short[..4].copy_from_slice(&len.to_le_bytes());
+    let (payloads, _, truncated) = decode_frames(&short, true).unwrap();
+    assert!(payloads.is_empty());
+    assert_eq!(truncated, short.len());
+}
+
+/// Asserts `bytes` (a snapshot payload) re-framed decodes to a typed
+/// `Decode` error mentioning `what`.
+fn assert_payload_rejected(payload: &[u8], what: &str) {
+    let err = Snapshot::from_bytes(&encode_frame(payload)).unwrap_err();
+    assert!(
+        matches!(err, PersistError::Decode(ref m) if m.contains(what)),
+        "expected a decode error mentioning {what:?}, got {err}"
+    );
+}
+
 /// Structurally invalid snapshots produce **typed** errors, not panics:
-/// each constructed violation trips its dedicated validator.
+/// each constructed violation trips its dedicated check.
 #[test]
 fn invalid_snapshots_yield_typed_errors() {
     let (snap, _) = f32_state();
     let valid = Snapshot::from_bytes(snap).unwrap();
+    let payload = frame_payload(snap);
+    let rejected = |s: &Snapshot, what: &str| {
+        assert!(
+            s.validate().is_err_and(|m| m.contains(what)),
+            "{:?}",
+            s.validate()
+        );
+        let err = Snapshot::from_bytes(&s.to_bytes()).unwrap_err();
+        assert!(
+            matches!(err, PersistError::Decode(ref m) if m.contains(what)),
+            "{err}"
+        );
+    };
 
-    // Wrong version.
-    let json = String::from_utf8(frame_payload(snap)).unwrap();
-    let bumped = json.replacen("\"version\":1", "\"version\":99", 1);
-    assert_ne!(json, bumped, "surgery must hit the version field");
-    let err = Snapshot::from_bytes(&encode_frame(bumped.as_bytes())).unwrap_err();
+    // Wrong version: the next one, the previous one, and the first byte
+    // of the JSON payloads version 1 framed.
+    assert_eq!(payload[0], 2);
+    for version in [3u8, 1, b'{'] {
+        let mut bumped = payload.clone();
+        bumped[0] = version;
+        assert_payload_rejected(&bumped, "version");
+    }
+
+    // Trailing bytes after the snapshot, inside its frame; an empty
+    // payload; two frames where one belongs.
+    let mut long = payload.clone();
+    long.push(0);
+    assert_payload_rejected(&long, "trailing");
+    assert!(matches!(
+        Snapshot::from_bytes(&encode_frame(&[])),
+        Err(PersistError::Decode(_))
+    ));
+    let mut twice = snap.clone();
+    twice.extend_from_slice(snap);
+    let err = Snapshot::from_bytes(&twice).unwrap_err();
     assert!(
-        matches!(err, PersistError::Decode(ref m) if m.contains("version")),
+        matches!(err, PersistError::Decode(ref m) if m.contains("one frame")),
         "{err}"
     );
+
+    // Precision tags: the config's (the last byte before its 8-byte
+    // rotation period) and the table's (the first byte after the config).
+    let config_len = {
+        let mut bytes = Vec::new();
+        valid.config.encode(&mut bytes);
+        bytes.len()
+    };
+    for at in [1 + config_len - 9, 1 + config_len] {
+        assert_eq!(payload[at], 0, "f32 tag at {at}");
+        let mut bad = payload.clone();
+        bad[at] = 3;
+        assert_payload_rejected(&bad, "precision tag");
+    }
+    // A table that claims a codec its (dense) layers do not have.
+    let mut bad = payload.clone();
+    bad[1 + config_len] = 2;
+    assert_payload_rejected(&bad, "dense layer");
 
     // Client registry not strictly sorted.
     let mut s = valid.clone();
     s.clients.reverse();
     assert!(s.clients.len() > 1);
-    let err = Snapshot::from_bytes(&s.to_bytes()).unwrap_err();
-    assert!(
-        matches!(err, PersistError::Decode(ref m) if m.contains("sorted")),
-        "{err}"
-    );
+    rejected(&s, "sorted");
 
     // Duplicate client id.
     let mut s = valid.clone();
     let dup = s.clients[0].clone();
     s.clients.insert(0, dup);
-    let err = Snapshot::from_bytes(&s.to_bytes()).unwrap_err();
-    assert!(
-        matches!(err, PersistError::Decode(ref m) if m.contains("sorted")),
-        "{err}"
-    );
+    rejected(&s, "sorted");
+
+    // A status tracking another class count than the table's (τ and φ).
+    let mut s = valid.clone();
+    s.clients[0].1 = ClientStatus::new(valid.global.num_classes() + 1);
+    rejected(&s, "status tracks");
 
     // Ragged pending φ.
     let mut s = valid.clone();
     s.pending[0].frequency.pop();
-    let err = Snapshot::from_bytes(&s.to_bytes()).unwrap_err();
-    assert!(
-        matches!(err, PersistError::Decode(ref m) if m.contains("φ")),
-        "{err}"
-    );
+    rejected(&s, "φ");
 
     // Pending upload touching a layer outside the table.
     let mut s = valid.clone();
     let mut table = UpdateTable::new();
     table.absorb(0, 9_999, &[1.0, 0.0], 0.0);
     s.pending[0].table = table;
-    let err = Snapshot::from_bytes(&s.to_bytes()).unwrap_err();
-    assert!(
-        matches!(err, PersistError::Decode(ref m) if m.contains("layer")),
-        "{err}"
-    );
+    rejected(&s, "layer");
 
     // Pending upload whose entry dimension contradicts the table's.
     let mut s = valid.clone();
     let mut table = UpdateTable::new();
     table.absorb(0, 10, &[1.0, 0.0], 0.0); // layer 10 is high-dimensional
     s.pending[0].table = table;
-    let err = Snapshot::from_bytes(&s.to_bytes()).unwrap_err();
-    assert!(
-        matches!(err, PersistError::Decode(ref m) if m.contains("dim")),
-        "{err}"
-    );
+    rejected(&s, "dim");
 
-    // Static allocation indexing outside the table.
+    // Pending upload touching a class outside the table.
     let mut s = valid.clone();
-    s.static_alloc = Some(AcaOutput {
-        hot_classes: vec![usize::MAX],
-        layers: vec![0],
-    });
-    let err = Snapshot::from_bytes(&s.to_bytes()).unwrap_err();
-    assert!(
-        matches!(err, PersistError::Decode(ref m) if m.contains("allocation")),
-        "{err}"
-    );
+    let dim = valid.global.layer_dim(10).unwrap();
+    let mut table = UpdateTable::new();
+    table.absorb(9_999, 10, &vec![1.0; dim], 0.0);
+    s.pending[0].table = table;
+    rejected(&s, "class 9999");
+
+    // Static allocation indexing outside the table: classes, then layers.
+    for (hot_classes, layers) in [(vec![usize::MAX], vec![0]), (vec![0], vec![9_999])] {
+        let mut s = valid.clone();
+        s.static_alloc = Some(AcaOutput {
+            hot_classes,
+            layers,
+        });
+        rejected(&s, "allocation");
+    }
+}
+
+/// Every count in a snapshot payload, overwritten with `u32::MAX`, is a
+/// typed error — rejected by arithmetic against the bytes left in the
+/// frame, before anything is sized by it (a 4-billion-element allocation
+/// would abort the test). Then the same overwrite at *every* offset of
+/// small snapshots at each precision: wherever it lands — a count, a
+/// dimension, a tag, a float — nothing panics.
+#[test]
+fn inflated_counts_are_typed_errors_not_allocations() {
+    let len_of = |f: &dyn Fn(&mut Vec<u8>)| {
+        let mut bytes = Vec::new();
+        f(&mut bytes);
+        bytes.len()
+    };
+    let (snap, _) = f32_state();
+    let valid = Snapshot::from_bytes(snap).unwrap();
+    let payload = frame_payload(snap);
+    let classes = valid.global.num_classes();
+    let words = classes.div_ceil(64);
+
+    // version | config | table: tag, Φ count, Φ, layer count, layer 0:
+    // occupancy words, dim, row count …
+    let table_at = 1 + len_of(&|b| valid.config.encode(b));
+    let phi_count = table_at + 1;
+    let layer_count = phi_count + 4 + 8 * classes;
+    let layer0_rows = layer_count + 4 + 8 * words + 4;
+    // … | registry count | client 0: id, τ count, τ, φ count …
+    let clients_at = table_at + len_of(&|b| valid.global.encode(b));
+    let tau_count = clients_at + 4 + 8;
+    let phi0_count = tau_count + 4 + 4 * classes;
+    // … | pending count | upload 0: client, round, table's layer count,
+    // layer id, class count …
+    let pending_at = clients_at
+        + 4
+        + valid
+            .clients
+            .iter()
+            .map(|(_, st)| 8 + len_of(&|b| st.encode(b)))
+            .sum::<usize>();
+    let up0_layers = pending_at + 4 + 16;
+    let up0_classes = up0_layers + 4 + 4;
+    for at in [
+        phi_count,
+        layer_count,
+        layer0_rows,
+        clients_at,
+        tau_count,
+        phi0_count,
+        pending_at,
+        up0_layers,
+        up0_classes,
+    ] {
+        let mut bad = payload.clone();
+        bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_payload_rejected(&bad, "");
+    }
+    // The presence byte of the static allocation is the payload's last.
+    assert!(valid.static_alloc.is_none());
+    let mut bad = payload.clone();
+    *bad.last_mut().unwrap() = 1;
+    assert_payload_rejected(&bad, "");
+
+    let mut rng = SeedTree::new(11).rng_for("inflate");
+    for precision in [Precision::F32, Precision::F16, Precision::I8] {
+        let payload = frame_payload(&snapshot(&mut rng, precision).to_bytes());
+        for at in 0..payload.len() - 3 {
+            let mut bad = payload.clone();
+            bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let _ = Snapshot::from_bytes(&encode_frame(&bad));
+        }
+    }
+    // Same for WAL records of every variant.
+    for variant in 0..7u8 {
+        let frame = wal_record(&mut rng, variant).to_frame();
+        let payload = &frame[8..];
+        for at in 0..payload.len().saturating_sub(3) {
+            let mut bad = payload.to_vec();
+            bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let _ = WalRecord::from_payload(&bad);
+        }
+    }
 }
 
 /// Snapshots round-trip byte-identically under every wire precision,
@@ -291,6 +670,7 @@ fn snapshots_round_trip_byte_identically_under_every_precision() {
         let (bytes, _) = sample_state(precision);
         let decoded = Snapshot::from_bytes(&bytes).unwrap();
         assert_eq!(decoded.config.precision, precision);
+        assert_eq!(decoded.global.precision(), precision);
         assert!(
             !decoded.pending.is_empty(),
             "{precision:?}: the pending queue must survive the round trip"
