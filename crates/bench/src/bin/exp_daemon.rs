@@ -1,6 +1,6 @@
 //! Daemon serving experiment: closed-loop latency (p50/p99/p999) and
-//! throughput of `cocad`'s serve path over real loopback TCP, swept
-//! across worker counts and lock disciplines.
+//! throughput of `cocad`'s serve path over real loopback TCP, under
+//! both lock disciplines.
 //!
 //! For each arm this binary starts the daemon **in-process** (the same
 //! `coca_daemon::serve` loop the `cocad` binary runs) on an ephemeral
@@ -8,23 +8,22 @@
 //! generator (one thread per client, per-request wall-clock latency
 //! into the exactly mergeable `LatencyHistogram`), and records:
 //!
-//! * `sharded` lock at 1 / 2 / 4 workers — the per-layer `RwLock`
-//!   ingest path, the tentpole;
-//! * `single` lock at 4 workers — the one-big-mutex comparison row:
-//!   same worker pool, every operation serialized on one lock.
+//! * `sharded` — the per-layer `RwLock` ingest path;
+//! * `single` — the one-big-mutex comparison row: the same connection
+//!   threads, every operation serialized on one lock.
 //!
 //! A final sequential verify pass (one op in flight) pins the digest
 //! contract: the daemon must land the exact in-process reference state.
 //!
 //! **All latency/throughput rows are wall-clock and host-dependent**
 //! (like `fleet.json`'s `wall_ms`): they are measured on whatever
-//! machine runs the binary — the reference container is 1-core, where
-//! extra workers and sharded locks mostly measure scheduling overhead;
-//! on a multi-core edge box the sharded rows are where the layer locks
-//! pay. The digest fields are deterministic.
+//! machine runs the binary — on a container with fewer cores than
+//! clients the sharded locks mostly measure scheduling overhead; on a
+//! multi-core edge box the sharded row is where the layer locks pay.
+//! The digest fields are deterministic.
 //!
-//! Env knobs (CI smoke): `COCA_DAEMON_QUICK=1` shrinks the grid to
-//! {1, 2} workers and fewer rounds; `COCA_DAEMON_ENFORCE=1` asserts
+//! Env knobs (CI smoke): `COCA_DAEMON_QUICK=1` runs fewer rounds per
+//! arm (both lock modes stay); `COCA_DAEMON_ENFORCE=1` asserts
 //! the verify pass matches and every op is served exactly once.
 
 use std::net::TcpListener;
@@ -53,13 +52,11 @@ fn main() {
         clients: 8,
         rounds: if quick { 5 } else { 30 },
     };
-    let worker_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4] };
 
     let mut out = Table::new(
         "exp_daemon — closed-loop daemon latency/throughput over loopback TCP",
         &[
             "Lock",
-            "Workers",
             "Ops",
             "Wall (s)",
             "ops/s",
@@ -72,8 +69,8 @@ fn main() {
     let mut record = ExperimentRecord::new(
         "daemon",
         "cocad serve path over loopback TCP: closed-loop per-request \
-         latency quantiles and throughput vs worker count, sharded-lock \
-         ingest vs the single-mutex baseline; wall-clock rows are \
+         latency quantiles and throughput, sharded-lock ingest vs the \
+         single-mutex baseline; wall-clock rows are \
          host-dependent, digests are deterministic",
     );
     record
@@ -87,19 +84,11 @@ fn main() {
         .param("quick", quick)
         .param("wall_clock_host_dependent", true);
 
-    let mut arms: Vec<(LockMode, usize)> = worker_counts
-        .iter()
-        .map(|&w| (LockMode::Sharded, w))
-        .collect();
-    // The comparison row: same pool width as the widest sharded arm,
-    // one big mutex instead of per-layer locks.
-    arms.push((LockMode::Single, *worker_counts.last().expect("non-empty")));
-
-    for (lock, workers) in arms {
+    for lock in [LockMode::Sharded, LockMode::Single] {
         let (rt, cfg, seeds) = spec.build();
         let core = ServerCore::new(&rt, cfg, &seeds, lock);
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let handle = serve(core, listener, workers).expect("daemon starts");
+        let handle = serve(core, listener).expect("daemon starts");
         let addr = handle.addr();
         let report = run_load(
             addr,
@@ -116,15 +105,13 @@ fn main() {
             assert_eq!(
                 report.ops,
                 wl.total_ops(),
-                "load generator lost operations ({} workers, {})",
-                workers,
+                "load generator lost operations ({})",
                 lock.name()
             );
             assert_eq!(
                 served,
                 wl.total_ops(),
-                "daemon under/over-served ({} workers, {})",
-                workers,
+                "daemon under/over-served ({})",
                 lock.name()
             );
         }
@@ -136,7 +123,6 @@ fn main() {
         );
         out.row(&[
             lock.name().to_string(),
-            workers.to_string(),
             report.ops.to_string(),
             fmt_f(report.wall.as_secs_f64(), 2),
             fmt_f(report.throughput_ops_s(), 0),
@@ -147,7 +133,6 @@ fn main() {
         ]);
         record.push_row(&[
             ("lock", serde_json::json!(lock.name())),
-            ("workers", serde_json::json!(workers)),
             ("ops", serde_json::json!(report.ops)),
             ("ops_served", serde_json::json!(served)),
             ("wall_s", serde_json::json!(report.wall.as_secs_f64())),
@@ -161,8 +146,7 @@ fn main() {
     print!("{}", out.render());
     println!(
         "(closed loop: one outstanding op per client; latency rows are \
-         wall-clock and host-dependent — on the 1-core reference \
-         container extra workers mostly measure scheduling overhead)"
+         wall-clock and host-dependent)"
     );
 
     // ---- Digest contract: a sequential pass over the wire must land
@@ -171,7 +155,7 @@ fn main() {
         let (rt, cfg, seeds) = spec.build();
         let core = ServerCore::new(&rt, cfg, &seeds, lock);
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let handle = serve(core, listener, 2).expect("daemon starts");
+        let handle = serve(core, listener).expect("daemon starts");
         let verify_wl = Workload {
             rounds: if quick { 2 } else { 4 },
             ..wl
@@ -193,7 +177,6 @@ fn main() {
         );
         record.push_row(&[
             ("lock", serde_json::json!(lock.name())),
-            ("workers", serde_json::json!(2)),
             ("verify_ops", serde_json::json!(outcome.ops)),
             ("digest_match", serde_json::json!(outcome.matches())),
         ]);

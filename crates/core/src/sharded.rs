@@ -13,10 +13,8 @@
 //!   mutex — allocations snapshot it without touching any layer;
 //! * uploads enqueue into a mutex-guarded FIFO pending queue (the
 //!   queue-and-flush ingest path; the push holds the queue lock for an
-//!   `O(1)` append — the vendored crossbeam channel is itself a
-//!   mutex-backed deque, so this is as lock-free-ish as this toolchain
-//!   gets) and a **single-flusher gate** drains it through the per-layer
-//!   batched pass, write-locking one shard at a time.
+//!   `O(1)` append) and a **single-flusher gate** drains it through the
+//!   per-layer batched pass, write-locking one shard at a time.
 //!
 //! ## Determinism contract
 //!

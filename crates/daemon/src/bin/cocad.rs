@@ -6,7 +6,7 @@
 //!
 //! ```sh
 //! cocad --addr 127.0.0.1:0 --addr-file /tmp/cocad.addr \
-//!       --workers 4 --lock sharded
+//!       --lock sharded
 //! ```
 
 use std::net::TcpListener;
@@ -23,7 +23,6 @@ USAGE: cocad [FLAGS]
 Serving:
   --addr HOST:PORT     bind address (default 127.0.0.1:0, ephemeral)
   --addr-file PATH     write the bound address to PATH once listening
-  --workers N          worker threads (default 4)
   --lock MODE          single | sharded (default sharded)
 
 Peer topology (multi-edge; requires --lock single):
@@ -47,7 +46,6 @@ World (must match the load generator):
 struct Opts {
     addr: String,
     addr_file: Option<String>,
-    workers: usize,
     lock: LockMode,
     spec: RunSpec,
     cell_id: u32,
@@ -59,7 +57,6 @@ fn parse_args() -> Result<Opts, String> {
     let mut opts = Opts {
         addr: "127.0.0.1:0".to_string(),
         addr_file: None,
-        workers: 4,
         lock: LockMode::Sharded,
         spec: RunSpec::default(),
         cell_id: 0,
@@ -80,11 +77,6 @@ fn parse_args() -> Result<Opts, String> {
         match flag.as_str() {
             "--addr" => opts.addr = value,
             "--addr-file" => opts.addr_file = Some(value),
-            "--workers" => {
-                opts.workers = value
-                    .parse()
-                    .map_err(|_| format!("bad --workers '{value}'"))?;
-            }
             "--lock" => {
                 opts.lock = LockMode::parse(&value)
                     .ok_or_else(|| format!("unknown lock mode '{value}'"))?;
@@ -135,7 +127,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let handle = match serve_with_peers(core, listener, opts.workers, opts.peers) {
+    let handle = match serve_with_peers(core, listener, opts.peers) {
         Ok(h) => h,
         Err(e) => {
             eprintln!("cocad: cannot start serving: {e}");
@@ -143,11 +135,10 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "cocad: listening on {} ({} lock, {} workers, {:?} on {} classes, \
+        "cocad: listening on {} ({} lock, {:?} on {} classes, \
          merge {:?}, genesis digest {genesis:016x})",
         handle.addr(),
         opts.lock.name(),
-        opts.workers.max(1),
         opts.spec.model,
         opts.spec.classes,
         opts.spec.merge_mode,

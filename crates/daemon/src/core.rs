@@ -12,7 +12,7 @@ use coca_math::Precision;
 use coca_model::{ModelId, ModelRuntime};
 use coca_sim::SeedTree;
 
-/// How the daemon guards the server state across its worker threads.
+/// How the daemon guards the server state across its connection threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockMode {
     /// One big `Mutex<CocaServer>` — every request and upload
@@ -165,7 +165,7 @@ enum CoreInner {
     Sharded(Box<ShardedServer>),
 }
 
-/// The server state the daemon's workers share — a [`CocaServer`]
+/// The server state the daemon's connection threads share — a [`CocaServer`]
 /// behind one mutex or a [`ShardedServer`], with one `&self` handler
 /// API either way so the serving loop is lock-discipline-agnostic.
 pub struct ServerCore {

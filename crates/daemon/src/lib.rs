@@ -13,9 +13,9 @@
 //!   [`LockMode::Sharded`] ([`coca_core::ShardedServer`], per-layer
 //!   locks); plus [`RunSpec`], the deterministic world both ends of a
 //!   deployment share.
-//! * [`serve`] — acceptor + per-connection readers + a fixed worker
-//!   pool over channels; [`serve()`](serve::serve) to start,
-//!   [`DaemonHandle::join`] for the final [`DaemonReport`].
+//! * [`serve`] — an acceptor and one thread per connection that reads,
+//!   handles and answers each frame in turn; [`serve()`](serve::serve)
+//!   to start, [`DaemonHandle::join`] for the final [`DaemonReport`].
 //! * [`workload`] — deterministic request/upload synthesis, a pure
 //!   function of `(RunSpec, client, round)`.
 //! * [`load`] — closed-/open-loop drivers and the sequential
@@ -26,7 +26,7 @@
 //! Driven with one operation in flight at a time, a daemon finishes
 //! with the same global-table digest as an in-process
 //! [`coca_core::CocaServer`] fed the identical sequence — regardless of
-//! lock mode, worker count, or merge mode. `coca-loadgen --verify`
+//! lock mode or merge mode. `coca-loadgen --verify`
 //! checks exactly this over loopback; `tests/daemon_loopback.rs` at the
 //! workspace root pins it in CI. Under concurrent load the arrival
 //! *order* is scheduling-dependent (so digests vary run to run), but

@@ -2,14 +2,11 @@
 //! open-loop multi-client drivers, and the sequential verify mode that
 //! pins the daemon's digest against an in-process reference server.
 
-use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::unbounded;
-
 use coca_metrics::LatencyHistogram;
-use coca_net::{read_message, write_message, FrameError};
+use coca_net::{write_message, FrameError, FrameReader};
 
 use crate::msg::{ClientMsg, ServerMsg};
 use crate::workload::Workload;
@@ -23,9 +20,9 @@ const CLIENT_READ_TIMEOUT: Duration = Duration::from_secs(60);
 /// A blocking protocol client: one request in flight, replies in order.
 #[derive(Debug)]
 pub struct DaemonClient {
-    reader: BufReader<TcpStream>,
+    reader: FrameReader<TcpStream>,
     writer: TcpStream,
-    /// Frame scratch for both directions (one message in flight).
+    /// Frame scratch for outgoing messages.
     buf: Vec<u8>,
 }
 
@@ -37,7 +34,7 @@ impl DaemonClient {
         stream.set_read_timeout(Some(CLIENT_READ_TIMEOUT))?;
         let writer = stream.try_clone()?;
         Ok(Self {
-            reader: BufReader::new(stream),
+            reader: FrameReader::new(stream),
             writer,
             buf: Vec::new(),
         })
@@ -51,7 +48,8 @@ impl DaemonClient {
     /// Receives the next reply; a clean EOF mid-conversation is an
     /// error (the daemon always acks before closing).
     pub fn recv(&mut self) -> Result<ServerMsg, FrameError> {
-        read_message(&mut self.reader, &mut self.buf)?
+        self.reader
+            .next()?
             .ok_or_else(|| FrameError::Codec("daemon closed the connection mid-call".into()))
     }
 
@@ -72,7 +70,7 @@ impl DaemonClient {
     }
 
     /// Splits into independent read/write halves (open-loop mode).
-    fn into_split(self) -> (BufReader<TcpStream>, TcpStream) {
+    fn into_split(self) -> (FrameReader<TcpStream>, TcpStream) {
         (self.reader, self.writer)
     }
 }
@@ -200,20 +198,20 @@ fn run_open_client(
     let profile = client.hello().map_err(fe)?;
     let (mut reader, mut writer) = client.into_split();
     let expected = wl.rounds * 2;
-    let (ts_tx, ts_rx) = unbounded::<Instant>();
+    let (ts_tx, ts_rx) = std::sync::mpsc::channel::<Instant>();
     std::thread::scope(|scope| {
-        // Reply half: replies come back in send order (one worker per
-        // connection), so FIFO-pairing each with its send instant is
-        // exact. Send instants always land in the channel before the
-        // reply can arrive.
+        // Reply half: replies come back in send order (one server
+        // thread per connection), so FIFO-pairing each with its send
+        // instant is exact. Send instants always land in the channel
+        // before the reply can arrive.
         let collector = scope.spawn(move || -> Result<LatencyHistogram, String> {
             let mut hist = LatencyHistogram::new();
-            let mut payload = Vec::new();
             for _ in 0..expected {
                 let sent = ts_rx
                     .recv_timeout(CLIENT_READ_TIMEOUT)
                     .map_err(|e| format!("send-timestamp channel: {e:?}"))?;
-                let reply: ServerMsg = read_message(&mut reader, &mut payload)
+                let reply: ServerMsg = reader
+                    .next()
                     .map_err(fe)?
                     .ok_or("daemon closed the connection mid-run")?;
                 match reply {
@@ -275,7 +273,7 @@ impl VerifyOutcome {
 /// round-major / client-minor) against the daemon while replaying the
 /// identical sequence on an in-process [`coca_core::CocaServer`], then
 /// compares flushed table digests. This is the determinism contract:
-/// the network, framing, worker pool and sharded locks must be
+/// the network, framing, connection threads and sharded locks must be
 /// digest-invisible when arrival order is pinned.
 pub fn run_verify(addr: SocketAddr, wl: &Workload) -> Result<VerifyOutcome, String> {
     let (rt, cfg, seeds) = wl.spec.build();

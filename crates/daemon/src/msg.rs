@@ -47,7 +47,7 @@ pub enum ClientMsg {
     /// number of non-empty deltas sent.
     SyncNow,
     /// Stop the daemon: acknowledged with [`ServerMsg::ShuttingDown`],
-    /// then the whole process winds down (acceptor, readers, workers).
+    /// then the whole process winds down (acceptor, connection threads).
     Shutdown,
 }
 

@@ -1,43 +1,42 @@
-//! The serving loop: acceptor → per-connection readers → a fixed pool
-//! of worker threads over channels.
+//! The serving loop: an acceptor and one thread per connection.
 //!
 //! ## Threading model
 //!
 //! * **Acceptor** — one thread on a non-blocking listener; polls at
-//!   1 ms, spawns a reader per accepted connection, and exits when the
-//!   stop flag rises.
-//! * **Readers** — one per connection, blocked in
-//!   [`coca_net::read_message`] over one payload buffer that lives as
-//!   long as the connection; each decoded [`ClientMsg`] is pushed to
-//!   the connection's worker. A reader exits on clean EOF (client hung
-//!   up), after forwarding `Shutdown`, or when [`DaemonHandle::join`]
-//!   shuts the socket down under it.
-//! * **Workers** — a fixed pool looping `recv_timeout(50 ms)` on their
-//!   channel (the vendored crossbeam shim has no untimed `recv`). Each
-//!   connection is pinned round-robin to exactly one worker, so replies
-//!   on a connection come back in request order and at most one thread
-//!   ever writes to a given socket. A worker encodes every reply into
-//!   one frame buffer it keeps for its lifetime. Workers drain their
-//!   queue and exit when every sender (acceptor + readers) is gone.
+//!   1 ms, spawns a thread per accepted connection, joins the ones that
+//!   have finished, and exits when the stop flag rises. An `accept`
+//!   failure (fd limit, aborted handshake) is reported on stderr and
+//!   retried at the next poll.
+//! * **Connections** — one thread each, the whole serve path: it reads
+//!   a frame ([`FrameReader`], one receive buffer for the connection's
+//!   life), runs the handler against the shared [`ServerCore`], encodes
+//!   the reply into its own frame buffer and writes it, then reads the
+//!   next. Replies therefore leave in request order, and at most one
+//!   decoded message per connection is ever in server memory: a client
+//!   that pipelines faster than it is served, or stops reading its
+//!   replies, is held back by TCP flow control and stalls nobody but
+//!   itself. The thread exits on clean EOF (client hung up), on any
+//!   framing or transport error in either direction, after answering
+//!   `Shutdown`, or when [`DaemonHandle::join`] shuts the socket down
+//!   under it; on the way out it takes its socket off the registry,
+//!   which closes it.
+//! * **Sync** — optional, one thread firing the periodic peer sync.
 //!
-//! Shutdown sequence: a `Shutdown` message (or
-//! [`DaemonHandle::shutdown`]) raises the stop flag → the acceptor
-//! exits → [`DaemonHandle::join`] shuts down every registered socket,
-//! unblocking readers → readers exit, dropping the channel senders →
-//! workers observe the disconnect after draining → the core is
-//! unwrapped, flushed, digested, and returned in the [`DaemonReport`].
+//! Shutdown sequence: a `Shutdown` message is acked and then raises the
+//! stop flag (as [`DaemonHandle::shutdown`] does) → the acceptor exits
+//! → [`DaemonHandle::join`] shuts down every registered socket,
+//! unblocking connection threads parked in a read or a write → each
+//! finishes the operation it was in and exits → the core is unwrapped,
+//! flushed, digested, and returned in the [`DaemonReport`].
 
-use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-
 use coca_core::CocaServer;
-use coca_net::{read_message, write_message};
+use coca_net::{write_message, FrameReader};
 
 use crate::core::ServerCore;
 use crate::msg::{ClientMsg, ServerMsg};
@@ -111,8 +110,9 @@ impl PeerSet {
 }
 
 /// Bound on each step of shipping a delta — connect, write, wait for the
-/// ack. The sync runs on a worker (`SyncNow`) or the sync thread; a dead
-/// or silent peer may cost it this long, never park it.
+/// ack. The sync runs on the connection that sent `SyncNow` or on the
+/// sync thread; a dead or silent peer may cost it this long, never park
+/// it.
 const PEER_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Ships one [`ClientMsg::Peer`] frame to a peer daemon and waits for its
@@ -134,22 +134,16 @@ fn ship_delta(addr: &str, delta: ClientMsg, buf: &mut Vec<u8>) -> bool {
         return false;
     }
     matches!(
-        read_message::<_, ServerMsg>(&mut &stream, buf),
+        FrameReader::new(&stream).next(),
         Ok(Some(ServerMsg::PeerAck(true)))
     )
 }
 
-/// How long a worker sleeps between channel polls (the shim's
-/// `recv_timeout` is the only blocking receive available).
-const WORKER_POLL: Duration = Duration::from_millis(50);
+/// How often the sync thread looks at the stop flag while it waits out
+/// its period.
+const STOP_POLL: Duration = Duration::from_millis(50);
 /// Acceptor poll interval on the non-blocking listener.
 const ACCEPT_POLL: Duration = Duration::from_millis(1);
-
-/// One unit of work: a decoded message plus the socket to answer on.
-struct Job {
-    conn: Arc<TcpStream>,
-    msg: ClientMsg,
-}
 
 /// Monotone counters the daemon keeps while serving.
 #[derive(Debug, Default)]
@@ -159,7 +153,18 @@ struct Counters {
     flushes: AtomicU64,
 }
 
-type ConnRegistry = Arc<Mutex<Vec<Arc<TcpStream>>>>;
+/// What every thread of one daemon shares.
+#[derive(Debug)]
+struct Shared {
+    core: ServerCore,
+    peers: PeerSet,
+    stop: AtomicBool,
+    counters: Counters,
+    /// The socket of every live connection, so [`DaemonHandle::join`]
+    /// can shut them down under blocked threads. A connection thread
+    /// removes its own entry when it exits.
+    conns: Mutex<Vec<Arc<TcpStream>>>,
+}
 
 /// A running daemon. Dropping the handle does **not** stop it; call
 /// [`DaemonHandle::shutdown`] (or send [`ClientMsg::Shutdown`]) and then
@@ -167,12 +172,9 @@ type ConnRegistry = Arc<Mutex<Vec<Arc<TcpStream>>>>;
 #[derive(Debug)]
 pub struct DaemonHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    core: Arc<ServerCore>,
-    counters: Arc<Counters>,
-    conns: ConnRegistry,
+    shared: Arc<Shared>,
+    /// Returns the connection threads still running when it stopped.
     acceptor: JoinHandle<Vec<JoinHandle<()>>>,
-    workers: Vec<JoinHandle<()>>,
     /// The periodic peer-sync thread, when `--peers` has a period.
     sync: Option<JoinHandle<()>>,
 }
@@ -193,16 +195,11 @@ pub struct DaemonReport {
     pub server: Option<CocaServer>,
 }
 
-/// Starts serving `core` on `listener` with `workers` worker threads
-/// (clamped to ≥ 1). Returns immediately; the daemon runs until a
-/// [`ClientMsg::Shutdown`] arrives or [`DaemonHandle::shutdown`] is
-/// called.
-pub fn serve(
-    core: ServerCore,
-    listener: TcpListener,
-    workers: usize,
-) -> std::io::Result<DaemonHandle> {
-    serve_with_peers(core, listener, workers, PeerSet::default())
+/// Starts serving `core` on `listener`, one thread per connection.
+/// Returns immediately; the daemon runs until a [`ClientMsg::Shutdown`]
+/// arrives or [`DaemonHandle::shutdown`] is called.
+pub fn serve(core: ServerCore, listener: TcpListener) -> std::io::Result<DaemonHandle> {
+    serve_with_peers(core, listener, PeerSet::default())
 }
 
 /// [`serve`] with a peer topology: the daemon answers
@@ -213,73 +210,47 @@ pub fn serve(
 pub fn serve_with_peers(
     core: ServerCore,
     listener: TcpListener,
-    workers: usize,
     peers: PeerSet,
 ) -> std::io::Result<DaemonHandle> {
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let core = Arc::new(core);
-    let stop = Arc::new(AtomicBool::new(false));
-    let counters = Arc::new(Counters::default());
-    let conns: ConnRegistry = Arc::new(Mutex::new(Vec::new()));
-    let peers = Arc::new(peers);
-
-    let n = workers.max(1);
-    let mut worker_handles = Vec::with_capacity(n);
-    let mut senders = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = unbounded::<Job>();
-        senders.push(tx);
-        let core = Arc::clone(&core);
-        let stop = Arc::clone(&stop);
-        let counters = Arc::clone(&counters);
-        let peers = Arc::clone(&peers);
-        worker_handles.push(std::thread::spawn(move || {
-            worker_loop(rx, &core, &stop, &counters, &peers)
-        }));
-    }
+    let period = peers.period.filter(|_| !peers.is_empty());
+    let shared = Arc::new(Shared {
+        core,
+        peers,
+        stop: AtomicBool::new(false),
+        counters: Counters::default(),
+        conns: Mutex::new(Vec::new()),
+    });
 
     let acceptor = {
-        let stop = Arc::clone(&stop);
-        let conns = Arc::clone(&conns);
-        std::thread::spawn(move || accept_loop(&listener, senders, &conns, &stop))
+        let shared = Arc::clone(&shared);
+        std::thread::spawn(move || accept_loop(|| listener.accept().map(|(s, _)| s), &shared))
     };
-
-    let sync = peers.period.filter(|_| !peers.is_empty()).map(|period| {
-        let core = Arc::clone(&core);
-        let stop = Arc::clone(&stop);
-        let peers = Arc::clone(&peers);
-        std::thread::spawn(move || sync_loop(&core, &stop, &peers, period))
+    let sync = period.map(|period| {
+        let shared = Arc::clone(&shared);
+        std::thread::spawn(move || sync_loop(&shared, period))
     });
 
     Ok(DaemonHandle {
         addr,
-        stop,
-        core,
-        counters,
-        conns,
+        shared,
         acceptor,
-        workers: worker_handles,
         sync,
     })
 }
 
 /// The periodic peer-sync thread: checks the stop flag every poll tick
 /// and fires a sync once per period.
-fn sync_loop(
-    core: &Arc<ServerCore>,
-    stop: &Arc<AtomicBool>,
-    peers: &Arc<PeerSet>,
-    period: Duration,
-) {
+fn sync_loop(shared: &Shared, period: Duration) {
     let mut elapsed = Duration::ZERO;
-    while !stop.load(Ordering::SeqCst) {
-        let step = period.min(WORKER_POLL);
+    while !shared.stop.load(Ordering::SeqCst) {
+        let step = period.min(STOP_POLL);
         std::thread::sleep(step);
         elapsed += step;
         if elapsed >= period {
             elapsed = Duration::ZERO;
-            peers.sync_now(core);
+            shared.peers.sync_now(&shared.core);
         }
     }
 }
@@ -292,18 +263,28 @@ impl DaemonHandle {
 
     /// Raises the stop flag, as a `Shutdown` message would.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.shared.stop.store(true, Ordering::SeqCst);
+    }
+
+    /// Connections being served right now: accepted and not yet closed.
+    pub fn open_connections(&self) -> usize {
+        self.shared
+            .conns
+            .lock()
+            .expect("connection registry poisoned")
+            .len()
     }
 
     /// Waits for the daemon to stop, tears the thread tree down in
     /// dependency order, and returns the final report. Blocks until a
     /// `Shutdown` message arrives or [`Self::shutdown`] is called.
     pub fn join(self) -> DaemonReport {
-        let readers = self.acceptor.join().expect("acceptor thread panicked");
-        // Unblock readers parked in a blocking read. Data already
-        // written (e.g. the ShuttingDown ack) is flushed, not dropped:
-        // TCP shutdown queues a FIN behind pending bytes.
+        let connections = self.acceptor.join().expect("acceptor thread panicked");
+        // Unblock threads parked in a blocking read or write. Data
+        // already written (e.g. the ShuttingDown ack) is flushed, not
+        // dropped: TCP shutdown queues a FIN behind pending bytes.
         for conn in self
+            .shared
             .conns
             .lock()
             .expect("connection registry poisoned")
@@ -311,115 +292,120 @@ impl DaemonHandle {
         {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
-        for r in readers {
-            r.join().expect("reader thread panicked");
-        }
-        // All senders are gone now; workers drain their queues and see
-        // the disconnect.
-        for w in self.workers {
-            w.join().expect("worker thread panicked");
+        for c in connections {
+            c.join().expect("connection thread panicked");
         }
         if let Some(s) = self.sync {
             s.join().expect("sync thread panicked");
         }
-        let Ok(core) = Arc::try_unwrap(self.core) else {
-            unreachable!("all worker references dropped at join")
+        let Ok(shared) = Arc::try_unwrap(self.shared) else {
+            unreachable!("every thread that held the state has been joined")
         };
+        let Shared { core, counters, .. } = shared;
         // Leftover queued uploads (round-aligned tails) are flushed so
         // the report digest names a well-defined, fully-merged state.
         core.flush();
         DaemonReport {
             digest: core.digest(),
-            requests: self.counters.requests.load(Ordering::Relaxed),
-            uploads: self.counters.uploads.load(Ordering::Relaxed),
-            flushes: self.counters.flushes.load(Ordering::Relaxed),
+            requests: counters.requests.into_inner(),
+            uploads: counters.uploads.into_inner(),
+            flushes: counters.flushes.into_inner(),
             server: core.into_server(),
         }
     }
 }
 
+/// Joins the connection threads that have already finished, so a
+/// long-running daemon holds handles only for live connections.
+fn reap(connections: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < connections.len() {
+        if connections[i].is_finished() {
+            connections
+                .swap_remove(i)
+                .join()
+                .expect("connection thread panicked");
+        } else {
+            i += 1;
+        }
+    }
+}
+
+/// The acceptor thread. `accept` is the listener's non-blocking accept
+/// (a parameter so a test can script its failures).
 fn accept_loop(
-    listener: &TcpListener,
-    senders: Vec<Sender<Job>>,
-    conns: &ConnRegistry,
-    stop: &Arc<AtomicBool>,
+    mut accept: impl FnMut() -> std::io::Result<TcpStream>,
+    shared: &Arc<Shared>,
 ) -> Vec<JoinHandle<()>> {
-    let mut readers = Vec::new();
-    let mut next_conn = 0usize;
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
+    let mut connections = Vec::new();
+    let mut failing = false;
+    while !shared.stop.load(Ordering::SeqCst) {
+        match accept() {
+            Ok(stream) => {
+                failing = false;
+                reap(&mut connections);
                 if stream.set_nodelay(true).is_err() || stream.set_nonblocking(false).is_err() {
                     continue;
                 }
-                let write = match stream.try_clone() {
-                    Ok(w) => Arc::new(w),
-                    Err(_) => continue,
-                };
-                conns
+                let stream = Arc::new(stream);
+                shared
+                    .conns
                     .lock()
                     .expect("connection registry poisoned")
-                    .push(Arc::clone(&write));
-                let tx = senders[next_conn % senders.len()].clone();
-                next_conn += 1;
-                readers.push(std::thread::spawn(move || reader_loop(stream, &write, &tx)));
+                    .push(Arc::clone(&stream));
+                let shared = Arc::clone(shared);
+                connections.push(std::thread::spawn(move || {
+                    serve_connection(&stream, &shared)
+                }));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(ACCEPT_POLL);
             }
-            Err(_) => break,
+            // Out of descriptors, a handshake aborted in the backlog:
+            // conditions that pass. Said once per streak, not per poll.
+            Err(e) => {
+                if !failing {
+                    eprintln!("cocad: accept failed, retrying every {ACCEPT_POLL:?}: {e}");
+                    failing = true;
+                }
+                std::thread::sleep(ACCEPT_POLL);
+            }
         }
     }
-    readers
+    connections
 }
 
-fn reader_loop(stream: TcpStream, write: &Arc<TcpStream>, tx: &Sender<Job>) {
-    let mut reader = BufReader::new(stream);
-    let mut payload = Vec::new();
-    // A clean EOF (client hung up) or transport error / socket shutdown
-    // during teardown ends the loop: either way this connection is done.
-    while let Ok(Some(msg)) = read_message::<_, ClientMsg>(&mut reader, &mut payload) {
+/// One connection, start to finish, on its own thread.
+fn serve_connection(stream: &Arc<TcpStream>, shared: &Shared) {
+    let mut frames = FrameReader::new(&**stream);
+    let mut reply_frame = Vec::new();
+    // A clean EOF (client hung up), a frame that does not decode, or a
+    // transport error / socket shutdown during teardown ends the loop:
+    // either way this connection is done.
+    while let Ok(Some(msg)) = frames.next::<ClientMsg>() {
         let last = matches!(msg, ClientMsg::Shutdown);
-        if tx
-            .send(Job {
-                conn: Arc::clone(write),
-                msg,
-            })
-            .is_err()
-            || last
-        {
+        let reply = handle(msg, shared);
+        let sent = write_message(&mut &**stream, &reply, &mut reply_frame);
+        if last {
+            // After the ack, so the shutting-down client sees its reply.
+            shared.stop.store(true, Ordering::SeqCst);
+        }
+        // A reply that cannot be written means the peer hung up or the
+        // socket was shut down for teardown: whatever it still has
+        // queued goes unserved.
+        if last || sent.is_err() {
             break;
         }
     }
-}
-
-fn worker_loop(
-    rx: Receiver<Job>,
-    core: &Arc<ServerCore>,
-    stop: &Arc<AtomicBool>,
-    counters: &Arc<Counters>,
-    peers: &Arc<PeerSet>,
-) {
-    let mut frame = Vec::new();
-    loop {
-        match rx.recv_timeout(WORKER_POLL) {
-            Ok(job) => handle_job(job, core, stop, counters, peers, &mut frame),
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
+    let mut conns = shared.conns.lock().expect("connection registry poisoned");
+    if let Some(i) = conns.iter().position(|c| Arc::ptr_eq(c, stream)) {
+        conns.swap_remove(i);
     }
 }
 
-fn handle_job(
-    job: Job,
-    core: &ServerCore,
-    stop: &AtomicBool,
-    counters: &Counters,
-    peers: &PeerSet,
-    frame: &mut Vec<u8>,
-) {
-    let mut is_shutdown = false;
-    let reply = match job.msg {
+fn handle(msg: ClientMsg, shared: &Shared) -> ServerMsg {
+    let Shared { core, counters, .. } = shared;
+    match msg {
         ClientMsg::Hello => ServerMsg::Profile(core.base_hit_profile()),
         ClientMsg::Request(req) => {
             counters.requests.fetch_add(1, Ordering::Relaxed);
@@ -441,18 +427,61 @@ fn handle_job(
             ServerMsg::WatermarkSet
         }
         ClientMsg::Peer(delta) => ServerMsg::PeerAck(core.absorb_peer(&delta)),
-        ClientMsg::SyncNow => ServerMsg::SyncDone(peers.sync_now(core)),
-        ClientMsg::Shutdown => {
-            is_shutdown = true;
-            ServerMsg::ShuttingDown
+        ClientMsg::SyncNow => ServerMsg::SyncDone(shared.peers.sync_now(core)),
+        ClientMsg::Shutdown => ServerMsg::ShuttingDown,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::core::{LockMode, RunSpec};
+    use crate::load::DaemonClient;
+
+    #[test]
+    fn an_accept_error_does_not_end_the_acceptor() {
+        let spec = RunSpec {
+            classes: 15,
+            ..RunSpec::default()
+        };
+        let (rt, cfg, seeds) = spec.build();
+        let shared = Arc::new(Shared {
+            core: ServerCore::new(&rt, cfg, &seeds, LockMode::Sharded),
+            peers: PeerSet::default(),
+            stop: AtomicBool::new(false),
+            counters: Counters::default(),
+            conns: Mutex::new(Vec::new()),
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        listener.set_nonblocking(true).expect("non-blocking");
+        let addr = listener.local_addr().expect("bound address");
+        // The listener runs out of descriptors twice, then recovers.
+        let mut failures = 2;
+        let acceptor = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let accept = || {
+                    if failures > 0 {
+                        failures -= 1;
+                        return Err(std::io::Error::other("too many open files"));
+                    }
+                    listener.accept().map(|(s, _)| s)
+                };
+                accept_loop(accept, &shared)
+            })
+        };
+        // The handshake completes in the backlog either way; the reply
+        // needs the acceptor to have outlived its errors.
+        let mut client = DaemonClient::connect(addr).expect("connect");
+        assert_eq!(
+            client.hello().expect("served after the accept errors"),
+            shared.core.base_hit_profile()
+        );
+        drop(client);
+        shared.stop.store(true, Ordering::SeqCst);
+        for c in acceptor.join().expect("acceptor thread") {
+            c.join().expect("connection thread");
         }
-    };
-    // The ack goes out before the stop flag rises, so the shutting-down
-    // client sees its reply; a peer that already hung up is not an
-    // error worth dying over.
-    let mut w: &TcpStream = &job.conn;
-    let _ = write_message(&mut w, &reply, frame);
-    if is_shutdown {
-        stop.store(true, Ordering::SeqCst);
+        assert!(shared.conns.lock().expect("registry").is_empty());
     }
 }

@@ -13,7 +13,8 @@
 //!   byte), so a real frame runs a few percent over the priced size.
 //! * [`encode_frame`]/[`decode_frame`] — the byte framing the daemon
 //!   speaks: a 4-byte big-endian length prefix followed by one
-//!   [`Wire`]-encoded payload.
+//!   [`Wire`]-encoded payload. [`FrameReader`] and [`write_message`] are
+//!   the two ends of it over a blocking stream.
 //!
 //! ## Payload conventions
 //!
@@ -417,74 +418,117 @@ pub fn decode_message<T: Wire>(buf: &[u8]) -> Result<T, FrameError> {
     }
 }
 
-/// Outcome of filling a buffer from a stream.
-enum Filled {
-    /// Every byte landed.
-    Full,
-    /// The stream ended before the first byte — a clean boundary EOF.
-    Eof,
-    /// The stream ended after some but not all bytes — a torn frame.
-    Partial,
+/// First read size of a [`FrameReader`], and the floor of every later
+/// one: a page, enough for any control message or small exchange.
+const MIN_READ_BYTES: usize = 4096;
+
+/// The receiving half of a framed connection: owns the stream's read half
+/// and one buffer, and yields one `[u32 big-endian length][payload]`
+/// message per [`FrameReader::next`] however the transport fragments or
+/// coalesces frames — a socket is free to deliver a frame one byte per
+/// `read`, or ten frames in one.
+///
+/// Every complete frame already buffered is decoded before another `read`
+/// is issued, each `read` takes whatever the stream has, and a payload is
+/// decoded where it landed (the same strict whole-message decode as
+/// [`decode_message`], so payload errors carry the same typed causes
+/// buffer callers see). The buffer is sized by the frames the connection
+/// has carried: it starts at a page, keeps room for the largest frame
+/// seen, and on the way to a larger one at most doubles the bytes that
+/// have actually arrived — a length prefix alone never makes the receiver
+/// commit memory, and one over [`MAX_FRAME_BYTES`] fails fast as
+/// [`FrameError::TooLarge`] before any growth.
+#[derive(Debug)]
+pub struct FrameReader<R> {
+    inner: R,
+    /// `buf[start..end]` holds bytes read but not yet decoded; everything
+    /// past `end` is scratch for the next `read`.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
-/// `read_exact` that distinguishes a clean EOF (zero bytes read) from a
-/// torn one, and retries `Interrupted` like the std version does.
-fn fill<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<Filled, FrameError> {
-    let mut got = 0;
-    while got < buf.len() {
-        match r.read(&mut buf[got..]) {
-            Ok(0) => {
-                return Ok(if got == 0 {
-                    Filled::Eof
-                } else {
-                    Filled::Partial
-                })
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(FrameError::Io(e)),
+impl<R: Read> FrameReader<R> {
+    /// Wraps the read half of a blocking stream.
+    pub fn new(inner: R) -> Self {
+        Self {
+            inner,
+            buf: Vec::new(),
+            start: 0,
+            end: 0,
         }
     }
-    Ok(Filled::Full)
-}
 
-/// Reads exactly one `[u32 big-endian length][payload]` frame from a
-/// blocking stream, however the transport fragments it — a socket is free
-/// to deliver a frame one byte per `read`. `buf` is the connection's
-/// payload scratch: it is resized to each frame and keeps its allocation
-/// across calls. Returns `Ok(None)` on a clean EOF at a frame boundary
-/// (the peer closed between messages — a normal connection shutdown); a
-/// stream ending *inside* a frame is [`FrameError::Truncated`], a length
-/// prefix over [`MAX_FRAME_BYTES`] fails fast as
-/// [`FrameError::TooLarge`] before any payload allocation, and transport
-/// failures surface as [`FrameError::Io`]. The payload gets the same
-/// strict whole-message decode as [`decode_message`], so payload errors
-/// carry the same typed causes buffer callers see.
-pub fn read_message<R: Read, T: Wire>(
-    r: &mut R,
-    buf: &mut Vec<u8>,
-) -> Result<Option<T>, FrameError> {
-    let mut prefix = [0u8; 4];
-    match fill(r, &mut prefix)? {
-        Filled::Eof => return Ok(None),
-        Filled::Partial => return Err(FrameError::Truncated),
-        Filled::Full => {}
+    /// Decodes the next message. Returns `Ok(None)` on a clean EOF at a
+    /// frame boundary (the peer closed between messages — a normal
+    /// connection shutdown); a stream ending *inside* a frame is
+    /// [`FrameError::Truncated`], and transport failures surface as
+    /// [`FrameError::Io`]. A payload that fails to decode is consumed (the
+    /// next call starts at the following frame); after any other error
+    /// the stream is out of step with its framing.
+    // Not `Iterator`: the caller names the message type call by call.
+    #[allow(clippy::should_implement_trait)]
+    pub fn next<T: Wire>(&mut self) -> Result<Option<T>, FrameError> {
+        loop {
+            let pending = &self.buf[self.start..self.end];
+            let frame_bytes = match pending.split_first_chunk::<4>() {
+                Some((prefix, rest)) => {
+                    let len = u32::from_be_bytes(*prefix) as usize;
+                    if len > MAX_FRAME_BYTES {
+                        return Err(FrameError::TooLarge(len));
+                    }
+                    if let Some(payload) = rest.get(..len) {
+                        let msg = decode_payload(payload);
+                        self.start += 4 + len;
+                        return msg.map(Some);
+                    }
+                    Some(4 + len)
+                }
+                None => None,
+            };
+            if self.fill(frame_bytes)? == 0 {
+                return if self.start == self.end {
+                    Ok(None)
+                } else {
+                    Err(FrameError::Truncated)
+                };
+            }
+        }
     }
-    let len = u32::from_be_bytes(prefix) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(FrameError::TooLarge(len));
+
+    /// One `read` behind the pending bytes, which are an incomplete frame
+    /// of `frame_bytes` (`None`: its prefix has not fully arrived).
+    /// Returns the bytes read; 0 is EOF.
+    fn fill(&mut self, frame_bytes: Option<usize>) -> Result<usize, FrameError> {
+        // The pending tail is less than one frame: moving it to the front
+        // gives the read the whole buffer.
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        let room = frame_bytes
+            .map_or(0, |n| n.min(2 * self.end))
+            .max(MIN_READ_BYTES);
+        if self.buf.len() < room {
+            self.buf.resize(room, 0);
+        }
+        loop {
+            match self.inner.read(&mut self.buf[self.end..]) {
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(n);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(FrameError::Io(e)),
+            }
+        }
     }
-    buf.resize(len, 0);
-    match fill(r, buf)? {
-        Filled::Full => {}
-        Filled::Eof | Filled::Partial => return Err(FrameError::Truncated),
-    }
-    decode_payload(buf).map(Some)
 }
 
 /// Encodes `msg` into `buf` (the connection's frame scratch, reused
 /// across calls), writes the frame to a blocking stream and flushes it —
-/// the sending half of [`read_message`]. Transport failures surface as
+/// the sending half of [`FrameReader`]. Transport failures surface as
 /// [`FrameError::Io`].
 pub fn write_message<W: Write, T: Wire>(
     w: &mut W,
@@ -718,15 +762,30 @@ mod tests {
     }
 
     /// A reader that hands bytes out in the given chunk sizes (then the
-    /// remainder), mimicking arbitrary socket fragmentation.
+    /// remainder), mimicking arbitrary socket fragmentation, and counts
+    /// the `read` calls it serves.
     struct ChunkedReader {
         data: Vec<u8>,
         pos: usize,
         chunks: Vec<usize>,
+        reads: usize,
+    }
+
+    impl ChunkedReader {
+        fn new(data: Vec<u8>, chunks: Vec<usize>) -> Self {
+            Self {
+                data,
+                pos: 0,
+                chunks,
+                reads: 0,
+            }
+        }
     }
 
     impl std::io::Read for ChunkedReader {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            assert!(!buf.is_empty(), "a zero-length read cannot tell EOF apart");
+            self.reads += 1;
             let cap = if self.chunks.is_empty() {
                 buf.len()
             } else {
@@ -739,6 +798,9 @@ mod tests {
         }
     }
 
+    // The six tests below kept the names they had when they covered the
+    // `read_message` function `FrameReader` replaced.
+
     #[test]
     fn read_message_reassembles_any_split() {
         let msg = Demo {
@@ -746,24 +808,20 @@ mod tests {
             xs: vec![1.0, -2.0, 3.5],
         };
         let bytes = encode_frame(&msg).unwrap().to_vec();
-        let mut scratch = Vec::new();
         // Delivery split at every byte boundary: first `cut` bytes in one
         // chunk, the rest byte by byte (a zero-length chunk would read as
         // EOF under the `Read` contract, so cut = 0 emits none).
         for cut in 0..=bytes.len() {
-            let mut r = ChunkedReader {
-                data: bytes.clone(),
-                pos: 0,
-                chunks: (cut > 0)
-                    .then_some(cut)
-                    .into_iter()
-                    .chain(std::iter::repeat_n(1, bytes.len() - cut))
-                    .collect(),
-            };
-            let back: Demo = read_message(&mut r, &mut scratch).unwrap().unwrap();
+            let chunks = (cut > 0)
+                .then_some(cut)
+                .into_iter()
+                .chain(std::iter::repeat_n(1, bytes.len() - cut))
+                .collect();
+            let mut r = FrameReader::new(ChunkedReader::new(bytes.clone(), chunks));
+            let back: Demo = r.next().unwrap().unwrap();
             assert_eq!(back, msg, "split at {cut}");
             // The stream is exhausted: the next read is a clean EOF.
-            let next: Option<Demo> = read_message(&mut r, &mut scratch).unwrap();
+            let next: Option<Demo> = r.next().unwrap();
             assert!(next.is_none(), "split at {cut}");
         }
     }
@@ -775,8 +833,8 @@ mod tests {
             id: 2,
             xs: vec![9.0],
         };
-        // Large, small, large through one scratch buffer: a shorter frame
-        // must not see the tail of the longer one before it.
+        // Large, small, large through one buffer: a shorter frame must
+        // not see the tail of the longer one before it.
         let c = Demo {
             id: 3,
             xs: vec![0.25; 40],
@@ -785,19 +843,53 @@ mod tests {
         for m in [&c, &a, &b, &c] {
             data.extend_from_slice(&encode_frame(m).unwrap());
         }
-        let mut r = ChunkedReader {
-            data,
-            pos: 0,
-            chunks: vec![1; 4096],
-        };
-        let mut scratch = Vec::new();
+        let mut r = FrameReader::new(ChunkedReader::new(data, vec![1; 4096]));
         for want in [&c, &a, &b, &c] {
-            let got: Demo = read_message(&mut r, &mut scratch).unwrap().unwrap();
+            let got: Demo = r.next().unwrap().unwrap();
             assert_eq!(&got, want);
         }
-        assert!(read_message::<_, Demo>(&mut r, &mut scratch)
-            .unwrap()
-            .is_none());
+        assert!(r.next::<Demo>().unwrap().is_none());
+    }
+
+    #[test]
+    fn buffered_frames_all_decode_before_the_next_read() {
+        let msgs: Vec<Demo> = (0..5)
+            .map(|id| Demo {
+                id,
+                xs: vec![0.5; id as usize],
+            })
+            .collect();
+        let mut data = Vec::new();
+        for m in &msgs {
+            data.extend_from_slice(&encode_frame(m).unwrap());
+        }
+        // One read delivers all five frames plus the first half of a
+        // sixth; the second read delivers the rest.
+        let tail = encode_frame(&msgs[4]).unwrap();
+        let first = data.len() + tail.len() / 2;
+        data.extend_from_slice(&tail);
+        let mut r = FrameReader::new(ChunkedReader::new(data, vec![first]));
+        for want in &msgs {
+            assert_eq!(&r.next::<Demo>().unwrap().unwrap(), want);
+            assert_eq!(r.inner.reads, 1, "frame {} was already buffered", want.id);
+        }
+        assert_eq!(r.next::<Demo>().unwrap().unwrap(), msgs[4]);
+        assert_eq!(r.inner.reads, 2);
+        assert!(r.next::<Demo>().unwrap().is_none());
+    }
+
+    #[test]
+    fn a_payload_error_leaves_the_stream_on_the_next_frame() {
+        let good = Demo {
+            id: 5,
+            xs: vec![1.5],
+        };
+        let mut data = 3u32.to_be_bytes().to_vec();
+        data.extend_from_slice(b"zzz");
+        data.extend_from_slice(&encode_frame(&good).unwrap());
+        let mut r = FrameReader::new(ChunkedReader::new(data, vec![]));
+        assert!(matches!(r.next::<Demo>(), Err(FrameError::Codec(_))));
+        assert_eq!(r.next::<Demo>().unwrap().unwrap(), good);
     }
 
     #[test]
@@ -808,12 +900,8 @@ mod tests {
         };
         let bytes = encode_frame(&msg).unwrap().to_vec();
         for cut in 1..bytes.len() {
-            let mut r = ChunkedReader {
-                data: bytes[..cut].to_vec(),
-                pos: 0,
-                chunks: vec![],
-            };
-            let res: Result<Option<Demo>, _> = read_message(&mut r, &mut Vec::new());
+            let mut r = FrameReader::new(ChunkedReader::new(bytes[..cut].to_vec(), vec![]));
+            let res: Result<Option<Demo>, _> = r.next();
             assert!(
                 matches!(res, Err(FrameError::Truncated)),
                 "eof at {cut} must be a torn frame"
@@ -823,18 +911,56 @@ mod tests {
 
     #[test]
     fn read_message_caps_the_length_prefix() {
-        let mut data = Vec::new();
-        data.extend_from_slice(&u32::MAX.to_be_bytes());
-        data.extend_from_slice(&[0u8; 16]);
-        let mut r = ChunkedReader {
-            data,
-            pos: 0,
-            chunks: vec![],
+        let over_cap = (MAX_FRAME_BYTES as u32 + 1).to_be_bytes();
+        for prefix in [u32::MAX.to_be_bytes(), over_cap] {
+            // A good frame first, so "no growth" is measured on a buffer
+            // that exists.
+            let mut data = encode_frame(&Demo { id: 1, xs: vec![] }).unwrap().to_vec();
+            data.extend_from_slice(&prefix);
+            data.extend_from_slice(&[0u8; 16]);
+            let mut r = FrameReader::new(ChunkedReader::new(data, vec![]));
+            assert!(r.next::<Demo>().unwrap().is_some());
+            let before = r.buf.capacity();
+            assert!(matches!(r.next::<Demo>(), Err(FrameError::TooLarge(_))));
+            assert_eq!(r.buf.capacity(), before, "rejected before any growth");
+        }
+        // The cap itself is a legal length: the reader waits for payload.
+        let mut r = FrameReader::new(ChunkedReader::new(
+            (MAX_FRAME_BYTES as u32).to_be_bytes().to_vec(),
+            vec![],
+        ));
+        assert!(matches!(r.next::<Demo>(), Err(FrameError::Truncated)));
+    }
+
+    #[test]
+    fn the_buffer_grows_with_the_bytes_that_arrive_not_the_prefix() {
+        // 32 MiB announced, ten bytes delivered, then EOF.
+        let mut data = (32u32 << 20).to_be_bytes().to_vec();
+        data.extend_from_slice(&[7u8; 10]);
+        let mut r = FrameReader::new(ChunkedReader::new(data, vec![]));
+        assert!(matches!(r.next::<Demo>(), Err(FrameError::Truncated)));
+        assert!(
+            r.buf.capacity() <= 2 * MIN_READ_BYTES,
+            "{} bytes committed for 14 received",
+            r.buf.capacity()
+        );
+        // A frame that does arrive grows the buffer to fit it — by at most
+        // doubling what is already there — and the buffer then stays.
+        let big = Demo {
+            id: 9,
+            xs: vec![0.125; 5000],
         };
-        let mut scratch = Vec::new();
-        let res: Result<Option<Demo>, _> = read_message(&mut r, &mut scratch);
-        assert!(matches!(res, Err(FrameError::TooLarge(_))));
-        assert_eq!(scratch.capacity(), 0, "rejected before any allocation");
+        let frame = encode_frame(&big).unwrap().to_vec();
+        let mut data = frame.clone();
+        data.extend_from_slice(&frame);
+        let mut r = FrameReader::new(ChunkedReader::new(data, vec![]));
+        assert_eq!(r.next::<Demo>().unwrap().unwrap(), big);
+        let (reads, len) = (r.inner.reads, r.buf.len());
+        assert!(len >= frame.len() && len <= 2 * frame.len());
+        assert!(reads > 1, "a first 40 KB frame is not read on trust");
+        assert_eq!(r.next::<Demo>().unwrap().unwrap(), big);
+        assert_eq!(r.inner.reads, reads + 1, "the second one is one read");
+        assert_eq!(r.buf.len(), len);
     }
 
     #[test]
@@ -848,7 +974,7 @@ mod tests {
                 ))
             }
         }
-        let res: Result<Option<Demo>, _> = read_message(&mut FailingReader, &mut Vec::new());
+        let res: Result<Option<Demo>, _> = FrameReader::new(FailingReader).next();
         assert!(matches!(res, Err(FrameError::Io(_))));
     }
 
@@ -862,13 +988,8 @@ mod tests {
         let mut scratch = vec![0xEE; 64]; // stale contents are replaced
         write_message(&mut wire, &msg, &mut scratch).unwrap();
         assert_eq!(wire, encode_frame(&msg).unwrap().to_vec());
-        let mut r = std::io::Cursor::new(wire);
-        assert_eq!(
-            read_message::<_, Demo>(&mut r, &mut scratch)
-                .unwrap()
-                .unwrap(),
-            msg
-        );
+        let mut r = FrameReader::new(std::io::Cursor::new(wire));
+        assert_eq!(r.next::<Demo>().unwrap().unwrap(), msg);
     }
 
     #[test]

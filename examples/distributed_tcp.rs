@@ -1,9 +1,9 @@
 //! Distributed deployment over real TCP, served by the daemon library.
 //!
 //! Runs the CoCa protocol across actual sockets: `coca::daemon`'s
-//! serving loop (acceptor + per-connection readers + a worker pool)
-//! owns the global cache table and ACA; client threads run simulated
-//! inference locally and exchange `CacheRequest` / `CacheAllocation` /
+//! serving loop (an acceptor and one thread per connection) owns the
+//! global cache table and ACA; client threads run simulated inference
+//! locally and exchange `CacheRequest` / `CacheAllocation` /
 //! `UpdateUpload` messages through the daemon's framed protocol — the
 //! same serve path `cocad` ships. Virtual time still prices inference;
 //! the sockets are real.
@@ -31,7 +31,6 @@ use coca::prelude::*;
 const CLIENTS: usize = 3;
 const ROUNDS: usize = 3;
 const FRAMES: usize = 200;
-const WORKERS: usize = 2;
 
 fn main() {
     let mut sc = ScenarioConfig::new(ModelId::ResNet101, DatasetSpec::ucf101().subset(30));
@@ -66,9 +65,9 @@ fn main() {
     server.attach_storage(Box::new(store));
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let handle = serve(ServerCore::single(server), listener, WORKERS).expect("serve");
+    let handle = serve(ServerCore::single(server), listener).expect("serve");
     let addr = handle.addr();
-    println!("daemon listening on {addr} ({WORKERS} workers)");
+    println!("daemon listening on {addr}");
 
     // --- Client threads, each over its own TCP connection.
     let handles: Vec<_> = (0..CLIENTS)
@@ -118,7 +117,7 @@ fn main() {
                     }
                 }
                 // Dropping the connection is the goodbye; the daemon's
-                // reader sees clean EOF.
+                // connection thread sees clean EOF.
                 (
                     k,
                     total_ms / frames as f64,

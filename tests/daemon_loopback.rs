@@ -8,7 +8,9 @@
 //! policy. The whole suite also runs under `--features simd` in CI, so
 //! the digest must not move under the AVX2 kernels either.
 
-use std::net::TcpListener;
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
+use std::time::{Duration, Instant};
 
 use coca::core::MergeMode;
 use coca::daemon::{
@@ -16,6 +18,7 @@ use coca::daemon::{
     DaemonClient, LockMode, PeerSet, RunSpec, ServerCore, ServerMsg, Workload,
 };
 use coca::math::Precision;
+use coca::net::{encode_frame, FrameReader};
 
 fn small_workload(merge_mode: MergeMode, round_aligned: bool) -> Workload {
     Workload {
@@ -31,11 +34,11 @@ fn small_workload(merge_mode: MergeMode, round_aligned: bool) -> Workload {
     }
 }
 
-fn spawn_daemon(wl: &Workload, lock: LockMode, workers: usize) -> coca::daemon::DaemonHandle {
+fn spawn_daemon(wl: &Workload, lock: LockMode) -> coca::daemon::DaemonHandle {
     let (rt, cfg, seeds) = wl.spec.build();
     let core = ServerCore::new(&rt, cfg, &seeds, lock);
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    serve(core, listener, workers).expect("daemon starts")
+    serve(core, listener).expect("daemon starts")
 }
 
 #[test]
@@ -43,7 +46,7 @@ fn sequential_loopback_digest_matches_in_process_reference() {
     for merge_mode in [MergeMode::PerUpload, MergeMode::QueueAndFlush] {
         for lock in [LockMode::Single, LockMode::Sharded] {
             let wl = small_workload(merge_mode, false);
-            let handle = spawn_daemon(&wl, lock, 2);
+            let handle = spawn_daemon(&wl, lock);
             let addr = handle.addr();
             let outcome = run_verify(addr, &wl).expect("verify run");
             assert!(
@@ -75,7 +78,7 @@ fn sequential_loopback_digest_matches_in_process_reference() {
 #[test]
 fn round_aligned_watermark_survives_the_wire() {
     let wl = small_workload(MergeMode::QueueAndFlush, true);
-    let handle = spawn_daemon(&wl, LockMode::Sharded, 2);
+    let handle = spawn_daemon(&wl, LockMode::Sharded);
     let addr = handle.addr();
     let outcome = run_verify(addr, &wl).expect("verify run");
     assert!(
@@ -98,7 +101,7 @@ fn quantized_loopback_digest_matches_per_precision() {
         for lock in [LockMode::Single, LockMode::Sharded] {
             let mut wl = small_workload(MergeMode::QueueAndFlush, false);
             wl.spec.precision = precision;
-            let handle = spawn_daemon(&wl, lock, 2);
+            let handle = spawn_daemon(&wl, lock);
             let addr = handle.addr();
             let outcome = run_verify(addr, &wl).expect("verify run");
             assert!(
@@ -130,13 +133,13 @@ fn peer_sync_ships_the_table_delta_over_loopback() {
     core_b.set_cell_id(1);
     let listener_b = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let handle_b =
-        serve_with_peers(core_b, listener_b, 2, PeerSet::default()).expect("daemon B starts");
+        serve_with_peers(core_b, listener_b, PeerSet::default()).expect("daemon B starts");
 
     // Daemon A (cell 0): peers at B, sync only on explicit SyncNow.
     let core_a = ServerCore::new(&rt, cfg, &seeds, LockMode::Single);
     let peers = PeerSet::parse(&format!("1={}", handle_b.addr())).expect("peer list parses");
     let listener_a = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let handle_a = serve_with_peers(core_a, listener_a, 2, peers).expect("daemon A starts");
+    let handle_a = serve_with_peers(core_a, listener_a, peers).expect("daemon A starts");
 
     // Drive the workload into A sequentially; run_verify replays the
     // identical sequence on its own reference, pinning A's digest.
@@ -185,8 +188,8 @@ fn peer_sync_ships_the_table_delta_over_loopback() {
 #[test]
 fn a_silent_peer_costs_a_sync_its_timeout_and_nothing_else() {
     // A "peer" that accepts the connection and never answers. Before the
-    // ship had timeouts, the worker serving `SyncNow` parked in a read
-    // forever — and with it every connection pinned to that worker.
+    // ship had timeouts, the thread serving `SyncNow` parked in a read
+    // forever.
     let silent = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let silent_addr = silent.local_addr().expect("silent peer address");
     let (release, held) = std::sync::mpsc::channel::<()>();
@@ -196,13 +199,12 @@ fn a_silent_peer_costs_a_sync_its_timeout_and_nothing_else() {
         drop(conn);
     });
 
-    // One worker, so both client connections below are pinned to it.
     let wl = small_workload(MergeMode::PerUpload, false);
     let (rt, cfg, seeds) = wl.spec.build();
     let core = ServerCore::new(&rt, cfg, &seeds, LockMode::Single);
     let peers = PeerSet::parse(&format!("1={silent_addr}")).expect("peer list parses");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let handle = serve_with_peers(core, listener, 1, peers).expect("daemon starts");
+    let handle = serve_with_peers(core, listener, peers).expect("daemon starts");
     // Give the table some mass: an empty delta is never shipped at all.
     assert!(run_verify(handle.addr(), &wl)
         .expect("verify run")
@@ -221,7 +223,7 @@ fn a_silent_peer_costs_a_sync_its_timeout_and_nothing_else() {
     assert!(started.elapsed() < std::time::Duration::from_secs(20));
     match bystander
         .recv()
-        .expect("the worker came back for its other connection")
+        .expect("the other connection is served throughout")
     {
         ServerMsg::Digest(_) => {}
         other => panic!("expected Digest, got {other:?}"),
@@ -238,9 +240,9 @@ fn concurrent_closed_loop_serves_every_op_exactly_once() {
     // Concurrency makes arrival order (and thus the digest) run-to-run
     // dependent, but op accounting and Φ conservation are exact: the
     // daemon must serve 2 ops per client per round, no losses, no
-    // duplicates, across a multi-worker pool.
+    // duplicates, across concurrent connections.
     let wl = small_workload(MergeMode::QueueAndFlush, false);
-    let handle = spawn_daemon(&wl, LockMode::Sharded, 4);
+    let handle = spawn_daemon(&wl, LockMode::Sharded);
     let addr = handle.addr();
     let report = run_load(
         addr,
@@ -264,7 +266,7 @@ fn concurrent_closed_loop_serves_every_op_exactly_once() {
 #[test]
 fn open_loop_pairs_every_reply() {
     let wl = small_workload(MergeMode::PerUpload, false);
-    let handle = spawn_daemon(&wl, LockMode::Sharded, 2);
+    let handle = spawn_daemon(&wl, LockMode::Sharded);
     let addr = handle.addr();
     let report = run_load(
         addr,
@@ -275,6 +277,184 @@ fn open_loop_pairs_every_reply() {
     )
     .expect("open-loop run");
     assert_eq!(report.ops, wl.total_ops());
+    assert!(shutdown_daemon(addr));
+    handle.join();
+}
+
+#[test]
+fn a_client_that_never_reads_stalls_only_its_own_connection() {
+    let wl = small_workload(MergeMode::PerUpload, false);
+    let (rt, _, seeds) = wl.spec.build();
+    let handle = spawn_daemon(&wl, LockMode::Sharded);
+    let addr = handle.addr();
+    let mut bystander = DaemonClient::connect(addr).expect("connect");
+    let profile = bystander.hello().expect("hello");
+
+    // Pipeline requests and never read a reply. The allocations fill
+    // this connection's buffers until the daemon's write parks, its
+    // reads stop with it, and the requests back up to this end: flow
+    // control, not server memory, holds the flood. (Behind a shared
+    // worker that parked write took every other connection with it, and
+    // the reader in front of it queued requests without bound.)
+    let request =
+        encode_frame(&ClientMsg::Request(wl.request(&rt, &profile, 0, 0))).expect("request frame");
+    let mut hog = TcpStream::connect(addr).expect("connect");
+    hog.set_write_timeout(Some(Duration::from_millis(300)))
+        .expect("write timeout");
+    let mut pipelined = 0u32;
+    while hog.write_all(&request).is_ok() {
+        pipelined += 1;
+        assert!(
+            pipelined < 1_000_000,
+            "a million unanswered requests accepted: nothing pushes back"
+        );
+    }
+
+    let started = Instant::now();
+    for round in 0..wl.rounds {
+        for k in 0..wl.clients {
+            let req = ClientMsg::Request(wl.request(&rt, &profile, k, round));
+            match bystander.call(&req).expect("request round trip") {
+                ServerMsg::Alloc(_) => {}
+                other => panic!("expected Alloc, got {other:?}"),
+            }
+            let up = ClientMsg::Upload(wl.upload(&rt, &seeds, k, round));
+            match bystander.call(&up).expect("upload round trip") {
+                ServerMsg::UploadAck(_) => {}
+                other => panic!("expected UploadAck, got {other:?}"),
+            }
+        }
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "the stalled connection delayed its neighbour: {:?}",
+        started.elapsed()
+    );
+
+    // Teardown shuts the stalled socket down under its parked write.
+    assert!(shutdown_daemon(addr));
+    let report = handle.join();
+    assert!(report.requests >= wl.total_ops() / 2);
+    assert_eq!(report.uploads, wl.total_ops() / 2);
+    drop(hog);
+}
+
+#[test]
+fn daemons_that_sync_each_other_at_once_both_answer() {
+    // Cells 0 and 1 name each other as peers and are told to sync at the
+    // same instant: each must absorb the other's delta while its own
+    // `SyncNow` is still waiting for the other's ack. With the sync and
+    // the absorb behind one worker, the two daemons held each other's
+    // for the whole peer timeout and shipped nothing.
+    let wl = small_workload(MergeMode::PerUpload, false);
+    let (rt, cfg, seeds) = wl.spec.build();
+    let listeners = [(); 2].map(|()| TcpListener::bind("127.0.0.1:0").expect("bind loopback"));
+    let addrs = listeners
+        .each_ref()
+        .map(|l| l.local_addr().expect("bound address"));
+    let mut cell = 0u32;
+    let handles = listeners.map(|listener| {
+        let core = ServerCore::new(&rt, cfg, &seeds, LockMode::Single);
+        core.set_cell_id(cell);
+        let other = 1 - cell;
+        cell += 1;
+        let peers =
+            PeerSet::parse(&format!("{other}={}", addrs[other as usize])).expect("peer list");
+        serve_with_peers(core, listener, peers).expect("daemon starts")
+    });
+    // Give both tables some mass: an empty delta is never shipped.
+    for h in &handles {
+        assert!(run_verify(h.addr(), &wl).expect("verify run").matches());
+    }
+
+    let go = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for h in &handles {
+            let go = &go;
+            scope.spawn(move || {
+                let mut client = DaemonClient::connect(h.addr()).expect("connect");
+                go.wait();
+                let started = Instant::now();
+                match client.call(&ClientMsg::SyncNow).expect("sync call") {
+                    ServerMsg::SyncDone(shipped) => assert_eq!(shipped, 1, "the delta landed"),
+                    other => panic!("expected SyncDone, got {other:?}"),
+                }
+                // The daemon's peer timeout is 2 s.
+                assert!(
+                    started.elapsed() < Duration::from_secs(1),
+                    "crossing syncs waited on each other: {:?}",
+                    started.elapsed()
+                );
+            });
+        }
+    });
+
+    for h in handles {
+        assert!(shutdown_daemon(h.addr()));
+        h.join();
+    }
+}
+
+#[test]
+fn frames_coalesced_into_one_write_are_answered_in_order() {
+    let wl = small_workload(MergeMode::QueueAndFlush, false);
+    let handle = spawn_daemon(&wl, LockMode::Sharded);
+    let mut bytes = Vec::new();
+    for msg in [
+        ClientMsg::Hello,
+        ClientMsg::SetWatermark(wl.clients),
+        ClientMsg::Digest,
+    ] {
+        bytes.extend_from_slice(&encode_frame(&msg).expect("frame"));
+    }
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    (&stream)
+        .write_all(&bytes)
+        .expect("one write, three frames");
+    let mut replies = FrameReader::new(&stream);
+    let mut next = || -> ServerMsg { replies.next().expect("reply").expect("not EOF") };
+    assert!(matches!(next(), ServerMsg::Profile(_)));
+    assert!(matches!(next(), ServerMsg::WatermarkSet));
+    assert!(matches!(next(), ServerMsg::Digest(_)));
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn closed_connections_leave_no_socket_behind() {
+    // Every accepted socket used to stay open in the daemon's registry
+    // until `join`: a peer that ships a delta per sync tick (a fresh
+    // connection each) walked the daemon into its descriptor limit.
+    let wl = small_workload(MergeMode::PerUpload, false);
+    let handle = spawn_daemon(&wl, LockMode::Sharded);
+    let addr = handle.addr();
+    // Linux only; elsewhere the registry count is the whole check.
+    let open_fds = || std::fs::read_dir("/proc/self/fd").ok().map(Iterator::count);
+    let before = open_fds();
+    for _ in 0..300 {
+        let mut client = DaemonClient::connect(addr).expect("connect");
+        client.hello().expect("hello");
+    }
+    // The daemon sees each hang-up on that connection's own thread.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle.open_connections() > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "{} closed connections still registered",
+            handle.open_connections()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    if let (Some(before), Some(after)) = (before, open_fds()) {
+        // Not an equality: the other tests of this binary open and close
+        // sockets in the same process meanwhile. A leak is 300.
+        assert!(
+            after < before + 100,
+            "open descriptors went from {before} to {after} over 300 closed connections"
+        );
+    }
+    let outcome = run_verify(addr, &wl).expect("verify run");
+    assert!(outcome.matches(), "the daemon still serves, digest-exact");
     assert!(shutdown_daemon(addr));
     handle.join();
 }

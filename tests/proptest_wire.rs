@@ -5,6 +5,9 @@
 //!   empty tables, NaN/±inf/−0.0 lanes — come back bit for bit, and equal
 //!   the value the retained serde path (`from_value(to_value(x))`, what
 //!   the JSON frames used to carry) rebuilds, row order included.
+//! * **Streaming.** Any sequence of frames, cut into any chunks by the
+//!   transport, comes out of `FrameReader` as the messages
+//!   `decode_message` yields frame by frame, in order.
 //! * **Hostile bytes.** Mutated, truncated and length-inconsistent
 //!   frames decode or error through `Result`, never panic; a count field
 //!   overwritten with `u32::MAX` is a typed error, not an allocation.
@@ -22,7 +25,7 @@ use coca::core::semantic::CacheLayer;
 use coca::daemon::{ClientMsg, ServerMsg};
 use coca::math::{random_unit, Precision};
 use coca::net::wire::WIRE_VERSION;
-use coca::net::{decode_frame, decode_message, encode_frame, FrameError, Wire};
+use coca::net::{decode_frame, decode_message, encode_frame, FrameError, FrameReader, Wire};
 use coca::prelude::*;
 use proptest::prelude::*;
 use rand::Rng;
@@ -341,6 +344,77 @@ proptest! {
         for (sent, got) in delta.entries.iter().zip(&back.entries) {
             prop_assert!(same_cells(&sent.table, &got.table));
         }
+    }
+}
+
+// -------------------------------------------------- streaming reader ----
+
+/// A stream that serves each `read` at most the next scripted size (the
+/// script exhausted: whatever the caller has room for).
+struct Chunked {
+    data: Vec<u8>,
+    pos: usize,
+    sizes: std::vec::IntoIter<usize>,
+}
+
+impl std::io::Read for Chunked {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.data.len() - self.pos;
+        let n = self.sizes.next().unwrap_or(left).min(left).min(buf.len());
+        buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+/// Reads the next message as `T` and checks it against the frame it was
+/// sent in, decoded on its own.
+fn next_matches<T: Wire + Viewed>(
+    r: &mut FrameReader<Chunked>,
+    frame: &[u8],
+) -> Result<(), TestCaseError> {
+    let streamed: T = r.next().unwrap().expect("a frame, not EOF");
+    let whole: T = decode_message(frame).unwrap();
+    prop_assert_eq!(streamed.view(false), whole.view(false));
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn frame_reader_yields_the_sent_messages_under_any_chunking(
+        seed in 0u64..1500,
+        style in 0usize..4,
+    ) {
+        let mut rng = SeedTree::new(seed).rng_for("wire-stream");
+        let frames: Vec<(usize, Vec<u8>)> = (0..rng.gen_range(1..7))
+            .map(|_| {
+                let kind = rng.gen_range(0..3usize);
+                let frame = match kind {
+                    0 => encode_frame(&request(&mut rng)),
+                    1 => encode_frame(&allocation(&mut rng)),
+                    _ => encode_frame(&upload(&mut rng)),
+                };
+                (kind, frame.unwrap().to_vec())
+            })
+            .collect();
+        let data = frames.iter().flat_map(|(_, f)| f.iter().copied()).collect::<Vec<u8>>();
+        // Byte by byte; slivers that split the 4-byte length prefixes;
+        // reads that straddle several frames; all at once.
+        let sizes: Vec<usize> = match style {
+            0 => vec![1; data.len()],
+            1 => (0..data.len()).map(|_| rng.gen_range(1..4)).collect(),
+            2 => (0..data.len()).map(|_| rng.gen_range(1..6000)).collect(),
+            _ => Vec::new(),
+        };
+        let mut r = FrameReader::new(Chunked { data, pos: 0, sizes: sizes.into_iter() });
+        for (kind, frame) in &frames {
+            match kind {
+                0 => next_matches::<CacheRequest>(&mut r, frame)?,
+                1 => next_matches::<CacheAllocation>(&mut r, frame)?,
+                _ => next_matches::<UpdateUpload>(&mut r, frame)?,
+            }
+        }
+        prop_assert!(r.next::<CacheRequest>().unwrap().is_none(), "clean EOF after the last frame");
     }
 }
 
