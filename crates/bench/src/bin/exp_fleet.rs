@@ -117,6 +117,23 @@ fn min_wallclock_ms(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
+/// Best-of-`REPS` wall-clock of `run` over one round's uploads. Each
+/// repetition gets its own copy of the round, made outside the timed
+/// section (the engine moves uploads in, it never clones them).
+fn min_round_ms(
+    uploads: &[(UpdateUpload, SeedUpload)],
+    mut run: impl FnMut(Vec<UpdateUpload>),
+) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..REPS {
+        let round: Vec<UpdateUpload> = uploads.iter().map(|(u, _)| u.clone()).collect();
+        let t = Instant::now();
+        run(round);
+        best = best.min(t.elapsed().as_secs_f64() * 1e3);
+    }
+    best
+}
+
 /// Process peak RSS (VmHWM) in MB, from `/proc/self/status`. A high-water
 /// mark: monotone over the process lifetime, so rows report the peak *up
 /// to and including* their run. Returns 0 where procfs is unavailable.
@@ -349,10 +366,14 @@ fn main() {
         rows.push(("seed", 0, seed_ms));
 
         // Columnar per-upload (the engine's default pipeline).
-        let mut server_seq = CocaServer::new(rt, coca, scenario.seeds());
-        let per_upload_ms = min_wallclock_ms(REPS, || {
-            for (up, _) in &uploads {
-                let _ = server_seq.handle_update(up);
+        let mut server_seq = CocaServer::new(
+            rt,
+            coca.with_merge_mode(MergeMode::PerUpload),
+            scenario.seeds(),
+        );
+        let per_upload_ms = min_round_ms(&uploads, |round| {
+            for up in round {
+                let _ = server_seq.handle_upload(up);
             }
         });
         rows.push(("per_upload", 0, per_upload_ms));
@@ -369,21 +390,14 @@ fn main() {
                 .num_threads(threads.max(1))
                 .build()
                 .expect("shim pool build is infallible");
-            // Clone the round's uploads outside the timed section (the
-            // engine moves uploads in, it never clones them).
-            let mut best = f64::INFINITY;
-            for _ in 0..REPS {
-                let round: Vec<UpdateUpload> = uploads.iter().map(|(u, _)| u.clone()).collect();
-                let t = Instant::now();
+            let ms = min_round_ms(&uploads, |round| {
                 pool.install(|| {
                     for up in round {
                         let _ = server.handle_upload(up);
                     }
                     server.flush_pending();
                 });
-                best = best.min(t.elapsed().as_secs_f64() * 1e3);
-            }
-            let ms = best;
+            });
             rows.push((
                 if sharded {
                     "queue_and_flush+parallel"

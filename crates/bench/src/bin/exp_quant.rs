@@ -19,7 +19,7 @@ use coca_bench::output::save_record;
 use coca_core::engine::{Engine, EngineConfig, Scenario, ScenarioConfig};
 use coca_core::server::seed_global_table;
 use coca_core::spec::ScenarioSpec;
-use coca_core::{CocaClient, CocaConfig, CocaServer, LookupScratch};
+use coca_core::{CocaClient, CocaConfig, CocaServer, LookupScratch, MergeMode};
 use coca_data::DatasetSpec;
 use coca_math::{cosine, Precision};
 use coca_metrics::table::fmt_f;
@@ -42,7 +42,11 @@ struct WireCosts {
 fn measure_wire(sc: &ScenarioConfig, cfg: CocaConfig) -> WireCosts {
     let scenario = Scenario::build(sc.clone());
     let rt = &scenario.rt;
-    let mut server = CocaServer::new(rt, cfg, scenario.seeds());
+    let mut server = CocaServer::new(
+        rt,
+        cfg.with_merge_mode(MergeMode::PerUpload),
+        scenario.seeds(),
+    );
     let mut clients: Vec<CocaClient> = (0..CLIENTS)
         .map(|k| {
             CocaClient::new(
@@ -73,7 +77,7 @@ fn measure_wire(sc: &ScenarioConfig, cfg: CocaConfig) -> WireCosts {
             }
             let upload = client.end_round();
             costs.upload_bytes += upload.wire_bytes();
-            server.handle_update(&upload);
+            server.handle_upload(upload);
         }
     }
     costs.table_bytes = server.global().store_bytes();

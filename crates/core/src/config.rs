@@ -14,7 +14,7 @@ pub enum MergeMode {
     /// behavior, one `merge_update` per `Ev::Upload`.
     PerUpload,
     /// Queue arriving uploads and drain the pending batch through the
-    /// per-layer batched pass (`handle_updates_batch`'s machinery) at the
+    /// per-layer batched pass (`GlobalCacheTable::merge_batch`) at the
     /// next request/allocation boundary — the paper's round-granular
     /// aggregator. The pending queue preserves FIFO arrival order and the
     /// batched pass is bit-identical to sequential merging in that order,

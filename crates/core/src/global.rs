@@ -30,7 +30,7 @@
 //! one layer at a time across all queued uploads in deterministic
 //! client order — is bit-identical to merging the same uploads
 //! sequentially (property-tested in `tests/proptest_global.rs`). That
-//! equivalence is what lets a sharded server drain its round queue in
+//! equivalence is what lets the server drain its round queue in
 //! per-layer batches without changing a single result.
 
 use std::borrow::Cow;
@@ -466,9 +466,8 @@ impl GlobalCacheTable {
     /// Batched round processing: merges every queued upload of a round as
     /// **one pass per layer** — layer-outer, clients inner in the given
     /// order (the caller fixes it deterministically: the server's
-    /// queue-and-flush pipeline passes FIFO arrival order, its offline
-    /// batch API canonicalizes to client-id order) — so each layer's
-    /// store streams through cache once for the whole fleet.
+    /// queue-and-flush pipeline passes FIFO arrival order) — so each
+    /// layer's store streams through cache once for the whole fleet.
     /// Bit-identical to calling [`GlobalCacheTable::merge_update`] per
     /// upload in the same order: each client's Eq. 4 weights read its
     /// prefix Φ (the Φ a sequential merge would have seen), and Eq. 5
@@ -665,62 +664,6 @@ impl GlobalCacheTable {
         ones as f64 / (self.classes * self.layers) as f64
     }
 
-    /// Splits the table into per-layer [`LayerShard`]s plus the shared Φ
-    /// vector. Each shard owns its layer's `(store, occupancy)` pair
-    /// outright — the same `&mut` disjointness the rayon-sharded batched
-    /// merge partitions on, but materialized as owned values so a
-    /// networked server can put each layer behind its own lock.
-    /// [`GlobalCacheTable::from_shards`] reassembles the exact table.
-    pub(crate) fn into_shards(self) -> (Vec<LayerShard>, Vec<u64>) {
-        let classes = self.classes;
-        let precision = self.precision;
-        let shards = self
-            .stores
-            .into_iter()
-            .zip(self.qstores)
-            .zip(self.occupancy)
-            .map(|((store, qstore), occupancy)| LayerShard {
-                classes,
-                precision,
-                store,
-                qstore,
-                occupancy,
-                jobs: JobBuf::default(),
-            })
-            .collect();
-        (shards, self.frequency)
-    }
-
-    /// Reassembles a table from [`GlobalCacheTable::into_shards`] parts
-    /// (digests, snapshots, whole-table extraction). Pure regrouping —
-    /// no cell is touched.
-    pub(crate) fn from_shards(shards: Vec<LayerShard>, frequency: Vec<u64>) -> Self {
-        assert!(!shards.is_empty(), "degenerate global cache shape");
-        let classes = shards[0].classes;
-        let precision = shards[0].precision;
-        assert_eq!(classes, frequency.len(), "frequency length mismatch");
-        let layers = shards.len();
-        let mut stores = Vec::with_capacity(layers);
-        let mut qstores = Vec::with_capacity(layers);
-        let mut occupancy = Vec::with_capacity(layers);
-        for s in shards {
-            assert_eq!(s.classes, classes, "shard class count mismatch");
-            assert_eq!(s.precision, precision, "shard precision mismatch");
-            stores.push(s.store);
-            qstores.push(s.qstore);
-            occupancy.push(s.occupancy);
-        }
-        Self {
-            classes,
-            layers,
-            stores,
-            occupancy,
-            frequency,
-            precision,
-            qstores,
-        }
-    }
-
     /// Assembles a table from decoded parts — the one validator behind
     /// both decoders (serde and [`Wire`]): `frequency` fixes the class
     /// count, the three per-layer vectors the layer count. Rejects a
@@ -797,15 +740,48 @@ impl GlobalCacheTable {
         })
     }
 
-    /// FNV-1a fingerprint of the serialized table (the wire shape, Φ
+    /// The single layer-major bitmap (bit `layer · classes + class`) the
+    /// serde shape carries in place of the per-layer ones.
+    fn flat_occupancy(&self) -> OccupancyBitmap {
+        let mut flat = OccupancyBitmap::new(self.classes * self.layers);
+        for (layer, occ) in self.occupancy.iter().enumerate() {
+            for class in occ.iter_ones() {
+                flat.set(layer * self.classes + class);
+            }
+        }
+        flat
+    }
+
+    /// FNV-1a fingerprint of the serialized table (the serde shape, Φ
     /// included). Two tables with equal digests went through the same
     /// merge history bit for bit — the cheap equivalence check the
     /// daemon's loopback-vs-in-process tests and its `Digest` protocol
     /// message rely on.
+    ///
+    /// Hashes the text `serde_json::to_string(self)` produces, one store
+    /// at a time, so the memory in flight is one layer's text rather
+    /// than the whole table's: key order and punctuation mirror the
+    /// [`Serialize`] impl below (compact JSON, keys in insertion order),
+    /// and a unit test holds the two equal.
     pub fn digest(&self) -> u64 {
-        let json = serde_json::to_string(self).expect("global table always serializes");
         let mut h = Fnv1a::default();
-        h.write(json.as_bytes());
+        h.write(b"{\"classes\":");
+        h.write_json(&self.classes);
+        h.write(b",\"layers\":");
+        h.write_json(&self.layers);
+        h.write(b",\"stores\":");
+        h.write_json_seq(&self.stores);
+        h.write(b",\"occupancy\":");
+        h.write_json(&self.flat_occupancy());
+        h.write(b",\"frequency\":");
+        h.write_json(&self.frequency);
+        if self.precision != Precision::F32 {
+            h.write(b",\"precision\":");
+            h.write_json(&self.precision);
+            h.write(b",\"qstores\":");
+            h.write_json_seq(&self.qstores);
+        }
+        h.write(b"}");
         h.0
     }
 }
@@ -834,136 +810,17 @@ impl Fnv1a {
                 .as_bytes(),
         );
     }
-}
 
-/// [`GlobalCacheTable::digest`] of the table these shards and Φ reassemble
-/// to ([`GlobalCacheTable::from_shards`]), without reassembling it: the
-/// same JSON text is hashed one store at a time, so the memory in flight
-/// is one layer's text rather than a copy of the table plus all of its.
-/// The sharded daemon answers `Digest` with this; key order and
-/// punctuation mirror the [`Serialize`] impl below (compact JSON, keys in
-/// insertion order), and a unit test holds the two equal.
-pub(crate) fn digest_shards<S>(shards: &[S], frequency: &[u64]) -> u64
-where
-    S: std::ops::Deref<Target = LayerShard>,
-{
-    assert!(!shards.is_empty(), "degenerate global cache shape");
-    let classes = shards[0].classes;
-    let precision = shards[0].precision;
-    let mut flat = OccupancyBitmap::new(classes * shards.len());
-    let mut h = Fnv1a::default();
-    h.write(b"{\"classes\":");
-    h.write_json(&classes);
-    h.write(b",\"layers\":");
-    h.write_json(&shards.len());
-    h.write(b",\"stores\":");
-    for (layer, s) in shards.iter().enumerate() {
-        h.write(if layer == 0 { b"[" } else { b"," });
-        h.write_json(&s.store);
-        for class in s.occupancy.iter_ones() {
-            flat.set(layer * classes + class);
-        }
-    }
-    h.write(b"],\"occupancy\":");
-    h.write_json(&flat);
-    h.write(b",\"frequency\":");
-    h.write_json(frequency);
-    if precision != Precision::F32 {
-        h.write(b",\"precision\":");
-        h.write_json(&precision);
-        h.write(b",\"qstores\":");
-        for (layer, s) in shards.iter().enumerate() {
-            h.write(if layer == 0 { b"[" } else { b"," });
-            h.write_json(&s.qstore);
-        }
-        h.write(b"]");
-    }
-    h.write(b"}");
-    h.0
-}
-
-/// One layer's share of the global table, carved out by
-/// [`GlobalCacheTable::into_shards`]: the `(store, occupancy)` pair —
-/// dense or quantized — plus a private job buffer; everything a merge or
-/// an extract of that layer touches. The sharded daemon server puts each
-/// shard behind its own `RwLock`, so concurrent requests on disjoint
-/// layers never serialize, while the merge arithmetic stays the exact
-/// [`GlobalCacheTable`] Eq. 4 path (same private primitive).
-#[derive(Debug, Clone)]
-pub(crate) struct LayerShard {
-    classes: usize,
-    precision: Precision,
-    store: VectorStore,
-    qstore: Option<QuantizedStore>,
-    occupancy: OccupancyBitmap,
-    jobs: JobBuf,
-}
-
-impl LayerShard {
-    /// Merges one upload's group for this layer (Eq. 4). `cap_phi` is the
-    /// Φ snapshot the weights read — the live vector for a sequential
-    /// merge, the client's prefix Φ for a batched one — and `phi` the
-    /// client's φ. Delegates to the same primitive every
-    /// [`GlobalCacheTable`] merge path uses, so the result is
-    /// bit-identical to an unsharded merge in the same order.
-    pub(crate) fn merge_group(
-        &mut self,
-        g: &LayerUpdate,
-        cap_phi: &[u64],
-        phi: &[u64],
-        gamma: f32,
-    ) {
-        let slot = if self.precision == Precision::F32 {
-            LayerSlotMut::Dense(&mut self.store)
-        } else {
-            LayerSlotMut::Quant(&mut self.qstore, self.precision)
-        };
-        GlobalCacheTable::merge_layer_group(
-            slot,
-            &mut self.occupancy,
-            self.classes,
-            g,
-            MergeWeights {
-                cap_phi,
-                phi,
-                gamma,
-            },
-            &mut self.jobs,
-        );
-    }
-
-    /// Extracts this layer's entries for `classes` — the single-layer
-    /// body of [`GlobalCacheTable::extract`], same skip rules (untouched
-    /// layer, unpopulated cells) and the same unit-norm contract.
-    /// `point` is the layer's index in the model's cache-point list.
-    pub(crate) fn extract_layer(&self, point: usize, classes: &[usize]) -> Option<CacheLayer> {
-        if self.qstore.is_none() && self.store.dim() == 0 {
-            return None;
-        }
-        let sel: Vec<usize> = classes
-            .iter()
-            .copied()
-            .filter(|&c| c < self.classes && self.occupancy.get(c))
-            .collect();
-        if sel.is_empty() {
-            return None;
-        }
-        let vectors = match &self.qstore {
-            None => self.store.extract_rows(&sel),
-            Some(q) => {
-                let mut v = q.dequantize_rows(&sel);
-                for i in 0..v.rows() {
-                    l2_normalize(v.row_mut(i));
-                }
-                v
+    /// The JSON array of `items`, one element's text at a time.
+    fn write_json_seq<T: Serialize>(&mut self, items: &[T]) {
+        self.write(b"[");
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                self.write(b",");
             }
-        };
-        debug_assert!(vectors.iter_rows().all(|r| coca_math::is_unit(r, 1e-3)));
-        Some(CacheLayer {
-            point,
-            classes: sel,
-            vectors,
-        })
+            self.write_json(item);
+        }
+        self.write(b"]");
     }
 }
 
@@ -979,12 +836,7 @@ impl LayerShard {
 // back as f32, so every committed f32 snapshot stays valid).
 impl Serialize for GlobalCacheTable {
     fn to_value(&self) -> serde::Value {
-        let mut flat = OccupancyBitmap::new(self.classes * self.layers);
-        for (layer, occ) in self.occupancy.iter().enumerate() {
-            for class in occ.iter_ones() {
-                flat.set(layer * self.classes + class);
-            }
-        }
+        let flat = self.flat_occupancy();
         let mut m = serde::Map::new();
         m.insert("classes".into(), Serialize::to_value(&self.classes));
         m.insert("layers".into(), Serialize::to_value(&self.layers));
@@ -1398,66 +1250,30 @@ mod tests {
     }
 
     #[test]
-    fn layer_shards_reproduce_table_merges_bit_for_bit() {
-        for precision in [Precision::F32, Precision::I8] {
-            let build = || {
-                let mut t = GlobalCacheTable::with_precision(4, 3, precision);
-                t.set(0, 0, vec![1.0, 0.0]);
-                t.set(1, 1, vec![0.0, 1.0]);
-                t.seed_frequency(&[5, 3, 0, 0]);
-                t
-            };
-            let u1 = upload(&[(0, 0, vec![0.2, 0.9]), (2, 1, vec![0.5, 0.5])]);
-            let phi1: Vec<u64> = vec![4, 0, 7, 0];
-            let u2 = upload(&[(0, 0, vec![-0.7, 0.1]), (1, 1, vec![0.9, -0.1])]);
-            let phi2: Vec<u64> = vec![2, 6, 0, 0];
-
-            let mut reference = build();
-            reference.merge_update(&u1, &phi1, 0.99, &mut MergeScratch::new());
-            reference.merge_update(&u2, &phi2, 0.99, &mut MergeScratch::new());
-
-            // Sharded: sequential per-upload merges against the live Φ,
-            // one shard at a time, then Eq. 5 — the daemon's per-upload
-            // path.
-            let (mut shards, mut freq) = build().into_shards();
-            for (u, phi) in [(&u1, &phi1), (&u2, &phi2)] {
-                for g in u.layer_groups() {
-                    shards[g.layer as usize].merge_group(g, &freq, phi, 0.99);
-                }
-                for (f, &p) in freq.iter_mut().zip(phi) {
-                    *f += p;
-                }
-            }
-            let back = GlobalCacheTable::from_shards(shards, freq);
-            assert_eq!(back.digest(), reference.digest(), "{precision:?}");
-            assert_eq!(back.frequency(), reference.frequency());
-
-            // Extraction through a shard matches whole-table extraction.
-            let (shards, _) = reference.clone().into_shards();
-            let whole = reference.extract(&[1], &[0, 1, 2]);
-            let layer = shards[1].extract_layer(1, &[0, 1, 2]).unwrap();
-            assert_eq!(whole.layers()[0].classes, layer.classes);
-            assert_eq!(whole.layers()[0].vectors.as_flat(), layer.vectors.as_flat());
-            assert!(shards[2].extract_layer(2, &[0, 1, 2]).is_none());
-        }
-    }
-
-    #[test]
-    fn digest_distinguishes_states_and_survives_shard_round_trips() {
+    fn digest_distinguishes_states_and_survives_round_trips() {
         let mut t = table();
         t.set(0, 0, vec![1.0, 0.0]);
         t.seed_frequency(&[5, 3, 0, 0]);
         let d0 = t.digest();
         assert_eq!(d0, t.clone().digest(), "digest is a pure function");
-        let (shards, freq) = t.clone().into_shards();
-        assert_eq!(GlobalCacheTable::from_shards(shards, freq).digest(), d0);
+        assert_eq!(wire_round_trip(&t).unwrap().digest(), d0);
+        let json = serde_json::to_string(&t).unwrap();
+        let back: GlobalCacheTable = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.digest(), d0);
         let mut moved = t.clone();
         moved.advance_frequency(&[1, 0, 0, 0]);
         assert_ne!(moved.digest(), d0, "Φ is part of the fingerprint");
     }
 
     #[test]
-    fn digest_shards_hashes_the_text_the_whole_table_serializes_to() {
+    fn digest_is_fnv1a_of_the_text_the_whole_table_serializes_to() {
+        // The reference the streamed hash must equal: the whole-table
+        // JSON text, hashed in one piece.
+        let whole_text_digest = |t: &GlobalCacheTable| {
+            let mut h = Fnv1a::default();
+            h.write(serde_json::to_string(t).unwrap().as_bytes());
+            h.0
+        };
         let mut t = table();
         t.set(0, 0, vec![0.6, 0.8]);
         t.set(2, 1, vec![1.0, 0.0]);
@@ -1466,13 +1282,9 @@ mod tests {
         for precision in [Precision::F32, Precision::F16, Precision::I8] {
             let mut t = t.clone();
             t.convert_precision(precision);
-            let (shards, freq) = t.clone().into_shards();
-            let refs: Vec<&LayerShard> = shards.iter().collect();
-            assert_eq!(digest_shards(&refs, &freq), t.digest(), "{precision:?}");
+            assert_eq!(t.digest(), whole_text_digest(&t), "{precision:?}");
         }
-        let (shards, freq) = table().into_shards();
-        let refs: Vec<&LayerShard> = shards.iter().collect();
-        assert_eq!(digest_shards(&refs, &freq), table().digest(), "empty");
+        assert_eq!(table().digest(), whole_text_digest(&table()), "empty");
     }
 
     /// Encodes `t` and decodes it back through the whole-payload reader.

@@ -27,9 +27,6 @@
 //!   truncation, generation-fallback recovery and deterministic
 //!   crash-point fault injection.
 //! * [`client`] / [`server`] — the two runtimes (§IV.A workflow).
-//! * [`sharded`] — the server state again, behind per-layer sharded
-//!   `RwLock`s with `&self` handlers — the networked daemon's concurrent
-//!   core (same Eq. 4 primitives, digest-equivalent by contract).
 //! * [`driver`] — the **generic virtual-time engine**: the
 //!   [`MethodDriver`](driver::MethodDriver) trait any method implements,
 //!   and the [`drive`](driver::drive) event loop that prices staggered
@@ -61,7 +58,6 @@ pub mod persist;
 pub mod proto;
 pub mod semantic;
 pub mod server;
-pub mod sharded;
 pub mod spec;
 pub mod status;
 
@@ -81,8 +77,7 @@ pub use persist::{
     Snapshot, SnapshotSource, Storage, WalRecord,
 };
 pub use semantic::{CacheLayer, LocalCache};
-pub use server::{CocaServer, DuplicateClientUpload};
-pub use sharded::ShardedServer;
+pub use server::CocaServer;
 pub use spec::{
     CellSpec, JoinEvent, LeaveEvent, LinkChangeEvent, MigrateEvent, PopularityShift,
     PopularityShiftEvent, ScenarioEvent, ScenarioSpec, SyncMode, TopologySpec,

@@ -683,12 +683,8 @@ pub enum WalRecord {
     /// `handle_request`: flush boundary (policy-dependent), lazy static
     /// allocation, τ registry update.
     Request(CacheRequest),
-    /// `handle_update`: the immediate per-upload merge primitive.
-    Merge(UpdateUpload),
     /// `handle_upload`: the mode-dispatched upload entry point.
     Upload(UpdateUpload),
-    /// `handle_updates_batch`, already canonicalized (sorted, dup-free).
-    Batch(Vec<UpdateUpload>),
     /// `on_client_leave`: flush + Φ decay.
     Leave,
     /// An explicit `flush_pending` call (the run-end boundary).
@@ -698,14 +694,14 @@ pub enum WalRecord {
 }
 
 /// A [`WalRecord`] by reference: what the server's log sites hand the
-/// encoder, so logging an event never clones the event. The tag byte is
-/// the variant's position, shared with [`WalRecord::from_payload`].
+/// encoder, so logging an event never clones the event. The tag bytes
+/// are shared with [`WalRecord::from_payload`]; 1 and 3 belonged to two
+/// upload entry points that no longer exist and are never reused, so a
+/// log that holds one is refused rather than misread.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum WalRef<'a> {
     Request(&'a CacheRequest),
-    Merge(&'a UpdateUpload),
     Upload(&'a UpdateUpload),
-    Batch(&'a [UpdateUpload]),
     Leave,
     Flush,
     Watermark(usize),
@@ -719,17 +715,9 @@ impl WalRef<'_> {
                 out.push(0);
                 req.encode(out);
             }
-            WalRef::Merge(up) => {
-                out.push(1);
-                up.encode(out);
-            }
             WalRef::Upload(up) => {
                 out.push(2);
                 up.encode(out);
-            }
-            WalRef::Batch(ups) => {
-                out.push(3);
-                encode_seq(ups, out);
             }
             WalRef::Leave => out.push(4),
             WalRef::Flush => out.push(5),
@@ -745,9 +733,7 @@ impl WalRecord {
     fn as_ref(&self) -> WalRef<'_> {
         match self {
             WalRecord::Request(req) => WalRef::Request(req),
-            WalRecord::Merge(up) => WalRef::Merge(up),
             WalRecord::Upload(up) => WalRef::Upload(up),
-            WalRecord::Batch(ups) => WalRef::Batch(ups),
             WalRecord::Leave => WalRef::Leave,
             WalRecord::Flush => WalRef::Flush,
             WalRecord::Watermark(n) => WalRef::Watermark(*n),
@@ -767,9 +753,7 @@ impl WalRecord {
         let mut r = Reader::new(payload);
         let rec = match u8::decode(&mut r)? {
             0 => WalRecord::Request(Wire::decode(&mut r)?),
-            1 => WalRecord::Merge(Wire::decode(&mut r)?),
             2 => WalRecord::Upload(Wire::decode(&mut r)?),
-            3 => WalRecord::Batch(decode_seq(&mut r, 25)?),
             4 => WalRecord::Leave,
             5 => WalRecord::Flush,
             6 => WalRecord::Watermark(Wire::decode(&mut r)?),

@@ -26,31 +26,6 @@ use crate::proto::{CacheAllocation, CacheRequest, PeerDelta, PeerDeltaEntry, Upd
 use crate::semantic::{CacheLayer, LocalCache};
 use crate::status::ClientStatus;
 
-/// Error from [`CocaServer::handle_updates_batch`]: one batch held two
-/// uploads from the same client. A batch is one round's contributions —
-/// a client uploads once per round — and the batched pass weights each
-/// client's Eq. 4 contribution by its prefix Φ, so silently accepting a
-/// duplicate would double-weight that client's φ. Deterministic (the
-/// smallest offending client id is reported) and raised before any state
-/// changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DuplicateClientUpload {
-    /// The client id that appears more than once in the batch.
-    pub client_id: u64,
-}
-
-impl std::fmt::Display for DuplicateClientUpload {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "duplicate upload for client {} in one batch (one upload per client per round)",
-            self.client_id
-        )
-    }
-}
-
-impl std::error::Error for DuplicateClientUpload {}
-
 /// Samples per class used to seed the global cache from the shared dataset.
 const SEED_SAMPLES_PER_CLASS: usize = 6;
 
@@ -406,8 +381,6 @@ impl CocaServer {
             // shared-dataset profile under the same budget.
             self.static_alloc
                 .get_or_insert_with(|| {
-                    let all: Vec<u32> = vec![0; self.global.num_classes()];
-                    let _ = &all; // clarity: hot set = every class
                     let hot: Vec<usize> = (0..self.global.num_classes()).collect();
                     let layers = crate::aca::select_layers(
                         &self.cfg,
@@ -448,36 +421,6 @@ impl CocaServer {
         )
     }
 
-    /// Merges one client upload **immediately** (global cache updates,
-    /// Eq. 4/5), regardless of the configured merge mode — the per-upload
-    /// primitive. When GCU is disabled only the frequency vector advances
-    /// (ACA still needs Φ). The engine routes uploads through
-    /// [`CocaServer::handle_upload`], which dispatches on
-    /// [`CocaConfig::merge_mode`].
-    pub fn handle_update(&mut self, up: &UpdateUpload) -> SimDuration {
-        self.wal(WalRef::Merge(up));
-        self.merge_now(up)
-    }
-
-    /// The un-logged immediate-merge body (also the replay target of
-    /// [`WalRecord::Merge`]).
-    fn merge_now(&mut self, up: &UpdateUpload) -> SimDuration {
-        self.note_upload(up);
-        self.note_provenance(self.cell_id, &up.frequency);
-        let kb = up.table.wire_bytes_at(up.precision) as f64 / 1024.0;
-        if self.cfg.enable_gcu {
-            self.global.merge_update(
-                &up.table,
-                &up.frequency,
-                self.cfg.gamma_global,
-                &mut self.scratch,
-            );
-        } else {
-            self.global.advance_frequency(&up.frequency);
-        }
-        SimDuration::from_millis_f64(self.costs.update_base_ms + self.costs.update_per_kb_ms * kb)
-    }
-
     /// Mirrors an upload's φ into the client registry.
     fn note_upload(&mut self, up: &UpdateUpload) {
         self.clients
@@ -486,10 +429,12 @@ impl CocaServer {
             .record_frequency(&up.frequency);
     }
 
-    /// The engine's upload entry point: dispatches on the configured
-    /// [`MergeMode`]. Per-upload merges now; queue-and-flush enqueues and
-    /// defers the merge to the next boundary ([`CocaServer::handle_request`],
-    /// [`CocaServer::on_client_leave`], or the run's end). Either way the
+    /// The one upload entry point (engine and daemon alike): dispatches on
+    /// the configured [`MergeMode`]. Per-upload merges now (Eq. 4/5; with
+    /// GCU disabled only Φ advances — ACA still needs it); queue-and-flush
+    /// enqueues and defers the merge to the next boundary
+    /// ([`CocaServer::handle_request`], [`CocaServer::on_client_leave`],
+    /// [`CocaServer::flush_pending`] at the run's end). Either way the
     /// returned service time is the same per-upload cost-model charge,
     /// billed at the arrival instant — deferral moves the real merge
     /// work, never a virtual millisecond, which is why the two modes
@@ -502,21 +447,31 @@ impl CocaServer {
     /// The un-logged mode-dispatch body (also the replay target of
     /// [`WalRecord::Upload`]).
     fn upload_inner(&mut self, up: UpdateUpload) -> SimDuration {
+        self.note_upload(&up);
+        let kb = up.table.wire_bytes_at(up.precision) as f64 / 1024.0;
         match self.cfg.merge_mode {
-            MergeMode::PerUpload => self.merge_now(&up),
+            MergeMode::PerUpload => {
+                self.note_provenance(self.cell_id, &up.frequency);
+                if self.cfg.enable_gcu {
+                    self.global.merge_update(
+                        &up.table,
+                        &up.frequency,
+                        self.cfg.gamma_global,
+                        &mut self.scratch,
+                    );
+                } else {
+                    self.global.advance_frequency(&up.frequency);
+                }
+            }
             MergeMode::QueueAndFlush => {
-                self.note_upload(&up);
-                let kb = up.table.wire_bytes_at(up.precision) as f64 / 1024.0;
                 self.pending.push(up);
                 // Round-aligned: a full round's worth of uploads is the
                 // drain trigger (no-op under the default policy or when
                 // no watermark was installed).
                 self.drain_if_at_watermark();
-                SimDuration::from_millis_f64(
-                    self.costs.update_base_ms + self.costs.update_per_kb_ms * kb,
-                )
             }
         }
+        SimDuration::from_millis_f64(self.costs.update_base_ms + self.costs.update_per_kb_ms * kb)
     }
 
     /// Number of uploads queued and not yet merged (always 0 under
@@ -579,7 +534,7 @@ impl CocaServer {
     /// easily. Output is bit-identical on either side of the threshold.
     const SHARD_MIN_CELLS: usize = 256;
 
-    /// The shared batched-merge core: merges `ups` in the given order via
+    /// The flush body: merges `ups` in the given order via
     /// one per-layer pass — sharded across layers with rayon when
     /// `parallel_merge` is on and the batch is big enough to amortize
     /// the shard spawn ([`Self::SHARD_MIN_CELLS`]), serial otherwise.
@@ -608,85 +563,6 @@ impl CocaServer {
                 self.global.advance_frequency(&up.frequency);
             }
         }
-    }
-
-    /// Batched round processing, the offline/bench API: flushes any
-    /// queued uploads first (they arrived earlier — merging the batch
-    /// ahead of them would invert the arrival order the Eq. 4 prefix-Φ
-    /// weights reproduce), canonicalizes the batch to client-id order,
-    /// rejects duplicate client ids, then drains it through the same
-    /// per-layer batched pass the queue-and-flush pipeline uses.
-    ///
-    /// The duplicate check exists because a batch is *defined* as one
-    /// round's contributions — one upload per client — so a repeated id
-    /// can only be an accidental duplication (a retry, a double-queue),
-    /// and merging it silently would apply that client's φ twice with
-    /// order-dependent results. The error fires **before** any state
-    /// changes. Callers replaying a multi-round trace should feed rounds
-    /// through [`CocaServer::handle_upload`] /
-    /// [`CocaServer::handle_update`] instead, one round at a time.
-    ///
-    /// Bit-identical to calling [`CocaServer::handle_update`] per upload
-    /// in the canonical order (property-tested), which is what makes
-    /// per-layer server sharding safe. Returns the summed service time,
-    /// priced by the same cost model as the sequential path.
-    ///
-    /// Under [`FlushPolicy::RoundAligned`] this API follows the same
-    /// watermark discipline as the live pipeline instead of treating
-    /// every batch as a flush boundary: the (canonicalized) batch joins
-    /// the queue and drains only once a fleet-sized window accumulates.
-    /// A caller that never installed a watermark still drains per batch
-    /// — an offline batch *is* one round's fleet contribution.
-    ///
-    /// The batch is sorted in place even when an error is returned.
-    pub fn handle_updates_batch(
-        &mut self,
-        ups: &mut [UpdateUpload],
-    ) -> Result<SimDuration, DuplicateClientUpload> {
-        // Canonicalize and validate before logging or mutating anything:
-        // a rejected batch must leave both the state and the WAL
-        // untouched (sorting the caller's slice is documented API).
-        ups.sort_by_key(|u| u.client_id);
-        if let Some(w) = ups.windows(2).find(|w| w[0].client_id == w[1].client_id) {
-            return Err(DuplicateClientUpload {
-                client_id: w[0].client_id,
-            });
-        }
-        self.wal(WalRef::Batch(ups));
-        Ok(self.batch_inner(ups))
-    }
-
-    /// The un-logged batch body: `ups` is already canonicalized (sorted by
-    /// client id, duplicate-free). Also the replay target of
-    /// [`WalRecord::Batch`]. The embedded pre-batch flush runs *after* the
-    /// batch record was logged, which is safe because flushing consumes
-    /// only state that earlier WAL records reconstruct.
-    fn batch_inner(&mut self, ups: &[UpdateUpload]) -> SimDuration {
-        let round_aligned = self.cfg.merge_mode == MergeMode::QueueAndFlush
-            && self.cfg.flush_policy == FlushPolicy::RoundAligned;
-        if !round_aligned {
-            self.flush_pending_inner();
-        }
-        for up in ups {
-            self.note_upload(up);
-        }
-        let mut total_kb = 0.0f64;
-        for up in ups.iter() {
-            total_kb += up.table.wire_bytes_at(up.precision) as f64 / 1024.0;
-        }
-        if round_aligned {
-            self.pending.extend(ups.iter().cloned());
-            if self.flush_watermark == 0 {
-                self.flush_pending_inner();
-            } else {
-                self.drain_if_at_watermark();
-            }
-        } else {
-            self.merge_upload_batch(ups);
-        }
-        SimDuration::from_millis_f64(
-            self.costs.update_base_ms * ups.len() as f64 + self.costs.update_per_kb_ms * total_kb,
-        )
     }
 
     /// Fires when a client departs the fleet: flushes any pending upload
@@ -954,14 +830,8 @@ impl CocaServer {
             WalRecord::Request(req) => {
                 let _ = self.request_inner(&req);
             }
-            WalRecord::Merge(up) => {
-                let _ = self.merge_now(&up);
-            }
             WalRecord::Upload(up) => {
                 let _ = self.upload_inner(up);
-            }
-            WalRecord::Batch(ups) => {
-                let _ = self.batch_inner(&ups);
             }
             WalRecord::Leave => self.leave_inner(),
             WalRecord::Flush => self.flush_pending_inner(),
@@ -1047,6 +917,12 @@ mod tests {
         (rt, server)
     }
 
+    /// The merge-on-arrival config, whatever `COCA_MERGE_MODE` says: the
+    /// reference arm of every test that compares the two pipelines.
+    fn per_upload_cfg() -> CocaConfig {
+        CocaConfig::for_model(ModelId::ResNet101).with_merge_mode(MergeMode::PerUpload)
+    }
+
     #[test]
     fn seeding_populates_global_cache() {
         let (_, server) = server();
@@ -1106,7 +982,8 @@ mod tests {
             frequency: phi,
             precision: coca_math::Precision::F32,
         };
-        server.handle_update(&up);
+        server.handle_upload(up);
+        server.flush_pending();
         let after = server.global().get(3, layer).unwrap().to_vec();
         assert!(
             coca_math::cosine(&before, &after) < 0.999,
@@ -1133,30 +1010,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_with_duplicate_client_is_rejected_before_merging() {
-        let (rt, mut server) = server();
-        let before = server.global().get(3, 10).unwrap().to_vec();
-        let freq_before = server.global().frequency().to_vec();
-        let mut ups = vec![
-            upload_for(&rt, 7, 3, 10),
-            upload_for(&rt, 2, 4, 11),
-            upload_for(&rt, 7, 5, 12),
-        ];
-        let err = server.handle_updates_batch(&mut ups).unwrap_err();
-        assert_eq!(err, DuplicateClientUpload { client_id: 7 });
-        assert!(!err.to_string().is_empty());
-        // The error fired before any merge: table and Φ untouched —
-        // including client 2's perfectly valid upload.
-        assert_eq!(server.global().get(3, 10).unwrap(), before.as_slice());
-        assert_eq!(server.global().frequency(), freq_before.as_slice());
-        // Deduplicated, the same batch merges fine.
-        let mut ok = vec![upload_for(&rt, 7, 3, 10), upload_for(&rt, 2, 4, 11)];
-        let service = server.handle_updates_batch(&mut ok).unwrap();
-        assert!(service.as_millis_f64() > 0.0);
-        assert_ne!(server.global().frequency(), freq_before.as_slice());
-    }
-
-    #[test]
     fn queue_and_flush_defers_merges_to_the_request_boundary() {
         let dataset = DatasetSpec::ucf101().subset(20);
         let seeds = SeedTree::new(62);
@@ -1172,9 +1025,8 @@ mod tests {
         // The table has not moved yet...
         assert_eq!(server.global().frequency(), freq_before.as_slice());
         // ...and the charge equals the per-upload price.
-        let mut per_upload =
-            CocaServer::new(&rt, CocaConfig::for_model(ModelId::ResNet101), &seeds);
-        assert_eq!(per_upload.handle_update(&up), deferred_cost);
+        let mut per_upload = CocaServer::new(&rt, per_upload_cfg(), &seeds);
+        assert_eq!(per_upload.handle_upload(up), deferred_cost);
 
         // A request flushes before allocating.
         let req = CacheRequest {
@@ -1212,7 +1064,7 @@ mod tests {
             .with_flush_policy(FlushPolicy::RoundAligned);
         let mut server = CocaServer::new(&rt, cfg, &seeds);
         server.set_flush_watermark(3);
-        let mut reference = CocaServer::new(&rt, CocaConfig::for_model(ModelId::ResNet101), &seeds);
+        let mut reference = CocaServer::new(&rt, per_upload_cfg(), &seeds);
 
         let ups = [
             upload_for(&rt, 0, 3, 10),
@@ -1242,8 +1094,8 @@ mod tests {
         // ...but the watermark upload is: the fleet-sized batch drains.
         server.handle_upload(ups[2].clone());
         assert_eq!(server.pending_uploads(), 0);
-        for up in &ups {
-            reference.handle_update(up);
+        for up in ups {
+            reference.handle_upload(up);
         }
         assert_eq!(
             server.global().frequency(),
@@ -1268,39 +1120,6 @@ mod tests {
         assert_eq!(server.pending_uploads(), 2);
         server.set_flush_watermark(2);
         assert_eq!(server.pending_uploads(), 0);
-    }
-
-    #[test]
-    fn round_aligned_batch_api_respects_the_watermark() {
-        let dataset = DatasetSpec::ucf101().subset(20);
-        let seeds = SeedTree::new(65);
-        let rt = ModelRuntime::new(ModelId::ResNet101, &dataset, &seeds);
-        let cfg = CocaConfig::for_model(ModelId::ResNet101)
-            .with_merge_mode(MergeMode::QueueAndFlush)
-            .with_flush_policy(FlushPolicy::RoundAligned);
-        let mut server = CocaServer::new(&rt, cfg, &seeds);
-        server.set_flush_watermark(4);
-        let freq_before = server.global().frequency().to_vec();
-
-        // A half-fleet batch queues without merging...
-        let mut half = vec![upload_for(&rt, 0, 3, 10), upload_for(&rt, 1, 4, 11)];
-        let service = server.handle_updates_batch(&mut half).unwrap();
-        assert!(service.as_millis_f64() > 0.0);
-        assert_eq!(server.pending_uploads(), 2);
-        assert_eq!(server.global().frequency(), freq_before.as_slice());
-
-        // ...and the batch that completes the fleet window drains it.
-        let mut rest = vec![upload_for(&rt, 2, 5, 12), upload_for(&rt, 3, 6, 13)];
-        server.handle_updates_batch(&mut rest).unwrap();
-        assert_eq!(server.pending_uploads(), 0);
-        assert_ne!(server.global().frequency(), freq_before.as_slice());
-
-        // Without a watermark the offline contract holds: one batch is
-        // one round, so it drains at the call boundary.
-        let mut no_mark = CocaServer::new(&rt, cfg, &seeds);
-        let mut ups = vec![upload_for(&rt, 0, 3, 10)];
-        no_mark.handle_updates_batch(&mut ups).unwrap();
-        assert_eq!(no_mark.pending_uploads(), 0);
     }
 
     #[test]
@@ -1346,7 +1165,8 @@ mod tests {
         );
         // Uploads still merge.
         let up = upload_for(&rt, 0, 3, 10);
-        quant.handle_update(&up);
+        quant.handle_upload(up);
+        quant.flush_pending();
         assert!(quant.global().frequency()[3] >= 50);
     }
 
@@ -1366,7 +1186,7 @@ mod tests {
         };
         let up = upload_for(&rt, 0, 3, 10);
         qaf.handle_upload(up.clone());
-        per_upload.handle_update(&up);
+        per_upload.handle_upload(up);
         // Decay must apply to the post-merge Φ in both pipelines.
         qaf.on_client_leave();
         per_upload.on_client_leave();
@@ -1409,10 +1229,10 @@ mod tests {
         CrashFault, CrashPlan, MemStorage, SnapshotSource, SNAP_CUR, SNAP_PREV, WAL_CUR,
     };
 
-    /// Drives a mixed event sequence — requests, per-upload merges, a
-    /// queued upload, a batch, a leave, a flush — through the public
-    /// (logged) handlers. Six WAL records under the default per-upload
-    /// pipeline (the trailing flush finds an empty queue and logs nothing).
+    /// Drives a mixed event sequence — requests, uploads, a leave, a
+    /// flush — through the public (logged) handlers. Seven WAL records
+    /// under the default per-upload pipeline (the trailing flush finds an
+    /// empty queue and logs nothing).
     fn drive_mixed(rt: &ModelRuntime, server: &mut CocaServer) {
         let profile = server.base_hit_profile().to_vec();
         let mkreq = |id: u64| CacheRequest {
@@ -1423,10 +1243,9 @@ mod tests {
             budget_bytes: 48 * 1024,
         };
         let _ = server.handle_request(&mkreq(0));
-        server.handle_update(&upload_for(rt, 0, 3, 10));
-        let _ = server.handle_upload(upload_for(rt, 1, 4, 11));
-        let mut batch = vec![upload_for(rt, 2, 5, 12), upload_for(rt, 3, 6, 13)];
-        server.handle_updates_batch(&mut batch).unwrap();
+        for (id, class, layer) in [(0, 3, 10), (1, 4, 11), (2, 5, 12), (3, 6, 13)] {
+            let _ = server.handle_upload(upload_for(rt, id, class, layer));
+        }
         let _ = server.handle_request(&mkreq(1));
         server.on_client_leave();
         server.flush_pending();

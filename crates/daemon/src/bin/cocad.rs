@@ -5,15 +5,15 @@
 //! table digest). Pair with `coca-loadgen` on the same spec flags.
 //!
 //! ```sh
-//! cocad --addr 127.0.0.1:0 --addr-file /tmp/cocad.addr \
-//!       --lock sharded
+//! cocad --addr 127.0.0.1:0 --addr-file /tmp/cocad.addr
 //! ```
 
 use std::net::TcpListener;
 use std::process::ExitCode;
 
+use coca_core::CocaServer;
 use coca_daemon::serve::PeerSet;
-use coca_daemon::{serve_with_peers, LockMode, RunSpec, ServerCore};
+use coca_daemon::{serve_with_peers, RunSpec, ServerCore};
 
 const USAGE: &str = "\
 cocad — the CoCa edge server daemon
@@ -23,9 +23,8 @@ USAGE: cocad [FLAGS]
 Serving:
   --addr HOST:PORT     bind address (default 127.0.0.1:0, ephemeral)
   --addr-file PATH     write the bound address to PATH once listening
-  --lock MODE          single | sharded (default sharded)
 
-Peer topology (multi-edge; requires --lock single):
+Peer topology (multi-edge):
   --cell-id N          this daemon's cell id (default 0)
   --peers LIST         comma-separated CELL=HOST:PORT peer daemons,
                        e.g. 1=127.0.0.1:4001,2=127.0.0.1:4002
@@ -46,7 +45,6 @@ World (must match the load generator):
 struct Opts {
     addr: String,
     addr_file: Option<String>,
-    lock: LockMode,
     spec: RunSpec,
     cell_id: u32,
     peers: PeerSet,
@@ -57,7 +55,6 @@ fn parse_args() -> Result<Opts, String> {
     let mut opts = Opts {
         addr: "127.0.0.1:0".to_string(),
         addr_file: None,
-        lock: LockMode::Sharded,
         spec: RunSpec::default(),
         cell_id: 0,
         peers: PeerSet::default(),
@@ -77,10 +74,6 @@ fn parse_args() -> Result<Opts, String> {
         match flag.as_str() {
             "--addr" => opts.addr = value,
             "--addr-file" => opts.addr_file = Some(value),
-            "--lock" => {
-                opts.lock = LockMode::parse(&value)
-                    .ok_or_else(|| format!("unknown lock mode '{value}'"))?;
-            }
             "--cell-id" => {
                 opts.cell_id = value
                     .parse()
@@ -97,11 +90,6 @@ fn parse_args() -> Result<Opts, String> {
             other => return Err(format!("unknown flag {other}\n\n{USAGE}")),
         }
     }
-    if !opts.peers.is_empty() && opts.lock != LockMode::Single {
-        return Err("--peers requires --lock single (peer sync needs the \
-                    whole-table consistent view only the single-lock core has)"
-            .to_string());
-    }
     if let Some(ms) = opts.sync_period_ms {
         opts.peers = std::mem::take(&mut opts.peers).with_period_ms(ms);
     }
@@ -117,9 +105,10 @@ fn main() -> ExitCode {
         }
     };
     let (rt, cfg, seeds) = opts.spec.build();
-    let core = ServerCore::new(&rt, cfg, &seeds, opts.lock);
-    core.set_cell_id(opts.cell_id);
-    let genesis = core.digest();
+    let mut server = CocaServer::new(&rt, cfg, &seeds);
+    server.set_cell_id(opts.cell_id);
+    let genesis = server.global().digest();
+    let core = ServerCore::new(server);
     let listener = match TcpListener::bind(&opts.addr) {
         Ok(l) => l,
         Err(e) => {
@@ -135,10 +124,9 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "cocad: listening on {} ({} lock, {:?} on {} classes, \
+        "cocad: listening on {} ({:?} on {} classes, \
          merge {:?}, genesis digest {genesis:016x})",
         handle.addr(),
-        opts.lock.name(),
         opts.spec.model,
         opts.spec.classes,
         opts.spec.merge_mode,

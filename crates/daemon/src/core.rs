@@ -1,49 +1,17 @@
-//! The daemon's server core: one CoCa server state behind one of two
-//! locking disciplines, plus the [`RunSpec`] both ends of a deployment
-//! share so the daemon and its clients agree on model, dataset and
-//! seeding (and therefore on the genesis table digest).
+//! The daemon's server core: the one [`CocaServer`] behind one mutex,
+//! plus the [`RunSpec`] both ends of a deployment share so the daemon and
+//! its clients agree on model, dataset and seeding (and therefore on the
+//! genesis table digest).
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use coca_core::proto::{CacheAllocation, CacheRequest, PeerDelta, UpdateUpload};
-use coca_core::{CocaConfig, CocaServer, FlushPolicy, MergeMode, ShardedServer};
+use coca_core::{CocaConfig, CocaServer, FlushPolicy, MergeMode};
 use coca_data::DatasetSpec;
 use coca_math::Precision;
 use coca_model::{ModelId, ModelRuntime};
 use coca_sim::SeedTree;
-
-/// How the daemon guards the server state across its connection threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockMode {
-    /// One big `Mutex<CocaServer>` — every request and upload
-    /// serializes. The trivially correct baseline (and the only mode
-    /// that supports the durability hooks), the comparison arm the
-    /// sharded numbers are measured against.
-    Single,
-    /// [`ShardedServer`]: per-layer `RwLock`s, Φ behind its own mutex,
-    /// a single-flusher gate for merges — concurrent requests on
-    /// disjoint layers never serialize.
-    Sharded,
-}
-
-impl LockMode {
-    /// Parses a CLI flag value (`single` / `sharded`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "single" => Some(LockMode::Single),
-            "sharded" => Some(LockMode::Sharded),
-            _ => None,
-        }
-    }
-
-    /// Canonical flag spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            LockMode::Single => "single",
-            LockMode::Sharded => "sharded",
-        }
-    }
-}
 
 /// Everything a daemon and its clients must agree on to end up in the
 /// same deterministic world: model, class subset, master seed, and the
@@ -142,8 +110,7 @@ impl RunSpec {
     }
 
     /// Materializes the spec: model runtime, CoCa config, seed tree —
-    /// the exact triple [`CocaServer::new`] and
-    /// [`ShardedServer::new`] seed from.
+    /// the exact triple [`CocaServer::new`] seeds from.
     pub fn build(&self) -> (ModelRuntime, CocaConfig, SeedTree) {
         let dataset = DatasetSpec::ucf101().subset(self.classes);
         let seeds = SeedTree::new(self.seed);
@@ -158,198 +125,171 @@ impl RunSpec {
     }
 }
 
-enum CoreInner {
-    // Both boxed: there is exactly one core per daemon, and the inline
-    // sizes differ wildly (the full server state vs a handle struct).
-    Single(Box<Mutex<CocaServer>>),
-    Sharded(Box<ShardedServer>),
-}
-
-/// The server state the daemon's connection threads share — a [`CocaServer`]
-/// behind one mutex or a [`ShardedServer`], with one `&self` handler
-/// API either way so the serving loop is lock-discipline-agnostic.
+/// The server state the daemon's connection threads share: the same
+/// [`CocaServer`] the engine drives, behind one mutex, with a `&self`
+/// handler per protocol message. Every request and upload serializes on
+/// the lock; whatever the server supports — a pre-attached WAL, peer
+/// sync, the ablation arms — the daemon therefore supports too.
+#[derive(Debug)]
 pub struct ServerCore {
-    inner: CoreInner,
+    server: Mutex<CocaServer>,
 }
 
-impl std::fmt::Debug for ServerCore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self.inner {
-            CoreInner::Single(_) => "ServerCore::Single",
-            CoreInner::Sharded(_) => "ServerCore::Sharded",
-        })
-    }
-}
+/// How long a connection thread spins on a held lock before it parks:
+/// a few request/upload critical sections.
+const SPIN: Duration = Duration::from_micros(20);
 
 impl ServerCore {
-    /// Builds a fresh core from the deterministic triple.
-    pub fn new(rt: &ModelRuntime, cfg: CocaConfig, seeds: &SeedTree, lock: LockMode) -> Self {
-        match lock {
-            LockMode::Single => Self::single(CocaServer::new(rt, cfg, seeds)),
-            LockMode::Sharded => Self::sharded(ShardedServer::new(rt, cfg, seeds)),
-        }
-    }
-
-    /// Wraps an existing single-lock server — the path that supports
-    /// pre-attached durability (snapshot + WAL), as in the
-    /// `distributed_tcp` example.
-    pub fn single(server: CocaServer) -> Self {
+    /// Wraps a server, as built: set its cell id and attach its
+    /// durability before handing it over.
+    pub fn new(server: CocaServer) -> Self {
         Self {
-            inner: CoreInner::Single(Box::new(Mutex::new(server))),
+            server: Mutex::new(server),
         }
     }
 
-    /// Wraps an existing sharded server.
-    pub fn sharded(server: ShardedServer) -> Self {
-        Self {
-            inner: CoreInner::Sharded(Box::new(server)),
+    fn lock(&self) -> MutexGuard<'_, CocaServer> {
+        // A request or an upload holds the lock for ~5 µs; parking on it
+        // and being woken costs several times that, and whether two
+        // closed-loop clients collide is a matter of phase, so a parked
+        // waiter made throughput drift with it. Wait out a holder of that
+        // size spinning; park only behind a long one (flush, digest).
+        if let Ok(server) = self.server.try_lock() {
+            return server;
         }
-    }
-
-    /// Which locking discipline this core runs.
-    pub fn lock_mode(&self) -> LockMode {
-        match self.inner {
-            CoreInner::Single(_) => LockMode::Single,
-            CoreInner::Sharded(_) => LockMode::Sharded,
+        let give_up = Instant::now() + SPIN;
+        while Instant::now() < give_up {
+            std::hint::spin_loop();
+            if let Ok(server) = self.server.try_lock() {
+                return server;
+            }
         }
+        // A handler that panicked mid-merge may have left the table
+        // half-written: every later op fails with it.
+        self.server.lock().expect("server poisoned")
     }
 
     /// The shared-dataset standalone hit-ratio profile (initial R).
     pub fn base_hit_profile(&self) -> Vec<f64> {
-        match &self.inner {
-            CoreInner::Single(s) => s
-                .lock()
-                .expect("server poisoned")
-                .base_hit_profile()
-                .to_vec(),
-            CoreInner::Sharded(s) => s.base_hit_profile().to_vec(),
-        }
+        self.lock().base_hit_profile().to_vec()
     }
 
     /// §IV.A step 1+2: ACA allocation + personalized extraction.
     pub fn handle_request(&self, req: &CacheRequest) -> CacheAllocation {
-        match &self.inner {
-            CoreInner::Single(s) => s.lock().expect("server poisoned").handle_request(req).0,
-            CoreInner::Sharded(s) => s.handle_request(req),
-        }
+        self.lock().handle_request(req).0
     }
 
     /// §IV.A step 3: routes the upload through the configured merge
-    /// mode (immediate or queue-and-flush).
-    pub fn handle_upload(&self, up: UpdateUpload) {
-        match &self.inner {
-            CoreInner::Single(s) => {
-                s.lock().expect("server poisoned").handle_upload(up);
-            }
-            CoreInner::Sharded(s) => s.handle_upload(up),
-        }
+    /// mode (immediate or queue-and-flush). Returns the uploads queued
+    /// and not yet merged as this upload left them.
+    pub fn handle_upload(&self, up: UpdateUpload) -> usize {
+        let mut server = self.lock();
+        server.handle_upload(up);
+        server.pending_uploads()
     }
 
     /// Drains the pending-upload queue (no-op when empty).
     pub fn flush(&self) {
-        match &self.inner {
-            CoreInner::Single(s) => s.lock().expect("server poisoned").flush_pending(),
-            CoreInner::Sharded(s) => s.flush_pending(),
-        }
-    }
-
-    /// Uploads queued and not yet merged.
-    pub fn pending_uploads(&self) -> usize {
-        match &self.inner {
-            CoreInner::Single(s) => s.lock().expect("server poisoned").pending_uploads(),
-            CoreInner::Sharded(s) => s.pending_uploads(),
-        }
+        self.lock().flush_pending();
     }
 
     /// Sets the round-aligned flush watermark.
     pub fn set_flush_watermark(&self, live_members: usize) {
-        match &self.inner {
-            CoreInner::Single(s) => s
-                .lock()
-                .expect("server poisoned")
-                .set_flush_watermark(live_members),
-            CoreInner::Sharded(s) => s.set_flush_watermark(live_members),
-        }
+        self.lock().set_flush_watermark(live_members);
     }
 
-    /// Builds the peer-sync delta for peer cell `to_peer` (see
-    /// [`CocaServer::export_delta`]). Peer sync runs on the single-lock
-    /// core only — the sharded core's per-layer locks cannot take the
-    /// whole-table consistent view a delta export needs — so `cocad`
-    /// validates `--peers` against the lock mode at startup. `None` in
-    /// sharded mode.
-    pub fn export_delta(&self, to_peer: u32) -> Option<PeerDelta> {
-        match &self.inner {
-            CoreInner::Single(s) => Some(s.lock().expect("server poisoned").export_delta(to_peer)),
-            CoreInner::Sharded(_) => None,
-        }
+    /// Builds the peer-sync delta for peer cell `to_peer`
+    /// ([`CocaServer::export_delta`]).
+    pub fn export_delta(&self, to_peer: u32) -> PeerDelta {
+        self.lock().export_delta(to_peer)
     }
 
-    /// Merges a peer cell's delta ([`CocaServer::absorb_peer`]). `false`
-    /// (delta not merged) in sharded mode.
-    pub fn absorb_peer(&self, delta: &PeerDelta) -> bool {
-        match &self.inner {
-            CoreInner::Single(s) => {
-                s.lock().expect("server poisoned").absorb_peer(delta);
-                true
-            }
-            CoreInner::Sharded(_) => false,
-        }
+    /// Merges a peer cell's delta ([`CocaServer::absorb_peer`]).
+    pub fn absorb_peer(&self, delta: &PeerDelta) {
+        self.lock().absorb_peer(delta);
     }
 
-    /// Names this core's cell in a peer topology (`cocad --cell-id`).
-    /// No-op in sharded mode (which does not run peer sync).
-    pub fn set_cell_id(&self, id: u32) {
-        if let CoreInner::Single(s) = &self.inner {
-            s.lock().expect("server poisoned").set_cell_id(id);
-        }
-    }
-
-    /// The global-table digest ([`coca_core::GlobalCacheTable::digest`])
-    /// of a consistent snapshot. Pending uploads are not included.
+    /// The global-table digest ([`coca_core::GlobalCacheTable::digest`]).
+    /// Pending uploads are not included.
     pub fn digest(&self) -> u64 {
-        match &self.inner {
-            CoreInner::Single(s) => s.lock().expect("server poisoned").global().digest(),
-            CoreInner::Sharded(s) => s.digest(),
-        }
+        self.lock().global().digest()
     }
 
-    /// Unwraps the single-lock server back out (durability detach,
-    /// recovery asserts). `None` in sharded mode.
-    pub fn into_server(self) -> Option<CocaServer> {
-        match self.inner {
-            CoreInner::Single(s) => Some(s.into_inner().expect("server poisoned")),
-            CoreInner::Sharded(_) => None,
-        }
+    /// Unwraps the server back out (durability detach, recovery asserts).
+    pub fn into_server(self) -> CocaServer {
+        self.server
+            .into_inner()
+            .expect("a handler panicked while it held the server")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coca_core::collect::UpdateTable;
 
     #[test]
-    fn both_lock_modes_start_from_the_same_digest() {
+    fn concurrent_uploads_merge_exactly_once() {
+        // Interleaving is scheduling-dependent; totals are not. 8 threads
+        // × 4 uploads each, released together, then one flush: Φ must
+        // hold every φ exactly once (Eq. 5 is commutative, so the sum is
+        // order-independent).
         let spec = RunSpec {
-            classes: 15,
+            classes: 20,
+            seed: 60,
+            merge_mode: MergeMode::QueueAndFlush,
             ..RunSpec::default()
         };
         let (rt, cfg, seeds) = spec.build();
-        let single = ServerCore::new(&rt, cfg, &seeds, LockMode::Single);
-        let sharded = ServerCore::new(&rt, cfg, &seeds, LockMode::Sharded);
-        assert_eq!(single.lock_mode(), LockMode::Single);
-        assert_eq!(sharded.lock_mode(), LockMode::Sharded);
-        assert_eq!(single.digest(), sharded.digest());
-        assert_eq!(single.base_hit_profile(), sharded.base_hit_profile());
-        assert!(single.into_server().is_some());
-        assert!(sharded.into_server().is_none());
-    }
-
-    #[test]
-    fn lock_mode_flag_round_trips() {
-        for mode in [LockMode::Single, LockMode::Sharded] {
-            assert_eq!(LockMode::parse(mode.name()), Some(mode));
-        }
-        assert_eq!(LockMode::parse("spin"), None);
+        let core = ServerCore::new(CocaServer::new(&rt, cfg, &seeds));
+        let mass = |core: &ServerCore| core.lock().global().frequency().iter().sum::<u64>();
+        let before = mass(&core);
+        let (layer, threads) = (10, 8u64);
+        let go = std::sync::Barrier::new(threads as usize);
+        let mut acks: Vec<usize> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (core, go, rt) = (&core, &go, &rt);
+                    scope.spawn(move || {
+                        let mut table = UpdateTable::new();
+                        let mut v = vec![0.0f32; rt.feature_dim(layer)];
+                        v[t as usize + 1] = 1.0;
+                        table.absorb(t as usize, layer, &v, 0.0);
+                        let mut frequency = vec![0u64; rt.num_classes()];
+                        frequency[t as usize] = 50 + t;
+                        let up = UpdateUpload {
+                            client_id: t,
+                            round: 0,
+                            table,
+                            frequency,
+                            precision: Precision::F32,
+                        };
+                        go.wait();
+                        // One id per upload: a client uploads once per
+                        // flush window.
+                        (0..4)
+                            .map(|i| UpdateUpload {
+                                client_id: 4 * t + i,
+                                ..up.clone()
+                            })
+                            .map(|up| core.handle_upload(up))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("upload thread"))
+                .collect()
+        });
+        // Each ack is the queue depth its own upload left behind, read
+        // under the lock that pushed it: all 32 depths, each once.
+        acks.sort_unstable();
+        assert_eq!(acks, (1..=4 * threads as usize).collect::<Vec<_>>());
+        assert_eq!(mass(&core), before, "nothing merges before the flush");
+        core.flush();
+        let expected: u64 = (0..threads).map(|t| 4 * (50 + t)).sum();
+        assert_eq!(mass(&core) - before, expected, "φ lost or double-merged");
+        assert_eq!(core.into_server().pending_uploads(), 0);
     }
 }

@@ -8,10 +8,8 @@
 //! mergeable [`coca_metrics::LatencyHistogram`]).
 //!
 //! * [`msg`] — the request/reply protocol enums.
-//! * [`core`] — [`ServerCore`]: the server state behind
-//!   [`LockMode::Single`] (one mutex, durability-capable) or
-//!   [`LockMode::Sharded`] ([`coca_core::ShardedServer`], per-layer
-//!   locks); plus [`RunSpec`], the deterministic world both ends of a
+//! * [`core`] — [`ServerCore`]: the one [`coca_core::CocaServer`] behind
+//!   one mutex; plus [`RunSpec`], the deterministic world both ends of a
 //!   deployment share.
 //! * [`serve`] — an acceptor and one thread per connection that reads,
 //!   handles and answers each frame in turn; [`serve()`](serve::serve)
@@ -26,8 +24,7 @@
 //! Driven with one operation in flight at a time, a daemon finishes
 //! with the same global-table digest as an in-process
 //! [`coca_core::CocaServer`] fed the identical sequence — regardless of
-//! lock mode or merge mode. `coca-loadgen --verify`
-//! checks exactly this over loopback; `tests/daemon_loopback.rs` at the
+//! merge mode. `coca-loadgen --verify` checks exactly this over loopback; `tests/daemon_loopback.rs` at the
 //! workspace root pins it in CI. Under concurrent load the arrival
 //! *order* is scheduling-dependent (so digests vary run to run), but
 //! every upload is still merged exactly once through the same Eq. 4/5
@@ -39,7 +36,7 @@ pub mod msg;
 pub mod serve;
 pub mod workload;
 
-pub use crate::core::{LockMode, RunSpec, ServerCore};
+pub use crate::core::{RunSpec, ServerCore};
 pub use load::{run_load, run_verify, shutdown_daemon, Arrival, DaemonClient, LoadReport};
 pub use msg::{ClientMsg, ServerMsg};
 pub use serve::{serve, serve_with_peers, DaemonHandle, DaemonReport, PeerSet};

@@ -273,7 +273,7 @@ impl VerifyOutcome {
 /// round-major / client-minor) against the daemon while replaying the
 /// identical sequence on an in-process [`coca_core::CocaServer`], then
 /// compares flushed table digests. This is the determinism contract:
-/// the network, framing, connection threads and sharded locks must be
+/// the network, framing, connection threads and the server lock must be
 /// digest-invisible when arrival order is pinned.
 pub fn run_verify(addr: SocketAddr, wl: &Workload) -> Result<VerifyOutcome, String> {
     let (rt, cfg, seeds) = wl.spec.build();

@@ -67,9 +67,7 @@ pub enum ServerMsg {
     Digest(u64),
     /// Reply to [`ClientMsg::SetWatermark`].
     WatermarkSet,
-    /// Reply to [`ClientMsg::Peer`]: `true` if the delta merged (always,
-    /// on a single-lock core; `false` from a sharded core, which does
-    /// not run peer sync).
+    /// Reply to [`ClientMsg::Peer`]: `true` once the delta has merged.
     PeerAck(bool),
     /// Reply to [`ClientMsg::SyncNow`]: non-empty deltas shipped.
     SyncDone(usize),

@@ -98,9 +98,7 @@ impl PeerSet {
         let mut sent = 0;
         let mut buf = Vec::new();
         for (cell, addr) in &self.peers {
-            let Some(delta) = core.export_delta(*cell) else {
-                break; // sharded core: no peer sync
-            };
+            let delta = core.export_delta(*cell);
             if !delta.is_empty() && ship_delta(addr, ClientMsg::Peer(delta), &mut buf) {
                 sent += 1;
             }
@@ -190,9 +188,9 @@ pub struct DaemonReport {
     pub uploads: u64,
     /// Explicit `Flush` messages handled.
     pub flushes: u64,
-    /// The single-lock server, handed back for post-run inspection
-    /// (durability detach, recovery asserts). `None` in sharded mode.
-    pub server: Option<CocaServer>,
+    /// The server, handed back for post-run inspection (durability
+    /// detach, recovery asserts).
+    pub server: CocaServer,
 }
 
 /// Starts serving `core` on `listener`, one thread per connection.
@@ -413,8 +411,7 @@ fn handle(msg: ClientMsg, shared: &Shared) -> ServerMsg {
         }
         ClientMsg::Upload(up) => {
             counters.uploads.fetch_add(1, Ordering::Relaxed);
-            core.handle_upload(up);
-            ServerMsg::UploadAck(core.pending_uploads())
+            ServerMsg::UploadAck(core.handle_upload(up))
         }
         ClientMsg::Flush => {
             counters.flushes.fetch_add(1, Ordering::Relaxed);
@@ -426,7 +423,10 @@ fn handle(msg: ClientMsg, shared: &Shared) -> ServerMsg {
             core.set_flush_watermark(n);
             ServerMsg::WatermarkSet
         }
-        ClientMsg::Peer(delta) => ServerMsg::PeerAck(core.absorb_peer(&delta)),
+        ClientMsg::Peer(delta) => {
+            core.absorb_peer(&delta);
+            ServerMsg::PeerAck(true)
+        }
         ClientMsg::SyncNow => ServerMsg::SyncDone(shared.peers.sync_now(core)),
         ClientMsg::Shutdown => ServerMsg::ShuttingDown,
     }
@@ -435,7 +435,7 @@ fn handle(msg: ClientMsg, shared: &Shared) -> ServerMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::core::{LockMode, RunSpec};
+    use crate::core::RunSpec;
     use crate::load::DaemonClient;
 
     #[test]
@@ -446,7 +446,7 @@ mod tests {
         };
         let (rt, cfg, seeds) = spec.build();
         let shared = Arc::new(Shared {
-            core: ServerCore::new(&rt, cfg, &seeds, LockMode::Sharded),
+            core: ServerCore::new(CocaServer::new(&rt, cfg, &seeds)),
             peers: PeerSet::default(),
             stop: AtomicBool::new(false),
             counters: Counters::default(),

@@ -48,7 +48,7 @@ fn main() {
         .with_budget(budget);
 
     // --- Server: a durability-attached CocaServer behind the daemon's
-    // serving loop (single-lock mode keeps the WAL hooks live).
+    // serving loop.
     let server_scenario = Scenario::build(sc.clone());
     let mut server = CocaServer::new(&server_scenario.rt, coca_cfg, server_scenario.seeds());
     // All clients connect up front, so the live fleet is CLIENTS for
@@ -65,7 +65,7 @@ fn main() {
     server.attach_storage(Box::new(store));
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let handle = serve(ServerCore::single(server), listener).expect("serve");
+    let handle = serve(ServerCore::new(server), listener).expect("serve");
     let addr = handle.addr();
     println!("daemon listening on {addr}");
 
@@ -143,7 +143,7 @@ fn main() {
     // Crash-recovery check: rebuild a server from nothing but the
     // on-disk snapshot + WAL and compare it to the one the daemon
     // actually served.
-    let mut served = report.server.expect("single-lock mode returns the server");
+    let mut served = report.server;
     let live_bytes = served.snapshot().to_bytes();
     let d = served.detach_durability().expect("durability attached");
     let events = d.events_logged();

@@ -25,8 +25,8 @@
 //!   construction, temporally local streams.
 //! * [`net`](coca_net) — link/queueing models, the binary wire codec and framing.
 //! * [`daemon`](coca_daemon) — `cocad`, the server as a networked daemon
-//!   (sharded-lock ingest over a worker pool), plus `coca-loadgen`, its
-//!   closed-/open-loop load generator.
+//!   (one thread per connection, the one `CocaServer` behind one mutex),
+//!   plus `coca-loadgen`, its closed-/open-loop load generator.
 //! * [`baselines`](coca_baselines) — Edge-Only, LearnedCache, FoggyCache,
 //!   SMTM, LRU/FIFO/RAND.
 //! * [`sim`](coca_sim), [`math`](coca_math), [`metrics`](coca_metrics) —

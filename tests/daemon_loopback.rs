@@ -3,8 +3,7 @@
 //! The contract `cocad` ships under: driven with one operation in
 //! flight at a time, the networked daemon finishes with the **same
 //! global-table digest** as an in-process `CocaServer` fed the
-//! identical sequence — for both lock modes (single mutex vs per-layer
-//! sharded `RwLock`s), both merge modes, and the round-aligned flush
+//! identical sequence — for both merge modes and the round-aligned flush
 //! policy. The whole suite also runs under `--features simd` in CI, so
 //! the digest must not move under the AVX2 kernels either.
 
@@ -12,10 +11,10 @@ use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use coca::core::MergeMode;
+use coca::core::{CocaServer, MergeMode};
 use coca::daemon::{
     run_load, run_verify, serve, serve_with_peers, shutdown_daemon, Arrival, ClientMsg,
-    DaemonClient, LockMode, PeerSet, RunSpec, ServerCore, ServerMsg, Workload,
+    DaemonClient, PeerSet, RunSpec, ServerCore, ServerMsg, Workload,
 };
 use coca::math::Precision;
 use coca::net::{encode_frame, FrameReader};
@@ -34,9 +33,9 @@ fn small_workload(merge_mode: MergeMode, round_aligned: bool) -> Workload {
     }
 }
 
-fn spawn_daemon(wl: &Workload, lock: LockMode) -> coca::daemon::DaemonHandle {
+fn spawn_daemon(wl: &Workload) -> coca::daemon::DaemonHandle {
     let (rt, cfg, seeds) = wl.spec.build();
-    let core = ServerCore::new(&rt, cfg, &seeds, lock);
+    let core = ServerCore::new(CocaServer::new(&rt, cfg, &seeds));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     serve(core, listener).expect("daemon starts")
 }
@@ -44,41 +43,38 @@ fn spawn_daemon(wl: &Workload, lock: LockMode) -> coca::daemon::DaemonHandle {
 #[test]
 fn sequential_loopback_digest_matches_in_process_reference() {
     for merge_mode in [MergeMode::PerUpload, MergeMode::QueueAndFlush] {
-        for lock in [LockMode::Single, LockMode::Sharded] {
-            let wl = small_workload(merge_mode, false);
-            let handle = spawn_daemon(&wl, lock);
-            let addr = handle.addr();
-            let outcome = run_verify(addr, &wl).expect("verify run");
-            assert!(
-                outcome.matches(),
-                "digest diverged over loopback ({merge_mode:?}, {}): \
-                 daemon {:016x} vs reference {:016x}",
-                lock.name(),
-                outcome.daemon_digest,
-                outcome.local_digest
-            );
-            assert_eq!(outcome.ops, wl.total_ops());
-            assert!(shutdown_daemon(addr), "daemon should ack the shutdown");
-            let report = handle.join();
-            // The run drove every op plus a flush; the report digest is
-            // post-flush, so it must still name the reference state.
-            assert_eq!(
-                report.digest,
-                outcome.local_digest,
-                "final report digest diverged ({merge_mode:?}, {})",
-                lock.name()
-            );
-            assert_eq!(report.requests, wl.total_ops() / 2);
-            assert_eq!(report.uploads, wl.total_ops() / 2);
-            assert_eq!(report.server.is_some(), lock == LockMode::Single);
-        }
+        let wl = small_workload(merge_mode, false);
+        let handle = spawn_daemon(&wl);
+        let addr = handle.addr();
+        let outcome = run_verify(addr, &wl).expect("verify run");
+        assert!(
+            outcome.matches(),
+            "digest diverged over loopback ({merge_mode:?}): \
+             daemon {:016x} vs reference {:016x}",
+            outcome.daemon_digest,
+            outcome.local_digest
+        );
+        assert_eq!(outcome.ops, wl.total_ops());
+        assert!(shutdown_daemon(addr), "daemon should ack the shutdown");
+        let report = handle.join();
+        // The run drove every op plus a flush; the report digest is
+        // post-flush, so it must still name the reference state.
+        assert_eq!(
+            report.digest, outcome.local_digest,
+            "final report digest diverged ({merge_mode:?})"
+        );
+        assert_eq!(report.requests, wl.total_ops() / 2);
+        assert_eq!(report.uploads, wl.total_ops() / 2);
+        // The server comes back whole: same table, nothing left queued.
+        assert_eq!(report.server.global().digest(), report.digest);
+        assert_eq!(report.server.pending_uploads(), 0);
     }
 }
 
 #[test]
 fn round_aligned_watermark_survives_the_wire() {
     let wl = small_workload(MergeMode::QueueAndFlush, true);
-    let handle = spawn_daemon(&wl, LockMode::Sharded);
+    let handle = spawn_daemon(&wl);
     let addr = handle.addr();
     let outcome = run_verify(addr, &wl).expect("verify run");
     assert!(
@@ -96,25 +92,22 @@ fn quantized_loopback_digest_matches_per_precision() {
     // --precision f16/i8: senders snap uploads onto the precision grid
     // and the daemon stores/serves the quantized table — the digest must
     // still land exactly on the in-process reference under the same
-    // spec, for both lock modes. (f32 is the existing tests' default.)
+    // spec. (f32 is the existing tests' default.)
     for precision in [Precision::F32, Precision::F16, Precision::I8] {
-        for lock in [LockMode::Single, LockMode::Sharded] {
-            let mut wl = small_workload(MergeMode::QueueAndFlush, false);
-            wl.spec.precision = precision;
-            let handle = spawn_daemon(&wl, lock);
-            let addr = handle.addr();
-            let outcome = run_verify(addr, &wl).expect("verify run");
-            assert!(
-                outcome.matches(),
-                "digest diverged over loopback at {} ({}): daemon {:016x} vs reference {:016x}",
-                precision.label(),
-                lock.name(),
-                outcome.daemon_digest,
-                outcome.local_digest
-            );
-            assert!(shutdown_daemon(addr));
-            handle.join();
-        }
+        let mut wl = small_workload(MergeMode::QueueAndFlush, false);
+        wl.spec.precision = precision;
+        let handle = spawn_daemon(&wl);
+        let addr = handle.addr();
+        let outcome = run_verify(addr, &wl).expect("verify run");
+        assert!(
+            outcome.matches(),
+            "digest diverged over loopback at {}: daemon {:016x} vs reference {:016x}",
+            precision.label(),
+            outcome.daemon_digest,
+            outcome.local_digest
+        );
+        assert!(shutdown_daemon(addr));
+        handle.join();
     }
 }
 
@@ -128,15 +121,16 @@ fn peer_sync_ships_the_table_delta_over_loopback() {
     let wl = small_workload(MergeMode::PerUpload, false);
     let (rt, cfg, seeds) = wl.spec.build();
 
-    // Daemon B (cell 1): no peers, single lock (peer sync needs it).
-    let core_b = ServerCore::new(&rt, cfg, &seeds, LockMode::Single);
-    core_b.set_cell_id(1);
+    // Daemon B (cell 1): no peers.
+    let mut server_b = CocaServer::new(&rt, cfg, &seeds);
+    server_b.set_cell_id(1);
+    let core_b = ServerCore::new(server_b);
     let listener_b = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let handle_b =
         serve_with_peers(core_b, listener_b, PeerSet::default()).expect("daemon B starts");
 
     // Daemon A (cell 0): peers at B, sync only on explicit SyncNow.
-    let core_a = ServerCore::new(&rt, cfg, &seeds, LockMode::Single);
+    let core_a = ServerCore::new(CocaServer::new(&rt, cfg, &seeds));
     let peers = PeerSet::parse(&format!("1={}", handle_b.addr())).expect("peer list parses");
     let listener_a = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let handle_a = serve_with_peers(core_a, listener_a, peers).expect("daemon A starts");
@@ -148,7 +142,7 @@ fn peer_sync_ships_the_table_delta_over_loopback() {
 
     // In-process replay of the sync leg: the same merge history at cell
     // 0, exported to cell 1, absorbed at a fresh cell-1 server.
-    let mut ref_a = coca::core::CocaServer::new(&rt, cfg, &seeds);
+    let mut ref_a = CocaServer::new(&rt, cfg, &seeds);
     for round in 0..wl.rounds {
         for k in 0..wl.clients {
             let profile = ref_a.base_hit_profile();
@@ -158,7 +152,7 @@ fn peer_sync_ships_the_table_delta_over_loopback() {
         }
     }
     ref_a.flush_pending();
-    let mut ref_b = coca::core::CocaServer::new(&rt, cfg, &seeds);
+    let mut ref_b = CocaServer::new(&rt, cfg, &seeds);
     ref_b.set_cell_id(1);
     ref_b.absorb_peer(&ref_a.export_delta(1));
 
@@ -201,7 +195,7 @@ fn a_silent_peer_costs_a_sync_its_timeout_and_nothing_else() {
 
     let wl = small_workload(MergeMode::PerUpload, false);
     let (rt, cfg, seeds) = wl.spec.build();
-    let core = ServerCore::new(&rt, cfg, &seeds, LockMode::Single);
+    let core = ServerCore::new(CocaServer::new(&rt, cfg, &seeds));
     let peers = PeerSet::parse(&format!("1={silent_addr}")).expect("peer list parses");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let handle = serve_with_peers(core, listener, peers).expect("daemon starts");
@@ -242,7 +236,7 @@ fn concurrent_closed_loop_serves_every_op_exactly_once() {
     // daemon must serve 2 ops per client per round, no losses, no
     // duplicates, across concurrent connections.
     let wl = small_workload(MergeMode::QueueAndFlush, false);
-    let handle = spawn_daemon(&wl, LockMode::Sharded);
+    let handle = spawn_daemon(&wl);
     let addr = handle.addr();
     let report = run_load(
         addr,
@@ -266,7 +260,7 @@ fn concurrent_closed_loop_serves_every_op_exactly_once() {
 #[test]
 fn open_loop_pairs_every_reply() {
     let wl = small_workload(MergeMode::PerUpload, false);
-    let handle = spawn_daemon(&wl, LockMode::Sharded);
+    let handle = spawn_daemon(&wl);
     let addr = handle.addr();
     let report = run_load(
         addr,
@@ -285,7 +279,7 @@ fn open_loop_pairs_every_reply() {
 fn a_client_that_never_reads_stalls_only_its_own_connection() {
     let wl = small_workload(MergeMode::PerUpload, false);
     let (rt, _, seeds) = wl.spec.build();
-    let handle = spawn_daemon(&wl, LockMode::Sharded);
+    let handle = spawn_daemon(&wl);
     let addr = handle.addr();
     let mut bystander = DaemonClient::connect(addr).expect("connect");
     let profile = bystander.hello().expect("hello");
@@ -354,8 +348,9 @@ fn daemons_that_sync_each_other_at_once_both_answer() {
         .map(|l| l.local_addr().expect("bound address"));
     let mut cell = 0u32;
     let handles = listeners.map(|listener| {
-        let core = ServerCore::new(&rt, cfg, &seeds, LockMode::Single);
-        core.set_cell_id(cell);
+        let mut server = CocaServer::new(&rt, cfg, &seeds);
+        server.set_cell_id(cell);
+        let core = ServerCore::new(server);
         let other = 1 - cell;
         cell += 1;
         let peers =
@@ -398,7 +393,7 @@ fn daemons_that_sync_each_other_at_once_both_answer() {
 #[test]
 fn frames_coalesced_into_one_write_are_answered_in_order() {
     let wl = small_workload(MergeMode::QueueAndFlush, false);
-    let handle = spawn_daemon(&wl, LockMode::Sharded);
+    let handle = spawn_daemon(&wl);
     let mut bytes = Vec::new();
     for msg in [
         ClientMsg::Hello,
@@ -426,7 +421,7 @@ fn closed_connections_leave_no_socket_behind() {
     // until `join`: a peer that ships a delta per sync tick (a fresh
     // connection each) walked the daemon into its descriptor limit.
     let wl = small_workload(MergeMode::PerUpload, false);
-    let handle = spawn_daemon(&wl, LockMode::Sharded);
+    let handle = spawn_daemon(&wl);
     let addr = handle.addr();
     // Linux only; elsewhere the registry count is the whole check.
     let open_fds = || std::fs::read_dir("/proc/self/fd").ok().map(Iterator::count);

@@ -117,8 +117,13 @@ proptest! {
             .with_flush_policy(FlushPolicy::RoundAligned);
         let mut aligned = CocaServer::new(&rt, cfg, &seeds);
         aligned.set_flush_watermark(fleet);
-        let mut reference =
-            CocaServer::new(&rt, CocaConfig::for_model(ModelId::ResNet101), &seeds);
+        // Explicitly per-upload: `COCA_MERGE_MODE` must not flip the
+        // reference arm onto the pipeline under test.
+        let mut reference = CocaServer::new(
+            &rt,
+            CocaConfig::for_model(ModelId::ResNet101).with_merge_mode(MergeMode::PerUpload),
+            &seeds,
+        );
 
         let mut rng = seeds.rng_for("uploads");
         let ups: Vec<UpdateUpload> = (0..fleet)
@@ -132,8 +137,8 @@ proptest! {
         }
         // The fleet-th upload hit the watermark and drained the queue.
         prop_assert_eq!(aligned.pending_uploads(), 0);
-        for up in &ups {
-            reference.handle_update(up);
+        for up in ups {
+            reference.handle_upload(up);
         }
         prop_assert_eq!(
             aligned.global().frequency(),

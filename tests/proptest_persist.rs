@@ -6,7 +6,7 @@
 //! durability layer:
 //!
 //! * random snapshots (f32/f16/i8 tables, a non-empty round-aligned
-//!   pending queue) and random WAL records of all seven variants round-trip
+//!   pending queue) and random WAL records of all five variants round-trip
 //!   bit-exactly and re-encode byte-identically;
 //! * raw byte corruption of framed snapshots (caught by the CRC) *and*
 //!   payload-level corruption re-framed with a **valid** CRC, so the
@@ -23,7 +23,10 @@
 //!   its typed error — the table-shape checks have theirs beside
 //!   `GlobalCacheTable`'s `Wire` impl;
 //! * a record torn at every byte offset truncates leniently and is
-//!   rejected strictly.
+//!   rejected strictly;
+//! * the two retired record tags (1, 3) are refused with a typed error,
+//!   and a log of the five live tags, laid out byte by byte as every
+//!   earlier build wrote it, replays to the live server's digest.
 
 use coca::core::collect::UpdateTable;
 use coca::core::persist::{
@@ -163,24 +166,23 @@ fn request(rng: &mut impl Rng) -> CacheRequest {
     }
 }
 
-/// One record of the given variant (0..7, the tag byte).
-fn wal_record(rng: &mut impl Rng, variant: u8) -> WalRecord {
+/// The tag bytes a WAL may hold. 1 and 3 named two upload entry points
+/// that are gone; their numbers are retired, not reused.
+const LIVE_TAGS: [u8; 5] = [0, 2, 4, 5, 6];
+
+/// One record of the variant with the given (live) tag byte.
+fn wal_record(rng: &mut impl Rng, tag: u8) -> WalRecord {
     let classes = rng.gen_range(1..40);
     let dims: Vec<usize> = (0..rng.gen_range(1..5))
         .map(|_| rng.gen_range(1..9))
         .collect();
-    match variant {
+    match tag {
         0 => WalRecord::Request(request(rng)),
-        1 => WalRecord::Merge(upload(rng, classes, &dims)),
         2 => WalRecord::Upload(upload(rng, classes, &dims)),
-        3 => WalRecord::Batch(
-            (0..rng.gen_range(0..4))
-                .map(|_| upload(rng, classes, &dims))
-                .collect(),
-        ),
         4 => WalRecord::Leave,
         5 => WalRecord::Flush,
-        _ => WalRecord::Watermark(rng.gen()),
+        6 => WalRecord::Watermark(rng.gen()),
+        _ => panic!("tag {tag} names no record"),
     }
 }
 
@@ -266,17 +268,18 @@ proptest! {
         }
     }
 
-    /// Random records of all seven variants: the frame decodes to a record
-    /// that re-encodes to the same frame, tag byte = variant position, and
-    /// a segment of them torn at any byte keeps exactly the whole frames.
+    /// Random records of all five variants: the frame decodes to a record
+    /// that re-encodes to the same frame, under the tag byte it always
+    /// had, and a segment of them torn at any byte keeps exactly the
+    /// whole frames.
     #[test]
     fn random_wal_records_round_trip_bit_exactly(seed in 0u64..10_000) {
         let mut rng = SeedTree::new(seed).rng_for("wal-gen");
         let mut segment = Vec::new();
         let mut ends = Vec::new();
-        for variant in 0..7u8 {
-            let frame = wal_record(&mut rng, variant).to_frame();
-            prop_assert_eq!(frame[8], variant);
+        for tag in LIVE_TAGS {
+            let frame = wal_record(&mut rng, tag).to_frame();
+            prop_assert_eq!(frame[8], tag);
             let (payloads, committed, truncated) = decode_frames(&frame, false).unwrap();
             prop_assert_eq!((payloads.len(), committed, truncated), (1, frame.len(), 0));
             let back = WalRecord::from_payload(payloads[0]).unwrap();
@@ -650,8 +653,8 @@ fn inflated_counts_are_typed_errors_not_allocations() {
         }
     }
     // Same for WAL records of every variant.
-    for variant in 0..7u8 {
-        let frame = wal_record(&mut rng, variant).to_frame();
+    for tag in LIVE_TAGS {
+        let frame = wal_record(&mut rng, tag).to_frame();
         let payload = &frame[8..];
         for at in 0..payload.len().saturating_sub(3) {
             let mut bad = payload.to_vec();
@@ -682,4 +685,114 @@ fn snapshots_round_trip_byte_identically_under_every_precision() {
             "{precision:?}: re-serialization must be byte-identical"
         );
     }
+}
+
+/// Tags 1 and 3 belonged to the merge-now and offline-batch upload entry
+/// points. A CRC-valid frame that carries one — body in the layout those
+/// records had: one upload, a counted sequence of uploads — is a typed
+/// decode error, and a segment that holds one, closed or current, fails
+/// recovery with it. (Only a frame whose CRC does not validate is a torn
+/// tail.)
+#[test]
+fn retired_wal_tags_are_refused_with_a_typed_error() {
+    let mut rng = SeedTree::new(19).rng_for("retired");
+    let up = upload(&mut rng, 12, &[4, 6]);
+    let mut merge = vec![1u8];
+    up.encode(&mut merge);
+    let mut batch = vec![3u8];
+    batch.extend_from_slice(&2u32.to_le_bytes());
+    up.encode(&mut batch);
+    up.encode(&mut batch);
+    for (payload, tag) in [(merge, 1u8), (batch, 3), (vec![1], 1), (vec![3], 3)] {
+        let err = WalRecord::from_payload(&payload).unwrap_err();
+        assert!(
+            matches!(err, PersistError::Decode(ref m) if m.contains(&format!("tag {tag}"))),
+            "{err}"
+        );
+        let good = WalRecord::Watermark(3).to_frame();
+        let mut segment = good.clone();
+        segment.extend_from_slice(&encode_frame(&payload));
+        for key in [WAL_CUR, WAL_PREV] {
+            let mut store = MemStorage::new();
+            store.save(key, &segment);
+            let err = Durability::new(Box::new(store), 4)
+                .load_for_recovery()
+                .unwrap_err();
+            assert!(matches!(err, PersistError::Decode(_)), "{key}: {err}");
+        }
+        // The torn-tail rule is untouched: cut anywhere inside the
+        // retired frame and the current segment recovers the record
+        // before it.
+        let mut store = MemStorage::new();
+        store.save(WAL_CUR, &segment[..segment.len() - 1]);
+        let (_, records, info) = Durability::new(Box::new(store), 4)
+            .load_for_recovery()
+            .unwrap();
+        assert_eq!(records.len(), 1);
+        assert_eq!(info.truncated_bytes, segment.len() - 1 - good.len());
+    }
+}
+
+/// A store as any earlier build left it — genesis snapshot, then a WAL
+/// segment holding each of the five live tags, every frame laid out here
+/// byte by byte (`[u32 LE length][u32 LE crc32][tag][body]`) rather than
+/// through `WalRecord` — recovers to the digest of a live server that
+/// took the same calls.
+#[test]
+fn a_hand_written_log_of_the_live_tags_replays_to_the_live_digest() {
+    let dataset = DatasetSpec::ucf101().subset(10);
+    let seeds = SeedTree::new(43);
+    let rt = ModelRuntime::new(ModelId::ResNet101, &dataset, &seeds);
+    let cfg = CocaConfig::for_model(ModelId::ResNet101)
+        .with_merge_mode(MergeMode::QueueAndFlush)
+        .with_flush_policy(FlushPolicy::RoundAligned);
+    let mut live = CocaServer::new(&rt, cfg, &seeds);
+    let genesis = live.snapshot().to_bytes();
+    let req = CacheRequest {
+        client_id: 0,
+        round: 0,
+        timestamps: vec![0; rt.num_classes()],
+        hit_ratio: live.base_hit_profile().to_vec(),
+        budget_bytes: 48 * 1024,
+    };
+    let ups: Vec<UpdateUpload> = (0..4).map(|id| sample_upload(&rt, id)).collect();
+
+    let mut wal = Vec::new();
+    let mut log = |tag: u8, body: &dyn Fn(&mut Vec<u8>)| {
+        let mut payload = vec![tag];
+        body(&mut payload);
+        wal.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        wal.extend_from_slice(&coca::core::persist::crc32(&payload).to_le_bytes());
+        wal.extend_from_slice(&payload);
+    };
+    // Watermark 3; two uploads queue; a request (no boundary under this
+    // policy); the third upload drains; a leave; one more upload; a flush.
+    live.set_flush_watermark(3);
+    log(6, &|b| 3usize.encode(b));
+    for up in &ups[..2] {
+        live.handle_upload(up.clone());
+        log(2, &|b| up.encode(b));
+    }
+    let _ = live.handle_request(&req);
+    log(0, &|b| req.encode(b));
+    live.handle_upload(ups[2].clone());
+    log(2, &|b| ups[2].encode(b));
+    live.on_client_leave();
+    log(4, &|_| {});
+    live.handle_upload(ups[3].clone());
+    log(2, &|b| ups[3].encode(b));
+    assert_eq!(live.pending_uploads(), 1);
+    live.flush_pending();
+    log(5, &|_| {});
+
+    let mut store = MemStorage::new();
+    store.save(SNAP_CUR, &genesis);
+    store.save(SNAP_PREV, &genesis);
+    store.save(WAL_CUR, &wal);
+    let (recovered, info) =
+        CocaServer::recover(&rt, cfg, &seeds, Durability::new(Box::new(store), 64)).unwrap();
+    assert_eq!(info.replayed, 8);
+    assert_eq!(info.truncated_bytes, 0);
+    assert_eq!(recovered.global().digest(), live.global().digest());
+    assert_eq!(recovered.snapshot().to_bytes(), live.snapshot().to_bytes());
 }
