@@ -16,19 +16,18 @@
 //!    `Migrate` (the failure drill: the cell drains its queue, its
 //!    members re-allocate at their new home).
 //! 4. **Determinism** — the 3-cell gossip run repeated under rayon
-//!    widths 1/2/4 with sharded merges on, and the one-cell topology
-//!    against the legacy single-server engine.
+//!    widths 1/2/4 with sharded merges on, and an explicit one-cell
+//!    topology against the same spec with no topology block.
 //!
 //! Env knobs (CI): `COCA_MULTIEDGE_QUICK=1` shrinks rounds/frames (the
 //! record then differs from the committed full-size one — CI restores
 //! it); `COCA_MULTIEDGE_ENFORCE=1` asserts per-cell digest equality at
-//! every rayon width, the one-cell ≡ legacy digest match, and Φ
+//! every rayon width, the one-cell ≡ no-topology digest match, and Φ
 //! conservation (no echo) in every synced run.
 
 use coca_bench::output::save_record;
 use coca_bench::scenario_exp::save_spec;
 use coca_core::engine::{Engine, EngineConfig, EngineReport, ScenarioConfig};
-use coca_core::multicell::MultiCellEngine;
 use coca_core::spec::{ScenarioSpec, SyncMode, TopologySpec};
 use coca_core::{CocaConfig, CocaServer};
 use coca_data::DatasetSpec;
@@ -61,8 +60,8 @@ fn base_spec(d: &Dims) -> ScenarioSpec {
     ScenarioSpec::new(base_scenario(), d.rounds, d.frames)
 }
 
-/// Runs one spec through the multi-cell engine and returns the report
-/// plus the per-cell digests and Φ-staleness.
+/// Runs one spec on as many server cells as its topology names and
+/// returns the report plus the per-cell digests and Φ-staleness.
 struct CellRun {
     report: EngineReport,
     digests: Vec<u64>,
@@ -70,9 +69,9 @@ struct CellRun {
     phi_conserved: bool,
 }
 
-fn run_cells(spec: &ScenarioSpec, cells: usize, frames: usize) -> CellRun {
+fn run_cells(spec: &ScenarioSpec, coca: CocaConfig) -> CellRun {
     let (scenario, plan) = spec.materialize();
-    let mut engine = MultiCellEngine::new(scenario, EngineConfig::new(coca_cfg(frames)), cells);
+    let mut engine = Engine::with_cells(scenario, EngineConfig::new(coca), plan.topology.cells);
     let report = engine.run_plan(&plan);
     let digests: Vec<u64> = engine
         .servers()
@@ -170,10 +169,10 @@ fn main() {
         ],
     );
 
+    let coca = coca_cfg(d.frames);
     let oracle = run_cells(
         &base_spec(&d).topology(TopologySpec::uniform(1, CLIENTS)),
-        1,
-        d.frames,
+        coca,
     );
     sweep.row(&[
         "1 cell (oracle)".into(),
@@ -204,7 +203,7 @@ fn main() {
         for &period in periods {
             let spec =
                 base_spec(&d).topology(TopologySpec::uniform(3, CLIENTS).with_sync(period, mode));
-            let run = run_cells(&spec, 3, d.frames);
+            let run = run_cells(&spec, coca);
             all_synced_conserved &= run.phi_conserved;
             let label = match mode {
                 SyncMode::Gossip => "3 cells, gossip",
@@ -256,7 +255,7 @@ fn main() {
         flash_spec = flash_spec.migrate(k, mid, 1);
     }
     save_spec("multiedge_flash", &flash_spec);
-    let flash = run_cells(&flash_spec, 2, d.frames);
+    let flash = run_cells(&flash_spec, coca);
     let mut flash_table = Table::new(
         "Flash crowd — 3 clients migrate onto cell 1 mid-run (windowed hit ratio)",
         &["Window", "Start (ms)", "Frames", "Hit ratio", "Lat.(ms)"],
@@ -304,7 +303,7 @@ fn main() {
     for k in [1usize, 3, 5] {
         fail_spec = fail_spec.migrate(k, mid, 0);
     }
-    let fail = run_cells(&fail_spec, 2, d.frames);
+    let fail = run_cells(&fail_spec, coca);
     println!(
         "Cell failure — residents re-home to cell 0 at round {mid}: \
          hit {:.4}, latency {:.2} ms (survivor cell digest {:016x})",
@@ -334,19 +333,8 @@ fn main() {
             .num_threads(w)
             .build()
             .expect("rayon pool");
-        let digests = pool.install(|| {
-            let (scenario, plan) = det_spec.materialize();
-            let mut cfg = EngineConfig::new(coca_cfg(d.frames));
-            cfg.coca.parallel_merge = true;
-            let mut engine = MultiCellEngine::new(scenario, cfg, 3);
-            engine.run_plan(&plan);
-            engine
-                .servers()
-                .iter()
-                .map(|s| s.global().digest())
-                .collect::<Vec<u64>>()
-        });
-        digests_by_width.push((w, digests));
+        let run = pool.install(|| run_cells(&det_spec, coca.with_parallel_merge(true)));
+        digests_by_width.push((w, run.digests));
     }
     let width_match = digests_by_width
         .iter()
@@ -369,25 +357,16 @@ fn main() {
         ]);
     }
 
-    // One-cell topology against the legacy single-server engine: same
-    // floats, same digest — the refactor's compatibility contract.
-    let legacy = {
-        let (scenario, plan) = base_spec(&d).materialize();
-        let mut engine = Engine::new(scenario, EngineConfig::new(coca_cfg(d.frames)));
-        let report = engine.run_plan(&plan);
-        (report.frame_digest, engine.server().global().digest())
-    };
-    let onecell = {
-        let (scenario, plan) = base_spec(&d)
-            .topology(TopologySpec::uniform(1, CLIENTS))
-            .materialize();
-        let mut engine = MultiCellEngine::new(scenario, EngineConfig::new(coca_cfg(d.frames)), 1);
-        let report = engine.run_plan(&plan);
-        (report.frame_digest, engine.server(0).global().digest())
-    };
-    let onecell_match = legacy == onecell;
+    // An explicit one-cell topology (the sweep's oracle run) against the
+    // same spec with no topology block: same floats, same digests. The
+    // table digest is the one the pre-topology engine committed — the
+    // proof its event sequence survives in the one engine there is.
+    let key = |run: &CellRun| (run.report.frame_digest, run.digests[0]);
+    let no_topology = key(&run_cells(&base_spec(&d), coca));
+    let onecell = key(&oracle);
+    let onecell_match = no_topology == onecell;
     println!(
-        "One-cell topology vs legacy engine: {} (frame digest {:016x}, table digest {:016x})",
+        "One-cell topology vs no topology: {} (frame digest {:016x}, table digest {:016x})",
         if onecell_match { "MATCH" } else { "MISMATCH" },
         onecell.0,
         onecell.1
@@ -395,14 +374,17 @@ fn main() {
     record.push_row(&[
         ("section", json!("determinism")),
         ("rayon_width_match", json!(width_match)),
-        ("one_cell_matches_legacy", json!(onecell_match)),
-        ("legacy_table_digest", json!(format!("{:016x}", legacy.1))),
+        ("one_cell_matches_no_topology", json!(onecell_match)),
+        (
+            "one_cell_table_digest",
+            json!(format!("{:016x}", no_topology.1)),
+        ),
     ]);
     if enforce {
         assert!(width_match, "per-cell digests diverged across rayon widths");
         assert!(
             onecell_match,
-            "one-cell topology diverged from the legacy single-server path"
+            "one-cell topology diverged from the no-topology path"
         );
     }
 

@@ -150,7 +150,8 @@ impl Method {
                 plan,
             ),
             Method::Coca => {
-                let mut engine = Engine::new(scenario, EngineConfig::new(coca));
+                let mut engine =
+                    Engine::with_cells(scenario, EngineConfig::new(coca), plan.topology.cells);
                 MethodReport::from_engine("CoCa", engine.run_plan(plan))
             }
         }
@@ -262,7 +263,6 @@ mod tests {
 
     #[test]
     fn six_method_spec_run_shares_one_digest() {
-        use coca_core::spec::ScenarioSpec;
         let mut sc = ScenarioConfig::new(ModelId::ResNet101, DatasetSpec::ucf101().subset(20));
         sc.num_clients = 2;
         sc.seed = 202;
@@ -287,6 +287,44 @@ mod tests {
             assert_eq!(r.frame_digest, reports[0].frame_digest, "{}", r.name);
             assert!(!r.windowed.is_empty(), "{} has no windowed series", r.name);
         }
+    }
+
+    /// A 2-cell gossip spec with one handover, 3 rounds × 40 frames.
+    fn two_cell_spec() -> (ScenarioSpec, CocaConfig) {
+        use coca_core::spec::{SyncMode, TopologySpec};
+        let mut sc = ScenarioConfig::new(ModelId::ResNet101, DatasetSpec::ucf101().subset(20));
+        sc.num_clients = 4;
+        sc.seed = 203;
+        let spec = ScenarioSpec::new(sc, 3, 40)
+            .topology(TopologySpec::uniform(2, 4).with_sync(400.0, SyncMode::Gossip))
+            .migrate(0, 1, 1);
+        let coca = CocaConfig::for_model(ModelId::ResNet101).with_round_frames(40);
+        (spec, coca)
+    }
+
+    #[test]
+    fn topology_spec_coca_row_is_the_multi_cell_run() {
+        let (spec, coca) = two_cell_spec();
+        let reports = run_all_methods_spec(&spec, coca);
+        for r in &reports {
+            assert_eq!(r.frame_digest, reports[0].frame_digest, "{}", r.name);
+        }
+        let (scenario, plan) = spec.materialize();
+        let direct = Engine::with_cells(scenario, EngineConfig::new(coca), 2).run_plan(&plan);
+        let row = reports.last().unwrap();
+        assert_eq!(row.name, "CoCa");
+        assert_eq!(row.mean_latency_ms, direct.mean_latency_ms);
+        assert_eq!(row.accuracy_pct, direct.accuracy_pct);
+        assert_eq!(row.hit_ratio, direct.hit_ratio);
+        assert_eq!(row.frame_digest, direct.frame_digest);
+    }
+
+    #[test]
+    #[should_panic(expected = "cells")]
+    fn topology_spec_on_a_one_cell_engine_panics() {
+        let (spec, coca) = two_cell_spec();
+        let (scenario, plan) = spec.materialize();
+        Engine::new(scenario, EngineConfig::new(coca)).run_plan(&plan);
     }
 
     #[test]

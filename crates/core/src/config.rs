@@ -227,37 +227,6 @@ impl Wire for CocaConfig {
     }
 }
 
-/// Reads the `COCA_MERGE_MODE` override (`per_upload` /
-/// `queue_and_flush`). CI runs the whole tier-1 suite once under
-/// `queue_and_flush` to catch determinism drift; anything else (unset or
-/// unrecognized) means "no override".
-fn merge_mode_from_env() -> Option<MergeMode> {
-    match std::env::var("COCA_MERGE_MODE").ok()?.as_str() {
-        "per_upload" => Some(MergeMode::PerUpload),
-        "queue_and_flush" => Some(MergeMode::QueueAndFlush),
-        _ => None,
-    }
-}
-
-/// Reads the `COCA_FLUSH_POLICY` override (`every_boundary` /
-/// `round_aligned`); the fleet-scale sweep sets this without rebuilding
-/// configs by hand. Anything else (unset or unrecognized) means "no
-/// override".
-fn flush_policy_from_env() -> Option<FlushPolicy> {
-    match std::env::var("COCA_FLUSH_POLICY").ok()?.as_str() {
-        "every_boundary" => Some(FlushPolicy::EveryBoundary),
-        "round_aligned" => Some(FlushPolicy::RoundAligned),
-        _ => None,
-    }
-}
-
-/// Reads the `COCA_PRECISION` override (`f32` / `f16` / `i8`); the
-/// quantization sweep sets this without rebuilding configs by hand.
-/// Anything else (unset or unrecognized) means "no override".
-fn precision_from_env() -> Option<Precision> {
-    Precision::parse(std::env::var("COCA_PRECISION").ok()?.as_str())
-}
-
 /// Reads the `COCA_WAL_ROTATE` override (a positive record count); the
 /// recovery sweeps set tiny segments without rebuilding configs by hand.
 /// Anything else (unset, unparsable or zero) means "no override".
@@ -267,16 +236,6 @@ fn wal_rotate_from_env() -> Option<usize> {
         .parse::<usize>()
         .ok()
         .filter(|&n| n > 0)
-}
-
-/// Reads the `COCA_PARALLEL_MERGE` override (`1`/`true` on, `0`/`false`
-/// off); the paired CI knob for the sharded-merge drift run.
-fn parallel_merge_from_env() -> Option<bool> {
-    match std::env::var("COCA_PARALLEL_MERGE").ok()?.as_str() {
-        "1" | "true" => Some(true),
-        "0" | "false" => Some(false),
-        _ => None,
-    }
 }
 
 impl CocaConfig {
@@ -305,12 +264,10 @@ impl CocaConfig {
             enable_gcu: true,
             aca_deflation: true,
             aca_per_byte: true,
-            // Per-upload remains the default; the env overrides exist so
-            // CI can sweep the whole suite through the other pipeline.
-            merge_mode: merge_mode_from_env().unwrap_or(MergeMode::PerUpload),
-            parallel_merge: parallel_merge_from_env().unwrap_or(false),
-            flush_policy: flush_policy_from_env().unwrap_or(FlushPolicy::EveryBoundary),
-            precision: precision_from_env().unwrap_or(Precision::F32),
+            merge_mode: MergeMode::PerUpload,
+            parallel_merge: false,
+            flush_policy: FlushPolicy::EveryBoundary,
+            precision: Precision::F32,
             wal_rotate_records: wal_rotate_from_env().unwrap_or(256),
         }
     }
@@ -464,39 +421,16 @@ mod tests {
     }
 
     #[test]
-    fn merge_mode_defaults_honor_env_overrides() {
+    fn merge_mode_defaults_are_per_upload_and_serial() {
         let cfg = CocaConfig::for_model(ModelId::ResNet101);
-        // The suite runs both bare and under the CI drift sweep
-        // (COCA_MERGE_MODE / COCA_PARALLEL_MERGE set); assert whichever
-        // contract applies so the test is meaningful in both.
-        match std::env::var("COCA_MERGE_MODE").as_deref() {
-            Ok("queue_and_flush") => assert_eq!(cfg.merge_mode, MergeMode::QueueAndFlush),
-            Ok("per_upload") => assert_eq!(cfg.merge_mode, MergeMode::PerUpload),
-            _ => assert_eq!(
-                cfg.merge_mode,
-                MergeMode::PerUpload,
-                "default is per-upload"
-            ),
-        }
-        match std::env::var("COCA_PARALLEL_MERGE").as_deref() {
-            Ok("1") | Ok("true") => assert!(cfg.parallel_merge),
-            Ok("0") | Ok("false") => assert!(!cfg.parallel_merge),
-            _ => assert!(!cfg.parallel_merge, "default is serial"),
-        }
+        assert_eq!(cfg.merge_mode, MergeMode::PerUpload);
+        assert!(!cfg.parallel_merge, "default is serial");
     }
 
     #[test]
     fn flush_policy_defaults_and_builder() {
         let cfg = CocaConfig::for_model(ModelId::ResNet101);
-        match std::env::var("COCA_FLUSH_POLICY").as_deref() {
-            Ok("round_aligned") => assert_eq!(cfg.flush_policy, FlushPolicy::RoundAligned),
-            Ok("every_boundary") => assert_eq!(cfg.flush_policy, FlushPolicy::EveryBoundary),
-            _ => assert_eq!(
-                cfg.flush_policy,
-                FlushPolicy::EveryBoundary,
-                "default flushes at every boundary"
-            ),
-        }
+        assert_eq!(cfg.flush_policy, FlushPolicy::EveryBoundary);
         let cfg = cfg.with_flush_policy(FlushPolicy::RoundAligned);
         assert_eq!(cfg.flush_policy, FlushPolicy::RoundAligned);
         let json = serde_json::to_string(&cfg).unwrap();
@@ -507,11 +441,7 @@ mod tests {
     #[test]
     fn precision_defaults_and_builder() {
         let cfg = CocaConfig::for_model(ModelId::ResNet101);
-        match std::env::var("COCA_PRECISION").as_deref() {
-            Ok("f16") => assert_eq!(cfg.precision, Precision::F16),
-            Ok("i8") => assert_eq!(cfg.precision, Precision::I8),
-            _ => assert_eq!(cfg.precision, Precision::F32, "default is f32"),
-        }
+        assert_eq!(cfg.precision, Precision::F32);
         let cfg = cfg.with_precision(Precision::I8);
         assert_eq!(cfg.precision, Precision::I8);
         assert!(cfg.validate().is_ok());

@@ -58,8 +58,9 @@
 //! destination cell's FIFO, and hands it to
 //! [`MethodDriver::sync_absorb`] — which may emit follow-up deltas (the
 //! hub's broadcast leg). [`TopologyPlan::single`] — one cell, no
-//! overrides, no sync — executes the exact event sequence of the legacy
-//! single-server path, so every committed record regenerates unchanged.
+//! overrides, no sync — is what a plan without a topology carries: the
+//! event sequence every pre-topology record was committed under, so
+//! those records regenerate unchanged.
 
 use coca_data::{Frame, StreamGenerator};
 use coca_metrics::recorder::{LatencyRecorder, RunSummary};
@@ -310,7 +311,7 @@ pub struct MigrationPlan {
 }
 
 /// The resolved multi-edge topology of a [`DrivePlan`].
-/// [`TopologyPlan::single`] is the legacy single-server world.
+/// [`TopologyPlan::single`] is the single-server world.
 #[derive(Debug, Clone)]
 pub struct TopologyPlan {
     /// Number of server cells (each gets its own FIFO queue).
@@ -424,7 +425,7 @@ pub struct DrivePlan {
     pub metrics_window_ms: f64,
     /// Recording granularity (defaults regenerate the committed records).
     pub metrics: MetricsConfig,
-    /// Server-cell topology ([`TopologyPlan::single`] = the legacy path).
+    /// Server-cell topology ([`TopologyPlan::single`] = one server).
     pub topology: TopologyPlan,
 }
 
@@ -587,8 +588,8 @@ struct Exec<D: MethodDriver> {
 impl<D: MethodDriver> Exec<D> {
     /// Client `k`'s client↔cell transfer time at instant `t`: the cell's
     /// link override when its current cell has one, else the client's own
-    /// link schedule — the exact legacy float path, so one-cell plans
-    /// with no override stay bit-identical.
+    /// link schedule — the float path of a topology-less plan, so one-cell
+    /// plans with no override stay bit-identical to it.
     #[inline]
     fn xfer(&self, k: usize, t: SimTime, bytes: usize) -> SimDuration {
         match self.plan.topology.cell_links[self.cell[k]] {

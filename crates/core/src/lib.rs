@@ -34,16 +34,17 @@
 //!   queries identically for every method (§VI.C/I).
 //! * [`engine`] — the shared workload model ([`engine::Scenario`]) and the
 //!   CoCa instantiation of the generic engine ([`engine::Engine`]); the
-//!   baselines crate plugs its own drivers into the same loop.
+//!   baselines crate plugs its own drivers into the same loop. The one
+//!   engine runs **multi-edge topologies** too
+//!   ([`Engine::with_cells`](engine::Engine::with_cells)): N collaborating
+//!   server cells over one scenario, with per-cell client homing, priced
+//!   periodic peer sync (gossip ring / hub-and-spoke) and `Migrate`
+//!   handover; [`Engine::new`](engine::Engine::new) is the one-cell case.
 //! * [`spec`] — declarative **dynamic scenarios**: a serde-serializable
 //!   [`spec::ScenarioSpec`] (base fleet + timeline of join/leave,
 //!   popularity-drift and link-change events) that materializes into the
 //!   shared `Scenario` plus a [`driver::DrivePlan`], so any workload is
 //!   data rather than code.
-//! * [`multicell`] — **multi-edge topologies**: N collaborating server
-//!   cells over one scenario, with per-cell client homing, priced
-//!   periodic peer sync (gossip ring / hub-and-spoke) and `Migrate`
-//!   handover; one cell reproduces the legacy engine bit-for-bit.
 
 pub mod aca;
 pub mod client;
@@ -53,7 +54,6 @@ pub mod driver;
 pub mod engine;
 pub mod global;
 pub mod lookup;
-pub mod multicell;
 pub mod persist;
 pub mod proto;
 pub mod semantic;
@@ -71,7 +71,6 @@ pub use driver::{
 pub use engine::{Engine, EngineConfig, EngineReport};
 pub use global::{GlobalCacheTable, MergeScratch};
 pub use lookup::{infer_with_cache, InferenceResult, LookupScratch};
-pub use multicell::MultiCellEngine;
 pub use persist::{
     CrashFault, CrashPlan, DirStorage, Durability, MemStorage, PersistError, RecoveryInfo,
     Snapshot, SnapshotSource, Storage, WalRecord,

@@ -917,8 +917,8 @@ mod tests {
         (rt, server)
     }
 
-    /// The merge-on-arrival config, whatever `COCA_MERGE_MODE` says: the
-    /// reference arm of every test that compares the two pipelines.
+    /// The merge-on-arrival config, spelled out: the reference arm of
+    /// every test that compares the two pipelines.
     fn per_upload_cfg() -> CocaConfig {
         CocaConfig::for_model(ModelId::ResNet101).with_merge_mode(MergeMode::PerUpload)
     }
@@ -1390,20 +1390,11 @@ mod tests {
         let rt2 = ModelRuntime::new(ModelId::ResNet101, &dataset, &seeds);
         let base = CocaConfig::for_model(ModelId::ResNet101);
         // A tunable, the table precision, the upload pipeline: whichever
-        // field differs from the one the snapshot embeds, recovery refuses
-        // (the env overrides may move the base, so flip relative to it).
-        let other_precision = match base.precision {
-            coca_math::Precision::I8 => coca_math::Precision::F16,
-            _ => coca_math::Precision::I8,
-        };
-        let other_mode = match base.merge_mode {
-            MergeMode::PerUpload => MergeMode::QueueAndFlush,
-            MergeMode::QueueAndFlush => MergeMode::PerUpload,
-        };
+        // field differs from the one the snapshot embeds, recovery refuses.
         for cfg in [
             base.with_theta(0.02),
-            base.with_precision(other_precision),
-            base.with_merge_mode(other_mode),
+            base.with_precision(coca_math::Precision::I8),
+            base.with_merge_mode(MergeMode::QueueAndFlush),
         ] {
             let (rt, mut live) = durable_server(3);
             drive_mixed(&rt, &mut live);

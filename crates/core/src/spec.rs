@@ -165,7 +165,7 @@ pub enum SyncMode {
 pub struct CellSpec {
     /// Client↔cell link override. `None` keeps each client's own link
     /// schedule (base link + `LinkChange` events) — the choice that
-    /// makes a one-cell topology bit-identical to the legacy path.
+    /// makes a one-cell topology bit-identical to no topology at all.
     pub link: Option<LinkModel>,
 }
 

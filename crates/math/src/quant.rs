@@ -35,7 +35,7 @@ pub enum Precision {
 }
 
 impl Precision {
-    /// Parses the `COCA_PRECISION`-style label (`"f32"`, `"f16"`, `"i8"`).
+    /// Parses a [`Precision::label`] (`"f32"`, `"f16"`, `"i8"`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "f32" => Some(Self::F32),

@@ -117,8 +117,8 @@ proptest! {
             .with_flush_policy(FlushPolicy::RoundAligned);
         let mut aligned = CocaServer::new(&rt, cfg, &seeds);
         aligned.set_flush_watermark(fleet);
-        // Explicitly per-upload: `COCA_MERGE_MODE` must not flip the
-        // reference arm onto the pipeline under test.
+        // Explicitly per-upload: the reference arm must never run the
+        // pipeline under test.
         let mut reference = CocaServer::new(
             &rt,
             CocaConfig::for_model(ModelId::ResNet101).with_merge_mode(MergeMode::PerUpload),

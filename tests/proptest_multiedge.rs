@@ -1,22 +1,21 @@
-//! Property tests pinning the **multi-edge topology refactor** to the
-//! single-server baseline:
+//! Property tests pinning the **multi-edge topology** paths of the one
+//! [`Engine`]:
 //!
-//! * a **one-cell topology** run through [`MultiCellEngine`] regenerates
+//! * a spec with an explicit **one-cell topology** regenerates
 //!   **byte-identical** records (frame digest, every latency/windowed/
-//!   per-client series, the post-run global table) vs the legacy
-//!   single-server [`Engine`] on the same spec — across randomized
-//!   churn/drift/link timelines, the committed dynamics records' shape;
+//!   per-client series, the post-run global table) vs the same spec with
+//!   no topology block — across randomized churn/drift/link timelines,
+//!   the committed dynamics records' shape;
 //! * a **peer-synced multi-cell** run (gossip or hub-and-spoke, with a
-//!   mid-run migration and layer-sharded parallel merges on) is
-//!   bit-identical at 1, 2 and N rayon workers: same frame digest, same
-//!   per-cell global tables.
+//!   mid-run migration and layer-sharded parallel merges on, under
+//!   either merge mode) is bit-identical at 1, 2 and N rayon workers:
+//!   same frame digest, same per-cell global tables.
 //!
-//! The one-cell path exercises the exact legacy float sequence (the
-//! per-cell link table is `None`, so transfers fall back to the
-//! per-client legacy links), so any drift here is a real compatibility
-//! bug in the topology refactor, not tolerance noise.
+//! Both one-cell runs take the same driver; what the first property pins
+//! is the spec → plan compilation: a one-cell topology's per-cell link
+//! table is `None`, so transfers fall back to the per-client link
+//! schedules — the exact float sequence of a topology-less plan.
 
-use coca::core::multicell::MultiCellEngine;
 use coca::core::spec::PopularityShift;
 use coca::core::{SyncMode, TopologySpec};
 use coca::net::LinkModel;
@@ -47,10 +46,11 @@ fn random_spec(seed: u64, join_at: f64, leave_after: usize, shift_at: u64) -> Sc
         )
 }
 
-fn engine_cfg(spec: &ScenarioSpec, parallel: bool) -> EngineConfig {
+fn engine_cfg(spec: &ScenarioSpec, parallel: bool, merge_mode: MergeMode) -> EngineConfig {
     let coca = CocaConfig::for_model(ModelId::ResNet101)
         .with_round_frames(spec.frames_per_round)
-        .with_parallel_merge(parallel);
+        .with_parallel_merge(parallel)
+        .with_merge_mode(merge_mode);
     EngineConfig::new(coca)
 }
 
@@ -74,21 +74,14 @@ fn probe(report: &EngineReport, globals: &[String]) -> (u64, u64, u64, u64, u64,
     )
 }
 
-fn run_legacy(spec: &ScenarioSpec) -> (u64, u64, u64, u64, u64, String) {
-    let (scenario, plan) = spec.materialize();
-    let mut engine = Engine::new(scenario, engine_cfg(spec, false));
-    let report = engine.run_plan(&plan);
-    let globals = vec![serde_json::to_string(engine.server().global()).unwrap()];
-    probe(&report, &globals)
-}
-
 fn run_cells(
     spec: &ScenarioSpec,
-    cells: usize,
     parallel: bool,
+    merge_mode: MergeMode,
 ) -> (u64, u64, u64, u64, u64, String) {
     let (scenario, plan) = spec.materialize();
-    let mut engine = MultiCellEngine::new(scenario, engine_cfg(spec, parallel), cells);
+    let cfg = engine_cfg(spec, parallel, merge_mode);
+    let mut engine = Engine::with_cells(scenario, cfg, plan.topology.cells);
     let report = engine.run_plan(&plan);
     let globals: Vec<String> = engine
         .servers()
@@ -99,45 +92,49 @@ fn run_cells(
 }
 
 proptest! {
-    /// One-cell topology ≡ legacy single server, byte for byte, under
+    /// One-cell topology ≡ no topology block, byte for byte, under
     /// randomized churn/drift/link dynamics.
     #[test]
-    fn one_cell_topology_is_byte_identical_to_legacy(
+    fn one_cell_topology_is_byte_identical_to_no_topology(
         seed in 0u64..250,
         join_at in 1_000.0f64..30_000.0,
         leave_after in 1usize..ROUNDS,
         shift_at in 10u64..60,
     ) {
         let spec = random_spec(seed, join_at, leave_after, shift_at);
-        let legacy = run_legacy(&spec);
+        let no_topology = run_cells(&spec, false, MergeMode::PerUpload);
         let one_cell = run_cells(
             &spec.clone().topology(TopologySpec::uniform(1, BASE_CLIENTS)),
-            1,
             false,
+            MergeMode::PerUpload,
         );
-        prop_assert_eq!(legacy, one_cell);
+        prop_assert_eq!(no_topology, one_cell);
     }
 
-    /// Peer-synced multi-cell runs (both modes, with a mid-run migration
-    /// and sharded merges on) are bit-identical at any rayon width.
+    /// Peer-synced multi-cell runs (both sync modes, with a mid-run
+    /// migration and sharded merges on) are bit-identical at any rayon
+    /// width — under queue-and-flush the client batches shard too, under
+    /// per-upload only the peer deltas do.
     #[test]
     fn peer_sync_is_deterministic_at_any_rayon_width(
         seed in 250u64..400,
         join_at in 1_000.0f64..30_000.0,
         period in 200.0f64..3_000.0,
         hub in any::<bool>(),
+        queued in any::<bool>(),
     ) {
+        let merge_mode = if queued { MergeMode::QueueAndFlush } else { MergeMode::PerUpload };
         let mode = if hub { SyncMode::HubAndSpoke } else { SyncMode::Gossip };
         let spec = random_spec(seed, join_at, 1, 25)
             .topology(TopologySpec::uniform(2, BASE_CLIENTS).with_sync(period, mode))
             .migrate(0, 1, 1);
-        let baseline = run_cells(&spec, 2, true);
+        let baseline = run_cells(&spec, true, merge_mode);
         for width in [1usize, 2, rayon::current_num_threads().max(3)] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(width)
                 .build()
                 .expect("shim pool build is infallible");
-            let run = pool.install(|| run_cells(&spec, 2, true));
+            let run = pool.install(|| run_cells(&spec, true, merge_mode));
             prop_assert_eq!(&baseline, &run);
         }
     }

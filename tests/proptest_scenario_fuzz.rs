@@ -93,21 +93,27 @@ fn run_probe(spec: &ScenarioSpec, mode: MergeMode, durable: bool) -> (String, us
         .with_round_frames(spec.frames_per_round)
         .with_merge_mode(mode)
         .with_flush_policy(FlushPolicy::EveryBoundary);
-    let mut engine = Engine::new(scenario, EngineConfig::new(cfg));
+    let mut engine = Engine::with_cells(scenario, EngineConfig::new(cfg), plan.topology.cells);
     if durable {
         engine
             .server_mut()
             .attach_durability(Durability::new(Box::new(MemStorage::new()), 4));
     }
     let report = engine.run_plan(&plan);
+    let globals: Vec<String> = engine
+        .servers()
+        .iter()
+        .map(|s| serde_json::to_string(s.global()).unwrap())
+        .collect();
     let probe = format!(
         "{}|{}|{}|{}",
         report.frame_digest,
         serde_json::to_string(&report.latency).unwrap(),
         serde_json::to_string(&report.per_client).unwrap(),
-        serde_json::to_string(engine.server().global()).unwrap(),
+        globals.join("|"),
     );
-    (probe, engine.server().pending_uploads())
+    let pending = engine.servers().iter().map(|s| s.pending_uploads()).sum();
+    (probe, pending)
 }
 
 /// The invariant oracle: `None` when the spec holds, `Some(reason)` when
