@@ -516,8 +516,8 @@ fn bench_global_merge(c: &mut Criterion) {
 }
 
 // The seed (pre-columnar) server data plane lives in
-// `coca_bench::seed_ref` — shared with `exp_fleet`'s merge-mode sweep so
-// both price improvements against one reference implementation.
+// `coca_bench::seed_ref` — shared with `exp_fleet`'s merge sweep so both
+// price improvements against one reference implementation.
 use coca_bench::seed_ref as seed_global;
 
 /// Per-cell cost of the columnar server core (per-layer `VectorStore` +
@@ -546,7 +546,6 @@ fn bench_server_tables(_c: &mut Criterion) {
     let mut points_json = Vec::new();
     let mut fused_merge_all = Vec::new();
     let mut fused_extract_all = Vec::new();
-    let mut sharded_merge_all = Vec::new();
     let mut combined_speedups = Vec::new();
     let mut batched_speedups_at_scale = Vec::new();
     // 200 classes × deep layer stacks (34 = ResNet101's preset cache
@@ -617,18 +616,6 @@ fn bench_server_tables(_c: &mut Criterion) {
                 let batched_merge_ns = measure_ns_min3(|| {
                     columnar.merge_batch(&batch, 0.99, &mut scratch);
                 }) / merge_cells as f64;
-                // The rayon layer-sharded pass at a fixed 2-worker width
-                // (deterministic across hosts; bit-identical to the
-                // serial pass at any width). On a single-core runner
-                // this mostly prices the spawn overhead — the gate below
-                // is a regression guard, not a speedup claim.
-                let shard_pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(2)
-                    .build()
-                    .expect("shim pool build is infallible");
-                let sharded_merge_ns = measure_ns_min3(|| {
-                    shard_pool.install(|| columnar.merge_batch_sharded(&batch, 0.99, &mut scratch));
-                }) / merge_cells as f64;
                 let seed_merge_ns = measure_ns_min3(|| {
                     for (_, boxed, phi) in &uploads {
                         seed.merge_update(boxed, phi, 0.99);
@@ -658,7 +645,6 @@ fn bench_server_tables(_c: &mut Criterion) {
                     / (fused_merge_ns + fused_extract_ns).max(1e-9);
                 fused_merge_all.push(fused_merge_ns);
                 fused_extract_all.push(fused_extract_ns);
-                sharded_merge_all.push(sharded_merge_ns);
                 combined_speedups.push(combined);
                 // Fleet-scale subset: the table no longer fits in cache
                 // (≥ 2 MB of entries), the regime the batched per-layer
@@ -669,8 +655,7 @@ fn bench_server_tables(_c: &mut Criterion) {
                 println!(
                     "bench server c={classes:<3} l={layers:<3} fleet={fleet:<4} \
                      merge {seed_merge_ns:>7.1} -> {fused_merge_ns:>6.1} ns/cell \
-                     ({merge_speedup:.1}x, batched {batched_merge_ns:.1}, \
-                     sharded@2 {sharded_merge_ns:.1})  \
+                     ({merge_speedup:.1}x, batched {batched_merge_ns:.1})  \
                      extract {seed_extract_ns:>6.1} -> {fused_extract_ns:>5.1} ns/cell \
                      ({extract_speedup:.1}x)"
                 );
@@ -679,7 +664,6 @@ fn bench_server_tables(_c: &mut Criterion) {
                      \"seed_merge_ns_per_cell\": {seed_merge_ns:.2}, \
                      \"fused_merge_ns_per_cell\": {fused_merge_ns:.2}, \
                      \"batched_merge_ns_per_cell\": {batched_merge_ns:.2}, \
-                     \"sharded_merge_ns_per_cell\": {sharded_merge_ns:.2}, \
                      \"merge_speedup\": {merge_speedup:.2}, \
                      \"seed_extract_ns_per_cell\": {seed_extract_ns:.2}, \
                      \"fused_extract_ns_per_cell\": {fused_extract_ns:.2}, \
@@ -696,7 +680,6 @@ fn bench_server_tables(_c: &mut Criterion) {
     let geomean = |xs: &[f64]| (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp();
     let mean_merge = mean(&fused_merge_all);
     let mean_extract = mean(&fused_extract_all);
-    let mean_sharded = mean(&sharded_merge_all);
     let mean_speedup = geomean(&combined_speedups);
     enforce_no_regression(
         "server_merge_grid_mean",
@@ -707,14 +690,6 @@ fn bench_server_tables(_c: &mut Criterion) {
         "server_extract_grid_mean",
         mean_extract,
         committed_summary("mean_fused_extract_ns_per_cell"),
-    );
-    // The sharded pass at the fixed 2-worker width: a pure regression
-    // guard (its absolute cost is spawn-overhead-dominated on single-core
-    // runners; the determinism contract is what the proptests pin).
-    enforce_no_regression(
-        "server_sharded_merge_grid_mean",
-        mean_sharded,
-        committed_summary("mean_sharded_merge_ns_per_cell"),
     );
     // Headline: the fleet-scale hot path. At 200 classes the table
     // outgrows cache, and the whole-round batched per-layer merge — the
@@ -858,7 +833,6 @@ fn bench_server_tables(_c: &mut Criterion) {
          \"unit\": \"ns_per_cell\",\n  \"dim\": {DIM},\n  \"summary\": {{\n    \
          \"mean_fused_merge_ns_per_cell\": {mean_merge:.2},\n    \
          \"mean_fused_extract_ns_per_cell\": {mean_extract:.2},\n    \
-         \"mean_sharded_merge_ns_per_cell\": {mean_sharded:.2},\n    \
          \"geomean_merge_extract_speedup\": {mean_speedup:.2},\n    \
          \"fleet_scale_batched_merge_speedup\": {batched_at_scale:.2},\n    \
          \"persist_snapshot_bytes\": {snapshot_bytes},\n    \

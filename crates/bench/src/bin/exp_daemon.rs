@@ -21,7 +21,7 @@
 use std::net::TcpListener;
 
 use coca_bench::output::save_record;
-use coca_core::{CocaServer, MergeMode};
+use coca_core::CocaServer;
 use coca_daemon::{
     run_load, run_verify, serve, Arrival, DaemonHandle, RunSpec, ServerCore, Workload,
 };
@@ -45,7 +45,6 @@ fn main() {
         model: ModelId::ResNet101,
         classes: 30,
         seed: 4_600,
-        merge_mode: MergeMode::QueueAndFlush,
         round_aligned: false,
         precision: coca_math::Precision::F32,
     };

@@ -1,5 +1,5 @@
 //! Fleet-scale server-core experiment: per-round server time at 8 / 32 /
-//! 128 clients, across upload-pipeline merge modes and merge-shard widths.
+//! 128 clients.
 //!
 //! Every round the edge server (a) merges one upload per client into the
 //! global cache table (Eq. 4/5) and (b) answers one cache request per
@@ -7,21 +7,16 @@
 //! real model runtime (ResNet101 on UCF101-50), seeds the server exactly
 //! as the engine does, synthesizes one round of per-client uploads with
 //! real per-layer feature dimensions, and wall-clocks the merge phase
-//! through every server pipeline the engine can run:
+//! two ways:
 //!
 //! * `seed` — the pre-columnar reference (boxed rows, hash-order scatter,
 //!   per-upload), from [`coca_bench::seed_ref`];
-//! * `per_upload` — the columnar default: one `merge_update` per arrival;
-//! * `queue_and_flush` — enqueue the round, drain through the per-layer
-//!   batched pass at the flush boundary (`handle_upload` +
-//!   `flush_pending`, the actual engine pipeline), serial and
-//!   rayon-sharded at 1/2/4 workers.
+//! * `queue_and_flush` — the server's one pipeline: enqueue the round,
+//!   drain through the per-layer batched pass at the flush boundary
+//!   (`handle_upload` + `flush_pending`, what the engine runs).
 //!
-//! All columnar pipelines are bit-identical to one another (proptest-
-//! pinned); only wall-clock differs. The headline `improvement` column is
-//! each pipeline's speedup over the seed reference — the number the
-//! engine actually gains now that `merge_mode = QueueAndFlush` runs the
-//! batched pass end-to-end. Writes `results/fleet.json`.
+//! The headline `improvement` column is the queue's speedup over the seed
+//! reference. Writes `results/fleet.json`.
 //!
 //! A second sweep scales the **virtual-time engine itself**: a degenerate
 //! constant-compute method (no real inference, tiny protocol messages)
@@ -46,7 +41,7 @@ use coca_core::driver::{
 };
 use coca_core::engine::{Scenario, ScenarioConfig};
 use coca_core::proto::{CacheRequest, UpdateUpload};
-use coca_core::{CocaConfig, CocaServer, MergeMode};
+use coca_core::{CocaConfig, CocaServer};
 use coca_data::{DatasetSpec, Frame};
 use coca_math::random_unit;
 use coca_metrics::table::fmt_f;
@@ -62,10 +57,6 @@ const FLEETS: [usize; 3] = [8, 32, 128];
 const TOUCH_EVERY: usize = 3;
 /// Wall-clock repetitions per measurement (min taken).
 const REPS: usize = 5;
-/// Shard widths for the `parallel_merge` sweep. On a single-core host
-/// widths beyond 1 only measure spawn overhead; on a multi-core edge
-/// box they are where the layer sharding pays.
-const THREADS: [usize; 3] = [1, 2, 4];
 
 /// One round of synthetic uploads with real per-layer dimensions, in
 /// both the columnar and the seed (boxed map) shapes.
@@ -292,7 +283,6 @@ fn main() {
         &[
             "Clients",
             "Pipeline",
-            "Threads",
             "Merge (ms)",
             "vs seed",
             "Requests (ms)",
@@ -302,16 +292,14 @@ fn main() {
     );
     let mut record = ExperimentRecord::new(
         "fleet",
-        "per-round server merge + allocation wall-clock vs fleet size, \
-         across merge modes and shard widths (columnar core vs the seed \
-         boxed-row reference)",
+        "per-round server merge + allocation wall-clock vs fleet size \
+         (columnar core vs the seed boxed-row reference)",
     );
     record
         .param("model", format!("{model:?}"))
         .param("classes", rt.num_classes())
         .param("layers", rt.num_cache_points())
-        .param("reps", REPS)
-        .param("threads_swept", serde_json::json!(THREADS.to_vec()));
+        .param("reps", REPS);
 
     let mut headline_improvement = 0.0f64;
     for fleet in FLEETS {
@@ -319,9 +307,8 @@ fn main() {
         let uploads = build_uploads(rt, fleet, &seeds);
         let cells: usize = uploads.iter().map(|(u, _)| u.table.len()).sum();
 
-        // (b) allocation phase — one ACA + extraction per client —
-        // measured once (identical across merge pipelines; requests are
-        // the flush boundary, not part of the merge).
+        // (b) allocation phase — one ACA + extraction per client (the
+        // requests are the flush boundary, not part of the merge).
         let mut server_req = CocaServer::new(rt, coca, scenario.seeds());
         let requests: Vec<CacheRequest> = (0..fleet)
             .map(|k| CacheRequest {
@@ -339,7 +326,7 @@ fn main() {
         });
 
         // (a) merge phase, one row per pipeline.
-        let mut rows: Vec<(&str, usize, f64)> = Vec::new();
+        let mut rows: Vec<(&str, f64)> = Vec::new();
 
         // Seed reference: boxed rows, hash-order per-upload merge.
         let mut seed_table = SeedTable::new(rt.num_classes(), rt.num_cache_points());
@@ -363,67 +350,29 @@ fn main() {
                 seed_table.merge_update(boxed, &up.frequency, coca.gamma_global);
             }
         });
-        rows.push(("seed", 0, seed_ms));
+        rows.push(("seed", seed_ms));
 
-        // Columnar per-upload (the engine's default pipeline).
-        let mut server_seq = CocaServer::new(
-            rt,
-            coca.with_merge_mode(MergeMode::PerUpload),
-            scenario.seeds(),
-        );
-        let per_upload_ms = min_round_ms(&uploads, |round| {
+        // The engine's pipeline: enqueue the round, drain at the flush
+        // boundary.
+        let mut server = CocaServer::new(rt, coca, scenario.seeds());
+        let queue_ms = min_round_ms(&uploads, |round| {
             for up in round {
-                let _ = server_seq.handle_upload(up);
+                let _ = server.handle_upload(up);
             }
+            server.flush_pending();
         });
-        rows.push(("per_upload", 0, per_upload_ms));
+        rows.push(("queue_and_flush", queue_ms));
 
-        // Queue-and-flush through the real engine pipeline: enqueue the
-        // round, drain at the flush boundary — serial, then sharded.
-        for (i, &threads) in [0usize].iter().chain(THREADS.iter()).enumerate() {
-            let sharded = i > 0;
-            let cfg = coca
-                .with_merge_mode(MergeMode::QueueAndFlush)
-                .with_parallel_merge(sharded);
-            let mut server = CocaServer::new(rt, cfg, scenario.seeds());
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads.max(1))
-                .build()
-                .expect("shim pool build is infallible");
-            let ms = min_round_ms(&uploads, |round| {
-                pool.install(|| {
-                    for up in round {
-                        let _ = server.handle_upload(up);
-                    }
-                    server.flush_pending();
-                });
-            });
-            rows.push((
-                if sharded {
-                    "queue_and_flush+parallel"
-                } else {
-                    "queue_and_flush"
-                },
-                threads,
-                ms,
-            ));
-        }
-
-        for (pipeline, threads, merge_ms) in rows {
+        for (pipeline, merge_ms) in rows {
             let improvement = seed_ms / merge_ms.max(1e-9);
             let round_ms = merge_ms + req_ms;
             let per_client_us = round_ms * 1e3 / fleet as f64;
-            if fleet == 128 && pipeline == "queue_and_flush+parallel" {
-                headline_improvement = headline_improvement.max(improvement);
+            if fleet == 128 && pipeline == "queue_and_flush" {
+                headline_improvement = improvement;
             }
             out.row(&[
                 fleet.to_string(),
                 pipeline.to_string(),
-                if threads == 0 {
-                    "-".into()
-                } else {
-                    threads.to_string()
-                },
                 fmt_f(merge_ms, 2),
                 format!("{improvement:.2}x"),
                 fmt_f(req_ms, 2),
@@ -434,7 +383,6 @@ fn main() {
                 ("clients", serde_json::json!(fleet)),
                 ("cells_per_round", serde_json::json!(cells)),
                 ("pipeline", serde_json::json!(pipeline)),
-                ("threads", serde_json::json!(threads)),
                 ("merge_ms", serde_json::json!(merge_ms)),
                 ("improvement_vs_seed", serde_json::json!(improvement)),
                 ("requests_ms", serde_json::json!(req_ms)),
@@ -445,14 +393,14 @@ fn main() {
     }
     print!("{}", out.render());
     println!(
-        "(all columnar pipelines are bit-identical — proptested in \
-         tests/proptest_global.rs and tests/proptest_merge_modes.rs; \
-         improvement is wall-clock over the seed boxed-row reference)"
+        "(the queue's batched merge is bit-identical to merging each upload \
+         on arrival — proptested in tests/proptest_global.rs and \
+         tests/proptest_merge_modes.rs; improvement is wall-clock over the \
+         seed boxed-row reference)"
     );
     println!(
-        "headline: queue-and-flush + parallel merge at 128 clients improves \
-         per-round server merge wall-clock {headline_improvement:.2}x over the \
-         seed per-upload server"
+        "headline: the queue at 128 clients improves per-round server merge \
+         wall-clock {headline_improvement:.2}x over the seed per-upload server"
     );
 
     // ---- Engine-scale sweep: drive_plan itself at fleet sizes the paper

@@ -15,15 +15,13 @@
 //! 3. **Cell failure** — a cell's clients re-home to cell 0 via
 //!    `Migrate` (the failure drill: the cell drains its queue, its
 //!    members re-allocate at their new home).
-//! 4. **Determinism** — the 3-cell gossip run repeated under rayon
-//!    widths 1/2/4 with sharded merges on, and an explicit one-cell
-//!    topology against the same spec with no topology block.
+//! 4. **Determinism** — an explicit one-cell topology against the same
+//!    spec with no topology block.
 //!
 //! Env knobs (CI): `COCA_MULTIEDGE_QUICK=1` shrinks rounds/frames (the
 //! record then differs from the committed full-size one — CI restores
-//! it); `COCA_MULTIEDGE_ENFORCE=1` asserts per-cell digest equality at
-//! every rayon width, the one-cell ≡ no-topology digest match, and Φ
-//! conservation (no echo) in every synced run.
+//! it); `COCA_MULTIEDGE_ENFORCE=1` asserts the one-cell ≡ no-topology
+//! digest match and Φ conservation (no echo) in every synced run.
 
 use coca_bench::output::save_record;
 use coca_bench::scenario_exp::save_spec;
@@ -321,42 +319,6 @@ fn main() {
     ]);
 
     // -- 4. determinism ------------------------------------------------------
-    // The 3-cell gossip run with layer-sharded parallel merges, repeated
-    // under rayon pools of width 1, 2 and 4 — per-cell digests must be
-    // bit-identical at every width.
-    let widths: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4] };
-    let det_spec = base_spec(&d)
-        .topology(TopologySpec::uniform(3, CLIENTS).with_sync(500.0, SyncMode::Gossip));
-    let mut digests_by_width: Vec<(usize, Vec<u64>)> = Vec::new();
-    for &w in widths {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(w)
-            .build()
-            .expect("rayon pool");
-        let run = pool.install(|| run_cells(&det_spec, coca.with_parallel_merge(true)));
-        digests_by_width.push((w, run.digests));
-    }
-    let width_match = digests_by_width
-        .iter()
-        .all(|(_, d)| *d == digests_by_width[0].1);
-    println!(
-        "Per-cell digests at rayon widths {widths:?}: {}",
-        if width_match { "MATCH" } else { "MISMATCH" }
-    );
-    for (w, digests) in &digests_by_width {
-        record.push_row(&[
-            ("section", json!("determinism")),
-            ("rayon_width", json!(w)),
-            (
-                "cell_digests",
-                json!(digests
-                    .iter()
-                    .map(|d| format!("{d:016x}"))
-                    .collect::<Vec<_>>()),
-            ),
-        ]);
-    }
-
     // An explicit one-cell topology (the sweep's oracle run) against the
     // same spec with no topology block: same floats, same digests. The
     // table digest is the one the pre-topology engine committed — the
@@ -373,7 +335,6 @@ fn main() {
     );
     record.push_row(&[
         ("section", json!("determinism")),
-        ("rayon_width_match", json!(width_match)),
         ("one_cell_matches_no_topology", json!(onecell_match)),
         (
             "one_cell_table_digest",
@@ -381,7 +342,6 @@ fn main() {
         ),
     ]);
     if enforce {
-        assert!(width_match, "per-cell digests diverged across rayon widths");
         assert!(
             onecell_match,
             "one-cell topology diverged from the no-topology path"

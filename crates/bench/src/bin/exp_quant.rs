@@ -19,7 +19,7 @@ use coca_bench::output::save_record;
 use coca_core::engine::{Engine, EngineConfig, Scenario, ScenarioConfig};
 use coca_core::server::seed_global_table;
 use coca_core::spec::ScenarioSpec;
-use coca_core::{CocaClient, CocaConfig, CocaServer, LookupScratch, MergeMode};
+use coca_core::{CocaClient, CocaConfig, CocaServer, LookupScratch};
 use coca_data::DatasetSpec;
 use coca_math::{cosine, Precision};
 use coca_metrics::table::fmt_f;
@@ -42,11 +42,7 @@ struct WireCosts {
 fn measure_wire(sc: &ScenarioConfig, cfg: CocaConfig) -> WireCosts {
     let scenario = Scenario::build(sc.clone());
     let rt = &scenario.rt;
-    let mut server = CocaServer::new(
-        rt,
-        cfg.with_merge_mode(MergeMode::PerUpload),
-        scenario.seeds(),
-    );
+    let mut server = CocaServer::new(rt, cfg, scenario.seeds());
     let mut clients: Vec<CocaClient> = (0..CLIENTS)
         .map(|k| {
             CocaClient::new(
@@ -80,6 +76,9 @@ fn measure_wire(sc: &ScenarioConfig, cfg: CocaConfig) -> WireCosts {
             server.handle_upload(upload);
         }
     }
+    // The last round's uploads are still queued: merge them before
+    // reading the table.
+    server.flush_pending();
     costs.table_bytes = server.global().store_bytes();
     costs
 }

@@ -24,7 +24,7 @@ use coca_bench::output::save_record;
 use coca_core::engine::{Engine, EngineConfig, EngineReport, ScenarioConfig};
 use coca_core::persist::{CrashFault, CrashPlan, Durability, MemStorage, SnapshotSource, WAL_CUR};
 use coca_core::spec::{PopularityShift, ScenarioSpec};
-use coca_core::{CocaConfig, CocaServer, FlushPolicy, MergeMode};
+use coca_core::{CocaConfig, CocaServer, FlushPolicy};
 use coca_data::DatasetSpec;
 use coca_math::Precision;
 use coca_metrics::table::fmt_f;
@@ -62,7 +62,6 @@ fn spec() -> ScenarioSpec {
 fn coca_config(spec: &ScenarioSpec, precision: Precision) -> CocaConfig {
     CocaConfig::for_model(ModelId::ResNet101)
         .with_round_frames(spec.frames_per_round)
-        .with_merge_mode(MergeMode::QueueAndFlush)
         .with_flush_policy(FlushPolicy::RoundAligned)
         .with_precision(precision)
 }

@@ -3,8 +3,8 @@
 //! `Option<Vec<f32>>` cells, uploads as `HashMap<(class, layer), vector>`
 //! (the seed `UpdateTable` shape, iterated in hash order), per-cell
 //! `scale`/`axpy`/`normalize` merge, per-cell `to_vec` + `insert`
-//! extraction. `cargo bench`'s server grid and `exp_fleet`'s merge-mode
-//! sweep both price their improvements against this path, so the
+//! extraction. `cargo bench`'s server grid and `exp_fleet`'s merge sweep
+//! both price their improvements against this path, so the
 //! reference lives here once instead of being copied per consumer.
 //!
 //! Not wired into any engine — it exists to be measured against.

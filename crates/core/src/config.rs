@@ -6,66 +6,42 @@ use coca_net::wire::codec_err;
 use coca_net::{FrameError, Reader, Wire};
 use serde::{Deserialize, Serialize};
 
-/// When the server merges client uploads into the global cache table —
-/// the engine's upload pipeline (§IV.A step 3 / "cache collection").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// The server's upload pipeline (§IV.A step 3 / "cache collection"): every
+/// upload queues in FIFO arrival order and drains through the per-layer
+/// batched pass (`GlobalCacheTable::merge_batch`) at the next flush
+/// boundary, which [`FlushPolicy`] picks. The batched pass is bit-identical
+/// to merging the uploads one by one in that order, and every virtual cost
+/// is charged at the upload's arrival instant.
+///
+/// There is no other pipeline: this one-variant enum and
+/// [`CocaConfig::with_merge_mode`] are kept only because `benchmark/`
+/// names them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MergeMode {
-    /// Merge each upload at its arrival event — the original engine
-    /// behavior, one `merge_update` per `Ev::Upload`.
-    PerUpload,
-    /// Queue arriving uploads and drain the pending batch through the
-    /// per-layer batched pass (`GlobalCacheTable::merge_batch`) at the
-    /// next request/allocation boundary — the paper's round-granular
-    /// aggregator. The pending queue preserves FIFO arrival order and the
-    /// batched pass is bit-identical to sequential merging in that order,
-    /// and every virtual cost is still charged at the upload's arrival
-    /// instant, so runs are **byte-identical** to [`MergeMode::PerUpload`]
-    /// (property-tested in `tests/proptest_merge_modes.rs`) — this mode
-    /// changes where the real (wall-clock) merge work happens, not a
-    /// single record.
+    /// Queue arriving uploads and drain them at the next flush boundary.
     QueueAndFlush,
 }
 
-/// *When* a [`MergeMode::QueueAndFlush`] pending queue is drained — the
-/// fleet-scale knob of the upload pipeline.
+/// *When* the pending upload queue is drained — the one knob of the
+/// upload pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FlushPolicy {
-    /// Drain the pending batch at the next request/allocation boundary —
-    /// the original queue-and-flush behavior, byte-identical to
-    /// [`MergeMode::PerUpload`]. Batches stay small (whatever arrived
-    /// since the last boundary), so the sharded batched merge rarely has
-    /// enough work to amortize its fan-out at large fleets.
+    /// Drain the pending batch at every boundary: a request, a leave, a
+    /// peer-sync export or absorb, an explicit flush. Every read of the
+    /// table then sees every upload that reached the server, exactly as
+    /// if each had merged on arrival.
     EveryBoundary,
     /// Round-aligned flush: hold the queue until every *live* member's
     /// upload for the round has arrived (a high-watermark on the pending
-    /// count), then drain once — handing `merge_batch_sharded` a
-    /// fleet-sized batch. Allocation requests served while uploads are
-    /// pending read the **effective frequency** (global Φ plus queued,
-    /// not-yet-merged φ, Eq. 5's sum rearranged — exact u64 arithmetic),
-    /// so ACA's hot-spot scores see every completed round. Centroid
-    /// *positions*, however, lag by up to one round relative to
-    /// per-upload merging, so records produced under this policy are a
-    /// **relaxed observation contract**: deterministic and
-    /// worker-count-independent (property-tested), but not byte-identical
-    /// to [`FlushPolicy::EveryBoundary`] runs.
+    /// count), then drain once as a fleet-sized batch. Allocation
+    /// requests served while uploads are pending read the **effective
+    /// frequency** (global Φ plus queued, not-yet-merged φ, Eq. 5's sum
+    /// rearranged — exact u64 arithmetic), so ACA's hot-spot scores see
+    /// every completed round. Centroid *positions*, however, lag by up to
+    /// one round, so records produced under this policy are a **relaxed
+    /// observation contract**: deterministic (property-tested), but not
+    /// byte-identical to [`FlushPolicy::EveryBoundary`] runs.
     RoundAligned,
-}
-
-/// One tag byte: 0 = per-upload, 1 = queue-and-flush.
-impl Wire for MergeMode {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            MergeMode::PerUpload => 0,
-            MergeMode::QueueAndFlush => 1,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
-        match u8::decode(r)? {
-            0 => Ok(MergeMode::PerUpload),
-            1 => Ok(MergeMode::QueueAndFlush),
-            other => codec_err(format!("unknown merge-mode tag {other}")),
-        }
-    }
 }
 
 /// One tag byte: 0 = every boundary, 1 = round-aligned.
@@ -141,20 +117,10 @@ pub struct CocaConfig {
     /// yields the spread allocations of the paper's Fig. 4 example.
     /// Exposed for the DESIGN.md §7 ablation.
     pub aca_per_byte: bool,
-    /// Upload pipeline: merge per arrival event or queue-and-flush at
-    /// round boundaries (byte-identical results either way; see
-    /// [`MergeMode`]).
-    pub merge_mode: MergeMode,
-    /// Shard the batched merge across layers with rayon
-    /// (`merge_batch_sharded`) when draining a queued batch. Bit-identical
-    /// at any worker count; only the wall-clock changes. Only consulted
-    /// under [`MergeMode::QueueAndFlush`] (the per-upload path has no
-    /// batch to shard).
-    pub parallel_merge: bool,
-    /// When the queued batch is drained: every boundary (default,
-    /// byte-identical to per-upload) or round-aligned (fleet-sized
-    /// batches, relaxed observation contract; see [`FlushPolicy`]). Only
-    /// consulted under [`MergeMode::QueueAndFlush`].
+    /// When the upload queue drains: at every boundary (default; every
+    /// table read sees every upload that reached the server) or
+    /// round-aligned (fleet-sized batches, relaxed observation contract;
+    /// see [`FlushPolicy`]).
     pub flush_policy: FlushPolicy,
     /// Storage precision of the data that *moves*: upload tables,
     /// allocation frames and the server's global-table layers. The
@@ -171,8 +137,8 @@ pub struct CocaConfig {
     pub wal_rotate_records: usize,
 }
 
-/// Every field in declaration order, fixed width (88 bytes): `f32`/`f64`
-/// as themselves, `usize` as `u64`, `bool` and the three enums as one
+/// Every field in declaration order, fixed width (86 bytes): `f32`/`f64`
+/// as themselves, `usize` as `u64`, `bool` and the two enums as one
 /// byte each. The snapshot embeds this so recovery can refuse a store
 /// written under a different configuration.
 impl Wire for CocaConfig {
@@ -193,8 +159,6 @@ impl Wire for CocaConfig {
         self.enable_gcu.encode(out);
         self.aca_deflation.encode(out);
         self.aca_per_byte.encode(out);
-        self.merge_mode.encode(out);
-        self.parallel_merge.encode(out);
         self.flush_policy.encode(out);
         self.precision.encode(out);
         self.wal_rotate_records.encode(out);
@@ -218,8 +182,6 @@ impl Wire for CocaConfig {
             enable_gcu: Wire::decode(r)?,
             aca_deflation: Wire::decode(r)?,
             aca_per_byte: Wire::decode(r)?,
-            merge_mode: Wire::decode(r)?,
-            parallel_merge: Wire::decode(r)?,
             flush_policy: Wire::decode(r)?,
             precision: Wire::decode(r)?,
             wal_rotate_records: Wire::decode(r)?,
@@ -264,8 +226,6 @@ impl CocaConfig {
             enable_gcu: true,
             aca_deflation: true,
             aca_per_byte: true,
-            merge_mode: MergeMode::PerUpload,
-            parallel_merge: false,
             flush_policy: FlushPolicy::EveryBoundary,
             precision: Precision::F32,
             wal_rotate_records: wal_rotate_from_env().unwrap_or(256),
@@ -300,15 +260,10 @@ impl CocaConfig {
         self
     }
 
-    /// Returns a copy with the given upload-pipeline merge mode.
-    pub fn with_merge_mode(mut self, mode: MergeMode) -> Self {
-        self.merge_mode = mode;
-        self
-    }
-
-    /// Returns a copy with layer-sharded batch merging toggled.
-    pub fn with_parallel_merge(mut self, on: bool) -> Self {
-        self.parallel_merge = on;
+    /// Returns the config unchanged: the queue is the only upload
+    /// pipeline (see [`MergeMode`]). Kept only because `benchmark/`
+    /// names it.
+    pub fn with_merge_mode(self, _mode: MergeMode) -> Self {
         self
     }
 
@@ -410,21 +365,10 @@ mod tests {
         let cfg = CocaConfig::for_model(ModelId::ResNet101)
             .with_theta(0.02)
             .with_budget(12345)
-            .with_round_frames(150)
-            .with_merge_mode(MergeMode::QueueAndFlush)
-            .with_parallel_merge(true);
+            .with_round_frames(150);
         assert!((cfg.theta - 0.02).abs() < 1e-9);
         assert_eq!(cfg.cache_budget_bytes, 12345);
         assert_eq!(cfg.round_frames, 150);
-        assert_eq!(cfg.merge_mode, MergeMode::QueueAndFlush);
-        assert!(cfg.parallel_merge);
-    }
-
-    #[test]
-    fn merge_mode_defaults_are_per_upload_and_serial() {
-        let cfg = CocaConfig::for_model(ModelId::ResNet101);
-        assert_eq!(cfg.merge_mode, MergeMode::PerUpload);
-        assert!(!cfg.parallel_merge, "default is serial");
     }
 
     #[test]
@@ -470,22 +414,21 @@ mod tests {
     #[test]
     fn wire_round_trips_every_field_and_rejects_bad_tags() {
         let mut cfg = CocaConfig::for_model(ModelId::Vgg16Bn)
-            .with_merge_mode(MergeMode::QueueAndFlush)
             .with_flush_policy(FlushPolicy::RoundAligned)
             .with_precision(Precision::F16)
-            .with_parallel_merge(true)
             .with_budget(12_345)
             .with_wal_rotate(7);
         cfg.enable_gcu = false;
         cfg.leave_phi_decay = 0.75;
         let mut bytes = Vec::new();
         cfg.encode(&mut bytes);
-        assert_eq!(bytes.len(), 6 * 4 + 4 * 8 + 3 * 8 + 8);
+        assert_eq!(bytes.len(), 6 * 4 + 4 * 8 + 3 * 8 + 6);
         let mut r = Reader::new(&bytes);
         assert_eq!(CocaConfig::decode(&mut r).unwrap(), cfg);
         assert!(r.finish().is_ok());
-        // Every tag and bool byte is range-checked; a short buffer errors.
-        for at in 72..80 {
+        // The four bools, then the flush-policy and precision tags: every
+        // one is range-checked. A short buffer errors.
+        for at in 72..78 {
             let mut bad = bytes.clone();
             bad[at] = 9;
             assert!(
@@ -499,12 +442,14 @@ mod tests {
 
     #[test]
     fn merge_mode_serde_round_trips() {
-        let cfg = CocaConfig::for_model(ModelId::ResNet101)
-            .with_merge_mode(MergeMode::QueueAndFlush)
-            .with_parallel_merge(true);
-        let json = serde_json::to_string(&cfg).unwrap();
+        // The one pipeline has no field: `with_merge_mode` changes no byte
+        // of either encoding, and the config still round-trips.
+        let cfg = CocaConfig::for_model(ModelId::ResNet101);
+        let queued = cfg.with_merge_mode(MergeMode::QueueAndFlush);
+        assert_eq!(queued, cfg);
+        let json = serde_json::to_string(&queued).unwrap();
+        assert!(!json.contains("merge_mode"), "{json}");
         let back: CocaConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.merge_mode, MergeMode::QueueAndFlush);
-        assert!(back.parallel_merge);
+        assert_eq!(back, cfg);
     }
 }

@@ -238,8 +238,8 @@ pub trait MethodDriver {
     fn on_leave(&mut self, _k: usize) {}
 
     /// Fired once when the event queue drains — the run's quiesce point.
-    /// Methods with deferred server-side work (CoCa's queue-and-flush
-    /// upload pipeline) apply it here so post-run inspection of server
+    /// Methods with deferred server-side work (CoCa's upload queue)
+    /// apply it here so post-run inspection of server
     /// state sees every upload merged; the default does nothing.
     fn on_run_end(&mut self) {}
 }

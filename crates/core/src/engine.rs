@@ -17,8 +17,7 @@
 //! back once the last outstanding spoke delta lands). Both
 //! [`SyncMode`]s ride the cursor-based provenance in
 //! [`CocaServer::export_delta`], so each origin cell's Φ mass reaches
-//! each other cell exactly once — fleet-wide Φ is conserved and per-cell
-//! digests are bit-identical at any rayon width.
+//! each other cell exactly once — fleet-wide Φ is conserved.
 //!
 //! [`Scenario`] pins down everything two *methods* must share to be
 //! comparable (model, feature universe, client drift profiles, class
@@ -377,9 +376,8 @@ impl MethodDriver for CocaDriver<'_> {
     }
 
     fn serve_upload_at(&mut self, cell: usize, _k: usize, upload: UpdateUpload) -> SimDuration {
-        // Dispatches on `CocaConfig::merge_mode`: merge now (per-upload)
-        // or enqueue for the next flush boundary (request, leave,
-        // handover, sync tick/delivery, run end).
+        // Enqueues for the next flush boundary (request, leave, handover,
+        // sync export/absorb, run end).
         self.servers[cell].handle_upload(upload)
     }
 
@@ -420,20 +418,17 @@ impl MethodDriver for CocaDriver<'_> {
     }
 
     fn on_run_end(&mut self) {
-        // Queue-and-flush leaves the tail of the run's uploads (those
-        // after the final request boundary) pending; drain them so
-        // post-run server inspection matches the per-upload pipeline.
+        // The tail of the run's uploads (those after the final request
+        // boundary) is still queued; drain it so post-run inspection sees
+        // every upload merged.
         for s in self.servers.iter_mut() {
             s.flush_pending();
         }
     }
 
     fn sync_export(&mut self, _seq: u64) -> Vec<SyncEmit> {
-        // A sync tick is a flush boundary, like a request: deltas export
-        // fully merged mass under either merge mode.
-        for s in self.servers.iter_mut() {
-            s.flush_pending();
-        }
+        // Every export drains its cell's queue first (a flush boundary
+        // inside `CocaServer`), so deltas carry fully merged mass.
         let n = self.servers.len();
         let mut out = Vec::new();
         match self.sync_mode {
@@ -476,8 +471,8 @@ impl MethodDriver for CocaDriver<'_> {
             .payloads
             .remove(&emit.payload)
             .expect("sync payload delivered twice");
-        // Uploads queued before the delta arrived merge before it.
-        self.servers[emit.to_cell].flush_pending();
+        // Uploads queued before the delta arrived merge before it: the
+        // absorb drains the queue first.
         let service = self.servers[emit.to_cell].absorb_peer(&delta);
         let mut follow = Vec::new();
         if self.sync_mode == SyncMode::HubAndSpoke && emit.to_cell == 0 {
@@ -644,7 +639,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{FlushPolicy, MergeMode};
+    use crate::config::FlushPolicy;
     use crate::spec::{ScenarioSpec, TopologySpec};
     use coca_model::ModelId;
 
@@ -814,10 +809,7 @@ mod tests {
         // watermark that counted it could not be reached by a full round
         // of the three members that do run.
         let mut cfg = engine_cfg(2);
-        cfg.coca = cfg
-            .coca
-            .with_merge_mode(MergeMode::QueueAndFlush)
-            .with_flush_policy(FlushPolicy::RoundAligned);
+        cfg.coca = cfg.coca.with_flush_policy(FlushPolicy::RoundAligned);
         let mut plan = DrivePlan::from_config(&cfg.drive_config(), 4);
         plan.members[3].rounds = 0;
         let mut engine = Engine::new(small_scenario(76), cfg);

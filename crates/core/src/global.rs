@@ -42,15 +42,13 @@ use coca_math::{
 };
 use coca_net::wire::put_u32;
 use coca_net::{FrameError, Reader, Wire};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::collect::{LayerUpdate, UpdateTable};
 use crate::semantic::{CacheLayer, LocalCache};
 
 /// Weights and row indices of one per-layer merge batch — the job list
-/// one [`merge_weighted_rows`] call consumes. The sharded batched merge
-/// hands each layer its own buffer, so buffers never cross shards.
+/// one [`merge_weighted_rows`] call consumes.
 #[derive(Debug, Default, Clone)]
 struct JobBuf {
     /// Destination rows (= classes) of the weighted-merge jobs.
@@ -90,13 +88,11 @@ enum LayerSlotMut<'a> {
 /// so the per-round merge is allocation-free once warm.
 #[derive(Debug, Default)]
 pub struct MergeScratch {
-    /// Job list of the serial merge paths.
+    /// Job list of the layer group being merged.
     jobs: JobBuf,
     /// Per-client prefix Φ snapshots of a batched merge (row-major,
     /// `clients × classes`).
     phi_prefix: Vec<u64>,
-    /// Per-layer job lists of the sharded batched merge (one per shard).
-    shards: Vec<JobBuf>,
 }
 
 impl MergeScratch {
@@ -126,10 +122,8 @@ pub struct GlobalCacheTable {
     /// unset dimension (`dim() == 0`) marks a layer never touched.
     stores: Vec<VectorStore>,
     /// Populated cells: one `classes`-bit bitmap per layer, parallel to
-    /// `stores`. Kept per layer (rather than one layer-major bitmap) so a
-    /// layer shard owns its `(store, occupancy)` pair outright — the
-    /// `&mut` disjointness the rayon-sharded batched merge partitions on.
-    /// The serde wire shape is still the single layer-major bitmap.
+    /// `stores`, so a layer merge borrows its `(store, occupancy)` pair
+    /// together. The serde wire shape is the single layer-major bitmap.
     occupancy: Vec<OccupancyBitmap>,
     /// Φ — global class frequencies (Eq. 5).
     frequency: Vec<u64>,
@@ -427,6 +421,10 @@ impl GlobalCacheTable {
     /// (one fused batch per layer group), then Eq. 5 for Φ. `phi` is the
     /// client's per-round class frequency vector φ; `gamma` is the global
     /// decay (paper: 0.99). `scratch` makes the pass allocation-free.
+    ///
+    /// The server never calls this: it is the sequential reference that
+    /// [`GlobalCacheTable::merge_batch`], and through it the server's
+    /// upload queue, is held to bit for bit.
     pub fn merge_update(
         &mut self,
         u: &UpdateTable,
@@ -471,9 +469,8 @@ impl GlobalCacheTable {
     /// Bit-identical to calling [`GlobalCacheTable::merge_update`] per
     /// upload in the same order: each client's Eq. 4 weights read its
     /// prefix Φ (the Φ a sequential merge would have seen), and Eq. 5
-    /// lands once at the end. This is the structural prerequisite for
-    /// sharding the server across cores (layers are independent under
-    /// this schedule — see [`GlobalCacheTable::merge_batch_sharded`]).
+    /// lands once at the end. This is the server's one merge path: its
+    /// upload queue and peer-delta absorbs both drain through here.
     pub fn merge_batch(
         &mut self,
         uploads: &[(&UpdateTable, &[u64])],
@@ -507,81 +504,6 @@ impl GlobalCacheTable {
                 );
             }
         }
-        scratch.phi_prefix = phi_prefix;
-        for &(_, phi) in uploads {
-            self.advance_frequency(phi);
-        }
-    }
-
-    /// [`GlobalCacheTable::merge_batch`], sharded across layers with
-    /// rayon. **Bit-identical at any worker count** (1, 2, N — asserted
-    /// in `tests/proptest_merge_modes.rs`) and to the serial batched and
-    /// sequential per-upload merges, because the batched schedule already
-    /// made layers independent: each shard owns one layer's `(store,
-    /// occupancy)` pair outright, reads only the shared prefix-Φ
-    /// snapshots, and runs its clients in the same fixed order a serial
-    /// pass would — parallelism changes *where* a layer is merged, never
-    /// a single reduction order. Worth its spawn overhead on whole-round
-    /// batches (a fleet of uploads × deep layer stacks); per-request
-    /// trickles should stay on [`GlobalCacheTable::merge_batch`].
-    pub fn merge_batch_sharded(
-        &mut self,
-        uploads: &[(&UpdateTable, &[u64])],
-        gamma: f32,
-        scratch: &mut MergeScratch,
-    ) {
-        let n = self.classes;
-        let precision = self.precision;
-        self.fill_phi_prefix(uploads, scratch);
-        let phi_prefix = std::mem::take(&mut scratch.phi_prefix);
-        let mut shard_bufs = std::mem::take(&mut scratch.shards);
-        shard_bufs.resize_with(self.layers, JobBuf::default);
-        // One work item per layer: the layer's own slot + occupancy
-        // (disjoint `&mut`s — fields are parallel vectors) plus a
-        // reusable job buffer that travels through the map and back.
-        let items: Vec<(usize, LayerSlotMut<'_>, &mut OccupancyBitmap, JobBuf)> = self
-            .stores
-            .iter_mut()
-            .zip(self.qstores.iter_mut())
-            .zip(self.occupancy.iter_mut())
-            .zip(shard_bufs.drain(..))
-            .enumerate()
-            .map(|(layer, (((store, qstore), occ), buf))| {
-                let slot = if precision == Precision::F32 {
-                    LayerSlotMut::Dense(store)
-                } else {
-                    LayerSlotMut::Quant(qstore, precision)
-                };
-                (layer, slot, occ, buf)
-            })
-            .collect();
-        scratch.shards = items
-            .into_par_iter()
-            .map(|(layer, mut slot, occ, mut jobs)| {
-                for (c, &(u, phi)) in uploads.iter().enumerate() {
-                    let Some(g) = u.layer_group(layer as u32) else {
-                        continue;
-                    };
-                    let reborrow = match &mut slot {
-                        LayerSlotMut::Dense(store) => LayerSlotMut::Dense(store),
-                        LayerSlotMut::Quant(q, p) => LayerSlotMut::Quant(q, *p),
-                    };
-                    Self::merge_layer_group(
-                        reborrow,
-                        occ,
-                        n,
-                        g,
-                        MergeWeights {
-                            cap_phi: &phi_prefix[c * n..(c + 1) * n],
-                            phi,
-                            gamma,
-                        },
-                        &mut jobs,
-                    );
-                }
-                jobs
-            })
-            .collect();
         scratch.phi_prefix = phi_prefix;
         for &(_, phi) in uploads {
             self.advance_frequency(phi);
@@ -829,7 +751,7 @@ impl Fnv1a {
 // cannot express it, so the traits are implemented by hand. The wire
 // keeps the original single **layer-major** bitmap (bit `layer · classes
 // + class`) even though the table stores one bitmap per layer — the
-// in-memory split is a sharding detail, not a protocol change.
+// in-memory split is a layout detail, not a protocol change.
 //
 // A dense f32 table serializes exactly as it always has; a quantized
 // table adds optional `precision` + `qstores` keys (absent keys read
@@ -1080,51 +1002,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_merge_is_bit_identical_to_serial_batched() {
-        let build = || {
-            let mut t = table();
-            t.set(0, 0, vec![1.0, 0.0]);
-            t.set(1, 1, vec![0.0, 1.0]);
-            t.set(3, 2, vec![0.6, 0.8]);
-            t.seed_frequency(&[5, 3, 0, 2]);
-            t
-        };
-        let u1 = upload(&[(0, 0, vec![0.2, 0.9]), (2, 1, vec![0.5, 0.5])]);
-        let phi1: Vec<u64> = vec![4, 0, 7, 0];
-        let u2 = upload(&[(0, 0, vec![-0.7, 0.1]), (3, 2, vec![0.9, -0.1])]);
-        let phi2: Vec<u64> = vec![2, 6, 0, 5];
-        let batch: Vec<(&UpdateTable, &[u64])> =
-            vec![(&u1, phi1.as_slice()), (&u2, phi2.as_slice())];
-
-        let mut scratch = MergeScratch::new();
-        let mut serial = build();
-        serial.merge_batch(&batch, 0.99, &mut scratch);
-
-        for width in [1usize, 2, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(width)
-                .build()
-                .unwrap();
-            let mut sharded = build();
-            pool.install(|| sharded.merge_batch_sharded(&batch, 0.99, &mut scratch));
-            assert_eq!(serial.frequency(), sharded.frequency(), "width {width}");
-            for c in 0..4 {
-                for l in 0..3 {
-                    match (serial.get(c, l), sharded.get(c, l)) {
-                        (None, None) => {}
-                        (Some(a), Some(b)) => {
-                            for (x, y) in a.iter().zip(b.iter()) {
-                                assert_eq!(x.to_bits(), y.to_bits(), "cell ({c},{l}) w={width}");
-                            }
-                        }
-                        (a, b) => panic!("occupancy differs at ({c},{l}): {a:?} vs {b:?}"),
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn quantized_table_merges_and_extracts_unit_centers() {
         for precision in [Precision::F16, Precision::I8] {
             let mut t = GlobalCacheTable::with_precision(4, 3, precision);
@@ -1177,22 +1054,17 @@ mod tests {
         let mut bat = build();
         bat.merge_batch(&[(&u1, &phi1), (&u2, &phi2)], 0.99, &mut scratch);
 
-        let mut sharded = build();
-        sharded.merge_batch_sharded(&[(&u1, &phi1), (&u2, &phi2)], 0.99, &mut scratch);
-
-        for other in [&bat, &sharded] {
-            assert_eq!(seq.frequency(), other.frequency());
-            for c in 0..4 {
-                for l in 0..3 {
-                    match (seq.get(c, l), other.get(c, l)) {
-                        (None, None) => {}
-                        (Some(a), Some(b)) => {
-                            for (x, y) in a.iter().zip(b.iter()) {
-                                assert_eq!(x.to_bits(), y.to_bits(), "cell ({c},{l})");
-                            }
+        assert_eq!(seq.frequency(), bat.frequency());
+        for c in 0..4 {
+            for l in 0..3 {
+                match (seq.get(c, l), bat.get(c, l)) {
+                    (None, None) => {}
+                    (Some(a), Some(b)) => {
+                        for (x, y) in a.iter().zip(b.iter()) {
+                            assert_eq!(x.to_bits(), y.to_bits(), "cell ({c},{l})");
                         }
-                        (a, b) => panic!("occupancy differs at ({c},{l}): {a:?} vs {b:?}"),
                     }
+                    (a, b) => panic!("occupancy differs at ({c},{l}): {a:?} vs {b:?}"),
                 }
             }
         }

@@ -2,8 +2,8 @@
 //! log, with deterministic crash-point fault injection.
 //!
 //! The server is the single point holding everything the fleet built
-//! together — the global cache table, the Φ pipeline, the queue-and-flush
-//! pending uploads — so a crash without persistence silently discards
+//! together — the global cache table, the Φ pipeline, the pending upload
+//! queue — so a crash without persistence silently discards
 //! every client's contribution. This module gives [`crate::server::CocaServer`]
 //! a WAL-before-mutation discipline:
 //!
@@ -49,8 +49,8 @@
 //! A snapshot is exactly one frame holding a [`Snapshot`]:
 //!
 //! ```text
-//! [u8 version = 2]
-//! [CocaConfig]                              88 bytes, fields in order
+//! [u8 version = 3]
+//! [CocaConfig]                              86 bytes, fields in order
 //! [GlobalCacheTable]                        precision, Φ, per-layer
 //!                                           occupancy words + stores
 //! [u32 n][n × ([u64 client id][ClientStatus])]   ascending by id
@@ -64,9 +64,11 @@
 //! allocating, rejects trailing bytes, and validates every cross-field
 //! invariant ([`Snapshot::validate`]); the encoding is canonical, so
 //! re-encoding a decoded snapshot or record reproduces its bytes exactly.
-//! There is one format: a store written by a build that framed JSON
-//! payloads fails the version / tag byte and is refused with
-//! [`PersistError::Decode`], not migrated.
+//! There is one format: a store written by an older build — one that
+//! framed JSON payloads (version 1), or one whose config still carried
+//! the merge-mode and parallel-merge bytes (version 2) — fails the
+//! version / tag byte and is refused with [`PersistError::Decode`], not
+//! migrated.
 //!
 //! ## Torn writes and corruption
 //!
@@ -97,8 +99,8 @@ use crate::proto::{CacheRequest, UpdateUpload};
 use crate::status::ClientStatus;
 
 /// Snapshot payload version byte (bumped on incompatible changes;
-/// version 1 was the JSON payload).
-const SNAPSHOT_VERSION: u8 = 2;
+/// version 1 was the JSON payload, version 2 the 88-byte config).
+const SNAPSHOT_VERSION: u8 = 3;
 
 /// Storage key of the current-generation snapshot.
 pub const SNAP_CUR: &str = "snap.cur";
@@ -514,7 +516,7 @@ pub struct Snapshot {
     /// Server-side mirror of the last τ/φ each client reported, sorted by
     /// client id.
     pub clients: Vec<(u64, ClientStatus)>,
-    /// The queue-and-flush pending queue, FIFO order.
+    /// The pending upload queue, FIFO order.
     pub pending: Vec<UpdateUpload>,
     /// Round-aligned flush watermark.
     pub flush_watermark: usize,
@@ -683,11 +685,11 @@ pub enum WalRecord {
     /// `handle_request`: flush boundary (policy-dependent), lazy static
     /// allocation, τ registry update.
     Request(CacheRequest),
-    /// `handle_upload`: the mode-dispatched upload entry point.
+    /// `handle_upload`: the upload entry point (enqueue).
     Upload(UpdateUpload),
     /// `on_client_leave`: flush + Φ decay.
     Leave,
-    /// An explicit `flush_pending` call (the run-end boundary).
+    /// An explicit `flush_pending` call (run end, handover, peer sync).
     Flush,
     /// `set_flush_watermark`.
     Watermark(usize),
@@ -1071,6 +1073,33 @@ impl Durability {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_version_2_snapshot_with_the_old_config_is_refused() {
+        let snap = Snapshot {
+            config: CocaConfig::for_model(coca_model::ModelId::ResNet101),
+            global: GlobalCacheTable::new(3, 2),
+            clients: Vec::new(),
+            pending: Vec::new(),
+            flush_watermark: 0,
+            static_alloc: None,
+        };
+        let current = snap.to_bytes();
+        assert!(Snapshot::from_bytes(&current).is_ok());
+        let (payloads, _, _) = decode_frames(&current, false).unwrap();
+        let mut payload = payloads[0].to_vec();
+        assert_eq!(payload[0], SNAPSHOT_VERSION);
+        // Version 2's 88-byte config held two more bytes between the four
+        // ablation bools and the flush-policy tag: the merge-mode tag
+        // (0 = merge on arrival) and the parallel-merge bool.
+        payload[0] = 2;
+        payload.splice(1 + 76..1 + 76, [0u8, 0]);
+        let err = Snapshot::from_bytes(&encode_frame(&payload)).unwrap_err();
+        assert!(
+            matches!(err, PersistError::Decode(ref m) if m.contains("version 2")),
+            "{err}"
+        );
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {

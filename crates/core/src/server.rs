@@ -16,7 +16,7 @@ use rand::Rng;
 
 use crate::aca::{allocate, AcaInputs, AcaOutput};
 use crate::collect::UpdateTable;
-use crate::config::{CocaConfig, FlushPolicy, MergeMode};
+use crate::config::{CocaConfig, FlushPolicy};
 use crate::global::{GlobalCacheTable, MergeScratch};
 use crate::lookup::{infer_with_cache, LookupScratch};
 use crate::persist::{
@@ -76,10 +76,8 @@ pub struct CocaServer {
     /// Reusable merge buffers: the per-round merge phase allocates
     /// nothing once these are warm.
     scratch: MergeScratch,
-    /// Uploads queued under [`MergeMode::QueueAndFlush`], in FIFO arrival
-    /// order — exactly the order the per-upload pipeline would have
-    /// merged them, which is what keeps the two modes byte-identical.
-    /// Always empty under [`MergeMode::PerUpload`].
+    /// Uploads not yet merged, in FIFO arrival order — the order the
+    /// flush merges them in, bit-identical to merging each on arrival.
     pending: Vec<UpdateUpload>,
     /// Live-fleet size under [`FlushPolicy::RoundAligned`]: once
     /// `pending.len()` reaches this watermark the queue drains in one
@@ -288,8 +286,7 @@ impl CocaServer {
     }
 
     fn drain_if_at_watermark(&mut self) {
-        if self.cfg.merge_mode == MergeMode::QueueAndFlush
-            && self.cfg.flush_policy == FlushPolicy::RoundAligned
+        if self.cfg.flush_policy == FlushPolicy::RoundAligned
             && self.flush_watermark > 0
             && self.pending.len() >= self.flush_watermark
         {
@@ -329,11 +326,11 @@ impl CocaServer {
         freq
     }
 
-    /// Handles a cache request: flushes any pending upload batch (the
-    /// queue-and-flush boundary — allocations must read a fully merged
-    /// table), runs ACA (or the static fallback when DCA is disabled) and
-    /// extracts the personalized sub-table. Returns the allocation and
-    /// the server compute charged to the queue.
+    /// Handles a cache request: flushes any pending upload batch (a flush
+    /// boundary — allocations must read a fully merged table), runs ACA
+    /// (or the static fallback when DCA is disabled) and extracts the
+    /// personalized sub-table. Returns the allocation and the server
+    /// compute charged to the queue.
     ///
     /// Under [`FlushPolicy::RoundAligned`] the request is **not** a flush
     /// boundary: the queue holds until the fleet watermark, and ACA reads
@@ -354,8 +351,7 @@ impl CocaServer {
             .entry(req.client_id)
             .or_insert_with(|| ClientStatus::new(self.global.num_classes()))
             .record_timestamps(&req.timestamps);
-        let round_aligned = self.cfg.merge_mode == MergeMode::QueueAndFlush
-            && self.cfg.flush_policy == FlushPolicy::RoundAligned;
+        let round_aligned = self.cfg.flush_policy == FlushPolicy::RoundAligned;
         if !round_aligned {
             self.flush_pending_inner();
         }
@@ -429,66 +425,47 @@ impl CocaServer {
             .record_frequency(&up.frequency);
     }
 
-    /// The one upload entry point (engine and daemon alike): dispatches on
-    /// the configured [`MergeMode`]. Per-upload merges now (Eq. 4/5; with
-    /// GCU disabled only Φ advances — ACA still needs it); queue-and-flush
-    /// enqueues and defers the merge to the next boundary
-    /// ([`CocaServer::handle_request`], [`CocaServer::on_client_leave`],
-    /// [`CocaServer::flush_pending`] at the run's end). Either way the
-    /// returned service time is the same per-upload cost-model charge,
-    /// billed at the arrival instant — deferral moves the real merge
-    /// work, never a virtual millisecond, which is why the two modes
-    /// produce byte-identical runs.
+    /// The one upload entry point (engine and daemon alike): enqueues the
+    /// upload and defers its merge (Eq. 4/5; with GCU disabled only Φ
+    /// advances — ACA still needs it) to the next flush boundary that
+    /// [`CocaConfig::flush_policy`] names: a request, a leave, a peer-sync
+    /// export or absorb, the round watermark, or an explicit
+    /// [`CocaServer::flush_pending`]. The returned service time is the
+    /// cost-model charge for this upload, billed at its arrival instant —
+    /// deferral moves the real merge work, never a virtual millisecond.
     pub fn handle_upload(&mut self, up: UpdateUpload) -> SimDuration {
         self.wal(WalRef::Upload(&up));
         self.upload_inner(up)
     }
 
-    /// The un-logged mode-dispatch body (also the replay target of
+    /// The un-logged enqueue body (also the replay target of
     /// [`WalRecord::Upload`]).
     fn upload_inner(&mut self, up: UpdateUpload) -> SimDuration {
         self.note_upload(&up);
         let kb = up.table.wire_bytes_at(up.precision) as f64 / 1024.0;
-        match self.cfg.merge_mode {
-            MergeMode::PerUpload => {
-                self.note_provenance(self.cell_id, &up.frequency);
-                if self.cfg.enable_gcu {
-                    self.global.merge_update(
-                        &up.table,
-                        &up.frequency,
-                        self.cfg.gamma_global,
-                        &mut self.scratch,
-                    );
-                } else {
-                    self.global.advance_frequency(&up.frequency);
-                }
-            }
-            MergeMode::QueueAndFlush => {
-                self.pending.push(up);
-                // Round-aligned: a full round's worth of uploads is the
-                // drain trigger (no-op under the default policy or when
-                // no watermark was installed).
-                self.drain_if_at_watermark();
-            }
-        }
+        self.pending.push(up);
+        // Round-aligned: a full round's worth of uploads is the drain
+        // trigger (no-op under the default policy or when no watermark
+        // was installed).
+        self.drain_if_at_watermark();
         SimDuration::from_millis_f64(self.costs.update_base_ms + self.costs.update_per_kb_ms * kb)
     }
 
-    /// Number of uploads queued and not yet merged (always 0 under
-    /// [`MergeMode::PerUpload`]).
+    /// Number of uploads queued and not yet merged.
     pub fn pending_uploads(&self) -> usize {
         self.pending.len()
     }
 
     /// Drains the pending upload queue through the batched per-layer
-    /// merge pass, in FIFO arrival order — the order the per-upload
-    /// pipeline would have merged, so the table lands on bit-identical
-    /// state. Costs were already charged at enqueue time; flushing adds
-    /// no virtual service time. No-op when nothing is pending.
+    /// merge pass, in FIFO arrival order, so the table lands bit for bit
+    /// where merging each upload on arrival would have put it. Costs were
+    /// already charged at enqueue time; flushing adds no virtual service
+    /// time. No-op when nothing is pending.
     ///
-    /// This is the *external* flush boundary (the engine's run-end hook)
-    /// and is WAL-logged as such; the flushes embedded in request/leave/
-    /// watermark handling are covered by those events' own records.
+    /// This is the *external* flush boundary (run end, handover, peer
+    /// sync) and is WAL-logged as such; the flushes embedded in request/
+    /// leave/watermark handling are covered by those events' own records.
+    /// Peer sync is not WAL-logged itself, so its flush logs here.
     pub fn flush_pending(&mut self) {
         if !self.pending.is_empty() {
             self.wal(WalRef::Flush);
@@ -500,23 +477,10 @@ impl CocaServer {
         if self.pending.is_empty() {
             return;
         }
-        // One upload per client per flush window by construction *under
-        // the default boundary policy*: a CoCa client's next request (a
-        // flush boundary) always lands between its consecutive uploads.
-        // Round-aligned windows with heterogeneous `frames_per_round` CAN
-        // legitimately hold two uploads from a fast client (its second
-        // round ends before a slow member's first), so the diagnostic is
-        // scoped to the policy whose invariant it states. Arrival order
-        // stays correct either way — the batched pass is
-        // sequential-equivalent in the given order.
-        debug_assert!(
-            self.cfg.flush_policy != FlushPolicy::EveryBoundary || {
-                let mut ids: Vec<u64> = self.pending.iter().map(|u| u.client_id).collect();
-                ids.sort_unstable();
-                ids.windows(2).all(|w| w[0] != w[1])
-            },
-            "duplicate client in one flush window"
-        );
+        // One window may hold several uploads from one client (a fast
+        // client under round-aligned windows, or a daemon client that
+        // uploads twice between requests); the batched pass merges them
+        // in arrival order like any others.
         let pending = std::mem::take(&mut self.pending);
         self.merge_upload_batch(&pending);
         // Hand the drained buffer back so steady-state flushing reuses
@@ -525,52 +489,37 @@ impl CocaServer {
         self.pending.clear();
     }
 
-    /// Cell count below which a flush stays on the serial batched pass
-    /// even with `parallel_merge` on: the shim's sharded pass spawns
-    /// scoped workers per invocation, so a per-request trickle (one or
-    /// two small uploads between consecutive allocation boundaries)
-    /// would pay tens of microseconds of spawn/join around a merge that
-    /// takes microseconds serially. Whole-round fleet batches clear this
-    /// easily. Output is bit-identical on either side of the threshold.
-    const SHARD_MIN_CELLS: usize = 256;
-
-    /// The flush body: merges `ups` in the given order via
-    /// one per-layer pass — sharded across layers with rayon when
-    /// `parallel_merge` is on and the batch is big enough to amortize
-    /// the shard spawn ([`Self::SHARD_MIN_CELLS`]), serial otherwise.
-    /// Both are bit-identical to sequential per-upload merging in the
-    /// same order.
+    /// The flush body: merges `ups` in the given order via one per-layer
+    /// pass, bit-identical to sequential merging in the same order.
     fn merge_upload_batch(&mut self, ups: &[UpdateUpload]) {
         let own = self.cell_id;
         for up in ups {
             self.note_provenance(own, &up.frequency);
         }
+        self.merge_tables(ups.iter().map(|u| (&u.table, u.frequency.as_slice())));
+    }
+
+    /// Eq. 4/5 for a batch of `(table, φ)` pairs in the given order —
+    /// client uploads and peer-delta entries alike. With GCU disabled only
+    /// Φ advances.
+    fn merge_tables<'a>(&mut self, batch: impl Iterator<Item = (&'a UpdateTable, &'a [u64])>) {
         if self.cfg.enable_gcu {
-            let batch: Vec<(&UpdateTable, &[u64])> = ups
-                .iter()
-                .map(|u| (&u.table, u.frequency.as_slice()))
-                .collect();
-            let cells: usize = ups.iter().map(|u| u.table.len()).sum();
-            if self.cfg.parallel_merge && ups.len() >= 2 && cells >= Self::SHARD_MIN_CELLS {
-                self.global
-                    .merge_batch_sharded(&batch, self.cfg.gamma_global, &mut self.scratch);
-            } else {
-                self.global
-                    .merge_batch(&batch, self.cfg.gamma_global, &mut self.scratch);
-            }
+            let batch: Vec<(&UpdateTable, &[u64])> = batch.collect();
+            self.global
+                .merge_batch(&batch, self.cfg.gamma_global, &mut self.scratch);
         } else {
-            for up in ups {
-                self.global.advance_frequency(&up.frequency);
+            for (_, phi) in batch {
+                self.global.advance_frequency(phi);
             }
         }
     }
 
     /// Fires when a client departs the fleet: flushes any pending upload
     /// batch (the leave is a merge boundary — the decay below must see
-    /// every upload that already reached the server, exactly as the
-    /// per-upload pipeline would), then applies the configured
-    /// exponential Φ decay `Φ ← ⌈β·Φ⌉` so the leaver's frequency mass
-    /// ages out of ACA's hot-spot scores (a no-op at the default β = 1).
+    /// every upload that already reached the server), then applies the
+    /// configured exponential Φ decay `Φ ← ⌈β·Φ⌉` so the leaver's
+    /// frequency mass ages out of ACA's hot-spot scores (a no-op at the
+    /// default β = 1).
     pub fn on_client_leave(&mut self) {
         self.wal(WalRef::Leave);
         self.leave_inner();
@@ -598,10 +547,12 @@ impl CocaServer {
     }
 
     /// Builds the table delta to ship to peer cell `to_peer` and advances
-    /// that peer's send cursors: for every origin whose provenance row
-    /// grew since the last export to this peer — skipping mass the peer
-    /// itself originated, which it already holds — one
-    /// [`PeerDeltaEntry`] carrying this server's *current merged
+    /// that peer's send cursors. An export is a flush boundary: the queue
+    /// drains first (through the logged [`CocaServer::flush_pending`]), so
+    /// the delta carries every upload that reached this cell. Then, for
+    /// every origin whose provenance row grew since the last export to
+    /// this peer — skipping mass the peer itself originated, which it
+    /// already holds — one [`PeerDeltaEntry`] carrying this server's *current merged
     /// centroids* for the grown classes plus exactly the Φ growth. The
     /// receiver replays the entry through the same Eq. 4/5 batched merge
     /// as a client upload, so along single-inbound-path topologies (the
@@ -609,10 +560,9 @@ impl CocaServer {
     /// on every cell exactly once and fleet-wide Φ is conserved.
     ///
     /// Entries are ascending by origin id and the whole construction is
-    /// a deterministic function of merge history — the driver's sync
-    /// schedule stays bit-identical at any rayon width. Under a
-    /// quantized config the tables are snapped onto the precision grid
-    /// before export, exactly like client uploads.
+    /// a deterministic function of merge history. Under a quantized
+    /// config the tables are snapped onto the precision grid before
+    /// export, exactly like client uploads.
     pub fn export_delta(&mut self, to_peer: u32) -> PeerDelta {
         self.export_filtered(to_peer, false)
     }
@@ -628,6 +578,7 @@ impl CocaServer {
     }
 
     fn export_filtered(&mut self, to_peer: u32, own_only: bool) -> PeerDelta {
+        self.flush_pending();
         let classes = self.global.num_classes();
         let layers = self.global.num_layers();
         let own = self.cell_id;
@@ -671,33 +622,24 @@ impl CocaServer {
         }
     }
 
-    /// Merges a peer cell's delta: each entry runs through the same
-    /// batched Eq. 4/5 pass as a round of client uploads (frequency-only
-    /// when GCU is off), then extends the matching origin's provenance
-    /// row — so re-exports downstream attribute the mass to its true
-    /// origin, not to the relaying cell. Returns the service time under
-    /// the same cost model as uploads, priced by the delta's wire bytes.
+    /// Merges a peer cell's delta. An absorb is a flush boundary: uploads
+    /// queued before the delta arrived drain first (through the logged
+    /// [`CocaServer::flush_pending`]) and so merge before it. Each entry
+    /// then runs through the same batched Eq. 4/5 pass as a round of
+    /// client uploads (frequency-only when GCU is off), and extends the
+    /// matching origin's provenance row — so re-exports downstream
+    /// attribute the mass to its true origin, not to the relaying cell.
+    /// Returns the service time under the same cost model as uploads,
+    /// priced by the delta's wire bytes.
     pub fn absorb_peer(&mut self, delta: &PeerDelta) -> SimDuration {
+        self.flush_pending();
         let kb = delta.wire_bytes() as f64 / 1024.0;
-        if self.cfg.enable_gcu {
-            let batch: Vec<(&UpdateTable, &[u64])> = delta
+        self.merge_tables(
+            delta
                 .entries
                 .iter()
-                .map(|e| (&e.table, e.frequency.as_slice()))
-                .collect();
-            let cells: usize = delta.entries.iter().map(|e| e.table.len()).sum();
-            if self.cfg.parallel_merge && batch.len() >= 2 && cells >= Self::SHARD_MIN_CELLS {
-                self.global
-                    .merge_batch_sharded(&batch, self.cfg.gamma_global, &mut self.scratch);
-            } else {
-                self.global
-                    .merge_batch(&batch, self.cfg.gamma_global, &mut self.scratch);
-            }
-        } else {
-            for e in &delta.entries {
-                self.global.advance_frequency(&e.frequency);
-            }
-        }
+                .map(|e| (&e.table, e.frequency.as_slice())),
+        );
         for e in &delta.entries {
             self.note_provenance(e.origin, &e.frequency);
         }
@@ -917,10 +859,32 @@ mod tests {
         (rt, server)
     }
 
-    /// The merge-on-arrival config, spelled out: the reference arm of
-    /// every test that compares the two pipelines.
-    fn per_upload_cfg() -> CocaConfig {
-        CocaConfig::for_model(ModelId::ResNet101).with_merge_mode(MergeMode::PerUpload)
+    /// The sequential reference every queue test compares against:
+    /// `ups` merged one by one into a copy of `table`, in arrival order.
+    fn merged_on_arrival(table: &GlobalCacheTable, ups: &[UpdateUpload]) -> GlobalCacheTable {
+        let mut reference = table.clone();
+        let mut scratch = MergeScratch::new();
+        for up in ups {
+            reference.merge_update(&up.table, &up.frequency, 0.99, &mut scratch);
+        }
+        reference
+    }
+
+    /// Φ and every cell of `a` and `b` agree bit for bit.
+    fn assert_bit_identical(a: &GlobalCacheTable, b: &GlobalCacheTable) {
+        assert_eq!(a.frequency(), b.frequency(), "Eq. 5 state");
+        for c in 0..a.num_classes() {
+            for l in 0..a.num_layers() {
+                match (a.get(c, l), b.get(c, l)) {
+                    (None, None) => {}
+                    (Some(x), Some(y)) => {
+                        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&x), bits(&y), "cell ({c},{l})");
+                    }
+                    (x, y) => panic!("occupancy differs at ({c},{l}): {x:?} vs {y:?}"),
+                }
+            }
+        }
     }
 
     #[test]
@@ -1014,19 +978,22 @@ mod tests {
         let dataset = DatasetSpec::ucf101().subset(20);
         let seeds = SeedTree::new(62);
         let rt = ModelRuntime::new(ModelId::ResNet101, &dataset, &seeds);
-        let cfg =
-            CocaConfig::for_model(ModelId::ResNet101).with_merge_mode(MergeMode::QueueAndFlush);
+        let cfg = CocaConfig::for_model(ModelId::ResNet101);
         let mut server = CocaServer::new(&rt, cfg, &seeds);
-        let freq_before = server.global().frequency().to_vec();
+        let genesis = server.global().clone();
 
         let up = upload_for(&rt, 0, 3, 10);
         let deferred_cost = server.handle_upload(up.clone());
         assert_eq!(server.pending_uploads(), 1);
         // The table has not moved yet...
-        assert_eq!(server.global().frequency(), freq_before.as_slice());
-        // ...and the charge equals the per-upload price.
-        let mut per_upload = CocaServer::new(&rt, per_upload_cfg(), &seeds);
-        assert_eq!(per_upload.handle_upload(up), deferred_cost);
+        assert_eq!(server.global().frequency(), genesis.frequency());
+        // ...but the cost model charged the upload on arrival.
+        let costs = ServiceCostModel::default();
+        let kb = up.table.wire_bytes_at(up.precision) as f64 / 1024.0;
+        assert_eq!(
+            deferred_cost,
+            SimDuration::from_millis_f64(costs.update_base_ms + costs.update_per_kb_ms * kb)
+        );
 
         // A request flushes before allocating.
         let req = CacheRequest {
@@ -1038,20 +1005,62 @@ mod tests {
         };
         let _ = server.handle_request(&req);
         assert_eq!(server.pending_uploads(), 0);
-        assert_eq!(
-            server.global().frequency(),
-            per_upload.global().frequency(),
-            "flush lands the same Eq. 5 state as the per-upload pipeline"
+        assert_bit_identical(server.global(), &merged_on_arrival(&genesis, &[up]));
+    }
+
+    #[test]
+    fn two_uploads_from_one_client_in_one_window_merge_in_arrival_order() {
+        // A daemon client may upload twice with no request in between;
+        // the flush must merge both, in the order they arrived.
+        let (rt, mut server) = server();
+        let genesis = server.global().clone();
+        let first = upload_for(&rt, 7, 3, 10);
+        let mut second = upload_for(&rt, 7, 3, 10);
+        second.frequency[3] = 9;
+        second.table = {
+            let mut t = crate::collect::UpdateTable::new();
+            let mut v = vec![0.0f32; rt.feature_dim(10)];
+            v[2] = -1.0;
+            t.absorb(3, 10, &v, 0.0);
+            t
+        };
+        server.handle_upload(first.clone());
+        server.handle_upload(second.clone());
+        assert_eq!(server.pending_uploads(), 2);
+        server.flush_pending();
+        assert_eq!(server.pending_uploads(), 0);
+        assert_bit_identical(
+            server.global(),
+            &merged_on_arrival(&genesis, &[first, second]),
         );
-        for (a, b) in server
-            .global()
-            .get(3, 10)
-            .unwrap()
-            .iter()
-            .zip(per_upload.global().get(3, 10).unwrap().iter())
-        {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+    }
+
+    #[test]
+    fn peer_sync_drains_the_queue_before_export_and_absorb() {
+        let (rt, mut cell0) = server();
+        let (_, mut cell1) = server();
+        cell1.set_cell_id(1);
+        let genesis = cell1.global().clone();
+        let up = upload_for(&rt, 0, 3, 10);
+        cell0.handle_upload(up.clone());
+        // The export carries the queued upload's φ...
+        let delta = cell0.export_delta(1);
+        assert_eq!(cell0.pending_uploads(), 0);
+        assert_eq!(delta.entries.len(), 1);
+        assert_eq!(delta.entries[0].frequency, up.frequency);
+        // ...and an absorb merges the receiver's own queue ahead of it.
+        let local = upload_for(&rt, 1, 4, 11);
+        cell1.handle_upload(local.clone());
+        cell1.absorb_peer(&delta);
+        assert_eq!(cell1.pending_uploads(), 0);
+        let mut reference = merged_on_arrival(&genesis, &[local]);
+        let entry = &delta.entries[0];
+        reference.merge_batch(
+            &[(&entry.table, entry.frequency.as_slice())],
+            0.99,
+            &mut MergeScratch::new(),
+        );
+        assert_bit_identical(cell1.global(), &reference);
     }
 
     #[test]
@@ -1059,12 +1068,11 @@ mod tests {
         let dataset = DatasetSpec::ucf101().subset(20);
         let seeds = SeedTree::new(64);
         let rt = ModelRuntime::new(ModelId::ResNet101, &dataset, &seeds);
-        let cfg = CocaConfig::for_model(ModelId::ResNet101)
-            .with_merge_mode(MergeMode::QueueAndFlush)
-            .with_flush_policy(FlushPolicy::RoundAligned);
+        let cfg =
+            CocaConfig::for_model(ModelId::ResNet101).with_flush_policy(FlushPolicy::RoundAligned);
         let mut server = CocaServer::new(&rt, cfg, &seeds);
         server.set_flush_watermark(3);
-        let mut reference = CocaServer::new(&rt, per_upload_cfg(), &seeds);
+        let genesis = server.global().clone();
 
         let ups = [
             upload_for(&rt, 0, 3, 10),
@@ -1094,25 +1102,7 @@ mod tests {
         // ...but the watermark upload is: the fleet-sized batch drains.
         server.handle_upload(ups[2].clone());
         assert_eq!(server.pending_uploads(), 0);
-        for up in ups {
-            reference.handle_upload(up);
-        }
-        assert_eq!(
-            server.global().frequency(),
-            reference.global().frequency(),
-            "the drained batch lands the same Eq. 5 state"
-        );
-        for (c, j) in [(3usize, 10usize), (4, 11), (5, 12)] {
-            for (a, b) in server
-                .global()
-                .get(c, j)
-                .unwrap()
-                .iter()
-                .zip(reference.global().get(c, j).unwrap().iter())
-            {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
+        assert_bit_identical(server.global(), &merged_on_arrival(&genesis, &ups));
 
         // A shrinking watermark drains an already-full queue immediately.
         server.handle_upload(upload_for(&rt, 0, 3, 10));
@@ -1175,23 +1165,17 @@ mod tests {
         let dataset = DatasetSpec::ucf101().subset(20);
         let seeds = SeedTree::new(63);
         let rt = ModelRuntime::new(ModelId::ResNet101, &dataset, &seeds);
-        let mut cfg =
-            CocaConfig::for_model(ModelId::ResNet101).with_merge_mode(MergeMode::QueueAndFlush);
+        let mut cfg = CocaConfig::for_model(ModelId::ResNet101);
         cfg.leave_phi_decay = 0.5;
         let mut qaf = CocaServer::new(&rt, cfg, &seeds);
-        let mut per_upload = {
-            let mut c = cfg;
-            c.merge_mode = MergeMode::PerUpload;
-            CocaServer::new(&rt, c, &seeds)
-        };
         let up = upload_for(&rt, 0, 3, 10);
-        qaf.handle_upload(up.clone());
-        per_upload.handle_upload(up);
-        // Decay must apply to the post-merge Φ in both pipelines.
+        let mut reference = merged_on_arrival(qaf.global(), std::slice::from_ref(&up));
+        qaf.handle_upload(up);
+        // Decay must apply to the post-merge Φ.
         qaf.on_client_leave();
-        per_upload.on_client_leave();
+        reference.decay_frequency(0.5);
         assert_eq!(qaf.pending_uploads(), 0);
-        assert_eq!(qaf.global().frequency(), per_upload.global().frequency());
+        assert_eq!(qaf.global().frequency(), reference.frequency());
     }
 
     #[test]
@@ -1231,8 +1215,8 @@ mod tests {
 
     /// Drives a mixed event sequence — requests, uploads, a leave, a
     /// flush — through the public (logged) handlers. Seven WAL records
-    /// under the default per-upload pipeline (the trailing flush finds an
-    /// empty queue and logs nothing).
+    /// (the second request drains the queue, so the trailing flush finds
+    /// it empty and logs nothing).
     fn drive_mixed(rt: &ModelRuntime, server: &mut CocaServer) {
         let profile = server.base_hit_profile().to_vec();
         let mkreq = |id: u64| CacheRequest {
@@ -1389,12 +1373,12 @@ mod tests {
         let seeds = SeedTree::new(60);
         let rt2 = ModelRuntime::new(ModelId::ResNet101, &dataset, &seeds);
         let base = CocaConfig::for_model(ModelId::ResNet101);
-        // A tunable, the table precision, the upload pipeline: whichever
+        // A tunable, the table precision, the flush policy: whichever
         // field differs from the one the snapshot embeds, recovery refuses.
         for cfg in [
             base.with_theta(0.02),
             base.with_precision(coca_math::Precision::I8),
-            base.with_merge_mode(MergeMode::QueueAndFlush),
+            base.with_flush_policy(FlushPolicy::RoundAligned),
         ] {
             let (rt, mut live) = durable_server(3);
             drive_mixed(&rt, &mut live);
@@ -1441,9 +1425,8 @@ mod tests {
         let dataset = DatasetSpec::ucf101().subset(20);
         let seeds = SeedTree::new(64);
         let rt = ModelRuntime::new(ModelId::ResNet101, &dataset, &seeds);
-        let cfg = CocaConfig::for_model(ModelId::ResNet101)
-            .with_merge_mode(MergeMode::QueueAndFlush)
-            .with_flush_policy(FlushPolicy::RoundAligned);
+        let cfg =
+            CocaConfig::for_model(ModelId::ResNet101).with_flush_policy(FlushPolicy::RoundAligned);
         let mut live = CocaServer::new(&rt, cfg, &seeds);
         live.attach_durability(Durability::new(Box::new(MemStorage::new()), 2));
         live.set_flush_watermark(5);

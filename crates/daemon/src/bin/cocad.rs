@@ -36,9 +36,8 @@ World (must match the load generator):
                        (default resnet101)
   --classes N          UCF-101 class subset (default 30)
   --seed N             master seed (default 77)
-  --merge-mode MODE    per_upload | queue_and_flush (default per_upload)
-  --round-aligned BOOL queue-and-flush drains at the fleet watermark
-                       (default false)
+  --round-aligned BOOL drain the upload queue at the fleet watermark
+                       instead of every request (default false)
   --precision P        f32 | f16 | i8 table/wire precision (default f32)
 ";
 
@@ -125,11 +124,10 @@ fn main() -> ExitCode {
     };
     println!(
         "cocad: listening on {} ({:?} on {} classes, \
-         merge {:?}, genesis digest {genesis:016x})",
+         genesis digest {genesis:016x})",
         handle.addr(),
         opts.spec.model,
         opts.spec.classes,
-        opts.spec.merge_mode,
     );
     if let Some(path) = &opts.addr_file {
         // Written only after the listener is live, so a watcher that

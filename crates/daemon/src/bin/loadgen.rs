@@ -41,8 +41,8 @@ Load shape:
   --shutdown           send Shutdown when done
 
 World (must match the daemon):
-  --model NAME / --classes N / --seed N / --merge-mode MODE /
-  --round-aligned BOOL   (same defaults as cocad)
+  --model NAME / --classes N / --seed N / --round-aligned BOOL /
+  --precision P          (same defaults as cocad)
 ";
 
 struct Opts {

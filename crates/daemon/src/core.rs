@@ -7,7 +7,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use coca_core::proto::{CacheAllocation, CacheRequest, PeerDelta, UpdateUpload};
-use coca_core::{CocaConfig, CocaServer, FlushPolicy, MergeMode};
+use coca_core::{CocaConfig, CocaServer, FlushPolicy};
 use coca_data::DatasetSpec;
 use coca_math::Precision;
 use coca_model::{ModelId, ModelRuntime};
@@ -25,10 +25,8 @@ pub struct RunSpec {
     pub classes: usize,
     /// Master seed for the [`SeedTree`].
     pub seed: u64,
-    /// Upload pipeline: merge on arrival or queue-and-flush.
-    pub merge_mode: MergeMode,
-    /// Queue-and-flush only: drain at the fleet watermark instead of at
-    /// every request boundary.
+    /// Drain the upload queue at the fleet watermark instead of at every
+    /// request boundary.
     pub round_aligned: bool,
     /// Numeric precision of the global table and every wire payload:
     /// allocations extract from (and uploads snap onto) this grid, so a
@@ -42,7 +40,6 @@ impl Default for RunSpec {
             model: ModelId::ResNet101,
             classes: 30,
             seed: 77,
-            merge_mode: MergeMode::PerUpload,
             round_aligned: false,
             precision: Precision::F32,
         }
@@ -62,19 +59,10 @@ pub fn parse_model(s: &str) -> Option<ModelId> {
     .find(|m| m.name() == s)
 }
 
-/// Parses a merge-mode flag value (`per_upload` / `queue_and_flush`).
-pub fn parse_merge_mode(s: &str) -> Option<MergeMode> {
-    match s {
-        "per_upload" => Some(MergeMode::PerUpload),
-        "queue_and_flush" => Some(MergeMode::QueueAndFlush),
-        _ => None,
-    }
-}
-
 impl RunSpec {
     /// Consumes one `--flag value` pair if it belongs to the spec
-    /// (`--model`, `--classes`, `--seed`, `--merge-mode`,
-    /// `--round-aligned`, `--precision`). Both `cocad` and `coca-loadgen` route their
+    /// (`--model`, `--classes`, `--seed`, `--round-aligned`,
+    /// `--precision`). Both `cocad` and `coca-loadgen` route their
     /// argument loops through this, so the two command lines can never
     /// drift apart on what defines the deterministic world.
     pub fn apply_flag(&mut self, flag: &str, value: &str) -> Result<bool, String> {
@@ -90,10 +78,6 @@ impl RunSpec {
             }
             "--seed" => {
                 self.seed = value.parse().map_err(|_| format!("bad --seed '{value}'"))?;
-            }
-            "--merge-mode" => {
-                self.merge_mode = parse_merge_mode(value)
-                    .ok_or_else(|| format!("unknown merge mode '{value}'"))?;
             }
             "--round-aligned" => {
                 self.round_aligned = value
@@ -115,9 +99,7 @@ impl RunSpec {
         let dataset = DatasetSpec::ucf101().subset(self.classes);
         let seeds = SeedTree::new(self.seed);
         let rt = ModelRuntime::new(self.model, &dataset, &seeds);
-        let mut cfg = CocaConfig::for_model(self.model)
-            .with_merge_mode(self.merge_mode)
-            .with_precision(self.precision);
+        let mut cfg = CocaConfig::for_model(self.model).with_precision(self.precision);
         if self.round_aligned {
             cfg = cfg.with_flush_policy(FlushPolicy::RoundAligned);
         }
@@ -179,9 +161,9 @@ impl ServerCore {
         self.lock().handle_request(req).0
     }
 
-    /// §IV.A step 3: routes the upload through the configured merge
-    /// mode (immediate or queue-and-flush). Returns the uploads queued
-    /// and not yet merged as this upload left them.
+    /// §IV.A step 3: enqueues the upload for the next flush boundary.
+    /// Returns the uploads queued and not yet merged as this upload left
+    /// them.
     pub fn handle_upload(&self, up: UpdateUpload) -> usize {
         let mut server = self.lock();
         server.handle_upload(up);
@@ -237,7 +219,6 @@ mod tests {
         let spec = RunSpec {
             classes: 20,
             seed: 60,
-            merge_mode: MergeMode::QueueAndFlush,
             ..RunSpec::default()
         };
         let (rt, cfg, seeds) = spec.build();
@@ -265,14 +246,10 @@ mod tests {
                             precision: Precision::F32,
                         };
                         go.wait();
-                        // One id per upload: a client uploads once per
-                        // flush window.
+                        // Four uploads under one client id, no request
+                        // between them: one flush window holds them all.
                         (0..4)
-                            .map(|i| UpdateUpload {
-                                client_id: 4 * t + i,
-                                ..up.clone()
-                            })
-                            .map(|up| core.handle_upload(up))
+                            .map(|_| core.handle_upload(up.clone()))
                             .collect::<Vec<_>>()
                     })
                 })

@@ -28,8 +28,8 @@ pub enum ClientMsg {
     Request(CacheRequest),
     /// §IV.A step 3: end-of-round update upload.
     Upload(UpdateUpload),
-    /// Force a drain of the pending-upload queue (a no-op under
-    /// per-upload merging or an empty queue).
+    /// Force a drain of the pending-upload queue (a no-op when it is
+    /// empty).
     Flush,
     /// Ask for the global table digest. Does **not** flush: queued,
     /// unmerged uploads are not part of the table — send [`Self::Flush`]
@@ -59,7 +59,7 @@ pub enum ServerMsg {
     /// Reply to [`ClientMsg::Request`].
     Alloc(CacheAllocation),
     /// Reply to [`ClientMsg::Upload`], carrying the pending-queue depth
-    /// after this upload (0 under per-upload merging).
+    /// after this upload.
     UploadAck(usize),
     /// Reply to [`ClientMsg::Flush`].
     FlushDone,

@@ -3,15 +3,15 @@
 //! The contract `cocad` ships under: driven with one operation in
 //! flight at a time, the networked daemon finishes with the **same
 //! global-table digest** as an in-process `CocaServer` fed the
-//! identical sequence — for both merge modes and the round-aligned flush
-//! policy. The whole suite also runs under `--features simd` in CI, so
-//! the digest must not move under the AVX2 kernels either.
+//! identical sequence — under both flush policies. The whole suite also
+//! runs under `--features simd` in CI, so the digest must not move under
+//! the AVX2 kernels either.
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use coca::core::{CocaServer, MergeMode};
+use coca::core::CocaServer;
 use coca::daemon::{
     run_load, run_verify, serve, serve_with_peers, shutdown_daemon, Arrival, ClientMsg,
     DaemonClient, PeerSet, RunSpec, ServerCore, ServerMsg, Workload,
@@ -19,12 +19,11 @@ use coca::daemon::{
 use coca::math::Precision;
 use coca::net::{encode_frame, FrameReader};
 
-fn small_workload(merge_mode: MergeMode, round_aligned: bool) -> Workload {
+fn small_workload(round_aligned: bool) -> Workload {
     Workload {
         spec: RunSpec {
             classes: 15,
             seed: 41,
-            merge_mode,
             round_aligned,
             ..RunSpec::default()
         },
@@ -42,38 +41,35 @@ fn spawn_daemon(wl: &Workload) -> coca::daemon::DaemonHandle {
 
 #[test]
 fn sequential_loopback_digest_matches_in_process_reference() {
-    for merge_mode in [MergeMode::PerUpload, MergeMode::QueueAndFlush] {
-        let wl = small_workload(merge_mode, false);
-        let handle = spawn_daemon(&wl);
-        let addr = handle.addr();
-        let outcome = run_verify(addr, &wl).expect("verify run");
-        assert!(
-            outcome.matches(),
-            "digest diverged over loopback ({merge_mode:?}): \
-             daemon {:016x} vs reference {:016x}",
-            outcome.daemon_digest,
-            outcome.local_digest
-        );
-        assert_eq!(outcome.ops, wl.total_ops());
-        assert!(shutdown_daemon(addr), "daemon should ack the shutdown");
-        let report = handle.join();
-        // The run drove every op plus a flush; the report digest is
-        // post-flush, so it must still name the reference state.
-        assert_eq!(
-            report.digest, outcome.local_digest,
-            "final report digest diverged ({merge_mode:?})"
-        );
-        assert_eq!(report.requests, wl.total_ops() / 2);
-        assert_eq!(report.uploads, wl.total_ops() / 2);
-        // The server comes back whole: same table, nothing left queued.
-        assert_eq!(report.server.global().digest(), report.digest);
-        assert_eq!(report.server.pending_uploads(), 0);
-    }
+    let wl = small_workload(false);
+    let handle = spawn_daemon(&wl);
+    let addr = handle.addr();
+    let outcome = run_verify(addr, &wl).expect("verify run");
+    assert!(
+        outcome.matches(),
+        "digest diverged over loopback: daemon {:016x} vs reference {:016x}",
+        outcome.daemon_digest,
+        outcome.local_digest
+    );
+    assert_eq!(outcome.ops, wl.total_ops());
+    assert!(shutdown_daemon(addr), "daemon should ack the shutdown");
+    let report = handle.join();
+    // The run drove every op plus a flush; the report digest is
+    // post-flush, so it must still name the reference state.
+    assert_eq!(
+        report.digest, outcome.local_digest,
+        "final report digest diverged"
+    );
+    assert_eq!(report.requests, wl.total_ops() / 2);
+    assert_eq!(report.uploads, wl.total_ops() / 2);
+    // The server comes back whole: same table, nothing left queued.
+    assert_eq!(report.server.global().digest(), report.digest);
+    assert_eq!(report.server.pending_uploads(), 0);
 }
 
 #[test]
 fn round_aligned_watermark_survives_the_wire() {
-    let wl = small_workload(MergeMode::QueueAndFlush, true);
+    let wl = small_workload(true);
     let handle = spawn_daemon(&wl);
     let addr = handle.addr();
     let outcome = run_verify(addr, &wl).expect("verify run");
@@ -94,7 +90,7 @@ fn quantized_loopback_digest_matches_per_precision() {
     // still land exactly on the in-process reference under the same
     // spec. (f32 is the existing tests' default.)
     for precision in [Precision::F32, Precision::F16, Precision::I8] {
-        let mut wl = small_workload(MergeMode::QueueAndFlush, false);
+        let mut wl = small_workload(false);
         wl.spec.precision = precision;
         let handle = spawn_daemon(&wl);
         let addr = handle.addr();
@@ -113,12 +109,14 @@ fn quantized_loopback_digest_matches_per_precision() {
 
 #[test]
 fn peer_sync_ships_the_table_delta_over_loopback() {
-    // Two daemons as cells 0 and 1: cell 0 takes the whole workload,
-    // then a SyncNow ships its delta to cell 1 over real TCP. Cell 1's
-    // post-sync digest must land exactly on an in-process reference
-    // replaying the same export/absorb — the socket leg of the
-    // multi-edge sync path must be digest-invisible.
-    let wl = small_workload(MergeMode::PerUpload, false);
+    // Two daemons as cells 0 and 1: cell 0 takes the whole workload plus
+    // one more upload that stays queued, then a SyncNow ships its delta
+    // to cell 1 over real TCP. The export drains cell 0's queue first, so
+    // the queued upload's φ travels too, and cell 1's post-sync digest
+    // must land exactly on an in-process reference replaying the same
+    // export/absorb — the socket leg of the multi-edge sync path must be
+    // digest-invisible.
+    let wl = small_workload(false);
     let (rt, cfg, seeds) = wl.spec.build();
 
     // Daemon B (cell 1): no peers.
@@ -139,25 +137,54 @@ fn peer_sync_ships_the_table_delta_over_loopback() {
     // identical sequence on its own reference, pinning A's digest.
     let outcome = run_verify(handle_a.addr(), &wl).expect("verify run");
     assert!(outcome.matches(), "cell 0 diverged before the sync");
+    // One more upload, no request or flush after it: it sits in cell 0's
+    // queue when the sync fires.
+    let queued = wl.upload(&rt, &seeds, wl.clients, 0);
+    let mut client = DaemonClient::connect(handle_a.addr()).expect("connect to A");
+    match client
+        .call(&ClientMsg::Upload(queued.clone()))
+        .expect("upload call")
+    {
+        ServerMsg::UploadAck(depth) => assert_eq!(depth, 1, "the upload must stay queued"),
+        other => panic!("expected UploadAck, got {other:?}"),
+    }
 
     // In-process replay of the sync leg: the same merge history at cell
     // 0, exported to cell 1, absorbed at a fresh cell-1 server.
     let mut ref_a = CocaServer::new(&rt, cfg, &seeds);
+    let mut sent_phi = vec![0u64; rt.num_classes()];
     for round in 0..wl.rounds {
         for k in 0..wl.clients {
             let profile = ref_a.base_hit_profile();
             let req = wl.request(&rt, profile, k, round);
             ref_a.handle_request(&req);
-            ref_a.handle_upload(wl.upload(&rt, &seeds, k, round));
+            let up = wl.upload(&rt, &seeds, k, round);
+            for (s, p) in sent_phi.iter_mut().zip(&up.frequency) {
+                *s += p;
+            }
+            ref_a.handle_upload(up);
         }
     }
     ref_a.flush_pending();
+    for (s, p) in sent_phi.iter_mut().zip(&queued.frequency) {
+        *s += p;
+    }
+    ref_a.handle_upload(queued);
     let mut ref_b = CocaServer::new(&rt, cfg, &seeds);
     ref_b.set_cell_id(1);
+    let genesis_phi = ref_b.global().frequency().to_vec();
     ref_b.absorb_peer(&ref_a.export_delta(1));
+    // Cell 1's Φ grew by every φ cell 0 took, the queued upload's too.
+    let grown: Vec<u64> = ref_b
+        .global()
+        .frequency()
+        .iter()
+        .zip(&genesis_phi)
+        .map(|(now, was)| now - was)
+        .collect();
+    assert_eq!(grown, sent_phi);
 
     // Fire the sync: A ships exactly one delta, B acks it inline.
-    let mut client = DaemonClient::connect(handle_a.addr()).expect("connect to A");
     match client.call(&ClientMsg::SyncNow).expect("sync call") {
         ServerMsg::SyncDone(shipped) => assert_eq!(shipped, 1, "one peer, one delta"),
         other => panic!("expected SyncDone, got {other:?}"),
@@ -193,7 +220,7 @@ fn a_silent_peer_costs_a_sync_its_timeout_and_nothing_else() {
         drop(conn);
     });
 
-    let wl = small_workload(MergeMode::PerUpload, false);
+    let wl = small_workload(false);
     let (rt, cfg, seeds) = wl.spec.build();
     let core = ServerCore::new(CocaServer::new(&rt, cfg, &seeds));
     let peers = PeerSet::parse(&format!("1={silent_addr}")).expect("peer list parses");
@@ -235,7 +262,7 @@ fn concurrent_closed_loop_serves_every_op_exactly_once() {
     // dependent, but op accounting and Φ conservation are exact: the
     // daemon must serve 2 ops per client per round, no losses, no
     // duplicates, across concurrent connections.
-    let wl = small_workload(MergeMode::QueueAndFlush, false);
+    let wl = small_workload(false);
     let handle = spawn_daemon(&wl);
     let addr = handle.addr();
     let report = run_load(
@@ -259,7 +286,7 @@ fn concurrent_closed_loop_serves_every_op_exactly_once() {
 
 #[test]
 fn open_loop_pairs_every_reply() {
-    let wl = small_workload(MergeMode::PerUpload, false);
+    let wl = small_workload(false);
     let handle = spawn_daemon(&wl);
     let addr = handle.addr();
     let report = run_load(
@@ -277,7 +304,7 @@ fn open_loop_pairs_every_reply() {
 
 #[test]
 fn a_client_that_never_reads_stalls_only_its_own_connection() {
-    let wl = small_workload(MergeMode::PerUpload, false);
+    let wl = small_workload(false);
     let (rt, _, seeds) = wl.spec.build();
     let handle = spawn_daemon(&wl);
     let addr = handle.addr();
@@ -340,7 +367,7 @@ fn daemons_that_sync_each_other_at_once_both_answer() {
     // `SyncNow` is still waiting for the other's ack. With the sync and
     // the absorb behind one worker, the two daemons held each other's
     // for the whole peer timeout and shipped nothing.
-    let wl = small_workload(MergeMode::PerUpload, false);
+    let wl = small_workload(false);
     let (rt, cfg, seeds) = wl.spec.build();
     let listeners = [(); 2].map(|()| TcpListener::bind("127.0.0.1:0").expect("bind loopback"));
     let addrs = listeners
@@ -392,7 +419,7 @@ fn daemons_that_sync_each_other_at_once_both_answer() {
 
 #[test]
 fn frames_coalesced_into_one_write_are_answered_in_order() {
-    let wl = small_workload(MergeMode::QueueAndFlush, false);
+    let wl = small_workload(false);
     let handle = spawn_daemon(&wl);
     let mut bytes = Vec::new();
     for msg in [
@@ -420,7 +447,7 @@ fn closed_connections_leave_no_socket_behind() {
     // Every accepted socket used to stay open in the daemon's registry
     // until `join`: a peer that ships a delta per sync tick (a fresh
     // connection each) walked the daemon into its descriptor limit.
-    let wl = small_workload(MergeMode::PerUpload, false);
+    let wl = small_workload(false);
     let handle = spawn_daemon(&wl);
     let addr = handle.addr();
     // Linux only; elsewhere the registry count is the whole check.

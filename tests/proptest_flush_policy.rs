@@ -2,19 +2,20 @@
 //! batching mode (PR 6):
 //!
 //! * **Table-level pin**: a round-aligned server draining a watermark-full
-//!   queue lands the exact per-upload global table — the flush merges the
-//!   batch in arrival order, bit for bit, on randomized uploads.
+//!   queue lands exactly on its table with the same uploads merged one at
+//!   a time (`GlobalCacheTable::merge_update`) in arrival order, bit for
+//!   bit, on randomized uploads.
 //! * **Engine-level determinism**: a round-aligned run is a pure function
-//!   of the spec — identical records run to run and at any rayon width.
-//!   (Round-aligned is a *relaxed observation* mode: centroids lag the
-//!   per-upload pipeline by at most one round, so it is deterministic but
-//!   intentionally NOT byte-identical to `FlushPolicy::EveryBoundary`;
-//!   that contract belongs to `proptest_merge_modes.rs`.)
+//!   of the spec — identical records run to run. (Round-aligned is a
+//!   *relaxed observation* mode: centroids lag an every-boundary drain by
+//!   at most one round, so it is deterministic but intentionally NOT
+//!   byte-identical to `FlushPolicy::EveryBoundary`; that contract belongs
+//!   to `proptest_merge_modes.rs`.)
 
 use coca::core::collect::UpdateTable;
+use coca::core::global::MergeScratch;
 use coca::core::proto::UpdateUpload;
 use coca::core::spec::PopularityShift;
-use coca::core::{CocaServer, MergeMode};
 use coca::net::LinkModel;
 use coca::prelude::*;
 use proptest::prelude::*;
@@ -45,15 +46,13 @@ fn random_spec(seed: u64, join_at: f64, leave_after: usize, shift_at: u64) -> Sc
         )
 }
 
-/// Runs CoCa under `QueueAndFlush` + the given flush policy and returns
-/// the report plus the canonical serialized record series.
-fn run_coca(spec: &ScenarioSpec, policy: FlushPolicy, parallel: bool) -> (EngineReport, String) {
+/// Runs CoCa under the given flush policy and returns the report plus the
+/// canonical serialized record series.
+fn run_coca(spec: &ScenarioSpec, policy: FlushPolicy) -> (EngineReport, String) {
     let (scenario, plan) = spec.materialize();
     let coca = CocaConfig::for_model(ModelId::ResNet101)
         .with_round_frames(spec.frames_per_round)
-        .with_merge_mode(MergeMode::QueueAndFlush)
-        .with_flush_policy(policy)
-        .with_parallel_merge(parallel);
+        .with_flush_policy(policy);
     let mut engine = Engine::new(scenario, EngineConfig::new(coca));
     let report = engine.run_plan(&plan);
     let records = format!(
@@ -103,7 +102,7 @@ fn random_upload(rt: &ModelRuntime, rng: &mut impl Rng, client_id: u64) -> Updat
 
 proptest! {
     /// Draining a watermark-full queue reproduces the arrival-order
-    /// per-upload merge bit for bit.
+    /// sequential merge bit for bit.
     #[test]
     fn watermark_drain_matches_arrival_order_merge(
         seed in 0u64..500,
@@ -113,17 +112,12 @@ proptest! {
         let seeds = SeedTree::new(seed);
         let rt = ModelRuntime::new(ModelId::ResNet101, &dataset, &seeds);
         let cfg = CocaConfig::for_model(ModelId::ResNet101)
-            .with_merge_mode(MergeMode::QueueAndFlush)
             .with_flush_policy(FlushPolicy::RoundAligned);
         let mut aligned = CocaServer::new(&rt, cfg, &seeds);
         aligned.set_flush_watermark(fleet);
-        // Explicitly per-upload: the reference arm must never run the
-        // pipeline under test.
-        let mut reference = CocaServer::new(
-            &rt,
-            CocaConfig::for_model(ModelId::ResNet101).with_merge_mode(MergeMode::PerUpload),
-            &seeds,
-        );
+        // The reference arm merges one upload at a time, never through
+        // the queue under test.
+        let mut reference = aligned.global().clone();
 
         let mut rng = seeds.rng_for("uploads");
         let ups: Vec<UpdateUpload> = (0..fleet)
@@ -137,16 +131,14 @@ proptest! {
         }
         // The fleet-th upload hit the watermark and drained the queue.
         prop_assert_eq!(aligned.pending_uploads(), 0);
+        let mut scratch = MergeScratch::new();
         for up in ups {
-            reference.handle_upload(up);
+            reference.merge_update(&up.table, &up.frequency, cfg.gamma_global, &mut scratch);
         }
-        prop_assert_eq!(
-            aligned.global().frequency(),
-            reference.global().frequency()
-        );
+        prop_assert_eq!(aligned.global().frequency(), reference.frequency());
         for c in 0..rt.num_classes() {
             for l in 0..rt.num_cache_points() {
-                match (aligned.global().get(c, l), reference.global().get(c, l)) {
+                match (aligned.global().get(c, l), reference.get(c, l)) {
                     (None, None) => {}
                     (Some(a), Some(b)) => {
                         for (x, y) in a.iter().zip(b.iter()) {
@@ -163,28 +155,18 @@ proptest! {
     }
 
     /// A round-aligned engine run is deterministic: identical records on
-    /// a repeat run and at rayon widths 1, 2 and N.
+    /// a repeat run, across randomized churn/drift/link dynamics.
     #[test]
-    fn round_aligned_runs_are_deterministic_at_any_width(
+    fn round_aligned_runs_are_deterministic(
         seed in 500u64..650,
         join_at in 1_000.0f64..40_000.0,
         leave_after in 1usize..ROUNDS,
         shift_at in 10u64..60,
     ) {
         let spec = random_spec(seed, join_at, leave_after, shift_at);
-        let first = run_coca(&spec, FlushPolicy::RoundAligned, false);
-        for width in [1usize, 2, rayon::current_num_threads().max(3)] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(width)
-                .build()
-                .expect("shim pool build is infallible");
-            let sharded = pool.install(|| run_coca(&spec, FlushPolicy::RoundAligned, true));
-            assert_reports_identical(
-                &first,
-                &sharded,
-                &format!("round-aligned sharded at {width} workers"),
-            );
-        }
+        let first = run_coca(&spec, FlushPolicy::RoundAligned);
+        let again = run_coca(&spec, FlushPolicy::RoundAligned);
+        assert_reports_identical(&first, &again, "round-aligned repeat run");
     }
 }
 
@@ -193,8 +175,8 @@ proptest! {
 #[test]
 fn round_aligned_repeat_runs_are_byte_identical() {
     let spec = random_spec(902, 12_000.0, 1, 20);
-    let first = run_coca(&spec, FlushPolicy::RoundAligned, false);
-    let again = run_coca(&spec, FlushPolicy::RoundAligned, false);
+    let first = run_coca(&spec, FlushPolicy::RoundAligned);
+    let again = run_coca(&spec, FlushPolicy::RoundAligned);
     assert_reports_identical(&first, &again, "round-aligned repeat run");
 }
 
@@ -206,7 +188,6 @@ fn round_aligned_flushes_the_tail_at_run_end() {
     let (scenario, plan) = spec.materialize();
     let coca = CocaConfig::for_model(ModelId::ResNet101)
         .with_round_frames(spec.frames_per_round)
-        .with_merge_mode(MergeMode::QueueAndFlush)
         .with_flush_policy(FlushPolicy::RoundAligned);
     let mut engine = Engine::new(scenario, EngineConfig::new(coca));
     let report = engine.run_plan(&plan);

@@ -1,27 +1,22 @@
-//! Property tests pinning the **queue-and-flush upload pipeline** and the
-//! **rayon layer-sharded batched merge** to the per-upload baseline:
+//! Property test pinning the server's one upload pipeline — every upload
+//! queues and drains at the next flush boundary — to merging each upload
+//! on arrival: across randomized churn/drift/link timelines, a CoCa
+//! engine run's final global table is **bit-identical** to its genesis
+//! table with every upload of the run merged one at a time
+//! (`GlobalCacheTable::merge_update`) in arrival order.
 //!
-//! * a CoCa engine run under `MergeMode::QueueAndFlush` regenerates
-//!   **byte-identical** records (frame digest, every latency/windowed/
-//!   per-client series, the post-run global table) vs the same run under
-//!   `MergeMode::PerUpload` — across randomized churn/drift/link
-//!   timelines, the committed dynamics records' shape;
-//! * `parallel_merge` output is bit-identical at 1, 2 and N rayon
-//!   workers, at the table level (`merge_batch_sharded` vs `merge_batch`)
-//!   and through a full engine run.
-//!
-//! The virtual cost model is charged at upload arrival in both modes and
-//! the batched pass is sequential-equivalent in FIFO order, so any drift
-//! here is a real determinism bug, not tolerance noise.
+//! The run's write-ahead log supplies that order: every upload is logged
+//! as it arrives, and durability is observationally transparent
+//! (`tests/proptest_recovery.rs`). The batched pass is
+//! sequential-equivalent in FIFO order, so any drift here is a real
+//! determinism bug, not tolerance noise.
 
-use coca::core::collect::UpdateTable;
-use coca::core::global::{GlobalCacheTable, MergeScratch};
+use coca::core::global::MergeScratch;
+use coca::core::persist::{decode_frames, Durability, MemStorage, WalRecord, WAL_CUR};
 use coca::core::spec::PopularityShift;
-use coca::core::MergeMode;
 use coca::net::LinkModel;
 use coca::prelude::*;
 use proptest::prelude::*;
-use rand::Rng;
 
 const BASE_CLIENTS: usize = 3;
 const ROUNDS: usize = 2;
@@ -47,53 +42,9 @@ fn random_spec(seed: u64, join_at: f64, leave_after: usize, shift_at: u64) -> Sc
         )
 }
 
-/// Runs CoCa over `spec` with the given upload pipeline and returns the
-/// report plus a canonical JSON rendering of every record series (the
-/// byte-identity probe) and the post-run global table JSON.
-fn run_coca(spec: &ScenarioSpec, mode: MergeMode, parallel: bool) -> (EngineReport, String) {
-    let (scenario, plan) = spec.materialize();
-    let coca = CocaConfig::for_model(ModelId::ResNet101)
-        .with_round_frames(spec.frames_per_round)
-        .with_merge_mode(mode)
-        .with_parallel_merge(parallel);
-    let mut engine = Engine::new(scenario, EngineConfig::new(coca));
-    let report = engine.run_plan(&plan);
-    let records = format!(
-        "{}|{}|{}|{}|{}",
-        serde_json::to_string(&report.latency).unwrap(),
-        serde_json::to_string(&report.response_latency).unwrap(),
-        serde_json::to_string(&report.windowed).unwrap(),
-        serde_json::to_string(&report.per_client).unwrap(),
-        serde_json::to_string(engine.server().global()).unwrap(),
-    );
-    (report, records)
-}
-
-fn assert_reports_identical(a: &(EngineReport, String), b: &(EngineReport, String), label: &str) {
-    assert_eq!(a.0.frame_digest, b.0.frame_digest, "{label}: digest");
-    assert_eq!(a.0.frames, b.0.frames, "{label}: frames");
-    assert_eq!(
-        a.0.mean_latency_ms.to_bits(),
-        b.0.mean_latency_ms.to_bits(),
-        "{label}: mean latency"
-    );
-    assert_eq!(
-        a.0.accuracy_pct.to_bits(),
-        b.0.accuracy_pct.to_bits(),
-        "{label}: accuracy"
-    );
-    assert_eq!(
-        a.0.hit_ratio.to_bits(),
-        b.0.hit_ratio.to_bits(),
-        "{label}: hit ratio"
-    );
-    assert_eq!(a.0.end_time, b.0.end_time, "{label}: end time");
-    assert_eq!(a.1, b.1, "{label}: serialized record series");
-}
-
 proptest! {
-    /// Queue-and-flush runs regenerate byte-identical records vs
-    /// per-upload under randomized churn/drift/link dynamics.
+    /// The queue drained at every boundary lands exactly where merging
+    /// each upload on arrival would have.
     #[test]
     fn queue_and_flush_is_byte_identical_to_per_upload(
         seed in 0u64..300,
@@ -102,101 +53,41 @@ proptest! {
         shift_at in 10u64..60,
     ) {
         let spec = random_spec(seed, join_at, leave_after, shift_at);
-        let per_upload = run_coca(&spec, MergeMode::PerUpload, false);
-        let queued = run_coca(&spec, MergeMode::QueueAndFlush, false);
-        assert_reports_identical(&per_upload, &queued, "queue-and-flush vs per-upload");
-    }
+        let (scenario, plan) = spec.materialize();
+        let coca = CocaConfig::for_model(ModelId::ResNet101)
+            .with_round_frames(spec.frames_per_round);
+        let mut engine = Engine::new(scenario, EngineConfig::new(coca));
+        let mut reference = engine.server().global().clone();
+        // One segment for the whole run: the log never rotates.
+        engine
+            .server_mut()
+            .attach_durability(Durability::new(Box::new(MemStorage::new()), 1 << 30));
+        engine.run_plan(&plan);
+        prop_assert_eq!(engine.server().pending_uploads(), 0);
 
-    /// The sharded merge changes nothing at any worker count, end to end:
-    /// per-upload == queue-and-flush+parallel at 1, 2 and N workers.
-    #[test]
-    fn parallel_merge_is_byte_identical_at_any_width(
-        seed in 300u64..450,
-        join_at in 1_000.0f64..40_000.0,
-    ) {
-        let spec = random_spec(seed, join_at, 1, 25);
-        let per_upload = run_coca(&spec, MergeMode::PerUpload, false);
-        for width in [1usize, 2, rayon::current_num_threads().max(3)] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(width)
-                .build()
-                .expect("shim pool build is infallible");
-            let sharded = pool.install(|| run_coca(&spec, MergeMode::QueueAndFlush, true));
-            assert_reports_identical(
-                &per_upload,
-                &sharded,
-                &format!("sharded at {width} workers vs per-upload"),
-            );
-        }
-    }
-
-    /// Table-level pin: `merge_batch_sharded` is bit-identical to the
-    /// serial `merge_batch` (and hence to sequential merging) at 1, 2 and
-    /// N workers, on random upload batches.
-    #[test]
-    fn sharded_table_merge_matches_serial_at_any_width(
-        seed in 0u64..2000,
-        clients in 1usize..6,
-    ) {
-        const CLASSES: usize = 6;
-        const LAYERS: usize = 4;
-        const DIM: usize = 13;
-        let mut rng = SeedTree::new(seed).rng_for("sharded");
-        let mut serial = GlobalCacheTable::new(CLASSES, LAYERS);
-        for _ in 0..rng.gen_range(0..10) {
-            let (c, l) = (rng.gen_range(0..CLASSES), rng.gen_range(0..LAYERS));
-            let v: Vec<f32> = (0..DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-            serial.set(c, l, v);
-        }
-        let prior: Vec<u64> = (0..CLASSES).map(|_| rng.gen_range(0..40)).collect();
-        serial.seed_frequency(&prior);
-
-        let uploads: Vec<(UpdateTable, Vec<u64>)> = (0..clients)
-            .map(|_| {
-                let mut u = UpdateTable::new();
-                for _ in 0..rng.gen_range(0..8) {
-                    let (c, l) = (rng.gen_range(0..CLASSES), rng.gen_range(0..LAYERS));
-                    let v: Vec<f32> = (0..DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-                    u.absorb(c, l, &v, 0.95);
-                }
-                let phi: Vec<u64> = (0..CLASSES).map(|_| rng.gen_range(0..300)).collect();
-                (u, phi)
-            })
-            .collect();
-        let batch: Vec<(&UpdateTable, &[u64])> = uploads
-            .iter()
-            .map(|(u, phi)| (u, phi.as_slice()))
-            .collect();
-
+        let wal = engine.server().durability().unwrap().storage().load(WAL_CUR).unwrap();
+        let (payloads, _, _) = decode_frames(&wal, false).unwrap();
         let mut scratch = MergeScratch::new();
-        let mut sharded_tables: Vec<GlobalCacheTable> = Vec::new();
-        for width in [1usize, 2, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(width)
-                .build()
-                .expect("shim pool build is infallible");
-            let mut t = serial.clone();
-            pool.install(|| t.merge_batch_sharded(&batch, 0.99, &mut scratch));
-            sharded_tables.push(t);
+        let mut uploads = 0;
+        for payload in payloads {
+            if let WalRecord::Upload(up) = WalRecord::from_payload(payload).unwrap() {
+                reference.merge_update(&up.table, &up.frequency, coca.gamma_global, &mut scratch);
+                uploads += 1;
+            }
         }
-        serial.merge_batch(&batch, 0.99, &mut scratch);
-
-        for (t, width) in sharded_tables.iter().zip([1usize, 2, 8]) {
-            prop_assert_eq!(serial.frequency(), t.frequency());
-            for c in 0..CLASSES {
-                for l in 0..LAYERS {
-                    match (serial.get(c, l), t.get(c, l)) {
-                        (None, None) => {}
-                        (Some(a), Some(b)) => {
-                            for (x, y) in a.iter().zip(b.iter()) {
-                                prop_assert!(
-                                    x.to_bits() == y.to_bits(),
-                                    "cell ({c},{l}) differs at width {width}"
-                                );
-                            }
+        prop_assert!(uploads > 0, "the run logged no upload");
+        let table = engine.server().global();
+        prop_assert_eq!(table.frequency(), reference.frequency());
+        for c in 0..table.num_classes() {
+            for l in 0..table.num_layers() {
+                match (table.get(c, l), reference.get(c, l)) {
+                    (None, None) => {}
+                    (Some(a), Some(b)) => {
+                        for (x, y) in a.iter().zip(b.iter()) {
+                            prop_assert!(x.to_bits() == y.to_bits(), "cell ({c},{l}) differs");
                         }
-                        _ => prop_assert!(false, "occupancy differs at ({c},{l})"),
                     }
+                    _ => prop_assert!(false, "occupancy differs at ({c},{l})"),
                 }
             }
         }

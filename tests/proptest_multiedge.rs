@@ -7,9 +7,9 @@
 //!   no topology block — across randomized churn/drift/link timelines,
 //!   the committed dynamics records' shape;
 //! * a **peer-synced multi-cell** run (gossip or hub-and-spoke, with a
-//!   mid-run migration and layer-sharded parallel merges on, under
-//!   either merge mode) is bit-identical at 1, 2 and N rayon workers:
-//!   same frame digest, same per-cell global tables.
+//!   mid-run migration, under either flush policy) is a pure function of
+//!   its spec: a repeat run has the same frame digest, the same records
+//!   and the same per-cell global tables.
 //!
 //! Both one-cell runs take the same driver; what the first property pins
 //! is the spec → plan compilation: a one-cell topology's per-cell link
@@ -46,11 +46,10 @@ fn random_spec(seed: u64, join_at: f64, leave_after: usize, shift_at: u64) -> Sc
         )
 }
 
-fn engine_cfg(spec: &ScenarioSpec, parallel: bool, merge_mode: MergeMode) -> EngineConfig {
+fn engine_cfg(spec: &ScenarioSpec, policy: FlushPolicy) -> EngineConfig {
     let coca = CocaConfig::for_model(ModelId::ResNet101)
         .with_round_frames(spec.frames_per_round)
-        .with_parallel_merge(parallel)
-        .with_merge_mode(merge_mode);
+        .with_flush_policy(policy);
     EngineConfig::new(coca)
 }
 
@@ -74,13 +73,9 @@ fn probe(report: &EngineReport, globals: &[String]) -> (u64, u64, u64, u64, u64,
     )
 }
 
-fn run_cells(
-    spec: &ScenarioSpec,
-    parallel: bool,
-    merge_mode: MergeMode,
-) -> (u64, u64, u64, u64, u64, String) {
+fn run_cells(spec: &ScenarioSpec, policy: FlushPolicy) -> (u64, u64, u64, u64, u64, String) {
     let (scenario, plan) = spec.materialize();
-    let cfg = engine_cfg(spec, parallel, merge_mode);
+    let cfg = engine_cfg(spec, policy);
     let mut engine = Engine::with_cells(scenario, cfg, plan.topology.cells);
     let report = engine.run_plan(&plan);
     let globals: Vec<String> = engine
@@ -102,40 +97,37 @@ proptest! {
         shift_at in 10u64..60,
     ) {
         let spec = random_spec(seed, join_at, leave_after, shift_at);
-        let no_topology = run_cells(&spec, false, MergeMode::PerUpload);
+        let no_topology = run_cells(&spec, FlushPolicy::EveryBoundary);
         let one_cell = run_cells(
             &spec.clone().topology(TopologySpec::uniform(1, BASE_CLIENTS)),
-            false,
-            MergeMode::PerUpload,
+            FlushPolicy::EveryBoundary,
         );
         prop_assert_eq!(no_topology, one_cell);
     }
 
     /// Peer-synced multi-cell runs (both sync modes, with a mid-run
-    /// migration and sharded merges on) are bit-identical at any rayon
-    /// width — under queue-and-flush the client batches shard too, under
-    /// per-upload only the peer deltas do.
+    /// migration, under either flush policy) regenerate byte for byte:
+    /// every sync export and absorb drains its cell's queue at the same
+    /// point of the event order on every run.
     #[test]
-    fn peer_sync_is_deterministic_at_any_rayon_width(
+    fn peer_sync_is_deterministic(
         seed in 250u64..400,
         join_at in 1_000.0f64..30_000.0,
         period in 200.0f64..3_000.0,
         hub in any::<bool>(),
-        queued in any::<bool>(),
+        round_aligned in any::<bool>(),
     ) {
-        let merge_mode = if queued { MergeMode::QueueAndFlush } else { MergeMode::PerUpload };
+        let policy = if round_aligned {
+            FlushPolicy::RoundAligned
+        } else {
+            FlushPolicy::EveryBoundary
+        };
         let mode = if hub { SyncMode::HubAndSpoke } else { SyncMode::Gossip };
         let spec = random_spec(seed, join_at, 1, 25)
             .topology(TopologySpec::uniform(2, BASE_CLIENTS).with_sync(period, mode))
             .migrate(0, 1, 1);
-        let baseline = run_cells(&spec, true, merge_mode);
-        for width in [1usize, 2, rayon::current_num_threads().max(3)] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(width)
-                .build()
-                .expect("shim pool build is infallible");
-            let run = pool.install(|| run_cells(&spec, true, merge_mode));
-            prop_assert_eq!(&baseline, &run);
-        }
+        let baseline = run_cells(&spec, policy);
+        let again = run_cells(&spec, policy);
+        prop_assert_eq!(&baseline, &again);
     }
 }

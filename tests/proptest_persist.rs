@@ -35,22 +35,21 @@ use coca::core::persist::{
 };
 use coca::core::proto::{CacheRequest, UpdateUpload};
 use coca::core::{AcaOutput, ClientStatus, GlobalCacheTable};
-use coca::core::{CocaServer, FlushPolicy, MergeMode};
+use coca::core::{CocaServer, FlushPolicy};
 use coca::math::Precision;
 use coca::net::Wire;
 use coca::prelude::*;
 use proptest::prelude::*;
 use rand::Rng;
 
-/// A server mid-flight under the queue-and-flush pipeline: non-empty
-/// pending queue, populated client registry, a few WAL generations on
-/// storage. Returns the live snapshot bytes and the detached storage.
+/// A server mid-flight: non-empty pending queue, populated client
+/// registry, a few WAL generations on storage. Returns the live snapshot
+/// bytes and the detached storage.
 fn sample_state(precision: Precision) -> (Vec<u8>, Box<dyn Storage>) {
     let dataset = DatasetSpec::ucf101().subset(10);
     let seeds = SeedTree::new(41);
     let rt = ModelRuntime::new(ModelId::ResNet101, &dataset, &seeds);
     let cfg = CocaConfig::for_model(ModelId::ResNet101)
-        .with_merge_mode(MergeMode::QueueAndFlush)
         .with_flush_policy(FlushPolicy::RoundAligned)
         .with_precision(precision);
     let mut server = CocaServer::new(&rt, cfg, &seeds);
@@ -232,7 +231,6 @@ fn snapshot(rng: &mut impl Rng, precision: Precision) -> Snapshot {
     });
     Snapshot {
         config: CocaConfig::for_model(ModelId::ResNet101)
-            .with_merge_mode(MergeMode::QueueAndFlush)
             .with_flush_policy(FlushPolicy::RoundAligned)
             .with_precision(precision)
             .with_theta(rng.gen_range(0.001..0.1))
@@ -483,10 +481,10 @@ fn invalid_snapshots_yield_typed_errors() {
         );
     };
 
-    // Wrong version: the next one, the previous one, and the first byte
+    // Wrong version: the next one, the two before it, and the first byte
     // of the JSON payloads version 1 framed.
-    assert_eq!(payload[0], 2);
-    for version in [3u8, 1, b'{'] {
+    assert_eq!(payload[0], 3);
+    for version in [4u8, 2, 1, b'{'] {
         let mut bumped = payload.clone();
         bumped[0] = version;
         assert_payload_rejected(&bumped, "version");
@@ -743,9 +741,8 @@ fn a_hand_written_log_of_the_live_tags_replays_to_the_live_digest() {
     let dataset = DatasetSpec::ucf101().subset(10);
     let seeds = SeedTree::new(43);
     let rt = ModelRuntime::new(ModelId::ResNet101, &dataset, &seeds);
-    let cfg = CocaConfig::for_model(ModelId::ResNet101)
-        .with_merge_mode(MergeMode::QueueAndFlush)
-        .with_flush_policy(FlushPolicy::RoundAligned);
+    let cfg =
+        CocaConfig::for_model(ModelId::ResNet101).with_flush_policy(FlushPolicy::RoundAligned);
     let mut live = CocaServer::new(&rt, cfg, &seeds);
     let genesis = live.snapshot().to_bytes();
     let req = CacheRequest {

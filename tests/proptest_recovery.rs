@@ -12,15 +12,15 @@
 //!   across randomized churn/drift/link timelines and WAL segment sizes;
 //! * a standalone [`CocaServer::recover`] from the run's storage rebuilds
 //!   a byte-identical server snapshot;
-//! * randomized crash plans (event index × fault × merge mode × rotation
-//!   period) leave the finished run indistinguishable from the
+//! * randomized crash plans (event index × fault × flush policy ×
+//!   rotation period) leave the finished run indistinguishable from the
 //!   uninterrupted one;
 //! * a deterministic sweep covers **every** event boundary of one
 //!   timeline under all three fault kinds.
 
 use coca::core::persist::{CrashFault, CrashPlan, Durability, MemStorage};
 use coca::core::spec::PopularityShift;
-use coca::core::{CocaServer, FlushPolicy, MergeMode};
+use coca::core::{CocaServer, FlushPolicy};
 use coca::net::LinkModel;
 use coca::prelude::*;
 use proptest::prelude::*;
@@ -49,15 +49,14 @@ fn random_spec(seed: u64, join_at: f64, leave_after: usize, shift_at: u64) -> Sc
         )
 }
 
-fn coca_config(spec: &ScenarioSpec, mode: MergeMode, policy: FlushPolicy) -> CocaConfig {
+fn coca_config(spec: &ScenarioSpec, policy: FlushPolicy) -> CocaConfig {
     CocaConfig::for_model(ModelId::ResNet101)
         .with_round_frames(spec.frames_per_round)
-        .with_merge_mode(mode)
         .with_flush_policy(policy)
 }
 
 /// Canonical JSON rendering of every record series plus the post-run
-/// global table — the byte-identity probe the merge-mode tests use.
+/// global table — the byte-identity probe the engine tests use.
 fn probe(engine: &Engine, report: &EngineReport) -> String {
     format!(
         "{}|{}|{}|{}|{}",
@@ -120,7 +119,7 @@ proptest! {
         rotate_every in 1usize..16,
     ) {
         let spec = random_spec(seed, join_at, leave_after, 25);
-        let cfg = coca_config(&spec, MergeMode::PerUpload, FlushPolicy::EveryBoundary);
+        let cfg = coca_config(&spec, FlushPolicy::EveryBoundary);
         let plain = run_coca(&spec, cfg, None);
         let mut durable = run_coca(&spec, cfg, Some((rotate_every, None)));
         assert_runs_identical(&plain, &durable, "durable vs plain");
@@ -140,7 +139,7 @@ proptest! {
     /// A crash injected at a random WAL event boundary — clean, torn
     /// final record, or corrupted current snapshot — recovers in place
     /// and the finished run is byte-identical to the uninterrupted one,
-    /// under both merge pipelines and both flush policies.
+    /// under both flush policies.
     #[test]
     fn crashes_anywhere_leave_records_byte_identical(
         seed in 200u64..400,
@@ -148,15 +147,15 @@ proptest! {
         rotate_every in 1usize..8,
         at_pick in 0u64..10_000,
         fault_pick in 0u8..3,
-        pipeline_pick in 0u8..3,
+        round_aligned in any::<bool>(),
     ) {
         let spec = random_spec(seed, join_at, 1, 25);
-        let (mode, policy) = match pipeline_pick {
-            0 => (MergeMode::PerUpload, FlushPolicy::EveryBoundary),
-            1 => (MergeMode::QueueAndFlush, FlushPolicy::EveryBoundary),
-            _ => (MergeMode::QueueAndFlush, FlushPolicy::RoundAligned),
+        let policy = if round_aligned {
+            FlushPolicy::RoundAligned
+        } else {
+            FlushPolicy::EveryBoundary
         };
-        let cfg = coca_config(&spec, mode, policy);
+        let cfg = coca_config(&spec, policy);
         let mut baseline = run_coca(&spec, cfg, Some((rotate_every, None)));
         let total = baseline
             .2
@@ -190,7 +189,7 @@ proptest! {
 #[test]
 fn every_event_boundary_recovers_byte_identically() {
     let spec = random_spec(7, 11_000.0, 1, 25);
-    let cfg = coca_config(&spec, MergeMode::QueueAndFlush, FlushPolicy::RoundAligned);
+    let cfg = coca_config(&spec, FlushPolicy::RoundAligned);
     let mut baseline = run_coca(&spec, cfg, Some((3, None)));
     let total = baseline
         .2

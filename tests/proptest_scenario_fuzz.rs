@@ -1,9 +1,8 @@
 //! Scenario fuzzer: random [`ScenarioSpec`]s hunting for specs that break
 //! engine invariants —
 //!
-//! * **digest divergence**: a queue-and-flush run (with durability
-//!   attached) must be byte-identical to the per-upload run of the same
-//!   spec;
+//! * **digest divergence**: a run with durability attached must be
+//!   byte-identical to the same spec's run without it;
 //! * **panics**: no valid spec may panic the engine;
 //! * **watermark stall**: the pending upload queue must be empty when the
 //!   run ends — a stalled flush watermark would leave merges unapplied.
@@ -19,7 +18,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use coca::core::persist::{Durability, MemStorage};
 use coca::core::spec::PopularityShift;
-use coca::core::{FlushPolicy, MergeMode};
 use coca::net::LinkModel;
 use coca::prelude::*;
 use proptest::prelude::*;
@@ -87,11 +85,10 @@ fn random_spec(rng: &mut SmallRng) -> ScenarioSpec {
     spec
 }
 
-fn run_probe(spec: &ScenarioSpec, mode: MergeMode, durable: bool) -> (String, usize) {
+fn run_probe(spec: &ScenarioSpec, durable: bool) -> (String, usize) {
     let (scenario, plan) = spec.materialize();
     let cfg = CocaConfig::for_model(ModelId::ResNet101)
         .with_round_frames(spec.frames_per_round)
-        .with_merge_mode(mode)
         .with_flush_policy(FlushPolicy::EveryBoundary);
     let mut engine = Engine::with_cells(scenario, EngineConfig::new(cfg), plan.topology.cells);
     if durable {
@@ -124,15 +121,15 @@ fn violates(spec: &ScenarioSpec) -> Option<String> {
     }
     let spec2 = spec.clone();
     let outcome = catch_unwind(AssertUnwindSafe(move || {
-        let (per_upload, stalled_a) = run_probe(&spec2, MergeMode::PerUpload, false);
-        let (queued, stalled_b) = run_probe(&spec2, MergeMode::QueueAndFlush, true);
+        let (plain, stalled_a) = run_probe(&spec2, false);
+        let (durable, stalled_b) = run_probe(&spec2, true);
         if stalled_a != 0 || stalled_b != 0 {
             return Some(format!(
                 "watermark stall: {stalled_a}/{stalled_b} uploads still pending at run end"
             ));
         }
-        if per_upload != queued {
-            return Some("digest divergence: queue-and-flush != per-upload".to_string());
+        if plain != durable {
+            return Some("digest divergence: durable != non-durable".to_string());
         }
         None
     }));
