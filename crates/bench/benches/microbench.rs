@@ -720,11 +720,12 @@ fn bench_server_tables(_c: &mut Criterion) {
     // Priced on a mid-grid state (50 classes × 12 layers × dim 256, a
     // 32-client registry, an 8-upload pending queue): frame encode of the
     // full checksummed snapshot, decode+validate of the same bytes, WAL
-    // record append through a Durability over MemStorage, and the replay
-    // decode (frame scan + CRC + payload→record). These price the recovery
-    // subsystem's hot paths; `tests/proptest_recovery.rs` pins their
-    // semantics.
-    let (snapshot_bytes, snap_encode_ns, snap_decode_ns, wal_append_ns, wal_replay_ns) = {
+    // record append through a Durability over MemStorage, the replay
+    // decode (frame scan + CRC + payload→record), and the snapshot table's
+    // digest (what `cocad` computes at genesis and on every `Digest`
+    // message). These price the recovery subsystem's hot paths;
+    // `tests/proptest_recovery.rs` pins their semantics.
+    let (snapshot_bytes, snap_encode_ns, snap_decode_ns, wal_append_ns, wal_replay_ns, digest_ns) = {
         use coca_core::persist::{decode_frames, Durability, MemStorage, Snapshot, WalRecord};
         use coca_core::proto::UpdateUpload;
         use coca_core::ClientStatus;
@@ -781,6 +782,7 @@ fn bench_server_tables(_c: &mut Criterion) {
         let bytes = snapshot.to_bytes();
         let encode_ns = measure_ns_min3(|| black_box(snapshot.to_bytes()));
         let decode_ns = measure_ns_min3(|| black_box(Snapshot::from_bytes(&bytes).unwrap()));
+        let digest_ns = measure_ns_min3(|| black_box(snapshot.global.digest()));
 
         let records: Vec<WalRecord> = (0..64u64)
             .map(|id| WalRecord::Upload(mk_upload(&mut rng, id)))
@@ -802,27 +804,38 @@ fn bench_server_tables(_c: &mut Criterion) {
                 black_box(WalRecord::from_payload(p).unwrap());
             }
         }) / records.len() as f64;
-        (bytes.len(), encode_ns, decode_ns, append_ns, replay_ns)
+        (
+            bytes.len(),
+            encode_ns,
+            decode_ns,
+            append_ns,
+            replay_ns,
+            digest_ns,
+        )
     };
     println!(
         "bench persist snapshot {snapshot_bytes} B: encode {:.2} ms ({:.0} MB/s), \
-         decode+validate {:.2} ms; WAL append {:.1} us/record, replay decode {:.1} us/record",
+         decode+validate {:.2} ms; WAL append {:.1} us/record, replay decode {:.1} us/record; \
+         table digest {:.2} ms",
         snap_encode_ns / 1e6,
         snapshot_bytes as f64 / (snap_encode_ns / 1e9) / 1e6,
         snap_decode_ns / 1e6,
         wal_append_ns / 1e3,
         wal_replay_ns / 1e3,
+        digest_ns / 1e6,
     );
     // Absolute budgets, not ratios to the last committed run: about twice
     // the committed binary-codec numbers, so a slow runner passes and a
     // return to text payloads (15.6 ms append, 11.4 ms replay, 163 ms
-    // encode, 803 ms decode on this state) cannot. All four are bounded by
-    // the CRC pass (slice-by-8, ~1.5 GB/s) over the 245 KB record / 2.6 MB
-    // snapshot.
+    // encode, 803 ms decode on this state) cannot. The first four are
+    // bounded by the CRC pass (slice-by-8, ~1.5 GB/s) over the 245 KB
+    // record / 2.6 MB snapshot; the digest by byte-wise FNV-1a over the
+    // table's 615 KB `Wire` encoding (it hashed the JSON text at ~49 ms).
     enforce_budget("persist_snapshot_encode_ns", snap_encode_ns, 4_000_000.0);
     enforce_budget("persist_snapshot_decode_ns", snap_decode_ns, 4_000_000.0);
     enforce_budget("persist_wal_append_ns_per_record", wal_append_ns, 400_000.0);
     enforce_budget("persist_wal_replay_ns_per_record", wal_replay_ns, 300_000.0);
+    enforce_budget("persist_table_digest_ns", digest_ns, 2_000_000.0);
 
     let json = format!(
         "{{\n  \"bench\": \"server_tables\",\n  \"description\": \"per-cell global-table cost: \
@@ -839,7 +852,8 @@ fn bench_server_tables(_c: &mut Criterion) {
          \"persist_snapshot_encode_ns\": {snap_encode_ns:.0},\n    \
          \"persist_snapshot_decode_ns\": {snap_decode_ns:.0},\n    \
          \"persist_wal_append_ns_per_record\": {wal_append_ns:.0},\n    \
-         \"persist_wal_replay_ns_per_record\": {wal_replay_ns:.0}\n  }},\n  \
+         \"persist_wal_replay_ns_per_record\": {wal_replay_ns:.0},\n    \
+         \"persist_table_digest_ns\": {digest_ns:.0}\n  }},\n  \
          \"points\": [\n{}\n  ],\n  \
          \"regenerate\": \"cargo bench -p coca-bench\"\n}}\n",
         points_json.join(",\n")

@@ -30,7 +30,7 @@ use coca_math::Precision;
 use coca_metrics::table::fmt_f;
 use coca_metrics::{ExperimentRecord, Table};
 use coca_model::ModelId;
-use coca_net::LinkModel;
+use coca_net::{LinkModel, Wire};
 use coca_sim::SimDuration;
 use serde_json::json;
 
@@ -66,24 +66,27 @@ fn coca_config(spec: &ScenarioSpec, precision: Precision) -> CocaConfig {
         .with_precision(precision)
 }
 
-/// Canonical rendering of the run's record series + global table — the
-/// byte-identity probe the recovery proptests use.
-fn probe(engine: &Engine, report: &EngineReport) -> String {
-    format!(
-        "{}|{}|{}|{}|{}",
+/// Canonical rendering of the run's record series (JSON) followed by the
+/// global table's `Wire` bytes — the byte-identity probe the recovery
+/// proptests use.
+fn probe(engine: &Engine, report: &EngineReport) -> Vec<u8> {
+    let mut out = format!(
+        "{}|{}|{}|{}|",
         serde_json::to_string(&report.latency).unwrap(),
         serde_json::to_string(&report.response_latency).unwrap(),
         serde_json::to_string(&report.windowed).unwrap(),
         serde_json::to_string(&report.per_client).unwrap(),
-        serde_json::to_string(engine.server().global()).unwrap(),
     )
+    .into_bytes();
+    engine.server().global().encode(&mut out);
+    out
 }
 
 fn run_durable(
     spec: &ScenarioSpec,
     cfg: CocaConfig,
     crash: Option<CrashPlan>,
-) -> (EngineReport, String, Engine) {
+) -> (EngineReport, Vec<u8>, Engine) {
     let (scenario, plan) = spec.materialize();
     let mut engine = Engine::new(scenario, EngineConfig::new(cfg));
     let mut d = Durability::new(Box::new(MemStorage::new()), ROTATE_EVERY);

@@ -35,10 +35,9 @@ use coca_math::vector::l2_normalize;
 use coca_math::{merge_weighted_row, snap_row, Precision, VectorStore};
 use coca_net::wire::{codec_err, put_u32};
 use coca_net::{FrameError, Reader, Wire};
-use serde::{Deserialize, Serialize};
 
 /// Why a sample was absorbed (diagnostics + Fig. 6 accounting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AbsorbRule {
     /// Rule 1: high-confidence cache hit.
     Reinforce,
@@ -60,64 +59,15 @@ pub struct LayerUpdate {
 
 /// The client's sparse cache-update table, grouped by layer.
 ///
-/// Two encodings, one decoded shape. serde (JSON) writes a sorted list of
-/// `(class, layer, vector)` triples — JSON cannot encode tuple-keyed maps.
 /// The binary codec ([`Wire`]: socket frames, WAL records, snapshots)
-/// writes the layer groups as they are stored. Either way a decoded table has its
-/// layers ascending by id and each layer's rows ascending by class,
-/// whatever absorption order the sender's table was in.
+/// writes the layer groups as they are stored, in canonical order: a
+/// decoded table has its layers ascending by id and each layer's rows
+/// ascending by class, whatever absorption order the sender's table was
+/// in.
 #[derive(Debug, Clone, Default)]
 pub struct UpdateTable {
     /// Populated layers, sorted by layer id.
     layers: Vec<LayerUpdate>,
-}
-
-impl Serialize for UpdateTable {
-    fn to_value(&self) -> serde::Value {
-        let mut triples: Vec<(u32, u32, &[f32])> = self
-            .layers
-            .iter()
-            .flat_map(|g| {
-                g.classes
-                    .iter()
-                    .zip(g.vectors.iter_rows())
-                    .map(move |(&c, v)| (c, g.layer, v))
-            })
-            .collect();
-        // Sorted so the wire format is deterministic across layouts.
-        triples.sort_by_key(|&(c, l, _)| (c, l));
-        triples.to_value()
-    }
-}
-
-impl Deserialize for UpdateTable {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let triples: Vec<(u32, u32, Vec<f32>)> = Deserialize::from_value(v)?;
-        let mut table = Self::default();
-        for (c, l, v) in triples {
-            if v.is_empty() {
-                return Err(serde::Error::custom("UpdateTable: empty cell vector"));
-            }
-            if table.get(c as usize, l as usize).is_some() {
-                return Err(serde::Error::custom(format!(
-                    "UpdateTable: duplicate cell ({c}, {l})"
-                )));
-            }
-            // Wire vectors are stored as-is (the sender normalized them).
-            let g = table.layer_entry(l, v.len());
-            if g.vectors.dim() != v.len() {
-                // The wire boundary must error, not panic, on a table
-                // whose layer mixes vector dimensions.
-                return Err(serde::Error::custom(format!(
-                    "UpdateTable: layer {l} mixes dims {} and {}",
-                    g.vectors.dim(),
-                    v.len()
-                )));
-            }
-            g.push(c, &v);
-        }
-        Ok(table)
-    }
 }
 
 /// `[u32 n][n × ([u32 layer][u32 m][m × u32 class][VectorStore])]` in
@@ -422,23 +372,6 @@ mod tests {
         assert_eq!(groups[1].vectors.rows(), 2);
         assert!(!groups[0].is_empty());
         assert_eq!(groups[0].len(), 1);
-    }
-
-    #[test]
-    fn serde_round_trips_populated_tables() {
-        let mut u = UpdateTable::new();
-        u.absorb(3, 7, &[1.0, 0.0], 0.95);
-        u.absorb(0, 0, &[0.0, 1.0], 0.95);
-        let json = serde_json::to_string(&u).expect("tuple keys must not leak into JSON");
-        let back: UpdateTable = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back.get(3, 7).unwrap(), u.get(3, 7).unwrap());
-        // Malformed wire tables are rejected (errors, never panics).
-        assert!(serde_json::from_str::<UpdateTable>("[[1,2,[]]]").is_err());
-        assert!(serde_json::from_str::<UpdateTable>("[[1,2,[1.0]],[1,2,[0.5]]]").is_err());
-        // A layer mixing vector dimensions must error through the Result
-        // path, not trip the VectorStore dim assert.
-        assert!(serde_json::from_str::<UpdateTable>("[[0,2,[1.0]],[1,2,[0.5,0.5]]]").is_err());
     }
 
     #[test]

@@ -42,7 +42,6 @@ use coca_math::{
 };
 use coca_net::wire::put_u32;
 use coca_net::{FrameError, Reader, Wire};
-use serde::{Deserialize, Serialize};
 
 use crate::collect::{LayerUpdate, UpdateTable};
 use crate::semantic::{CacheLayer, LocalCache};
@@ -123,7 +122,7 @@ pub struct GlobalCacheTable {
     stores: Vec<VectorStore>,
     /// Populated cells: one `classes`-bit bitmap per layer, parallel to
     /// `stores`, so a layer merge borrows its `(store, occupancy)` pair
-    /// together. The serde wire shape is the single layer-major bitmap.
+    /// together.
     occupancy: Vec<OccupancyBitmap>,
     /// Φ — global class frequencies (Eq. 5).
     frequency: Vec<u64>,
@@ -586,9 +585,9 @@ impl GlobalCacheTable {
         ones as f64 / (self.classes * self.layers) as f64
     }
 
-    /// Assembles a table from decoded parts — the one validator behind
-    /// both decoders (serde and [`Wire`]): `frequency` fixes the class
-    /// count, the three per-layer vectors the layer count. Rejects a
+    /// Assembles a table from decoded parts — the validator behind the
+    /// [`Wire`] decoder: `frequency` fixes the class count, the three
+    /// per-layer vectors the layer count. Rejects a
     /// degenerate or ragged shape, a store whose row count is not the
     /// class count, a quantized layer in an f32 table or at another
     /// codec than the table's, a dense layer in a quantized table, a
@@ -662,49 +661,45 @@ impl GlobalCacheTable {
         })
     }
 
-    /// The single layer-major bitmap (bit `layer · classes + class`) the
-    /// serde shape carries in place of the per-layer ones.
-    fn flat_occupancy(&self) -> OccupancyBitmap {
-        let mut flat = OccupancyBitmap::new(self.classes * self.layers);
-        for (layer, occ) in self.occupancy.iter().enumerate() {
-            for class in occ.iter_ones() {
-                flat.set(layer * self.classes + class);
-            }
-        }
-        flat
-    }
-
-    /// FNV-1a fingerprint of the serialized table (the serde shape, Φ
-    /// included). Two tables with equal digests went through the same
-    /// merge history bit for bit — the cheap equivalence check the
-    /// daemon's loopback-vs-in-process tests and its `Digest` protocol
-    /// message rely on.
+    /// FNV-1a fingerprint of the table's [`Wire`] encoding (Φ included).
+    /// Two tables with equal digests went through the same merge history
+    /// bit for bit — the cheap equivalence check the daemon's
+    /// loopback-vs-in-process tests and its `Digest` protocol message
+    /// rely on.
     ///
-    /// Hashes the text `serde_json::to_string(self)` produces, one store
-    /// at a time, so the memory in flight is one layer's text rather
-    /// than the whole table's: key order and punctuation mirror the
-    /// [`Serialize`] impl below (compact JSON, keys in insertion order),
-    /// and a unit test holds the two equal.
+    /// Hashes the header and then one layer at a time through a reused
+    /// buffer, so the memory in flight is one layer's bytes rather than
+    /// the whole table's; a unit test holds it equal to hashing the
+    /// whole-table encoding in one piece.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv1a::default();
-        h.write(b"{\"classes\":");
-        h.write_json(&self.classes);
-        h.write(b",\"layers\":");
-        h.write_json(&self.layers);
-        h.write(b",\"stores\":");
-        h.write_json_seq(&self.stores);
-        h.write(b",\"occupancy\":");
-        h.write_json(&self.flat_occupancy());
-        h.write(b",\"frequency\":");
-        h.write_json(&self.frequency);
-        if self.precision != Precision::F32 {
-            h.write(b",\"precision\":");
-            h.write_json(&self.precision);
-            h.write(b",\"qstores\":");
-            h.write_json_seq(&self.qstores);
+        let mut buf = Vec::new();
+        self.encode_header(&mut buf);
+        h.write(&buf);
+        for layer in 0..self.layers {
+            buf.clear();
+            self.encode_layer(layer, &mut buf);
+            h.write(&buf);
         }
-        h.write(b"}");
         h.0
+    }
+
+    /// `[u8 precision][u32 classes][classes × u64 Φ][u32 layers]` — the
+    /// encoding's part before the layers.
+    fn encode_header(&self, out: &mut Vec<u8>) {
+        self.precision.encode(out);
+        self.frequency.encode(out);
+        put_u32(out, self.layers);
+    }
+
+    /// `[⌈classes/64⌉ × u64 occupancy words][VectorStore][u8 0|1]
+    /// [QuantizedStore]` — one layer's part of the encoding.
+    fn encode_layer(&self, layer: usize, out: &mut Vec<u8>) {
+        for w in self.occupancy[layer].words() {
+            w.encode(out);
+        }
+        self.stores[layer].encode(out);
+        self.qstores[layer].encode(out);
     }
 }
 
@@ -724,112 +719,18 @@ impl Fnv1a {
             self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
         }
     }
-
-    fn write_json<T: Serialize + ?Sized>(&mut self, v: &T) {
-        self.write(
-            serde_json::to_string(v)
-                .expect("table parts always serialize")
-                .as_bytes(),
-        );
-    }
-
-    /// The JSON array of `items`, one element's text at a time.
-    fn write_json_seq<T: Serialize>(&mut self, items: &[T]) {
-        self.write(b"[");
-        for (i, item) in items.iter().enumerate() {
-            if i > 0 {
-                self.write(b",");
-            }
-            self.write_json(item);
-        }
-        self.write(b"]");
-    }
-}
-
-// Flat-buffer wire shape, the same way `CacheLayer` ships: per-layer
-// `{dim, data}` stores plus the packed occupancy words. The derive shims
-// cannot express it, so the traits are implemented by hand. The wire
-// keeps the original single **layer-major** bitmap (bit `layer · classes
-// + class`) even though the table stores one bitmap per layer — the
-// in-memory split is a layout detail, not a protocol change.
-//
-// A dense f32 table serializes exactly as it always has; a quantized
-// table adds optional `precision` + `qstores` keys (absent keys read
-// back as f32, so every committed f32 snapshot stays valid).
-impl Serialize for GlobalCacheTable {
-    fn to_value(&self) -> serde::Value {
-        let flat = self.flat_occupancy();
-        let mut m = serde::Map::new();
-        m.insert("classes".into(), Serialize::to_value(&self.classes));
-        m.insert("layers".into(), Serialize::to_value(&self.layers));
-        m.insert("stores".into(), Serialize::to_value(&self.stores));
-        m.insert("occupancy".into(), Serialize::to_value(&flat));
-        m.insert("frequency".into(), Serialize::to_value(&self.frequency));
-        if self.precision != Precision::F32 {
-            m.insert("precision".into(), Serialize::to_value(&self.precision));
-            m.insert("qstores".into(), Serialize::to_value(&self.qstores));
-        }
-        serde::Value::Object(m)
-    }
-}
-
-impl Deserialize for GlobalCacheTable {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(m) = v else {
-            return Err(serde::Error::custom(format!(
-                "expected object for GlobalCacheTable, got {}",
-                v.kind()
-            )));
-        };
-        let classes: usize = serde::__field(m, "classes")?;
-        let layers: usize = serde::__field(m, "layers")?;
-        let stores: Vec<VectorStore> = serde::__field(m, "stores")?;
-        let occupancy: OccupancyBitmap = serde::__field(m, "occupancy")?;
-        let frequency: Vec<u64> = serde::__field(m, "frequency")?;
-        let precision: Option<Precision> = serde::__field(m, "precision")?;
-        let precision = precision.unwrap_or(Precision::F32);
-        // The declared shape must be the decoded one before anything is
-        // sized by it.
-        if classes == 0
-            || stores.len() != layers
-            || frequency.len() != classes
-            || classes.checked_mul(layers) != Some(occupancy.len())
-        {
-            return Err(serde::Error::custom("GlobalCacheTable: shape mismatch"));
-        }
-        let qstores: Vec<Option<QuantizedStore>> = if precision == Precision::F32 {
-            vec![None; layers]
-        } else {
-            serde::__field(m, "qstores")?
-        };
-        // Split the layer-major wire bitmap into the per-layer bitmaps
-        // the table stores; `from_parts` validates the rest.
-        let mut per_layer = vec![OccupancyBitmap::new(classes); layers];
-        for bit in occupancy.iter_ones() {
-            per_layer[bit / classes].set(bit % classes);
-        }
-        Self::from_parts(precision, frequency, stores, qstores, per_layer)
-            .map_err(serde::Error::custom)
-    }
 }
 
 /// `[u8 precision][u32 classes][classes × u64 Φ][u32 layers]`, then per
 /// layer `[⌈classes/64⌉ × u64 occupancy words][VectorStore][u8 0|1]
 /// [QuantizedStore]` — the table's own shape: one bitmap, one dense store
 /// (dim 0 while untouched or quantized) and one optional quantized store
-/// per layer. Decoding ends in [`GlobalCacheTable::from_parts`], the one
-/// validator both codecs share.
+/// per layer. Decoding ends in [`GlobalCacheTable::from_parts`].
 impl Wire for GlobalCacheTable {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.precision.encode(out);
-        self.frequency.encode(out);
-        put_u32(out, self.layers);
+        self.encode_header(out);
         for layer in 0..self.layers {
-            for w in self.occupancy[layer].words() {
-                w.encode(out);
-            }
-            self.stores[layer].encode(out);
-            self.qstores[layer].encode(out);
+            self.encode_layer(layer, out);
         }
     }
 
@@ -1099,29 +1000,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_serde_round_trips_and_f32_wire_shape_is_unchanged() {
-        // f32 tables must not grow new keys (committed snapshots).
-        let mut dense = table();
-        dense.set(1, 0, vec![0.0, 1.0]);
-        let json = serde_json::to_string(&dense).unwrap();
-        assert!(!json.contains("qstores") && !json.contains("precision"));
-
-        let mut t = GlobalCacheTable::with_precision(4, 3, Precision::F16);
-        t.set(1, 0, vec![0.0, 1.0]);
-        t.set(3, 2, vec![0.6, 0.8]);
-        t.seed_frequency(&[9, 8, 7, 6]);
-        let json = serde_json::to_string(&t).unwrap();
-        let back: GlobalCacheTable = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.precision(), Precision::F16);
-        assert_eq!(back.frequency(), t.frequency());
-        for (c, l) in [(1usize, 0usize), (3, 2)] {
-            assert_eq!(back.get(c, l).unwrap(), t.get(c, l).unwrap());
-        }
-        assert!(back.get(0, 0).is_none());
-        assert_eq!(back.store_bytes(), t.store_bytes());
-    }
-
-    #[test]
     fn digest_distinguishes_states_and_survives_round_trips() {
         let mut t = table();
         t.set(0, 0, vec![1.0, 0.0]);
@@ -1129,21 +1007,20 @@ mod tests {
         let d0 = t.digest();
         assert_eq!(d0, t.clone().digest(), "digest is a pure function");
         assert_eq!(wire_round_trip(&t).unwrap().digest(), d0);
-        let json = serde_json::to_string(&t).unwrap();
-        let back: GlobalCacheTable = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.digest(), d0);
         let mut moved = t.clone();
         moved.advance_frequency(&[1, 0, 0, 0]);
         assert_ne!(moved.digest(), d0, "Φ is part of the fingerprint");
     }
 
     #[test]
-    fn digest_is_fnv1a_of_the_text_the_whole_table_serializes_to() {
+    fn digest_is_fnv1a_of_the_wire_encoding() {
         // The reference the streamed hash must equal: the whole-table
-        // JSON text, hashed in one piece.
-        let whole_text_digest = |t: &GlobalCacheTable| {
+        // `Wire` encoding, hashed in one piece.
+        let whole_buffer_digest = |t: &GlobalCacheTable| {
+            let mut bytes = Vec::new();
+            t.encode(&mut bytes);
             let mut h = Fnv1a::default();
-            h.write(serde_json::to_string(t).unwrap().as_bytes());
+            h.write(&bytes);
             h.0
         };
         let mut t = table();
@@ -1154,9 +1031,9 @@ mod tests {
         for precision in [Precision::F32, Precision::F16, Precision::I8] {
             let mut t = t.clone();
             t.convert_precision(precision);
-            assert_eq!(t.digest(), whole_text_digest(&t), "{precision:?}");
+            assert_eq!(t.digest(), whole_buffer_digest(&t), "{precision:?}");
         }
-        assert_eq!(table().digest(), whole_text_digest(&table()), "empty");
+        assert_eq!(table().digest(), whole_buffer_digest(&table()), "empty");
     }
 
     /// Encodes `t` and decodes it back through the whole-payload reader.
@@ -1264,30 +1141,5 @@ mod tests {
         assert_eq!(t.frequency(), &[50, 4, 0, 1]);
         t.decay_frequency(1.0);
         assert_eq!(t.frequency(), &[50, 4, 0, 1], "β = 1 is a no-op");
-    }
-
-    #[test]
-    fn serde_round_trips_and_validates() {
-        let mut t = table();
-        t.set(1, 0, vec![0.0, 1.0]);
-        t.set(3, 2, vec![1.0, 0.0]);
-        t.seed_frequency(&[9, 8, 7, 6]);
-        let json = serde_json::to_string(&t).unwrap();
-        let back: GlobalCacheTable = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.num_classes(), 4);
-        assert_eq!(back.num_layers(), 3);
-        assert_eq!(back.frequency(), t.frequency());
-        assert_eq!(back.get(1, 0).unwrap(), t.get(1, 0).unwrap());
-        assert_eq!(back.get(3, 2).unwrap(), t.get(3, 2).unwrap());
-        assert!(back.get(0, 0).is_none());
-        assert_eq!(back.fill_ratio(), t.fill_ratio());
-        // An occupied bit pointing into an uninitialized layer is invalid.
-        let bad = r#"{"classes":2,"layers":1,"stores":[{"dim":0,"data":[]}],
-                      "occupancy":{"len":2,"words":[1]},"frequency":[0,0]}"#;
-        assert!(serde_json::from_str::<GlobalCacheTable>(bad).is_err());
-        // A layer store whose row count disagrees with the class count.
-        let ragged = r#"{"classes":2,"layers":1,"stores":[{"dim":2,"data":[1.0,0.0]}],
-                         "occupancy":{"len":2,"words":[0]},"frequency":[0,0]}"#;
-        assert!(serde_json::from_str::<GlobalCacheTable>(ragged).is_err());
     }
 }

@@ -1,13 +1,11 @@
 //! Client↔server protocol messages (§IV.A workflow).
 //!
-//! Each message has three faces: [`Wire`] — the dense binary encoding
-//! `cocad` frames, write-ahead-log records and snapshots carry;
+//! Each message has two faces: [`Wire`] — the dense binary encoding
+//! `cocad` frames, write-ahead-log records and snapshots carry; and
 //! [`WireSize`] — the *logical* byte count the virtual-time link model
-//! charges (the real encoding adds only counts and tags to it); and serde,
-//! the JSON rendering tests and diagnostics read.
+//! charges (the real encoding adds only counts and tags to it).
 
 use coca_math::Precision;
-use serde::{Deserialize, Serialize};
 
 use coca_net::wire::{decode_seq, encode_seq};
 use coca_net::{FrameError, Reader, Wire, WireSize};
@@ -16,7 +14,7 @@ use crate::collect::UpdateTable;
 use crate::semantic::LocalCache;
 
 /// Step 1: the client asks for a personalized cache, attaching its status.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CacheRequest {
     /// Requesting client.
     pub client_id: u64,
@@ -58,7 +56,7 @@ impl Wire for CacheRequest {
 }
 
 /// Step 2: the server's personalized allocation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CacheAllocation {
     /// Round this allocation answers.
     pub round: u64,
@@ -104,7 +102,7 @@ impl Wire for CacheAllocation {
 }
 
 /// Step 3: end-of-round upload for global updates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UpdateUpload {
     /// Uploading client.
     pub client_id: u64,
@@ -159,7 +157,7 @@ impl Wire for UpdateUpload {
 /// growth. Keeping deltas origin-attributed lets the receiver extend its
 /// own provenance counts and lets cursor-based dedup guarantee each
 /// origin's mass reaches each cell exactly once.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PeerDeltaEntry {
     /// Cell whose clients originally uploaded this Φ mass.
     pub origin: u32,
@@ -190,7 +188,7 @@ impl Wire for PeerDeltaEntry {
 /// [`crate::server::CocaServer::absorb_peer`]). Priced by the same wire
 /// encoding as client uploads, so the topology's peer link charges sync
 /// traffic and upload traffic with one cost model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PeerDelta {
     /// Sending cell.
     pub from_cell: u32,
@@ -242,6 +240,7 @@ impl WireSize for PeerDelta {
 mod tests {
     use super::*;
     use crate::semantic::CacheLayer;
+    use coca_net::{decode_message, encode_frame};
 
     #[test]
     fn request_wire_size_scales_with_classes() {
@@ -297,8 +296,7 @@ mod tests {
             frequency: vec![1, 2, 3],
             precision: Precision::F32,
         };
-        let json = serde_json::to_string(&up).unwrap();
-        let back: UpdateUpload = serde_json::from_str(&json).unwrap();
+        let back: UpdateUpload = decode_message(&encode_frame(&up).unwrap()).unwrap();
         assert_eq!(back.client_id, 3);
         assert_eq!(back.frequency, vec![1, 2, 3]);
         assert_eq!(back.precision, Precision::F32);

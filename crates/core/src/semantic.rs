@@ -13,10 +13,9 @@
 use coca_math::{Precision, VectorStore};
 use coca_net::wire::{decode_seq, encode_seq, put_u32};
 use coca_net::{FrameError, Reader, Wire};
-use serde::Serialize;
 
 /// One activated cache layer.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CacheLayer {
     /// Which preset cache point of the model this layer occupies.
     pub point: usize,
@@ -26,32 +25,16 @@ pub struct CacheLayer {
     pub vectors: VectorStore,
 }
 
-// Decoding is the one entry point that bypasses [`CacheLayer::insert`]'s
-// debug-time unit-norm assertion (allocations arrive over the wire in the
-// TCP deployment), and the norm-free lookup kernel would silently
-// mis-score a non-unit entry where the seed's `cosine` used to
-// renormalize it. So both decoders — serde and the binary frame codec —
-// go through [`CacheLayer::from_untrusted`], which
-// enforces the contract for real: rows must be unit-norm (or zero —
-// degenerate entries score 0) and parallel to `classes`.
-impl serde::Deserialize for CacheLayer {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(m) = v else {
-            return Err(serde::Error::custom(format!(
-                "expected object for CacheLayer, got {}",
-                v.kind()
-            )));
-        };
-        Self::from_untrusted(
-            serde::__field(m, "point")?,
-            serde::__field(m, "classes")?,
-            serde::__field(m, "vectors")?,
-        )
-        .map_err(serde::Error::custom)
-    }
-}
-
 /// `[u32 point][u32 n][n × u32 class][VectorStore]`.
+///
+/// Decoding is the one entry point that bypasses [`CacheLayer::insert`]'s
+/// debug-time unit-norm assertion (allocations arrive over the wire in the
+/// TCP deployment), and the norm-free lookup kernel would silently
+/// mis-score a non-unit entry where the seed's `cosine` used to
+/// renormalize it. So the binary frame decoder goes through
+/// [`CacheLayer::from_untrusted`], which enforces the contract for real:
+/// rows must be unit-norm (or zero — degenerate entries score 0) and
+/// parallel to `classes`.
 impl Wire for CacheLayer {
     fn encode(&self, out: &mut Vec<u8>) {
         put_u32(out, self.point);
@@ -173,30 +156,19 @@ impl CacheLayer {
 }
 
 /// A client's local cache: activated layers in depth order.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LocalCache {
     layers: Vec<CacheLayer>,
 }
 
-// A derived decoder would accept any `Vec<CacheLayer>` verbatim, letting
-// an allocation frame smuggle duplicate or unsorted layer points past the
-// [`LocalCache::from_layers`] invariant (which `panic`s — the right
-// response to a programming error, the wrong one to hostile bytes). Both
-// decoders instead canonicalize the order and turn duplicates into a
-// decode error ([`LocalCache::from_untrusted`]).
-impl serde::Deserialize for LocalCache {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(m) = v else {
-            return Err(serde::Error::custom(format!(
-                "expected object for LocalCache, got {}",
-                v.kind()
-            )));
-        };
-        Self::from_untrusted(serde::__field(m, "layers")?).map_err(serde::Error::custom)
-    }
-}
-
 /// `[u32 n][n × CacheLayer]`.
+///
+/// Decoding the layers verbatim would let an allocation frame smuggle
+/// duplicate or unsorted layer points past the
+/// [`LocalCache::from_layers`] invariant (which `panic`s — the right
+/// response to a programming error, the wrong one to hostile bytes). The
+/// decoder instead canonicalizes the order and turns duplicates into a
+/// decode error ([`LocalCache::from_untrusted`]).
 impl Wire for LocalCache {
     fn encode(&self, out: &mut Vec<u8>) {
         encode_seq(&self.layers, out);
@@ -327,31 +299,48 @@ mod tests {
         assert_eq!(l.vector_for(3).unwrap(), unit(3, 2).as_slice());
     }
 
-    #[test]
-    fn layer_serde_round_trips_flat() {
-        let mut l = CacheLayer::new(5);
-        l.insert(2, unit(4, 1));
-        l.insert(8, unit(4, 3));
-        let json = serde_json::to_string(&l).unwrap();
-        assert!(json.contains("\"dim\":4"), "flat-buffer encode: {json}");
-        let back: CacheLayer = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.point, 5);
-        assert_eq!(back.classes, l.classes);
-        assert_eq!(back.vector_for(8).unwrap(), unit(4, 3).as_slice());
+    /// Decodes a payload that must be exactly one `T`.
+    fn decode<T: Wire>(bytes: &[u8]) -> Result<T, FrameError> {
+        let mut r = Reader::new(bytes);
+        let v = T::decode(&mut r)?;
+        r.finish()?;
+        Ok(v)
+    }
+
+    /// A hand-built [`CacheLayer`] payload: `floats` as whole rows of
+    /// `dim`, whatever the class count says.
+    fn layer_bytes(point: u32, classes: &[u32], dim: u32, floats: &[f32]) -> Vec<u8> {
+        let mut out = Vec::new();
+        point.encode(&mut out);
+        classes.to_vec().encode(&mut out);
+        dim.encode(&mut out);
+        put_u32(&mut out, floats.len() / dim.max(1) as usize);
+        for x in floats {
+            x.encode(&mut out);
+        }
+        out
+    }
+
+    /// A [`LocalCache`] payload of empty layers at `points`.
+    fn cache_bytes(points: &[u32]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_u32(&mut out, points.len());
+        for &p in points {
+            out.extend(layer_bytes(p, &[], 0, &[]));
+        }
+        out
     }
 
     #[test]
     fn layer_deserialize_enforces_the_unit_contract() {
         // Non-unit row: the seed's cosine would have renormalized it, the
         // norm-free kernel cannot — the wire boundary must reject it.
-        let bad = r#"{"point":1,"classes":[7],"vectors":{"dim":2,"data":[3.0,4.0]}}"#;
-        assert!(serde_json::from_str::<CacheLayer>(bad).is_err());
+        assert!(decode::<CacheLayer>(&layer_bytes(1, &[7], 2, &[3.0, 4.0])).is_err());
         // Classes/rows mismatch.
-        let ragged = r#"{"point":1,"classes":[7,9],"vectors":{"dim":2,"data":[1.0,0.0]}}"#;
-        assert!(serde_json::from_str::<CacheLayer>(ragged).is_err());
+        assert!(decode::<CacheLayer>(&layer_bytes(1, &[7, 9], 2, &[1.0, 0.0])).is_err());
         // Zero rows are degenerate-but-legal (they score 0, as cosine did).
-        let zero = r#"{"point":1,"classes":[7],"vectors":{"dim":2,"data":[0.0,0.0]}}"#;
-        assert!(serde_json::from_str::<CacheLayer>(zero).is_ok());
+        let zero = decode::<CacheLayer>(&layer_bytes(1, &[7], 2, &[0.0, 0.0])).unwrap();
+        assert_eq!(zero.vector_for(7).unwrap(), [0.0, 0.0]);
     }
 
     #[test]
@@ -365,19 +354,13 @@ mod tests {
     #[test]
     fn cache_deserialize_sorts_and_rejects_duplicate_points() {
         // Unsorted wire layers are canonicalized, not trusted.
-        let unsorted = r#"{"layers":[
-            {"point":5,"classes":[],"vectors":{"dim":0,"data":[]}},
-            {"point":1,"classes":[],"vectors":{"dim":0,"data":[]}}]}"#;
-        let cache: LocalCache = serde_json::from_str(unsorted).unwrap();
+        let cache: LocalCache = decode(&cache_bytes(&[5, 1])).unwrap();
         assert_eq!(cache.activated_points(), vec![1, 5]);
         // A duplicate point is a decode error — `from_layers` panics on
         // this invariant violation, and hostile bytes must never panic.
-        let dup = r#"{"layers":[
-            {"point":2,"classes":[],"vectors":{"dim":0,"data":[]}},
-            {"point":2,"classes":[],"vectors":{"dim":0,"data":[]}}]}"#;
-        assert!(serde_json::from_str::<LocalCache>(dup).is_err());
-        let not_obj = "[1,2,3]";
-        assert!(serde_json::from_str::<LocalCache>(not_obj).is_err());
+        assert!(decode::<LocalCache>(&cache_bytes(&[2, 2])).is_err());
+        // A layer count the payload cannot back.
+        assert!(decode::<LocalCache>(&cache_bytes(&[2])[..8]).is_err());
     }
 
     #[test]

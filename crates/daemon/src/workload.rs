@@ -111,8 +111,15 @@ impl Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coca_core::proto::{CacheRequest as _CacheRequest, UpdateUpload as _UpdateUpload};
-    use coca_net::WireSize;
+    use coca_net::{Wire, WireSize};
+
+    /// The message's `Wire` encoding — bit-exact, so equal bytes are
+    /// equal values.
+    fn bytes(msg: &impl Wire) -> Vec<u8> {
+        let mut out = Vec::new();
+        msg.encode(&mut out);
+        out
+    }
 
     #[test]
     fn workload_is_a_pure_function_of_its_coordinates() {
@@ -127,24 +134,15 @@ mod tests {
             rounds: 2,
         };
         let profile = vec![0.5; rt.num_cache_points()];
-        let a: _CacheRequest = wl.request(&rt, &profile, 1, 1);
+        let a = wl.request(&rt, &profile, 1, 1);
         let b = wl.request(&rt, &profile, 1, 1);
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap()
-        );
-        let ua: _UpdateUpload = wl.upload(&rt, &seeds, 2, 0);
+        assert_eq!(bytes(&a), bytes(&b));
+        let ua = wl.upload(&rt, &seeds, 2, 0);
         let ub = wl.upload(&rt, &seeds, 2, 0);
-        assert_eq!(
-            serde_json::to_string(&ua).unwrap(),
-            serde_json::to_string(&ub).unwrap()
-        );
+        assert_eq!(bytes(&ua), bytes(&ub));
         // Different coordinates draw different branches.
         let uc = wl.upload(&rt, &seeds, 2, 1);
-        assert_ne!(
-            serde_json::to_string(&ua).unwrap(),
-            serde_json::to_string(&uc).unwrap()
-        );
+        assert_ne!(bytes(&ua), bytes(&uc));
         assert!(ua.wire_bytes() > 0 && a.wire_bytes() > 0);
         assert_eq!(wl.total_ops(), 12);
     }

@@ -8,8 +8,6 @@
 //! populated slots are then word-at-a-time operations instead of
 //! per-slot `Option` discriminant chasing.
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-length packed bitmap: one bit per slot of a dense table.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OccupancyBitmap {
@@ -107,13 +105,13 @@ impl OccupancyBitmap {
         })
     }
 
-    /// The packed words (serde, the snapshot codec and diagnostics).
+    /// The packed words (the snapshot codec and diagnostics).
     pub fn words(&self) -> &[u64] {
         &self.words
     }
 
     /// Rebuilds a bitmap over `len` slots from its packed words — the
-    /// decode boundary of both serde and the binary snapshot codec.
+    /// decode boundary of the binary snapshot codec.
     /// Errors on a word count other than `⌈len / 64⌉` and on set bits
     /// beyond `len` (ghost bits would corrupt `count_ones`).
     pub fn from_words(len: usize, words: Vec<u64>) -> Result<Self, String> {
@@ -127,31 +125,6 @@ impl OccupancyBitmap {
             return Err("OccupancyBitmap: set bits beyond len".to_string());
         }
         Ok(Self { words, len })
-    }
-}
-
-impl Serialize for OccupancyBitmap {
-    fn to_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("len".into(), Serialize::to_value(&self.len));
-        m.insert("words".into(), Serialize::to_value(&self.words));
-        serde::Value::Object(m)
-    }
-}
-
-impl Deserialize for OccupancyBitmap {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Object(m) => {
-                let len: usize = serde::__field(m, "len")?;
-                let words: Vec<u64> = serde::__field(m, "words")?;
-                Self::from_words(len, words).map_err(serde::Error::custom)
-            }
-            other => Err(serde::Error::custom(format!(
-                "expected object for OccupancyBitmap, got {}",
-                other.kind()
-            ))),
-        }
     }
 }
 
@@ -284,19 +257,14 @@ mod tests {
     }
 
     #[test]
-    fn bitmap_serde_round_trips_and_validates() {
+    fn from_words_round_trips_and_validates() {
         let mut b = OccupancyBitmap::new(70);
         b.set(3);
         b.set(69);
-        let json = serde_json::to_string(&b).unwrap();
-        let back: OccupancyBitmap = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, b);
+        assert_eq!(OccupancyBitmap::from_words(70, b.words().to_vec()), Ok(b));
         // Wrong word count and ghost bits are rejected.
-        assert!(serde_json::from_str::<OccupancyBitmap>("{\"len\":70,\"words\":[0]}").is_err());
-        assert!(serde_json::from_str::<OccupancyBitmap>(
-            "{\"len\":3,\"words\":[16]}" // bit 4 set beyond len 3
-        )
-        .is_err());
+        assert!(OccupancyBitmap::from_words(70, vec![0]).is_err());
+        assert!(OccupancyBitmap::from_words(3, vec![16]).is_err()); // bit 4 beyond len 3
     }
 
     #[test]

@@ -464,66 +464,6 @@ pub fn snap_row(row: &mut [f32], precision: Precision) {
     }
 }
 
-// Manual serde: the payload enum carries parallel flat buffers the
-// derive shims cannot express.
-impl Serialize for QuantizedStore {
-    fn to_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("dim".into(), Serialize::to_value(&self.dim));
-        m.insert("rows".into(), Serialize::to_value(&self.rows));
-        m.insert("precision".into(), Serialize::to_value(&self.precision()));
-        match &self.payload {
-            Payload::I8 { codes, scales } => {
-                m.insert("codes".into(), Serialize::to_value(codes));
-                m.insert("scales".into(), Serialize::to_value(scales));
-            }
-            Payload::F16 { bits } => {
-                m.insert("bits".into(), Serialize::to_value(bits));
-            }
-        }
-        serde::Value::Object(m)
-    }
-}
-
-impl Deserialize for QuantizedStore {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(m) = v else {
-            return Err(serde::Error::custom(format!(
-                "expected object for QuantizedStore, got {}",
-                v.kind()
-            )));
-        };
-        let dim: usize = serde::__field(m, "dim")?;
-        let rows: usize = serde::__field(m, "rows")?;
-        let precision: Precision = serde::__field(m, "precision")?;
-        if dim == 0 {
-            return Err(serde::Error::custom("QuantizedStore: dim must be positive"));
-        }
-        let payload = match precision {
-            Precision::F32 => {
-                return Err(serde::Error::custom("QuantizedStore: f32 payload"));
-            }
-            Precision::I8 => {
-                let codes: Vec<i8> = serde::__field(m, "codes")?;
-                let scales: Vec<f32> = serde::__field(m, "scales")?;
-                if codes.len() != rows * dim || scales.len() != rows {
-                    return Err(serde::Error::custom("QuantizedStore: ragged i8 payload"));
-                }
-                check_i8_scales(dim, &codes, &scales).map_err(serde::Error::custom)?;
-                Payload::I8 { codes, scales }
-            }
-            Precision::F16 => {
-                let bits: Vec<u16> = serde::__field(m, "bits")?;
-                if bits.len() != rows * dim {
-                    return Err(serde::Error::custom("QuantizedStore: ragged f16 payload"));
-                }
-                Payload::F16 { bits }
-            }
-        };
-        Ok(Self { dim, rows, payload })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -681,49 +621,22 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
-        let rows = [[0.6f32, 0.8, 0.0], [-0.5, 0.5, 0.5]];
-        let dense = VectorStore::from_rows(&rows);
-        for precision in [Precision::I8, Precision::F16] {
-            let q = QuantizedStore::quantize(&dense, precision);
-            let json = serde_json::to_string(&q).unwrap();
-            let back: QuantizedStore = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, q, "{precision:?}");
-        }
-        assert!(serde_json::from_str::<QuantizedStore>(
-            "{\"dim\":2,\"rows\":3,\"precision\":\"I8\",\"codes\":[1],\"scales\":[0.1]}"
-        )
-        .is_err());
-        assert!(serde_json::from_str::<QuantizedStore>(
-            "{\"dim\":0,\"rows\":0,\"precision\":\"F16\",\"bits\":[]}"
-        )
-        .is_err());
-    }
-
-    #[test]
     fn i8_scale_invariants_are_validated() {
+        // One i8 row of dim 2: its two codes, then its f32 scale.
+        let row = |codes: [i8; 2], scale: f32| {
+            let mut bytes: Vec<u8> = codes.iter().map(|&c| c as u8).collect();
+            bytes.extend_from_slice(&scale.to_le_bytes());
+            QuantizedStore::from_le_bytes(2, 1, Precision::I8, &bytes)
+        };
         // NaN / negative / infinite scales are typed errors, not panics.
-        for bad in ["NaN", "-0.5", "1e999"] {
-            let json = format!(
-                "{{\"dim\":2,\"rows\":1,\"precision\":\"I8\",\"codes\":[1,2],\"scales\":[{bad}]}}"
-            );
-            assert!(
-                serde_json::from_str::<QuantizedStore>(&json).is_err(),
-                "scale {bad} must be rejected"
-            );
+        for bad in [f32::NAN, -0.5, f32::INFINITY] {
+            assert!(row([1, 2], bad).is_err(), "scale {bad} must be rejected");
         }
         // A zero scale with nonzero codes would erase the row on read.
-        assert!(serde_json::from_str::<QuantizedStore>(
-            "{\"dim\":2,\"rows\":1,\"precision\":\"I8\",\"codes\":[1,0],\"scales\":[0.0]}"
-        )
-        .is_err());
+        assert!(row([1, 0], 0.0).is_err());
         // A zero scale over an all-zero row is the legitimate empty-row
         // encoding and must keep round-tripping.
-        let ok: QuantizedStore = serde_json::from_str(
-            "{\"dim\":2,\"rows\":1,\"precision\":\"I8\",\"codes\":[0,0],\"scales\":[0.0]}",
-        )
-        .unwrap();
-        assert_eq!(ok.dequantize_row(0), &[0.0, 0.0]);
+        assert_eq!(row([0, 0], 0.0).unwrap().dequantize_row(0), &[0.0, 0.0]);
     }
 
     #[test]

@@ -8,13 +8,10 @@
 //! handle enforces that every row shares one dimension (the first pushed
 //! row fixes it).
 //!
-//! Serialization is a **flat-buffer encode** — `{"dim": d, "data":
-//! [...]}` — so a serialized cache layer ships one flat array instead of
-//! nested per-row arrays. The binary frame codec moves the same buffer as
-//! raw little-endian bytes ([`VectorStore::extend_le_bytes`] /
-//! [`VectorStore::from_le_bytes`]).
-
-use serde::{Deserialize, Serialize};
+//! The binary frame codec moves the flat buffer as raw little-endian
+//! bytes ([`VectorStore::extend_le_bytes`] /
+//! [`VectorStore::from_le_bytes`]), so a cache layer ships one flat array
+//! instead of per-row pieces.
 
 use crate::aligned::AlignedF32;
 use crate::matrix::{self, ScoreScratch, Top2};
@@ -223,7 +220,7 @@ impl VectorStore {
 
     // --------------------------------------------------- binary rows ----
 
-    /// The decoders' shape check: `floats` values must be whole rows of
+    /// The decoder's shape check: `floats` values must be whole rows of
     /// `dim`, and data needs a dimension.
     fn check_shape(dim: usize, floats: usize) -> Result<(), String> {
         if dim == 0 && floats > 0 {
@@ -292,37 +289,6 @@ impl VectorStore {
     }
 }
 
-// Flat-buffer wire shape; the derive shims cannot express it, so the
-// traits are implemented by hand.
-impl Serialize for VectorStore {
-    fn to_value(&self) -> serde::Value {
-        let mut m = serde::Map::new();
-        m.insert("dim".into(), Serialize::to_value(&self.dim));
-        m.insert("data".into(), Serialize::to_value(self.data.as_slice()));
-        serde::Value::Object(m)
-    }
-}
-
-impl Deserialize for VectorStore {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Object(m) => {
-                let dim: usize = serde::__field(m, "dim")?;
-                let data: Vec<f32> = serde::__field(m, "data")?;
-                Self::check_shape(dim, data.len()).map_err(serde::Error::custom)?;
-                Ok(Self {
-                    dim,
-                    data: AlignedF32::from_slice(&data),
-                })
-            }
-            other => Err(serde::Error::custom(format!(
-                "expected object for VectorStore, got {}",
-                other.kind()
-            ))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,24 +352,6 @@ mod tests {
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[2], &[0.6, 0.8]);
         assert!(VectorStore::empty().iter_rows().next().is_none());
-    }
-
-    #[test]
-    fn serde_flat_round_trip() {
-        let s = store3();
-        let json = serde_json::to_string(&s).unwrap();
-        assert!(json.contains("\"dim\":2"), "flat encode: {json}");
-        let back: VectorStore = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
-        let empty: VectorStore =
-            serde_json::from_str(&serde_json::to_string(&VectorStore::empty()).unwrap()).unwrap();
-        assert_eq!(empty.rows(), 0);
-    }
-
-    #[test]
-    fn serde_rejects_ragged_buffers() {
-        assert!(serde_json::from_str::<VectorStore>("{\"dim\":3,\"data\":[1.0,2.0]}").is_err());
-        assert!(serde_json::from_str::<VectorStore>("{\"dim\":0,\"data\":[1.0]}").is_err());
     }
 
     #[test]

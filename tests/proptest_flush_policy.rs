@@ -16,7 +16,7 @@ use coca::core::collect::UpdateTable;
 use coca::core::global::MergeScratch;
 use coca::core::proto::UpdateUpload;
 use coca::core::spec::PopularityShift;
-use coca::net::LinkModel;
+use coca::net::{LinkModel, Wire};
 use coca::prelude::*;
 use proptest::prelude::*;
 use rand::Rng;
@@ -47,26 +47,27 @@ fn random_spec(seed: u64, join_at: f64, leave_after: usize, shift_at: u64) -> Sc
 }
 
 /// Runs CoCa under the given flush policy and returns the report plus the
-/// canonical serialized record series.
-fn run_coca(spec: &ScenarioSpec, policy: FlushPolicy) -> (EngineReport, String) {
+/// canonical serialized record series and post-run table.
+fn run_coca(spec: &ScenarioSpec, policy: FlushPolicy) -> (EngineReport, Vec<u8>) {
     let (scenario, plan) = spec.materialize();
     let coca = CocaConfig::for_model(ModelId::ResNet101)
         .with_round_frames(spec.frames_per_round)
         .with_flush_policy(policy);
     let mut engine = Engine::new(scenario, EngineConfig::new(coca));
     let report = engine.run_plan(&plan);
-    let records = format!(
-        "{}|{}|{}|{}|{}",
+    let mut records = format!(
+        "{}|{}|{}|{}|",
         serde_json::to_string(&report.latency).unwrap(),
         serde_json::to_string(&report.response_latency).unwrap(),
         serde_json::to_string(&report.windowed).unwrap(),
         serde_json::to_string(&report.per_client).unwrap(),
-        serde_json::to_string(engine.server().global()).unwrap(),
-    );
+    )
+    .into_bytes();
+    engine.server().global().encode(&mut records);
     (report, records)
 }
 
-fn assert_reports_identical(a: &(EngineReport, String), b: &(EngineReport, String), label: &str) {
+fn assert_reports_identical(a: &(EngineReport, Vec<u8>), b: &(EngineReport, Vec<u8>), label: &str) {
     assert_eq!(a.0.frame_digest, b.0.frame_digest, "{label}: digest");
     assert_eq!(a.0.frames, b.0.frames, "{label}: frames");
     assert_eq!(

@@ -18,7 +18,7 @@
 
 use coca::core::spec::PopularityShift;
 use coca::core::{SyncMode, TopologySpec};
-use coca::net::LinkModel;
+use coca::net::{LinkModel, Wire};
 use coca::prelude::*;
 use proptest::prelude::*;
 
@@ -53,9 +53,11 @@ fn engine_cfg(spec: &ScenarioSpec, policy: FlushPolicy) -> EngineConfig {
     EngineConfig::new(coca)
 }
 
-/// Canonical probe of a run: the report scalars plus a serialized
-/// rendering of every record series and each cell's global table.
-fn probe(report: &EngineReport, globals: &[String]) -> (u64, u64, u64, u64, u64, String) {
+/// Canonical probe of a run: the report scalars, a serialized rendering
+/// of every record series, and each cell's global table as `Wire` bytes.
+type Probe = (u64, u64, u64, u64, u64, String, Vec<Vec<u8>>);
+
+fn probe(report: &EngineReport, globals: Vec<Vec<u8>>) -> Probe {
     (
         report.frame_digest,
         report.frames,
@@ -63,27 +65,31 @@ fn probe(report: &EngineReport, globals: &[String]) -> (u64, u64, u64, u64, u64,
         report.accuracy_pct.to_bits(),
         report.hit_ratio.to_bits(),
         format!(
-            "{}|{}|{}|{}|{}",
+            "{}|{}|{}|{}",
             serde_json::to_string(&report.latency).unwrap(),
             serde_json::to_string(&report.response_latency).unwrap(),
             serde_json::to_string(&report.windowed).unwrap(),
             serde_json::to_string(&report.per_client).unwrap(),
-            globals.join("|"),
         ),
+        globals,
     )
 }
 
-fn run_cells(spec: &ScenarioSpec, policy: FlushPolicy) -> (u64, u64, u64, u64, u64, String) {
+fn run_cells(spec: &ScenarioSpec, policy: FlushPolicy) -> Probe {
     let (scenario, plan) = spec.materialize();
     let cfg = engine_cfg(spec, policy);
     let mut engine = Engine::with_cells(scenario, cfg, plan.topology.cells);
     let report = engine.run_plan(&plan);
-    let globals: Vec<String> = engine
+    let globals = engine
         .servers()
         .iter()
-        .map(|s| serde_json::to_string(s.global()).unwrap())
+        .map(|s| {
+            let mut bytes = Vec::new();
+            s.global().encode(&mut bytes);
+            bytes
+        })
         .collect();
-    probe(&report, &globals)
+    probe(&report, globals)
 }
 
 proptest! {

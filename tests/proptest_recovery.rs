@@ -21,7 +21,7 @@
 use coca::core::persist::{CrashFault, CrashPlan, Durability, MemStorage};
 use coca::core::spec::PopularityShift;
 use coca::core::{CocaServer, FlushPolicy};
-use coca::net::LinkModel;
+use coca::net::{LinkModel, Wire};
 use coca::prelude::*;
 use proptest::prelude::*;
 
@@ -55,17 +55,20 @@ fn coca_config(spec: &ScenarioSpec, policy: FlushPolicy) -> CocaConfig {
         .with_flush_policy(policy)
 }
 
-/// Canonical JSON rendering of every record series plus the post-run
-/// global table — the byte-identity probe the engine tests use.
-fn probe(engine: &Engine, report: &EngineReport) -> String {
-    format!(
-        "{}|{}|{}|{}|{}",
+/// Canonical JSON rendering of every record series followed by the
+/// post-run global table's `Wire` bytes — the byte-identity probe the
+/// engine tests use.
+fn probe(engine: &Engine, report: &EngineReport) -> Vec<u8> {
+    let mut out = format!(
+        "{}|{}|{}|{}|",
         serde_json::to_string(&report.latency).unwrap(),
         serde_json::to_string(&report.response_latency).unwrap(),
         serde_json::to_string(&report.windowed).unwrap(),
         serde_json::to_string(&report.per_client).unwrap(),
-        serde_json::to_string(engine.server().global()).unwrap(),
     )
+    .into_bytes();
+    engine.server().global().encode(&mut out);
+    out
 }
 
 /// Runs CoCa over `spec`; `durability` attaches a WAL with the given
@@ -75,7 +78,7 @@ fn run_coca(
     spec: &ScenarioSpec,
     cfg: CocaConfig,
     durability: Option<(usize, Option<CrashPlan>)>,
-) -> (EngineReport, String, Engine) {
+) -> (EngineReport, Vec<u8>, Engine) {
     let (scenario, plan) = spec.materialize();
     let mut engine = Engine::new(scenario, EngineConfig::new(cfg));
     if let Some((rotate_every, crash)) = durability {
@@ -91,8 +94,8 @@ fn run_coca(
 }
 
 fn assert_runs_identical(
-    a: &(EngineReport, String, Engine),
-    b: &(EngineReport, String, Engine),
+    a: &(EngineReport, Vec<u8>, Engine),
+    b: &(EngineReport, Vec<u8>, Engine),
     label: &str,
 ) {
     assert_eq!(a.0.frame_digest, b.0.frame_digest, "{label}: digest");

@@ -18,7 +18,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use coca::core::persist::{Durability, MemStorage};
 use coca::core::spec::PopularityShift;
-use coca::net::LinkModel;
+use coca::net::{LinkModel, Wire};
 use coca::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -85,7 +85,7 @@ fn random_spec(rng: &mut SmallRng) -> ScenarioSpec {
     spec
 }
 
-fn run_probe(spec: &ScenarioSpec, durable: bool) -> (String, usize) {
+fn run_probe(spec: &ScenarioSpec, durable: bool) -> (Vec<u8>, usize) {
     let (scenario, plan) = spec.materialize();
     let cfg = CocaConfig::for_model(ModelId::ResNet101)
         .with_round_frames(spec.frames_per_round)
@@ -97,18 +97,16 @@ fn run_probe(spec: &ScenarioSpec, durable: bool) -> (String, usize) {
             .attach_durability(Durability::new(Box::new(MemStorage::new()), 4));
     }
     let report = engine.run_plan(&plan);
-    let globals: Vec<String> = engine
-        .servers()
-        .iter()
-        .map(|s| serde_json::to_string(s.global()).unwrap())
-        .collect();
-    let probe = format!(
-        "{}|{}|{}|{}",
+    let mut probe = format!(
+        "{}|{}|{}|",
         report.frame_digest,
         serde_json::to_string(&report.latency).unwrap(),
         serde_json::to_string(&report.per_client).unwrap(),
-        globals.join("|"),
-    );
+    )
+    .into_bytes();
+    for s in engine.servers() {
+        s.global().encode(&mut probe);
+    }
     let pending = engine.servers().iter().map(|s| s.pending_uploads()).sum();
     (probe, pending)
 }

@@ -2,9 +2,9 @@
 //!
 //! * **Round trips.** Random requests, allocations, uploads and peer
 //!   deltas — random dimensions and class counts, f32/f16/i8 worlds,
-//!   empty tables, NaN/±inf/−0.0 lanes — come back bit for bit, and equal
-//!   the value the retained serde path (`from_value(to_value(x))`, what
-//!   the JSON frames used to carry) rebuilds, row order included.
+//!   empty tables, NaN/±inf/−0.0 lanes — come back bit for bit: the
+//!   decoded value is the one that went in, update tables read in
+//!   canonical `(layer, class)` order.
 //! * **Streaming.** Any sequence of frames, cut into any chunks by the
 //!   transport, comes out of `FrameReader` as the messages
 //!   `decode_message` yields frame by frame, in order.
@@ -29,7 +29,6 @@ use coca::net::{decode_frame, decode_message, encode_frame, FrameError, FrameRea
 use coca::prelude::*;
 use proptest::prelude::*;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 // ------------------------------------------------------- generators ----
 
@@ -100,25 +99,30 @@ fn table(rng: &mut impl Rng, precision: Precision) -> UpdateTable {
 }
 
 /// A table with raw odd lanes (±inf, subnormals, NaN payloads), which
-/// `absorb`'s normalization would wash out: built through the serde
-/// triple form, the only public constructor that takes rows verbatim.
+/// `absorb`'s normalization would wash out: decoded from a hand-assembled
+/// `Wire` layer group, the only public constructor that takes rows
+/// verbatim.
 fn raw_table(rng: &mut impl Rng) -> UpdateTable {
-    let dim = rng.gen_range(1..9);
-    let cells = rng.gen_range(1..6);
-    let triples: Vec<(u32, u32, Vec<f32>)> = distinct(rng, cells, 50)
+    let dim: usize = rng.gen_range(1..9);
+    let cells: usize = rng.gen_range(1..6);
+    let mut classes: Vec<u32> = distinct(rng, cells, 50)
         .into_iter()
-        .map(|class| {
-            let row = (0..dim)
-                .map(|_| match rng.gen_range(0..3) {
-                    0 => ODD_F32[rng.gen_range(0..ODD_F32.len())],
-                    1 => f32::from_bits(0x7fc0_1234),
-                    _ => rng.gen_range(-1.0..1.0),
-                })
-                .collect();
-            (class as u32, 3, row)
+        .map(|c| c as u32)
+        .collect();
+    classes.sort_unstable();
+    let floats: Vec<f32> = (0..cells * dim)
+        .map(|_| match rng.gen_range(0..3) {
+            0 => ODD_F32[rng.gen_range(0..ODD_F32.len())],
+            1 => f32::from_bits(0x7fc0_1234),
+            _ => rng.gen_range(-1.0..1.0),
         })
         .collect();
-    UpdateTable::from_value(&triples.to_value()).expect("distinct cells, one dim")
+    let mut p = Vec::new();
+    1u32.encode(&mut p); // one layer group: layer 3
+    3u32.encode(&mut p);
+    put_u32s(&mut p, &classes);
+    put_store(&mut p, dim as u32, cells as u32, &floats);
+    decode_message(&frame(&p)).expect("ascending cells, one dim")
 }
 
 fn upload(rng: &mut impl Rng) -> UpdateUpload {
@@ -185,43 +189,39 @@ fn peer_delta(rng: &mut impl Rng) -> PeerDelta {
 
 /// A message flattened to integers: every field, every length, every
 /// float by its bits. Two messages are the same value iff their views
-/// are equal. `canon_nan` folds all NaNs into one — the serde path keeps
-/// a float's NaN-ness but not its payload.
+/// are equal; an update table is read in `(layer, class)` order, the
+/// order the codec writes whatever order its cells were absorbed in.
 #[derive(Debug, PartialEq)]
-struct View {
-    words: Vec<u64>,
-    canon_nan: bool,
-}
+struct View(Vec<u64>);
 
 impl View {
     fn u(&mut self, x: u64) {
-        self.words.push(x);
+        self.0.push(x);
     }
     fn f32s(&mut self, xs: &[f32]) {
         self.u(xs.len() as u64);
-        for x in xs {
-            let nan = self.canon_nan && x.is_nan();
-            self.u(if nan { u64::MAX } else { x.to_bits().into() });
-        }
+        self.0.extend(xs.iter().map(|x| u64::from(x.to_bits())));
     }
     fn f64s(&mut self, xs: &[f64]) {
         self.u(xs.len() as u64);
-        for x in xs {
-            let nan = self.canon_nan && x.is_nan();
-            self.u(if nan { u64::MAX } else { x.to_bits() });
-        }
+        self.0.extend(xs.iter().map(|x| x.to_bits()));
     }
     fn u64s(&mut self, xs: impl ExactSizeIterator<Item = u64>) {
         self.u(xs.len() as u64);
-        self.words.extend(xs);
+        self.0.extend(xs);
     }
     fn table(&mut self, t: &UpdateTable) {
         self.u(t.layer_groups().len() as u64);
         for g in t.layer_groups() {
+            let mut rows: Vec<usize> = (0..g.len()).collect();
+            rows.sort_unstable_by_key(|&i| g.classes[i]);
             self.u(g.layer.into());
-            self.u64s(g.classes.iter().map(|&c| c.into()));
             self.u(g.vectors.dim() as u64);
-            self.f32s(g.vectors.as_flat());
+            self.u(rows.len() as u64);
+            for i in rows {
+                self.u(g.classes[i].into());
+                self.f32s(g.vectors.row(i));
+            }
         }
     }
     fn precision(&mut self, p: Precision) {
@@ -231,11 +231,8 @@ impl View {
 
 trait Viewed {
     fn view_into(&self, v: &mut View);
-    fn view(&self, canon_nan: bool) -> View {
-        let mut v = View {
-            words: Vec::new(),
-            canon_nan,
-        };
+    fn view(&self) -> View {
+        let mut v = View(Vec::new());
         self.view_into(&mut v);
         v
     }
@@ -288,61 +285,41 @@ impl Viewed for PeerDelta {
     }
 }
 
-/// Every cell of `sent` is in `got`, bit for bit, and nothing else is.
-fn same_cells(sent: &UpdateTable, got: &UpdateTable) -> bool {
-    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    sent.len() == got.len()
-        && sent
-            .iter()
-            .all(|(c, l, v)| got.get(c, l).is_some_and(|g| bits(g) == bits(v)))
-}
-
 /// The codec contract for one message: the frame decodes to the value
-/// serde's `Value` round trip yields (NaN payloads aside), a second trip
-/// through the wire changes nothing at all, and the stream and message
-/// boundaries agree.
-fn check_round_trip<T>(msg: &T) -> Result<T, TestCaseError>
-where
-    T: Wire + Viewed + Serialize + Deserialize,
-{
+/// that went in, a second trip through the wire changes nothing at all,
+/// and the stream and message boundaries agree.
+fn check_round_trip<T: Wire + Viewed>(msg: &T) -> Result<T, TestCaseError> {
     let frame = encode_frame(msg).unwrap();
     let back: T = decode_message(&frame).unwrap();
-    let oracle = T::from_value(&msg.to_value()).unwrap();
-    prop_assert_eq!(back.view(true), oracle.view(true));
+    prop_assert_eq!(back.view(), msg.view());
     let again: T = decode_message(&encode_frame(&back).unwrap()).unwrap();
-    prop_assert_eq!(again.view(false), back.view(false));
+    prop_assert_eq!(again.view(), back.view());
     let (streamed, used) = decode_frame::<T>(&frame).unwrap().unwrap();
     prop_assert_eq!(used, frame.len());
-    prop_assert_eq!(streamed.view(false), back.view(false));
+    prop_assert_eq!(streamed.view(), back.view());
     Ok(back)
+}
+
+/// Layers ascending, rows ascending by class: the order a decoded table
+/// is in, whatever order the sender absorbed its cells in.
+fn canonical(t: &UpdateTable) -> bool {
+    t.layer_groups().windows(2).all(|w| w[0].layer < w[1].layer)
+        && t.layer_groups()
+            .iter()
+            .all(|g| g.classes.windows(2).all(|w| w[0] < w[1]))
 }
 
 proptest! {
     #[test]
-    fn random_messages_round_trip_bit_exactly_and_match_the_serde_path(seed in 0u64..4000) {
+    fn random_messages_round_trip_bit_exactly(seed in 0u64..4000) {
         let mut rng = SeedTree::new(seed).rng_for("wire-round-trip");
-
-        // Requests and allocations have one in-memory order: the frame
-        // hands back the very value that went in.
-        let req = request(&mut rng);
-        prop_assert_eq!(check_round_trip(&req)?.view(false), req.view(false));
-        let alloc = allocation(&mut rng);
-        prop_assert_eq!(check_round_trip(&alloc)?.view(false), alloc.view(false));
-
-        // Tables come back in canonical order — layers ascending, rows
-        // ascending by class — with every cell's bits intact.
-        let up = upload(&mut rng);
-        let back = check_round_trip(&up)?;
-        prop_assert!(same_cells(&up.table, &back.table));
-        for g in back.table.layer_groups() {
-            prop_assert!(g.classes.windows(2).all(|w| w[0] < w[1]));
-        }
-        prop_assert!(back.table.layer_groups().windows(2).all(|w| w[0].layer < w[1].layer));
-
-        let delta = peer_delta(&mut rng);
-        let back = check_round_trip(&delta)?;
-        for (sent, got) in delta.entries.iter().zip(&back.entries) {
-            prop_assert!(same_cells(&sent.table, &got.table));
+        check_round_trip(&request(&mut rng))?;
+        check_round_trip(&allocation(&mut rng))?;
+        let back = check_round_trip(&upload(&mut rng))?;
+        prop_assert!(canonical(&back.table));
+        let back = check_round_trip(&peer_delta(&mut rng))?;
+        for e in &back.entries {
+            prop_assert!(canonical(&e.table));
         }
     }
 }
@@ -375,7 +352,7 @@ fn next_matches<T: Wire + Viewed>(
 ) -> Result<(), TestCaseError> {
     let streamed: T = r.next().unwrap().expect("a frame, not EOF");
     let whole: T = decode_message(frame).unwrap();
-    prop_assert_eq!(streamed.view(false), whole.view(false));
+    prop_assert_eq!(streamed.view(), whole.view());
     Ok(())
 }
 
