@@ -775,7 +775,6 @@ fn bench_server_tables(_c: &mut Criterion) {
             global,
             clients,
             pending,
-            flush_watermark: 32,
             static_alloc: None,
         };
 

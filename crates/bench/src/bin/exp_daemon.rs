@@ -45,7 +45,6 @@ fn main() {
         model: ModelId::ResNet101,
         classes: 30,
         seed: 4_600,
-        round_aligned: false,
         precision: coca_math::Precision::F32,
     };
     let wl = Workload {

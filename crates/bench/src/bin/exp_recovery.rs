@@ -3,17 +3,19 @@
 //! Exercises the snapshot + WAL subsystem (`coca_core::persist`) the way
 //! the recovery proptests do, but as a committed, regenerable record:
 //!
-//! * **crash sweep** — one fixed churn/drift timeline run under
-//!   queue-and-flush with a WAL rotating every 3 records; a crash is then
-//!   injected at *every* WAL event boundary under each fault kind (clean
-//!   kill, torn final record, corrupted current snapshot) and the resumed
-//!   run's `frame_digest` + record bytes are checked against the
-//!   uninterrupted run. The record row counts boundaries swept and
-//!   digest-equal outcomes (they must match).
+//! * **crash sweep** — one fixed churn/drift timeline run with a WAL
+//!   rotating every 3 records, then two uploads that arrive after the
+//!   run's last request and stay queued; a crash is then injected at
+//!   *every* WAL event boundary under each fault kind (clean kill, torn
+//!   final record, corrupted current snapshot) and the resumed run's
+//!   `frame_digest` + record bytes (server snapshot, pending queue
+//!   included) are checked against the uninterrupted run. The record row
+//!   counts boundaries swept and digest-equal outcomes (they must match).
 //! * **standalone recovery** — [`CocaServer::recover`] from the finished
 //!   run's storage, reporting which snapshot generation seeded the
 //!   replay, how many WAL records were replayed and how many torn bytes
-//!   were truncated, plus snapshot-byte identity with the live server.
+//!   were truncated, plus snapshot-byte identity with the live server,
+//!   whose pending queue is non-empty.
 //! * **footprint** — snapshot and WAL sizes under f32/f16/i8 table
 //!   precision for the same timeline.
 //!
@@ -21,16 +23,18 @@
 //! `results/recovery.json` regenerates byte-identically.
 
 use coca_bench::output::save_record;
+use coca_core::collect::UpdateTable;
 use coca_core::engine::{Engine, EngineConfig, EngineReport, ScenarioConfig};
 use coca_core::persist::{CrashFault, CrashPlan, Durability, MemStorage, SnapshotSource, WAL_CUR};
+use coca_core::proto::UpdateUpload;
 use coca_core::spec::{PopularityShift, ScenarioSpec};
-use coca_core::{CocaConfig, CocaServer, FlushPolicy};
+use coca_core::{CocaConfig, CocaServer};
 use coca_data::DatasetSpec;
 use coca_math::Precision;
 use coca_metrics::table::fmt_f;
 use coca_metrics::{ExperimentRecord, Table};
 use coca_model::ModelId;
-use coca_net::{LinkModel, Wire};
+use coca_net::LinkModel;
 use coca_sim::SimDuration;
 use serde_json::json;
 
@@ -62,13 +66,11 @@ fn spec() -> ScenarioSpec {
 fn coca_config(spec: &ScenarioSpec, precision: Precision) -> CocaConfig {
     CocaConfig::for_model(ModelId::ResNet101)
         .with_round_frames(spec.frames_per_round)
-        .with_flush_policy(FlushPolicy::RoundAligned)
         .with_precision(precision)
 }
 
 /// Canonical rendering of the run's record series (JSON) followed by the
-/// global table's `Wire` bytes — the byte-identity probe the recovery
-/// proptests use.
+/// server's snapshot bytes — table, client registry and pending queue.
 fn probe(engine: &Engine, report: &EngineReport) -> Vec<u8> {
     let mut out = format!(
         "{}|{}|{}|{}|",
@@ -78,8 +80,31 @@ fn probe(engine: &Engine, report: &EngineReport) -> Vec<u8> {
         serde_json::to_string(&report.per_client).unwrap(),
     )
     .into_bytes();
-    engine.server().global().encode(&mut out);
+    out.extend_from_slice(&engine.server().snapshot().to_bytes());
     out
+}
+
+/// Hands the finished run's server one more upload from `client_id`,
+/// snapped onto the config's precision grid. The run end drained the
+/// queue, so uploads that arrive after it stay queued: the state a server
+/// holds between a round's last upload and the next request.
+fn upload_after_the_last_request(engine: &mut Engine, precision: Precision, client_id: u64) {
+    let rt = &engine.scenario().rt;
+    let (layer, class) = (10, 3);
+    let mut v = vec![0.0f32; rt.feature_dim(layer)];
+    v[client_id as usize + 1] = 1.0;
+    let mut table = UpdateTable::new();
+    table.absorb(class, layer, &v, 0.0);
+    table.quantize_in_place(precision);
+    let mut frequency = vec![0u64; rt.num_classes()];
+    frequency[class] = 5 + client_id;
+    engine.server_mut().handle_upload(UpdateUpload {
+        client_id,
+        round: ROUNDS as u64,
+        table,
+        frequency,
+        precision,
+    });
 }
 
 fn run_durable(
@@ -95,6 +120,10 @@ fn run_durable(
     }
     engine.server_mut().attach_durability(d);
     let report = engine.run_plan(&plan);
+    for client_id in 0..2 {
+        upload_after_the_last_request(&mut engine, cfg.precision, client_id);
+    }
+    assert!(engine.server().pending_uploads() > 0);
     let records = probe(&engine, &report);
     (report, records, engine)
 }
@@ -120,9 +149,7 @@ fn main() {
         .param("rounds", ROUNDS as u64)
         .param("frames_per_round", FRAMES as u64)
         .param("seed", spec.scenario.seed)
-        .param("wal_rotate_records", ROTATE_EVERY as u64)
-        .param("merge_mode", "queue_and_flush")
-        .param("flush_policy", "round_aligned");
+        .param("wal_rotate_records", ROTATE_EVERY as u64);
 
     // -- baseline: uninterrupted durable run (f32) --------------------
     let cfg = coca_config(&spec, Precision::F32);
@@ -136,6 +163,7 @@ fn main() {
     let effective = baseline.2.server().snapshot().config;
     let (recovered, info) =
         CocaServer::recover(&scenario.rt, effective, scenario.seeds(), d).unwrap();
+    assert!(recovered.pending_uploads() > 0);
     let recovered_identical = recovered.snapshot().to_bytes() == live_bytes;
     assert!(
         recovered_identical,

@@ -2,14 +2,15 @@
 
 use coca_math::Precision;
 use coca_model::ModelId;
-use coca_net::wire::codec_err;
 use coca_net::{FrameError, Reader, Wire};
 use serde::{Deserialize, Serialize};
 
 /// The server's upload pipeline (§IV.A step 3 / "cache collection"): every
 /// upload queues in FIFO arrival order and drains through the per-layer
-/// batched pass (`GlobalCacheTable::merge_batch`) at the next flush
-/// boundary, which [`FlushPolicy`] picks. The batched pass is bit-identical
+/// batched pass (`GlobalCacheTable::merge_batch`) at the next boundary: a
+/// request, a leave, a handover, a peer-sync export or absorb, an explicit
+/// flush, or the end of a run. Every read of the table therefore sees every
+/// upload that reached the server. The batched pass is bit-identical
 /// to merging the uploads one by one in that order, and every virtual cost
 /// is charged at the upload's arrival instant.
 ///
@@ -20,45 +21,6 @@ use serde::{Deserialize, Serialize};
 pub enum MergeMode {
     /// Queue arriving uploads and drain them at the next flush boundary.
     QueueAndFlush,
-}
-
-/// *When* the pending upload queue is drained — the one knob of the
-/// upload pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FlushPolicy {
-    /// Drain the pending batch at every boundary: a request, a leave, a
-    /// peer-sync export or absorb, an explicit flush. Every read of the
-    /// table then sees every upload that reached the server, exactly as
-    /// if each had merged on arrival.
-    EveryBoundary,
-    /// Round-aligned flush: hold the queue until every *live* member's
-    /// upload for the round has arrived (a high-watermark on the pending
-    /// count), then drain once as a fleet-sized batch. Allocation
-    /// requests served while uploads are pending read the **effective
-    /// frequency** (global Φ plus queued, not-yet-merged φ, Eq. 5's sum
-    /// rearranged — exact u64 arithmetic), so ACA's hot-spot scores see
-    /// every completed round. Centroid *positions*, however, lag by up to
-    /// one round, so records produced under this policy are a **relaxed
-    /// observation contract**: deterministic (property-tested), but not
-    /// byte-identical to [`FlushPolicy::EveryBoundary`] runs.
-    RoundAligned,
-}
-
-/// One tag byte: 0 = every boundary, 1 = round-aligned.
-impl Wire for FlushPolicy {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            FlushPolicy::EveryBoundary => 0,
-            FlushPolicy::RoundAligned => 1,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, FrameError> {
-        match u8::decode(r)? {
-            0 => Ok(FlushPolicy::EveryBoundary),
-            1 => Ok(FlushPolicy::RoundAligned),
-            other => codec_err(format!("unknown flush-policy tag {other}")),
-        }
-    }
 }
 
 /// All tunables of the CoCa framework. Field docs cite the paper values.
@@ -117,11 +79,6 @@ pub struct CocaConfig {
     /// yields the spread allocations of the paper's Fig. 4 example.
     /// Exposed for the DESIGN.md §7 ablation.
     pub aca_per_byte: bool,
-    /// When the upload queue drains: at every boundary (default; every
-    /// table read sees every upload that reached the server) or
-    /// round-aligned (fleet-sized batches, relaxed observation contract;
-    /// see [`FlushPolicy`]).
-    pub flush_policy: FlushPolicy,
     /// Storage precision of the data that *moves*: upload tables,
     /// allocation frames and the server's global-table layers. The
     /// default [`Precision::F32`] is the committed-record reference;
@@ -137,8 +94,8 @@ pub struct CocaConfig {
     pub wal_rotate_records: usize,
 }
 
-/// Every field in declaration order, fixed width (86 bytes): `f32`/`f64`
-/// as themselves, `usize` as `u64`, `bool` and the two enums as one
+/// Every field in declaration order, fixed width (85 bytes): `f32`/`f64`
+/// as themselves, `usize` as `u64`, `bool` and the precision enum as one
 /// byte each. The snapshot embeds this so recovery can refuse a store
 /// written under a different configuration.
 impl Wire for CocaConfig {
@@ -159,7 +116,6 @@ impl Wire for CocaConfig {
         self.enable_gcu.encode(out);
         self.aca_deflation.encode(out);
         self.aca_per_byte.encode(out);
-        self.flush_policy.encode(out);
         self.precision.encode(out);
         self.wal_rotate_records.encode(out);
     }
@@ -182,7 +138,6 @@ impl Wire for CocaConfig {
             enable_gcu: Wire::decode(r)?,
             aca_deflation: Wire::decode(r)?,
             aca_per_byte: Wire::decode(r)?,
-            flush_policy: Wire::decode(r)?,
             precision: Wire::decode(r)?,
             wal_rotate_records: Wire::decode(r)?,
         })
@@ -226,7 +181,6 @@ impl CocaConfig {
             enable_gcu: true,
             aca_deflation: true,
             aca_per_byte: true,
-            flush_policy: FlushPolicy::EveryBoundary,
             precision: Precision::F32,
             wal_rotate_records: wal_rotate_from_env().unwrap_or(256),
         }
@@ -264,12 +218,6 @@ impl CocaConfig {
     /// pipeline (see [`MergeMode`]). Kept only because `benchmark/`
     /// names it.
     pub fn with_merge_mode(self, _mode: MergeMode) -> Self {
-        self
-    }
-
-    /// Returns a copy with the given queue-flush policy.
-    pub fn with_flush_policy(mut self, policy: FlushPolicy) -> Self {
-        self.flush_policy = policy;
         self
     }
 
@@ -372,17 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_policy_defaults_and_builder() {
-        let cfg = CocaConfig::for_model(ModelId::ResNet101);
-        assert_eq!(cfg.flush_policy, FlushPolicy::EveryBoundary);
-        let cfg = cfg.with_flush_policy(FlushPolicy::RoundAligned);
-        assert_eq!(cfg.flush_policy, FlushPolicy::RoundAligned);
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: CocaConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.flush_policy, FlushPolicy::RoundAligned);
-    }
-
-    #[test]
     fn precision_defaults_and_builder() {
         let cfg = CocaConfig::for_model(ModelId::ResNet101);
         assert_eq!(cfg.precision, Precision::F32);
@@ -414,7 +351,6 @@ mod tests {
     #[test]
     fn wire_round_trips_every_field_and_rejects_bad_tags() {
         let mut cfg = CocaConfig::for_model(ModelId::Vgg16Bn)
-            .with_flush_policy(FlushPolicy::RoundAligned)
             .with_precision(Precision::F16)
             .with_budget(12_345)
             .with_wal_rotate(7);
@@ -422,13 +358,13 @@ mod tests {
         cfg.leave_phi_decay = 0.75;
         let mut bytes = Vec::new();
         cfg.encode(&mut bytes);
-        assert_eq!(bytes.len(), 6 * 4 + 4 * 8 + 3 * 8 + 6);
+        assert_eq!(bytes.len(), 6 * 4 + 4 * 8 + 3 * 8 + 5);
         let mut r = Reader::new(&bytes);
         assert_eq!(CocaConfig::decode(&mut r).unwrap(), cfg);
         assert!(r.finish().is_ok());
-        // The four bools, then the flush-policy and precision tags: every
-        // one is range-checked. A short buffer errors.
-        for at in 72..78 {
+        // The four bools, then the precision tag: every one is
+        // range-checked. A short buffer errors.
+        for at in 72..77 {
             let mut bad = bytes.clone();
             bad[at] = 9;
             assert!(

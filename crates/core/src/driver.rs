@@ -207,8 +207,8 @@ pub trait MethodDriver {
 
     /// Client `k` re-homes from `from_cell` to `to_cell` at a round
     /// boundary (its goodbye upload already departed toward `from_cell`).
-    /// Multi-cell drivers move registration/watermark state here; the
-    /// default does nothing. Never fired when `from_cell == to_cell`.
+    /// Multi-cell drivers move per-client routing state here; the default
+    /// does nothing. Never fired when `from_cell == to_cell`.
     fn on_migrate(&mut self, _k: usize, _from_cell: usize, _to_cell: usize) {}
 
     /// Peer-sync tick `seq`: the deltas each cell sends this tick. The
@@ -225,11 +225,6 @@ pub trait MethodDriver {
     fn sync_absorb(&mut self, _emit: &SyncEmit) -> (SimDuration, Vec<SyncEmit>) {
         (SimDuration::ZERO, Vec::new())
     }
-
-    /// Client `k` joins the fleet mid-run (fired at its boot instant,
-    /// before its first cache request). Methods with shared server state
-    /// can register the newcomer here; the default does nothing.
-    fn on_join(&mut self, _k: usize) {}
 
     /// Client `k` departs the fleet before the run's natural end (fired at
     /// its final round boundary, after its goodbye upload was handed to
@@ -495,8 +490,8 @@ pub fn frame_digest(k: usize, frame: &Frame) -> u64 {
 enum Ev<D: MethodDriver> {
     /// A no-request client boots straight into its frames.
     Begin { k: usize },
-    /// A mid-run joiner boots: [`MethodDriver::on_join`] fires, then its
-    /// first cache request (or first frame) departs.
+    /// A mid-run joiner boots: its first cache request (or first frame)
+    /// departs.
     Join { k: usize },
     /// A cache request arrives at its cell (captured at emission, so a
     /// migration between send and arrival cannot reroute it).
@@ -885,10 +880,7 @@ pub fn drive_plan<D: MethodDriver>(
         exec.end_time = exec.end_time.max(now);
         match ev.payload {
             Ev::Begin { k } => exec.run_frames(driver, k, now),
-            Ev::Join { k } => {
-                driver.on_join(k);
-                exec.boot(driver, k, now);
-            }
+            Ev::Join { k } => exec.boot(driver, k, now),
             Ev::Request { k, cell, sent, req } => {
                 let (alloc, service) = driver.serve_request_at(cell, k, req);
                 let done = exec.queues[cell].serve(now, service);

@@ -289,12 +289,9 @@ struct CocaDriver<'a> {
     /// sequentially in virtual time, so per-client scratch would be
     /// O(fleet) memory for no benefit.
     scratch: crate::lookup::LookupScratch,
-    /// Per-cell live member counts, mirrored into each cell's
-    /// round-aligned flush watermark at every join/leave/migration.
-    live: Vec<usize>,
     /// Current home cell of each client — the driver's mirror of the
-    /// event loop's routing state, needed because join/leave hooks are
-    /// not cell-qualified.
+    /// event loop's routing state, needed because the leave hook is not
+    /// cell-qualified.
     cell: Vec<usize>,
     sync_mode: SyncMode,
     /// In-flight sync payloads, keyed by the id carried in
@@ -381,12 +378,6 @@ impl MethodDriver for CocaDriver<'_> {
         self.servers[cell].handle_upload(upload)
     }
 
-    fn on_join(&mut self, k: usize) {
-        let c = self.cell[k];
-        self.live[c] += 1;
-        self.servers[c].set_flush_watermark(self.live[c]);
-    }
-
     fn on_leave(&mut self, k: usize) {
         // Drop the leaver's allocation; its collected knowledge stays in
         // its home cell's table (collaborative caching keeps what the
@@ -399,8 +390,6 @@ impl MethodDriver for CocaDriver<'_> {
         let c = self.cell[k];
         self.servers[c].on_client_leave();
         self.clients[k].install_cache(crate::semantic::LocalCache::empty());
-        self.live[c] = self.live[c].saturating_sub(1);
-        self.servers[c].set_flush_watermark(self.live[c]);
     }
 
     fn on_migrate(&mut self, k: usize, from_cell: usize, to_cell: usize) {
@@ -410,10 +399,6 @@ impl MethodDriver for CocaDriver<'_> {
         // current allocation until its next request, which lands at the
         // new cell and re-allocates from that cell's merged view.
         self.servers[from_cell].flush_pending();
-        self.live[from_cell] = self.live[from_cell].saturating_sub(1);
-        self.servers[from_cell].set_flush_watermark(self.live[from_cell]);
-        self.live[to_cell] += 1;
-        self.servers[to_cell].set_flush_watermark(self.live[to_cell]);
         self.cell[k] = to_cell;
     }
 
@@ -598,27 +583,14 @@ impl Engine {
             self.servers.len(),
             "plan topology and engine disagree on the number of cells"
         );
-        // The base fleet (everyone who boots without a mid-run join) is
-        // live from the start; each cell's round-aligned flush watermark
-        // tracks its share from there.
         let cell: Vec<usize> = (0..plan.members.len())
             .map(|k| plan.topology.cell_of(k))
             .collect();
-        let mut live = vec![0usize; self.servers.len()];
-        for (m, &c) in plan.members.iter().zip(&cell) {
-            if m.join_at_ms.is_none() && m.rounds > 0 {
-                live[c] += 1;
-            }
-        }
-        for (server, &n) in self.servers.iter_mut().zip(&live) {
-            server.set_flush_watermark(n);
-        }
         let mut driver = CocaDriver {
             rt: &self.scenario.rt,
             servers: &mut self.servers,
             clients: &mut self.clients,
             scratch: crate::lookup::LookupScratch::new(),
-            live,
             cell,
             sync_mode: plan.topology.sync_mode,
             payloads: BTreeMap::new(),
@@ -639,7 +611,6 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FlushPolicy;
     use crate::spec::{ScenarioSpec, TopologySpec};
     use coca_model::ModelId;
 
@@ -801,20 +772,5 @@ mod tests {
         // own-origin Φ mass beyond what its two round-robin residents and
         // the sync stream explain — at minimum the row exists.
         assert!(multi.servers()[1].merge_provenance().contains_key(&1));
-    }
-
-    #[test]
-    fn watermark_seed_skips_members_that_never_boot() {
-        // Member 3 has no rounds, so it never boots and never uploads: a
-        // watermark that counted it could not be reached by a full round
-        // of the three members that do run.
-        let mut cfg = engine_cfg(2);
-        cfg.coca = cfg.coca.with_flush_policy(FlushPolicy::RoundAligned);
-        let mut plan = DrivePlan::from_config(&cfg.drive_config(), 4);
-        plan.members[3].rounds = 0;
-        let mut engine = Engine::new(small_scenario(76), cfg);
-        let report = engine.run_plan(&plan);
-        assert_eq!(report.frames, 3 * 2 * 120);
-        assert_eq!(engine.server().snapshot().flush_watermark, 3);
     }
 }

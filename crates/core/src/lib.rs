@@ -63,7 +63,7 @@ pub mod status;
 
 pub use aca::{allocate, AcaInputs, AcaOutput};
 pub use client::{ClientReport, CocaClient};
-pub use config::{CocaConfig, FlushPolicy, MergeMode};
+pub use config::{CocaConfig, MergeMode};
 pub use driver::{
     drive, drive_plan, DriveConfig, DrivePlan, FrameOutcome, FrameStep, MemberPlan, MethodDriver,
     MigrationPlan, NoMsg, SyncEmit, TopologyPlan,

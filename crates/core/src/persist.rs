@@ -7,8 +7,8 @@
 //! every client's contribution. This module gives [`crate::server::CocaServer`]
 //! a WAL-before-mutation discipline:
 //!
-//! * Every state-mutating server event (request, upload, merge, batch,
-//!   leave, flush, watermark change) is appended to the WAL **before** the
+//! * Every state-mutating server event (request, upload, leave, flush) is
+//!   appended to the WAL **before** the
 //!   mutation applies, as one CRC-framed binary record — one `write(2)`
 //!   per event.
 //! * Every `wal_rotate_records` appends the log rotates: the current
@@ -38,24 +38,23 @@
 //! ```text
 //! [u8 tag][body]
 //!   0 Request    CacheRequest
-//!   1 Merge      UpdateUpload
 //!   2 Upload     UpdateUpload
-//!   3 Batch      [u32 n][n × UpdateUpload]
 //!   4 Leave      —
 //!   5 Flush      —
-//!   6 Watermark  [u64 live members]
 //! ```
+//!
+//! Tags 1 and 3 (two retired upload entry points) and 6 (the retired
+//! flush-watermark record) are never reused: a log holding one is refused.
 //!
 //! A snapshot is exactly one frame holding a [`Snapshot`]:
 //!
 //! ```text
-//! [u8 version = 3]
-//! [CocaConfig]                              86 bytes, fields in order
+//! [u8 version = 4]
+//! [CocaConfig]                              85 bytes, fields in order
 //! [GlobalCacheTable]                        precision, Φ, per-layer
 //!                                           occupancy words + stores
 //! [u32 n][n × ([u64 client id][ClientStatus])]   ascending by id
 //! [u32 m][m × UpdateUpload]                 the pending queue, FIFO
-//! [u64 flush watermark]
 //! [u8 0|1][AcaOutput]                       the static allocation
 //! ```
 //!
@@ -65,8 +64,9 @@
 //! invariant ([`Snapshot::validate`]); the encoding is canonical, so
 //! re-encoding a decoded snapshot or record reproduces its bytes exactly.
 //! There is one format: a store written by an older build — one that
-//! framed JSON payloads (version 1), or one whose config still carried
-//! the merge-mode and parallel-merge bytes (version 2) — fails the
+//! framed JSON payloads (version 1), one whose config still carried the
+//! merge-mode and parallel-merge bytes (version 2), or one that carried
+//! the flush-policy byte and the flush watermark (version 3) — fails the
 //! version / tag byte and is refused with [`PersistError::Decode`], not
 //! migrated.
 //!
@@ -99,8 +99,9 @@ use crate::proto::{CacheRequest, UpdateUpload};
 use crate::status::ClientStatus;
 
 /// Snapshot payload version byte (bumped on incompatible changes;
-/// version 1 was the JSON payload, version 2 the 88-byte config).
-const SNAPSHOT_VERSION: u8 = 3;
+/// version 1 was the JSON payload, version 2 the 88-byte config, version 3
+/// the 86-byte config and the flush watermark).
+const SNAPSHOT_VERSION: u8 = 4;
 
 /// Storage key of the current-generation snapshot.
 pub const SNAP_CUR: &str = "snap.cur";
@@ -518,8 +519,6 @@ pub struct Snapshot {
     pub clients: Vec<(u64, ClientStatus)>,
     /// The pending upload queue, FIFO order.
     pub pending: Vec<UpdateUpload>,
-    /// Round-aligned flush watermark.
-    pub flush_watermark: usize,
     /// The lazily computed static allocation (DCA-off runs), if any.
     pub static_alloc: Option<AcaOutput>,
 }
@@ -533,7 +532,6 @@ pub(crate) fn snapshot_frame<'a>(
     global: &GlobalCacheTable,
     clients: impl ExactSizeIterator<Item = (u64, &'a ClientStatus)>,
     pending: &[UpdateUpload],
-    flush_watermark: usize,
     static_alloc: &Option<AcaOutput>,
 ) -> Vec<u8> {
     let mut out = Vec::new();
@@ -547,7 +545,6 @@ pub(crate) fn snapshot_frame<'a>(
             status.encode(out);
         }
         encode_seq(pending, out);
-        flush_watermark.encode(out);
         static_alloc.encode(out);
     });
     out
@@ -562,7 +559,6 @@ impl Snapshot {
             &self.global,
             self.clients.iter().map(|(id, st)| (*id, st)),
             &self.pending,
-            self.flush_watermark,
             &self.static_alloc,
         )
     }
@@ -598,7 +594,6 @@ impl Snapshot {
             },
             // An empty upload: two ids, two counts, the precision tag.
             pending: decode_seq(&mut r, 25)?,
-            flush_watermark: Wire::decode(&mut r)?,
             static_alloc: Wire::decode(&mut r)?,
         };
         r.finish()?;
@@ -682,8 +677,8 @@ impl Snapshot {
 /// fused kernels, bit-identical state.
 #[derive(Debug, Clone)]
 pub enum WalRecord {
-    /// `handle_request`: flush boundary (policy-dependent), lazy static
-    /// allocation, τ registry update.
+    /// `handle_request`: flush boundary, lazy static allocation, τ
+    /// registry update.
     Request(CacheRequest),
     /// `handle_upload`: the upload entry point (enqueue).
     Upload(UpdateUpload),
@@ -691,22 +686,20 @@ pub enum WalRecord {
     Leave,
     /// An explicit `flush_pending` call (run end, handover, peer sync).
     Flush,
-    /// `set_flush_watermark`.
-    Watermark(usize),
 }
 
 /// A [`WalRecord`] by reference: what the server's log sites hand the
 /// encoder, so logging an event never clones the event. The tag bytes
 /// are shared with [`WalRecord::from_payload`]; 1 and 3 belonged to two
-/// upload entry points that no longer exist and are never reused, so a
-/// log that holds one is refused rather than misread.
+/// upload entry points and 6 to the flush watermark, none of which exist
+/// any more. They are never reused, so a log that holds one is refused
+/// rather than misread.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum WalRef<'a> {
     Request(&'a CacheRequest),
     Upload(&'a UpdateUpload),
     Leave,
     Flush,
-    Watermark(usize),
 }
 
 impl WalRef<'_> {
@@ -723,10 +716,6 @@ impl WalRef<'_> {
             }
             WalRef::Leave => out.push(4),
             WalRef::Flush => out.push(5),
-            WalRef::Watermark(n) => {
-                out.push(6);
-                n.encode(out);
-            }
         });
     }
 }
@@ -738,7 +727,6 @@ impl WalRecord {
             WalRecord::Upload(up) => WalRef::Upload(up),
             WalRecord::Leave => WalRef::Leave,
             WalRecord::Flush => WalRef::Flush,
-            WalRecord::Watermark(n) => WalRef::Watermark(*n),
         }
     }
 
@@ -758,7 +746,6 @@ impl WalRecord {
             2 => WalRecord::Upload(Wire::decode(&mut r)?),
             4 => WalRecord::Leave,
             5 => WalRecord::Flush,
-            6 => WalRecord::Watermark(Wire::decode(&mut r)?),
             tag => {
                 return Err(PersistError::Decode(format!(
                     "unknown WAL record tag {tag}"
@@ -1075,13 +1062,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_version_2_snapshot_with_the_old_config_is_refused() {
+    fn a_version_3_snapshot_with_the_flush_policy_is_refused() {
         let snap = Snapshot {
             config: CocaConfig::for_model(coca_model::ModelId::ResNet101),
             global: GlobalCacheTable::new(3, 2),
             clients: Vec::new(),
             pending: Vec::new(),
-            flush_watermark: 0,
             static_alloc: None,
         };
         let current = snap.to_bytes();
@@ -1089,14 +1075,30 @@ mod tests {
         let (payloads, _, _) = decode_frames(&current, false).unwrap();
         let mut payload = payloads[0].to_vec();
         assert_eq!(payload[0], SNAPSHOT_VERSION);
-        // Version 2's 88-byte config held two more bytes between the four
-        // ablation bools and the flush-policy tag: the merge-mode tag
-        // (0 = merge on arrival) and the parallel-merge bool.
-        payload[0] = 2;
-        payload.splice(1 + 76..1 + 76, [0u8, 0]);
+        // Version 3's 86-byte config held the flush-policy tag between the
+        // four ablation bools and the precision tag, and the u64 flush
+        // watermark sat between the pending queue and the static
+        // allocation (here `None`, the payload's last byte).
+        payload[0] = 3;
+        payload.splice(1 + 76..1 + 76, [0u8]);
+        let at = payload.len() - 1;
+        payload.splice(at..at, 0u64.to_le_bytes());
         let err = Snapshot::from_bytes(&encode_frame(&payload)).unwrap_err();
         assert!(
-            matches!(err, PersistError::Decode(ref m) if m.contains("version 2")),
+            matches!(err, PersistError::Decode(ref m) if m.contains("version 3")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_watermark_record_is_refused() {
+        // Tag 6 was the flush-watermark record: a log from an older build
+        // that holds one is an unknown tag, not a misread.
+        let mut payload = vec![6u8];
+        payload.extend_from_slice(&9u64.to_le_bytes());
+        let err = WalRecord::from_payload(&payload).unwrap_err();
+        assert!(
+            matches!(err, PersistError::Decode(ref m) if m.contains("unknown WAL record tag 6")),
             "{err}"
         );
     }
@@ -1324,11 +1326,7 @@ mod tests {
 
     #[test]
     fn wal_record_tags_are_variant_positions_and_unknown_tags_are_typed_errors() {
-        for (tag, rec) in [
-            (4u8, WalRecord::Leave),
-            (5, WalRecord::Flush),
-            (6, WalRecord::Watermark(9)),
-        ] {
+        for (tag, rec) in [(4u8, WalRecord::Leave), (5, WalRecord::Flush)] {
             let frame = rec.to_frame();
             assert_eq!(frame[8], tag);
             let (payloads, _, _) = decode_frames(&frame, false).unwrap();
@@ -1339,7 +1337,7 @@ mod tests {
         }
         // A bare tag is the whole Leave record: 8 header bytes + 1.
         assert_eq!(WalRecord::Leave.to_frame().len(), 9);
-        for bad in [&[7u8][..], &[255], b"{", &[]] {
+        for bad in [&[1u8][..], &[3], &[6], &[7], &[255], b"{", &[]] {
             assert!(
                 matches!(WalRecord::from_payload(bad), Err(PersistError::Decode(_))),
                 "{bad:?}"
@@ -1361,11 +1359,12 @@ mod tests {
 
     #[test]
     fn wal_record_frames_round_trip() {
-        let rec = WalRecord::Watermark(7);
-        let frame = rec.to_frame();
-        let (payloads, _, _) = decode_frames(&frame, false).unwrap();
-        let back = WalRecord::from_payload(payloads[0]).unwrap();
-        assert!(matches!(back, WalRecord::Watermark(7)));
+        let flush = WalRecord::Flush.to_frame();
+        let (payloads, _, _) = decode_frames(&flush, false).unwrap();
+        assert!(matches!(
+            WalRecord::from_payload(payloads[0]).unwrap(),
+            WalRecord::Flush
+        ));
 
         let leave = WalRecord::Leave.to_frame();
         let (payloads, _, _) = decode_frames(&leave, false).unwrap();

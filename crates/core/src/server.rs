@@ -16,7 +16,7 @@ use rand::Rng;
 
 use crate::aca::{allocate, AcaInputs, AcaOutput};
 use crate::collect::UpdateTable;
-use crate::config::{CocaConfig, FlushPolicy};
+use crate::config::CocaConfig;
 use crate::global::{GlobalCacheTable, MergeScratch};
 use crate::lookup::{infer_with_cache, LookupScratch};
 use crate::persist::{
@@ -79,12 +79,6 @@ pub struct CocaServer {
     /// Uploads not yet merged, in FIFO arrival order — the order the
     /// flush merges them in, bit-identical to merging each on arrival.
     pending: Vec<UpdateUpload>,
-    /// Live-fleet size under [`FlushPolicy::RoundAligned`]: once
-    /// `pending.len()` reaches this watermark the queue drains in one
-    /// fleet-sized batch. `0` (the default, and any run that never calls
-    /// [`CocaServer::set_flush_watermark`]) disables watermark draining,
-    /// leaving the boundary flushes in charge.
-    flush_watermark: usize,
     /// Server-side mirror of the last τ/φ each client reported —
     /// observational state (it feeds no allocation or merge decision) but
     /// part of the durability contract: a recovered server knows what a
@@ -237,7 +231,6 @@ impl CocaServer {
             costs: ServiceCostModel::default(),
             scratch: MergeScratch::new(),
             pending: Vec::new(),
-            flush_watermark: 0,
             clients: BTreeMap::new(),
             durability: None,
             cell_id: 0,
@@ -267,33 +260,6 @@ impl CocaServer {
         &self.origin_freq
     }
 
-    /// Sets the round-aligned flush watermark to the current live-fleet
-    /// size. The engine calls this at boot and at every join/leave so a
-    /// full round's uploads — exactly one per live member in the steady
-    /// state — trigger one fleet-sized batched drain. Ignored unless
-    /// [`CocaConfig::flush_policy`] is [`FlushPolicy::RoundAligned`].
-    pub fn set_flush_watermark(&mut self, live_members: usize) {
-        self.wal(WalRef::Watermark(live_members));
-        self.watermark_inner(live_members);
-    }
-
-    fn watermark_inner(&mut self, live_members: usize) {
-        self.flush_watermark = live_members;
-        // A shrinking fleet can leave the queue already at (or past) the
-        // new watermark; drain immediately so the policy's "one round's
-        // uploads per drain" cadence is restored.
-        self.drain_if_at_watermark();
-    }
-
-    fn drain_if_at_watermark(&mut self) {
-        if self.cfg.flush_policy == FlushPolicy::RoundAligned
-            && self.flush_watermark > 0
-            && self.pending.len() >= self.flush_watermark
-        {
-            self.flush_pending_inner();
-        }
-    }
-
     /// Overrides the service-cost model (load experiments).
     pub fn set_costs(&mut self, costs: ServiceCostModel) {
         self.costs = costs;
@@ -310,33 +276,11 @@ impl CocaServer {
         &self.global
     }
 
-    /// Effective global frequency: merged Φ plus every queued, not-yet-
-    /// merged upload's φ. Eq. 5 is a commutative u64 sum, so this equals
-    /// — exactly, not approximately — the Φ a flushed table would hold.
-    /// Round-aligned allocations read it so ACA's hot-spot scores see
-    /// every completed round even while centroid merges wait for the
-    /// fleet-sized batch.
-    fn effective_frequency(&self) -> Vec<u64> {
-        let mut freq = self.global.frequency().to_vec();
-        for up in &self.pending {
-            for (f, &phi) in freq.iter_mut().zip(&up.frequency) {
-                *f += phi;
-            }
-        }
-        freq
-    }
-
     /// Handles a cache request: flushes any pending upload batch (a flush
     /// boundary — allocations must read a fully merged table), runs ACA
     /// (or the static fallback when DCA is disabled) and extracts the
     /// personalized sub-table. Returns the allocation and the server
     /// compute charged to the queue.
-    ///
-    /// Under [`FlushPolicy::RoundAligned`] the request is **not** a flush
-    /// boundary: the queue holds until the fleet watermark, and ACA reads
-    /// the [effective frequency](Self::effective_frequency) instead (Φ is
-    /// exact either way; centroid positions may lag up to one round —
-    /// the policy's documented relaxed observation contract).
     pub fn handle_request(&mut self, req: &CacheRequest) -> (CacheAllocation, SimDuration) {
         self.wal(WalRef::Request(req));
         self.request_inner(req)
@@ -351,20 +295,12 @@ impl CocaServer {
             .entry(req.client_id)
             .or_insert_with(|| ClientStatus::new(self.global.num_classes()))
             .record_timestamps(&req.timestamps);
-        let round_aligned = self.cfg.flush_policy == FlushPolicy::RoundAligned;
-        if !round_aligned {
-            self.flush_pending_inner();
-        }
-        let eff_freq = if round_aligned && !self.pending.is_empty() {
-            Some(self.effective_frequency())
-        } else {
-            None
-        };
+        self.flush_pending_inner();
         let decision = if self.cfg.enable_dca {
             allocate(
                 &self.cfg,
                 &AcaInputs {
-                    global_freq: eff_freq.as_deref().unwrap_or(self.global.frequency()),
+                    global_freq: self.global.frequency(),
                     timestamps: &req.timestamps,
                     hit_ratio: &req.hit_ratio,
                     saved_ms: &self.saved_ms,
@@ -427,9 +363,8 @@ impl CocaServer {
 
     /// The one upload entry point (engine and daemon alike): enqueues the
     /// upload and defers its merge (Eq. 4/5; with GCU disabled only Φ
-    /// advances — ACA still needs it) to the next flush boundary that
-    /// [`CocaConfig::flush_policy`] names: a request, a leave, a peer-sync
-    /// export or absorb, the round watermark, or an explicit
+    /// advances — ACA still needs it) to the next flush boundary: a
+    /// request, a leave, a peer-sync export or absorb, or an explicit
     /// [`CocaServer::flush_pending`]. The returned service time is the
     /// cost-model charge for this upload, billed at its arrival instant —
     /// deferral moves the real merge work, never a virtual millisecond.
@@ -444,10 +379,6 @@ impl CocaServer {
         self.note_upload(&up);
         let kb = up.table.wire_bytes_at(up.precision) as f64 / 1024.0;
         self.pending.push(up);
-        // Round-aligned: a full round's worth of uploads is the drain
-        // trigger (no-op under the default policy or when no watermark
-        // was installed).
-        self.drain_if_at_watermark();
         SimDuration::from_millis_f64(self.costs.update_base_ms + self.costs.update_per_kb_ms * kb)
     }
 
@@ -464,7 +395,7 @@ impl CocaServer {
     ///
     /// This is the *external* flush boundary (run end, handover, peer
     /// sync) and is WAL-logged as such; the flushes embedded in request/
-    /// leave/watermark handling are covered by those events' own records.
+    /// leave handling are covered by those events' own records.
     /// Peer sync is not WAL-logged itself, so its flush logs here.
     pub fn flush_pending(&mut self) {
         if !self.pending.is_empty() {
@@ -477,10 +408,9 @@ impl CocaServer {
         if self.pending.is_empty() {
             return;
         }
-        // One window may hold several uploads from one client (a fast
-        // client under round-aligned windows, or a daemon client that
-        // uploads twice between requests); the batched pass merges them
-        // in arrival order like any others.
+        // One window may hold several uploads from one client (a daemon
+        // client that uploads twice between requests); the batched pass
+        // merges them in arrival order like any others.
         let pending = std::mem::take(&mut self.pending);
         self.merge_upload_batch(&pending);
         // Hand the drained buffer back so steady-state flushing reuses
@@ -697,7 +627,6 @@ impl CocaServer {
             &self.global,
             self.clients.iter().map(|(id, st)| (*id, st)),
             &self.pending,
-            self.flush_watermark,
             &self.static_alloc,
         )
     }
@@ -711,7 +640,6 @@ impl CocaServer {
             global: self.global.clone(),
             clients: self.clients.iter().map(|(k, v)| (*k, v.clone())).collect(),
             pending: self.pending.clone(),
-            flush_watermark: self.flush_watermark,
             static_alloc: self.static_alloc.clone(),
         }
     }
@@ -755,7 +683,6 @@ impl CocaServer {
             self.global = snap.global;
             self.clients = snap.clients.into_iter().collect();
             self.pending = snap.pending;
-            self.flush_watermark = snap.flush_watermark;
             self.static_alloc = snap.static_alloc;
         }
         for rec in records {
@@ -777,7 +704,6 @@ impl CocaServer {
             }
             WalRecord::Leave => self.leave_inner(),
             WalRecord::Flush => self.flush_pending_inner(),
-            WalRecord::Watermark(n) => self.watermark_inner(n),
         }
     }
 
@@ -1064,55 +990,6 @@ mod tests {
     }
 
     #[test]
-    fn round_aligned_holds_the_queue_until_the_fleet_watermark() {
-        let dataset = DatasetSpec::ucf101().subset(20);
-        let seeds = SeedTree::new(64);
-        let rt = ModelRuntime::new(ModelId::ResNet101, &dataset, &seeds);
-        let cfg =
-            CocaConfig::for_model(ModelId::ResNet101).with_flush_policy(FlushPolicy::RoundAligned);
-        let mut server = CocaServer::new(&rt, cfg, &seeds);
-        server.set_flush_watermark(3);
-        let genesis = server.global().clone();
-
-        let ups = [
-            upload_for(&rt, 0, 3, 10),
-            upload_for(&rt, 1, 4, 11),
-            upload_for(&rt, 2, 5, 12),
-        ];
-        server.handle_upload(ups[0].clone());
-        server.handle_upload(ups[1].clone());
-        assert_eq!(server.pending_uploads(), 2);
-
-        // A request is NOT a flush boundary under this policy...
-        let req = CacheRequest {
-            client_id: 9,
-            round: 0,
-            timestamps: vec![0; rt.num_classes()],
-            hit_ratio: server.base_hit_profile().to_vec(),
-            budget_bytes: 48 * 1024,
-        };
-        let (alloc, _) = server.handle_request(&req);
-        assert!(!alloc.cache.is_empty());
-        assert_eq!(
-            server.pending_uploads(),
-            2,
-            "round-aligned requests must not drain the queue"
-        );
-
-        // ...but the watermark upload is: the fleet-sized batch drains.
-        server.handle_upload(ups[2].clone());
-        assert_eq!(server.pending_uploads(), 0);
-        assert_bit_identical(server.global(), &merged_on_arrival(&genesis, &ups));
-
-        // A shrinking watermark drains an already-full queue immediately.
-        server.handle_upload(upload_for(&rt, 0, 3, 10));
-        server.handle_upload(upload_for(&rt, 1, 4, 11));
-        assert_eq!(server.pending_uploads(), 2);
-        server.set_flush_watermark(2);
-        assert_eq!(server.pending_uploads(), 0);
-    }
-
-    #[test]
     fn quantized_config_prices_smaller_frames_and_still_serves() {
         let dataset = DatasetSpec::ucf101().subset(20);
         let seeds = SeedTree::new(66);
@@ -1373,12 +1250,11 @@ mod tests {
         let seeds = SeedTree::new(60);
         let rt2 = ModelRuntime::new(ModelId::ResNet101, &dataset, &seeds);
         let base = CocaConfig::for_model(ModelId::ResNet101);
-        // A tunable, the table precision, the flush policy: whichever
-        // field differs from the one the snapshot embeds, recovery refuses.
+        // A tunable, the table precision: whichever field differs from
+        // the one the snapshot embeds, recovery refuses.
         for cfg in [
             base.with_theta(0.02),
             base.with_precision(coca_math::Precision::I8),
-            base.with_flush_policy(FlushPolicy::RoundAligned),
         ] {
             let (rt, mut live) = durable_server(3);
             drive_mixed(&rt, &mut live);
@@ -1425,11 +1301,18 @@ mod tests {
         let dataset = DatasetSpec::ucf101().subset(20);
         let seeds = SeedTree::new(64);
         let rt = ModelRuntime::new(ModelId::ResNet101, &dataset, &seeds);
-        let cfg =
-            CocaConfig::for_model(ModelId::ResNet101).with_flush_policy(FlushPolicy::RoundAligned);
+        let cfg = CocaConfig::for_model(ModelId::ResNet101);
         let mut live = CocaServer::new(&rt, cfg, &seeds);
         live.attach_durability(Durability::new(Box::new(MemStorage::new()), 2));
-        live.set_flush_watermark(5);
+        // Uploads after the last request stay queued until the next
+        // boundary: the state a crash mid-round leaves behind.
+        let _ = live.handle_request(&CacheRequest {
+            client_id: 0,
+            round: 0,
+            timestamps: vec![0; rt.num_classes()],
+            hit_ratio: live.base_hit_profile().to_vec(),
+            budget_bytes: 48 * 1024,
+        });
         live.handle_upload(upload_for(&rt, 0, 3, 10));
         live.handle_upload(upload_for(&rt, 1, 4, 11));
         assert_eq!(live.pending_uploads(), 2);
@@ -1442,8 +1325,8 @@ mod tests {
         let mut recovered = recovered;
         live.handle_upload(upload_for(&rt, 2, 5, 12));
         recovered.handle_upload(upload_for(&rt, 2, 5, 12));
-        live.set_flush_watermark(3);
-        recovered.set_flush_watermark(3);
+        live.flush_pending();
+        recovered.flush_pending();
         assert_eq!(live.pending_uploads(), 0);
         assert_eq!(recovered.snapshot().to_bytes(), live.snapshot().to_bytes());
     }

@@ -36,8 +36,6 @@ World (must match the load generator):
                        (default resnet101)
   --classes N          UCF-101 class subset (default 30)
   --seed N             master seed (default 77)
-  --round-aligned BOOL drain the upload queue at the fleet watermark
-                       instead of every request (default false)
   --precision P        f32 | f16 | i8 table/wire precision (default f32)
 ";
 

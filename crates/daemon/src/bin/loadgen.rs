@@ -17,10 +17,7 @@ use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use coca_daemon::msg::{ClientMsg, ServerMsg};
-use coca_daemon::{
-    run_load, run_verify, shutdown_daemon, Arrival, DaemonClient, RunSpec, Workload,
-};
+use coca_daemon::{run_load, run_verify, shutdown_daemon, Arrival, RunSpec, Workload};
 
 const USAGE: &str = "\
 coca-loadgen — load generator for cocad
@@ -36,13 +33,11 @@ Load shape:
                        N microseconds
   --verify             sequential digest-equivalence check instead of
                        a load run (exit 1 on divergence)
-  --watermark          send SetWatermark(clients) before the run
-                       (round-aligned daemons)
   --shutdown           send Shutdown when done
 
 World (must match the daemon):
-  --model NAME / --classes N / --seed N / --round-aligned BOOL /
-  --precision P          (same defaults as cocad)
+  --model NAME / --classes N / --seed N / --precision P
+                       (same defaults as cocad)
 ";
 
 struct Opts {
@@ -52,7 +47,6 @@ struct Opts {
     think: Duration,
     open_period: Option<Duration>,
     verify: bool,
-    watermark: bool,
     shutdown: bool,
     spec: RunSpec,
 }
@@ -65,7 +59,6 @@ fn parse_args() -> Result<Opts, String> {
         think: Duration::ZERO,
         open_period: None,
         verify: false,
-        watermark: false,
         shutdown: false,
         spec: RunSpec::default(),
     };
@@ -75,10 +68,6 @@ fn parse_args() -> Result<Opts, String> {
             "--help" | "-h" => return Err(USAGE.to_string()),
             "--verify" => {
                 opts.verify = true;
-                continue;
-            }
-            "--watermark" => {
-                opts.watermark = true;
                 continue;
             }
             "--shutdown" => {
@@ -170,15 +159,6 @@ fn main() -> ExitCode {
             }
         }
     } else {
-        if opts.watermark {
-            let ack = DaemonClient::connect(addr)
-                .ok()
-                .and_then(|mut c| c.call(&ClientMsg::SetWatermark(opts.clients)).ok());
-            if !matches!(ack, Some(ServerMsg::WatermarkSet)) {
-                eprintln!("failed to set the flush watermark");
-                return ExitCode::FAILURE;
-            }
-        }
         let arrival = match opts.open_period {
             Some(period) => Arrival::Open { period },
             None => Arrival::Closed { think: opts.think },

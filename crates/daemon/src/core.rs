@@ -7,15 +7,15 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use coca_core::proto::{CacheAllocation, CacheRequest, PeerDelta, UpdateUpload};
-use coca_core::{CocaConfig, CocaServer, FlushPolicy};
+use coca_core::{CocaConfig, CocaServer};
 use coca_data::DatasetSpec;
 use coca_math::Precision;
 use coca_model::{ModelId, ModelRuntime};
 use coca_sim::SeedTree;
 
 /// Everything a daemon and its clients must agree on to end up in the
-/// same deterministic world: model, class subset, master seed, and the
-/// upload-pipeline shape. `cocad` and `coca-loadgen` both build their
+/// same deterministic world: model, class subset, master seed and table
+/// precision. `cocad` and `coca-loadgen` both build their
 /// runtime from this (same flags on both command lines).
 #[derive(Debug, Clone, Copy)]
 pub struct RunSpec {
@@ -25,9 +25,6 @@ pub struct RunSpec {
     pub classes: usize,
     /// Master seed for the [`SeedTree`].
     pub seed: u64,
-    /// Drain the upload queue at the fleet watermark instead of at every
-    /// request boundary.
-    pub round_aligned: bool,
     /// Numeric precision of the global table and every wire payload:
     /// allocations extract from (and uploads snap onto) this grid, so a
     /// quantized daemon serves f16/i8 tables over TCP.
@@ -40,7 +37,6 @@ impl Default for RunSpec {
             model: ModelId::ResNet101,
             classes: 30,
             seed: 77,
-            round_aligned: false,
             precision: Precision::F32,
         }
     }
@@ -61,10 +57,10 @@ pub fn parse_model(s: &str) -> Option<ModelId> {
 
 impl RunSpec {
     /// Consumes one `--flag value` pair if it belongs to the spec
-    /// (`--model`, `--classes`, `--seed`, `--round-aligned`,
-    /// `--precision`). Both `cocad` and `coca-loadgen` route their
-    /// argument loops through this, so the two command lines can never
-    /// drift apart on what defines the deterministic world.
+    /// (`--model`, `--classes`, `--seed`, `--precision`). Both `cocad` and
+    /// `coca-loadgen` route their argument loops through this, so the two
+    /// command lines can never drift apart on what defines the
+    /// deterministic world.
     pub fn apply_flag(&mut self, flag: &str, value: &str) -> Result<bool, String> {
         match flag {
             "--model" => {
@@ -78,11 +74,6 @@ impl RunSpec {
             }
             "--seed" => {
                 self.seed = value.parse().map_err(|_| format!("bad --seed '{value}'"))?;
-            }
-            "--round-aligned" => {
-                self.round_aligned = value
-                    .parse()
-                    .map_err(|_| format!("bad --round-aligned '{value}' (true/false)"))?;
             }
             "--precision" => {
                 self.precision = Precision::parse(value)
@@ -99,10 +90,7 @@ impl RunSpec {
         let dataset = DatasetSpec::ucf101().subset(self.classes);
         let seeds = SeedTree::new(self.seed);
         let rt = ModelRuntime::new(self.model, &dataset, &seeds);
-        let mut cfg = CocaConfig::for_model(self.model).with_precision(self.precision);
-        if self.round_aligned {
-            cfg = cfg.with_flush_policy(FlushPolicy::RoundAligned);
-        }
+        let cfg = CocaConfig::for_model(self.model).with_precision(self.precision);
         (rt, cfg, seeds)
     }
 }
@@ -173,11 +161,6 @@ impl ServerCore {
     /// Drains the pending-upload queue (no-op when empty).
     pub fn flush(&self) {
         self.lock().flush_pending();
-    }
-
-    /// Sets the round-aligned flush watermark.
-    pub fn set_flush_watermark(&self, live_members: usize) {
-        self.lock().set_flush_watermark(live_members);
     }
 
     /// Builds the peer-sync delta for peer cell `to_peer`

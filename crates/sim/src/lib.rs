@@ -17,8 +17,8 @@
 //! * [`event`] — [`EventQueue`](event::EventQueue), the discrete-event
 //!   scheduler used by the multi-client engine (server queueing, staggered
 //!   client rounds): a hierarchical timer wheel with O(1) amortized
-//!   operations at fleet scale, property-pinned to the reference
-//!   [`HeapEventQueue`](event::HeapEventQueue)'s pop order.
+//!   operations at fleet scale, property-pinned to a `BinaryHeap`
+//!   reference's pop order in `tests/proptest_event_queue.rs`.
 
 pub mod clock;
 pub mod event;
@@ -26,6 +26,6 @@ pub mod rng;
 pub mod time;
 
 pub use clock::VirtualClock;
-pub use event::{EventQueue, HeapEventQueue, ScheduledEvent};
+pub use event::{EventQueue, ScheduledEvent};
 pub use rng::SeedTree;
 pub use time::{SimDuration, SimTime};

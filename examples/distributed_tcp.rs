@@ -51,11 +51,6 @@ fn main() {
     // serving loop.
     let server_scenario = Scenario::build(sc.clone());
     let mut server = CocaServer::new(&server_scenario.rt, coca_cfg, server_scenario.seeds());
-    // All clients connect up front, so the live fleet is CLIENTS for
-    // the whole run; under a round-aligned flush policy this is the
-    // watermark that drains one fleet-sized batch per round (a no-op
-    // under the default per-boundary policy).
-    server.set_flush_watermark(CLIENTS);
     // Snapshot + WAL on real files; a fresh directory per run so the
     // genesis snapshot matches this run's seeds. The WAL segment
     // length comes from the config (COCA_WAL_ROTATE, default 256).

@@ -62,7 +62,7 @@ pub use coca_sim as sim;
 pub mod prelude {
     pub use coca_core::engine::{Engine, EngineConfig, EngineReport, Scenario, ScenarioConfig};
     pub use coca_core::spec::{PopularityShift, ScenarioEvent, ScenarioSpec};
-    pub use coca_core::{CocaConfig, CocaServer, FlushPolicy, LocalCache};
+    pub use coca_core::{CocaConfig, CocaServer, LocalCache};
     pub use coca_data::distribution::{long_tail_weights, uniform_weights};
     pub use coca_data::partition::NonIidLevel;
     pub use coca_data::DatasetSpec;

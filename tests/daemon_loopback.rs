@@ -3,7 +3,7 @@
 //! The contract `cocad` ships under: driven with one operation in
 //! flight at a time, the networked daemon finishes with the **same
 //! global-table digest** as an in-process `CocaServer` fed the
-//! identical sequence — under both flush policies. The whole suite also
+//! identical sequence. The whole suite also
 //! runs under `--features simd` in CI, so the digest must not move under
 //! the AVX2 kernels either.
 
@@ -19,12 +19,11 @@ use coca::daemon::{
 use coca::math::Precision;
 use coca::net::{encode_frame, FrameReader};
 
-fn small_workload(round_aligned: bool) -> Workload {
+fn small_workload() -> Workload {
     Workload {
         spec: RunSpec {
             classes: 15,
             seed: 41,
-            round_aligned,
             ..RunSpec::default()
         },
         clients: 3,
@@ -41,7 +40,7 @@ fn spawn_daemon(wl: &Workload) -> coca::daemon::DaemonHandle {
 
 #[test]
 fn sequential_loopback_digest_matches_in_process_reference() {
-    let wl = small_workload(false);
+    let wl = small_workload();
     let handle = spawn_daemon(&wl);
     let addr = handle.addr();
     let outcome = run_verify(addr, &wl).expect("verify run");
@@ -68,29 +67,13 @@ fn sequential_loopback_digest_matches_in_process_reference() {
 }
 
 #[test]
-fn round_aligned_watermark_survives_the_wire() {
-    let wl = small_workload(true);
-    let handle = spawn_daemon(&wl);
-    let addr = handle.addr();
-    let outcome = run_verify(addr, &wl).expect("verify run");
-    assert!(
-        outcome.matches(),
-        "round-aligned digest diverged: daemon {:016x} vs reference {:016x}",
-        outcome.daemon_digest,
-        outcome.local_digest
-    );
-    assert!(shutdown_daemon(addr));
-    handle.join();
-}
-
-#[test]
 fn quantized_loopback_digest_matches_per_precision() {
     // --precision f16/i8: senders snap uploads onto the precision grid
     // and the daemon stores/serves the quantized table — the digest must
     // still land exactly on the in-process reference under the same
     // spec. (f32 is the existing tests' default.)
     for precision in [Precision::F32, Precision::F16, Precision::I8] {
-        let mut wl = small_workload(false);
+        let mut wl = small_workload();
         wl.spec.precision = precision;
         let handle = spawn_daemon(&wl);
         let addr = handle.addr();
@@ -116,7 +99,7 @@ fn peer_sync_ships_the_table_delta_over_loopback() {
     // must land exactly on an in-process reference replaying the same
     // export/absorb — the socket leg of the multi-edge sync path must be
     // digest-invisible.
-    let wl = small_workload(false);
+    let wl = small_workload();
     let (rt, cfg, seeds) = wl.spec.build();
 
     // Daemon B (cell 1): no peers.
@@ -220,7 +203,7 @@ fn a_silent_peer_costs_a_sync_its_timeout_and_nothing_else() {
         drop(conn);
     });
 
-    let wl = small_workload(false);
+    let wl = small_workload();
     let (rt, cfg, seeds) = wl.spec.build();
     let core = ServerCore::new(CocaServer::new(&rt, cfg, &seeds));
     let peers = PeerSet::parse(&format!("1={silent_addr}")).expect("peer list parses");
@@ -262,7 +245,7 @@ fn concurrent_closed_loop_serves_every_op_exactly_once() {
     // dependent, but op accounting and Φ conservation are exact: the
     // daemon must serve 2 ops per client per round, no losses, no
     // duplicates, across concurrent connections.
-    let wl = small_workload(false);
+    let wl = small_workload();
     let handle = spawn_daemon(&wl);
     let addr = handle.addr();
     let report = run_load(
@@ -286,7 +269,7 @@ fn concurrent_closed_loop_serves_every_op_exactly_once() {
 
 #[test]
 fn open_loop_pairs_every_reply() {
-    let wl = small_workload(false);
+    let wl = small_workload();
     let handle = spawn_daemon(&wl);
     let addr = handle.addr();
     let report = run_load(
@@ -304,7 +287,7 @@ fn open_loop_pairs_every_reply() {
 
 #[test]
 fn a_client_that_never_reads_stalls_only_its_own_connection() {
-    let wl = small_workload(false);
+    let wl = small_workload();
     let (rt, _, seeds) = wl.spec.build();
     let handle = spawn_daemon(&wl);
     let addr = handle.addr();
@@ -367,7 +350,7 @@ fn daemons_that_sync_each_other_at_once_both_answer() {
     // `SyncNow` is still waiting for the other's ack. With the sync and
     // the absorb behind one worker, the two daemons held each other's
     // for the whole peer timeout and shipped nothing.
-    let wl = small_workload(false);
+    let wl = small_workload();
     let (rt, cfg, seeds) = wl.spec.build();
     let listeners = [(); 2].map(|()| TcpListener::bind("127.0.0.1:0").expect("bind loopback"));
     let addrs = listeners
@@ -419,9 +402,10 @@ fn daemons_that_sync_each_other_at_once_both_answer() {
 
 #[test]
 fn frames_coalesced_into_one_write_are_answered_in_order() {
-    let wl = small_workload(false);
+    let wl = small_workload();
     let handle = spawn_daemon(&wl);
     let mut bytes = Vec::new();
+    // `SetWatermark` is the no-op probe: answered like any other frame.
     for msg in [
         ClientMsg::Hello,
         ClientMsg::SetWatermark(wl.clients),
@@ -447,7 +431,7 @@ fn closed_connections_leave_no_socket_behind() {
     // Every accepted socket used to stay open in the daemon's registry
     // until `join`: a peer that ships a delta per sync tick (a fresh
     // connection each) walked the daemon into its descriptor limit.
-    let wl = small_workload(false);
+    let wl = small_workload();
     let handle = spawn_daemon(&wl);
     let addr = handle.addr();
     // Linux only; elsewhere the registry count is the whole check.

@@ -1,5 +1,7 @@
-//! Property tests pinning the timer-wheel [`EventQueue`] to the reference
-//! [`HeapEventQueue`]: identical `(timestamp, insertion-seq)` pop order
+//! Property tests pinning the timer-wheel [`EventQueue`] to a reference
+//! [`HeapEventQueue`] — the original `BinaryHeap` min-queue the wheel
+//! replaced, kept here and nowhere else: identical
+//! `(timestamp, insertion-seq)` pop order
 //! under arbitrary interleavings of schedules and pops, including
 //! same-instant bursts (FIFO ties), past-cursor schedules, and far-future
 //! instants that land in the wheel's overflow heap.
@@ -8,8 +10,45 @@
 //! committed record must regenerate byte-identically under either queue,
 //! which reduces to the two queues agreeing on pop order event for event.
 
-use coca::sim::{EventQueue, HeapEventQueue, SimTime};
+use std::collections::BinaryHeap;
+
+use coca::sim::{EventQueue, ScheduledEvent, SimTime};
 use proptest::prelude::*;
+
+/// The reference min-queue: a `BinaryHeap` over [`ScheduledEvent`], whose
+/// `Ord` is inverted so the earliest `(at, seq)` pops first. Same API as
+/// the wheel, same pop order by construction.
+struct HeapEventQueue<E> {
+    heap: BinaryHeap<ScheduledEvent<E>>,
+    next_seq: u64,
+}
+
+impl<E> HeapEventQueue<E> {
+    fn new() -> Self {
+        Self {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+        }
+    }
+
+    fn schedule(&mut self, at: SimTime, payload: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(ScheduledEvent { at, seq, payload });
+    }
+
+    fn pop(&mut self) -> Option<ScheduledEvent<E>> {
+        self.heap.pop()
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.at)
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+}
 
 /// One step of an interleaved workload.
 #[derive(Debug, Clone)]
@@ -176,4 +215,44 @@ fn scheduling_behind_the_cursor_stays_ordered() {
     }
     assert!(heap.pop().is_none());
     assert_eq!(order, vec![10, 11, 12, 1, 2]);
+}
+
+/// A deterministic miniature of `wheel_matches_heap_under_interleaving`:
+/// sub-tick offsets, same-instant bursts and far horizons, one pop per
+/// three schedules, then a full drain.
+#[test]
+fn interleaved_schedule_and_pop_matches_heap_reference() {
+    let mut wheel = EventQueue::new();
+    let mut heap = HeapEventQueue::new();
+    let mut state = 0x5EEDu64;
+    let mut step = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    for i in 0..5_000u64 {
+        let at = SimTime::from_nanos(match i % 5 {
+            0 => step() % 1_000,
+            1 => (step() % 64) * 65_536,
+            2 => step() % (1 << 40),
+            3 => 1 << 53,
+            _ => step() % (1 << 22),
+        });
+        wheel.schedule(at, i);
+        heap.schedule(at, i);
+        if i % 3 == 0 {
+            let (a, b) = (wheel.pop(), heap.pop());
+            assert_eq!(a.is_some(), b.is_some());
+            if let (Some(a), Some(b)) = (a, b) {
+                assert_eq!((a.at, a.seq, a.payload), (b.at, b.seq, b.payload));
+            }
+        }
+    }
+    assert_eq!(wheel.len(), heap.len());
+    while let Some(b) = heap.pop() {
+        let a = wheel.pop().expect("wheel drained early");
+        assert_eq!((a.at, a.seq, a.payload), (b.at, b.seq, b.payload));
+    }
+    assert!(wheel.pop().is_none());
 }

@@ -7,7 +7,7 @@
 //!   no topology block — across randomized churn/drift/link timelines,
 //!   the committed dynamics records' shape;
 //! * a **peer-synced multi-cell** run (gossip or hub-and-spoke, with a
-//!   mid-run migration, under either flush policy) is a pure function of
+//!   mid-run migration) is a pure function of
 //!   its spec: a repeat run has the same frame digest, the same records
 //!   and the same per-cell global tables.
 //!
@@ -46,10 +46,8 @@ fn random_spec(seed: u64, join_at: f64, leave_after: usize, shift_at: u64) -> Sc
         )
 }
 
-fn engine_cfg(spec: &ScenarioSpec, policy: FlushPolicy) -> EngineConfig {
-    let coca = CocaConfig::for_model(ModelId::ResNet101)
-        .with_round_frames(spec.frames_per_round)
-        .with_flush_policy(policy);
+fn engine_cfg(spec: &ScenarioSpec) -> EngineConfig {
+    let coca = CocaConfig::for_model(ModelId::ResNet101).with_round_frames(spec.frames_per_round);
     EngineConfig::new(coca)
 }
 
@@ -75,9 +73,9 @@ fn probe(report: &EngineReport, globals: Vec<Vec<u8>>) -> Probe {
     )
 }
 
-fn run_cells(spec: &ScenarioSpec, policy: FlushPolicy) -> Probe {
+fn run_cells(spec: &ScenarioSpec) -> Probe {
     let (scenario, plan) = spec.materialize();
-    let cfg = engine_cfg(spec, policy);
+    let cfg = engine_cfg(spec);
     let mut engine = Engine::with_cells(scenario, cfg, plan.topology.cells);
     let report = engine.run_plan(&plan);
     let globals = engine
@@ -103,16 +101,13 @@ proptest! {
         shift_at in 10u64..60,
     ) {
         let spec = random_spec(seed, join_at, leave_after, shift_at);
-        let no_topology = run_cells(&spec, FlushPolicy::EveryBoundary);
-        let one_cell = run_cells(
-            &spec.clone().topology(TopologySpec::uniform(1, BASE_CLIENTS)),
-            FlushPolicy::EveryBoundary,
-        );
+        let no_topology = run_cells(&spec);
+        let one_cell = run_cells(&spec.clone().topology(TopologySpec::uniform(1, BASE_CLIENTS)));
         prop_assert_eq!(no_topology, one_cell);
     }
 
     /// Peer-synced multi-cell runs (both sync modes, with a mid-run
-    /// migration, under either flush policy) regenerate byte for byte:
+    /// migration) regenerate byte for byte:
     /// every sync export and absorb drains its cell's queue at the same
     /// point of the event order on every run.
     #[test]
@@ -121,19 +116,13 @@ proptest! {
         join_at in 1_000.0f64..30_000.0,
         period in 200.0f64..3_000.0,
         hub in any::<bool>(),
-        round_aligned in any::<bool>(),
     ) {
-        let policy = if round_aligned {
-            FlushPolicy::RoundAligned
-        } else {
-            FlushPolicy::EveryBoundary
-        };
         let mode = if hub { SyncMode::HubAndSpoke } else { SyncMode::Gossip };
         let spec = random_spec(seed, join_at, 1, 25)
             .topology(TopologySpec::uniform(2, BASE_CLIENTS).with_sync(period, mode))
             .migrate(0, 1, 1);
-        let baseline = run_cells(&spec, policy);
-        let again = run_cells(&spec, policy);
+        let baseline = run_cells(&spec);
+        let again = run_cells(&spec);
         prop_assert_eq!(&baseline, &again);
     }
 }

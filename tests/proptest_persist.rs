@@ -5,9 +5,9 @@
 //! it came from. The mutation strategy extends `proptest_wire.rs` to the
 //! durability layer:
 //!
-//! * random snapshots (f32/f16/i8 tables, a non-empty round-aligned
-//!   pending queue) and random WAL records of all five variants round-trip
-//!   bit-exactly and re-encode byte-identically;
+//! * random snapshots (f32/f16/i8 tables, a non-empty pending queue) and
+//!   random WAL records of all four variants round-trip bit-exactly and
+//!   re-encode byte-identically;
 //! * raw byte corruption of framed snapshots (caught by the CRC) *and*
 //!   payload-level corruption re-framed with a **valid** CRC, so the
 //!   decoder and every validator (occupancy-vs-row-count, layer dims, φ
@@ -24,9 +24,9 @@
 //!   `GlobalCacheTable`'s `Wire` impl;
 //! * a record torn at every byte offset truncates leniently and is
 //!   rejected strictly;
-//! * the two retired record tags (1, 3) are refused with a typed error,
-//!   and a log of the five live tags, laid out byte by byte as every
-//!   earlier build wrote it, replays to the live server's digest.
+//! * the three retired record tags (1, 3, 6) are refused with a typed
+//!   error, and a log of the four live tags, laid out byte by byte as
+//!   every earlier build wrote it, replays to the live server's digest.
 
 use coca::core::collect::UpdateTable;
 use coca::core::persist::{
@@ -34,27 +34,24 @@ use coca::core::persist::{
     WalRecord, SNAP_CUR, SNAP_PREV, WAL_CUR, WAL_PREV,
 };
 use coca::core::proto::{CacheRequest, UpdateUpload};
+use coca::core::CocaServer;
 use coca::core::{AcaOutput, ClientStatus, GlobalCacheTable};
-use coca::core::{CocaServer, FlushPolicy};
 use coca::math::Precision;
 use coca::net::Wire;
 use coca::prelude::*;
 use proptest::prelude::*;
 use rand::Rng;
 
-/// A server mid-flight: non-empty pending queue, populated client
-/// registry, a few WAL generations on storage. Returns the live snapshot
+/// A server mid-flight: non-empty pending queue (the upload after the last
+/// request), populated client registry, a few WAL generations on storage. Returns the live snapshot
 /// bytes and the detached storage.
 fn sample_state(precision: Precision) -> (Vec<u8>, Box<dyn Storage>) {
     let dataset = DatasetSpec::ucf101().subset(10);
     let seeds = SeedTree::new(41);
     let rt = ModelRuntime::new(ModelId::ResNet101, &dataset, &seeds);
-    let cfg = CocaConfig::for_model(ModelId::ResNet101)
-        .with_flush_policy(FlushPolicy::RoundAligned)
-        .with_precision(precision);
+    let cfg = CocaConfig::for_model(ModelId::ResNet101).with_precision(precision);
     let mut server = CocaServer::new(&rt, cfg, &seeds);
     server.attach_durability(Durability::new(Box::new(MemStorage::new()), 2));
-    server.set_flush_watermark(8);
     let profile = server.base_hit_profile().to_vec();
     for id in 0..3u64 {
         let _ = server.handle_request(&CacheRequest {
@@ -166,8 +163,9 @@ fn request(rng: &mut impl Rng) -> CacheRequest {
 }
 
 /// The tag bytes a WAL may hold. 1 and 3 named two upload entry points
-/// that are gone; their numbers are retired, not reused.
-const LIVE_TAGS: [u8; 5] = [0, 2, 4, 5, 6];
+/// and 6 the flush watermark, all gone; their numbers are retired, not
+/// reused.
+const LIVE_TAGS: [u8; 4] = [0, 2, 4, 5];
 
 /// One record of the variant with the given (live) tag byte.
 fn wal_record(rng: &mut impl Rng, tag: u8) -> WalRecord {
@@ -180,7 +178,6 @@ fn wal_record(rng: &mut impl Rng, tag: u8) -> WalRecord {
         2 => WalRecord::Upload(upload(rng, classes, &dims)),
         4 => WalRecord::Leave,
         5 => WalRecord::Flush,
-        6 => WalRecord::Watermark(rng.gen()),
         _ => panic!("tag {tag} names no record"),
     }
 }
@@ -231,7 +228,6 @@ fn snapshot(rng: &mut impl Rng, precision: Precision) -> Snapshot {
     });
     Snapshot {
         config: CocaConfig::for_model(ModelId::ResNet101)
-            .with_flush_policy(FlushPolicy::RoundAligned)
             .with_precision(precision)
             .with_theta(rng.gen_range(0.001..0.1))
             .with_budget(rng.gen_range(0..1 << 20))
@@ -239,7 +235,6 @@ fn snapshot(rng: &mut impl Rng, precision: Precision) -> Snapshot {
         global,
         clients,
         pending,
-        flush_watermark: rng.gen_range(0..64),
         static_alloc,
     }
 }
@@ -261,12 +256,11 @@ proptest! {
             prop_assert_eq!(back.config, snap.config);
             prop_assert_eq!(back.pending.len(), snap.pending.len());
             prop_assert_eq!(back.clients.len(), snap.clients.len());
-            prop_assert_eq!(back.flush_watermark, snap.flush_watermark);
             prop_assert_eq!(back.static_alloc, snap.static_alloc);
         }
     }
 
-    /// Random records of all five variants: the frame decodes to a record
+    /// Random records of all four variants: the frame decodes to a record
     /// that re-encodes to the same frame, under the tag byte it always
     /// had, and a segment of them torn at any byte keeps exactly the
     /// whole frames.
@@ -413,7 +407,7 @@ proptest! {
 #[test]
 fn a_record_torn_at_every_byte_truncates_leniently_and_is_rejected_strictly() {
     let mut rng = SeedTree::new(7).rng_for("torn");
-    let first = WalRecord::Watermark(3).to_frame();
+    let first = WalRecord::Leave.to_frame();
     let second = wal_record(&mut rng, 2).to_frame();
     let mut segment = first.clone();
     segment.extend_from_slice(&second);
@@ -481,10 +475,10 @@ fn invalid_snapshots_yield_typed_errors() {
         );
     };
 
-    // Wrong version: the next one, the two before it, and the first byte
-    // of the JSON payloads version 1 framed.
-    assert_eq!(payload[0], 3);
-    for version in [4u8, 2, 1, b'{'] {
+    // Wrong version: the next one, the three before it, and the first
+    // byte of the JSON payloads version 1 framed.
+    assert_eq!(payload[0], 4);
+    for version in [5u8, 3, 2, 1, b'{'] {
         let mut bumped = payload.clone();
         bumped[0] = version;
         assert_payload_rejected(&bumped, "version");
@@ -663,7 +657,7 @@ fn inflated_counts_are_typed_errors_not_allocations() {
 }
 
 /// Snapshots round-trip byte-identically under every wire precision,
-/// with a non-empty round-aligned pending queue aboard — the canonical
+/// with a non-empty pending queue aboard — the canonical
 /// re-serialization contract the recovery cascade relies on.
 #[test]
 fn snapshots_round_trip_byte_identically_under_every_precision() {
@@ -686,9 +680,9 @@ fn snapshots_round_trip_byte_identically_under_every_precision() {
 }
 
 /// Tags 1 and 3 belonged to the merge-now and offline-batch upload entry
-/// points. A CRC-valid frame that carries one — body in the layout those
-/// records had: one upload, a counted sequence of uploads — is a typed
-/// decode error, and a segment that holds one, closed or current, fails
+/// points, tag 6 to the flush watermark. A CRC-valid frame that carries
+/// one — body in the layout those records had: one upload, a counted
+/// sequence of uploads, a `u64` member count — is a typed decode error, and a segment that holds one, closed or current, fails
 /// recovery with it. (Only a frame whose CRC does not validate is a torn
 /// tail.)
 #[test]
@@ -701,13 +695,22 @@ fn retired_wal_tags_are_refused_with_a_typed_error() {
     batch.extend_from_slice(&2u32.to_le_bytes());
     up.encode(&mut batch);
     up.encode(&mut batch);
-    for (payload, tag) in [(merge, 1u8), (batch, 3), (vec![1], 1), (vec![3], 3)] {
+    let mut watermark = vec![6u8];
+    watermark.extend_from_slice(&3u64.to_le_bytes());
+    for (payload, tag) in [
+        (merge, 1u8),
+        (batch, 3),
+        (watermark, 6),
+        (vec![1], 1),
+        (vec![3], 3),
+        (vec![6], 6),
+    ] {
         let err = WalRecord::from_payload(&payload).unwrap_err();
         assert!(
             matches!(err, PersistError::Decode(ref m) if m.contains(&format!("tag {tag}"))),
             "{err}"
         );
-        let good = WalRecord::Watermark(3).to_frame();
+        let good = WalRecord::Flush.to_frame();
         let mut segment = good.clone();
         segment.extend_from_slice(&encode_frame(&payload));
         for key in [WAL_CUR, WAL_PREV] {
@@ -732,7 +735,7 @@ fn retired_wal_tags_are_refused_with_a_typed_error() {
 }
 
 /// A store as any earlier build left it — genesis snapshot, then a WAL
-/// segment holding each of the five live tags, every frame laid out here
+/// segment holding each of the four live tags, every frame laid out here
 /// byte by byte (`[u32 LE length][u32 LE crc32][tag][body]`) rather than
 /// through `WalRecord` — recovers to the digest of a live server that
 /// took the same calls.
@@ -741,8 +744,7 @@ fn a_hand_written_log_of_the_live_tags_replays_to_the_live_digest() {
     let dataset = DatasetSpec::ucf101().subset(10);
     let seeds = SeedTree::new(43);
     let rt = ModelRuntime::new(ModelId::ResNet101, &dataset, &seeds);
-    let cfg =
-        CocaConfig::for_model(ModelId::ResNet101).with_flush_policy(FlushPolicy::RoundAligned);
+    let cfg = CocaConfig::for_model(ModelId::ResNet101);
     let mut live = CocaServer::new(&rt, cfg, &seeds);
     let genesis = live.snapshot().to_bytes();
     let req = CacheRequest {
@@ -762,10 +764,9 @@ fn a_hand_written_log_of_the_live_tags_replays_to_the_live_digest() {
         wal.extend_from_slice(&coca::core::persist::crc32(&payload).to_le_bytes());
         wal.extend_from_slice(&payload);
     };
-    // Watermark 3; two uploads queue; a request (no boundary under this
-    // policy); the third upload drains; a leave; one more upload; a flush.
-    live.set_flush_watermark(3);
-    log(6, &|b| 3usize.encode(b));
+    // Two uploads queue; a request drains them; the third upload queues
+    // and a leave drains it; one more upload after the last request stays
+    // queued until the flush.
     for up in &ups[..2] {
         live.handle_upload(up.clone());
         log(2, &|b| up.encode(b));
@@ -788,7 +789,7 @@ fn a_hand_written_log_of_the_live_tags_replays_to_the_live_digest() {
     store.save(WAL_CUR, &wal);
     let (recovered, info) =
         CocaServer::recover(&rt, cfg, &seeds, Durability::new(Box::new(store), 64)).unwrap();
-    assert_eq!(info.replayed, 8);
+    assert_eq!(info.replayed, 7);
     assert_eq!(info.truncated_bytes, 0);
     assert_eq!(recovered.global().digest(), live.global().digest());
     assert_eq!(recovered.snapshot().to_bytes(), live.snapshot().to_bytes());

@@ -12,15 +12,18 @@
 //!   across randomized churn/drift/link timelines and WAL segment sizes;
 //! * a standalone [`CocaServer::recover`] from the run's storage rebuilds
 //!   a byte-identical server snapshot;
-//! * randomized crash plans (event index × fault × flush policy ×
-//!   rotation period) leave the finished run indistinguishable from the
-//!   uninterrupted one;
+//! * randomized crash plans (event index × fault × rotation period) leave
+//!   the finished run indistinguishable from the uninterrupted one;
 //! * a deterministic sweep covers **every** event boundary of one
-//!   timeline under all three fault kinds.
+//!   timeline under all three fault kinds, including uploads that arrive
+//!   after the last request and so are still queued when the crash hits.
 
+use coca::core::collect::UpdateTable;
 use coca::core::persist::{CrashFault, CrashPlan, Durability, MemStorage};
+use coca::core::proto::UpdateUpload;
 use coca::core::spec::PopularityShift;
-use coca::core::{CocaServer, FlushPolicy};
+use coca::core::CocaServer;
+use coca::math::Precision;
 use coca::net::{LinkModel, Wire};
 use coca::prelude::*;
 use proptest::prelude::*;
@@ -49,10 +52,8 @@ fn random_spec(seed: u64, join_at: f64, leave_after: usize, shift_at: u64) -> Sc
         )
 }
 
-fn coca_config(spec: &ScenarioSpec, policy: FlushPolicy) -> CocaConfig {
-    CocaConfig::for_model(ModelId::ResNet101)
-        .with_round_frames(spec.frames_per_round)
-        .with_flush_policy(policy)
+fn coca_config(spec: &ScenarioSpec) -> CocaConfig {
+    CocaConfig::for_model(ModelId::ResNet101).with_round_frames(spec.frames_per_round)
 }
 
 /// Canonical JSON rendering of every record series followed by the
@@ -122,7 +123,7 @@ proptest! {
         rotate_every in 1usize..16,
     ) {
         let spec = random_spec(seed, join_at, leave_after, 25);
-        let cfg = coca_config(&spec, FlushPolicy::EveryBoundary);
+        let cfg = coca_config(&spec);
         let plain = run_coca(&spec, cfg, None);
         let mut durable = run_coca(&spec, cfg, Some((rotate_every, None)));
         assert_runs_identical(&plain, &durable, "durable vs plain");
@@ -141,8 +142,7 @@ proptest! {
 
     /// A crash injected at a random WAL event boundary — clean, torn
     /// final record, or corrupted current snapshot — recovers in place
-    /// and the finished run is byte-identical to the uninterrupted one,
-    /// under both flush policies.
+    /// and the finished run is byte-identical to the uninterrupted one.
     #[test]
     fn crashes_anywhere_leave_records_byte_identical(
         seed in 200u64..400,
@@ -150,15 +150,9 @@ proptest! {
         rotate_every in 1usize..8,
         at_pick in 0u64..10_000,
         fault_pick in 0u8..3,
-        round_aligned in any::<bool>(),
     ) {
         let spec = random_spec(seed, join_at, 1, 25);
-        let policy = if round_aligned {
-            FlushPolicy::RoundAligned
-        } else {
-            FlushPolicy::EveryBoundary
-        };
-        let cfg = coca_config(&spec, policy);
+        let cfg = coca_config(&spec);
         let mut baseline = run_coca(&spec, cfg, Some((rotate_every, None)));
         let total = baseline
             .2
@@ -185,15 +179,47 @@ proptest! {
     }
 }
 
+/// Hands the finished run's server one more upload from `client_id`. The
+/// run end drained the queue, so uploads that arrive after it stay queued:
+/// the state a server holds between a round's last upload and the next
+/// request.
+fn upload_after_the_last_request(engine: &mut Engine, client_id: u64) {
+    let rt = &engine.scenario().rt;
+    let (layer, class) = (10, 3);
+    let mut v = vec![0.0f32; rt.feature_dim(layer)];
+    v[client_id as usize + 1] = 1.0;
+    let mut table = UpdateTable::new();
+    table.absorb(class, layer, &v, 0.0);
+    let mut frequency = vec![0u64; rt.num_classes()];
+    frequency[class] = 5 + client_id;
+    engine.server_mut().handle_upload(UpdateUpload {
+        client_id,
+        round: ROUNDS as u64,
+        table,
+        frequency,
+        precision: Precision::F32,
+    });
+}
+
 /// The acceptance sweep: **every** WAL event boundary of one fixed
 /// timeline, under all three fault kinds, recovers to a byte-identical
 /// finished run — including the torn-final-record and
-/// corrupted-snapshot-fallback paths.
+/// corrupted-snapshot-fallback paths, and the two uploads queued after the
+/// run's last request, whose crash boundaries recover a non-empty queue.
 #[test]
 fn every_event_boundary_recovers_byte_identically() {
     let spec = random_spec(7, 11_000.0, 1, 25);
-    let cfg = coca_config(&spec, FlushPolicy::RoundAligned);
-    let mut baseline = run_coca(&spec, cfg, Some((3, None)));
+    let cfg = coca_config(&spec);
+    let run = |crash: Option<CrashPlan>| {
+        let mut run = run_coca(&spec, cfg, Some((3, crash)));
+        for client_id in 0..2 {
+            upload_after_the_last_request(&mut run.2, client_id);
+        }
+        run
+    };
+    let mut baseline = run(None);
+    assert_eq!(baseline.2.server().pending_uploads(), 2);
+    let want = baseline.2.server().snapshot().to_bytes();
     let total = baseline
         .2
         .server_mut()
@@ -209,11 +235,17 @@ fn every_event_boundary_recovers_byte_identically() {
             CrashFault::SnapCorrupt { byte: 97 },
         ] {
             let plan = CrashPlan { at_event, fault };
-            let mut crashed = run_coca(&spec, cfg, Some((3, Some(plan))));
+            let mut crashed = run(Some(plan));
             assert_runs_identical(
                 &baseline,
                 &crashed,
                 &format!("crash {plan:?} of {total} events"),
+            );
+            assert!(crashed.2.server().pending_uploads() > 0);
+            assert_eq!(
+                crashed.2.server().snapshot().to_bytes(),
+                want,
+                "crash {plan:?}: server state, pending queue included"
             );
             let d = crashed.2.server_mut().detach_durability().unwrap();
             assert!(!d.crash_pending(), "crash {plan:?} never fired");

@@ -4,8 +4,9 @@
 //! * **digest divergence**: a run with durability attached must be
 //!   byte-identical to the same spec's run without it;
 //! * **panics**: no valid spec may panic the engine;
-//! * **watermark stall**: the pending upload queue must be empty when the
-//!   run ends — a stalled flush watermark would leave merges unapplied.
+//! * **queue not drained at run end**: the pending upload queue must be
+//!   empty when the run ends — a missed flush would leave merges
+//!   unapplied.
 //!
 //! A failing spec is **shrunk** — events removed, rounds and fleet
 //! reduced while the failure persists — and the minimal spec's JSON is
@@ -87,9 +88,7 @@ fn random_spec(rng: &mut SmallRng) -> ScenarioSpec {
 
 fn run_probe(spec: &ScenarioSpec, durable: bool) -> (Vec<u8>, usize) {
     let (scenario, plan) = spec.materialize();
-    let cfg = CocaConfig::for_model(ModelId::ResNet101)
-        .with_round_frames(spec.frames_per_round)
-        .with_flush_policy(FlushPolicy::EveryBoundary);
+    let cfg = CocaConfig::for_model(ModelId::ResNet101).with_round_frames(spec.frames_per_round);
     let mut engine = Engine::with_cells(scenario, EngineConfig::new(cfg), plan.topology.cells);
     if durable {
         engine
@@ -119,11 +118,11 @@ fn violates(spec: &ScenarioSpec) -> Option<String> {
     }
     let spec2 = spec.clone();
     let outcome = catch_unwind(AssertUnwindSafe(move || {
-        let (plain, stalled_a) = run_probe(&spec2, false);
-        let (durable, stalled_b) = run_probe(&spec2, true);
-        if stalled_a != 0 || stalled_b != 0 {
+        let (plain, pending_a) = run_probe(&spec2, false);
+        let (durable, pending_b) = run_probe(&spec2, true);
+        if pending_a != 0 || pending_b != 0 {
             return Some(format!(
-                "watermark stall: {stalled_a}/{stalled_b} uploads still pending at run end"
+                "queue not drained at run end: {pending_a}/{pending_b} uploads still pending"
             ));
         }
         if plain != durable {
