@@ -7,16 +7,10 @@
 //! real model runtime (ResNet101 on UCF101-50), seeds the server exactly
 //! as the engine does, synthesizes one round of per-client uploads with
 //! real per-layer feature dimensions, and wall-clocks the merge phase
-//! two ways:
-//!
-//! * `seed` — the pre-columnar reference (boxed rows, hash-order scatter,
-//!   per-upload), from [`coca_bench::seed_ref`];
-//! * `queue_and_flush` — the server's one pipeline: enqueue the round,
-//!   drain through the per-layer batched pass at the flush boundary
-//!   (`handle_upload` + `flush_pending`, what the engine runs).
-//!
-//! The headline `improvement` column is the queue's speedup over the seed
-//! reference. Writes `results/fleet.json`.
+//! through the server's one pipeline, `queue_and_flush`: enqueue the
+//! round, drain through the per-layer batched pass at the flush boundary
+//! (`handle_upload` + `flush_pending`, what the engine runs). Writes
+//! `results/fleet.json`.
 //!
 //! A second sweep scales the **virtual-time engine itself**: a degenerate
 //! constant-compute method (no real inference, tiny protocol messages)
@@ -34,7 +28,6 @@
 use std::time::Instant;
 
 use coca_bench::output::save_record;
-use coca_bench::seed_ref::{SeedTable, SeedUpload};
 use coca_core::collect::UpdateTable;
 use coca_core::driver::{
     drive_plan, DriveConfig, DrivePlan, FrameOutcome, FrameStep, MethodDriver, NoMsg,
@@ -58,20 +51,18 @@ const TOUCH_EVERY: usize = 3;
 /// Wall-clock repetitions per measurement (min taken).
 const REPS: usize = 5;
 
-/// One round of synthetic uploads with real per-layer dimensions, in
-/// both the columnar and the seed (boxed map) shapes.
+/// One round of synthetic uploads with real per-layer dimensions.
 fn build_uploads(
     rt: &coca_model::ModelRuntime,
     fleet: usize,
     seeds: &SeedTree,
-) -> Vec<(UpdateUpload, SeedUpload)> {
+) -> Vec<UpdateUpload> {
     let classes = rt.num_classes();
     let layers = rt.num_cache_points();
     (0..fleet)
         .map(|k| {
             let mut rng = seeds.child_idx("upload", k as u64).rng();
             let mut table = UpdateTable::new();
-            let mut boxed = SeedUpload::new();
             for c in 0..classes {
                 if (c + k) % TOUCH_EVERY == 0 {
                     // A client's collected cells concentrate on a spread
@@ -79,21 +70,17 @@ fn build_uploads(
                     for l in (0..layers).step_by(3) {
                         let v = random_unit(&mut rng, rt.feature_dim(l));
                         table.absorb(c, l, &v, 0.95);
-                        boxed.insert((c as u32, l as u32), table.get(c, l).unwrap().to_vec());
                     }
                 }
             }
             let frequency: Vec<u64> = (0..classes).map(|_| rng.gen_range(1u64..30)).collect();
-            (
-                UpdateUpload {
-                    client_id: k as u64,
-                    round: 0,
-                    table,
-                    frequency,
-                    precision: coca_math::Precision::F32,
-                },
-                boxed,
-            )
+            UpdateUpload {
+                client_id: k as u64,
+                round: 0,
+                table,
+                frequency,
+                precision: coca_math::Precision::F32,
+            }
         })
         .collect()
 }
@@ -111,13 +98,10 @@ fn min_wallclock_ms(reps: usize, mut f: impl FnMut()) -> f64 {
 /// Best-of-`REPS` wall-clock of `run` over one round's uploads. Each
 /// repetition gets its own copy of the round, made outside the timed
 /// section (the engine moves uploads in, it never clones them).
-fn min_round_ms(
-    uploads: &[(UpdateUpload, SeedUpload)],
-    mut run: impl FnMut(Vec<UpdateUpload>),
-) -> f64 {
+fn min_round_ms(uploads: &[UpdateUpload], mut run: impl FnMut(Vec<UpdateUpload>)) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..REPS {
-        let round: Vec<UpdateUpload> = uploads.iter().map(|(u, _)| u.clone()).collect();
+        let round = uploads.to_vec();
         let t = Instant::now();
         run(round);
         best = best.min(t.elapsed().as_secs_f64() * 1e3);
@@ -284,7 +268,6 @@ fn main() {
             "Clients",
             "Pipeline",
             "Merge (ms)",
-            "vs seed",
             "Requests (ms)",
             "Round total (ms)",
             "us/client",
@@ -292,8 +275,7 @@ fn main() {
     );
     let mut record = ExperimentRecord::new(
         "fleet",
-        "per-round server merge + allocation wall-clock vs fleet size \
-         (columnar core vs the seed boxed-row reference)",
+        "per-round server merge + allocation wall-clock vs fleet size",
     );
     record
         .param("model", format!("{model:?}"))
@@ -301,11 +283,10 @@ fn main() {
         .param("layers", rt.num_cache_points())
         .param("reps", REPS);
 
-    let mut headline_improvement = 0.0f64;
     for fleet in FLEETS {
         let seeds = SeedTree::new(13_100 + fleet as u64);
         let uploads = build_uploads(rt, fleet, &seeds);
-        let cells: usize = uploads.iter().map(|(u, _)| u.table.len()).sum();
+        let cells: usize = uploads.iter().map(|u| u.table.len()).sum();
 
         // (b) allocation phase — one ACA + extraction per client (the
         // requests are the flush boundary, not part of the merge).
@@ -325,82 +306,42 @@ fn main() {
             }
         });
 
-        // (a) merge phase, one row per pipeline.
-        let mut rows: Vec<(&str, f64)> = Vec::new();
-
-        // Seed reference: boxed rows, hash-order per-upload merge.
-        let mut seed_table = SeedTable::new(rt.num_classes(), rt.num_cache_points());
-        {
-            // Seed the reference to the same steady state the live
-            // server starts from (fill + frequency prior).
-            let live = CocaServer::new(rt, coca, scenario.seeds());
-            for c in 0..rt.num_classes() {
-                for l in 0..rt.num_cache_points() {
-                    if let Some(v) = live.global().get(c, l) {
-                        seed_table.set(c, l, v.to_vec());
-                    }
-                }
-            }
-            seed_table
-                .frequency
-                .copy_from_slice(live.global().frequency());
-        }
-        let seed_ms = min_wallclock_ms(REPS, || {
-            for (up, boxed) in &uploads {
-                seed_table.merge_update(boxed, &up.frequency, coca.gamma_global);
-            }
-        });
-        rows.push(("seed", seed_ms));
-
-        // The engine's pipeline: enqueue the round, drain at the flush
-        // boundary.
+        // (a) merge phase, the engine's pipeline: enqueue the round,
+        // drain at the flush boundary.
         let mut server = CocaServer::new(rt, coca, scenario.seeds());
-        let queue_ms = min_round_ms(&uploads, |round| {
+        let merge_ms = min_round_ms(&uploads, |round| {
             for up in round {
                 let _ = server.handle_upload(up);
             }
             server.flush_pending();
         });
-        rows.push(("queue_and_flush", queue_ms));
 
-        for (pipeline, merge_ms) in rows {
-            let improvement = seed_ms / merge_ms.max(1e-9);
-            let round_ms = merge_ms + req_ms;
-            let per_client_us = round_ms * 1e3 / fleet as f64;
-            if fleet == 128 && pipeline == "queue_and_flush" {
-                headline_improvement = improvement;
-            }
-            out.row(&[
-                fleet.to_string(),
-                pipeline.to_string(),
-                fmt_f(merge_ms, 2),
-                format!("{improvement:.2}x"),
-                fmt_f(req_ms, 2),
-                fmt_f(round_ms, 2),
-                fmt_f(per_client_us, 1),
-            ]);
-            record.push_row(&[
-                ("clients", serde_json::json!(fleet)),
-                ("cells_per_round", serde_json::json!(cells)),
-                ("pipeline", serde_json::json!(pipeline)),
-                ("merge_ms", serde_json::json!(merge_ms)),
-                ("improvement_vs_seed", serde_json::json!(improvement)),
-                ("requests_ms", serde_json::json!(req_ms)),
-                ("round_total_ms", serde_json::json!(round_ms)),
-                ("us_per_client", serde_json::json!(per_client_us)),
-            ]);
-        }
+        let pipeline = "queue_and_flush";
+        let round_ms = merge_ms + req_ms;
+        let per_client_us = round_ms * 1e3 / fleet as f64;
+        out.row(&[
+            fleet.to_string(),
+            pipeline.to_string(),
+            fmt_f(merge_ms, 2),
+            fmt_f(req_ms, 2),
+            fmt_f(round_ms, 2),
+            fmt_f(per_client_us, 1),
+        ]);
+        record.push_row(&[
+            ("clients", serde_json::json!(fleet)),
+            ("cells_per_round", serde_json::json!(cells)),
+            ("pipeline", serde_json::json!(pipeline)),
+            ("merge_ms", serde_json::json!(merge_ms)),
+            ("requests_ms", serde_json::json!(req_ms)),
+            ("round_total_ms", serde_json::json!(round_ms)),
+            ("us_per_client", serde_json::json!(per_client_us)),
+        ]);
     }
     print!("{}", out.render());
     println!(
         "(the queue's batched merge is bit-identical to merging each upload \
          on arrival — proptested in tests/proptest_global.rs and \
-         tests/proptest_merge_modes.rs; improvement is wall-clock over the \
-         seed boxed-row reference)"
-    );
-    println!(
-        "headline: the queue at 128 clients improves per-round server merge \
-         wall-clock {headline_improvement:.2}x over the seed per-upload server"
+         tests/proptest_merge_modes.rs)"
     );
 
     // ---- Engine-scale sweep: drive_plan itself at fleet sizes the paper

@@ -9,8 +9,6 @@
 //! * [`output`] — result directory conventions and printing helpers.
 //! * [`scenario_exp`] — the dynamic-scenario runner shared by
 //!   `exp_scenario` (generic, JSON-driven), `exp_churn` and `exp_drift`.
-//! * [`seed_ref`] — the seed (boxed-row) server data plane, kept as the
-//!   shared measurement reference for the server-core benches.
 //!
 //! Run e.g. `cargo run --release -p coca-bench --bin exp_table2`, or a
 //! declarative scenario via
@@ -19,4 +17,3 @@
 pub mod harness;
 pub mod output;
 pub mod scenario_exp;
-pub mod seed_ref;

@@ -144,17 +144,6 @@ impl Wire for CocaConfig {
     }
 }
 
-/// Reads the `COCA_WAL_ROTATE` override (a positive record count); the
-/// recovery sweeps set tiny segments without rebuilding configs by hand.
-/// Anything else (unset, unparsable or zero) means "no override".
-fn wal_rotate_from_env() -> Option<usize> {
-    std::env::var("COCA_WAL_ROTATE")
-        .ok()?
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n > 0)
-}
-
 impl CocaConfig {
     /// Paper defaults for a model family under the 3 % accuracy-loss SLO.
     pub fn for_model(model: ModelId) -> Self {
@@ -182,7 +171,7 @@ impl CocaConfig {
             aca_deflation: true,
             aca_per_byte: true,
             precision: Precision::F32,
-            wal_rotate_records: wal_rotate_from_env().unwrap_or(256),
+            wal_rotate_records: 256,
         }
     }
 
@@ -334,12 +323,7 @@ mod tests {
     #[test]
     fn wal_rotate_defaults_and_builder() {
         let cfg = CocaConfig::for_model(ModelId::ResNet101);
-        match std::env::var("COCA_WAL_ROTATE").as_deref() {
-            Ok(v) if v.parse::<usize>().map(|n| n > 0).unwrap_or(false) => {
-                assert_eq!(cfg.wal_rotate_records, v.parse::<usize>().unwrap())
-            }
-            _ => assert_eq!(cfg.wal_rotate_records, 256, "default segment length"),
-        }
+        assert_eq!(cfg.wal_rotate_records, 256, "default segment length");
         let cfg = cfg.with_wal_rotate(8);
         assert_eq!(cfg.wal_rotate_records, 8);
         assert!(cfg.validate().is_ok());

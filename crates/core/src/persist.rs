@@ -794,26 +794,6 @@ pub struct CrashPlan {
     pub fault: CrashFault,
 }
 
-impl CrashPlan {
-    /// Reads `COCA_CRASH_AT` (event index) + `COCA_CRASH_FAULT`
-    /// (`clean` / `torn:<keep>` / `snap:<byte>`; default `clean`) — the
-    /// env-driven injection path for whole-binary crash experiments.
-    /// Unset or unparsable `COCA_CRASH_AT` means no plan.
-    pub fn from_env() -> Option<Self> {
-        let at_event: u64 = std::env::var("COCA_CRASH_AT").ok()?.parse().ok()?;
-        let fault = match std::env::var("COCA_CRASH_FAULT").ok().as_deref() {
-            Some(spec) if spec.starts_with("torn:") => CrashFault::Torn {
-                keep: spec["torn:".len()..].parse().unwrap_or(0),
-            },
-            Some(spec) if spec.starts_with("snap:") => CrashFault::SnapCorrupt {
-                byte: spec["snap:".len()..].parse().unwrap_or(0),
-            },
-            _ => CrashFault::Clean,
-        };
-        Some(Self { at_event, fault })
-    }
-}
-
 /// Where recovery found its snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotSource {
@@ -1372,32 +1352,6 @@ mod tests {
             WalRecord::from_payload(payloads[0]).unwrap(),
             WalRecord::Leave
         ));
-    }
-
-    #[test]
-    fn crash_plan_env_parsing() {
-        // from_env reads process-global state; exercise the parser by
-        // setting and clearing within one test (tier-1 runs tests in one
-        // process, so restore what we found).
-        std::env::set_var("COCA_CRASH_AT", "12");
-        std::env::set_var("COCA_CRASH_FAULT", "torn:5");
-        assert_eq!(
-            CrashPlan::from_env(),
-            Some(CrashPlan {
-                at_event: 12,
-                fault: CrashFault::Torn { keep: 5 }
-            })
-        );
-        std::env::set_var("COCA_CRASH_FAULT", "snap:33");
-        assert_eq!(
-            CrashPlan::from_env().unwrap().fault,
-            CrashFault::SnapCorrupt { byte: 33 }
-        );
-        std::env::set_var("COCA_CRASH_FAULT", "clean");
-        assert_eq!(CrashPlan::from_env().unwrap().fault, CrashFault::Clean);
-        std::env::remove_var("COCA_CRASH_AT");
-        std::env::remove_var("COCA_CRASH_FAULT");
-        assert_eq!(CrashPlan::from_env(), None);
     }
 
     #[test]

@@ -590,7 +590,7 @@ impl CocaServer {
 
     /// [`CocaServer::attach_durability`] with the WAL segment length
     /// taken from the server's own config
-    /// ([`CocaConfig::wal_rotate_records`], env `COCA_WAL_ROTATE`) — the
+    /// ([`CocaConfig::wal_rotate_records`], default 256) — the
     /// deployment entry point; tests pass explicit periods instead.
     pub fn attach_storage(&mut self, store: Box<dyn crate::persist::Storage>) {
         let rotate = self.cfg.wal_rotate_records;

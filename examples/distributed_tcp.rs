@@ -53,7 +53,7 @@ fn main() {
     let mut server = CocaServer::new(&server_scenario.rt, coca_cfg, server_scenario.seeds());
     // Snapshot + WAL on real files; a fresh directory per run so the
     // genesis snapshot matches this run's seeds. The WAL segment
-    // length comes from the config (COCA_WAL_ROTATE, default 256).
+    // length comes from the config (`wal_rotate_records`, default 256).
     let wal_dir = std::path::Path::new("target").join("coca-durability");
     let _ = std::fs::remove_dir_all(&wal_dir);
     let store = DirStorage::open(&wal_dir).expect("open durability dir");

@@ -26,14 +26,14 @@ use rand::Rng;
 
 /// A faithful reimplementation of the seed (pre-columnar) global table:
 /// boxed `Option<Vec<f32>>` cells, per-cell scale/axpy/normalize merge.
-struct SeedTable {
+struct BoxedRowTable {
     classes: usize,
     layers: usize,
     entries: Vec<Option<Vec<f32>>>,
     frequency: Vec<u64>,
 }
 
-impl SeedTable {
+impl BoxedRowTable {
     fn new(classes: usize, layers: usize) -> Self {
         Self {
             classes,
@@ -106,11 +106,11 @@ fn random_cells(rng: &mut impl Rng, max: usize) -> Vec<(usize, usize)> {
 
 /// Builds a matching (columnar, seed) table pair with random cells
 /// pre-populated and a random frequency prior.
-fn seeded_pair(seed: u64) -> (GlobalCacheTable, SeedTable) {
+fn seeded_pair(seed: u64) -> (GlobalCacheTable, BoxedRowTable) {
     let mut rng = SeedTree::new(seed).rng_for("fill");
     let fill = random_cells(&mut rng, 12);
     let mut col = GlobalCacheTable::new(CLASSES, LAYERS);
-    let mut old = SeedTable::new(CLASSES, LAYERS);
+    let mut old = BoxedRowTable::new(CLASSES, LAYERS);
     for &(c, l) in &fill {
         let v: Vec<f32> = (0..DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         col.set(c, l, v.clone());
