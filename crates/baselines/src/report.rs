@@ -3,10 +3,9 @@
 use coca_core::engine::EngineReport;
 use coca_metrics::recorder::{LatencyRecorder, RunSummary};
 use coca_metrics::WindowedSummary;
-use serde::{Deserialize, Serialize};
 
 /// Aggregated outcome of running one method over a scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MethodReport {
     /// Method name as printed in tables (e.g. `"FoggyCache"`).
     pub name: String,

@@ -29,7 +29,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use coca_core::collect::UpdateTable;
 use coca_core::driver::{
     drive, drive_plan, frame_digest, DriveConfig, DrivePlan, FrameOutcome, FrameStep, MethodDriver,
-    MetricsConfig, NoMsg,
+    NoMsg,
 };
 use coca_core::engine::{Scenario, ScenarioConfig};
 use coca_core::server::seed_global_table;
@@ -969,8 +969,8 @@ fn bench_engine_overhead(c: &mut Criterion) {
     );
 
     // Fleet-scale: the full protocol cadence (request → deliver → frames
-    // → upload) at 2000 members through `drive_plan` with the fleet
-    // metrics mode (one aggregate summary + the mergeable histogram).
+    // → upload) at 2000 members through `drive_plan` with one
+    // fleet-aggregate summary (`per_client: false`).
     // This is the timer wheel's load profile — thousands of pending boot
     // and delivery events — where a heap scheduler's log(n) pops show up.
     let fleet_clients = 2000usize;
@@ -982,11 +982,7 @@ fn bench_engine_overhead(c: &mut Criterion) {
     let fleet_scenario = Scenario::build(fsc);
     let mut fleet_plan =
         DrivePlan::from_config(&DriveConfig::new(fleet_rounds, fleet_frames), fleet_clients);
-    fleet_plan.metrics = MetricsConfig {
-        per_client: false,
-        per_client_windowed: false,
-        latency_histogram: true,
-    };
+    fleet_plan.per_client = false;
     let fleet_events = (fleet_clients * fleet_rounds * (fleet_frames + 3)) as u64;
     let warm = drive_plan(&fleet_scenario, &mut FleetNullDriver, &fleet_plan);
     assert_eq!(
@@ -1021,7 +1017,7 @@ fn bench_engine_overhead(c: &mut Criterion) {
          overhead per frame with a degenerate driver, split into stream generation, digest \
          folding and scheduling (events + recorders, by subtraction); the fleet section is \
          the same degenerate protocol at 2000 members through drive_plan with fleet \
-         metrics (aggregate summary + histogram), in ns per event (frames + scheduled \
+         metrics (one aggregate summary), in ns per event (frames + scheduled \
          request/deliver/upload events); client_frame_ns is one real CocaClient::process_frame \
          (ResNet101/UCF101-50, 4 cached layers), nearly all of it feature synthesis\",\n  \
          \"clients\": 4,\n  \"rounds\": 2,\n  \"frames_per_round\": 250,\n  \

@@ -3,8 +3,8 @@
 //! hit/accuracy curves, engine end-to-end numbers) so the constants in
 //! `coca-model` can be validated against the paper's anchors.
 //!
-//! Not an experiment reproduction — a diagnostic. See EXPERIMENTS.md for
-//! the calibrated outcomes.
+//! Not an experiment reproduction — a diagnostic. The calibrated outcomes
+//! are the committed records mapped in `results/README.md`.
 
 use coca_core::engine::{Engine, EngineConfig, Scenario, ScenarioConfig};
 use coca_core::{infer_with_cache, CocaConfig, LookupScratch};

@@ -2,7 +2,7 @@
 //!
 //! 10 clients, ResNet101 on UCF101-20, layer 18 of 34. The paper shows a
 //! t-SNE scatter; we substitute quantitative cluster metrics plus a 2-D
-//! PCA projection (DESIGN.md §2): after global updates, cached centers
+//! PCA projection: after global updates, cached centers
 //! must sit closer to the clients' true (drifted) sample centers.
 
 use coca_bench::output::save_record;

@@ -5,7 +5,7 @@
 //! accuracy of the absorbed samples, for both collection rules.
 //!
 //! Threshold grids are rescaled to this reproduction's D-score / margin
-//! distributions (see EXPERIMENTS.md); the paper's qualitative claim —
+//! distributions; the paper's qualitative claim —
 //! absorption falls and absorbed-sample accuracy rises with stricter
 //! thresholds — is what this experiment checks.
 

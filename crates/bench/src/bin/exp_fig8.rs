@@ -3,7 +3,8 @@
 //! Long-tail (ρ = 90) UCF101-100 on ResNet101. LRU/FIFO/RAND manage class
 //! entries on a fixed set of four high-benefit layers with `cache_size`
 //! entries per layer; ACA runs with the same total memory budget. An
-//! ACA-without-deflation series covers the DESIGN.md §7 ablation.
+//! ACA-without-deflation series covers the `CocaConfig::aca_deflation`
+//! ablation.
 
 use coca_baselines::replacement::{fixed_high_benefit_layers, run_replacement, ReplacementPolicy};
 use coca_bench::harness::{parallel_sweep, run_coca_engine, RunSpec};

@@ -18,7 +18,8 @@
 //! per processed event (frames + scheduled request/deliver/upload events)
 //! and the process peak RSS. This isolates exactly the machinery the
 //! timer-wheel scheduler, the compact 16-byte `ClientState` and the
-//! streaming metrics mode exist for. Env knobs (CI smoke):
+//! fleet-aggregate summary (`DrivePlan::per_client = false`) exist for.
+//! Env knobs (CI smoke):
 //!
 //! * `COCA_FLEET_QUICK=1` — cap the engine sweep at 100 000 members;
 //! * `COCA_FLEET_ENFORCE=1` — fail if per-event cost at 100 000 members
@@ -211,13 +212,9 @@ fn measure_engine_fleet(members: usize) -> (u64, f64, f64) {
         &DriveConfig::new(ENGINE_ROUNDS, ENGINE_FRAMES),
         scenario.config().num_clients,
     );
-    // Fleet-scale metrics: one aggregate summary + the mergeable
-    // histogram instead of O(members) recorders.
-    plan.metrics = coca_core::driver::MetricsConfig {
-        per_client: false,
-        per_client_windowed: false,
-        latency_histogram: true,
-    };
+    // Fleet-scale metrics: one aggregate summary instead of O(members)
+    // recorders.
+    plan.per_client = false;
 
     // Repeat small fleets until the run is long enough to time reliably;
     // a 128-member run is microseconds, a million-member run is seconds.

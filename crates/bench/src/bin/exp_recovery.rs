@@ -8,9 +8,10 @@
 //!   run's last request and stay queued; a crash is then injected at
 //!   *every* WAL event boundary under each fault kind (clean kill, torn
 //!   final record, corrupted current snapshot) and the resumed run's
-//!   `frame_digest` + record bytes (server snapshot, pending queue
-//!   included) are checked against the uninterrupted run. The record row
-//!   counts boundaries swept and digest-equal outcomes (they must match).
+//!   `frame_digest`, record series and server snapshot bytes (pending
+//!   queue included) are checked against the uninterrupted run. The
+//!   record row counts boundaries swept and digest-equal outcomes (they
+//!   must match).
 //! * **standalone recovery** — [`CocaServer::recover`] from the finished
 //!   run's storage, reporting which snapshot generation seeded the
 //!   replay, how many WAL records were replayed and how many torn bytes
@@ -32,7 +33,7 @@ use coca_core::{CocaConfig, CocaServer};
 use coca_data::DatasetSpec;
 use coca_math::Precision;
 use coca_metrics::table::fmt_f;
-use coca_metrics::{ExperimentRecord, Table};
+use coca_metrics::{ExperimentRecord, LatencyRecorder, RunSummary, Table, WindowedSummary};
 use coca_model::ModelId;
 use coca_net::LinkModel;
 use coca_sim::SimDuration;
@@ -69,19 +70,24 @@ fn coca_config(spec: &ScenarioSpec, precision: Precision) -> CocaConfig {
         .with_precision(precision)
 }
 
-/// Canonical rendering of the run's record series (JSON) followed by the
-/// server's snapshot bytes — table, client registry and pending queue.
-fn probe(engine: &Engine, report: &EngineReport) -> Vec<u8> {
-    let mut out = format!(
-        "{}|{}|{}|{}|",
-        serde_json::to_string(&report.latency).unwrap(),
-        serde_json::to_string(&report.response_latency).unwrap(),
-        serde_json::to_string(&report.windowed).unwrap(),
-        serde_json::to_string(&report.per_client).unwrap(),
+/// The run's record series followed by the server's snapshot bytes —
+/// table, client registry and pending queue — compared with `==`.
+type Probe = (
+    LatencyRecorder,
+    LatencyRecorder,
+    WindowedSummary,
+    Vec<RunSummary>,
+    Vec<u8>,
+);
+
+fn probe(engine: &Engine, report: &EngineReport) -> Probe {
+    (
+        report.latency.clone(),
+        report.response_latency.clone(),
+        report.windowed.clone(),
+        report.per_client.clone(),
+        engine.server().snapshot().to_bytes(),
     )
-    .into_bytes();
-    out.extend_from_slice(&engine.server().snapshot().to_bytes());
-    out
 }
 
 /// Hands the finished run's server one more upload from `client_id`,
@@ -111,7 +117,7 @@ fn run_durable(
     spec: &ScenarioSpec,
     cfg: CocaConfig,
     crash: Option<CrashPlan>,
-) -> (EngineReport, Vec<u8>, Engine) {
+) -> (EngineReport, Probe, Engine) {
     let (scenario, plan) = spec.materialize();
     let mut engine = Engine::new(scenario, EngineConfig::new(cfg));
     let mut d = Durability::new(Box::new(MemStorage::new()), ROTATE_EVERY);

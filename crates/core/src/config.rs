@@ -70,14 +70,15 @@ pub struct CocaConfig {
     /// arms of Fig. 9: the global table stays at its initial contents.
     pub enable_gcu: bool,
     /// Algorithm 1 lines 19–21: deflate later layers' expected hit ratios
-    /// after selecting a layer. Exposed for the DESIGN.md §7 ablation.
+    /// after selecting a layer. Exposed for ablation (`exp_fig8` runs
+    /// ACA without it).
     pub aca_deflation: bool,
     /// Rank layers by expected benefit **per byte** (`ζ_j / m_j`) instead
     /// of raw `ζ_j`. Entry sizes vary 8× across depths, so a budgeted
     /// greedy normalizes by cost — this is our reading of the paper's
     /// "order of expected benefits" under the memory constraint, and it
     /// yields the spread allocations of the paper's Fig. 4 example.
-    /// Exposed for the DESIGN.md §7 ablation.
+    /// Exposed for ablation.
     pub aca_per_byte: bool,
     /// Storage precision of the data that *moves*: upload tables,
     /// allocation frames and the server's global-table layers. The

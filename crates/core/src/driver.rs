@@ -369,38 +369,6 @@ pub struct SyncEmit {
     pub payload: u64,
 }
 
-/// What the engine records, and at what granularity. The defaults
-/// reproduce the committed records bit for bit; fleet-scale sweeps turn
-/// per-client state off (and the mergeable histogram on) so metrics
-/// memory is O(1) in the fleet size instead of O(clients).
-#[derive(Debug, Clone, Copy)]
-pub struct MetricsConfig {
-    /// Keep one [`RunSummary`] per client (the default). When `false`,
-    /// `EngineReport::per_client` holds a *single* fleet-aggregate
-    /// summary — upload sojourns and frame outcomes from every client
-    /// fold into index 0.
-    pub per_client: bool,
-    /// Also keep one [`WindowedSummary`] per client (opt-in: O(clients ×
-    /// windows) memory), surfaced as `EngineReport::per_client_windowed`
-    /// — e.g. a mid-run joiner's warm-up curve in isolation.
-    pub per_client_windowed: bool,
-    /// Additionally record every frame latency into an exactly-mergeable
-    /// [`LatencyHistogram`] (`EngineReport::latency_hist`). The exact
-    /// recorder still runs either way — the histogram is the streaming
-    /// quantile source at fleet scale, never the reference.
-    pub latency_histogram: bool,
-}
-
-impl Default for MetricsConfig {
-    fn default() -> Self {
-        Self {
-            per_client: true,
-            per_client_windowed: false,
-            latency_histogram: false,
-        }
-    }
-}
-
 /// The fully resolved execution plan of one run: what [`drive_plan`]
 /// executes. Built either statically from a [`DriveConfig`] (every member
 /// boots in the window, runs the same rounds, shares one link) or from a
@@ -418,8 +386,11 @@ pub struct DrivePlan {
     pub links: Vec<LinkSchedule>,
     /// Width of the windowed-metrics buckets (ms).
     pub metrics_window_ms: f64,
-    /// Recording granularity (defaults regenerate the committed records).
-    pub metrics: MetricsConfig,
+    /// Keep one [`RunSummary`] per client (the default). When `false`,
+    /// `EngineReport::per_client` holds a *single* fleet-aggregate
+    /// summary — upload sojourns and frame outcomes from every client
+    /// fold into index 0 — so metrics memory is O(1) in the fleet size.
+    pub per_client: bool,
     /// Server-cell topology ([`TopologyPlan::single`] = one server).
     pub topology: TopologyPlan,
 }
@@ -444,7 +415,7 @@ impl DrivePlan {
             ],
             links: vec![LinkSchedule::fixed(cfg.link); num_clients],
             metrics_window_ms: DEFAULT_METRICS_WINDOW_MS,
-            metrics: MetricsConfig::default(),
+            per_client: true,
             topology: TopologyPlan::single(num_clients),
         }
     }
@@ -563,19 +534,15 @@ struct Exec<D: MethodDriver> {
     active: usize,
     st: Vec<ClientState>,
     /// One per client, or a single fleet aggregate when
-    /// `metrics.per_client` is off (see [`MetricsConfig`]).
+    /// [`DrivePlan::per_client`] is off.
     summaries: Vec<RunSummary>,
     /// Fleet-wide hit/accuracy totals, recorded on the per-frame path —
     /// integer counts, so identical to merging the per-client recorders.
     fleet_hits: coca_metrics::HitRecorder,
     fleet_acc: coca_metrics::AccuracyRecorder,
     latency: LatencyRecorder,
-    latency_hist: Option<coca_metrics::LatencyHistogram>,
     response_latency: LatencyRecorder,
     windowed: WindowedSummary,
-    /// Parallel to `summaries`' clients when `metrics.per_client_windowed`
-    /// is on; empty otherwise.
-    per_client_windowed: Vec<WindowedSummary>,
     digest: u64,
     end_time: SimTime,
 }
@@ -596,7 +563,7 @@ impl<D: MethodDriver> Exec<D> {
     /// Index of client `k`'s summary slot (0 when aggregating fleet-wide).
     #[inline]
     fn sum_idx(&self, k: usize) -> usize {
-        if self.plan.metrics.per_client {
+        if self.plan.per_client {
             k
         } else {
             0
@@ -604,7 +571,8 @@ impl<D: MethodDriver> Exec<D> {
     }
 
     fn record_frame(&mut self, k: usize, total: SimDuration, o: &FrameOutcome, done_at: SimTime) {
-        let s = &mut self.summaries[if self.plan.metrics.per_client { k } else { 0 }];
+        let idx = self.sum_idx(k);
+        let s = &mut self.summaries[idx];
         s.latency.record(total);
         s.accuracy.record(o.correct);
         match o.hit_point {
@@ -617,23 +585,12 @@ impl<D: MethodDriver> Exec<D> {
             None => self.fleet_hits.record_miss(o.correct),
         }
         self.latency.record(total);
-        if let Some(h) = self.latency_hist.as_mut() {
-            h.record(total);
-        }
         self.windowed.record(
             done_at.as_millis_f64(),
             total.as_millis_f64(),
             o.correct,
             o.hit_point.is_some(),
         );
-        if let Some(w) = self.per_client_windowed.get_mut(k) {
-            w.record(
-                done_at.as_millis_f64(),
-                total.as_millis_f64(),
-                o.correct,
-                o.hit_point.is_some(),
-            );
-        }
     }
 
     /// Runs client `k`'s frames synchronously in virtual time starting at
@@ -792,7 +749,7 @@ pub fn drive_plan<D: MethodDriver>(
         "topology must carry one link slot per cell"
     );
     let l = scenario.rt.num_cache_points();
-    let summary_slots = if plan.metrics.per_client { n } else { 1 };
+    let summary_slots = if plan.per_client { n } else { 1 };
     let mut exec: Exec<D> = Exec {
         plan: plan.clone(),
         streams: (0..n).map(|k| scenario.stream(k)).collect(),
@@ -814,19 +771,8 @@ pub fn drive_plan<D: MethodDriver>(
         fleet_hits: coca_metrics::HitRecorder::new(l),
         fleet_acc: coca_metrics::AccuracyRecorder::new(),
         latency: LatencyRecorder::new(),
-        latency_hist: plan
-            .metrics
-            .latency_histogram
-            .then(coca_metrics::LatencyHistogram::new),
         response_latency: LatencyRecorder::new(),
         windowed: WindowedSummary::new(plan.metrics_window_ms),
-        per_client_windowed: if plan.metrics.per_client_windowed {
-            (0..n)
-                .map(|_| WindowedSummary::new(plan.metrics_window_ms))
-                .collect()
-        } else {
-            Vec::new()
-        },
         digest: 0,
         end_time: SimTime::ZERO,
     };
@@ -990,11 +936,9 @@ pub fn drive_plan<D: MethodDriver>(
         accuracy_pct: exec.fleet_acc.accuracy_pct(),
         hit_ratio: exec.fleet_hits.hit_ratio(),
         latency: exec.latency,
-        latency_hist: exec.latency_hist,
         response_latency: exec.response_latency,
         windowed: exec.windowed,
         per_client: exec.summaries,
-        per_client_windowed: exec.per_client_windowed,
         absorb: crate::client::AbsorbStats::default(),
         frame_digest: exec.digest,
         end_time: exec.end_time,

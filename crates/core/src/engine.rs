@@ -248,23 +248,16 @@ pub struct EngineReport {
     pub hit_ratio: f64,
     /// Global per-frame latency distribution.
     pub latency: LatencyRecorder,
-    /// Exactly-mergeable latency histogram — populated only when the
-    /// plan's [`MetricsConfig`](crate::driver::MetricsConfig) opts into
-    /// the streaming-quantile mode (fleet-scale sweeps); `None` under the
-    /// defaults the committed records regenerate with.
-    pub latency_hist: Option<coca_metrics::LatencyHistogram>,
     /// Cache-request response latencies (request sent → cache installed),
     /// the paper's Fig. 10(b) metric.
     pub response_latency: LatencyRecorder,
     /// Per-interval (virtual-time window) hit/latency/accuracy series —
     /// how drift and churn effects become visible over time.
     pub windowed: WindowedSummary,
-    /// Per-client summaries — or a single fleet aggregate when the plan's
-    /// metrics config turned per-client state off.
+    /// Per-client summaries — or a single fleet aggregate when the plan
+    /// turned [`DrivePlan::per_client`](crate::driver::DrivePlan::per_client)
+    /// off.
     pub per_client: Vec<RunSummary>,
-    /// Per-client windowed series, parallel to the fleet's client indices;
-    /// empty unless the plan opted in (O(clients × windows) memory).
-    pub per_client_windowed: Vec<WindowedSummary>,
     /// Collection-rule accounting summed over clients (CoCa only; zeroed
     /// for methods without collection rules).
     pub absorb: AbsorbStats,

@@ -591,7 +591,7 @@ impl ScenarioSpec {
             ],
             links: vec![LinkSchedule::fixed(self.base_link); total],
             metrics_window_ms: self.metrics_window_ms,
-            metrics: Default::default(),
+            per_client: true,
             topology,
         };
 

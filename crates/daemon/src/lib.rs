@@ -23,13 +23,12 @@
 //!
 //! Driven with one operation in flight at a time, a daemon finishes
 //! with the same global-table digest as an in-process
-//! [`coca_core::CocaServer`] fed the identical sequence — under either
-//! flush policy. `coca-loadgen --verify` checks exactly this over
-//! loopback; `tests/daemon_loopback.rs` at the workspace root pins it in
-//! CI. Under concurrent load the arrival
-//! *order* is scheduling-dependent (so digests vary run to run), but
-//! every upload is still merged exactly once through the same Eq. 4/5
-//! primitives.
+//! [`coca_core::CocaServer`] fed the identical sequence.
+//! `coca-loadgen --verify` checks exactly this over loopback;
+//! `tests/daemon_loopback.rs` at the workspace root pins it in CI. Under
+//! concurrent load the arrival *order* is scheduling-dependent (so
+//! digests vary run to run), but every upload is still merged exactly
+//! once through the same Eq. 4/5 primitives.
 
 pub mod core;
 pub mod load;

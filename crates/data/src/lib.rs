@@ -4,8 +4,7 @@
 //! ESC-50) streamed to clients with temporal locality, non-IID partitioning
 //! (Dirichlet, parameterized by `p = 1/ε`) and long-tail class imbalance
 //! (exponential decay with imbalance ratio ρ). This crate reproduces the
-//! *label-stream statistics* of those setups synthetically — see DESIGN.md
-//! §2 for why that substitution preserves the evaluated behaviour.
+//! *label-stream statistics* of those setups synthetically.
 //!
 //! * [`dataset`] — named dataset specifications (class counts, input-scale
 //!   latency factors, per-dataset baseline model accuracy anchors).

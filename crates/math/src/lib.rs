@@ -19,9 +19,7 @@
 //! * [`mask`] — [`OccupancyBitmap`] (packed per-slot presence bits over a
 //!   dense store) and the bitmap-backed [`SlotMap`]: the occupancy layer
 //!   of the columnar server-side tables.
-//! * [`stats`] — Welford online mean/variance, exponential moving averages.
-//! * [`quantile`] — the P² streaming quantile estimator (latency
-//!   percentiles without retaining samples).
+//! * [`stats`] — Welford online mean/variance.
 //! * [`softmax`] — numerically stable softmax and top-2 probability margin
 //!   (the paper's rule-2 sample-collection test `prob₁ − prob₂ > Δ`).
 //! * [`topk`] — index-returning top-1/top-2/top-k selection.
@@ -36,7 +34,6 @@ pub mod mask;
 pub mod matrix;
 pub mod pca;
 pub mod quant;
-pub mod quantile;
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 pub mod simd;
 pub mod softmax;
@@ -51,8 +48,7 @@ pub use matrix::{
     dot_unit, merge_weighted_row, merge_weighted_rows, simd_active, ScoreScratch, Top2,
 };
 pub use quant::{snap_row, Precision, QuantizedStore};
-pub use quantile::P2Quantile;
-pub use stats::{Ewma, OnlineStats};
+pub use stats::OnlineStats;
 pub use store::VectorStore;
 pub use topk::{top1, top2, top_k_indices};
 pub use vector::{

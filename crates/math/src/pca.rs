@@ -2,9 +2,9 @@
 //!
 //! Fig. 2 of the paper uses t-SNE to show that global cache updates pull
 //! cached semantic centers toward the true per-class sample centers. The
-//! reproduction substitutes a deterministic 2-D PCA projection (see
-//! DESIGN.md §2): power iteration on the covariance Gram matrix is exact
-//! enough for a scatter projection and has no stochastic layout.
+//! reproduction substitutes a deterministic 2-D PCA projection: power
+//! iteration on the covariance Gram matrix is exact enough for a scatter
+//! projection and has no stochastic layout.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

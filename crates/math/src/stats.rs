@@ -1,12 +1,10 @@
-//! Online statistics: Welford mean/variance and exponential moving averages.
-
-use serde::{Deserialize, Serialize};
+//! Online statistics: Welford mean/variance.
 
 /// Welford's online algorithm for mean and variance.
 ///
 /// Numerically stable and O(1) per observation; used for latency and
 /// accuracy accumulation across millions of simulated frames.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -79,69 +77,6 @@ impl OnlineStats {
     pub fn sum(&self) -> f64 {
         self.mean() * self.n as f64
     }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// Exponentially weighted moving average with fixed smoothing factor.
-///
-/// `alpha` is the weight of the newest observation: `y ← α·x + (1−α)·y`.
-/// Used for the client's running per-layer hit-ratio estimates uploaded to
-/// the server (ACA inputs R).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// New EWMA with smoothing factor `alpha` in (0, 1].
-    ///
-    /// # Panics
-    /// Panics if `alpha` is outside (0, 1].
-    pub fn new(alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "Ewma alpha must be in (0,1], got {alpha}"
-        );
-        Self { alpha, value: None }
-    }
-
-    /// Feeds one observation; the first observation initializes the average.
-    pub fn push(&mut self, x: f64) {
-        self.value = Some(match self.value {
-            None => x,
-            Some(v) => self.alpha * x + (1.0 - self.alpha) * v,
-        });
-    }
-
-    /// Current average, or `default` if nothing was observed yet.
-    pub fn value_or(&self, default: f64) -> f64 {
-        self.value.unwrap_or(default)
-    }
-
-    /// Current average, if any observation arrived.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
 }
 
 #[cfg(test)]
@@ -171,58 +106,5 @@ mod tests {
         assert_eq!(s.variance(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut left = OnlineStats::new();
-        let mut right = OnlineStats::new();
-        for &x in &xs[..37] {
-            left.push(x);
-        }
-        for &x in &xs[37..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(left.count(), whole.count());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before = a.mean();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a.mean(), before);
-        let mut empty = OnlineStats::new();
-        empty.merge(&a);
-        assert_eq!(empty.mean(), before);
-    }
-
-    #[test]
-    fn ewma_tracks_steps() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.value(), None);
-        assert_eq!(e.value_or(0.7), 0.7);
-        e.push(1.0);
-        assert_eq!(e.value(), Some(1.0));
-        e.push(0.0);
-        assert_eq!(e.value(), Some(0.5));
-        e.push(0.0);
-        assert_eq!(e.value(), Some(0.25));
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn ewma_rejects_bad_alpha() {
-        let _ = Ewma::new(0.0);
     }
 }

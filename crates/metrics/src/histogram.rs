@@ -1,12 +1,10 @@
-//! A fixed-bin, exactly-mergeable latency histogram for fleet-scale runs.
+//! A fixed-bin, exactly-mergeable latency histogram.
 //!
-//! The default [`LatencyRecorder`](crate::LatencyRecorder) keeps exact
-//! moments plus P² quantile sketches — O(1) per observation, but the
-//! sketches do not compose across recorders (see the contract on
-//! [`RunSummary::merge`](crate::recorder::RunSummary::merge)). At 10⁵–10⁶
-//! clients the fleet experiments instead want a *mergeable* distribution:
-//! [`LatencyHistogram`] buckets nanosecond durations HDR-style (log₂ major
-//! buckets × 64 linear sub-buckets, ≤ 1/64 ≈ 1.6 % relative error), so
+//! [`LatencyHistogram`] is the one quantile source of the workspace: every
+//! [`LatencyRecorder`](crate::LatencyRecorder) keeps one, and the load
+//! generator merges one per client thread. It buckets nanosecond durations
+//! HDR-style (log₂ major buckets × 64 linear sub-buckets, ≤ 1/64 ≈ 1.6 %
+//! relative error), so
 //!
 //! * recording is a shift/mask plus one counter increment — deterministic,
 //!   no floating point;
@@ -15,9 +13,9 @@
 //! * quantiles are deterministic bucket lower bounds — the same answer on
 //!   every host, every run, every sharding of the same observations.
 //!
-//! The exact recorder stays the default and the record-regeneration
-//! reference; the histogram is the opt-in streaming mode behind
-//! `MetricsConfig::latency_histogram`.
+//! The counter array grows only up to the highest major bucket recorded:
+//! at the engine's 10⁷–10⁸ ns frame latencies that is ≤ 11 KiB, not the
+//! ~30 KiB the full 64-bit range would take.
 
 use coca_sim::SimDuration;
 
@@ -25,25 +23,18 @@ use coca_sim::SimDuration;
 const SUB_BITS: u32 = 6;
 /// Sub-buckets per major (power-of-two) bucket.
 const SUBS: u64 = 1 << SUB_BITS;
-/// Total buckets: values `< 64` ns get exact unit buckets (one major
-/// group), then one 64-wide group per remaining leading-bit position.
-const BUCKETS: usize = ((64 - SUB_BITS as usize) + 1) * SUBS as usize;
 
 /// Deterministic log-linear histogram over `u64` nanosecond durations.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencyHistogram {
-    counts: Box<[u64; BUCKETS]>,
+    /// Per-bucket counts, up to the end of the highest major bucket
+    /// recorded so far.
+    counts: Vec<u64>,
     count: u64,
     /// Exact nanosecond sum — `u128` so 2⁶⁴ observations of u64 values
     /// cannot overflow; the mean stays exact.
     sum_ns: u128,
     max_ns: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// Bucket index of a nanosecond value: identity below 64, then
@@ -72,31 +63,34 @@ fn lower_bound_ns(idx: usize) -> u64 {
 }
 
 impl LatencyHistogram {
-    /// An empty histogram (~30 KiB, fixed).
+    /// An empty histogram.
     pub fn new() -> Self {
-        Self {
-            counts: Box::new([0; BUCKETS]),
-            count: 0,
-            sum_ns: 0,
-            max_ns: 0,
-        }
+        Self::default()
     }
 
     /// Records one duration.
     pub fn record(&mut self, d: SimDuration) {
-        let ns = d.as_nanos();
-        self.counts[bucket_of(ns)] += 1;
-        self.count += 1;
-        self.sum_ns += ns as u128;
-        self.max_ns = self.max_ns.max(ns);
+        self.record_ns(d.as_nanos());
     }
 
     /// Records one **wall-clock** duration (`std::time::Duration`, e.g.
     /// an `Instant::elapsed()`), saturating at `u64::MAX` ns (~584 years)
     /// — the load generator's per-request path, no hand conversion.
     pub fn record_duration(&mut self, d: std::time::Duration) {
-        let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        self.counts[bucket_of(ns)] += 1;
+        self.record_ns(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+    }
+
+    fn record_ns(&mut self, ns: u64) {
+        let idx = bucket_of(ns);
+        if idx >= self.counts.len() {
+            // Grow to the end of `idx`'s major bucket and no further (no
+            // amortized doubling): the counters stay the size the largest
+            // latency recorded needs.
+            let len = (idx | (SUBS as usize - 1)) + 1;
+            self.counts.reserve_exact(len - self.counts.len());
+            self.counts.resize(len, 0);
+        }
+        self.counts[idx] += 1;
         self.count += 1;
         self.sum_ns += ns as u128;
         self.max_ns = self.max_ns.max(ns);
@@ -159,7 +153,10 @@ impl LatencyHistogram {
     /// Merges `other` into `self` — element-wise integer addition, exact
     /// at any fan-in and independent of merge order.
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
         self.count += other.count;
@@ -171,6 +168,10 @@ impl LatencyHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Total buckets: values `< 64` ns get exact unit buckets (one major
+    /// group), then one 64-wide group per remaining leading-bit position.
+    const BUCKETS: usize = ((64 - SUB_BITS as usize) + 1) * SUBS as usize;
 
     #[test]
     fn bucketing_is_monotone_and_bounded() {

@@ -3,15 +3,16 @@
 //! Everything the evaluation harness needs to turn simulated inference runs
 //! into the tables and series the paper reports:
 //!
-//! * [`recorder`] — latency / accuracy / per-layer hit recorders built on
-//!   `coca-math` online statistics.
+//! * [`recorder`] — latency / accuracy / per-layer hit recorders. A
+//!   [`LatencyRecorder`] is exact Welford moments plus one
+//!   [`LatencyHistogram`] for its quantiles.
 //! * [`histogram`] — a fixed-bin log-linear latency histogram whose merges
-//!   are exact integer adds: the streaming-metrics mode fleet-scale runs
-//!   use where P² sketches cannot be combined across shards.
-//! * [`table`] — aligned ASCII (and Markdown) table rendering for the
-//!   experiment binaries.
-//! * [`record`] — serializable experiment records (`results/*.json`) that
-//!   EXPERIMENTS.md cites.
+//!   are exact integer adds and whose quantiles are deterministic bucket
+//!   lower bounds (≤ 1/64 below the exact value).
+//! * [`table`] — aligned ASCII table rendering for the experiment
+//!   binaries.
+//! * [`record`] — serializable experiment records (`results/*.json`,
+//!   mapped binary by binary in `results/README.md`).
 //! * [`windowed`] — per-interval (virtual-time window) summaries for the
 //!   dynamic-scenario experiments, where drift effects only show up as a
 //!   time series.

@@ -1,8 +1,7 @@
 //! Serializable experiment records.
 //!
 //! Every experiment binary writes a JSON record alongside its printed table
-//! so EXPERIMENTS.md can reference machine-readable numbers and reruns can
-//! be diffed.
+//! so its numbers are machine-readable and reruns can be diffed.
 
 use serde::{Deserialize, Serialize};
 use serde_json::{Map, Value};

@@ -1,16 +1,15 @@
 //! Latency, accuracy and cache-hit recorders.
 
-use coca_math::{OnlineStats, P2Quantile};
+use crate::LatencyHistogram;
+use coca_math::OnlineStats;
 use coca_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
-/// Streaming latency statistics (mean/min/max + p50/p95/p99 estimates).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Streaming latency statistics: exact Welford moments (mean/min/max)
+/// plus one [`LatencyHistogram`] for the p50/p95/p99 lower bounds.
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyRecorder {
     stats: OnlineStats,
-    p50: P2Quantile,
-    p95: P2Quantile,
-    p99: P2Quantile,
+    hist: LatencyHistogram,
 }
 
 impl Default for LatencyRecorder {
@@ -24,19 +23,14 @@ impl LatencyRecorder {
     pub fn new() -> Self {
         Self {
             stats: OnlineStats::new(),
-            p50: P2Quantile::new(0.5),
-            p95: P2Quantile::new(0.95),
-            p99: P2Quantile::new(0.99),
+            hist: LatencyHistogram::new(),
         }
     }
 
     /// Records one latency observation.
     pub fn record(&mut self, d: SimDuration) {
-        let ms = d.as_millis_f64();
-        self.stats.push(ms);
-        self.p50.push(ms);
-        self.p95.push(ms);
-        self.p99.push(ms);
+        self.stats.push(d.as_millis_f64());
+        self.hist.record(d);
     }
 
     /// Mean latency in milliseconds (0.0 when empty).
@@ -49,34 +43,30 @@ impl LatencyRecorder {
         self.stats.count()
     }
 
-    /// Estimated median in milliseconds.
+    /// Median in milliseconds: the histogram's bucket lower bound, at
+    /// most 1/64 below the exact value.
     pub fn p50_ms(&self) -> Option<f64> {
-        self.p50.estimate()
+        self.hist.quantile_ms(0.5)
     }
 
-    /// Estimated 95th percentile in milliseconds.
+    /// 95th percentile in milliseconds (lower bound, as [`Self::p50_ms`]).
     pub fn p95_ms(&self) -> Option<f64> {
-        self.p95.estimate()
+        self.hist.quantile_ms(0.95)
     }
 
-    /// Estimated 99th percentile in milliseconds.
+    /// 99th percentile in milliseconds (lower bound, as [`Self::p50_ms`]).
     pub fn p99_ms(&self) -> Option<f64> {
-        self.p99.estimate()
+        self.hist.quantile_ms(0.99)
     }
 
     /// Maximum observed latency in milliseconds.
     pub fn max_ms(&self) -> Option<f64> {
         self.stats.max()
     }
-
-    /// Underlying mean/variance accumulator.
-    pub fn stats(&self) -> &OnlineStats {
-        &self.stats
-    }
 }
 
 /// Counting accuracy recorder.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct AccuracyRecorder {
     correct: u64,
     total: u64,
@@ -119,12 +109,6 @@ impl AccuracyRecorder {
     pub fn correct(&self) -> u64 {
         self.correct
     }
-
-    /// Merges another recorder's counts.
-    pub fn merge(&mut self, other: &AccuracyRecorder) {
-        self.correct += other.correct;
-        self.total += other.total;
-    }
 }
 
 /// Per-cache-layer hit bookkeeping.
@@ -132,7 +116,7 @@ impl AccuracyRecorder {
 /// Layer indices refer to the model's *preset* cache-layer positions
 /// (0-based); a sample that reaches the classifier head without any hit
 /// counts as a miss.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HitRecorder {
     /// `hits[j]` = samples that exited at cache layer `j`.
     hits: Vec<u64>,
@@ -250,7 +234,7 @@ impl HitRecorder {
 }
 
 /// One run's end-to-end summary: what every experiment table reports.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     /// Per-frame end-to-end inference latency.
     pub latency: LatencyRecorder,
@@ -272,56 +256,6 @@ impl RunSummary {
             hits: HitRecorder::new(num_layers),
             upload: LatencyRecorder::new(),
         }
-    }
-
-    /// Merges a per-client summary into a global one.
-    ///
-    /// ## Latency-quantile contract
-    ///
-    /// Counting state (accuracy, hits, the latency *moments* — count /
-    /// mean / min / max) merges **exactly**. The P² quantile sketches do
-    /// not compose: two sketches cannot be combined into the sketch a
-    /// single pass over the union would have produced. The contract is
-    /// therefore:
-    ///
-    /// * if one side is empty, the merged summary carries the non-empty
-    ///   side's sketches verbatim (exact — the union *is* that side);
-    /// * otherwise the merged `p50/p95/p99` remain **`self`'s** estimates
-    ///   and must be treated as per-shard approximations, not fleet
-    ///   quantiles.
-    ///
-    /// Callers that need true cross-client quantiles must record through
-    /// a single recorder on the per-frame path (what the engine's global
-    /// `EngineReport::latency` does) or use the exactly-mergeable
-    /// [`LatencyHistogram`](crate::LatencyHistogram), which trades ≤1/64
-    /// relative bucketing error for exact merges at any fan-in.
-    pub fn merge(&mut self, other: &RunSummary) {
-        self.accuracy.merge(&other.accuracy);
-        self.hits.merge(&other.hits);
-        merge_latency(&mut self.latency, &other.latency);
-        merge_latency(&mut self.upload, &other.upload);
-    }
-}
-
-/// Merges `other` into `dst` under the quantile contract documented on
-/// [`RunSummary::merge`]: moments exactly, sketches adopted wholesale only
-/// when `dst` has seen no data (previously an empty `dst` silently
-/// *dropped* `other`'s sketches, reporting `None` quantiles for a
-/// non-empty merge).
-fn merge_latency(dst: &mut LatencyRecorder, other: &LatencyRecorder) {
-    if dst.count() == 0 {
-        *dst = other.clone();
-        return;
-    }
-    let mut moments = *dst.stats();
-    moments.merge(other.stats());
-    *dst.stats_mut() = moments;
-}
-
-impl LatencyRecorder {
-    /// Mutable access to the moments accumulator (used by summary merging).
-    pub fn stats_mut(&mut self) -> &mut OnlineStats {
-        &mut self.stats
     }
 }
 
@@ -345,6 +279,39 @@ mod tests {
     }
 
     #[test]
+    fn latency_quantiles_are_lower_bounds_within_one_sub_bucket() {
+        // Seeded Pareto(α = 1.5) latencies above 5 ms: a heavy tail, so
+        // p95 and p99 sit many buckets above p50.
+        let mut state = 0x5eed_0c0c_a000_0001u64;
+        let mut uniform = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut r = LatencyRecorder::new();
+        let mut sorted: Vec<u64> = (0..20_000)
+            .map(|_| (5.0e6 / (1.0 - uniform()).powf(1.0 / 1.5)) as u64)
+            .collect();
+        for &ns in &sorted {
+            r.record(SimDuration::from_nanos(ns));
+        }
+        sorted.sort_unstable();
+        for (q, got) in [(0.5, r.p50_ms()), (0.95, r.p95_ms()), (0.99, r.p99_ms())] {
+            let rank = (q * sorted.len() as f64).ceil() as usize;
+            let exact = sorted[rank - 1] as f64 / 1.0e6;
+            let got = got.unwrap();
+            assert!(got <= exact, "q={q}: {got} above exact {exact}");
+            assert!(exact - got <= exact / 64.0, "q={q}: {got} vs exact {exact}");
+        }
+        assert!(
+            r.p99_ms().unwrap() > 4.0 * r.p50_ms().unwrap(),
+            "heavy tail"
+        );
+    }
+
+    #[test]
     fn accuracy_recorder_counts() {
         let mut a = AccuracyRecorder::new();
         assert_eq!(a.accuracy(), 0.0);
@@ -354,11 +321,6 @@ mod tests {
         assert_eq!(a.total(), 10);
         assert_eq!(a.correct(), 7);
         assert!((a.accuracy_pct() - 70.0).abs() < 1e-9);
-        let mut b = AccuracyRecorder::new();
-        b.record(true);
-        b.merge(&a);
-        assert_eq!(b.total(), 11);
-        assert_eq!(b.correct(), 8);
     }
 
     #[test]
@@ -397,42 +359,5 @@ mod tests {
         assert_eq!(a.num_layers(), 4);
         assert_eq!(a.total(), 3);
         assert_eq!(a.hits_per_layer(), &[1, 0, 0, 1]);
-    }
-
-    #[test]
-    fn merging_into_an_empty_summary_keeps_quantiles() {
-        // Regression: an empty `self` used to drop `other`'s quantile
-        // sketches entirely, reporting `None` after a non-empty merge.
-        let mut other = RunSummary::new(1);
-        for i in 1..=100u64 {
-            other.latency.record(SimDuration::from_millis(i));
-            other.upload.record(SimDuration::from_millis(i * 2));
-        }
-        let mut total = RunSummary::new(1);
-        total.merge(&other);
-        assert_eq!(total.latency.count(), 100);
-        let p50 = total.latency.p50_ms().expect("adopted sketch");
-        assert!((p50 - other.latency.p50_ms().unwrap()).abs() < 1e-12);
-        assert_eq!(total.upload.p99_ms(), other.upload.p99_ms());
-        // A second, non-empty merge keeps exact moments.
-        total.merge(&other);
-        assert_eq!(total.latency.count(), 200);
-        assert_eq!(total.latency.max_ms(), Some(100.0));
-    }
-
-    #[test]
-    fn run_summary_merge_combines_counts() {
-        let mut a = RunSummary::new(2);
-        a.latency.record(SimDuration::from_millis(10));
-        a.accuracy.record(true);
-        a.hits.record_hit(0, true);
-        let mut b = RunSummary::new(2);
-        b.latency.record(SimDuration::from_millis(30));
-        b.accuracy.record(false);
-        b.hits.record_miss(false);
-        a.merge(&b);
-        assert_eq!(a.accuracy.total(), 2);
-        assert_eq!(a.hits.total(), 2);
-        assert!((a.latency.stats().mean() - 20.0).abs() < 1e-9);
     }
 }

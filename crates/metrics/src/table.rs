@@ -1,4 +1,4 @@
-//! Aligned plain-text and Markdown table rendering.
+//! Aligned plain-text table rendering.
 //!
 //! The experiment binaries print the same rows the paper's tables report;
 //! this module keeps that output readable without pulling in a TUI crate.
@@ -29,12 +29,6 @@ impl Table {
         row.resize(self.headers.len(), String::new());
         self.rows.push(row);
         self
-    }
-
-    /// Convenience for rows of displayable items.
-    pub fn row_display<T: std::fmt::Display>(&mut self, cells: &[T]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
     }
 
     /// Number of data rows.
@@ -84,28 +78,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as a GitHub-flavoured Markdown table.
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        if !self.title.is_empty() {
-            let _ = writeln!(out, "**{}**\n", self.title);
-        }
-        let _ = writeln!(out, "| {} |", self.headers.join(" | "));
-        let _ = writeln!(
-            out,
-            "|{}|",
-            self.headers
-                .iter()
-                .map(|_| "---")
-                .collect::<Vec<_>>()
-                .join("|")
-        );
-        for row in &self.rows {
-            let _ = writeln!(out, "| {} |", row.join(" | "));
-        }
-        out
-    }
 }
 
 /// Formats a float with `digits` decimal places — the standard cell format
@@ -140,15 +112,6 @@ mod tests {
         let s = t.render();
         assert!(!s.contains("==")); // no title line
         assert!(s.lines().count() >= 3);
-    }
-
-    #[test]
-    fn markdown_has_separator() {
-        let mut t = Table::new("T", &["x", "y"]);
-        t.row_display(&[1.5, 2.5]);
-        let md = t.render_markdown();
-        assert!(md.contains("|---|---|"));
-        assert!(md.contains("| 1.5 | 2.5 |"));
     }
 
     #[test]

@@ -7,10 +7,8 @@
 //! fixed-width virtual-time windows so hit-rate / latency / accuracy can
 //! be reported as a time series.
 
-use serde::{Deserialize, Serialize};
-
 /// Aggregates of one virtual-time window.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WindowStats {
     /// Frames completed inside the window.
     pub frames: u64,
@@ -61,7 +59,7 @@ impl WindowStats {
 /// the width spans exactly `duration / window_ms` windows instead of
 /// growing a spurious trailing window covering time after the run ended.
 /// (Instant 0 has no preceding window and lands in window 0.)
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowedSummary {
     window_ms: f64,
     windows: Vec<WindowStats>,
@@ -135,27 +133,6 @@ impl WindowedSummary {
     pub fn is_empty(&self) -> bool {
         self.windows.is_empty()
     }
-
-    /// Merges another summary (same window width) into this one.
-    ///
-    /// # Panics
-    /// Panics on window-width mismatch.
-    pub fn merge(&mut self, other: &WindowedSummary) {
-        assert!(
-            (self.window_ms - other.window_ms).abs() < 1e-9,
-            "cannot merge windowed summaries of different widths"
-        );
-        if other.windows.len() > self.windows.len() {
-            self.windows
-                .resize(other.windows.len(), WindowStats::default());
-        }
-        for (dst, src) in self.windows.iter_mut().zip(&other.windows) {
-            dst.frames += src.frames;
-            dst.correct += src.correct;
-            dst.hits += src.hits;
-            dst.latency_sum_ms += src.latency_sum_ms;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -215,41 +192,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_aligns_windows() {
-        let mut a = WindowedSummary::new(100.0);
-        a.record(50.0, 10.0, true, true);
-        let mut b = WindowedSummary::new(100.0);
-        b.record(150.0, 20.0, false, false);
-        b.record(50.0, 30.0, true, false);
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.windows()[0].frames, 2);
-        assert_eq!(a.windows()[1].frames, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "different widths")]
-    fn merge_rejects_width_mismatch() {
-        let mut a = WindowedSummary::new(100.0);
-        a.merge(&WindowedSummary::new(200.0));
-    }
-
-    #[test]
     fn far_future_observations_fold_into_the_capped_bucket() {
         let mut s = WindowedSummary::new(1.0);
         // An absurd completion instant must not allocate beyond the cap.
         s.record(1.0e18, 5.0, true, true);
         assert_eq!(s.len(), WindowedSummary::MAX_WINDOWS);
         assert_eq!(s.windows()[WindowedSummary::MAX_WINDOWS - 1].frames, 1);
-    }
-
-    #[test]
-    fn round_trips_through_json() {
-        let mut s = WindowedSummary::new(250.0);
-        s.record(100.0, 12.5, true, false);
-        s.record(600.0, 7.5, false, true);
-        let text = serde_json::to_string(&s).unwrap();
-        let back: WindowedSummary = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, s);
     }
 }

@@ -46,8 +46,8 @@ use crate::arch::{CachePoint, ModelArch};
 use crate::view::{ClientFeatureView, ClientProfile};
 
 /// Tunable knobs of the feature geometry. Defaults are the calibrated
-/// values used by every experiment (see `coca-bench`'s `calibrate` binary
-/// and EXPERIMENTS.md).
+/// values used by every experiment (see `coca-bench`'s `calibrate`
+/// binary).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct FeatureConfig {
     /// Number of classes per confusion group (sibling set).

@@ -12,7 +12,7 @@
 //!    collection margin).
 //!
 //! This crate synthesizes exactly those three signals with the geometry the
-//! paper's mechanisms rely on (DESIGN.md §2):
+//! paper's mechanisms rely on:
 //!
 //! * [`arch`]/[`zoo`] — model architectures as block sequences with preset
 //!   cache points; per-point feature dimension and depth-dependent signal

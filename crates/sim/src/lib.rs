@@ -10,8 +10,6 @@
 //!
 //! * [`time`] — [`SimTime`](time::SimTime) / [`SimDuration`](time::SimDuration),
 //!   nanosecond-resolution virtual timestamps with ms-oriented helpers.
-//! * [`clock`] — [`VirtualClock`](clock::VirtualClock), a monotonically
-//!   advancing cursor over virtual time.
 //! * [`rng`] — [`SeedTree`](rng::SeedTree), hierarchical deterministic seed
 //!   derivation so every component gets an independent, reproducible RNG.
 //! * [`event`] — [`EventQueue`](event::EventQueue), the discrete-event
@@ -20,12 +18,10 @@
 //!   operations at fleet scale, property-pinned to a `BinaryHeap`
 //!   reference's pop order in `tests/proptest_event_queue.rs`.
 
-pub mod clock;
 pub mod event;
 pub mod rng;
 pub mod time;
 
-pub use clock::VirtualClock;
 pub use event::{EventQueue, ScheduledEvent};
 pub use rng::SeedTree;
 pub use time::{SimDuration, SimTime};

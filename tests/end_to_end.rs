@@ -139,7 +139,7 @@ fn ablation_arms_order_sanely() {
     };
     let normal = arm(false, false);
     let full = arm(true, true);
-    // Known deviation (DESIGN.md §10): our exit-depth distribution is more
+    // Known deviation: our exit-depth distribution is more
     // compact than the paper's, so a full-coverage static layer is highly
     // competitive on latency. The robust claims: both arms beat Edge-Only
     // comfortably, and the full system holds accuracy.

@@ -1,9 +1,7 @@
-//! Integration tests for the fleet-scale member-state features (PR 6):
-//! per-member frame budgets (`DeviceSpeed` → `MemberPlan::frames_per_round`),
-//! the compact fleet-aggregate metrics mode, the streaming latency
-//! histogram, and the opt-in per-client windowed series.
+//! Integration tests for the fleet-scale member-state features:
+//! per-member frame budgets (`DeviceSpeed` → `MemberPlan::frames_per_round`)
+//! and the compact fleet-aggregate metrics mode (`DrivePlan::per_client`).
 
-use coca::core::driver::MetricsConfig;
 use coca::core::spec::ScenarioSpec;
 use coca::prelude::*;
 
@@ -16,11 +14,9 @@ fn spec(seed: u64) -> ScenarioSpec {
     ScenarioSpec::new(sc, 2, FRAMES)
 }
 
-fn run(spec: &ScenarioSpec, metrics: Option<MetricsConfig>) -> EngineReport {
+fn run(spec: &ScenarioSpec, per_client: bool) -> EngineReport {
     let (scenario, mut plan) = spec.materialize();
-    if let Some(m) = metrics {
-        plan.metrics = m;
-    }
+    plan.per_client = per_client;
     let coca = CocaConfig::for_model(ModelId::ResNet101).with_round_frames(spec.frames_per_round);
     let mut engine = Engine::new(scenario, EngineConfig::new(coca));
     engine.run_plan(&plan)
@@ -33,7 +29,7 @@ fn per_member_frame_budget_drives_the_engine() {
     let hetero = spec(700).device_speed(Some(1), 10);
     assert!(hetero.validate().is_ok());
     let (_, plan) = hetero.materialize();
-    let report = run(&hetero, None);
+    let report = run(&hetero, true);
     assert_eq!(report.frames, plan.total_frames());
     assert_eq!(report.frames, (2 * FRAMES + 2 * 10 + 2 * FRAMES) as u64);
     for (k, member) in plan.members.iter().enumerate() {
@@ -52,15 +48,8 @@ fn per_member_frame_budget_drives_the_engine() {
 #[test]
 fn fleet_aggregate_metrics_preserve_totals_and_digest() {
     let s = spec(701);
-    let detailed = run(&s, None);
-    let fleet = run(
-        &s,
-        Some(MetricsConfig {
-            per_client: false,
-            per_client_windowed: false,
-            latency_histogram: true,
-        }),
-    );
+    let detailed = run(&s, true);
+    let fleet = run(&s, false);
 
     // Metrics bookkeeping must not change what executed.
     assert_eq!(detailed.frame_digest, fleet.frame_digest);
@@ -84,67 +73,18 @@ fn fleet_aggregate_metrics_preserve_totals_and_digest() {
     assert_eq!(agg.accuracy.total(), sum_frames);
     assert_eq!(agg.accuracy.correct(), sum_correct);
     assert_eq!(agg.upload.count(), sum_uploads);
-    assert_eq!(agg.latency.count(), detailed.latency.count());
+    assert_eq!(agg.latency, detailed.latency);
 
-    // The streaming histogram saw every frame; its sum-based mean and
-    // exact max agree with the reference recorder, and its lower-bound
-    // quantiles are monotone and bounded by the true max.
-    let hist = fleet.latency_hist.as_ref().expect("histogram opted in");
-    assert_eq!(hist.count(), fleet.frames);
-    let mean_rel = (hist.mean_ms() - fleet.mean_latency_ms).abs() / fleet.mean_latency_ms;
-    assert!(mean_rel < 1e-6, "histogram mean drifted: rel {mean_rel}");
-    let exact_max = detailed.latency.max_ms().unwrap();
-    assert!((hist.max_ms().unwrap() - exact_max).abs() < 1e-9);
+    // The fleet-wide recorder saw every frame in the same order either
+    // way; its histogram's lower-bound quantiles are monotone and bounded
+    // by the exact max.
+    assert_eq!(fleet.latency, detailed.latency);
+    assert_eq!(fleet.latency.count(), fleet.frames);
+    let exact_max = fleet.latency.max_ms().unwrap();
     let (p50, p95, p99) = (
-        hist.quantile_ms(0.50).unwrap(),
-        hist.quantile_ms(0.95).unwrap(),
-        hist.quantile_ms(0.99).unwrap(),
+        fleet.latency.p50_ms().unwrap(),
+        fleet.latency.p95_ms().unwrap(),
+        fleet.latency.p99_ms().unwrap(),
     );
     assert!(p50 > 0.0 && p50 <= p95 && p95 <= p99 && p99 <= exact_max);
-    // The lower-bound rule: the bucket floor never exceeds the exact
-    // quantile's bucket, so p99 sits within one sub-bucket (≤ 1/64
-    // relative) below the true value — and hence at or below the max.
-    assert!(hist.quantile_ms(1.0).unwrap() <= exact_max);
-    // The default mode leaves the histogram off.
-    assert!(detailed.latency_hist.is_none());
-}
-
-/// The opt-in per-client windowed series is populated per member and its
-/// per-window frame counts sum to the client's total frames.
-#[test]
-fn per_client_windowed_series_is_opt_in() {
-    let s = spec(702);
-    let without = run(&s, None);
-    assert!(without.per_client_windowed.is_empty(), "default is off");
-
-    let with = run(
-        &s,
-        Some(MetricsConfig {
-            per_client: true,
-            per_client_windowed: true,
-            latency_histogram: false,
-        }),
-    );
-    assert_eq!(with.frame_digest, without.frame_digest);
-    assert_eq!(with.per_client_windowed.len(), 3);
-    for (k, series) in with.per_client_windowed.iter().enumerate() {
-        let frames: u64 = series.windows().iter().map(|w| w.frames).sum();
-        assert_eq!(
-            frames,
-            with.per_client[k].accuracy.total(),
-            "client {k} windowed frame total"
-        );
-        assert!(!series.is_empty());
-    }
-    // The per-client series tile the global one: summed window frames
-    // equal the run's frame count.
-    let global_frames: u64 = with.windowed.windows().iter().map(|w| w.frames).sum();
-    let client_frames: u64 = with
-        .per_client_windowed
-        .iter()
-        .flat_map(|s| s.windows())
-        .map(|w| w.frames)
-        .sum();
-    assert_eq!(client_frames, global_frames);
-    assert_eq!(global_frames, with.frames);
 }

@@ -18,6 +18,7 @@
 
 use coca::core::spec::PopularityShift;
 use coca::core::{SyncMode, TopologySpec};
+use coca::metrics::{LatencyRecorder, RunSummary, WindowedSummary};
 use coca::net::{LinkModel, Wire};
 use coca::prelude::*;
 use proptest::prelude::*;
@@ -51,9 +52,17 @@ fn engine_cfg(spec: &ScenarioSpec) -> EngineConfig {
     EngineConfig::new(coca)
 }
 
-/// Canonical probe of a run: the report scalars, a serialized rendering
-/// of every record series, and each cell's global table as `Wire` bytes.
-type Probe = (u64, u64, u64, u64, u64, String, Vec<Vec<u8>>);
+/// Every record series of a run, compared with `==`.
+type Records = (
+    LatencyRecorder,
+    LatencyRecorder,
+    WindowedSummary,
+    Vec<RunSummary>,
+);
+
+/// Canonical probe of a run: the report scalars, every record series,
+/// and each cell's global table as `Wire` bytes.
+type Probe = (u64, u64, u64, u64, u64, Records, Vec<Vec<u8>>);
 
 fn probe(report: &EngineReport, globals: Vec<Vec<u8>>) -> Probe {
     (
@@ -62,12 +71,11 @@ fn probe(report: &EngineReport, globals: Vec<Vec<u8>>) -> Probe {
         report.mean_latency_ms.to_bits(),
         report.accuracy_pct.to_bits(),
         report.hit_ratio.to_bits(),
-        format!(
-            "{}|{}|{}|{}",
-            serde_json::to_string(&report.latency).unwrap(),
-            serde_json::to_string(&report.response_latency).unwrap(),
-            serde_json::to_string(&report.windowed).unwrap(),
-            serde_json::to_string(&report.per_client).unwrap(),
+        (
+            report.latency.clone(),
+            report.response_latency.clone(),
+            report.windowed.clone(),
+            report.per_client.clone(),
         ),
         globals,
     )

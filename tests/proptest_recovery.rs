@@ -24,6 +24,7 @@ use coca::core::proto::UpdateUpload;
 use coca::core::spec::PopularityShift;
 use coca::core::CocaServer;
 use coca::math::Precision;
+use coca::metrics::{LatencyRecorder, RunSummary, WindowedSummary};
 use coca::net::{LinkModel, Wire};
 use coca::prelude::*;
 use proptest::prelude::*;
@@ -56,30 +57,36 @@ fn coca_config(spec: &ScenarioSpec) -> CocaConfig {
     CocaConfig::for_model(ModelId::ResNet101).with_round_frames(spec.frames_per_round)
 }
 
-/// Canonical JSON rendering of every record series followed by the
-/// post-run global table's `Wire` bytes — the byte-identity probe the
-/// engine tests use.
-fn probe(engine: &Engine, report: &EngineReport) -> Vec<u8> {
-    let mut out = format!(
-        "{}|{}|{}|{}|",
-        serde_json::to_string(&report.latency).unwrap(),
-        serde_json::to_string(&report.response_latency).unwrap(),
-        serde_json::to_string(&report.windowed).unwrap(),
-        serde_json::to_string(&report.per_client).unwrap(),
+/// Every record series of the run, then the post-run global table's
+/// `Wire` bytes — the identity probe the engine tests compare with `==`.
+type Probe = (
+    LatencyRecorder,
+    LatencyRecorder,
+    WindowedSummary,
+    Vec<RunSummary>,
+    Vec<u8>,
+);
+
+fn probe(engine: &Engine, report: &EngineReport) -> Probe {
+    let mut table = Vec::new();
+    engine.server().global().encode(&mut table);
+    (
+        report.latency.clone(),
+        report.response_latency.clone(),
+        report.windowed.clone(),
+        report.per_client.clone(),
+        table,
     )
-    .into_bytes();
-    engine.server().global().encode(&mut out);
-    out
 }
 
 /// Runs CoCa over `spec`; `durability` attaches a WAL with the given
 /// rotation period and optional crash plan. Returns the report, the
-/// byte-identity probe and the finished engine for state inspection.
+/// identity probe and the finished engine for state inspection.
 fn run_coca(
     spec: &ScenarioSpec,
     cfg: CocaConfig,
     durability: Option<(usize, Option<CrashPlan>)>,
-) -> (EngineReport, Vec<u8>, Engine) {
+) -> (EngineReport, Probe, Engine) {
     let (scenario, plan) = spec.materialize();
     let mut engine = Engine::new(scenario, EngineConfig::new(cfg));
     if let Some((rotate_every, crash)) = durability {
@@ -95,8 +102,8 @@ fn run_coca(
 }
 
 fn assert_runs_identical(
-    a: &(EngineReport, Vec<u8>, Engine),
-    b: &(EngineReport, Vec<u8>, Engine),
+    a: &(EngineReport, Probe, Engine),
+    b: &(EngineReport, Probe, Engine),
     label: &str,
 ) {
     assert_eq!(a.0.frame_digest, b.0.frame_digest, "{label}: digest");
@@ -107,7 +114,7 @@ fn assert_runs_identical(
         "{label}: mean latency"
     );
     assert_eq!(a.0.end_time, b.0.end_time, "{label}: end time");
-    assert_eq!(a.1, b.1, "{label}: serialized record series");
+    assert!(a.1 == b.1, "{label}: record series");
 }
 
 proptest! {

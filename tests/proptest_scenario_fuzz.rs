@@ -19,6 +19,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use coca::core::persist::{Durability, MemStorage};
 use coca::core::spec::PopularityShift;
+use coca::metrics::{LatencyRecorder, RunSummary};
 use coca::net::{LinkModel, Wire};
 use coca::prelude::*;
 use proptest::prelude::*;
@@ -86,7 +87,11 @@ fn random_spec(rng: &mut SmallRng) -> ScenarioSpec {
     spec
 }
 
-fn run_probe(spec: &ScenarioSpec, durable: bool) -> (Vec<u8>, usize) {
+/// The run's frame digest, latency and per-client records, and every
+/// cell's global table as `Wire` bytes — compared with `==`.
+type Probe = (u64, LatencyRecorder, Vec<RunSummary>, Vec<u8>);
+
+fn run_probe(spec: &ScenarioSpec, durable: bool) -> (Probe, usize) {
     let (scenario, plan) = spec.materialize();
     let cfg = CocaConfig::for_model(ModelId::ResNet101).with_round_frames(spec.frames_per_round);
     let mut engine = Engine::with_cells(scenario, EngineConfig::new(cfg), plan.topology.cells);
@@ -96,17 +101,17 @@ fn run_probe(spec: &ScenarioSpec, durable: bool) -> (Vec<u8>, usize) {
             .attach_durability(Durability::new(Box::new(MemStorage::new()), 4));
     }
     let report = engine.run_plan(&plan);
-    let mut probe = format!(
-        "{}|{}|{}|",
-        report.frame_digest,
-        serde_json::to_string(&report.latency).unwrap(),
-        serde_json::to_string(&report.per_client).unwrap(),
-    )
-    .into_bytes();
+    let mut tables = Vec::new();
     for s in engine.servers() {
-        s.global().encode(&mut probe);
+        s.global().encode(&mut tables);
     }
     let pending = engine.servers().iter().map(|s| s.pending_uploads()).sum();
+    let probe = (
+        report.frame_digest,
+        report.latency,
+        report.per_client,
+        tables,
+    );
     (probe, pending)
 }
 
