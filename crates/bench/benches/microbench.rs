@@ -636,12 +636,13 @@ fn bench_server_tables(_c: &mut Criterion) {
     // 32-client registry, an 8-upload pending queue): frame encode of the
     // full checksummed snapshot, decode+validate of the same bytes, WAL
     // record append through a Durability over MemStorage, the replay
-    // decode (frame scan + CRC + payload→record), and the snapshot table's
-    // digest (what `cocad` computes at genesis and on every `Digest`
-    // message). These price the recovery subsystem's hot paths;
+    // decode (recovery's FrameScanner, one frame at a time into a reused
+    // buffer: frame scan + CRC + payload→record), and the snapshot
+    // table's digest (what `cocad` computes at genesis and on every
+    // `Digest` message). These price the recovery subsystem's hot paths;
     // `tests/proptest_recovery.rs` pins their semantics.
     let (snapshot_bytes, snap_encode_ns, snap_decode_ns, wal_append_ns, wal_replay_ns, digest_ns) = {
-        use coca_core::persist::{decode_frames, Durability, MemStorage, Snapshot, WalRecord};
+        use coca_core::persist::{Durability, FrameScanner, MemStorage, Snapshot, WalRecord};
         use coca_core::proto::UpdateUpload;
         use coca_core::ClientStatus;
         use coca_model::ModelId;
@@ -712,10 +713,11 @@ fn bench_server_tables(_c: &mut Criterion) {
         for r in &records {
             segment.extend_from_slice(&r.to_frame());
         }
+        let mut payload = Vec::new();
         let replay_ns = measure_ns_min3(|| {
-            let (payloads, _, _) = decode_frames(&segment, true).unwrap();
-            for p in payloads {
-                black_box(WalRecord::from_payload(p).unwrap());
+            let mut scan = FrameScanner::new(segment.as_slice(), true);
+            while scan.next_frame(&mut payload).unwrap() {
+                black_box(WalRecord::from_payload(&payload).unwrap());
             }
         }) / records.len() as f64;
         (
@@ -738,17 +740,19 @@ fn bench_server_tables(_c: &mut Criterion) {
         wal_replay_ns / 1e3,
         digest_ns / 1e6,
     );
-    // Absolute budgets, not ratios to the last committed run: about twice
-    // the committed binary-codec numbers, so a slow runner passes and a
-    // return to text payloads (15.6 ms append, 11.4 ms replay, 163 ms
-    // encode, 803 ms decode on this state) cannot. The first four are
-    // bounded by the CRC pass (slice-by-8, ~1.5 GB/s) over the 245 KB
-    // record / 2.6 MB snapshot; the digest by byte-wise FNV-1a over the
-    // table's 615 KB `Wire` encoding (it hashed the JSON text at ~49 ms).
-    enforce_budget("persist_snapshot_encode_ns", snap_encode_ns, 4_000_000.0);
-    enforce_budget("persist_snapshot_decode_ns", snap_decode_ns, 4_000_000.0);
-    enforce_budget("persist_wal_append_ns_per_record", wal_append_ns, 400_000.0);
-    enforce_budget("persist_wal_replay_ns_per_record", wal_replay_ns, 300_000.0);
+    // Absolute budgets, not ratios to the last committed run: at most
+    // twice the committed numbers, so a slow runner passes and a return to
+    // text payloads (15.6 ms append, 11.4 ms replay, 163 ms encode, 803 ms
+    // decode on this state) or to a table-driven CRC (192 us append,
+    // 146 us replay, 2.0 ms encode, 1.8 ms decode) cannot. The CRC pass
+    // over the 245 KB record / 2.6 MB snapshot now folds with carry-less
+    // multiplies at ~20 GB/s, so the first four are mostly the codec and
+    // its copies; the digest is byte-wise FNV-1a over the table's 615 KB
+    // `Wire` encoding (it hashed the JSON text at ~49 ms).
+    enforce_budget("persist_snapshot_encode_ns", snap_encode_ns, 950_000.0);
+    enforce_budget("persist_snapshot_decode_ns", snap_decode_ns, 1_400_000.0);
+    enforce_budget("persist_wal_append_ns_per_record", wal_append_ns, 80_000.0);
+    enforce_budget("persist_wal_replay_ns_per_record", wal_replay_ns, 70_000.0);
     enforce_budget("persist_table_digest_ns", digest_ns, 2_000_000.0);
 
     let json = format!(

@@ -18,7 +18,10 @@
 //! * Recovery loads the newest valid snapshot (falling back one generation
 //!   when the current snapshot is corrupt), replays the WAL tail through
 //!   the same merge kernels the live server runs, and truncates a torn
-//!   final record via its per-record CRC. Replay is bit-identical: a
+//!   final record via its per-record CRC. It reads every key through
+//!   [`Storage::reader`] one frame at a time ([`FrameScanner`]) and
+//!   applies each record as soon as it decodes, so it holds one snapshot
+//!   and one record, never a whole WAL segment. Replay is bit-identical: a
 //!   recovered run produces the same `frame_digest` and record bytes as
 //!   the uninterrupted run (property-tested in `tests/proptest_recovery.rs`).
 //!
@@ -86,8 +89,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::File;
-use std::io::Write as _;
+use std::io::{self, BufReader, Cursor, Read, Write as _};
 use std::path::PathBuf;
+#[cfg(target_arch = "x86_64")]
+use std::sync::atomic::{AtomicU8, Ordering};
 
 use coca_net::wire::{decode_seq, encode_seq, put_u32};
 use coca_net::{FrameError, Reader, Wire};
@@ -113,9 +118,15 @@ pub const WAL_CUR: &str = "wal.cur";
 pub const WAL_PREV: &str = "wal.prev";
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3 polynomial, reflected), slice-by-8 — vendored shims
-// carry no checksum crate. Eight table lookups fold eight input bytes per
-// step; byte-at-a-time would be the largest stage of a 43 KB append.
+// CRC-32 (IEEE 802.3 polynomial, reflected) — vendored shims carry no
+// checksum crate. Every append and every snapshot encode/decode makes one
+// pass over its bytes, so the pass runs at memory speed where the CPU
+// allows: inputs of at least `CLMUL_MIN_LEN` bytes fold 64 bytes per step
+// through carry-less multiplies (PCLMULQDQ, probed once at runtime), and
+// slice-by-8 — eight table lookups per eight bytes — takes short inputs,
+// the folded kernel's sub-16-byte tail, and CPUs without the instruction.
+// A CRC is integer-exact: every path returns the same value, so nothing
+// here depends on the `simd` cargo feature.
 // ---------------------------------------------------------------------------
 
 const CRC_TABLES: [[u32; 256]; 8] = {
@@ -149,10 +160,27 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
+/// Shortest input the folded kernel takes: below two 64-byte blocks its
+/// fixed reduction costs more than the table lookups it saves.
+#[cfg(target_arch = "x86_64")]
+const CLMUL_MIN_LEN: usize = 128;
+
 /// CRC-32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= CLMUL_MIN_LEN && clmul_enabled() {
+        let folded = bytes.len() & !15;
+        // SAFETY: `clmul_enabled` just verified PCLMULQDQ and SSE4.1 on
+        // the running CPU, the kernel's only requirement.
+        let state = unsafe { clmul::fold(!0, &bytes[..folded]) };
+        return !slice_by_8(state, &bytes[folded..]);
+    }
+    !slice_by_8(!0, bytes)
+}
+
+/// Advances the CRC register `crc` (pre-inversion) over `bytes`.
+fn slice_by_8(mut crc: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
         let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
@@ -169,7 +197,121 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
-    !crc
+    crc
+}
+
+/// Cached runtime PCLMULQDQ + SSE4.1 probe: 0 = unknown, 1 = absent,
+/// 2 = present.
+#[cfg(target_arch = "x86_64")]
+static CLMUL_STATE: AtomicU8 = AtomicU8::new(0);
+
+/// True iff the running CPU has PCLMULQDQ and SSE4.1 (probed once, then
+/// cached).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn clmul_enabled() -> bool {
+    match CLMUL_STATE.load(Ordering::Relaxed) {
+        2 => true,
+        1 => false,
+        _ => {
+            let yes = std::arch::is_x86_feature_detected!("pclmulqdq")
+                && std::arch::is_x86_feature_detected!("sse4.1");
+            CLMUL_STATE.store(if yes { 2 } else { 1 }, Ordering::Relaxed);
+            yes
+        }
+    }
+}
+
+/// The fold-by-4 CRC kernel of Gopal et al., "Fast CRC Computation for
+/// Generic Polynomials Using PCLMULQDQ Instruction" (Intel, 2009), with
+/// the constants for the reflected polynomial 0xEDB88320: 64-byte blocks
+/// fold into four 128-bit lanes, the lanes fold into one, 16-byte blocks
+/// fold into it, and the 128-bit remainder reduces to 64 bits, then to
+/// the 32-bit register by Barrett reduction.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::*;
+
+    /// x^(4·128+32) and x^(4·128−32) mod P, bit-reflected: fold by 64 bytes.
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    /// x^(128+32) and x^(128−32) mod P: fold by 16 bytes.
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    /// x^64 mod P: fold 64 bits into 32.
+    const K5: i64 = 0x1_63cd_6124;
+    /// The polynomial P′ and the Barrett constant μ = ⌊x^64 / P⌋, both
+    /// bit-reflected.
+    const P: i64 = 0x1_DB71_0641;
+    const MU: i64 = 0x1_F701_1641;
+
+    /// Loads a 16-byte block.
+    #[inline(always)]
+    fn load(block: &[u8]) -> __m128i {
+        let block: &[u8; 16] = block.try_into().expect("a 16-byte block");
+        // SAFETY: `block` is 16 readable bytes, and an unaligned load
+        // reads exactly those.
+        unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+    }
+
+    /// Multiplies `x`'s low and high halves by `k`'s and adds the two
+    /// products: `x` moved 128 (or 512) bits further along the message.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold_lane(x: __m128i, k: __m128i) -> __m128i {
+        _mm_xor_si128(
+            _mm_clmulepi64_si128(x, k, 0x00),
+            _mm_clmulepi64_si128(x, k, 0x11),
+        )
+    }
+
+    /// Advances the CRC register `crc` (pre-inversion) over `data`, whose
+    /// length must be at least 64 and a multiple of 16 (panics
+    /// otherwise, before reading anything out of bounds).
+    ///
+    /// # Safety
+    /// The running CPU must support PCLMULQDQ and SSE4.1.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) unsafe fn fold(crc: u32, data: &[u8]) -> u32 {
+        assert!(data.len() >= 64 && data.len().is_multiple_of(16));
+        let (head, rest) = data.split_at(64);
+        let mut x1 = _mm_xor_si128(load(&head[..16]), _mm_cvtsi32_si128(crc as i32));
+        let mut x2 = load(&head[16..32]);
+        let mut x3 = load(&head[32..48]);
+        let mut x4 = load(&head[48..]);
+
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        let mut blocks = rest.chunks_exact(64);
+        for b in &mut blocks {
+            x1 = _mm_xor_si128(fold_lane(x1, k1k2), load(&b[..16]));
+            x2 = _mm_xor_si128(fold_lane(x2, k1k2), load(&b[16..32]));
+            x3 = _mm_xor_si128(fold_lane(x3, k1k2), load(&b[32..48]));
+            x4 = _mm_xor_si128(fold_lane(x4, k1k2), load(&b[48..]));
+        }
+
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        x1 = _mm_xor_si128(fold_lane(x1, k3k4), x2);
+        x1 = _mm_xor_si128(fold_lane(x1, k3k4), x3);
+        x1 = _mm_xor_si128(fold_lane(x1, k3k4), x4);
+        for b in blocks.remainder().chunks_exact(16) {
+            x1 = _mm_xor_si128(fold_lane(x1, k3k4), load(b));
+        }
+
+        // 128 → 64 bits: the low half times K4 onto the high half, then
+        // the low 32 bits times K5 onto the rest.
+        let low32 = _mm_setr_epi32(!0, 0, !0, 0);
+        x1 = _mm_xor_si128(_mm_srli_si128(x1, 8), _mm_clmulepi64_si128(x1, k3k4, 0x10));
+        x1 = _mm_xor_si128(
+            _mm_srli_si128(x1, 4),
+            _mm_clmulepi64_si128(_mm_and_si128(x1, low32), _mm_set_epi64x(0, K5), 0x00),
+        );
+
+        // Barrett reduction to the 32-bit register.
+        let poly = _mm_set_epi64x(MU, P);
+        let mut t = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), poly, 0x10);
+        t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly, 0x00);
+        _mm_extract_epi32(_mm_xor_si128(x1, t), 1) as u32
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -241,51 +383,139 @@ impl From<FrameError> for PersistError {
     }
 }
 
-/// Decodes a frame sequence into payload slices borrowed from `bytes`.
+/// Reads a frame sequence one frame at a time: the one frame decoder of
+/// the WAL and snapshot formats. Each [`FrameScanner::next_frame`] reads
+/// one header, reads the payload into the caller's buffer (reused across
+/// frames, so a scan holds one payload at a time) and checks its length
+/// and CRC.
 ///
 /// `lenient_tail` is the torn-write policy: when set (the *current* WAL
-/// segment), an incomplete or CRC-failing **final** frame is truncated and
-/// its byte count reported; frames before a valid successor must always
-/// check out. When unset (snapshots, rotated segments), any invalid frame
-/// is an error.
+/// segment), an incomplete or CRC-failing frame ends the scan, and it and
+/// every byte after it are reported as [`FrameScanner::truncated`]. When
+/// unset (snapshots, rotated segments), any invalid frame is
+/// [`PersistError::CorruptClosedSegment`]. Lenient scanning cannot tell
+/// mid-file corruption from a torn write without reading ahead, but a
+/// torn record can only ever be last — which is why only the current
+/// segment scans leniently.
+///
+/// A read error from `src` is a storage failure, not corruption: it
+/// panics with the durability-dir contract [`DirStorage`] writes keep.
+#[derive(Debug)]
+pub struct FrameScanner<R> {
+    src: R,
+    lenient_tail: bool,
+    committed: usize,
+    truncated: usize,
+    done: bool,
+}
+
+impl<R: Read> FrameScanner<R> {
+    /// A scanner at the start of `src`.
+    pub fn new(src: R, lenient_tail: bool) -> Self {
+        Self {
+            src,
+            lenient_tail,
+            committed: 0,
+            truncated: 0,
+            done: false,
+        }
+    }
+
+    /// Reads the next frame's payload into `payload` (replacing its
+    /// contents). `Ok(false)` once the sequence ends: cleanly at a frame
+    /// boundary, or — lenient only — at the first invalid frame.
+    pub fn next_frame(&mut self, payload: &mut Vec<u8>) -> Result<bool, PersistError> {
+        if self.done {
+            return Ok(false);
+        }
+        let pos = self.committed;
+        let mut header = [0u8; 8];
+        let got = read_up_to(&mut self.src, &mut header);
+        let (read, msg) = if got == 0 {
+            self.done = true;
+            return Ok(false);
+        } else if got < 8 {
+            (got, format!("short header at byte {pos}"))
+        } else {
+            let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+            let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
+            payload.clear();
+            // `take` bounds the read by the bytes that exist, so a corrupt
+            // length allocates no more than the stream holds.
+            let got = storage_io((&mut self.src).take(len as u64).read_to_end(payload));
+            if got < len {
+                (8 + got, format!("short payload at byte {pos}"))
+            } else if crc32(payload) != crc {
+                (8 + len, format!("CRC mismatch at byte {pos}"))
+            } else {
+                self.committed += 8 + len;
+                return Ok(true);
+            }
+        };
+        if !self.lenient_tail {
+            return Err(PersistError::CorruptClosedSegment(msg));
+        }
+        self.done = true;
+        self.truncated = read + storage_io(io::copy(&mut self.src, &mut io::sink())) as usize;
+        Ok(false)
+    }
+
+    /// Bytes of whole, valid frames scanned so far.
+    pub fn committed(&self) -> usize {
+        self.committed
+    }
+
+    /// Bytes from the first invalid frame to the end (lenient scans; 0
+    /// until the scan has ended there).
+    pub fn truncated(&self) -> usize {
+        self.truncated
+    }
+}
+
+/// Reads until `buf` is full or the stream ends; returns the count read.
+fn read_up_to(src: &mut impl Read, buf: &mut [u8]) -> usize {
+    let mut got = 0;
+    while got < buf.len() {
+        match src.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => storage_failure(e),
+        }
+    }
+    got
+}
+
+/// The durability-dir contract: storage that stops reading or writing is
+/// a deployment fault, not data corruption, and no recovery decision may
+/// be made on it.
+fn storage_failure(e: io::Error) -> ! {
+    panic!("durability dir must stay writable: {e}")
+}
+
+fn storage_io<T>(r: io::Result<T>) -> T {
+    r.unwrap_or_else(|e| storage_failure(e))
+}
+
+/// Decodes a whole in-memory frame sequence into payload slices borrowed
+/// from `bytes`, under [`FrameScanner`]'s rules.
 ///
 /// Returns `(payloads, committed_bytes, truncated_bytes)`.
 pub fn decode_frames(
     bytes: &[u8],
     lenient_tail: bool,
 ) -> Result<(Vec<&[u8]>, usize, usize), PersistError> {
+    let mut scan = FrameScanner::new(bytes, lenient_tail);
+    let mut payload = Vec::new();
     let mut payloads = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        // A frame that fails any of the three checks below is the torn
-        // tail in lenient mode (truncate and stop) and corruption in
-        // strict mode. Lenient decoding cannot distinguish mid-file
-        // corruption from a torn write without reading ahead, but a torn
-        // record can only ever be last — which is why only the current
-        // segment decodes leniently.
-        let invalid = if bytes.len() - pos < 8 {
-            Some(format!("short header at byte {pos}"))
-        } else {
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-            if bytes.len() - pos - 8 < len {
-                Some(format!("short payload at byte {pos}"))
-            } else if crc32(&bytes[pos + 8..pos + 8 + len]) != crc {
-                Some(format!("CRC mismatch at byte {pos}"))
-            } else {
-                payloads.push(&bytes[pos + 8..pos + 8 + len]);
-                pos += 8 + len;
-                None
-            }
-        };
-        if let Some(msg) = invalid {
-            if lenient_tail {
-                return Ok((payloads, pos, bytes.len() - pos));
-            }
-            return Err(PersistError::CorruptClosedSegment(msg));
+    loop {
+        let start = scan.committed() + 8;
+        if !scan.next_frame(&mut payload)? {
+            break;
         }
+        payloads.push(&bytes[start..scan.committed()]);
     }
-    Ok((payloads, pos, 0))
+    Ok((payloads, scan.committed(), scan.truncated()))
 }
 
 // ---------------------------------------------------------------------------
@@ -298,6 +528,15 @@ pub fn decode_frames(
 pub trait Storage: Send + Sync {
     /// Full contents under `key`, or `None` when absent.
     fn load(&self, key: &str) -> Option<Vec<u8>>;
+    /// A reader over the contents under `key`, or `None` when absent:
+    /// recovery scans every key through here one frame at a time.
+    /// Provided as a cursor over [`Storage::load`], which holds the whole
+    /// value; [`MemStorage`] and [`DirStorage`] override it so that no
+    /// whole WAL segment is held.
+    fn reader(&self, key: &str) -> Option<Box<dyn Read + '_>> {
+        self.load(key)
+            .map(|bytes| Box::new(Cursor::new(bytes)) as Box<dyn Read>)
+    }
     /// Replaces the contents under `key`.
     fn save(&mut self, key: &str, bytes: &[u8]);
     /// Appends to the contents under `key` (creating it when absent).
@@ -373,6 +612,11 @@ impl Storage for MemStorage {
         self.map.get(key).cloned()
     }
 
+    /// Reads the stored bytes in place, without the copy `load` makes.
+    fn reader(&self, key: &str) -> Option<Box<dyn Read + '_>> {
+        self.get(key).map(|bytes| Box::new(bytes) as Box<dyn Read>)
+    }
+
     fn save(&mut self, key: &str, bytes: &[u8]) {
         self.map.insert(key.to_string(), bytes.to_vec());
     }
@@ -442,8 +686,25 @@ impl DirStorage {
 }
 
 impl Storage for DirStorage {
+    /// Only a missing file is absent. Any other error — a permission, an
+    /// I/O fault, a directory where the file should be — panics: taken
+    /// for "absent", it would make [`Durability::ensure_genesis`] write
+    /// a fresh store over the data it failed to read.
     fn load(&self, key: &str) -> Option<Vec<u8>> {
-        std::fs::read(self.path(key)).ok()
+        match std::fs::read(self.path(key)) {
+            Ok(bytes) => Some(bytes),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+            Err(e) => storage_failure(e),
+        }
+    }
+
+    /// A buffered file, under [`DirStorage::load`]'s error rule.
+    fn reader(&self, key: &str) -> Option<Box<dyn Read + '_>> {
+        match File::open(self.path(key)) {
+            Ok(f) => Some(Box::new(BufReader::new(f))),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+            Err(e) => storage_failure(e),
+        }
     }
 
     fn save(&mut self, key: &str, bytes: &[u8]) {
@@ -568,14 +829,24 @@ impl Snapshot {
     /// one frame must be present, and it must hold nothing but the
     /// snapshot.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, PersistError> {
-        let (payloads, _, _) = decode_frames(bytes, false)?;
-        let [payload] = payloads.as_slice() else {
+        Self::read_from(bytes)
+    }
+
+    /// [`Snapshot::from_bytes`] over a reader: recovery reads a snapshot
+    /// key through [`Storage::reader`] straight into the payload buffer.
+    fn read_from(src: impl Read) -> Result<Self, PersistError> {
+        let mut scan = FrameScanner::new(src, false);
+        let (mut payload, mut extra) = (Vec::new(), Vec::new());
+        let mut frames = usize::from(scan.next_frame(&mut payload)?);
+        while scan.next_frame(&mut extra)? {
+            frames += 1;
+        }
+        if frames != 1 {
             return Err(PersistError::Decode(format!(
-                "snapshot must be exactly one frame, got {}",
-                payloads.len()
+                "snapshot must be exactly one frame, got {frames}"
             )));
-        };
-        let mut r = Reader::new(payload);
+        }
+        let mut r = Reader::new(&payload);
         let version = u8::decode(&mut r)?;
         if version != SNAPSHOT_VERSION {
             return Err(PersistError::Decode(format!(
@@ -737,7 +1008,7 @@ impl WalRecord {
         out
     }
 
-    /// Decodes one frame payload ([`decode_frames`] yields them), which
+    /// Decodes one frame payload ([`FrameScanner`] yields them), which
     /// must hold exactly one record.
     pub fn from_payload(payload: &[u8]) -> Result<Self, PersistError> {
         let mut r = Reader::new(payload);
@@ -979,61 +1250,82 @@ impl Durability {
         self.events += 1;
     }
 
-    /// Loads the newest valid snapshot generation and the WAL records to
-    /// replay on top of it, truncating a torn final record. `None`
-    /// snapshot means genesis: no snapshot was ever written and replay
-    /// starts from freshly constructed server state. The previous
-    /// generation is only read when the current snapshot does not
-    /// validate.
+    /// Recovers `state` from the newest valid snapshot generation and the
+    /// WAL written after it: `restore` receives the snapshot (`None`
+    /// means genesis — no snapshot was ever written, and replay starts
+    /// from freshly constructed state), then `apply` receives each WAL
+    /// record in log order, truncating a torn final record of the
+    /// current segment. The previous generation is only read when the
+    /// current snapshot does not validate.
+    ///
+    /// Segments are read through [`Storage::reader`] one frame at a
+    /// time, and each record is applied as soon as it decodes, so memory
+    /// holds one snapshot and one record, never a whole segment. A record
+    /// that fails to decode therefore surfaces after the records before
+    /// it were applied — which changes no observable result:
+    /// [`CocaServer::recover`](crate::server::CocaServer::recover)
+    /// discards its server on any error, and in-place crash recovery
+    /// requires success. Every error keeps its [`PersistError`] variant;
+    /// `restore`'s runs before any segment is read.
+    pub fn replay<S>(
+        &mut self,
+        state: &mut S,
+        restore: impl FnOnce(&mut S, Option<Snapshot>) -> Result<(), PersistError>,
+        mut apply: impl FnMut(&mut S, WalRecord),
+    ) -> Result<RecoveryInfo, PersistError> {
+        let cur_snap = self.store.reader(SNAP_CUR).map(Snapshot::read_from);
+        let (snap, source, segments): (_, _, &[&str]) = match cur_snap {
+            Some(Ok(snap)) => (Some(snap), SnapshotSource::Current, &[WAL_CUR]),
+            cur => match self.store.reader(SNAP_PREV).map(Snapshot::read_from) {
+                Some(Ok(snap)) => (Some(snap), SnapshotSource::Previous, &[WAL_PREV, WAL_CUR]),
+                // A snapshot existed but neither generation validates.
+                Some(Err(_)) => return Err(PersistError::NoValidSnapshot),
+                None if cur.is_some() => return Err(PersistError::NoValidSnapshot),
+                // Fresh store: genesis + whatever WAL exists (a store
+                // that never rotated never wrote wal.prev either).
+                None => (None, SnapshotSource::Genesis, &[WAL_PREV, WAL_CUR]),
+            },
+        };
+        restore(state, snap)?;
+
+        let mut info = RecoveryInfo {
+            source,
+            replayed: 0,
+            truncated_bytes: 0,
+        };
+        let mut payload = Vec::new();
+        for &key in segments {
+            let Some(src) = self.store.reader(key) else {
+                continue;
+            };
+            // The current segment is the only one that may end in a torn
+            // record; rotated segments were closed cleanly.
+            let mut scan = FrameScanner::new(src, key == WAL_CUR);
+            while scan.next_frame(&mut payload)? {
+                apply(state, WalRecord::from_payload(&payload)?);
+                info.replayed += 1;
+            }
+            info.truncated_bytes += scan.truncated();
+        }
+        Ok(info)
+    }
+
+    /// [`Durability::replay`] into memory: the snapshot, every WAL record
+    /// it would apply, and what it did — for inspecting a store without
+    /// a server. Holds the whole replayable log.
     pub fn load_for_recovery(
         &mut self,
     ) -> Result<(Option<Snapshot>, Vec<WalRecord>, RecoveryInfo), PersistError> {
-        // The current segment is the only one that may end in a torn
-        // record; rotated segments were closed cleanly.
-        let wal_cur = self.store.load(WAL_CUR).unwrap_or_default();
-        let (tail, _, truncated_bytes) = decode_frames(&wal_cur, true)?;
-        let decode = |payloads: &[&[u8]]| -> Result<Vec<WalRecord>, PersistError> {
-            payloads
-                .iter()
-                .map(|p| WalRecord::from_payload(p))
-                .collect()
-        };
-        let done = |snap, records: Vec<WalRecord>, source| {
-            let replayed = records.len();
-            let info = RecoveryInfo {
-                source,
-                replayed,
-                truncated_bytes,
-            };
-            Ok((snap, records, info))
-        };
-
-        let cur_snap = self.store.load(SNAP_CUR);
-        if let Some(snap) = cur_snap
-            .as_deref()
-            .and_then(|b| Snapshot::from_bytes(b).ok())
-        {
-            return done(Some(snap), decode(&tail)?, SnapshotSource::Current);
-        }
-        let snap = match self.store.load(SNAP_PREV).map(|b| Snapshot::from_bytes(&b)) {
-            Some(Ok(snap)) => Some(snap),
-            // A snapshot existed but neither generation validates.
-            Some(Err(_)) => return Err(PersistError::NoValidSnapshot),
-            None if cur_snap.is_some() => return Err(PersistError::NoValidSnapshot),
-            // Fresh store: genesis + whatever WAL exists (a store that
-            // never rotated never wrote wal.prev either).
-            None => None,
-        };
-        let wal_prev = self.store.load(WAL_PREV).unwrap_or_default();
-        let (closed, _, _) = decode_frames(&wal_prev, false)?;
-        let mut records = decode(&closed)?;
-        records.extend(decode(&tail)?);
-        let source = if snap.is_some() {
-            SnapshotSource::Previous
-        } else {
-            SnapshotSource::Genesis
-        };
-        done(snap, records, source)
+        let mut loaded = (None, Vec::new());
+        let info = self.replay(
+            &mut loaded,
+            |(snap, _), s| {
+                *snap = s;
+                Ok(())
+            },
+            |(_, records), rec| records.push(rec),
+        )?;
+        Ok((loaded.0, loaded.1, info))
     }
 }
 
@@ -1090,8 +1382,8 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    /// The byte-at-a-time CRC the slice-by-8 kernel replaced — kept here
-    /// only as the reference.
+    /// The byte-at-a-time CRC both kernels replaced — kept here only as
+    /// the reference.
     fn crc32_bytewise(bytes: &[u8]) -> u32 {
         let mut crc = 0xFFFF_FFFFu32;
         for &b in bytes {
@@ -1100,28 +1392,64 @@ mod tests {
         !crc
     }
 
+    /// A pseudo-random byte stream (xorshift64).
+    fn byte_stream(len: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn slice_by_8_crc_equals_the_bytewise_reference() {
-        // Every length across the 8-byte stride boundary, at every
-        // alignment of the same pseudo-random stream, then long buffers.
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x as u8
-        };
-        let stream: Vec<u8> = (0..50_000).map(|_| next()).collect();
+        // Called directly, so the fallback stays covered on a CPU that
+        // dispatches long inputs to the folded kernel: every length
+        // across the 8-byte stride boundary, at every alignment of the
+        // same stream, then long buffers.
+        let stream = byte_stream(50_000);
+        let slice_by_8 = |buf: &[u8]| !slice_by_8(!0, buf);
         for len in 0..=64 {
+            for start in 0..8 {
+                let buf = &stream[start..start + len];
+                assert_eq!(
+                    slice_by_8(buf),
+                    crc32_bytewise(buf),
+                    "len {len} start {start}"
+                );
+            }
+        }
+        for (start, len) in [(0, 43_546), (3, 49_997), (7, 1_000), (1, 4_095)] {
+            let buf = &stream[start..start + len];
+            assert_eq!(
+                slice_by_8(buf),
+                crc32_bytewise(buf),
+                "len {len} start {start}"
+            );
+        }
+    }
+
+    #[test]
+    fn dispatched_crc_equals_the_bytewise_reference() {
+        // 0..=1100 crosses the 128-byte dispatch threshold and every
+        // 16- and 64-byte remainder of the folded kernel; 8 alignments
+        // each. Then a WAL upload record's length and a 4 MiB buffer.
+        let stream = byte_stream(4 << 20);
+        for len in 0..=1_100 {
             for start in 0..8 {
                 let buf = &stream[start..start + len];
                 assert_eq!(crc32(buf), crc32_bytewise(buf), "len {len} start {start}");
             }
         }
-        for (start, len) in [(0, 43_546), (3, 49_997), (7, 1_000), (1, 4_095)] {
+        for (start, len) in [(0, 43_546), (5, 43_546), (0, 4 << 20)] {
             let buf = &stream[start..start + len];
             assert_eq!(crc32(buf), crc32_bytewise(buf), "len {len} start {start}");
         }
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]
@@ -1239,6 +1567,42 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn dir_storage_refuses_an_unreadable_key_and_writes_nothing() {
+        // `snap.cur` is a directory: reading it fails with EISDIR. Taken
+        // for "absent", genesis would overwrite both snapshot generations
+        // and empty the WAL.
+        let dir = temp_dir("unreadable");
+        let mut s = DirStorage::open(&dir).unwrap();
+        s.save(SNAP_PREV, b"prev");
+        s.append(WAL_CUR, b"rec");
+        std::fs::create_dir(dir.join(SNAP_CUR)).unwrap();
+        let listing = || {
+            let mut entries: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| {
+                    let path = e.unwrap().path();
+                    (path.clone(), std::fs::read(&path).ok())
+                })
+                .collect();
+            entries.sort();
+            entries
+        };
+        let before = listing();
+        let mut d = Durability::new(Box::new(s), 4);
+        let panicked = |f: &mut dyn FnMut()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_err();
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("durability dir must stay writable"), "{msg}");
+        };
+        panicked(&mut || drop(d.storage().load(SNAP_CUR)));
+        panicked(&mut || d.ensure_genesis(b"fresh"));
+        // The reader opens the directory; the scan's first read fails.
+        panicked(&mut || drop(d.load_for_recovery()));
+        assert_eq!(listing(), before);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

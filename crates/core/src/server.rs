@@ -675,7 +675,12 @@ impl CocaServer {
     /// in-place ([`CocaServer::attach_durability`] writes a genesis
     /// snapshot).
     fn recover_from(&mut self, durability: &mut Durability) -> Result<RecoveryInfo, PersistError> {
-        let (snap, records, info) = durability.load_for_recovery()?;
+        durability.replay(self, Self::restore, Self::apply_wal)
+    }
+
+    /// Adopts a recovered snapshot's state (`None`: genesis, keep the
+    /// constructed state), refusing one written under another config.
+    fn restore(&mut self, snap: Option<Snapshot>) -> Result<(), PersistError> {
         if let Some(snap) = snap {
             if snap.config != self.cfg {
                 return Err(PersistError::ConfigMismatch);
@@ -685,10 +690,7 @@ impl CocaServer {
             self.pending = snap.pending;
             self.static_alloc = snap.static_alloc;
         }
-        for rec in records {
-            self.apply_wal(rec);
-        }
-        Ok(info)
+        Ok(())
     }
 
     /// Replays one WAL record by dispatching to the matching un-logged
@@ -1087,7 +1089,8 @@ mod tests {
     // -- durability ---------------------------------------------------------
 
     use crate::persist::{
-        CrashFault, CrashPlan, MemStorage, SnapshotSource, SNAP_CUR, SNAP_PREV, WAL_CUR,
+        CrashFault, CrashPlan, DirStorage, MemStorage, SnapshotSource, Storage, SNAP_CUR,
+        SNAP_PREV, WAL_CUR, WAL_PREV,
     };
 
     /// Drives a mixed event sequence — requests, uploads, a leave, a
@@ -1262,6 +1265,88 @@ mod tests {
             let err = CocaServer::recover(&rt2, cfg, &seeds, d).unwrap_err();
             assert!(matches!(err, PersistError::ConfigMismatch), "{cfg:?}");
         }
+    }
+
+    /// A store whose `load` refuses the WAL keys: recovery must stream
+    /// every segment through `reader`, never hold one whole.
+    struct StreamOnly(MemStorage);
+
+    impl Storage for StreamOnly {
+        fn load(&self, key: &str) -> Option<Vec<u8>> {
+            assert!(
+                key != WAL_CUR && key != WAL_PREV,
+                "recovery loaded all of {key}"
+            );
+            self.0.load(key)
+        }
+        fn reader(&self, key: &str) -> Option<Box<dyn std::io::Read + '_>> {
+            self.0.reader(key)
+        }
+        fn save(&mut self, key: &str, bytes: &[u8]) {
+            self.0.save(key, bytes);
+        }
+        fn append(&mut self, key: &str, bytes: &[u8]) {
+            self.0.append(key, bytes);
+        }
+        fn remove(&mut self, key: &str) {
+            self.0.remove(key);
+        }
+    }
+
+    #[test]
+    fn recovery_streams_and_agrees_on_disk_and_in_memory() {
+        let (rt, mut live) = durable_server(3);
+        drive_mixed(&rt, &mut live);
+        let live_digest = live.global().digest();
+        let stored = live.detach_durability().unwrap().into_storage();
+        let keys = [SNAP_CUR, SNAP_PREV, WAL_CUR, WAL_PREV];
+        let files: Vec<(&str, Vec<u8>)> = keys
+            .iter()
+            .filter_map(|&k| stored.load(k).map(|b| (k, b)))
+            .collect();
+        // A last record that never committed, torn at every byte: the
+        // empty tail, a short header, a header without its payload.
+        let frame = WalRecord::Leave.to_frame();
+        let dir = std::env::temp_dir().join(format!("coca-server-stream-{}", std::process::id()));
+        let recover_both = |damage: &dyn Fn(&str, &mut Vec<u8>)| {
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut disk = DirStorage::open(&dir).unwrap();
+            let mut mem = MemStorage::new();
+            for (key, bytes) in &files {
+                let mut bytes = bytes.clone();
+                damage(key, &mut bytes);
+                disk.save(key, &bytes);
+                mem.save(key, &bytes);
+            }
+            let recover = |store: Box<dyn Storage>| {
+                let d = Durability::new(store, 3);
+                let cfg = CocaConfig::for_model(ModelId::ResNet101);
+                let (server, info) = CocaServer::recover(&rt, cfg, &SeedTree::new(60), d).unwrap();
+                (server.global().digest(), info)
+            };
+            let on_disk = recover(Box::new(disk));
+            assert_eq!(recover(Box::new(StreamOnly(mem))), on_disk);
+            on_disk
+        };
+        for keep in 0..frame.len() {
+            let (digest, info) = recover_both(&|key, bytes| {
+                if key == WAL_CUR {
+                    bytes.extend_from_slice(&frame[..keep]);
+                }
+            });
+            assert_eq!(digest, live_digest, "torn at {keep}");
+            assert_eq!(info.truncated_bytes, keep);
+            assert_eq!(info.source, SnapshotSource::Current);
+        }
+        let (digest, info) = recover_both(&|key, bytes| {
+            if key == SNAP_CUR {
+                bytes[10] ^= 0xFF;
+            }
+        });
+        assert_eq!(digest, live_digest);
+        assert_eq!(info.source, SnapshotSource::Previous);
+        assert_eq!(info.truncated_bytes, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
