@@ -36,11 +36,12 @@ use coca_core::server::seed_global_table;
 use coca_core::{aca, infer_with_cache, CocaConfig, CocaServer, LookupScratch};
 use coca_daemon::{ClientMsg, RunSpec, ServerMsg, Workload};
 use coca_data::{DatasetSpec, Frame};
+use coca_math::vector::fill_random_unit;
 use coca_math::{random_unit, ScoreScratch, VectorStore};
 use coca_model::{ClientFeatureView, ModelId};
 use coca_net::{decode_message, encode_frame, WireSize};
 use coca_sim::{SeedTree, SimDuration};
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 
 /// True when CI asked for short measurement bursts.
 fn quick_mode() -> bool {
@@ -127,7 +128,7 @@ fn enforce_no_regression(label: &str, current_ns: f64, committed_ns: Option<f64>
         panic!(
             "{label}: {current_ns:.1} ns regressed {ratio:.2}x over the committed \
              {committed:.1} ns baseline (limit {MAX_REGRESSION}x) — \
-             investigate or regenerate with `cargo bench -p coca-bench`"
+             investigate or regenerate with `cargo bench -p coca-bench --features simd`"
         );
     }
 }
@@ -771,7 +772,7 @@ fn bench_server_tables(_c: &mut Criterion) {
          \"persist_wal_replay_ns_per_record\": {wal_replay_ns:.0},\n    \
          \"persist_table_digest_ns\": {digest_ns:.0}\n  }},\n  \
          \"points\": [\n{}\n  ],\n  \
-         \"regenerate\": \"cargo bench -p coca-bench\"\n}}\n",
+         \"regenerate\": \"cargo bench -p coca-bench --features simd\"\n}}\n",
         points_json.join(",\n")
     );
     match std::fs::write(baseline_path("BENCH_server.json"), json) {
@@ -866,6 +867,22 @@ fn client_frame_ns() -> f64 {
     println!(
         "bench {:<40} {ns:>10.1} ns/frame",
         "client_frame_end_to_end"
+    );
+    ns
+}
+
+/// ns per coordinate of `fill_random_unit` at d = 128 (min of 3 bursts).
+fn random_unit_ns_per_coord() -> f64 {
+    const DIM: usize = 128;
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(128);
+    let mut v = vec![0.0f32; DIM];
+    let ns = measure_ns_min3(|| {
+        fill_random_unit(&mut rng, &mut v);
+        v[0]
+    }) / DIM as f64;
+    println!(
+        "bench {:<40} {ns:>10.2} ns/coordinate",
+        "random_unit_per_coord"
     );
     ns
 }
@@ -972,6 +989,18 @@ fn bench_engine_overhead(c: &mut Criterion) {
         "client_frame_ns",
     );
 
+    // Feature synthesis alone, per Gaussian coordinate: `client_frame_ns`
+    // prices a cache that hits mostly at shallow layers and barely sees
+    // it, so a lost four-lane dispatch would show only here. d = 128 is
+    // the dim of 23 of ResNet101's 34 cache points.
+    let random_unit_ns_per_coord = random_unit_ns_per_coord();
+    enforce_no_regression(
+        "random_unit_per_coord",
+        random_unit_ns_per_coord,
+        committed_top("random_unit_ns_per_coord"),
+        "random_unit_ns_per_coord",
+    );
+
     // Fleet-scale: the full protocol cadence (request → deliver → frames
     // → upload) at 2000 members through `drive_plan` with one
     // fleet-aggregate summary (`per_client: false`).
@@ -1023,16 +1052,18 @@ fn bench_engine_overhead(c: &mut Criterion) {
          the same degenerate protocol at 2000 members through drive_plan with fleet \
          metrics (one aggregate summary), in ns per event (frames + scheduled \
          request/deliver/upload events); client_frame_ns is one real CocaClient::process_frame \
-         (ResNet101/UCF101-50, 4 cached layers), nearly all of it feature synthesis\",\n  \
+         (ResNet101/UCF101-50, 4 cached layers), nearly all of it feature synthesis; \
+         random_unit_ns_per_coord is fill_random_unit at d = 128 per coordinate\",\n  \
          \"clients\": 4,\n  \"rounds\": 2,\n  \"frames_per_round\": 250,\n  \
          \"per_frame_ns\": {per_frame_ns:.1},\n  \"client_frame_ns\": {client_frame_ns:.1},\n  \
+         \"random_unit_ns_per_coord\": {random_unit_ns_per_coord:.1},\n  \
          \"components\": {{\n    \
          \"stream_gen_ns\": {stream_gen_ns:.1},\n    \"digest_ns\": {digest_ns:.1},\n    \
          \"scheduling_ns\": {scheduling_ns:.1}\n  }},\n  \"fleet\": {{\n    \
          \"clients\": {fleet_clients},\n    \"rounds\": {fleet_rounds},\n    \
          \"frames_per_round\": {fleet_frames},\n    \
          \"per_event_ns\": {fleet_per_event_ns:.1}\n  }},\n  \
-         \"regenerate\": \"cargo bench -p coca-bench\"\n}}\n"
+         \"regenerate\": \"cargo bench -p coca-bench --features simd\"\n}}\n"
     );
     let path = baseline_path("BENCH_engine.json");
     match std::fs::write(&path, json) {

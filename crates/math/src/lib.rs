@@ -15,7 +15,15 @@
 //!   for the wire and global-table representation; dequantize-on-read
 //!   into the f32 kernels.
 //! * `simd` (feature `simd`) — explicit AVX2 kernel twins with runtime
-//!   dispatch, bit-identical to the scalar path.
+//!   dispatch, bit-identical to the scalar path. They are bit-identical by
+//!   repeating the scalar kernels' operation sequence, so the scalar
+//!   twins stay the default and the reference. Two AVX2-class paths live
+//!   outside the feature, on every x86_64 build behind a cached runtime
+//!   probe, because neither needs a scalar twin for identity:
+//!   [`vector::fill_random_unit`]'s four-lane Box–Muller (AVX2 + FMA),
+//!   whose every output passes a rounding test at the f32 it returns or is
+//!   recomputed by the scalar expression, and `coca-core`'s PCLMULQDQ
+//!   CRC-32, which is integer-exact.
 //! * [`mask`] — [`OccupancyBitmap`] (packed per-slot presence bits over a
 //!   dense store) and the bitmap-backed [`SlotMap`]: the occupancy layer
 //!   of the columnar server-side tables.
@@ -30,6 +38,8 @@
 
 pub mod aligned;
 pub mod cluster;
+#[cfg(target_arch = "x86_64")]
+mod cpu;
 pub mod mask;
 pub mod matrix;
 pub mod pca;

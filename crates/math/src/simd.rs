@@ -35,23 +35,14 @@
 //! `tests/proptest_simd.rs` pins every kernel here bit-identical to the
 //! scalar path over odd dims, tail-only inputs and unaligned sub-slices.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use crate::cpu::Probe;
 
-/// Cached runtime AVX2 probe: 0 = unknown, 1 = absent, 2 = present.
-static AVX2_STATE: AtomicU8 = AtomicU8::new(0);
+static AVX2: Probe = Probe::new(|| std::arch::is_x86_feature_detected!("avx2"));
 
 /// True iff the running CPU supports AVX2 (probed once, then cached).
 #[inline]
 pub fn avx2_enabled() -> bool {
-    match AVX2_STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => {
-            let yes = std::arch::is_x86_feature_detected!("avx2");
-            AVX2_STATE.store(if yes { 2 } else { 1 }, Ordering::Relaxed);
-            yes
-        }
-    }
+    AVX2.enabled()
 }
 
 /// AVX2 twins of the [`crate::matrix`] kernels.

@@ -7,6 +7,9 @@
 
 use rand::Rng;
 
+#[cfg(target_arch = "x86_64")]
+mod box_muller_x4;
+
 /// Dot product of two equal-length slices.
 ///
 /// # Panics
@@ -123,8 +126,9 @@ pub fn random_unit<R: Rng + ?Sized>(rng: &mut R, dim: usize) -> Vec<f32> {
     v
 }
 
-/// Box–Muller pairs drawn ahead of their `ln`/`cos` evaluations: with no
-/// RNG step between two libm calls the CPU overlaps them.
+/// Box–Muller pairs drawn ahead of their `ln`/`cos` evaluations: the
+/// four-lane kernel takes them four at a time, and on the scalar path,
+/// with no RNG step between two libm calls, the CPU overlaps them.
 const NORMAL_BLOCK: usize = 32;
 
 /// Overwrites `out` with a uniformly distributed unit vector: the same
@@ -138,18 +142,37 @@ pub fn fill_random_unit<R: Rng + ?Sized>(rng: &mut R, out: &mut [f32]) {
     loop {
         for block in out.chunks_mut(NORMAL_BLOCK) {
             let mut u = [(0.0, 0.0); NORMAL_BLOCK];
-            for pair in &mut u[..block.len()] {
+            let u = &mut u[..block.len()];
+            for pair in u.iter_mut() {
                 *pair = uniform_pair(rng);
             }
-            for (x, &(u1, u2)) in block.iter_mut().zip(&u) {
-                *x = box_muller(u1, u2);
-            }
+            box_muller_block(u, block);
         }
         if l2_normalize(out) > 1e-6 {
             return;
         }
         // Astronomically unlikely; resample to preserve the unit-norm
         // postcondition.
+    }
+}
+
+/// [`box_muller`] of every pair of `u`, into `out`: on four f64 lanes
+/// where the CPU has AVX2 and FMA, one pair at a time elsewhere. Both
+/// write the same bits (see `box_muller_x4`).
+fn box_muller_block(u: &[(f64, f64)], out: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if box_muller_x4::enabled() {
+        // SAFETY: `enabled` just verified AVX2 and FMA on the running CPU,
+        // the kernel's only requirement.
+        return unsafe { box_muller_x4::block(u, out) };
+    }
+    box_muller_scalar(u, out);
+}
+
+/// The scalar block: CPUs without AVX2 and FMA, and other targets.
+fn box_muller_scalar(u: &[(f64, f64)], out: &mut [f32]) {
+    for (x, &(u1, u2)) in out.iter_mut().zip(u) {
+        *x = box_muller(u1, u2);
     }
 }
 
@@ -263,6 +286,29 @@ mod tests {
 
             let mut rng = SmallRng::seed_from_u64(dim as u64);
             assert_eq!(bits(&random_unit(&mut rng, dim)), bits(&reference));
+        }
+    }
+
+    #[test]
+    fn both_blocks_are_the_per_sample_sequence() {
+        // The scalar block is called directly, so the path of CPUs without
+        // AVX2 and FMA stays covered on a host that has them.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in 0..=NORMAL_BLOCK {
+            let mut rng = SmallRng::seed_from_u64(n as u64);
+            let reference: Vec<f32> = (0..n).map(|_| standard_normal(&mut rng)).collect();
+            let mut rng = SmallRng::seed_from_u64(n as u64);
+            let u: Vec<(f64, f64)> = (0..n).map(|_| uniform_pair(&mut rng)).collect();
+            let mut scalar = vec![f32::NAN; n];
+            box_muller_scalar(&u, &mut scalar);
+            assert_eq!(bits(&scalar), bits(&reference), "scalar block, n {n}");
+            let mut dispatched = vec![f32::NAN; n];
+            box_muller_block(&u, &mut dispatched);
+            assert_eq!(
+                bits(&dispatched),
+                bits(&reference),
+                "dispatched block, n {n}"
+            );
         }
     }
 
