@@ -6,17 +6,14 @@
 //! allocation phase, no server queries, no uploads — clients boot and burn
 //! through frames at full-model cost inside the shared event loop.
 
-use coca_core::driver::{
-    drive, drive_plan, DriveConfig, DrivePlan, FrameOutcome, FrameStep, MethodDriver, NoMsg,
-};
-use coca_core::engine::Scenario;
+use coca_core::driver::{drive, DriveConfig, FrameOutcome, FrameStep, MethodDriver, NoMsg};
+use coca_core::engine::{EngineReport, Scenario};
 use coca_data::Frame;
 use coca_model::ClientFeatureView;
 use coca_sim::SimDuration;
 
-use crate::report::MethodReport;
-
-/// The Edge-Only method driver.
+/// The Edge-Only method driver. It has no shared state, so churn needs
+/// no method-side handling.
 pub struct EdgeOnlyDriver<'s> {
     scenario: &'s Scenario,
     views: Vec<ClientFeatureView>,
@@ -57,28 +54,18 @@ impl MethodDriver for EdgeOnlyDriver<'_> {
     }
 }
 
-/// Runs Edge-Only over `rounds × frames_per_round` frames per client
-/// through the generic engine.
-pub fn run_edge_only(scenario: &Scenario, rounds: usize, frames_per_round: usize) -> MethodReport {
-    run_edge_only_with(scenario, &DriveConfig::new(rounds, frames_per_round))
-}
-
-/// Runs Edge-Only under explicit engine knobs — pass the *same*
-/// [`DriveConfig`] to every method of a comparison so all rows price
-/// identical network and boot conditions.
-pub fn run_edge_only_with(scenario: &Scenario, drive_cfg: &DriveConfig) -> MethodReport {
-    let mut driver = EdgeOnlyDriver::new(scenario);
-    let report = drive(scenario, &mut driver, drive_cfg);
-    MethodReport::from_engine("Edge-Only", report)
-}
-
-/// Runs Edge-Only under an explicit [`DrivePlan`] — the dynamic-scenario
-/// entry point (mid-run joins, early leaves, time-varying links). Edge-
-/// Only has no shared state, so churn needs no method-side handling.
-pub fn run_edge_only_plan(scenario: &Scenario, plan: &DrivePlan) -> MethodReport {
-    let mut driver = EdgeOnlyDriver::new(scenario);
-    let report = drive_plan(scenario, &mut driver, plan);
-    MethodReport::from_engine("Edge-Only", report)
+/// Runs Edge-Only over `rounds × frames_per_round` frames per client:
+/// [`drive`] on an [`EdgeOnlyDriver`]. Every other method is run by
+/// building its driver and calling `drive`/`drive_plan` directly; this
+/// one shorthand stays because the benchmark's `engine_sim` set-up calls
+/// it for its latency reference (`benchmark/README.md` § "Pinned API
+/// surface").
+pub fn run_edge_only(scenario: &Scenario, rounds: usize, frames_per_round: usize) -> EngineReport {
+    drive(
+        scenario,
+        &mut EdgeOnlyDriver::new(scenario),
+        &DriveConfig::new(rounds, frames_per_round),
+    )
 }
 
 #[cfg(test)]
@@ -100,5 +87,19 @@ mod tests {
         assert!((r.mean_latency_ms - full).abs() < 1e-9);
         assert_eq!(r.hit_ratio, 0.0);
         assert!(r.accuracy_pct > 60.0, "accuracy {}", r.accuracy_pct);
+    }
+
+    #[test]
+    fn drive_names_the_row_and_reports_every_client() {
+        let mut sc = ScenarioConfig::new(ModelId::ResNet101, DatasetSpec::ucf101().subset(20));
+        sc.num_clients = 2;
+        sc.seed = 310;
+        let scenario = Scenario::build(sc);
+        let mut driver = EdgeOnlyDriver::new(&scenario);
+        let r = drive(&scenario, &mut driver, &DriveConfig::new(1, 50));
+        assert_eq!(r.method, "Edge-Only");
+        assert_eq!(r.frames, 2 * 50);
+        assert_eq!(r.per_client.len(), 2);
+        assert_ne!(r.frame_digest, 0);
     }
 }

@@ -24,17 +24,13 @@
 
 use std::collections::HashMap;
 
-use coca_core::driver::{
-    drive, drive_plan, DriveConfig, DrivePlan, FrameOutcome, FrameStep, MethodDriver, NoMsg,
-};
+use coca_core::driver::{FrameOutcome, FrameStep, MethodDriver, NoMsg};
 use coca_core::engine::Scenario;
 use coca_data::Frame;
 use coca_model::ClientFeatureView;
 use coca_net::WireSize;
 use coca_sim::{SeedTree, SimDuration};
 use serde::{Deserialize, Serialize};
-
-use crate::report::MethodReport;
 
 /// FoggyCache driver configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -477,7 +473,10 @@ struct FoggyClient {
 }
 
 /// The FoggyCache method driver: local A-LSH stores per client, one shared
-/// global store served through the engine's FIFO queue.
+/// global store served through the engine's FIFO queue. Under churn a
+/// leaver's samples are retired from the shared store at its departure
+/// boundary ([`MethodDriver::on_leave`]); a joiner starts with an empty
+/// local store.
 pub struct FoggyCacheDriver<'s> {
     scenario: &'s Scenario,
     cfg: FoggyCacheConfig,
@@ -636,46 +635,10 @@ impl MethodDriver for FoggyCacheDriver<'_> {
     }
 }
 
-/// Runs FoggyCache over the scenario through the generic engine.
-pub fn run_foggycache(
-    scenario: &Scenario,
-    cfg: &FoggyCacheConfig,
-    rounds: usize,
-    frames_per_round: usize,
-) -> MethodReport {
-    run_foggycache_with(scenario, cfg, &DriveConfig::new(rounds, frames_per_round))
-}
-
-/// Runs FoggyCache under explicit engine knobs — pass the *same*
-/// [`DriveConfig`] to every method of a comparison so all rows price
-/// identical network and boot conditions.
-pub fn run_foggycache_with(
-    scenario: &Scenario,
-    cfg: &FoggyCacheConfig,
-    drive_cfg: &DriveConfig,
-) -> MethodReport {
-    let mut driver = FoggyCacheDriver::new(scenario, *cfg);
-    let report = drive(scenario, &mut driver, drive_cfg);
-    MethodReport::from_engine("FoggyCache", report)
-}
-
-/// Runs FoggyCache under an explicit [`DrivePlan`] — the dynamic-scenario
-/// entry point (mid-run joins, early leaves, time-varying links). A
-/// leaver's samples are retired from the shared global store at its
-/// departure boundary.
-pub fn run_foggycache_plan(
-    scenario: &Scenario,
-    cfg: &FoggyCacheConfig,
-    plan: &DrivePlan,
-) -> MethodReport {
-    let mut driver = FoggyCacheDriver::new(scenario, *cfg);
-    let report = drive_plan(scenario, &mut driver, plan);
-    MethodReport::from_engine("FoggyCache", report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coca_core::driver::{drive, DriveConfig};
     use coca_core::engine::ScenarioConfig;
     use coca_data::DatasetSpec;
     use coca_model::ModelId;
@@ -779,7 +742,8 @@ mod tests {
     fn foggycache_reuses_and_saves_time() {
         let s = scenario(94);
         let full = s.rt.full_compute().as_millis_f64();
-        let r = run_foggycache(&s, &FoggyCacheConfig::default(), 3, 150);
+        let mut driver = FoggyCacheDriver::new(&s, FoggyCacheConfig::default());
+        let r = drive(&s, &mut driver, &DriveConfig::new(3, 150));
         assert_eq!(r.frames, 2 * 3 * 150);
         assert!(r.hit_ratio > 0.15, "hit ratio {}", r.hit_ratio);
         assert!(r.mean_latency_ms < full, "{} vs {full}", r.mean_latency_ms);
@@ -810,8 +774,12 @@ mod tests {
     #[test]
     fn foggycache_is_deterministic() {
         let cfg = FoggyCacheConfig::default();
-        let a = run_foggycache(&scenario(94), &cfg, 2, 100);
-        let b = run_foggycache(&scenario(94), &cfg, 2, 100);
+        let run = || {
+            let s = scenario(94);
+            let mut driver = FoggyCacheDriver::new(&s, cfg);
+            drive(&s, &mut driver, &DriveConfig::new(2, 100))
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a.mean_latency_ms, b.mean_latency_ms);
         assert_eq!(a.accuracy_pct, b.accuracy_pct);
         assert_eq!(a.frame_digest, b.frame_digest);

@@ -20,17 +20,13 @@
 
 use std::collections::VecDeque;
 
-use coca_core::driver::{
-    drive, drive_plan, DriveConfig, DrivePlan, FrameOutcome, FrameStep, MethodDriver, NoMsg,
-};
+use coca_core::driver::{FrameOutcome, FrameStep, MethodDriver, NoMsg};
 use coca_core::engine::Scenario;
 use coca_data::Frame;
 use coca_math::{ScoreScratch, VectorStore};
 use coca_model::ClientFeatureView;
 use coca_sim::SimDuration;
 use serde::{Deserialize, Serialize};
-
-use crate::report::MethodReport;
 
 /// LearnedCache driver configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -151,7 +147,9 @@ struct LearnedClient {
     pending_retrain_ms: f64,
 }
 
-/// The LearnedCache method driver.
+/// The LearnedCache method driver. Exits and retraining are all
+/// on-device, so churn needs no shared-state handling; a joiner simply
+/// starts with empty training buffers.
 pub struct LearnedCacheDriver<'s> {
     scenario: &'s Scenario,
     cfg: LearnedCacheConfig,
@@ -257,46 +255,10 @@ impl MethodDriver for LearnedCacheDriver<'_> {
     }
 }
 
-/// Runs LearnedCache over the scenario through the generic engine.
-pub fn run_learnedcache(
-    scenario: &Scenario,
-    cfg: &LearnedCacheConfig,
-    rounds: usize,
-    frames_per_round: usize,
-) -> MethodReport {
-    run_learnedcache_with(scenario, cfg, &DriveConfig::new(rounds, frames_per_round))
-}
-
-/// Runs LearnedCache under explicit engine knobs — pass the *same*
-/// [`DriveConfig`] to every method of a comparison so all rows price
-/// identical network and boot conditions.
-pub fn run_learnedcache_with(
-    scenario: &Scenario,
-    cfg: &LearnedCacheConfig,
-    drive_cfg: &DriveConfig,
-) -> MethodReport {
-    let mut driver = LearnedCacheDriver::new(scenario, *cfg);
-    let report = drive(scenario, &mut driver, drive_cfg);
-    MethodReport::from_engine("LearnedCache", report)
-}
-
-/// Runs LearnedCache under an explicit [`DrivePlan`] — the
-/// dynamic-scenario entry point. Exits and retraining are all on-device,
-/// so churn needs no shared-state handling; a joiner simply starts with
-/// empty training buffers.
-pub fn run_learnedcache_plan(
-    scenario: &Scenario,
-    cfg: &LearnedCacheConfig,
-    plan: &DrivePlan,
-) -> MethodReport {
-    let mut driver = LearnedCacheDriver::new(scenario, *cfg);
-    let report = drive_plan(scenario, &mut driver, plan);
-    MethodReport::from_engine("LearnedCache", report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coca_core::driver::{drive, DriveConfig};
     use coca_core::engine::{Scenario, ScenarioConfig};
     use coca_data::DatasetSpec;
     use coca_model::ModelId;
@@ -335,7 +297,8 @@ mod tests {
         let s = scenario(95);
         let full = s.rt.full_compute().as_millis_f64();
         let cfg = LearnedCacheConfig::for_model(0.012, 150);
-        let r = run_learnedcache(&s, &cfg, 4, 150);
+        let mut driver = LearnedCacheDriver::new(&s, cfg);
+        let r = drive(&s, &mut driver, &DriveConfig::new(4, 150));
         assert_eq!(r.frames, 2 * 4 * 150);
         assert!(r.hit_ratio > 0.1, "hit ratio {}", r.hit_ratio);
         assert!(r.mean_latency_ms < full, "{} vs {full}", r.mean_latency_ms);
@@ -344,8 +307,12 @@ mod tests {
     #[test]
     fn learnedcache_is_deterministic() {
         let cfg = LearnedCacheConfig::for_model(0.012, 100);
-        let a = run_learnedcache(&scenario(96), &cfg, 2, 100);
-        let b = run_learnedcache(&scenario(96), &cfg, 2, 100);
+        let run = || {
+            let s = scenario(96);
+            let mut driver = LearnedCacheDriver::new(&s, cfg);
+            drive(&s, &mut driver, &DriveConfig::new(2, 100))
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a.mean_latency_ms, b.mean_latency_ms);
         assert_eq!(a.frame_digest, b.frame_digest);
     }

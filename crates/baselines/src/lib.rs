@@ -3,11 +3,20 @@
 //! Full implementations of every baseline the evaluation compares against
 //! (§VI.B). Each baseline is a
 //! [`MethodDriver`](coca_core::driver::MethodDriver) plugged into the
-//! **same generic virtual-time engine** ([`coca_core::driver::drive`]) that
-//! runs CoCa: identical staggered boots, link transfer delays and server
-//! FIFO queueing, over the *same* [`coca_core::engine::Scenario`] — so
-//! each method sees byte-identical frame streams (asserted via
-//! [`MethodReport::frame_digest`]) under identical contention:
+//! **same generic virtual-time engine** that runs CoCa: identical
+//! staggered boots, link transfer delays and server FIFO queueing, over
+//! the *same* [`coca_core::engine::Scenario`] — so each method sees
+//! byte-identical frame streams (asserted via
+//! [`EngineReport::frame_digest`](coca_core::engine::EngineReport::frame_digest))
+//! under identical contention.
+//!
+//! There is one way to run a method: build its driver and call
+//! [`drive`](coca_core::driver::drive) (a static run) or
+//! [`drive_plan`](coca_core::driver::drive_plan) (a
+//! [`ScenarioSpec`](coca_core::spec::ScenarioSpec) timeline). Both return
+//! an [`EngineReport`](coca_core::engine::EngineReport) whose `method` is
+//! the driver's [`name`](coca_core::driver::MethodDriver::name). The
+//! drivers:
 //!
 //! * [`edge_only`] — plain full-model inference (the latency/accuracy
 //!   reference); a fully degenerate driver with no server traffic.
@@ -26,39 +35,30 @@
 //! * [`replacement`] — the classical cache-replacement policies of Fig. 8
 //!   (LRU / FIFO / RAND) applied to semantic cache entries on a fixed
 //!   high-benefit layer set.
-//! * [`report`] — the common [`report::MethodReport`] all drivers emit.
 
 pub mod edge_only;
 pub mod foggycache;
 pub mod learnedcache;
 pub mod replacement;
-pub mod report;
 pub mod smtm;
 
-pub use edge_only::{run_edge_only, run_edge_only_plan, run_edge_only_with, EdgeOnlyDriver};
-pub use foggycache::{
-    run_foggycache_plan, run_foggycache_with, FoggyCacheConfig, FoggyCacheDriver,
-};
-pub use learnedcache::{
-    run_learnedcache_plan, run_learnedcache_with, LearnedCacheConfig, LearnedCacheDriver,
-};
-pub use replacement::{
-    run_replacement_plan, run_replacement_with, ReplacementDriver, ReplacementPolicy,
-};
-pub use report::MethodReport;
-pub use smtm::{run_smtm_plan, run_smtm_with, SmtmConfig, SmtmDriver};
+pub use edge_only::{run_edge_only, EdgeOnlyDriver};
+pub use foggycache::{FoggyCacheConfig, FoggyCacheDriver};
+pub use learnedcache::{LearnedCacheConfig, LearnedCacheDriver};
+pub use replacement::{ReplacementDriver, ReplacementPolicy};
+pub use smtm::{SmtmConfig, SmtmDriver};
 
 #[cfg(test)]
 mod fairness_tests {
     //! Cross-method fairness: every driver consumes byte-identical frame
     //! streams from the shared scenario, and every run is deterministic.
 
-    use crate::foggycache::run_foggycache;
-    use crate::learnedcache::run_learnedcache;
-    use crate::replacement::run_replacement;
-    use crate::smtm::run_smtm;
-    use crate::{run_edge_only, FoggyCacheConfig, LearnedCacheConfig, SmtmConfig};
-    use coca_core::engine::{Engine, EngineConfig, Scenario, ScenarioConfig};
+    use crate::{
+        run_edge_only, EdgeOnlyDriver, FoggyCacheConfig, FoggyCacheDriver, LearnedCacheConfig,
+        LearnedCacheDriver, ReplacementDriver, ReplacementPolicy, SmtmConfig, SmtmDriver,
+    };
+    use coca_core::driver::{drive, drive_plan, DriveConfig};
+    use coca_core::engine::{Engine, EngineConfig, EngineReport, Scenario, ScenarioConfig};
     use coca_core::CocaConfig;
     use coca_data::DatasetSpec;
     use coca_model::ModelId;
@@ -75,50 +75,48 @@ mod fairness_tests {
         let (rounds, frames) = (2, 80);
         let coca_cfg = CocaConfig::for_model(ModelId::ResNet101).with_round_frames(frames);
         let sc = scenario_cfg(300);
+        let drive_cfg = DriveConfig::new(rounds, frames);
 
-        let digests: Vec<(String, u64)> = vec![
+        let reports: Vec<EngineReport> = vec![
             {
                 let s = Scenario::build(sc.clone());
-                let r = run_edge_only(&s, rounds, frames);
-                (r.name, r.frame_digest)
+                run_edge_only(&s, rounds, frames)
             },
             {
                 let s = Scenario::build(sc.clone());
-                let r = run_smtm(&s, &SmtmConfig::from_coca(&coca_cfg), rounds, frames);
-                (r.name, r.frame_digest)
+                let mut d = SmtmDriver::new(&s, SmtmConfig::from_coca(&coca_cfg));
+                drive(&s, &mut d, &drive_cfg)
             },
             {
                 let s = Scenario::build(sc.clone());
-                let r = run_foggycache(&s, &FoggyCacheConfig::default(), rounds, frames);
-                (r.name, r.frame_digest)
+                let mut d = FoggyCacheDriver::new(&s, FoggyCacheConfig::default());
+                drive(&s, &mut d, &drive_cfg)
             },
             {
                 let s = Scenario::build(sc.clone());
                 let cfg = LearnedCacheConfig::for_model(coca_cfg.theta, frames);
-                let r = run_learnedcache(&s, &cfg, rounds, frames);
-                (r.name, r.frame_digest)
+                drive(&s, &mut LearnedCacheDriver::new(&s, cfg), &drive_cfg)
             },
             {
                 let s = Scenario::build(sc.clone());
-                let r = run_replacement(&s, crate::ReplacementPolicy::Lru, 10, 4, rounds, frames);
-                (r.name, r.frame_digest)
+                let mut d = ReplacementDriver::new(&s, ReplacementPolicy::Lru, 10, 4);
+                drive(&s, &mut d, &drive_cfg)
             },
             {
                 let mut engine_cfg = EngineConfig::new(coca_cfg);
                 engine_cfg.rounds = rounds;
                 let mut engine = Engine::new(Scenario::build(sc.clone()), engine_cfg);
-                let r = engine.run();
-                ("CoCa".to_string(), r.frame_digest)
+                engine.run()
             },
         ];
 
-        let reference = digests[0].1;
+        let reference = reports[0].frame_digest;
         assert_ne!(reference, 0, "digest must be populated");
-        for (name, digest) in &digests {
+        for r in &reports {
             assert_eq!(
-                *digest, reference,
-                "{name} consumed a different frame stream than {}",
-                digests[0].0
+                r.frame_digest, reference,
+                "{} consumed a different frame stream than {}",
+                r.method, reports[0].method
             );
         }
     }
@@ -148,46 +146,50 @@ mod fairness_tests {
             );
         let expected_frames = ((3 - 1) * 3 + 2 + 2) as u64 * frames as u64;
 
-        let digests: Vec<(String, u64, u64)> = vec![
+        let reports: Vec<EngineReport> = vec![
             {
                 let (s, plan) = spec.materialize();
-                let r = crate::run_edge_only_plan(&s, &plan);
-                (r.name, r.frame_digest, r.frames)
+                drive_plan(&s, &mut EdgeOnlyDriver::new(&s), &plan)
             },
             {
                 let (s, plan) = spec.materialize();
-                let r = crate::run_smtm_plan(&s, &SmtmConfig::from_coca(&coca_cfg), &plan);
-                (r.name, r.frame_digest, r.frames)
+                let mut d = SmtmDriver::new(&s, SmtmConfig::from_coca(&coca_cfg));
+                drive_plan(&s, &mut d, &plan)
             },
             {
                 let (s, plan) = spec.materialize();
-                let r = crate::run_foggycache_plan(&s, &FoggyCacheConfig::default(), &plan);
-                (r.name, r.frame_digest, r.frames)
+                let mut d = FoggyCacheDriver::new(&s, FoggyCacheConfig::default());
+                drive_plan(&s, &mut d, &plan)
             },
             {
                 let (s, plan) = spec.materialize();
                 let cfg = LearnedCacheConfig::for_model(coca_cfg.theta, frames);
-                let r = crate::run_learnedcache_plan(&s, &cfg, &plan);
-                (r.name, r.frame_digest, r.frames)
+                drive_plan(&s, &mut LearnedCacheDriver::new(&s, cfg), &plan)
             },
             {
                 let (s, plan) = spec.materialize();
-                let r =
-                    crate::run_replacement_plan(&s, crate::ReplacementPolicy::Lru, 10, 4, &plan);
-                (r.name, r.frame_digest, r.frames)
+                let mut d = ReplacementDriver::new(&s, ReplacementPolicy::Lru, 10, 4);
+                drive_plan(&s, &mut d, &plan)
             },
             {
                 let (s, plan) = spec.materialize();
                 let mut engine = Engine::new(s, EngineConfig::new(coca_cfg));
-                let r = engine.run_plan(&plan);
-                ("CoCa".to_string(), r.frame_digest, r.frames)
+                engine.run_plan(&plan)
             },
         ];
-        let reference = digests[0].1;
+        let reference = reports[0].frame_digest;
         assert_ne!(reference, 0);
-        for (name, digest, n) in &digests {
-            assert_eq!(*digest, reference, "{name} diverged from the shared stream");
-            assert_eq!(*n, expected_frames, "{name} consumed a different count");
+        for r in &reports {
+            assert_eq!(
+                r.frame_digest, reference,
+                "{} diverged from the shared stream",
+                r.method
+            );
+            assert_eq!(
+                r.frames, expected_frames,
+                "{} consumed a different count",
+                r.method
+            );
         }
     }
 
@@ -197,50 +199,37 @@ mod fairness_tests {
         // scenario, same config → bit-identical report.
         let (rounds, frames) = (2, 60);
         let coca_cfg = CocaConfig::for_model(ModelId::ResNet101).with_round_frames(frames);
-        let runs: Vec<Box<dyn Fn() -> crate::MethodReport>> = vec![
+        let drive_cfg = DriveConfig::new(rounds, frames);
+        let runs: Vec<Box<dyn Fn() -> EngineReport>> = vec![
             Box::new(move || run_edge_only(&Scenario::build(scenario_cfg(301)), rounds, frames)),
             Box::new(move || {
-                run_smtm(
-                    &Scenario::build(scenario_cfg(301)),
-                    &SmtmConfig::from_coca(&coca_cfg),
-                    rounds,
-                    frames,
-                )
+                let s = Scenario::build(scenario_cfg(301));
+                let mut d = SmtmDriver::new(&s, SmtmConfig::from_coca(&coca_cfg));
+                drive(&s, &mut d, &drive_cfg)
             }),
             Box::new(move || {
-                run_foggycache(
-                    &Scenario::build(scenario_cfg(301)),
-                    &FoggyCacheConfig::default(),
-                    rounds,
-                    frames,
-                )
+                let s = Scenario::build(scenario_cfg(301));
+                let mut d = FoggyCacheDriver::new(&s, FoggyCacheConfig::default());
+                drive(&s, &mut d, &drive_cfg)
             }),
             Box::new(move || {
-                run_learnedcache(
-                    &Scenario::build(scenario_cfg(301)),
-                    &LearnedCacheConfig::for_model(coca_cfg.theta, frames),
-                    rounds,
-                    frames,
-                )
+                let s = Scenario::build(scenario_cfg(301));
+                let cfg = LearnedCacheConfig::for_model(coca_cfg.theta, frames);
+                drive(&s, &mut LearnedCacheDriver::new(&s, cfg), &drive_cfg)
             }),
             Box::new(move || {
-                run_replacement(
-                    &Scenario::build(scenario_cfg(301)),
-                    crate::ReplacementPolicy::Rand,
-                    8,
-                    4,
-                    rounds,
-                    frames,
-                )
+                let s = Scenario::build(scenario_cfg(301));
+                let mut d = ReplacementDriver::new(&s, ReplacementPolicy::Rand, 8, 4);
+                drive(&s, &mut d, &drive_cfg)
             }),
         ];
         for run in runs {
             let a = run();
             let b = run();
-            assert_eq!(a.mean_latency_ms, b.mean_latency_ms, "{} latency", a.name);
-            assert_eq!(a.accuracy_pct, b.accuracy_pct, "{} accuracy", a.name);
-            assert_eq!(a.hit_ratio, b.hit_ratio, "{} hit ratio", a.name);
-            assert_eq!(a.frame_digest, b.frame_digest, "{} digest", a.name);
+            assert_eq!(a.mean_latency_ms, b.mean_latency_ms, "{} latency", a.method);
+            assert_eq!(a.accuracy_pct, b.accuracy_pct, "{} accuracy", a.method);
+            assert_eq!(a.hit_ratio, b.hit_ratio, "{} hit ratio", a.method);
+            assert_eq!(a.frame_digest, b.frame_digest, "{} digest", a.method);
         }
     }
 }

@@ -11,9 +11,7 @@
 //! the local replica of the seeded table at zero network cost and the
 //! driver issues no server traffic.
 
-use coca_core::driver::{
-    drive, drive_plan, DriveConfig, DrivePlan, FrameOutcome, FrameStep, MethodDriver, NoMsg,
-};
+use coca_core::driver::{FrameOutcome, FrameStep, MethodDriver, NoMsg};
 use coca_core::engine::Scenario;
 use coca_core::global::GlobalCacheTable;
 use coca_core::lookup::infer_with_cache;
@@ -25,8 +23,6 @@ use coca_model::ClientFeatureView;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-use crate::report::MethodReport;
 
 /// The replacement policy under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -155,7 +151,10 @@ struct ReplacementClient {
     view: ClientFeatureView,
 }
 
-/// The replacement-policy method driver.
+/// The replacement-policy method driver; its row is named after the
+/// policy (`"LRU"`, `"FIFO"`, `"RAND"`). The managed caches are strictly
+/// local, so churn needs no shared-state handling; a joiner starts with
+/// an empty managed cache.
 pub struct ReplacementDriver<'s> {
     scenario: &'s Scenario,
     policy: ReplacementPolicy,
@@ -257,61 +256,11 @@ impl MethodDriver for ReplacementDriver<'_> {
     }
 }
 
-/// Runs one replacement policy over the scenario through the generic
-/// engine, with `cache_size` entries per layer on `num_layers` fixed
-/// high-benefit layers.
-pub fn run_replacement(
-    scenario: &Scenario,
-    policy: ReplacementPolicy,
-    cache_size: usize,
-    num_layers: usize,
-    rounds: usize,
-    frames_per_round: usize,
-) -> MethodReport {
-    run_replacement_with(
-        scenario,
-        policy,
-        cache_size,
-        num_layers,
-        &DriveConfig::new(rounds, frames_per_round),
-    )
-}
-
-/// Runs one replacement policy under explicit engine knobs — pass the
-/// *same* [`DriveConfig`] to every method of a comparison so all rows
-/// price identical network and boot conditions.
-pub fn run_replacement_with(
-    scenario: &Scenario,
-    policy: ReplacementPolicy,
-    cache_size: usize,
-    num_layers: usize,
-    drive_cfg: &DriveConfig,
-) -> MethodReport {
-    let mut driver = ReplacementDriver::new(scenario, policy, cache_size, num_layers);
-    let report = drive(scenario, &mut driver, drive_cfg);
-    MethodReport::from_engine(policy.name(), report)
-}
-
-/// Runs one replacement policy under an explicit [`DrivePlan`] — the
-/// dynamic-scenario entry point. The managed caches are strictly local,
-/// so churn needs no shared-state handling; a joiner starts with an empty
-/// managed cache.
-pub fn run_replacement_plan(
-    scenario: &Scenario,
-    policy: ReplacementPolicy,
-    cache_size: usize,
-    num_layers: usize,
-    plan: &DrivePlan,
-) -> MethodReport {
-    let mut driver = ReplacementDriver::new(scenario, policy, cache_size, num_layers);
-    let report = drive_plan(scenario, &mut driver, plan);
-    MethodReport::from_engine(policy.name(), report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coca_core::engine::ScenarioConfig;
+    use coca_core::driver::{drive, DriveConfig};
+    use coca_core::engine::{EngineReport, ScenarioConfig};
     use coca_data::distribution::long_tail_weights;
     use coca_data::DatasetSpec;
     use coca_model::ModelId;
@@ -323,6 +272,12 @@ mod tests {
         cfg.seed = seed;
         cfg.global_popularity = long_tail_weights(20, 20.0);
         Scenario::build(cfg)
+    }
+
+    /// `policy` with `size` entries on 4 layers over `scenario(seed)`.
+    fn run(seed: u64, policy: ReplacementPolicy, size: usize, cfg: &DriveConfig) -> EngineReport {
+        let s = scenario(seed);
+        drive(&s, &mut ReplacementDriver::new(&s, policy, size, 4), cfg)
     }
 
     #[test]
@@ -368,9 +323,8 @@ mod tests {
 
     #[test]
     fn replacement_run_saves_latency_on_longtail() {
-        let s = scenario(97);
-        let full = s.rt.full_compute().as_millis_f64();
-        let r = run_replacement(&s, ReplacementPolicy::Lru, 10, 4, 3, 150);
+        let full = scenario(97).rt.full_compute().as_millis_f64();
+        let r = run(97, ReplacementPolicy::Lru, 10, &DriveConfig::new(3, 150));
         assert_eq!(r.frames, 2 * 3 * 150);
         assert!(r.mean_latency_ms < full, "{} vs {full}", r.mean_latency_ms);
         assert!(r.hit_ratio > 0.2, "hit ratio {}", r.hit_ratio);
@@ -378,13 +332,14 @@ mod tests {
 
     #[test]
     fn policies_differ_deterministically() {
-        let a = run_replacement(&scenario(98), ReplacementPolicy::Lru, 8, 4, 2, 120);
-        let b = run_replacement(&scenario(98), ReplacementPolicy::Lru, 8, 4, 2, 120);
+        let cfg = DriveConfig::new(2, 120);
+        let a = run(98, ReplacementPolicy::Lru, 8, &cfg);
+        let b = run(98, ReplacementPolicy::Lru, 8, &cfg);
         assert_eq!(a.mean_latency_ms, b.mean_latency_ms);
         assert_eq!(a.frame_digest, b.frame_digest);
         // Tiny capacity forces constant eviction, where policies diverge.
-        let c = run_replacement(&scenario(98), ReplacementPolicy::Lru, 3, 4, 2, 120);
-        let d = run_replacement(&scenario(98), ReplacementPolicy::Rand, 3, 4, 2, 120);
+        let c = run(98, ReplacementPolicy::Lru, 3, &cfg);
+        let d = run(98, ReplacementPolicy::Rand, 3, &cfg);
         assert!(
             c.mean_latency_ms != d.mean_latency_ms || c.hit_ratio != d.hit_ratio,
             "LRU and RAND agree exactly: lru {} rand {}",

@@ -20,9 +20,7 @@
 //! [`MethodDriver::end_round`].
 
 use coca_core::collect::{absorb_rule, AbsorbRule, UpdateTable};
-use coca_core::driver::{
-    drive, drive_plan, DriveConfig, DrivePlan, FrameOutcome, FrameStep, MethodDriver, NoMsg,
-};
+use coca_core::driver::{FrameOutcome, FrameStep, MethodDriver, NoMsg};
 use coca_core::engine::Scenario;
 use coca_core::global::GlobalCacheTable;
 use coca_core::lookup::infer_with_cache;
@@ -33,8 +31,6 @@ use coca_core::CocaConfig;
 use coca_data::Frame;
 use coca_model::ClientFeatureView;
 use serde::{Deserialize, Serialize};
-
-use crate::report::MethodReport;
 
 /// SMTM driver configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -152,7 +148,9 @@ impl SmtmClient {
     }
 }
 
-/// The SMTM method driver.
+/// The SMTM method driver. SMTM is strictly per-client, so churn needs
+/// no shared-state handling: a joiner's private table is freshly seeded
+/// at boot, and a leaver takes its table with it.
 pub struct SmtmDriver<'s> {
     scenario: &'s Scenario,
     cfg: SmtmConfig,
@@ -265,42 +263,10 @@ impl MethodDriver for SmtmDriver<'_> {
     }
 }
 
-/// Runs SMTM over the scenario through the generic engine.
-pub fn run_smtm(
-    scenario: &Scenario,
-    cfg: &SmtmConfig,
-    rounds: usize,
-    frames_per_round: usize,
-) -> MethodReport {
-    run_smtm_with(scenario, cfg, &DriveConfig::new(rounds, frames_per_round))
-}
-
-/// Runs SMTM under explicit engine knobs — pass the *same*
-/// [`DriveConfig`] to every method of a comparison so all rows price
-/// identical network and boot conditions.
-pub fn run_smtm_with(
-    scenario: &Scenario,
-    cfg: &SmtmConfig,
-    drive_cfg: &DriveConfig,
-) -> MethodReport {
-    let mut driver = SmtmDriver::new(scenario, *cfg);
-    let report = drive(scenario, &mut driver, drive_cfg);
-    MethodReport::from_engine("SMTM", report)
-}
-
-/// Runs SMTM under an explicit [`DrivePlan`] — the dynamic-scenario entry
-/// point. SMTM is strictly per-client, so churn needs no shared-state
-/// handling: a joiner's private table is freshly seeded at boot, and a
-/// leaver takes its table with it.
-pub fn run_smtm_plan(scenario: &Scenario, cfg: &SmtmConfig, plan: &DrivePlan) -> MethodReport {
-    let mut driver = SmtmDriver::new(scenario, *cfg);
-    let report = drive_plan(scenario, &mut driver, plan);
-    MethodReport::from_engine("SMTM", report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coca_core::driver::{drive, DriveConfig};
     use coca_core::engine::ScenarioConfig;
     use coca_data::DatasetSpec;
     use coca_model::ModelId;
@@ -317,7 +283,7 @@ mod tests {
         let s = scenario(81);
         let full = s.rt.full_compute().as_millis_f64();
         let cfg = SmtmConfig::from_coca(&CocaConfig::for_model(ModelId::ResNet101));
-        let r = run_smtm(&s, &cfg, 3, 150);
+        let r = drive(&s, &mut SmtmDriver::new(&s, cfg), &DriveConfig::new(3, 150));
         assert_eq!(r.frames, 2 * 3 * 150);
         assert!(r.hit_ratio > 0.2, "hit ratio {}", r.hit_ratio);
         assert!(r.mean_latency_ms < full, "{} vs {full}", r.mean_latency_ms);
@@ -326,8 +292,11 @@ mod tests {
     #[test]
     fn smtm_is_deterministic() {
         let cfg = SmtmConfig::from_coca(&CocaConfig::for_model(ModelId::ResNet101));
-        let a = run_smtm(&scenario(82), &cfg, 2, 100);
-        let b = run_smtm(&scenario(82), &cfg, 2, 100);
+        let run = || {
+            let s = scenario(82);
+            drive(&s, &mut SmtmDriver::new(&s, cfg), &DriveConfig::new(2, 100))
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a.mean_latency_ms, b.mean_latency_ms);
         assert_eq!(a.accuracy_pct, b.accuracy_pct);
         assert_eq!(a.frame_digest, b.frame_digest);

@@ -26,6 +26,7 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use coca_bench::fleet::FleetNullDriver;
 use coca_core::collect::UpdateTable;
 use coca_core::driver::{
     drive, drive_plan, frame_digest, DriveConfig, DrivePlan, FrameOutcome, FrameStep, MethodDriver,
@@ -1017,14 +1018,21 @@ fn bench_engine_overhead(c: &mut Criterion) {
         DrivePlan::from_config(&DriveConfig::new(fleet_rounds, fleet_frames), fleet_clients);
     fleet_plan.per_client = false;
     let fleet_events = (fleet_clients * fleet_rounds * (fleet_frames + 3)) as u64;
-    let warm = drive_plan(&fleet_scenario, &mut FleetNullDriver, &fleet_plan);
+    let mut warm_driver = FleetNullDriver::default();
+    let warm = drive_plan(&fleet_scenario, &mut warm_driver, &fleet_plan);
     assert_eq!(
         warm.frames,
         (fleet_clients * fleet_rounds * fleet_frames) as u64
     );
-    let fleet_per_event_ns =
-        measure_ns_min3(|| drive_plan(&fleet_scenario, &mut FleetNullDriver, &fleet_plan).frames)
-            / fleet_events as f64;
+    assert_eq!(warm_driver.events(warm.frames), fleet_events);
+    let fleet_per_event_ns = measure_ns_min3(|| {
+        drive_plan(
+            &fleet_scenario,
+            &mut FleetNullDriver::default(),
+            &fleet_plan,
+        )
+        .frames
+    }) / fleet_events as f64;
     println!(
         "bench {:<40} {fleet_per_event_ns:>10.1} ns/event ({fleet_clients} members, \
          {fleet_events} events per run)",
@@ -1069,58 +1077,6 @@ fn bench_engine_overhead(c: &mut Criterion) {
     match std::fs::write(&path, json) {
         Ok(()) => println!("[baseline written to {}]", path.display()),
         Err(e) => eprintln!("warning: could not write baseline: {e}"),
-    }
-}
-
-/// Tiny fixed-size message for the fleet-scale engine bench.
-#[derive(Debug, Clone, Copy)]
-struct Blip;
-
-impl WireSize for Blip {
-    fn wire_bytes(&self) -> usize {
-        96
-    }
-}
-
-/// The degenerate driver with the full request/upload protocol cadence —
-/// what `exp_fleet`'s engine sweep runs, sized down for a bench burst.
-struct FleetNullDriver;
-
-impl MethodDriver for FleetNullDriver {
-    type Request = Blip;
-    type Alloc = Blip;
-    type Query = NoMsg;
-    type Reply = NoMsg;
-    type Upload = Blip;
-
-    fn name(&self) -> &str {
-        "FleetNull"
-    }
-
-    fn cache_request(&mut self, _k: usize) -> Option<Blip> {
-        Some(Blip)
-    }
-
-    fn serve_request(&mut self, _k: usize, _req: Blip) -> (Blip, SimDuration) {
-        (Blip, SimDuration::from_micros(2))
-    }
-
-    fn install(&mut self, _k: usize, _alloc: Blip) {}
-
-    fn process_frame(&mut self, _k: usize, _frame: &Frame) -> FrameStep<NoMsg> {
-        FrameStep::Done(FrameOutcome {
-            compute: SimDuration::from_micros(10),
-            correct: true,
-            hit_point: None,
-        })
-    }
-
-    fn end_round(&mut self, _k: usize) -> Option<Blip> {
-        Some(Blip)
-    }
-
-    fn serve_upload(&mut self, _k: usize, _upload: Blip) -> SimDuration {
-        SimDuration::from_micros(2)
     }
 }
 

@@ -3,8 +3,9 @@
 //! VGG16_BN on long-tail UCF101-100, F ∈ {150 … 900}. Total frames per
 //! client are held constant so rows differ only in update cadence.
 
-use coca_bench::harness::{parallel_sweep, run_coca_engine, RunSpec};
+use coca_bench::harness::{parallel_sweep, run_coca};
 use coca_bench::output::save_record;
+use coca_core::driver::DriveConfig;
 use coca_core::engine::ScenarioConfig;
 use coca_core::CocaConfig;
 use coca_data::distribution::long_tail_weights;
@@ -34,11 +35,8 @@ fn main() {
     // Each F value is an independent scenario run: fan across cores.
     let sweep = parallel_sweep(vec![150usize, 300, 450, 600, 750, 900], |f| {
         let coca = CocaConfig::for_model(model).with_round_frames(f);
-        let spec = RunSpec {
-            rounds: (TOTAL_FRAMES / f).max(2),
-            frames: f,
-        };
-        (f, run_coca_engine(&sc, coca, spec).1)
+        let run = DriveConfig::new((TOTAL_FRAMES / f).max(2), f);
+        (f, run_coca(&sc, coca, &run))
     });
     for (f, r) in sweep {
         out.row(&[

@@ -3,8 +3,9 @@
 //! Four models, client counts 60 → 160. Response latency = request sent →
 //! personalized cache installed (link transfers + server FIFO queueing).
 
-use coca_bench::harness::{parallel_sweep, run_coca_engine, RunSpec};
+use coca_bench::harness::{parallel_sweep, run_coca};
 use coca_bench::output::save_record;
+use coca_core::driver::DriveConfig;
 use coca_core::engine::ScenarioConfig;
 use coca_core::CocaConfig;
 use coca_data::DatasetSpec;
@@ -15,10 +16,7 @@ use serde_json::json;
 
 fn main() {
     let client_counts = [60usize, 100, 140, 160];
-    let spec = RunSpec {
-        rounds: 2,
-        frames: 120,
-    };
+    let run = DriveConfig::new(2, 120);
     let mut record = ExperimentRecord::new("fig10b", "response latency vs client count");
 
     let mut out = Table::new(
@@ -42,10 +40,7 @@ fn main() {
             let mut sc = ScenarioConfig::new(model, dataset.clone());
             sc.seed = 11_022;
             sc.num_clients = n;
-            (
-                n,
-                run_coca_engine(&sc, CocaConfig::for_model(model), spec).1,
-            )
+            (n, run_coca(&sc, CocaConfig::for_model(model), &run))
         });
         for (n, r) in sweep {
             row.push(fmt_f(r.response_latency.mean_ms(), 2));

@@ -5,8 +5,9 @@
 //! grids are used verbatim — the reproduction's D-score scale was
 //! calibrated so those operating points are meaningful.
 
-use coca_bench::harness::{run_coca_engine, RunSpec};
+use coca_bench::harness::run_coca;
 use coca_bench::output::save_record;
+use coca_core::driver::DriveConfig;
 use coca_core::engine::ScenarioConfig;
 use coca_core::CocaConfig;
 use coca_data::DatasetSpec;
@@ -19,10 +20,7 @@ fn sweep(model: ModelId, thetas: &[f32], seed: u64, record: &mut ExperimentRecor
     let mut sc = ScenarioConfig::new(model, DatasetSpec::ucf101().subset(100));
     sc.seed = seed;
     sc.num_clients = 4;
-    let spec = RunSpec {
-        rounds: 5,
-        frames: 300,
-    };
+    let run = DriveConfig::new(5, 300);
     let mut out = Table::new(
         format!("Fig. 5 — {} on UCF101-100: threshold Θ sweep", model.name()),
         &[
@@ -35,7 +33,7 @@ fn sweep(model: ModelId, thetas: &[f32], seed: u64, record: &mut ExperimentRecor
     );
     for &theta in thetas {
         let coca = CocaConfig::for_model(model).with_theta(theta);
-        let (_, report) = run_coca_engine(&sc, coca, spec);
+        let report = run_coca(&sc, coca, &run);
         let mut hits = HitRecorder::new(0);
         for s in &report.per_client {
             hits.merge(&s.hits);

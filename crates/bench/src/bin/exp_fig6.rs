@@ -9,8 +9,9 @@
 //! absorption falls and absorbed-sample accuracy rises with stricter
 //! thresholds — is what this experiment checks.
 
-use coca_bench::harness::{run_coca_engine, RunSpec};
+use coca_bench::harness::run_coca;
 use coca_bench::output::save_record;
+use coca_core::driver::DriveConfig;
 use coca_core::engine::ScenarioConfig;
 use coca_core::CocaConfig;
 use coca_data::DatasetSpec;
@@ -23,10 +24,7 @@ fn main() {
     let mut sc = ScenarioConfig::new(ModelId::ResNet101, DatasetSpec::ucf101().subset(100));
     sc.seed = 11_008;
     sc.num_clients = 4;
-    let spec = RunSpec {
-        rounds: 5,
-        frames: 300,
-    };
+    let run = DriveConfig::new(5, 300);
     let mut record = ExperimentRecord::new("fig6", "collection thresholds Γ and Δ");
     record.param("dataset", "ucf101-100").param("clients", 4);
 
@@ -37,7 +35,7 @@ fn main() {
     for gamma in [0.005f32, 0.010, 0.015, 0.020, 0.030, 0.045, 0.065] {
         let mut coca = CocaConfig::for_model(ModelId::ResNet101);
         coca.gamma_collect = gamma;
-        let (_, report) = run_coca_engine(&sc, coca, spec);
+        let report = run_coca(&sc, coca, &run);
         let ratio = report.absorb.reinforce_ratio() * 100.0;
         let acc = report.absorb.reinforce_accuracy().map(|a| a * 100.0);
         out.row(&[
@@ -61,7 +59,7 @@ fn main() {
     for delta in [0.05f32, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35] {
         let mut coca = CocaConfig::for_model(ModelId::ResNet101);
         coca.delta_collect = delta;
-        let (_, report) = run_coca_engine(&sc, coca, spec);
+        let report = run_coca(&sc, coca, &run);
         let ratio = report.absorb.expand_ratio() * 100.0;
         let acc = report.absorb.expand_accuracy().map(|a| a * 100.0);
         out.row(&[

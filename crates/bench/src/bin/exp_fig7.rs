@@ -3,8 +3,9 @@
 //! ResNet101 on UCF101-100 and AST on ESC-50, all five methods, non-IID
 //! levels p ∈ {0, 1, 2, 10} (p = 1/ε; 0 = IID).
 
-use coca_bench::harness::{run_all_methods, RunSpec};
+use coca_bench::harness::run_all_methods;
 use coca_bench::output::save_record;
+use coca_core::driver::DriveConfig;
 use coca_core::engine::ScenarioConfig;
 use coca_core::CocaConfig;
 use coca_data::partition::NonIidLevel;
@@ -16,10 +17,7 @@ use serde_json::json;
 
 fn sweep(model: ModelId, dataset: DatasetSpec, seed: u64, record: &mut ExperimentRecord) {
     let levels = [0.0f64, 1.0, 2.0, 10.0];
-    let spec = RunSpec {
-        rounds: 5,
-        frames: 300,
-    };
+    let run = DriveConfig::new(5, 300);
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut names: Vec<String> = Vec::new();
     for (li, &p) in levels.iter().enumerate() {
@@ -27,18 +25,18 @@ fn sweep(model: ModelId, dataset: DatasetSpec, seed: u64, record: &mut Experimen
         sc.seed = seed;
         sc.num_clients = 6;
         sc.non_iid = NonIidLevel(p);
-        let reports = run_all_methods(&sc, CocaConfig::for_model(model), spec);
+        let reports = run_all_methods(&sc, CocaConfig::for_model(model), &run);
         for (mi, r) in reports.iter().enumerate() {
             if li == 0 {
-                names.push(r.name.clone());
-                rows.push(vec![r.name.clone()]);
+                names.push(r.method.clone());
+                rows.push(vec![r.method.clone()]);
             }
             rows[mi].push(fmt_f(r.mean_latency_ms, 2));
             record.push_row(&[
                 ("model", json!(model.name())),
                 ("dataset", json!(dataset.name)),
                 ("non_iid_p", json!(p)),
-                ("method", json!(r.name)),
+                ("method", json!(r.method)),
                 ("latency_ms", json!(r.mean_latency_ms)),
                 ("accuracy_pct", json!(r.accuracy_pct)),
             ]);

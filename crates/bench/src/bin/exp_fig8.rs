@@ -6,9 +6,12 @@
 //! ACA-without-deflation series covers the `CocaConfig::aca_deflation`
 //! ablation.
 
-use coca_baselines::replacement::{fixed_high_benefit_layers, run_replacement, ReplacementPolicy};
-use coca_bench::harness::{parallel_sweep, run_coca_engine, RunSpec};
+use coca_baselines::replacement::{
+    fixed_high_benefit_layers, ReplacementDriver, ReplacementPolicy,
+};
+use coca_bench::harness::{parallel_sweep, run_coca};
 use coca_bench::output::save_record;
+use coca_core::driver::{drive, DriveConfig};
 use coca_core::engine::{Scenario, ScenarioConfig};
 use coca_core::server::{profile_hit_ratios, seed_global_table};
 use coca_core::CocaConfig;
@@ -27,10 +30,7 @@ fn main() {
     sc.seed = 11_016;
     sc.num_clients = 4;
     sc.global_popularity = long_tail_weights(100, 90.0);
-    let spec = RunSpec {
-        rounds: 5,
-        frames: 300,
-    };
+    let run = DriveConfig::new(5, 300);
 
     // The fixed layer set (for byte-budget parity with ACA).
     let probe = Scenario::build(sc.clone());
@@ -80,26 +80,22 @@ fn main() {
                     ReplacementPolicy::Lru,
                     ReplacementPolicy::Rand,
                 ][row];
-                let scenario = Scenario::build(sc.clone());
-                run_replacement(
-                    &scenario,
-                    policy,
-                    size,
-                    NUM_LAYERS,
-                    spec.rounds,
-                    spec.frames,
+                let s = Scenario::build(sc.clone());
+                drive(
+                    &s,
+                    &mut ReplacementDriver::new(&s, policy, size, NUM_LAYERS),
+                    &run,
                 )
             }
             _ => {
-                // ACA with the same total memory.
+                // ACA with the same total memory; the two arms relabel the
+                // engine's "CoCa" row.
                 let deflation = row == 3;
                 let mut coca = CocaConfig::for_model(model).with_budget(bytes_per_entry_set * size);
                 coca.aca_deflation = deflation;
-                let (_, r) = run_coca_engine(&sc, coca, spec);
-                coca_bench::harness::coca_method_report(
-                    if deflation { "ACA" } else { "ACA-no-deflation" },
-                    r,
-                )
+                let mut r = run_coca(&sc, coca, &run);
+                r.method = if deflation { "ACA" } else { "ACA-no-deflation" }.into();
+                r
             }
         };
         (row, size, r)
@@ -111,7 +107,7 @@ fn main() {
             fmt_f(r.accuracy_pct, 0)
         ));
         let mut cells = vec![
-            ("method", json!(r.name)),
+            ("method", json!(r.method)),
             ("cache_size", json!(size)),
             ("latency_ms", json!(r.mean_latency_ms)),
             ("accuracy_pct", json!(r.accuracy_pct)),

@@ -3,7 +3,7 @@
 //! UCF101-50 across VGG16_BN / ResNet50 / ResNet101 / ResNet152, four
 //! arms: Normal (neither), GCU only, DCA only, DCA+GCU.
 
-use coca_bench::harness::{run_coca_engine, RunSpec};
+use coca_bench::harness::{run_coca, standard_run};
 use coca_bench::output::save_record;
 use coca_core::engine::{Scenario, ScenarioConfig};
 use coca_core::CocaConfig;
@@ -14,7 +14,7 @@ use coca_model::ModelId;
 use serde_json::json;
 
 fn main() {
-    let spec = RunSpec::standard();
+    let run = standard_run();
     let arms: [(&str, bool, bool); 4] = [
         ("Normal", false, false),
         ("GCU", false, true),
@@ -56,7 +56,7 @@ fn main() {
             let mut coca = CocaConfig::for_model(model).with_budget(budget);
             coca.enable_dca = dca;
             coca.enable_gcu = gcu;
-            let (_, r) = run_coca_engine(&sc, coca, spec);
+            let r = run_coca(&sc, coca, &run);
             lat_row.push(fmt_f(r.mean_latency_ms, 2));
             acc_row.push(fmt_f(r.accuracy_pct, 2));
             record.push_row(&[

@@ -28,21 +28,19 @@
 
 use std::time::Instant;
 
+use coca_bench::fleet::FleetNullDriver;
 use coca_bench::output::save_record;
 use coca_core::collect::UpdateTable;
-use coca_core::driver::{
-    drive_plan, DriveConfig, DrivePlan, FrameOutcome, FrameStep, MethodDriver, NoMsg,
-};
+use coca_core::driver::{drive_plan, DriveConfig, DrivePlan};
 use coca_core::engine::{Scenario, ScenarioConfig};
 use coca_core::proto::{CacheRequest, UpdateUpload};
 use coca_core::{CocaConfig, CocaServer};
-use coca_data::{DatasetSpec, Frame};
+use coca_data::DatasetSpec;
 use coca_math::random_unit;
 use coca_metrics::table::fmt_f;
 use coca_metrics::{ExperimentRecord, Table};
 use coca_model::ModelId;
-use coca_net::WireSize;
-use coca_sim::{SeedTree, SimDuration};
+use coca_sim::SeedTree;
 use rand::Rng;
 
 const FLEETS: [usize; 3] = [8, 32, 128];
@@ -129,70 +127,6 @@ fn peak_rss_mb() -> f64 {
     0.0
 }
 
-/// Fixed-size protocol message for the engine-scale sweep: big enough to
-/// exercise the link-pricing path, small enough that transfer time never
-/// dominates scheduling.
-#[derive(Debug, Clone, Copy)]
-struct Blip;
-
-impl WireSize for Blip {
-    fn wire_bytes(&self) -> usize {
-        96
-    }
-}
-
-/// A degenerate method: constant per-frame compute, tiny request/upload
-/// round-trips, no cache and no real inference. Everything `drive_plan`
-/// spends on it is engine machinery — stream generation, digest folding,
-/// timer-wheel scheduling, FIFO pricing, recorders — which is precisely
-/// what the fleet sweep measures.
-struct FleetNullDriver {
-    requests: u64,
-    installs: u64,
-    uploads: u64,
-}
-
-impl MethodDriver for FleetNullDriver {
-    type Request = Blip;
-    type Alloc = Blip;
-    type Query = NoMsg;
-    type Reply = NoMsg;
-    type Upload = Blip;
-
-    fn name(&self) -> &str {
-        "fleet-null"
-    }
-
-    fn cache_request(&mut self, _k: usize) -> Option<Blip> {
-        self.requests += 1;
-        Some(Blip)
-    }
-
-    fn serve_request(&mut self, _k: usize, _req: Blip) -> (Blip, SimDuration) {
-        (Blip, SimDuration::from_micros(2))
-    }
-
-    fn install(&mut self, _k: usize, _alloc: Blip) {
-        self.installs += 1;
-    }
-
-    fn process_frame(&mut self, _k: usize, _frame: &Frame) -> FrameStep<NoMsg> {
-        FrameStep::Done(FrameOutcome {
-            compute: SimDuration::from_micros(10),
-            correct: true,
-            hit_point: None,
-        })
-    }
-
-    fn end_round(&mut self, _k: usize) -> Option<Blip> {
-        Some(Blip)
-    }
-
-    fn serve_upload(&mut self, _k: usize, _upload: Blip) -> SimDuration {
-        SimDuration::from_micros(2)
-    }
-}
-
 /// Rounds and frames per member for the engine-scale sweep: enough work
 /// per member to amortize boot, small enough that a million-member fleet
 /// finishes in seconds.
@@ -219,22 +153,18 @@ fn measure_engine_fleet(members: usize) -> (u64, f64, f64) {
     // Repeat small fleets until the run is long enough to time reliably;
     // a 128-member run is microseconds, a million-member run is seconds.
     let target_events = 400_000u64;
-    let approx_events = (members * ENGINE_ROUNDS * (ENGINE_FRAMES + 3)) as u64;
-    let reps = (target_events / approx_events.max(1)).clamp(1, 64);
+    let run_events = (members * ENGINE_ROUNDS * (ENGINE_FRAMES + 3)) as u64;
+    let reps = (target_events / run_events.max(1)).clamp(1, 64);
 
     let mut best_ns = f64::INFINITY;
     let mut events = 0u64;
     let mut wall_ms = 0.0f64;
     for _ in 0..reps {
-        let mut driver = FleetNullDriver {
-            requests: 0,
-            installs: 0,
-            uploads: 0,
-        };
+        let mut driver = FleetNullDriver::default();
         let t = Instant::now();
         let report = drive_plan(&scenario, &mut driver, &plan);
         let elapsed = t.elapsed();
-        let ev = report.frames + driver.requests + driver.installs + driver.uploads;
+        let ev = driver.events(report.frames);
         let ns = elapsed.as_nanos() as f64 / ev.max(1) as f64;
         if ns < best_ns {
             best_ns = ns;
@@ -245,6 +175,10 @@ fn measure_engine_fleet(members: usize) -> (u64, f64, f64) {
             report.frames,
             (members * ENGINE_ROUNDS * ENGINE_FRAMES) as u64,
             "every member must process its full frame budget"
+        );
+        assert_eq!(
+            ev, run_events,
+            "every member-round is its frames plus a request, a delivery and an upload"
         );
     }
     (events, wall_ms, best_ns)

@@ -3,7 +3,7 @@
 //! VGG16_BN and ResNet152 on UCF101-100; all five methods under the < 3 %
 //! and < 5 % accuracy-loss configurations (the paper's per-SLO Θ values).
 
-use coca_bench::harness::{run_all_methods, RunSpec};
+use coca_bench::harness::{run_all_methods, standard_run};
 use coca_bench::output::save_record;
 use coca_core::engine::ScenarioConfig;
 use coca_core::CocaConfig;
@@ -14,7 +14,7 @@ use coca_model::ModelId;
 use serde_json::json;
 
 fn main() {
-    let spec = RunSpec::standard();
+    let run = standard_run();
     let mut record = ExperimentRecord::new("table2", "latency under SLO constraints");
     record.param("dataset", "ucf101-100").param("clients", 6);
 
@@ -23,8 +23,8 @@ fn main() {
         sc.seed = 11_010 + model.name().len() as u64;
         sc.num_clients = 6;
 
-        let slo3 = run_all_methods(&sc, CocaConfig::for_model(model), spec);
-        let slo5 = run_all_methods(&sc, CocaConfig::for_model_slo5(model), spec);
+        let slo3 = run_all_methods(&sc, CocaConfig::for_model(model), &run);
+        let slo5 = run_all_methods(&sc, CocaConfig::for_model_slo5(model), &run);
 
         let mut out = Table::new(
             format!("Table II — {} on UCF101-100", model.name()),
@@ -38,7 +38,7 @@ fn main() {
         );
         for (a, b) in slo3.iter().zip(&slo5) {
             out.row(&[
-                a.name.clone(),
+                a.method.clone(),
                 fmt_f(a.mean_latency_ms, 2),
                 fmt_f(a.accuracy_pct, 2),
                 fmt_f(b.mean_latency_ms, 2),
@@ -46,7 +46,7 @@ fn main() {
             ]);
             record.push_row(&[
                 ("model", json!(model.name())),
-                ("method", json!(a.name)),
+                ("method", json!(a.method)),
                 ("slo3_latency_ms", json!(a.mean_latency_ms)),
                 ("slo3_accuracy_pct", json!(a.accuracy_pct)),
                 ("slo5_latency_ms", json!(b.mean_latency_ms)),

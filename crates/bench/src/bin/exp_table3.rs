@@ -4,7 +4,7 @@
 //! (imbalance ratio ρ = 90, top 20 % of classes ≈ 60 % of samples), all
 //! five methods.
 
-use coca_bench::harness::{run_all_methods, RunSpec};
+use coca_bench::harness::{run_all_methods, standard_run};
 use coca_bench::output::save_record;
 use coca_core::engine::ScenarioConfig;
 use coca_core::CocaConfig;
@@ -17,7 +17,7 @@ use serde_json::json;
 
 fn main() {
     let dataset = DatasetSpec::imagenet100();
-    let spec = RunSpec::standard();
+    let run = standard_run();
     let model = ModelId::ResNet101;
     let mut record = ExperimentRecord::new("table3", "uniform vs long-tail groups");
     record
@@ -30,11 +30,11 @@ fn main() {
         sc.seed = seed;
         sc.num_clients = 6;
         sc.global_popularity = popularity;
-        let reports = run_all_methods(&sc, CocaConfig::for_model(model), spec);
+        let reports = run_all_methods(&sc, CocaConfig::for_model(model), &run);
         for r in &reports {
             record.push_row(&[
                 ("group", json!(name)),
-                ("method", json!(r.name)),
+                ("method", json!(r.method)),
                 ("latency_ms", json!(r.mean_latency_ms)),
                 ("accuracy_pct", json!(r.accuracy_pct)),
             ]);
@@ -57,7 +57,7 @@ fn main() {
     );
     for (u, l) in uniform.iter().zip(&longtail) {
         out.row(&[
-            u.name.clone(),
+            u.method.clone(),
             fmt_f(u.mean_latency_ms, 2),
             fmt_f(u.accuracy_pct, 2),
             fmt_f(l.mean_latency_ms, 2),

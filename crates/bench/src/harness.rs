@@ -1,11 +1,17 @@
-//! Method runners and the parallel sweep engine shared by the experiment
-//! binaries.
+//! The one method dispatch and the parallel sweep engine shared by the
+//! experiment binaries.
 //!
 //! Every method consumes a scenario rebuilt from the same
 //! [`ScenarioConfig`] — identical feature universe, client drift profiles
-//! and frame streams — and runs through the same generic virtual-time
-//! engine ([`coca_core::driver::drive`]), so rows of one table differ only
-//! by the method.
+//! and frame streams — and runs one way: its
+//! [`MethodDriver`](coca_core::driver::MethodDriver) through
+//! [`coca_core::driver::drive_plan`] (CoCa through
+//! [`Engine::run_plan`], which wraps the same loop), so rows of one table
+//! differ only by the method. Each returns an [`EngineReport`] named by
+//! its driver. A static comparison ([`run_all_methods`]) runs under the
+//! plan [`DrivePlan::from_config`] induces, which reproduces a
+//! [`coca_core::driver::drive`] run bit for bit; a timeline comparison
+//! ([`run_all_methods_spec`]) runs under a materialized [`ScenarioSpec`].
 //!
 //! Sweeps fan out over a rayon-style thread pool via [`parallel_sweep`]:
 //! each job rebuilds its scenario deterministically and runs in isolation,
@@ -13,12 +19,10 @@
 //! bit-identical to running the same jobs serially.
 
 use coca_baselines::{
-    run_edge_only_plan, run_edge_only_with, run_foggycache_plan, run_foggycache_with,
-    run_learnedcache_plan, run_learnedcache_with, run_replacement_plan, run_replacement_with,
-    run_smtm_plan, run_smtm_with, FoggyCacheConfig, LearnedCacheConfig, MethodReport,
-    ReplacementPolicy, SmtmConfig,
+    EdgeOnlyDriver, FoggyCacheConfig, FoggyCacheDriver, LearnedCacheConfig, LearnedCacheDriver,
+    ReplacementDriver, ReplacementPolicy, SmtmConfig, SmtmDriver,
 };
-use coca_core::driver::DriveConfig;
+use coca_core::driver::{drive_plan, DriveConfig, DrivePlan};
 use coca_core::engine::{Engine, EngineConfig, EngineReport, Scenario, ScenarioConfig};
 use coca_core::spec::ScenarioSpec;
 use coca_core::CocaConfig;
@@ -30,32 +34,11 @@ pub const SPEC_REPLACEMENT_ENTRIES: usize = 30;
 /// Fixed high-benefit layer count for the Replacement row.
 pub const SPEC_REPLACEMENT_LAYERS: usize = 4;
 
-/// How long each method runs.
-#[derive(Debug, Clone, Copy)]
-pub struct RunSpec {
-    /// Rounds per client.
-    pub rounds: usize,
-    /// Frames per round (CoCa's F; other methods run the same frame count).
-    pub frames: usize,
-}
-
-impl RunSpec {
-    /// The default experiment length: enough rounds for the collaborative
-    /// machinery to reach steady state while keeping sweeps fast.
-    pub fn standard() -> Self {
-        Self {
-            rounds: 6,
-            frames: 300,
-        }
-    }
-
-    /// Shorter runs for wide parameter sweeps.
-    pub fn quick() -> Self {
-        Self {
-            rounds: 4,
-            frames: 200,
-        }
-    }
+/// The default experiment length (6 rounds × 300 frames): enough rounds
+/// for the collaborative machinery to reach steady state while keeping
+/// sweeps fast.
+pub fn standard_run() -> DriveConfig {
+    DriveConfig::new(6, 300)
 }
 
 /// Runs `job` over every item on the workspace thread pool, returning
@@ -84,111 +67,70 @@ enum Method {
 }
 
 impl Method {
-    /// Runs this method under `drive_cfg` — the *one* set of engine knobs
-    /// every method of the comparison shares, so all rows price identical
-    /// network and boot conditions.
-    fn run(self, sc: &ScenarioConfig, coca: CocaConfig, drive_cfg: &DriveConfig) -> MethodReport {
+    /// Runs this method over `scenario` under `plan` — the one set of
+    /// engine knobs every method of the comparison shares, so all rows
+    /// price identical network, boot and churn conditions.
+    /// `coca.round_frames` must already equal `plan.frames_per_round`.
+    fn run(self, scenario: Scenario, plan: &DrivePlan, coca: CocaConfig) -> EngineReport {
+        let s = &scenario;
         match self {
-            Method::EdgeOnly => run_edge_only_with(&Scenario::build(sc.clone()), drive_cfg),
-            Method::LearnedCache => {
-                let cfg = LearnedCacheConfig::for_model(coca.theta, drive_cfg.frames_per_round);
-                run_learnedcache_with(&Scenario::build(sc.clone()), &cfg, drive_cfg)
-            }
-            Method::FoggyCache => run_foggycache_with(
-                &Scenario::build(sc.clone()),
-                &FoggyCacheConfig::default(),
-                drive_cfg,
-            ),
-            Method::Smtm => {
-                let cfg = SmtmConfig::from_coca(&coca);
-                run_smtm_with(&Scenario::build(sc.clone()), &cfg, drive_cfg)
-            }
-            Method::ReplacementLru => run_replacement_with(
-                &Scenario::build(sc.clone()),
-                ReplacementPolicy::Lru,
-                SPEC_REPLACEMENT_ENTRIES,
-                SPEC_REPLACEMENT_LAYERS,
-                drive_cfg,
-            ),
-            Method::Coca => {
-                let mut coca = coca;
-                coca.round_frames = drive_cfg.frames_per_round;
-                let mut engine_cfg = EngineConfig::new(coca);
-                engine_cfg.rounds = drive_cfg.rounds;
-                engine_cfg.link = drive_cfg.link;
-                engine_cfg.boot_window_ms = drive_cfg.boot_window_ms;
-                let mut engine = Engine::new(Scenario::build(sc.clone()), engine_cfg);
-                MethodReport::from_engine("CoCa", engine.run())
-            }
-        }
-    }
-
-    /// Runs this method under a materialized [`ScenarioSpec`] pair — the
-    /// dynamic-scenario twin of [`Method::run`]. `coca.round_frames` must
-    /// already equal the spec's `frames_per_round`.
-    fn run_plan(
-        self,
-        scenario: Scenario,
-        plan: &coca_core::DrivePlan,
-        coca: CocaConfig,
-    ) -> MethodReport {
-        match self {
-            Method::EdgeOnly => run_edge_only_plan(&scenario, plan),
+            Method::EdgeOnly => drive_plan(s, &mut EdgeOnlyDriver::new(s), plan),
             Method::LearnedCache => {
                 let cfg = LearnedCacheConfig::for_model(coca.theta, plan.frames_per_round);
-                run_learnedcache_plan(&scenario, &cfg, plan)
+                drive_plan(s, &mut LearnedCacheDriver::new(s, cfg), plan)
             }
             Method::FoggyCache => {
-                run_foggycache_plan(&scenario, &FoggyCacheConfig::default(), plan)
+                let mut driver = FoggyCacheDriver::new(s, FoggyCacheConfig::default());
+                drive_plan(s, &mut driver, plan)
             }
-            Method::Smtm => run_smtm_plan(&scenario, &SmtmConfig::from_coca(&coca), plan),
-            Method::ReplacementLru => run_replacement_plan(
-                &scenario,
-                ReplacementPolicy::Lru,
-                SPEC_REPLACEMENT_ENTRIES,
-                SPEC_REPLACEMENT_LAYERS,
-                plan,
-            ),
+            Method::Smtm => {
+                let mut driver = SmtmDriver::new(s, SmtmConfig::from_coca(&coca));
+                drive_plan(s, &mut driver, plan)
+            }
+            Method::ReplacementLru => {
+                let mut driver = ReplacementDriver::new(
+                    s,
+                    ReplacementPolicy::Lru,
+                    SPEC_REPLACEMENT_ENTRIES,
+                    SPEC_REPLACEMENT_LAYERS,
+                );
+                drive_plan(s, &mut driver, plan)
+            }
             Method::Coca => {
-                let mut engine =
-                    Engine::with_cells(scenario, EngineConfig::new(coca), plan.topology.cells);
-                MethodReport::from_engine("CoCa", engine.run_plan(plan))
+                Engine::with_cells(scenario, EngineConfig::new(coca), plan.topology.cells)
+                    .run_plan(plan)
             }
         }
     }
-}
 
-/// Converts an engine report into the common method report shape.
-pub fn coca_method_report(name: &str, r: EngineReport) -> MethodReport {
-    MethodReport::from_engine(name, r)
+    /// Runs this method over a scenario freshly built from `sc` under the
+    /// static plan `cfg` induces.
+    fn run_static(
+        self,
+        sc: &ScenarioConfig,
+        mut coca: CocaConfig,
+        cfg: &DriveConfig,
+    ) -> EngineReport {
+        coca.round_frames = cfg.frames_per_round;
+        let plan = DrivePlan::from_config(cfg, sc.num_clients);
+        self.run(Scenario::build(sc.clone()), &plan, coca)
+    }
 }
 
 /// Runs CoCa (the full engine) over a freshly built scenario.
-pub fn run_coca(sc: &ScenarioConfig, coca: CocaConfig, spec: RunSpec) -> MethodReport {
-    let report = run_coca_engine(sc, coca, spec).1;
-    coca_method_report("CoCa", report)
-}
-
-/// Runs CoCa and also returns the engine (for post-run inspection).
-pub fn run_coca_engine(
-    sc: &ScenarioConfig,
-    mut coca: CocaConfig,
-    spec: RunSpec,
-) -> (Engine, EngineReport) {
-    coca.round_frames = spec.frames;
-    let mut engine_cfg = EngineConfig::new(coca);
-    engine_cfg.rounds = spec.rounds;
-    let mut engine = Engine::new(Scenario::build(sc.clone()), engine_cfg);
-    let report = engine.run();
-    (engine, report)
+pub fn run_coca(sc: &ScenarioConfig, coca: CocaConfig, cfg: &DriveConfig) -> EngineReport {
+    Method::Coca.run_static(sc, coca, cfg)
 }
 
 /// Runs all five methods of the paper's comparison tables **in parallel**,
 /// returned in the paper's reporting order: Edge-Only, LearnedCache,
 /// FoggyCache, SMTM, CoCa. Each method rebuilds the scenario from `sc`, so
 /// every row of the comparison consumed byte-identical frame streams.
-pub fn run_all_methods(sc: &ScenarioConfig, coca: CocaConfig, spec: RunSpec) -> Vec<MethodReport> {
-    let drive_cfg = DriveConfig::new(spec.rounds, spec.frames);
+pub fn run_all_methods(
+    sc: &ScenarioConfig,
+    coca: CocaConfig,
+    cfg: &DriveConfig,
+) -> Vec<EngineReport> {
     let methods = vec![
         Method::EdgeOnly,
         Method::LearnedCache,
@@ -196,7 +138,7 @@ pub fn run_all_methods(sc: &ScenarioConfig, coca: CocaConfig, spec: RunSpec) -> 
         Method::Smtm,
         Method::Coca,
     ];
-    parallel_sweep(methods, |m| m.run(sc, coca, &drive_cfg))
+    parallel_sweep(methods, |m| m.run_static(sc, coca, cfg))
 }
 
 /// Runs **all six methods** (Edge-Only, LearnedCache, FoggyCache, SMTM,
@@ -204,7 +146,7 @@ pub fn run_all_methods(sc: &ScenarioConfig, coca: CocaConfig, spec: RunSpec) -> 
 /// timeline included — in parallel. Every job re-materializes the spec,
 /// so each row consumed byte-identical frame streams under identical
 /// churn, drift and link conditions (the reports' `frame_digest`s agree).
-pub fn run_all_methods_spec(spec: &ScenarioSpec, coca: CocaConfig) -> Vec<MethodReport> {
+pub fn run_all_methods_spec(spec: &ScenarioSpec, coca: CocaConfig) -> Vec<EngineReport> {
     let mut coca = coca;
     coca.round_frames = spec.frames_per_round;
     let methods = vec![
@@ -217,7 +159,7 @@ pub fn run_all_methods_spec(spec: &ScenarioSpec, coca: CocaConfig) -> Vec<Method
     ];
     parallel_sweep(methods, move |m| {
         let (scenario, plan) = spec.materialize();
-        m.run_plan(scenario, &plan, coca)
+        m.run(scenario, &plan, coca)
     })
 }
 
@@ -233,21 +175,17 @@ mod tests {
         sc.num_clients = 2;
         sc.seed = 200;
         let coca = CocaConfig::for_model(ModelId::ResNet101);
-        let spec = RunSpec {
-            rounds: 2,
-            frames: 80,
-        };
-        let reports = run_all_methods(&sc, coca, spec);
+        let reports = run_all_methods(&sc, coca, &DriveConfig::new(2, 80));
         assert_eq!(reports.len(), 5);
-        let names: Vec<&str> = reports.iter().map(|r| r.name.as_str()).collect();
+        let names: Vec<&str> = reports.iter().map(|r| r.method.as_str()).collect();
         assert_eq!(
             names,
             vec!["Edge-Only", "LearnedCache", "FoggyCache", "SMTM", "CoCa"]
         );
         for r in &reports {
-            assert_eq!(r.frames, 2 * 2 * 80, "{}", r.name);
+            assert_eq!(r.frames, 2 * 2 * 80, "{}", r.method);
             // The engine digest proves identical streams across methods.
-            assert_eq!(r.frame_digest, reports[0].frame_digest, "{}", r.name);
+            assert_eq!(r.frame_digest, reports[0].frame_digest, "{}", r.method);
         }
         // Edge-Only is the latency ceiling (within noise).
         let edge = reports[0].mean_latency_ms;
@@ -255,7 +193,7 @@ mod tests {
             assert!(
                 r.mean_latency_ms <= edge * 1.15,
                 "{} at {}",
-                r.name,
+                r.method,
                 r.mean_latency_ms
             );
         }
@@ -270,7 +208,7 @@ mod tests {
         let coca = CocaConfig::for_model(ModelId::ResNet101);
         let reports = run_all_methods_spec(&spec, coca);
         assert_eq!(reports.len(), 6);
-        let names: Vec<&str> = reports.iter().map(|r| r.name.as_str()).collect();
+        let names: Vec<&str> = reports.iter().map(|r| r.method.as_str()).collect();
         assert_eq!(
             names,
             vec![
@@ -283,9 +221,45 @@ mod tests {
             ]
         );
         for r in &reports {
-            assert_eq!(r.frames, 3 * 40, "{}", r.name);
-            assert_eq!(r.frame_digest, reports[0].frame_digest, "{}", r.name);
-            assert!(!r.windowed.is_empty(), "{} has no windowed series", r.name);
+            assert_eq!(r.frames, 3 * 40, "{}", r.method);
+            assert_eq!(r.frame_digest, reports[0].frame_digest, "{}", r.method);
+            assert!(
+                !r.windowed.is_empty(),
+                "{} has no windowed series",
+                r.method
+            );
+        }
+    }
+
+    #[test]
+    fn static_and_spec_paths_agree_for_every_method() {
+        // `ScenarioSpec::new` without events is the static plan, so the
+        // five shared rows must match bit for bit.
+        let mut sc = ScenarioConfig::new(ModelId::ResNet101, DatasetSpec::ucf101().subset(20));
+        sc.num_clients = 2;
+        sc.seed = 204;
+        let coca = CocaConfig::for_model(ModelId::ResNet101);
+        let fixed = run_all_methods(&sc, coca, &DriveConfig::new(2, 60));
+        let timeline = run_all_methods_spec(&ScenarioSpec::new(sc, 2, 60), coca);
+        let shared: Vec<&EngineReport> = timeline.iter().filter(|r| r.method != "LRU").collect();
+        assert_eq!(fixed.len(), shared.len());
+        for (a, b) in fixed.iter().zip(shared) {
+            assert_eq!(a.method, b.method);
+            assert_eq!(a.frames, b.frames, "{}", a.method);
+            assert_eq!(a.frame_digest, b.frame_digest, "{}", a.method);
+            assert_eq!(
+                a.mean_latency_ms.to_bits(),
+                b.mean_latency_ms.to_bits(),
+                "{}",
+                a.method
+            );
+            assert_eq!(
+                a.accuracy_pct.to_bits(),
+                b.accuracy_pct.to_bits(),
+                "{}",
+                a.method
+            );
+            assert_eq!(a.hit_ratio.to_bits(), b.hit_ratio.to_bits(), "{}", a.method);
         }
     }
 
@@ -307,12 +281,12 @@ mod tests {
         let (spec, coca) = two_cell_spec();
         let reports = run_all_methods_spec(&spec, coca);
         for r in &reports {
-            assert_eq!(r.frame_digest, reports[0].frame_digest, "{}", r.name);
+            assert_eq!(r.frame_digest, reports[0].frame_digest, "{}", r.method);
         }
         let (scenario, plan) = spec.materialize();
         let direct = Engine::with_cells(scenario, EngineConfig::new(coca), 2).run_plan(&plan);
         let row = reports.last().unwrap();
-        assert_eq!(row.name, "CoCa");
+        assert_eq!(row.method, "CoCa");
         assert_eq!(row.mean_latency_ms, direct.mean_latency_ms);
         assert_eq!(row.accuracy_pct, direct.accuracy_pct);
         assert_eq!(row.hit_ratio, direct.hit_ratio);
@@ -333,22 +307,19 @@ mod tests {
         sc.num_clients = 2;
         sc.seed = 201;
         let coca = CocaConfig::for_model(ModelId::ResNet101);
-        let spec = RunSpec {
-            rounds: 2,
-            frames: 60,
-        };
+        let cfg = DriveConfig::new(2, 60);
         let seeds: Vec<u64> = (0..6).collect();
         let parallel = parallel_sweep(seeds.clone(), |s| {
             let mut sc = sc.clone();
             sc.seed = 400 + s;
-            run_coca(&sc, coca, spec)
+            run_coca(&sc, coca, &cfg)
         });
-        let serial: Vec<MethodReport> = seeds
+        let serial: Vec<EngineReport> = seeds
             .iter()
             .map(|&s| {
                 let mut sc = sc.clone();
                 sc.seed = 400 + s;
-                run_coca(&sc, coca, spec)
+                run_coca(&sc, coca, &cfg)
             })
             .collect();
         for (p, q) in parallel.iter().zip(&serial) {

@@ -5,6 +5,7 @@
 
 use std::path::PathBuf;
 
+use coca_core::engine::EngineReport;
 use coca_core::spec::{ScenarioEvent, ScenarioSpec};
 use coca_core::CocaConfig;
 use coca_metrics::table::fmt_f;
@@ -104,17 +105,14 @@ pub fn run_spec_experiment(name: &str, title: &str, spec: &ScenarioSpec, coca: C
 /// asserts the cross-method digest invariant, printing nothing. Directory
 /// sweeps fan these out over `parallel_sweep` and render sequentially so
 /// per-spec tables never interleave.
-pub fn compute_spec_reports(
-    spec: &ScenarioSpec,
-    coca: CocaConfig,
-) -> Vec<coca_baselines::MethodReport> {
+pub fn compute_spec_reports(spec: &ScenarioSpec, coca: CocaConfig) -> Vec<EngineReport> {
     let reports = run_all_methods_spec(spec, coca);
     let digest = reports[0].frame_digest;
     for r in &reports {
         assert_eq!(
             r.frame_digest, digest,
             "{} consumed a different frame stream — fairness violated",
-            r.name
+            r.method
         );
     }
     reports
@@ -126,7 +124,7 @@ pub fn render_spec_experiment(
     name: &str,
     title: &str,
     spec: &ScenarioSpec,
-    reports: &[coca_baselines::MethodReport],
+    reports: &[EngineReport],
 ) {
     println!("{title}");
     println!("{}", timeline_summary(spec));
@@ -150,7 +148,7 @@ pub fn render_spec_experiment(
     );
     for r in reports {
         overall.row(&[
-            r.name.clone(),
+            r.method.clone(),
             r.frames.to_string(),
             fmt_f(r.mean_latency_ms, 2),
             fmt_f(r.latency.p95_ms().unwrap_or(0.0), 2),
@@ -158,7 +156,7 @@ pub fn render_spec_experiment(
             fmt_f(r.hit_ratio, 3),
         ]);
         record.push_row(&[
-            ("method", json!(r.name)),
+            ("method", json!(r.method)),
             ("frames", json!(r.frames)),
             ("latency_ms", json!(r.mean_latency_ms)),
             ("accuracy_pct", json!(r.accuracy_pct)),
@@ -187,8 +185,8 @@ pub fn render_spec_experiment(
     let mut lat_table = Table::new(format!("{name} — windowed mean latency (ms)"), &headers_ref);
     for r in reports {
         let grouped = group_windows(r.windowed.windows(), stride);
-        let mut hit_row = vec![r.name.clone()];
-        let mut lat_row = vec![r.name.clone()];
+        let mut hit_row = vec![r.method.clone()];
+        let mut lat_row = vec![r.method.clone()];
         for g in &grouped {
             hit_row.push(if g.frames == 0 {
                 "-".into()
@@ -207,7 +205,7 @@ pub fn render_spec_experiment(
         lat_table.row(&lat_row);
         for (i, w) in r.windowed.windows().iter().enumerate() {
             record.push_row(&[
-                ("method", json!(r.name)),
+                ("method", json!(r.method)),
                 ("window", json!(i)),
                 ("window_start_ms", json!(i as f64 * window_ms)),
                 ("frames", json!(w.frames)),

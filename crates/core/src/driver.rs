@@ -128,7 +128,8 @@ pub trait MethodDriver {
     /// End-of-round upload (client → server).
     type Upload: WireSize;
 
-    /// Method name as printed in tables.
+    /// Method name as printed in tables; [`drive_plan`] copies it into
+    /// [`EngineReport::method`].
     fn name(&self) -> &str;
 
     /// Client `k`'s round-start cache request; `None` for methods with no
@@ -931,6 +932,7 @@ pub fn drive_plan<D: MethodDriver>(
     // merge over per-client summaries (and available even when the plan
     // keeps no per-client state).
     EngineReport {
+        method: driver.name().to_string(),
         frames: exec.latency.count(),
         mean_latency_ms: exec.latency.mean_ms(),
         accuracy_pct: exec.fleet_acc.accuracy_pct(),

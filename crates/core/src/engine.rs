@@ -213,7 +213,7 @@ impl EngineConfig {
     pub fn new(coca: CocaConfig) -> Self {
         // Network/boot defaults come from DriveConfig (which in turn reads
         // the shared-testbed constants from coca-net) so CoCa and the
-        // baseline runners share a single source of truth.
+        // baseline drivers share a single source of truth.
         let shared = DriveConfig::new(10, coca.round_frames);
         Self {
             coca,
@@ -238,6 +238,9 @@ impl EngineConfig {
 /// Aggregated outcome of one engine run.
 #[derive(Debug, Clone)]
 pub struct EngineReport {
+    /// Row name of the method that ran, from [`MethodDriver::name`]
+    /// (`"CoCa"`, `"Edge-Only"`, `"LRU"`, …).
+    pub method: String,
     /// Frames processed across all clients.
     pub frames: u64,
     /// Mean end-to-end inference latency (ms).

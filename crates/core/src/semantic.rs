@@ -215,11 +215,6 @@ impl LocalCache {
         &self.layers
     }
 
-    /// Mutable access (used by replacement-policy baselines).
-    pub fn layers_mut(&mut self) -> &mut [CacheLayer] {
-        &mut self.layers
-    }
-
     /// Number of activated layers.
     pub fn num_layers(&self) -> usize {
         self.layers.len()

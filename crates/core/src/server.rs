@@ -23,7 +23,7 @@ use crate::persist::{
     snapshot_frame, Durability, PersistError, RecoveryInfo, Snapshot, WalRecord, WalRef,
 };
 use crate::proto::{CacheAllocation, CacheRequest, PeerDelta, PeerDeltaEntry, UpdateUpload};
-use crate::semantic::{CacheLayer, LocalCache};
+use crate::semantic::LocalCache;
 use crate::status::ClientStatus;
 
 /// Samples per class used to seed the global cache from the shared dataset.
@@ -758,17 +758,6 @@ impl CocaServer {
     /// global table (motivation experiments and baselines).
     pub fn cache_for(&self, layers: &[usize], classes: &[usize]) -> LocalCache {
         self.global.extract(layers, classes)
-    }
-
-    /// A single fully-populated layer (replacement-policy baselines).
-    pub fn layer_snapshot(&self, point: usize, classes: &[usize]) -> CacheLayer {
-        let mut l = CacheLayer::new(point);
-        for &c in classes {
-            if let Some(v) = self.global.get(c, point) {
-                l.insert(c, v.to_vec());
-            }
-        }
-        l
     }
 }
 

@@ -10,8 +10,8 @@
 //! cargo run --release --example driver_assist
 //! ```
 
-use coca::baselines::smtm::run_smtm;
-use coca::baselines::{run_edge_only, SmtmConfig};
+use coca::baselines::{run_edge_only, SmtmConfig, SmtmDriver};
+use coca::core::driver::{drive, DriveConfig};
 use coca::prelude::*;
 
 fn main() {
@@ -28,7 +28,8 @@ fn main() {
     let edge = run_edge_only(&scenario, rounds, frames);
 
     let scenario = Scenario::build(sc.clone());
-    let smtm = run_smtm(&scenario, &SmtmConfig::from_coca(&coca_cfg), rounds, frames);
+    let mut driver = SmtmDriver::new(&scenario, SmtmConfig::from_coca(&coca_cfg));
+    let smtm = drive(&scenario, &mut driver, &DriveConfig::new(rounds, frames));
 
     let mut engine_cfg = EngineConfig::new(coca_cfg);
     engine_cfg.rounds = rounds;
@@ -46,18 +47,16 @@ fn main() {
     );
     let base_lat = edge.mean_latency_ms;
     let base_acc = edge.accuracy_pct;
-    let mut push = |name: &str, lat: f64, acc: f64| {
+    for r in [&edge, &smtm, &coca] {
+        let (lat, acc) = (r.mean_latency_ms, r.accuracy_pct);
         table.row(&[
-            name.into(),
+            r.method.clone(),
             format!("{lat:.2}"),
             format!("{:.1}", (1.0 - lat / base_lat) * 100.0),
             format!("{acc:.2}"),
             format!("{:.2}", base_acc - acc),
         ]);
-    };
-    push("Edge-Only", edge.mean_latency_ms, edge.accuracy_pct);
-    push("SMTM", smtm.mean_latency_ms, smtm.accuracy_pct);
-    push("CoCa", coca.mean_latency_ms, coca.accuracy_pct);
+    }
     print!("{}", table.render());
 
     let reduction = (1.0 - coca.mean_latency_ms / base_lat) * 100.0;

@@ -2,7 +2,8 @@
 //! timelines must preserve the cross-method fairness digest, never
 //! deadlock the server FIFO, and survive a JSON round trip bit-for-bit.
 
-use coca::baselines::{run_edge_only_plan, run_foggycache_plan, FoggyCacheConfig};
+use coca::baselines::{EdgeOnlyDriver, FoggyCacheConfig, FoggyCacheDriver};
+use coca::core::driver::drive_plan;
 use coca::core::spec::PopularityShift;
 use coca::core::{DrivePlan, ScenarioSpec};
 use coca::net::LinkModel;
@@ -75,9 +76,9 @@ proptest! {
         prop_assert!(spec.validate().is_ok());
 
         let (s1, p1) = spec.materialize();
-        let edge = run_edge_only_plan(&s1, &p1);
+        let edge = drive_plan(&s1, &mut EdgeOnlyDriver::new(&s1), &p1);
         let (s2, p2) = spec.materialize();
-        let foggy = run_foggycache_plan(&s2, &FoggyCacheConfig::default(), &p2);
+        let foggy = drive_plan(&s2, &mut FoggyCacheDriver::new(&s2, FoggyCacheConfig::default()), &p2);
         let (s3, p3) = spec.materialize();
         let mut coca_cfg = CocaConfig::for_model(ModelId::ResNet101);
         coca_cfg.round_frames = FRAMES;
@@ -113,7 +114,8 @@ proptest! {
             .leave(2, leave_b)
             .join(join_at, join_rounds);
         let (scenario, plan) = spec.materialize();
-        let report = run_foggycache_plan(&scenario, &FoggyCacheConfig::default(), &plan);
+        let mut driver = FoggyCacheDriver::new(&scenario, FoggyCacheConfig::default());
+        let report = drive_plan(&scenario, &mut driver, &plan);
         // Termination itself is the deadlock-freedom proof; the counts
         // prove the drain was exact (no frame lost, none double-run).
         prop_assert_eq!(report.frames, plan.total_frames());
@@ -143,8 +145,8 @@ proptest! {
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
         let (s1, p1) = spec.materialize();
         let (s2, p2) = reloaded.materialize();
-        let a = run_edge_only_plan(&s1, &p1);
-        let b = run_edge_only_plan(&s2, &p2);
+        let a = drive_plan(&s1, &mut EdgeOnlyDriver::new(&s1), &p1);
+        let b = drive_plan(&s2, &mut EdgeOnlyDriver::new(&s2), &p2);
         prop_assert_eq!(a.frame_digest, b.frame_digest);
         prop_assert_eq!(a.frames, b.frames);
         prop_assert_eq!(a.mean_latency_ms.to_bits(), b.mean_latency_ms.to_bits());
