@@ -19,10 +19,17 @@
 //!    frames);
 //! 2. prices request uplink, server FIFO queueing, driver-reported service
 //!    time and allocation downlink, then **installs** the allocation;
-//! 3. feeds `frames_per_round` frames through [`MethodDriver::process_frame`].
-//!    A frame may pause on a **server query** (FoggyCache's remote lookup):
+//! 3. offers the driver the round's `frames_per_round` frames through one
+//!    [`MethodDriver::process_frames`] call and folds each frame's outcome
+//!    into the metrics in frame order. By default the driver runs
+//!    [`MethodDriver::process_frame`] on one frame at a time, and a frame
+//!    may pause there on a **server query** (FoggyCache's remote lookup):
 //!    the engine turns it into a real request/response event pair — uplink,
-//!    queue wait, service, downlink — and resumes the frame on delivery;
+//!    queue wait, service, downlink — and resumes the frame on delivery. A
+//!    driver whose frames never pause may compute the round's frames in
+//!    any order, on any number of threads — CoCa's runs their pure phase
+//!    on every core (see [`crate::client::CocaClient`]) — as long as the
+//!    outcomes come back in frame order;
 //! 4. collects an optional end-of-round **upload** whose server-side merge
 //!    cost is attributed to the uploading client's summary.
 //!
@@ -151,6 +158,27 @@ pub trait MethodDriver {
 
     /// Processes the next frame on client `k`.
     fn process_frame(&mut self, k: usize, frame: &Frame) -> FrameStep<Self::Query>;
+
+    /// Processes client `k`'s next frames: `frames` draws the rest of its
+    /// round from its stream, and every frame drawn goes to `step`, with
+    /// its outcome, in frame order. `step` returns `false` when the frame
+    /// paused on a server query; no further frame may be drawn then. The
+    /// default runs [`MethodDriver::process_frame`] on one frame at a
+    /// time. A driver whose frames never pause may draw them all first and
+    /// compute them in any order, so long as the steps arrive in order.
+    fn process_frames(
+        &mut self,
+        k: usize,
+        frames: impl Iterator<Item = Frame>,
+        mut step: impl FnMut(&Frame, FrameStep<Self::Query>) -> bool,
+    ) {
+        for frame in frames {
+            let outcome = self.process_frame(k, &frame);
+            if !step(&frame, outcome) {
+                return;
+            }
+        }
+    }
 
     /// Server handling of a mid-frame query: the reply plus the server
     /// compute charged to the FIFO queue.
@@ -520,20 +548,8 @@ struct ClientState {
     pending: Option<Box<(Frame, SimDuration)>>,
 }
 
-struct Exec<D: MethodDriver> {
-    plan: DrivePlan,
-    streams: Vec<StreamGenerator>,
-    events: EventQueue<Ev<D>>,
-    /// One FIFO per server cell (index = cell id; single-server plans
-    /// have exactly one).
-    queues: Vec<ServerQueue>,
-    /// Current cell of each client (starts at the topology assignment,
-    /// updated by migrations at round boundaries).
-    cell: Vec<usize>,
-    /// Members still running rounds — peer-sync ticks stop rescheduling
-    /// once this hits zero, letting the event queue drain.
-    active: usize,
-    st: Vec<ClientState>,
+/// The per-frame and per-client metrics a run folds its outcomes into.
+struct Recorders {
     /// One per client, or a single fleet aggregate when
     /// [`DrivePlan::per_client`] is off.
     summaries: Vec<RunSummary>,
@@ -542,37 +558,12 @@ struct Exec<D: MethodDriver> {
     fleet_hits: coca_metrics::HitRecorder,
     fleet_acc: coca_metrics::AccuracyRecorder,
     latency: LatencyRecorder,
-    response_latency: LatencyRecorder,
     windowed: WindowedSummary,
-    digest: u64,
-    end_time: SimTime,
 }
 
-impl<D: MethodDriver> Exec<D> {
-    /// Client `k`'s client↔cell transfer time at instant `t`: the cell's
-    /// link override when its current cell has one, else the client's own
-    /// link schedule — the float path of a topology-less plan, so one-cell
-    /// plans with no override stay bit-identical to it.
-    #[inline]
-    fn xfer(&self, k: usize, t: SimTime, bytes: usize) -> SimDuration {
-        match self.plan.topology.cell_links[self.cell[k]] {
-            Some(link) => link.transfer_time(bytes),
-            None => self.plan.links[k].transfer_time(t, bytes),
-        }
-    }
-
-    /// Index of client `k`'s summary slot (0 when aggregating fleet-wide).
-    #[inline]
-    fn sum_idx(&self, k: usize) -> usize {
-        if self.plan.per_client {
-            k
-        } else {
-            0
-        }
-    }
-
-    fn record_frame(&mut self, k: usize, total: SimDuration, o: &FrameOutcome, done_at: SimTime) {
-        let idx = self.sum_idx(k);
+impl Recorders {
+    /// Folds one finished frame into summary slot `idx` and the fleet.
+    fn record_frame(&mut self, idx: usize, total: SimDuration, o: &FrameOutcome, done_at: SimTime) {
         let s = &mut self.summaries[idx];
         s.latency.record(total);
         s.accuracy.record(o.correct);
@@ -593,6 +584,50 @@ impl<D: MethodDriver> Exec<D> {
             o.hit_point.is_some(),
         );
     }
+}
+
+/// Client `k`'s client↔cell transfer time at instant `t`: the cell's link
+/// override when its current cell has one, else the client's own link
+/// schedule — the float path of a topology-less plan, so one-cell plans
+/// with no override stay bit-identical to it.
+#[inline]
+fn xfer(plan: &DrivePlan, cell: &[usize], k: usize, t: SimTime, bytes: usize) -> SimDuration {
+    match plan.topology.cell_links[cell[k]] {
+        Some(link) => link.transfer_time(bytes),
+        None => plan.links[k].transfer_time(t, bytes),
+    }
+}
+
+struct Exec<D: MethodDriver> {
+    plan: DrivePlan,
+    streams: Vec<StreamGenerator>,
+    events: EventQueue<Ev<D>>,
+    /// One FIFO per server cell (index = cell id; single-server plans
+    /// have exactly one).
+    queues: Vec<ServerQueue>,
+    /// Current cell of each client (starts at the topology assignment,
+    /// updated by migrations at round boundaries).
+    cell: Vec<usize>,
+    /// Members still running rounds — peer-sync ticks stop rescheduling
+    /// once this hits zero, letting the event queue drain.
+    active: usize,
+    st: Vec<ClientState>,
+    rec: Recorders,
+    response_latency: LatencyRecorder,
+    digest: u64,
+    end_time: SimTime,
+}
+
+impl<D: MethodDriver> Exec<D> {
+    /// Index of client `k`'s summary slot (0 when aggregating fleet-wide).
+    #[inline]
+    fn sum_idx(&self, k: usize) -> usize {
+        if self.plan.per_client {
+            k
+        } else {
+            0
+        }
+    }
 
     /// Runs client `k`'s frames synchronously in virtual time starting at
     /// `t`, until the round pauses on a server query or the client's
@@ -611,7 +646,7 @@ impl<D: MethodDriver> Exec<D> {
                 // the old cell.
                 let mut free_at = t;
                 if let Some(upload) = driver.end_round(k) {
-                    free_at = t + self.xfer(k, t, upload.wire_bytes());
+                    free_at = t + xfer(&self.plan, &self.cell, k, t, upload.wire_bytes());
                     self.events.schedule(
                         free_at,
                         Ev::Upload {
@@ -647,7 +682,7 @@ impl<D: MethodDriver> Exec<D> {
                 t = free_at;
                 if let Some(req) = driver.cache_request(k) {
                     self.events.schedule(
-                        t + self.xfer(k, t, req.wire_bytes()),
+                        t + xfer(&self.plan, &self.cell, k, t, req.wire_bytes()),
                         Ev::Request {
                             k,
                             cell: self.cell[k],
@@ -660,29 +695,54 @@ impl<D: MethodDriver> Exec<D> {
                 }
                 continue;
             }
-            let frame = self.streams[k].next_frame();
-            self.digest ^= frame_digest(k, &frame);
-            match driver.process_frame(k, &frame) {
+            // The rest of the round goes to the driver in one call; the
+            // frames' outcomes come back in frame order.
+            let idx = self.sum_idx(k);
+            let left = f - self.st[k].frames_done;
+            let Exec {
+                plan,
+                streams,
+                events,
+                cell,
+                st,
+                rec,
+                digest,
+                end_time,
+                ..
+            } = self;
+            let stream = &mut streams[k];
+            let frames = (0..left).map(|_| {
+                let frame = stream.next_frame();
+                *digest ^= frame_digest(k, &frame);
+                frame
+            });
+            let mut paused = false;
+            driver.process_frames(k, frames, |frame, step| match step {
                 FrameStep::Done(o) => {
-                    self.record_frame(k, o.compute, &o, t + o.compute);
+                    rec.record_frame(idx, o.compute, &o, t + o.compute);
                     t += o.compute;
-                    self.st[k].frames_done += 1;
+                    st[k].frames_done += 1;
+                    true
                 }
                 FrameStep::NeedServer { elapsed, query } => {
                     t += elapsed;
-                    self.st[k].pending = Some(Box::new((frame, elapsed)));
-                    self.events.schedule(
-                        t + self.xfer(k, t, query.wire_bytes()),
+                    st[k].pending = Some(Box::new((*frame, elapsed)));
+                    events.schedule(
+                        t + xfer(plan, cell, k, t, query.wire_bytes()),
                         Ev::Query {
                             k,
-                            cell: self.cell[k],
+                            cell: cell[k],
                             sent: t,
                             query,
                         },
                     );
-                    self.end_time = self.end_time.max(t);
-                    return;
+                    *end_time = (*end_time).max(t);
+                    paused = true;
+                    false
                 }
+            });
+            if paused {
+                return;
             }
         }
     }
@@ -693,7 +753,7 @@ impl<D: MethodDriver> Exec<D> {
         match driver.cache_request(k) {
             Some(req) => {
                 self.events.schedule(
-                    now + self.xfer(k, now, req.wire_bytes()),
+                    now + xfer(&self.plan, &self.cell, k, now, req.wire_bytes()),
                     Ev::Request {
                         k,
                         cell: self.cell[k],
@@ -768,12 +828,14 @@ pub fn drive_plan<D: MethodDriver>(
                 pending: None,
             })
             .collect(),
-        summaries: (0..summary_slots).map(|_| RunSummary::new(l)).collect(),
-        fleet_hits: coca_metrics::HitRecorder::new(l),
-        fleet_acc: coca_metrics::AccuracyRecorder::new(),
-        latency: LatencyRecorder::new(),
+        rec: Recorders {
+            summaries: (0..summary_slots).map(|_| RunSummary::new(l)).collect(),
+            fleet_hits: coca_metrics::HitRecorder::new(l),
+            fleet_acc: coca_metrics::AccuracyRecorder::new(),
+            latency: LatencyRecorder::new(),
+            windowed: WindowedSummary::new(plan.metrics_window_ms),
+        },
         response_latency: LatencyRecorder::new(),
-        windowed: WindowedSummary::new(plan.metrics_window_ms),
         digest: 0,
         end_time: SimTime::ZERO,
     };
@@ -793,7 +855,7 @@ pub fn drive_plan<D: MethodDriver>(
                     SimTime::from_millis_f64(rng.gen_range(0.0..plan.boot_window_ms.max(1e-9)));
                 match driver.cache_request(k) {
                     Some(req) => exec.events.schedule(
-                        at + exec.xfer(k, at, req.wire_bytes()),
+                        at + xfer(&exec.plan, &exec.cell, k, at, req.wire_bytes()),
                         Ev::Request {
                             k,
                             cell: exec.cell[k],
@@ -832,7 +894,7 @@ pub fn drive_plan<D: MethodDriver>(
                 let (alloc, service) = driver.serve_request_at(cell, k, req);
                 let done = exec.queues[cell].serve(now, service);
                 exec.events.schedule(
-                    done.finish + exec.xfer(k, done.finish, alloc.wire_bytes()),
+                    done.finish + xfer(&exec.plan, &exec.cell, k, done.finish, alloc.wire_bytes()),
                     Ev::Deliver { k, sent, alloc },
                 );
             }
@@ -850,7 +912,7 @@ pub fn drive_plan<D: MethodDriver>(
                 let (reply, service) = driver.serve_query_at(cell, k, query);
                 let done = exec.queues[cell].serve(now, service);
                 exec.events.schedule(
-                    done.finish + exec.xfer(k, done.finish, reply.wire_bytes()),
+                    done.finish + xfer(&exec.plan, &exec.cell, k, done.finish, reply.wire_bytes()),
                     Ev::Reply { k, sent, reply },
                 );
             }
@@ -863,7 +925,9 @@ pub fn drive_plan<D: MethodDriver>(
                 elapsed += now.saturating_since(sent);
                 match driver.resume_frame(k, &frame, reply) {
                     FrameStep::Done(o) => {
-                        exec.record_frame(k, elapsed + o.compute, &o, now + o.compute);
+                        let idx = exec.sum_idx(k);
+                        exec.rec
+                            .record_frame(idx, elapsed + o.compute, &o, now + o.compute);
                         exec.st[k].frames_done += 1;
                         exec.run_frames(driver, k, now + o.compute);
                     }
@@ -874,7 +938,7 @@ pub fn drive_plan<D: MethodDriver>(
                         let t = now + more;
                         exec.st[k].pending = Some(Box::new((frame, elapsed + more)));
                         exec.events.schedule(
-                            t + exec.xfer(k, t, query.wire_bytes()),
+                            t + xfer(&exec.plan, &exec.cell, k, t, query.wire_bytes()),
                             Ev::Query {
                                 k,
                                 cell: exec.cell[k],
@@ -891,7 +955,7 @@ pub fn drive_plan<D: MethodDriver>(
                 // Attribute the upload's queue sojourn (wait + merge
                 // compute) to the uploading client's summary.
                 let s = exec.sum_idx(k);
-                exec.summaries[s].upload.record(svc.sojourn_since(now));
+                exec.rec.summaries[s].upload.record(svc.sojourn_since(now));
             }
             Ev::SyncFire { seq } => {
                 if exec.active > 0 {
@@ -931,16 +995,17 @@ pub fn drive_plan<D: MethodDriver>(
     // recorders — integer counts, bit-identical to the former end-of-run
     // merge over per-client summaries (and available even when the plan
     // keeps no per-client state).
+    let rec = exec.rec;
     EngineReport {
         method: driver.name().to_string(),
-        frames: exec.latency.count(),
-        mean_latency_ms: exec.latency.mean_ms(),
-        accuracy_pct: exec.fleet_acc.accuracy_pct(),
-        hit_ratio: exec.fleet_hits.hit_ratio(),
-        latency: exec.latency,
+        frames: rec.latency.count(),
+        mean_latency_ms: rec.latency.mean_ms(),
+        accuracy_pct: rec.fleet_acc.accuracy_pct(),
+        hit_ratio: rec.fleet_hits.hit_ratio(),
+        latency: rec.latency,
         response_latency: exec.response_latency,
-        windowed: exec.windowed,
-        per_client: exec.summaries,
+        windowed: rec.windowed,
+        per_client: rec.summaries,
         absorb: crate::client::AbsorbStats::default(),
         frame_digest: exec.digest,
         end_time: exec.end_time,

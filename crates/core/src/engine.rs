@@ -37,7 +37,7 @@ use coca_net::{LinkModel, WireSize};
 use coca_sim::{SeedTree, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::client::{AbsorbStats, CocaClient};
+use crate::client::{AbsorbStats, CocaClient, FramePool};
 use crate::config::CocaConfig;
 use crate::driver::{
     drive_plan, DriveConfig, DrivePlan, FrameOutcome, FrameStep, MethodDriver, NoMsg, SyncEmit,
@@ -281,10 +281,11 @@ struct CocaDriver<'a> {
     rt: &'a ModelRuntime,
     servers: &'a mut [CocaServer],
     clients: &'a mut [CocaClient],
-    /// One pooled lookup buffer for the whole fleet: frames execute
-    /// sequentially in virtual time, so per-client scratch would be
-    /// O(fleet) memory for no benefit.
-    scratch: crate::lookup::LookupScratch,
+    /// One set of per-thread frame workers for the whole fleet: a client's
+    /// round runs on all of them, and rounds run one after another.
+    pool: FramePool,
+    /// The frames of the round in flight.
+    round: Vec<Frame>,
     /// Current home cell of each client — the driver's mirror of the
     /// event loop's routing state, needed because the leave hook is not
     /// cell-qualified.
@@ -356,12 +357,34 @@ impl MethodDriver for CocaDriver<'_> {
     }
 
     fn process_frame(&mut self, k: usize, frame: &Frame) -> FrameStep<NoMsg> {
-        let res = self.clients[k].process_frame(self.rt, frame, &mut self.scratch);
+        let res = self.clients[k].process_frame(self.rt, frame, self.pool.scratch());
         FrameStep::Done(FrameOutcome {
             compute: res.latency,
             correct: res.correct,
             hit_point: res.hit_point,
         })
+    }
+
+    fn process_frames(
+        &mut self,
+        k: usize,
+        frames: impl Iterator<Item = Frame>,
+        mut step: impl FnMut(&Frame, FrameStep<NoMsg>) -> bool,
+    ) {
+        // CoCa frames never pause: draw the whole round, then run it on
+        // every worker, outcomes in frame order.
+        self.round.clear();
+        self.round.extend(frames);
+        let round = &self.round;
+        self.clients[k].process_frames(self.rt, round, &mut self.pool, |frame, pass| {
+            let outcome = FrameOutcome {
+                compute: pass.latency,
+                correct: pass.correct,
+                hit_point: pass.hit_point,
+            };
+            let more = step(frame, FrameStep::Done(outcome));
+            debug_assert!(more, "a finished frame cannot pause");
+        });
     }
 
     fn end_round(&mut self, k: usize) -> Option<UpdateUpload> {
@@ -570,10 +593,26 @@ impl Engine {
     /// entry point (joins, leaves, link changes, and the topology:
     /// assignment, cell links, sync schedule, migrations).
     ///
+    /// Each client round's frames run their pure phase on one thread per
+    /// available core ([`std::thread::available_parallelism`], which
+    /// honours the CPU affinity mask) and their apply phase in frame order
+    /// on the calling thread (`CocaClient::process_frames`): the report
+    /// is the same bits on any number of cores. Threads are spawned per
+    /// round, never while the engine is built.
+    ///
     /// # Panics
     /// Panics if the plan's topology names a different cell count than
-    /// this engine was built with.
+    /// this engine was built with, and resumes any panic of a round's
+    /// threads once all of them have stopped.
     pub fn run_plan(&mut self, plan: &DrivePlan) -> EngineReport {
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.run_plan_on(plan, workers)
+    }
+
+    /// [`Engine::run_plan`] with the pure phase of every round on `workers`
+    /// threads (the calling thread one of them) instead of one per
+    /// available core. The report is the same at every count.
+    pub(crate) fn run_plan_on(&mut self, plan: &DrivePlan, workers: usize) -> EngineReport {
         assert_eq!(
             plan.topology.cells,
             self.servers.len(),
@@ -586,7 +625,8 @@ impl Engine {
             rt: &self.scenario.rt,
             servers: &mut self.servers,
             clients: &mut self.clients,
-            scratch: crate::lookup::LookupScratch::new(),
+            pool: FramePool::new(workers),
+            round: Vec::new(),
             cell,
             sync_mode: plan.topology.sync_mode,
             payloads: BTreeMap::new(),
@@ -768,5 +808,121 @@ mod tests {
         // own-origin Φ mass beyond what its two round-robin residents and
         // the sync stream explain — at minimum the row exists.
         assert!(multi.servers()[1].merge_provenance().contains_key(&1));
+    }
+
+    /// Everything a run reports — every float in its shortest round-trip
+    /// form, so two equal renderings mean equal bits — plus each cell's
+    /// final table digest.
+    fn outcome(engine: &mut Engine, plan: &DrivePlan, workers: usize) -> (String, Vec<u64>) {
+        let report = engine.run_plan_on(plan, workers);
+        let digests = engine
+            .servers()
+            .iter()
+            .map(|s| s.global().digest())
+            .collect();
+        (format!("{report:?}"), digests)
+    }
+
+    /// Runs the world `build` makes at 1, 2 and 3 workers and asserts the
+    /// three outcomes are identical.
+    fn assert_same_at_every_worker_count(build: impl Fn() -> (Engine, DrivePlan)) {
+        let run = |workers| {
+            let (mut engine, plan) = build();
+            outcome(&mut engine, &plan, workers)
+        };
+        let one = run(1);
+        assert!(one.0.contains("frame_digest"));
+        for workers in [2, 3] {
+            assert!(run(workers) == one, "{workers} workers differ from one");
+        }
+    }
+
+    #[test]
+    fn engine_sim_world_is_the_same_at_every_worker_count() {
+        // The benchmark's world (ResNet101, UCF101-50, 4 clients, seed
+        // 4600) at 6 rounds of 300 frames.
+        assert_same_at_every_worker_count(|| {
+            let mut cfg = ScenarioConfig::new(ModelId::ResNet101, DatasetSpec::ucf101().subset(50));
+            cfg.num_clients = 4;
+            cfg.seed = 4600;
+            let mut e = EngineConfig::new(CocaConfig::for_model(ModelId::ResNet101));
+            e.rounds = 6;
+            let engine = Engine::new(Scenario::build(cfg), e);
+            let plan = DrivePlan::from_config(&engine.config().drive_config(), 4);
+            (engine, plan)
+        });
+    }
+
+    #[test]
+    fn churn_spec_is_the_same_at_every_worker_count() {
+        // Joins, leaves and migrations: rounds of members start and stop
+        // between the parallel rounds of the others.
+        let json = include_str!("../../../results/specs/churn.json");
+        let spec = ScenarioSpec::from_json(json).expect("churn spec parses");
+        assert_same_at_every_worker_count(|| {
+            let (scenario, plan) = spec.materialize();
+            let mut coca = CocaConfig::for_model(spec.scenario.model);
+            coca.round_frames = spec.frames_per_round;
+            let cells = plan.topology.cells;
+            (
+                Engine::with_cells(scenario, EngineConfig::new(coca), cells),
+                plan,
+            )
+        });
+    }
+
+    #[test]
+    fn three_cells_are_the_same_at_every_worker_count() {
+        assert_same_at_every_worker_count(|| {
+            let s = spec(84)
+                .topology(TopologySpec::uniform(3, 4).with_sync(400.0, SyncMode::HubAndSpoke))
+                .migrate(1, 1, 2);
+            let (scenario, plan) = s.materialize();
+            (Engine::with_cells(scenario, engine_cfg(3), 3), plan)
+        });
+    }
+
+    #[test]
+    fn a_panicking_frame_worker_ends_the_run() {
+        // The caches the servers allocate were built for ResNet101; the
+        // clients' frames are synthesized by an AST runtime, whose vectors
+        // disagree with every cached layer in dimension: the lookup of the
+        // first frame panics, on whichever thread runs its pure phase.
+        for workers in [1, 2, 3] {
+            assert!(crate::ordered::panics_within_a_minute(move || {
+                let mut engine = Engine::new(small_scenario(91), engine_cfg(2));
+                let mut cfg = small_cfg(91);
+                cfg.model = ModelId::AstBase;
+                engine.scenario = Scenario::build(cfg);
+                let plan = DrivePlan::from_config(&engine.config().drive_config(), 4);
+                engine.run_plan_on(&plan, workers);
+            }));
+        }
+    }
+
+    #[test]
+    fn a_panicking_apply_phase_ends_the_run() {
+        // Each client's update table already holds ResNet50-sized rows
+        // (frames processed on a foreign runtime): the first Eq. 3 absorb
+        // into one of those cells panics on the applying thread, while the
+        // other threads' pure phases run on.
+        for workers in [1, 2, 3] {
+            assert!(crate::ordered::panics_within_a_minute(move || {
+                let mut engine = Engine::new(small_scenario(92), engine_cfg(2));
+                let foreign = Scenario::build({
+                    let mut cfg = small_cfg(92);
+                    cfg.model = ModelId::ResNet50;
+                    cfg
+                });
+                let mut scratch = crate::lookup::LookupScratch::new();
+                for (k, client) in engine.clients.iter_mut().enumerate() {
+                    for frame in foreign.stream(k).take(120) {
+                        client.process_frame(&foreign.rt, &frame, &mut scratch);
+                    }
+                }
+                let plan = DrivePlan::from_config(&engine.config().drive_config(), 4);
+                engine.run_plan_on(&plan, workers);
+            }));
+        }
     }
 }

@@ -54,6 +54,7 @@ pub mod driver;
 pub mod engine;
 pub mod global;
 pub mod lookup;
+mod ordered;
 pub mod persist;
 pub mod proto;
 pub mod semantic;

@@ -27,13 +27,16 @@ use coca_model::{ClientFeatureView, ClientProfile, ModelRuntime, Prediction};
 use crate::config::CocaConfig;
 use crate::semantic::LocalCache;
 
-/// Per-client reusable lookup state: the Eq. 1 accumulator scratch that
-/// the seed implementation allocated fresh on every frame (`acc`/
-/// `acc_set`, two O(classes) vectors per frame). One lives next to each
-/// [`ClientFeatureView`]; `infer_with_cache` epochs it per frame.
+/// Reusable per-thread lookup state: the Eq. 1 accumulator scratch
+/// (`infer_with_cache` epochs it per frame) and the buffer a client's
+/// frame collects its absorbed vectors in. Frames on one thread never
+/// overlap, so one scratch serves any number of clients: a serial caller
+/// pools one for its fleet, and a parallel CoCa round gives each of its
+/// threads one.
 #[derive(Debug, Default)]
 pub struct LookupScratch {
     score: ScoreScratch,
+    pub(crate) absorbed: Vec<f32>,
 }
 
 impl LookupScratch {

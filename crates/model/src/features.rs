@@ -341,13 +341,14 @@ impl FeatureUniverse {
 
     /// The client-drifted offset h' for `(layer, class)` — the direction a
     /// client's data for that class actually points along.
-    fn drifted_offset(&self, layer: usize, class: usize, client: &ClientProfile) -> Vec<f32> {
-        let mut h = self.offsets[layer][class].clone();
+    /// Written over `h`, whose length is the layer's dimension.
+    fn drifted_offset(&self, layer: usize, class: usize, client: &ClientProfile, h: &mut [f32]) {
+        h.copy_from_slice(&self.offsets[layer][class]);
         if client.drift_mag > 0.0 {
             let shared = &self.ctx_drift[layer][class];
             let shared_w = client.drift_mag * client.drift_shared_frac;
             let indiv_w = client.drift_mag * (1.0 - client.drift_shared_frac);
-            axpy(shared_w, shared, &mut h);
+            axpy(shared_w, shared, h);
             if indiv_w > 0.0 {
                 let mut indiv_rng = client
                     .seed
@@ -355,10 +356,9 @@ impl FeatureUniverse {
                     .child_idx("drift-layer", layer as u64)
                     .rng();
                 let indiv = random_unit(&mut indiv_rng, h.len());
-                axpy(indiv_w, &indiv, &mut h);
+                axpy(indiv_w, &indiv, h);
             }
         }
-        h
     }
 
     /// The effective (client-drifted) center a client's data is generated
@@ -366,7 +366,8 @@ impl FeatureUniverse {
     /// updates chase (Fig. 2).
     pub fn drifted_center(&self, layer: usize, class: usize, client: &ClientProfile) -> Vec<f32> {
         let p = self.points[layer];
-        let h = self.drifted_offset(layer, class, client);
+        let mut h = vec![0.0; p.dim];
+        self.drifted_offset(layer, class, client, &mut h);
         let mut center = self.common[layer].clone();
         axpy(p.separation, &h, &mut center);
         l2_normalize(&mut center);
@@ -384,9 +385,23 @@ impl FeatureUniverse {
         layer: usize,
         view: &mut ClientFeatureView,
     ) -> Vec<f32> {
+        let mut v = Vec::with_capacity(self.points[layer].dim);
+        self.semantic_vector_into(frame, client, layer, view, &mut v);
+        v
+    }
+
+    /// [`Self::semantic_vector`], appended to `out` instead of returned.
+    pub fn semantic_vector_into(
+        &self,
+        frame: &Frame,
+        client: &ClientProfile,
+        layer: usize,
+        view: &mut ClientFeatureView,
+        out: &mut Vec<f32>,
+    ) {
         let p = self.points[layer];
         let dim = p.dim;
-        view.fit(self.points.len(), self.num_classes);
+        view.fit(self);
 
         // Class-signal strength: frame visibility × depth profile.
         let sig = self.signal_strength(layer, frame.difficulty);
@@ -402,17 +417,25 @@ impl FeatureUniverse {
         let m_layer = (m - self.cfg.ambiguity_relief * p.disambiguation).clamp(0.0, 1.0);
 
         // φ = (1−m)·h'_t + m·h'_c over drifted offsets (memoized).
-        let slot = |class: usize| layer * self.num_classes + class;
+        // A client without drift sees the universe's own offsets: there is
+        // nothing to memoize.
+        let offsets = &*view.offsets;
+        let offset = |class: usize| {
+            if client.drift_mag > 0.0 {
+                offsets.get_or_fill(layer, class, |h| {
+                    self.drifted_offset(layer, class, client, h)
+                })
+            } else {
+                &self.offsets[layer][class][..]
+            }
+        };
         let phi = &mut view.phi;
         phi.clear();
-        let h_true = view.offsets[slot(frame.class)]
-            .get_or_insert_with(|| self.drifted_offset(layer, frame.class, client));
+        let h_true = offset(frame.class);
         if m_layer > 1e-4 {
             phi.resize(dim, 0.0);
             axpy(1.0 - m_layer, h_true, phi);
-            let h_conf = view.offsets[slot(confuser)]
-                .get_or_insert_with(|| self.drifted_offset(layer, confuser, client));
-            axpy(m_layer, h_conf, phi);
+            axpy(m_layer, offset(confuser), phi);
         } else {
             phi.extend_from_slice(h_true);
         }
@@ -452,14 +475,15 @@ impl FeatureUniverse {
 
         // v = C + s·(sig·φ + noise) — noise lives inside the separation
         // scale so signal-to-noise depends on depth only through κ.
-        let mut v = self.common[layer].clone();
+        let start = out.len();
+        out.extend_from_slice(&self.common[layer]);
+        let v = &mut out[start..];
         let parts = phi.iter().zip(run_noise).zip(frame_noise.iter());
         for (x, ((&phi_i, &run_i), &frame_i)) in v.iter_mut().zip(parts) {
             let noise = rw * run_i + (1.0 - rw) * frame_i;
             *x += p.separation * (sig * phi_i + noise_mag * noise);
         }
-        l2_normalize(&mut v);
-        v
+        l2_normalize(v);
     }
 
     /// The class-structured lean of the entity identified by `seed` (a run

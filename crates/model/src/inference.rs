@@ -120,6 +120,23 @@ impl ModelRuntime {
         self.universe.semantic_vector(frame, client, j, view)
     }
 
+    /// [`Self::semantic_vector`], appended to `out` instead of returned.
+    ///
+    /// # Panics
+    /// Panics if `j` is not a preset cache point.
+    pub fn semantic_vector_into(
+        &self,
+        frame: &Frame,
+        client: &ClientProfile,
+        j: usize,
+        view: &mut ClientFeatureView,
+        out: &mut Vec<f32>,
+    ) {
+        assert!(j < self.num_cache_points(), "cache point {j} out of range");
+        self.universe
+            .semantic_vector_into(frame, client, j, view, out)
+    }
+
     /// Runs the full model on `frame` and returns its prediction.
     ///
     /// Deterministic per (frame, client): repeated calls agree, so cache

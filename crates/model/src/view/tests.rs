@@ -1,6 +1,7 @@
 use super::*;
 use crate::features::{FeatureConfig, FeatureUniverse};
 use crate::zoo;
+use crate::ModelRuntime;
 use coca_data::distribution::uniform_weights;
 use coca_data::{Frame, StreamConfig, StreamGenerator};
 
@@ -24,10 +25,9 @@ fn drifted_center_computes_once() {
     // later vector of that class at that layer reads the same buffer.
     let (uni, client, frames) = fixture();
     let mut view = ClientFeatureView::new();
-    let slot = LAYER * uni.num_classes() + frames[0].class;
     let memoized = |view: &ClientFeatureView| {
-        view.offsets[slot]
-            .as_ref()
+        view.offsets
+            .get(LAYER, frames[0].class)
             .expect("filled on first use")
             .as_ptr()
     };
@@ -37,12 +37,89 @@ fn drifted_center_computes_once() {
         uni.semantic_vector(f, &client, LAYER, &mut view);
     }
     assert_eq!(memoized(&view), first);
-    let classes = uni.num_classes();
-    assert!(view
+    let layers = uni.head_layer() + 1;
+    assert!((0..layers)
+        .filter(|&l| l != LAYER)
+        .all(|l| (0..uni.num_classes()).all(|c| view.offsets.get(l, c).is_none())));
+}
+
+#[test]
+fn shared_offsets_fill_once_for_every_view() {
+    // A view that shares another's offsets fills the owner's memo and
+    // reads what the owner filled; its vectors equal a private view's.
+    let seeds = SeedTree::new(3);
+    let dataset = coca_data::DatasetSpec::ucf101().subset(10);
+    let rt = ModelRuntime::new(crate::ModelId::ResNet50, &dataset, &seeds);
+    let (_, client, frames) = fixture();
+    let (mut owner, mut worker) = (ClientFeatureView::new(), ClientFeatureView::new());
+    worker.share_offsets(&mut owner, &rt);
+    let v = rt.semantic_vector(&frames[0], &client, LAYER, &mut worker);
+    let filled = owner
         .offsets
-        .iter()
-        .enumerate()
-        .all(|(i, h)| h.is_none() || i / classes == LAYER));
+        .get(LAYER, frames[0].class)
+        .map(<[f32]>::as_ptr);
+    assert!(filled.is_some(), "the worker filled the owner's memo");
+    assert_eq!(
+        v,
+        rt.semantic_vector(&frames[0], &client, LAYER, &mut ClientFeatureView::new())
+    );
+    let _ = rt.semantic_vector(&frames[0], &client, LAYER, &mut owner);
+    assert_eq!(
+        owner
+            .offsets
+            .get(LAYER, frames[0].class)
+            .map(<[f32]>::as_ptr),
+        filled
+    );
+}
+
+#[test]
+fn warm_view_on_a_transposed_shape_equals_a_fresh_view() {
+    // ResNet101 at 18 classes and ResNet50 at 35 classes both hold 630
+    // offsets (35 × 18 and 18 × 35). A view warmed on the first must not
+    // serve its offsets or run noise to the second.
+    let seeds = SeedTree::new(9);
+    let warm_rt = ModelRuntime::new(
+        crate::ModelId::ResNet101,
+        &coca_data::DatasetSpec::ucf101().subset(18),
+        &seeds,
+    );
+    let rt = ModelRuntime::new(
+        crate::ModelId::ResNet50,
+        &coca_data::DatasetSpec::ucf101().subset(35),
+        &seeds,
+    );
+    let layers = |rt: &ModelRuntime| rt.universe().head_layer() + 1;
+    assert_eq!((layers(&warm_rt), layers(&rt)), (35, 18));
+    let client = ClientProfile::new(2, 0.4, 0.5, &seeds);
+    let stream = |classes: usize| {
+        StreamGenerator::new(
+            StreamConfig::new(uniform_weights(classes), 8.0),
+            &SeedTree::new(10),
+        )
+        .take(40)
+    };
+    let mut view = ClientFeatureView::new();
+    for f in &stream(18) {
+        for point in 0..warm_rt.num_cache_points() {
+            warm_rt.semantic_vector(f, &client, point, &mut view);
+        }
+        warm_rt.classify(f, &client, &mut view);
+    }
+    let mut fresh = ClientFeatureView::new();
+    for f in &stream(35) {
+        for point in 0..rt.num_cache_points() {
+            let warm = rt.semantic_vector(f, &client, point, &mut view);
+            let cold = rt.semantic_vector(f, &client, point, &mut fresh);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&warm), bits(&cold), "point {point}");
+        }
+        let (a, b) = (
+            rt.classify(f, &client, &mut view),
+            rt.classify(f, &client, &mut fresh),
+        );
+        assert_eq!((a.class, a.margin.to_bits()), (b.class, b.margin.to_bits()));
+    }
 }
 
 #[test]
