@@ -14,11 +14,10 @@
 //!   baselines (a committed key that is missing fails too), on a cost
 //!   over its absolute ns budget (the fused kernel at d = 256 / 64
 //!   entries, the fleet-scale batched merge, the five `persist_*` costs),
-//!   or — with `--features simd` dispatch active — a
-//!   `simd_kernel_speedup` geomean below 1.5× (guard band under the
-//!   committed ≥2×). The ns gates are host-relative: baselines are
-//!   regenerated on the machine that commits them, with the `simd`
-//!   feature on.
+//!   or — with AVX2 dispatch active — a `simd_kernel_speedup` geomean
+//!   below 1.5× (guard band under the committed ≥2×). The ns gates are
+//!   host-relative: baselines are regenerated on the machine that commits
+//!   them.
 
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -129,7 +128,7 @@ fn enforce_no_regression(label: &str, current_ns: f64, committed_ns: Option<f64>
         panic!(
             "{label}: {current_ns:.1} ns regressed {ratio:.2}x over the committed \
              {committed:.1} ns baseline (limit {MAX_REGRESSION}x) — \
-             investigate or regenerate with `cargo bench -p coca-bench --features simd`"
+             investigate or regenerate with `cargo bench -p coca-bench`"
         );
     }
 }
@@ -256,12 +255,11 @@ fn bench_lookup_kernels(_c: &mut Criterion) {
     // per-entry scan that recomputes norms (~300 ns/entry) cannot.
     enforce_budget("score_top2_fused_d256_n64", headline_ns, 62.0);
 
-    // --- Scalar-kernel vs dispatched-kernel rows (the `simd` cargo
-    // feature). `matrix::scalar::*` are the canonical 8-lane kernels
-    // every dispatcher falls back to; the root fns route to the AVX2
-    // bodies when built with `--features simd` on an AVX2 host and to
-    // the same scalar bodies otherwise (both columns then measure one
-    // code path and the ratio reads ~1.0x). The scalar column is itself
+    // --- Scalar-kernel vs dispatched-kernel rows. `matrix::scalar::*`
+    // are the canonical 8-lane kernels every dispatcher falls back to;
+    // the root fns route to the AVX2 bodies on an x86_64 host with AVX2
+    // and to the same scalar bodies otherwise (both columns then measure
+    // one code path and the ratio reads ~1.0x). The scalar column is itself
     // auto-vectorized by LLVM against the x86-64 SSE2 baseline, so an
     // active ratio is honest AVX2-over-SSE, not AVX2-over-naive.
     let simd_active = coca_math::simd_active();
@@ -420,15 +418,15 @@ fn bench_lookup_kernels(_c: &mut Criterion) {
     let json = format!(
         "{{\n  \"bench\": \"lookup_kernels\",\n  \"description\": \"per-entry Eq. 1/2 scoring \
          cost of the fused score_top2 over a contiguous VectorStore with reusable scratch; the \
-         simd block compares the canonical scalar kernels against the runtime-dispatched AVX2 bodies \
-         (--features simd)\",\n  \
+         simd block compares the canonical scalar kernels against the runtime-dispatched AVX2 \
+         bodies\",\n  \
          \"unit\": \"ns_per_entry\",\n  \"points\": [\n{}\n  ],\n  \
          \"simd\": {{\n    \"active\": {simd_active},\n    \"dim\": {SIMD_DIM},\n    \
          \"entries\": {SIMD_ENTRIES},\n    \"simd_kernel_speedup\": {simd_kernel_speedup:.2},\n    \
          \"note\": \"single-core container; the scalar column is the canonical 8-lane kernel, \
          auto-vectorized by LLVM to SSE, so active speedups are AVX2-over-SSE\",\n    \
          \"kernels\": [\n{}\n    ]\n  }},\n  \
-         \"regenerate\": \"cargo bench -p coca-bench --features simd\"\n}}\n",
+         \"regenerate\": \"cargo bench -p coca-bench\"\n}}\n",
         points_json.join(",\n"),
         kernels_json.join(",\n")
     );
@@ -773,7 +771,7 @@ fn bench_server_tables(_c: &mut Criterion) {
          \"persist_wal_replay_ns_per_record\": {wal_replay_ns:.0},\n    \
          \"persist_table_digest_ns\": {digest_ns:.0}\n  }},\n  \
          \"points\": [\n{}\n  ],\n  \
-         \"regenerate\": \"cargo bench -p coca-bench --features simd\"\n}}\n",
+         \"regenerate\": \"cargo bench -p coca-bench\"\n}}\n",
         points_json.join(",\n")
     );
     match std::fs::write(baseline_path("BENCH_server.json"), json) {
@@ -1071,7 +1069,7 @@ fn bench_engine_overhead(c: &mut Criterion) {
          \"clients\": {fleet_clients},\n    \"rounds\": {fleet_rounds},\n    \
          \"frames_per_round\": {fleet_frames},\n    \
          \"per_event_ns\": {fleet_per_event_ns:.1}\n  }},\n  \
-         \"regenerate\": \"cargo bench -p coca-bench --features simd\"\n}}\n"
+         \"regenerate\": \"cargo bench -p coca-bench\"\n}}\n"
     );
     let path = baseline_path("BENCH_engine.json");
     match std::fs::write(&path, json) {

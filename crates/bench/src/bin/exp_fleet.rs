@@ -272,7 +272,7 @@ fn main() {
     println!(
         "(the queue's batched merge is bit-identical to merging each upload \
          on arrival — proptested in tests/proptest_global.rs and \
-         tests/proptest_merge_modes.rs)"
+         tests/proptest_upload_queue.rs)"
     );
 
     // ---- Engine-scale sweep: drive_plan itself at fleet sizes the paper

@@ -77,15 +77,6 @@ impl AbsorbStats {
     }
 }
 
-/// End-of-round report handed to the engine.
-#[derive(Debug, Clone)]
-pub struct ClientReport {
-    /// The upload for the server.
-    pub upload: UpdateUpload,
-    /// Virtual time the round's frames consumed.
-    pub round_time: coca_sim::SimDuration,
-}
-
 /// What the pure phase of a frame reads: the client's configuration,
 /// drift profile and installed cache — fixed for the length of a round.
 #[derive(Debug)]

@@ -63,7 +63,7 @@ pub mod spec;
 pub mod status;
 
 pub use aca::{allocate, AcaInputs, AcaOutput};
-pub use client::{ClientReport, CocaClient};
+pub use client::CocaClient;
 pub use config::{CocaConfig, MergeMode};
 pub use driver::{
     drive, drive_plan, DriveConfig, DrivePlan, FrameOutcome, FrameStep, MemberPlan, MethodDriver,

@@ -91,8 +91,6 @@ use std::fmt;
 use std::fs::File;
 use std::io::{self, BufReader, Cursor, Read, Write as _};
 use std::path::PathBuf;
-#[cfg(target_arch = "x86_64")]
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use coca_net::wire::{decode_seq, encode_seq, put_u32};
 use coca_net::{FrameError, Reader, Wire};
@@ -125,8 +123,7 @@ pub const WAL_PREV: &str = "wal.prev";
 // through carry-less multiplies (PCLMULQDQ, probed once at runtime), and
 // slice-by-8 — eight table lookups per eight bytes — takes short inputs,
 // the folded kernel's sub-16-byte tail, and CPUs without the instruction.
-// A CRC is integer-exact: every path returns the same value, so nothing
-// here depends on the `simd` cargo feature.
+// A CRC is integer-exact: every path returns the same value.
 // ---------------------------------------------------------------------------
 
 const CRC_TABLES: [[u32; 256]; 8] = {
@@ -168,9 +165,9 @@ const CLMUL_MIN_LEN: usize = 128;
 /// CRC-32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
-    if bytes.len() >= CLMUL_MIN_LEN && clmul_enabled() {
+    if bytes.len() >= CLMUL_MIN_LEN && CLMUL.enabled() {
         let folded = bytes.len() & !15;
-        // SAFETY: `clmul_enabled` just verified PCLMULQDQ and SSE4.1 on
+        // SAFETY: the `CLMUL` probe just verified PCLMULQDQ and SSE4.1 on
         // the running CPU, the kernel's only requirement.
         let state = unsafe { clmul::fold(!0, &bytes[..folded]) };
         return !slice_by_8(state, &bytes[folded..]);
@@ -200,27 +197,13 @@ fn slice_by_8(mut crc: u32, bytes: &[u8]) -> u32 {
     crc
 }
 
-/// Cached runtime PCLMULQDQ + SSE4.1 probe: 0 = unknown, 1 = absent,
-/// 2 = present.
-#[cfg(target_arch = "x86_64")]
-static CLMUL_STATE: AtomicU8 = AtomicU8::new(0);
-
 /// True iff the running CPU has PCLMULQDQ and SSE4.1 (probed once, then
 /// cached).
 #[cfg(target_arch = "x86_64")]
-#[inline]
-fn clmul_enabled() -> bool {
-    match CLMUL_STATE.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => {
-            let yes = std::arch::is_x86_feature_detected!("pclmulqdq")
-                && std::arch::is_x86_feature_detected!("sse4.1");
-            CLMUL_STATE.store(if yes { 2 } else { 1 }, Ordering::Relaxed);
-            yes
-        }
-    }
-}
+static CLMUL: coca_math::cpu::Probe = coca_math::cpu::Probe::new(|| {
+    std::arch::is_x86_feature_detected!("pclmulqdq")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+});
 
 /// The fold-by-4 CRC kernel of Gopal et al., "Fast CRC Computation for
 /// Generic Polynomials Using PCLMULQDQ Instruction" (Intel, 2009), with

@@ -2,7 +2,7 @@
 //! aligned.
 //!
 //! [`crate::store::VectorStore`] keeps its flat row-major buffer in one of
-//! these so the AVX2 kernels behind the `simd` feature can use aligned
+//! these so the AVX2 kernels of `crate::simd` can use aligned
 //! 256-bit loads on the main loop (rows whose byte offset is a multiple of
 //! 32 — any row when `dim % 8 == 0`). Alignment never changes results:
 //! the kernels fall back to unaligned loads per call, bit-identically —

@@ -1,11 +1,11 @@
-//! The cached runtime CPU-feature probe behind every x86_64 dispatch in
-//! this crate: the `simd` kernels' AVX2 test and the four-lane
-//! Box–Muller's AVX2 + FMA test.
+//! The cached runtime CPU-feature probe behind every x86_64 dispatch of
+//! the workspace: the [`crate::simd`] kernels' AVX2 test, the four-lane
+//! Box–Muller's AVX2 + FMA test and `coca-core`'s PCLMULQDQ CRC test.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// A CPU-feature test run once, then cached.
-pub(crate) struct Probe {
+pub struct Probe {
     /// 0 = unknown, 1 = absent, 2 = present.
     state: AtomicU8,
     detect: fn() -> bool,
@@ -13,7 +13,7 @@ pub(crate) struct Probe {
 
 impl Probe {
     /// A probe that runs `detect` on first use.
-    pub(crate) const fn new(detect: fn() -> bool) -> Self {
+    pub const fn new(detect: fn() -> bool) -> Self {
         Self {
             state: AtomicU8::new(0),
             detect,
@@ -22,7 +22,7 @@ impl Probe {
 
     /// True iff the running CPU has the probed features.
     #[inline]
-    pub(crate) fn enabled(&self) -> bool {
+    pub fn enabled(&self) -> bool {
         match self.state.load(Ordering::Relaxed) {
             2 => true,
             1 => false,

@@ -14,16 +14,12 @@
 //! * [`quant`] — [`QuantizedStore`] (i8 per-row scale / IEEE binary16)
 //!   for the wire and global-table representation; dequantize-on-read
 //!   into the f32 kernels.
-//! * `simd` (feature `simd`) — explicit AVX2 kernel twins with runtime
-//!   dispatch, bit-identical to the scalar path. They are bit-identical by
-//!   repeating the scalar kernels' operation sequence, so the scalar
-//!   twins stay the default and the reference. Two AVX2-class paths live
-//!   outside the feature, on every x86_64 build behind a cached runtime
-//!   probe, because neither needs a scalar twin for identity:
-//!   [`vector::fill_random_unit`]'s four-lane Box–Muller (AVX2 + FMA),
-//!   whose every output passes a rounding test at the f32 it returns or is
-//!   recomputed by the scalar expression, and `coca-core`'s PCLMULQDQ
-//!   CRC-32, which is integer-exact.
+//! * `simd` (x86_64) — explicit AVX2 kernel twins, bit-identical to the
+//!   scalar path because they repeat its operation sequence; the scalar
+//!   twins stay the reference and the path of every other CPU and target.
+//! * `cpu` (x86_64) — the cached runtime CPU-feature probe that picks every
+//!   x86_64 fast path: the AVX2 kernels, [`vector::fill_random_unit`]'s
+//!   four-lane Box–Muller (AVX2 + FMA) and `coca-core`'s PCLMULQDQ CRC-32.
 //! * [`mask`] — [`OccupancyBitmap`] (packed per-slot presence bits over a
 //!   dense store) and the bitmap-backed [`SlotMap`]: the occupancy layer
 //!   of the columnar server-side tables.
@@ -39,12 +35,12 @@
 pub mod aligned;
 pub mod cluster;
 #[cfg(target_arch = "x86_64")]
-mod cpu;
+pub mod cpu;
 pub mod mask;
 pub mod matrix;
 pub mod pca;
 pub mod quant;
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 pub mod simd;
 pub mod softmax;
 pub mod stats;

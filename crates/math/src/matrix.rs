@@ -21,16 +21,15 @@
 pub const UNROLL: usize = 8;
 
 /// True iff the dispatched kernels currently run the explicit AVX2 path
-/// (the `simd` feature is compiled in *and* the CPU supports AVX2).
-/// Either way the outputs are bit-identical; this only reports which
-/// implementation executes.
+/// (an x86_64 build on a CPU with AVX2). Either way the outputs are
+/// bit-identical; this only reports which implementation executes.
 #[inline]
 pub fn simd_active() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         crate::simd::avx2_enabled()
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }
@@ -42,7 +41,7 @@ pub fn simd_active() -> bool {
 /// [`scalar`] module directly to compare.
 macro_rules! dispatch {
     ($scalar:path, $avx2:path, $($arg:expr),* $(,)?) => {{
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         if crate::simd::avx2_enabled() {
             // SAFETY: `avx2_enabled()` just verified the CPU feature.
             return unsafe { $avx2($($arg),*) };

@@ -1,5 +1,5 @@
-//! Explicit AVX2 implementations of the fused kernels, behind the `simd`
-//! cargo feature with runtime dispatch.
+//! Explicit AVX2 implementations of the fused kernels, compiled on every
+//! x86_64 build and dispatched by a cached runtime probe.
 //!
 //! ## Bit-identity contract
 //!
@@ -51,7 +51,6 @@ pub fn avx2_enabled() -> bool {
 /// Every function requires AVX2 at runtime — callers must check
 /// [`avx2_enabled`] (the dispatchers in `matrix.rs` do).
 pub mod avx2 {
-    #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
 
     use crate::matrix::{ScoreScratch, Top2, UNROLL};

@@ -19,7 +19,7 @@ use crate::matrix::{self, ScoreScratch, Top2};
 /// Contiguous row-major storage of equal-dimension f32 vectors.
 ///
 /// The buffer is 32-byte aligned ([`AlignedF32`]) so the AVX2 kernels
-/// behind the `simd` feature take aligned loads whenever `dim % 8 == 0`;
+/// (x86_64, `crate::simd`) take aligned loads whenever `dim % 8 == 0`;
 /// alignment is invisible to results.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct VectorStore {

@@ -1,10 +1,8 @@
 //! Box–Muller on four f64 lanes (AVX2 + FMA), bit-identical to the scalar
 //! [`super::box_muller`] through a rounding test at the `f32` it returns.
 //!
-//! Compiled on every x86_64 build, whatever the `simd` feature says: the
-//! benchmark and the `exp_*` binaries run the default build. Dispatch is
-//! one cached `avx2 && fma` probe; CPUs without them, and other targets,
-//! run the scalar block.
+//! Compiled on every x86_64 build. Dispatch is one cached `avx2 && fma`
+//! probe; CPUs without them, and other targets, run the scalar block.
 //!
 //! ## What a lane computes
 //!

@@ -3,9 +3,8 @@
 //! The contract `cocad` ships under: driven with one operation in
 //! flight at a time, the networked daemon finishes with the **same
 //! global-table digest** as an in-process `CocaServer` fed the
-//! identical sequence. The whole suite also
-//! runs under `--features simd` in CI, so the digest must not move under
-//! the AVX2 kernels either.
+//! identical sequence. On an AVX2 host the server merges with the AVX2
+//! kernels, so the digest must not move under them either.
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};

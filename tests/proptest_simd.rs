@@ -1,14 +1,13 @@
-//! Property tests pinning the dispatched kernels (AVX2 when built with
-//! `--features simd` on an AVX2 host, scalar otherwise) **bit-identical**
-//! to the always-compiled scalar 8-lane path, and pinning the i8/f16
-//! quantize→dequantize round-trip error bounds.
+//! Property tests pinning the dispatched kernels (AVX2 on an x86_64 host
+//! with AVX2, scalar otherwise) **bit-identical** to the always-compiled
+//! scalar 8-lane path, and pinning the i8/f16 quantize→dequantize
+//! round-trip error bounds.
 //!
 //! Bit-identity — not tolerance — is the contract: the committed
-//! churn/drift/scenario records must regenerate byte-identical with SIMD
-//! enabled. Run under both `cargo test` and `cargo test --features simd`;
-//! with the feature off the comparison is trivially true, with it on it
-//! exercises the AVX2 twins (odd dims, tail-only inputs, unaligned
-//! sub-slices, empty layers).
+//! churn/drift/scenario records regenerate byte-identical whichever path
+//! the CPU probe picks. On an AVX2 host these tests exercise the AVX2
+//! twins (odd dims, tail-only inputs, unaligned sub-slices, empty layers);
+//! `simd_dispatch_reports_expected_path` fails if that dispatch is lost.
 
 use coca::math::matrix::{self, scalar};
 use coca::math::quant::{f16_bits_to_f32, f32_to_f16_bits, i8_row_scale};
@@ -213,18 +212,18 @@ proptest! {
     }
 }
 
-/// The dispatch layer reports which path runs; with `--features simd` on
-/// an AVX2 host the SIMD path must actually be active, otherwise the
-/// parity tests above would silently compare scalar to scalar.
+/// The dispatch layer reports which path runs; on an AVX2 host the SIMD
+/// path must actually be active, otherwise the parity tests above would
+/// silently compare scalar to scalar.
 #[test]
 fn simd_dispatch_reports_expected_path() {
     let active = coca::math::simd_active();
-    if cfg!(feature = "simd") && std::arch::is_x86_feature_detected!("avx2") {
-        assert!(
-            active,
-            "simd feature built on an AVX2 host must dispatch AVX2"
-        );
-    } else {
-        assert!(!active);
-    }
+    #[cfg(target_arch = "x86_64")]
+    assert_eq!(
+        active,
+        std::arch::is_x86_feature_detected!("avx2"),
+        "an x86_64 build must dispatch AVX2 exactly when the CPU has it"
+    );
+    #[cfg(not(target_arch = "x86_64"))]
+    assert!(!active);
 }
