@@ -9,17 +9,18 @@
 //! * **Hot-spot classes are chosen locally** from the client's own
 //!   frequency × recency score (the same 0.95-mass rule CoCa borrows from
 //!   SMTM), with no global frequency information.
-//! * **Centroids update locally** (same rule-1/rule-2 absorption as CoCa,
-//!   same thresholds, but into a private table; no cross-client sharing,
-//!   so non-IID feature drift is only ever corrected from the client's own
-//!   samples).
+//! * **Centroids stay at their profiled values.** No client shares its
+//!   samples, and a local update loop under long self-labelled runs can
+//!   destabilize (wrong hits reinforce wrong centroids with no
+//!   cross-client dilution), so only the hot-spot set adapts — SMTM's
+//!   published behaviour on stream data. Non-IID feature drift is never
+//!   corrected.
 //!
 //! As a [`MethodDriver`] SMTM is degenerate on the network: no allocation
 //! phase, no server queries, no uploads — everything resolves on-device.
 //! Hot-spot refresh runs at the shared round boundary inside
 //! [`MethodDriver::end_round`].
 
-use coca_core::collect::{absorb_rule, AbsorbRule, UpdateTable};
 use coca_core::driver::{FrameOutcome, FrameStep, MethodDriver, NoMsg};
 use coca_core::engine::Scenario;
 use coca_core::global::GlobalCacheTable;
@@ -35,14 +36,8 @@ use serde::{Deserialize, Serialize};
 /// SMTM driver configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct SmtmConfig {
-    /// Hit / collection thresholds (shared with CoCa for fairness).
+    /// Hit threshold (shared with CoCa for fairness).
     pub theta: f32,
-    /// Rule-1 reinforcement threshold.
-    pub gamma_collect: f32,
-    /// Rule-2 expansion threshold.
-    pub delta_collect: f32,
-    /// Update-table decay β.
-    pub beta: f32,
     /// Hot-spot selection period in frames (SMTM "frequently assesses the
     /// importance of each class"; reuse the round length).
     pub refresh_frames: usize,
@@ -50,13 +45,6 @@ pub struct SmtmConfig {
     pub hotspot_mass: f64,
     /// Recency decay base.
     pub recency_base: f64,
-    /// Whether centroids update from the client's own (self-labelled)
-    /// stream. Defaults to false: under long self-labelled runs the local
-    /// update loop can destabilize (wrong hits reinforce wrong centroids
-    /// with no cross-client dilution); the stable configuration keeps the
-    /// profiled centroids and only adapts the hot-spot set, which matches
-    /// SMTM's published behaviour on stream data.
-    pub local_updates: bool,
 }
 
 impl SmtmConfig {
@@ -65,9 +53,6 @@ impl SmtmConfig {
     pub fn from_coca(cfg: &CocaConfig) -> Self {
         Self {
             theta: cfg.theta,
-            gamma_collect: cfg.gamma_collect,
-            delta_collect: cfg.delta_collect,
-            beta: cfg.beta,
             refresh_frames: cfg.round_frames,
             hotspot_mass: cfg.hotspot_mass,
             // SMTM weighs total frequency much more heavily than recency:
@@ -75,25 +60,22 @@ impl SmtmConfig {
             // exactly why its lookups get expensive when many classes are
             // active (the paper's §VI.E critique of SMTM).
             recency_base: 0.85,
-            local_updates: false,
         }
     }
 }
 
-/// One SMTM client: a private centroid table + local status.
+/// One SMTM client: its local status and the hot-spot cache it built from
+/// the seeded centroids.
 struct SmtmClient {
-    /// Private copy of the seeded centroid table, updated locally.
-    table: GlobalCacheTable,
     status: ClientStatus,
     /// Cumulative (all-time) class frequencies for the importance score.
     total_freq: Vec<u64>,
-    update: UpdateTable,
     cache: LocalCache,
     view: ClientFeatureView,
 }
 
 impl SmtmClient {
-    fn refresh_cache(&mut self, cfg: &SmtmConfig) {
+    fn refresh_cache(&mut self, table: &GlobalCacheTable, cfg: &SmtmConfig) {
         // Local importance score: total frequency × recency decay, exactly
         // the structure SMTM describes (and CoCa's Eq. 10 inherits).
         let scores: Vec<f64> = self
@@ -123,40 +105,23 @@ impl SmtmClient {
             hot
         };
         // All preset layers, hot classes only.
-        let layers: Vec<usize> = (0..self.table.num_layers()).collect();
-        self.cache = self.table.extract(&layers, &classes);
-    }
-
-    /// Merges this round's locally collected vectors into the private
-    /// table. SMTM entries are running class centroids, so the new
-    /// evidence blends into the existing center instead of replacing it —
-    /// a single noisy round must not overwrite a stable centroid.
-    fn apply_updates(&mut self) {
-        const BLEND: f32 = 0.3;
-        let collected = self.update.take();
-        for (class, layer, v) in collected.iter() {
-            match self.table.get(class, layer) {
-                Some(old) => {
-                    let mut merged = old.to_vec();
-                    coca_math::vector::scale(1.0 - BLEND, &mut merged);
-                    coca_math::vector::axpy(BLEND, v, &mut merged);
-                    self.table.set(class, layer, merged);
-                }
-                None => self.table.set(class, layer, v.to_vec()),
-            }
-        }
+        let layers: Vec<usize> = (0..table.num_layers()).collect();
+        self.cache = table.extract(&layers, &classes);
     }
 }
 
 /// The SMTM method driver. SMTM is strictly per-client, so churn needs
-/// no shared-state handling: a joiner's private table is freshly seeded
-/// at boot, and a leaver takes its table with it.
+/// no shared-state handling: a joiner builds its hot-spot cache from the
+/// seeded centroids, and a leaver takes its status with it.
 pub struct SmtmDriver<'s> {
     scenario: &'s Scenario,
     cfg: SmtmConfig,
     /// The lookup path reuses CoCa's Eq. 1/2 implementation via a
-    /// CocaConfig carrying SMTM's thresholds.
+    /// CocaConfig carrying SMTM's threshold.
     lookup_cfg: CocaConfig,
+    /// The seeded centroid table every client's cache is extracted from;
+    /// no client ever writes it.
+    table: GlobalCacheTable,
     clients: Vec<SmtmClient>,
     /// Pooled lookup buffer shared by all clients (frames are sequential).
     scratch: coca_core::LookupScratch,
@@ -168,20 +133,16 @@ impl<'s> SmtmDriver<'s> {
         let rt = &scenario.rt;
         let mut lookup_cfg = CocaConfig::for_model(rt.arch().id);
         lookup_cfg.theta = cfg.theta;
-        lookup_cfg.gamma_collect = cfg.gamma_collect;
-        lookup_cfg.delta_collect = cfg.delta_collect;
-        lookup_cfg.beta = cfg.beta;
+        let table = seed_global_table(rt, scenario.seeds());
         let clients: Vec<SmtmClient> = (0..scenario.profiles.len())
             .map(|_| {
                 let mut c = SmtmClient {
-                    table: seed_global_table(rt, scenario.seeds()),
                     status: ClientStatus::new(rt.num_classes()),
                     total_freq: vec![0; rt.num_classes()],
-                    update: UpdateTable::new(),
                     cache: LocalCache::empty(),
                     view: ClientFeatureView::new(),
                 };
-                c.refresh_cache(&cfg);
+                c.refresh_cache(&table, &cfg);
                 c
             })
             .collect();
@@ -189,6 +150,7 @@ impl<'s> SmtmDriver<'s> {
             scenario,
             cfg,
             lookup_cfg,
+            table,
             clients,
             scratch: coca_core::LookupScratch::new(),
         }
@@ -207,11 +169,9 @@ impl MethodDriver for SmtmDriver<'_> {
     }
 
     fn process_frame(&mut self, k: usize, frame: &Frame) -> FrameStep<NoMsg> {
-        let rt = &self.scenario.rt;
-        let cfg = &self.cfg;
         let client = &mut self.clients[k];
         let res = infer_with_cache(
-            rt,
+            &self.scenario.rt,
             &self.scenario.profiles[k],
             frame,
             &client.cache,
@@ -221,28 +181,6 @@ impl MethodDriver for SmtmDriver<'_> {
         );
         client.status.observe(res.predicted);
         client.total_freq[res.predicted] += 1;
-
-        let miss_margin = res.full_prediction.as_ref().map(|p| p.margin);
-        let hit_score = res.hit_point.map(|_| res.hit_score);
-        match absorb_rule(hit_score, miss_margin, cfg.gamma_collect, cfg.delta_collect) {
-            Some(AbsorbRule::Reinforce) => {
-                for (point, v) in &res.observed {
-                    client.update.absorb(res.predicted, *point, v, cfg.beta);
-                }
-            }
-            Some(AbsorbRule::Expand) => {
-                for point in 0..rt.num_cache_points() {
-                    let v = rt.semantic_vector(
-                        frame,
-                        &self.scenario.profiles[k],
-                        point,
-                        &mut client.view,
-                    );
-                    client.update.absorb(res.predicted, point, &v, cfg.beta);
-                }
-            }
-            None => {}
-        }
         FrameStep::Done(FrameOutcome {
             compute: res.latency,
             correct: res.correct,
@@ -252,12 +190,7 @@ impl MethodDriver for SmtmDriver<'_> {
 
     fn end_round(&mut self, k: usize) -> Option<NoMsg> {
         let client = &mut self.clients[k];
-        if self.cfg.local_updates {
-            client.apply_updates();
-        } else {
-            client.update.take();
-        }
-        client.refresh_cache(&self.cfg);
+        client.refresh_cache(&self.table, &self.cfg);
         client.status.reset_round();
         None
     }

@@ -43,7 +43,7 @@ use crate::driver::{
     drive_plan, DriveConfig, DrivePlan, FrameOutcome, FrameStep, MethodDriver, NoMsg, SyncEmit,
 };
 use crate::proto::{CacheAllocation, CacheRequest, PeerDelta, UpdateUpload};
-use crate::server::{CocaServer, ServiceCostModel};
+use crate::server::CocaServer;
 use crate::spec::SyncMode;
 
 /// Everything that defines the *workload* (shared across methods).
@@ -199,8 +199,6 @@ pub struct EngineConfig {
     /// every baseline driver so cross-method numbers price the same
     /// network.
     pub link: LinkModel,
-    /// Server-side service costs.
-    pub costs: ServiceCostModel,
     /// Clients boot uniformly at random within this window.
     pub boot_window_ms: f64,
 }
@@ -219,7 +217,6 @@ impl EngineConfig {
             coca,
             rounds: shared.rounds,
             link: shared.link,
-            costs: ServiceCostModel::default(),
             boot_window_ms: shared.boot_window_ms,
         }
     }
@@ -526,7 +523,6 @@ impl Engine {
         let servers: Vec<CocaServer> = (0..cells)
             .map(|i| {
                 let mut s = CocaServer::new(&scenario.rt, cfg.coca, scenario.seeds());
-                s.set_costs(cfg.costs);
                 s.set_cell_id(i as u32);
                 s
             })

@@ -1077,7 +1077,7 @@ pub struct RecoveryInfo {
 // ---------------------------------------------------------------------------
 
 /// Owns a [`Storage`] backend and runs the snapshot/WAL state machine for
-/// one server: append, rotate, checkpoint, crash-fire, load-for-recovery.
+/// one server: append, rotate, checkpoint, crash-fire, replay for recovery.
 /// Attached to a server via
 /// [`CocaServer::attach_durability`](crate::server::CocaServer::attach_durability).
 pub struct Durability {
@@ -1291,24 +1291,6 @@ impl Durability {
             info.truncated_bytes += scan.truncated();
         }
         Ok(info)
-    }
-
-    /// [`Durability::replay`] into memory: the snapshot, every WAL record
-    /// it would apply, and what it did — for inspecting a store without
-    /// a server. Holds the whole replayable log.
-    pub fn load_for_recovery(
-        &mut self,
-    ) -> Result<(Option<Snapshot>, Vec<WalRecord>, RecoveryInfo), PersistError> {
-        let mut loaded = (None, Vec::new());
-        let info = self.replay(
-            &mut loaded,
-            |(snap, _), s| {
-                *snap = s;
-                Ok(())
-            },
-            |(_, records), rec| records.push(rec),
-        )?;
-        Ok((loaded.0, loaded.1, info))
     }
 }
 
@@ -1583,7 +1565,7 @@ mod tests {
         panicked(&mut || drop(d.storage().load(SNAP_CUR)));
         panicked(&mut || d.ensure_genesis(b"fresh"));
         // The reader opens the directory; the scan's first read fails.
-        panicked(&mut || drop(d.load_for_recovery()));
+        panicked(&mut || drop(d.replay(&mut (), |_, _| Ok(()), |_, _| {})));
         assert_eq!(listing(), before);
         std::fs::remove_dir_all(&dir).unwrap();
     }

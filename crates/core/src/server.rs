@@ -32,31 +32,18 @@ const SEED_SAMPLES_PER_CLASS: usize = 6;
 /// Frames used to profile the shared-dataset standalone hit-ratio curve.
 const PROFILE_FRAMES: usize = 600;
 
-/// Server-side service-time model (virtual milliseconds): Python-grade
-/// allocation and merge costs on the paper's edge server, proportional to
-/// the table cells touched.
-#[derive(Debug, Clone, Copy)]
-pub struct ServiceCostModel {
-    /// Fixed cost of handling a cache request (ACA + bookkeeping).
-    pub alloc_base_ms: f64,
-    /// Additional cost per kilobyte of extracted cache.
-    pub alloc_per_kb_ms: f64,
-    /// Fixed cost of merging one upload.
-    pub update_base_ms: f64,
-    /// Additional cost per kilobyte of uploaded table.
-    pub update_per_kb_ms: f64,
-}
+// Server-side service-time model (virtual milliseconds): Python-grade
+// allocation and merge costs on the paper's edge server, proportional to the
+// table cells touched.
 
-impl Default for ServiceCostModel {
-    fn default() -> Self {
-        Self {
-            alloc_base_ms: 5.0,
-            alloc_per_kb_ms: 0.012,
-            update_base_ms: 2.5,
-            update_per_kb_ms: 0.02,
-        }
-    }
-}
+/// Fixed cost of handling a cache request (ACA + bookkeeping).
+const ALLOC_BASE_MS: f64 = 5.0;
+/// Additional cost per kilobyte of extracted cache.
+const ALLOC_PER_KB_MS: f64 = 0.012;
+/// Fixed cost of merging one upload.
+const UPDATE_BASE_MS: f64 = 2.5;
+/// Additional cost per kilobyte of uploaded table.
+const UPDATE_PER_KB_MS: f64 = 0.02;
 
 /// The edge server.
 #[derive(Debug)]
@@ -72,7 +59,6 @@ pub struct CocaServer {
     /// Static allocation reused when dynamic cache allocation is disabled
     /// (the Normal/GCU ablation arms).
     static_alloc: Option<AcaOutput>,
-    costs: ServiceCostModel,
     /// Reusable merge buffers: the per-round merge phase allocates
     /// nothing once these are warm.
     scratch: MergeScratch,
@@ -228,7 +214,6 @@ impl CocaServer {
             entry_bytes,
             base_hit_profile,
             static_alloc: None,
-            costs: ServiceCostModel::default(),
             scratch: MergeScratch::new(),
             pending: Vec::new(),
             clients: BTreeMap::new(),
@@ -258,11 +243,6 @@ impl CocaServer {
     /// retirement — see the field docs on `origin_freq`.
     pub fn merge_provenance(&self) -> &BTreeMap<u32, Vec<u64>> {
         &self.origin_freq
-    }
-
-    /// Overrides the service-cost model (load experiments).
-    pub fn set_costs(&mut self, costs: ServiceCostModel) {
-        self.costs = costs;
     }
 
     /// The shared-dataset standalone hit-ratio profile — handed to newly
@@ -340,9 +320,7 @@ impl CocaServer {
         // The server's compute touches the cells it extracts, priced at
         // the precision they ship at (quantized tables move fewer bytes).
         let kb = cache.total_bytes_at(self.cfg.precision) as f64 / 1024.0;
-        let service = SimDuration::from_millis_f64(
-            self.costs.alloc_base_ms + self.costs.alloc_per_kb_ms * kb,
-        );
+        let service = SimDuration::from_millis_f64(ALLOC_BASE_MS + ALLOC_PER_KB_MS * kb);
         (
             CacheAllocation {
                 round: req.round,
@@ -379,7 +357,7 @@ impl CocaServer {
         self.note_upload(&up);
         let kb = up.table.wire_bytes_at(up.precision) as f64 / 1024.0;
         self.pending.push(up);
-        SimDuration::from_millis_f64(self.costs.update_base_ms + self.costs.update_per_kb_ms * kb)
+        SimDuration::from_millis_f64(UPDATE_BASE_MS + UPDATE_PER_KB_MS * kb)
     }
 
     /// Number of uploads queued and not yet merged.
@@ -573,7 +551,7 @@ impl CocaServer {
         for e in &delta.entries {
             self.note_provenance(e.origin, &e.frequency);
         }
-        SimDuration::from_millis_f64(self.costs.update_base_ms + self.costs.update_per_kb_ms * kb)
+        SimDuration::from_millis_f64(UPDATE_BASE_MS + UPDATE_PER_KB_MS * kb)
     }
 
     // -- durability ---------------------------------------------------------
@@ -905,11 +883,10 @@ mod tests {
         // The table has not moved yet...
         assert_eq!(server.global().frequency(), genesis.frequency());
         // ...but the cost model charged the upload on arrival.
-        let costs = ServiceCostModel::default();
         let kb = up.table.wire_bytes_at(up.precision) as f64 / 1024.0;
         assert_eq!(
             deferred_cost,
-            SimDuration::from_millis_f64(costs.update_base_ms + costs.update_per_kb_ms * kb)
+            SimDuration::from_millis_f64(UPDATE_BASE_MS + UPDATE_PER_KB_MS * kb)
         );
 
         // A request flushes before allocating.

@@ -39,44 +39,26 @@ pub struct Frame {
     pub run_seed: u64,
 }
 
-/// Difficulty mixture parameters.
-///
-/// Defaults reproduce the bimodal profile of video streams: a large easy
-/// mode (near-duplicate frames), a medium mode, and a hard tail. This
-/// bimodality is what yields the paper's Fig. 1(b) U-shaped per-layer hit
-/// profile — easy frames exit at shallow cache layers, hard frames only at
-/// deep ones.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct DifficultyModel {
-    /// Probability of an easy run.
-    pub easy_prob: f64,
-    /// Probability of a hard run (medium = remainder).
-    pub hard_prob: f64,
-    /// Difficulty range for easy runs.
-    pub easy: (f32, f32),
-    /// Difficulty range for medium runs.
-    pub medium: (f32, f32),
-    /// Difficulty range for hard runs.
-    pub hard: (f32, f32),
-    /// Multiplier applied to the first frame of a run (scene change).
-    pub run_start_factor: f32,
-    /// Multiplier applied to subsequent frames (near-duplicates).
-    pub run_follow_factor: f32,
-}
+// The difficulty mixture. It reproduces the bimodal profile of video
+// streams: a large easy mode (near-duplicate frames), a medium mode, and a
+// hard tail. This bimodality is what yields the paper's Fig. 1(b) U-shaped
+// per-layer hit profile — easy frames exit at shallow cache layers, hard
+// frames only at deep ones.
 
-impl Default for DifficultyModel {
-    fn default() -> Self {
-        Self {
-            easy_prob: 0.42,
-            hard_prob: 0.20,
-            easy: (0.40, 0.70),
-            medium: (0.90, 1.30),
-            hard: (1.60, 2.40),
-            run_start_factor: 1.35,
-            run_follow_factor: 0.72,
-        }
-    }
-}
+/// Probability of an easy run.
+const EASY_PROB: f64 = 0.42;
+/// Probability of a hard run (medium = remainder).
+const HARD_PROB: f64 = 0.20;
+/// Difficulty range for easy runs.
+const EASY: (f32, f32) = (0.40, 0.70);
+/// Difficulty range for medium runs.
+const MEDIUM: (f32, f32) = (0.90, 1.30);
+/// Difficulty range for hard runs.
+const HARD: (f32, f32) = (1.60, 2.40);
+/// Multiplier applied to the first frame of a run (scene change).
+const RUN_START_FACTOR: f32 = 1.35;
+/// Multiplier applied to subsequent frames (near-duplicates).
+const RUN_FOLLOW_FACTOR: f32 = 0.72;
 
 /// One step of a piecewise popularity schedule: from the frame with
 /// sequence number `from_seq` onward, the stream samples classes from
@@ -105,8 +87,6 @@ pub struct StreamConfig {
     pub class_weights: Vec<f64>,
     /// Mean same-class run length (≥ 1).
     pub mean_run_length: f64,
-    /// Difficulty mixture.
-    pub difficulty: DifficultyModel,
     /// If true, a new run never repeats the previous run's class (when more
     /// than one class has positive weight).
     pub forbid_immediate_repeat: bool,
@@ -127,8 +107,7 @@ pub struct StreamConfig {
 }
 
 impl StreamConfig {
-    /// A stream over `class_weights` with the given mean run length and
-    /// default difficulty mixture.
+    /// A stream over `class_weights` with the given mean run length.
     pub fn new(class_weights: Vec<f64>, mean_run_length: f64) -> Self {
         assert!(
             !class_weights.is_empty(),
@@ -138,7 +117,6 @@ impl StreamConfig {
         Self {
             class_weights,
             mean_run_length,
-            difficulty: DifficultyModel::default(),
             forbid_immediate_repeat: true,
             recurrence_prob: 0.80,
             recurrence_window: 10,
@@ -292,14 +270,13 @@ impl StreamGenerator {
         self.run_remaining = len;
         self.run_pos = 0;
         self.run_seed = self.rng.gen();
-        let d = &self.cfg.difficulty;
         let roll: f64 = self.rng.gen_range(0.0..1.0);
-        let (lo, hi) = if roll < d.easy_prob {
-            d.easy
-        } else if roll < d.easy_prob + d.hard_prob {
-            d.hard
+        let (lo, hi) = if roll < EASY_PROB {
+            EASY
+        } else if roll < EASY_PROB + HARD_PROB {
+            HARD
         } else {
-            d.medium
+            MEDIUM
         };
         self.run_difficulty = self.rng.gen_range(lo..hi);
     }
@@ -309,11 +286,10 @@ impl StreamGenerator {
         if self.run_remaining == 0 {
             self.start_run();
         }
-        let d = &self.cfg.difficulty;
         let factor = if self.run_pos == 0 {
-            d.run_start_factor
+            RUN_START_FACTOR
         } else {
-            d.run_follow_factor
+            RUN_FOLLOW_FACTOR
         };
         let jitter: f32 = self.rng.gen_range(0.9..1.1);
         let frame = Frame {
@@ -427,6 +403,28 @@ mod tests {
         assert_eq!(a, b);
         let c = gen(uniform_weights(7), 5.0, 10).take(100);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn frames_are_pinned() {
+        // FNV-1a over every field of 10 000 frames: the difficulty mixture's
+        // constants reach these bits, so moving one changes the hash.
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |word: u64| {
+            for b in word.to_le_bytes() {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for f in gen(uniform_weights(10), 8.0, 15).take(10_000) {
+            mix(f.seq);
+            mix(f.class as u64);
+            mix(u64::from(f.run_pos));
+            mix(u64::from(f.difficulty.to_bits()));
+            mix(u64::from(f.run_difficulty.to_bits()));
+            mix(f.frame_seed);
+            mix(f.run_seed);
+        }
+        assert_eq!(hash, 0x6f91_6c56_afbd_4e4a, "frame hash {hash:#018x}");
     }
 
     #[test]

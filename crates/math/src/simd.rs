@@ -40,8 +40,9 @@ use crate::cpu::Probe;
 static AVX2: Probe = Probe::new(|| std::arch::is_x86_feature_detected!("avx2"));
 
 /// True iff the running CPU supports AVX2 (probed once, then cached).
+/// Public callers ask [`crate::matrix::simd_active`].
 #[inline]
-pub fn avx2_enabled() -> bool {
+pub(crate) fn avx2_enabled() -> bool {
     AVX2.enabled()
 }
 
@@ -49,7 +50,7 @@ pub fn avx2_enabled() -> bool {
 ///
 /// # Safety
 /// Every function requires AVX2 at runtime — callers must check
-/// [`avx2_enabled`] (the dispatchers in `matrix.rs` do).
+/// [`crate::matrix::simd_active`] (the dispatchers in `matrix.rs` do).
 pub mod avx2 {
     use std::arch::x86_64::*;
 

@@ -35,7 +35,6 @@
 //!   genuinely resemble each other).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use coca_data::Frame;
 use coca_math::vector::{axpy, fill_random_unit, l2_norm, l2_normalize, random_unit};
@@ -45,70 +44,46 @@ use coca_sim::SeedTree;
 use crate::arch::{CachePoint, ModelArch};
 use crate::view::{ClientFeatureView, ClientProfile};
 
-/// Tunable knobs of the feature geometry. Defaults are the calibrated
-/// values used by every experiment (see `coca-bench`'s `calibrate`
-/// binary).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct FeatureConfig {
-    /// Number of classes per confusion group (sibling set).
-    pub group_size: usize,
-    /// Weight of the group direction inside class offsets.
-    pub group_weight: f32,
-    /// Weight of the unique direction inside class offsets.
-    pub unique_weight: f32,
-    /// Global multiplier ν on feature noise.
-    pub noise_scale: f32,
-    /// Fraction of a frame's noise shared across its run (temporal
-    /// correlation of consecutive frames).
-    pub run_noise_weight: f32,
-    /// Fraction of the noise that is *class-structured*: a per-frame lean
-    /// toward a few random classes, consistent across **all** layers. Real
-    /// networks propagate ambiguity through depth — a frame that looks a
-    /// bit like class b at layer 5 still does at layer 25. Without this
-    /// cross-layer correlation every cache layer would be an independent
-    /// lottery and ambiguous frames would win a wrong early exit somewhere
-    /// with near-certainty.
-    pub class_noise_weight: f32,
-    /// How many classes a frame's structured noise leans toward.
-    pub class_noise_span: usize,
-    /// Difficulty at which class-signal visibility starts to attenuate.
-    pub visibility_ref: f32,
-    /// Exponent of the visibility attenuation `(ref/d)^power`.
-    pub visibility_power: f32,
-    /// Run difficulty at which class ambiguity begins.
-    pub confusion_onset: f32,
-    /// Slope of ambiguity mixing weight vs. run difficulty.
-    pub confusion_scale: f32,
-    /// Cap on the raw mixing weight `m` (1.0 = the content is a pure
-    /// sibling look-alike; features stay inside the class manifold).
-    pub confusion_max: f32,
-    /// Fraction of a layer's disambiguation subtracted from the ambiguity
-    /// mixing weight (subtractive depth relief).
-    pub ambiguity_relief: f32,
-    /// Logit scale of the classifier head (softmax temperature⁻¹).
-    pub head_scale: f32,
-}
+// The calibrated feature geometry shared by every experiment (see
+// `coca-bench`'s `calibrate` binary).
 
-impl Default for FeatureConfig {
-    fn default() -> Self {
-        Self {
-            group_size: 5,
-            group_weight: 0.22,
-            unique_weight: 0.93,
-            noise_scale: 0.45,
-            run_noise_weight: 0.6,
-            class_noise_weight: 0.15,
-            class_noise_span: 3,
-            visibility_ref: 0.50,
-            visibility_power: 1.8,
-            confusion_onset: 1.30,
-            confusion_scale: 8.0,
-            confusion_max: 1.00,
-            ambiguity_relief: 0.58,
-            head_scale: 20.0,
-        }
-    }
-}
+/// Number of classes per confusion group (sibling set).
+const GROUP_SIZE: usize = 5;
+/// Weight of the group direction inside class offsets.
+const GROUP_WEIGHT: f32 = 0.22;
+/// Weight of the unique direction inside class offsets.
+const UNIQUE_WEIGHT: f32 = 0.93;
+/// Global multiplier ν on feature noise.
+const NOISE_SCALE: f32 = 0.45;
+/// Fraction of a frame's noise shared across its run (temporal correlation
+/// of consecutive frames).
+const RUN_NOISE_WEIGHT: f32 = 0.6;
+/// Fraction of the noise that is *class-structured*: a per-frame lean
+/// toward a few random classes, consistent across **all** layers. Real
+/// networks propagate ambiguity through depth — a frame that looks a bit
+/// like class b at layer 5 still does at layer 25. Without this cross-layer
+/// correlation every cache layer would be an independent lottery and
+/// ambiguous frames would win a wrong early exit somewhere with
+/// near-certainty.
+const CLASS_NOISE_WEIGHT: f32 = 0.15;
+/// How many classes a frame's structured noise leans toward.
+const CLASS_NOISE_SPAN: usize = 3;
+/// Difficulty at which class-signal visibility starts to attenuate.
+const VISIBILITY_REF: f32 = 0.50;
+/// Exponent of the visibility attenuation `(ref/d)^power`.
+const VISIBILITY_POWER: f32 = 1.8;
+/// Run difficulty at which class ambiguity begins.
+const CONFUSION_ONSET: f32 = 1.30;
+/// Slope of ambiguity mixing weight vs. run difficulty.
+const CONFUSION_SCALE: f32 = 8.0;
+/// Cap on the raw mixing weight `m` (1.0 = the content is a pure sibling
+/// look-alike; features stay inside the class manifold).
+const CONFUSION_MAX: f32 = 1.00;
+/// Fraction of a layer's disambiguation subtracted from the ambiguity
+/// mixing weight (subtractive depth relief).
+const AMBIGUITY_RELIEF: f32 = 0.58;
+/// Logit scale of the classifier head (softmax temperature⁻¹).
+pub(crate) const HEAD_SCALE: f32 = 20.0;
 
 /// Ground-truth feature geometry for one (model, dataset) pair.
 ///
@@ -116,7 +91,6 @@ impl Default for FeatureConfig {
 /// `L` is the virtual classifier-head layer.
 #[derive(Debug, Clone)]
 pub struct FeatureUniverse {
-    cfg: FeatureConfig,
     num_classes: usize,
     /// Per layer: the point spec (dims, κ, separation, disambiguation).
     points: Vec<CachePoint>,
@@ -144,7 +118,7 @@ impl FeatureUniverse {
     ///
     /// # Panics
     /// Panics if `num_classes < 2` (classification needs alternatives).
-    pub fn new(arch: &ModelArch, num_classes: usize, seeds: &SeedTree, cfg: FeatureConfig) -> Self {
+    pub fn new(arch: &ModelArch, num_classes: usize, seeds: &SeedTree) -> Self {
         assert!(
             num_classes >= 2,
             "need at least two classes, got {num_classes}"
@@ -153,8 +127,7 @@ impl FeatureUniverse {
         let mut points: Vec<CachePoint> = arch.cache_points.clone();
         points.push(arch.head);
 
-        let group_size = cfg.group_size.max(2);
-        let num_groups = num_classes.div_ceil(group_size);
+        let num_groups = num_classes.div_ceil(GROUP_SIZE);
         let group_of = |class: usize| class % num_groups;
 
         // --- Master-space class identities. Class geometry must be
@@ -179,8 +152,8 @@ impl FeatureUniverse {
             .map(|class| {
                 let unique = random_unit(&mut master_rng, master_dim);
                 let mut z = vec![0.0f32; master_dim];
-                axpy(cfg.group_weight, &master_groups[group_of(class)], &mut z);
-                axpy(cfg.unique_weight, &unique, &mut z);
+                axpy(GROUP_WEIGHT, &master_groups[group_of(class)], &mut z);
+                axpy(UNIQUE_WEIGHT, &unique, &mut z);
                 z
             })
             .collect();
@@ -257,7 +230,6 @@ impl FeatureUniverse {
             .collect();
 
         Self {
-            cfg,
             num_classes,
             head_kappa: arch.head.kappa,
             points,
@@ -286,11 +258,6 @@ impl FeatureUniverse {
         self.points[layer].dim
     }
 
-    /// The configuration in effect.
-    pub fn config(&self) -> &FeatureConfig {
-        &self.cfg
-    }
-
     /// Global (model-weight) center of `class` at `layer` — what the
     /// classifier compares against and what initial cache entries hold.
     pub fn global_center(&self, layer: usize, class: usize) -> &[f32] {
@@ -315,8 +282,8 @@ impl FeatureUniverse {
         let mut rng = self.seeds.rng_for_idx("confusion", frame.run_seed);
         let confuser = sibs[rng.gen_range(0..sibs.len())];
         let u: f32 = rng.gen_range(0.5..1.0);
-        let raw = self.cfg.confusion_scale * (frame.run_difficulty - self.cfg.confusion_onset);
-        let m = (raw * u).clamp(0.0, self.cfg.confusion_max);
+        let raw = CONFUSION_SCALE * (frame.run_difficulty - CONFUSION_ONSET);
+        let m = (raw * u).clamp(0.0, CONFUSION_MAX);
         (confuser, m)
     }
 
@@ -328,14 +295,14 @@ impl FeatureUniverse {
     /// it. This is why the paper's hard samples exit only at deep cache
     /// layers (Fig. 1(b)) yet the full model still classifies most of them.
     pub fn visibility(&self, difficulty: f32) -> f32 {
-        (self.cfg.visibility_ref / difficulty.max(1e-6)).min(1.0)
+        (VISIBILITY_REF / difficulty.max(1e-6)).min(1.0)
     }
 
     /// Class-signal strength at `layer` for a frame of difficulty `d`:
     /// `vis^(power·(1−disambiguation_j)) · κ_j/κ_head`.
     pub fn signal_strength(&self, layer: usize, difficulty: f32) -> f32 {
         let p = self.points[layer];
-        let q = self.cfg.visibility_power * (1.0 - p.disambiguation);
+        let q = VISIBILITY_POWER * (1.0 - p.disambiguation);
         self.visibility(difficulty).powf(q.max(0.1)) * (p.kappa / self.head_kappa)
     }
 
@@ -414,7 +381,7 @@ impl FeatureUniverse {
         let (confuser, m) = *view
             .confusion
             .get_or_fill(run_key, |c| *c = self.run_confusion(frame));
-        let m_layer = (m - self.cfg.ambiguity_relief * p.disambiguation).clamp(0.0, 1.0);
+        let m_layer = (m - AMBIGUITY_RELIEF * p.disambiguation).clamp(0.0, 1.0);
 
         // φ = (1−m)·h'_t + m·h'_c over drifted offsets (memoized).
         // A client without drift sees the universe's own offsets: there is
@@ -470,8 +437,7 @@ impl FeatureUniverse {
             frame_noise,
         );
 
-        let noise_mag = (1.0 - p.kappa) * self.cfg.noise_scale;
-        let rw = self.cfg.run_noise_weight;
+        let noise_mag = (1.0 - p.kappa) * NOISE_SCALE;
 
         // v = C + s·(sig·φ + noise) — noise lives inside the separation
         // scale so signal-to-noise depends on depth only through κ.
@@ -480,35 +446,33 @@ impl FeatureUniverse {
         let v = &mut out[start..];
         let parts = phi.iter().zip(run_noise).zip(frame_noise.iter());
         for (x, ((&phi_i, &run_i), &frame_i)) in v.iter_mut().zip(parts) {
-            let noise = rw * run_i + (1.0 - rw) * frame_i;
+            let noise = RUN_NOISE_WEIGHT * run_i + (1.0 - RUN_NOISE_WEIGHT) * frame_i;
             *x += p.separation * (sig * phi_i + noise_mag * noise);
         }
         l2_normalize(v);
     }
 
     /// The class-structured lean of the entity identified by `seed` (a run
-    /// or a frame): `class_noise_span` draws of `(class, w)`, written over
+    /// or a frame): `CLASS_NOISE_SPAN` draws of `(class, w)`, written over
     /// `out`. No layer salt enters them — the same classes attract this
     /// entity's features at every layer.
     fn lean_draws(&self, seed: u64, out: &mut Vec<(usize, f32)>) {
         out.clear();
-        if self.cfg.class_noise_weight > 0.0 {
-            let span = self.cfg.class_noise_span.max(1);
-            let mut lean_rng = self.seeds.child_idx("noise-lean", seed).rng();
-            // √span keeps the lean roughly unit-scale (offsets are ~unit).
-            let norm = (span as f32).sqrt();
-            for _ in 0..span {
-                let class = lean_rng.gen_range(0..self.num_classes);
-                let w: f32 = coca_math::vector::standard_normal(&mut lean_rng) / norm;
-                out.push((class, w));
-            }
+        let mut lean_rng = self.seeds.child_idx("noise-lean", seed).rng();
+        // √span keeps the lean roughly unit-scale (offsets are ~unit).
+        let norm = (CLASS_NOISE_SPAN as f32).sqrt();
+        for _ in 0..CLASS_NOISE_SPAN {
+            let class = lean_rng.gen_range(0..self.num_classes);
+            let w: f32 = coca_math::vector::standard_normal(&mut lean_rng) / norm;
+            out.push((class, w));
         }
     }
 
     /// One noise component at `layer` for the entity identified by `seed`
-    /// (a run or a frame), `cw · lean + (1−cw) · difficulty · iso`, written
-    /// over `out`; `lean` is [`Self::lean_draws`] of `seed`, and `iso` is
-    /// scratch for the isotropic draw.
+    /// (a run or a frame), `cw · lean + (1−cw) · difficulty · iso` with
+    /// `cw = CLASS_NOISE_WEIGHT`, written over `out`; `lean` is
+    /// [`Self::lean_draws`] of `seed`, and `iso` is scratch for the
+    /// isotropic draw.
     ///
     /// The lean's scale is difficulty-independent. The isotropic part is
     /// layer-salted and grows with difficulty (hard content varies more),
@@ -524,22 +488,19 @@ impl FeatureUniverse {
         out: &mut Vec<f32>,
     ) {
         let dim = self.points[layer].dim;
-        let cw = self.cfg.class_noise_weight;
         out.clear();
         out.resize(dim, 0.0);
         for &(class, w) in lean {
-            axpy(cw * w, &self.offsets[layer][class], out);
+            axpy(CLASS_NOISE_WEIGHT * w, &self.offsets[layer][class], out);
         }
-        if cw < 1.0 {
-            let mut iso_rng = self
-                .seeds
-                .child_idx("noise-iso", seed)
-                .child_idx("l", layer as u64)
-                .rng();
-            iso.resize(dim, 0.0);
-            fill_random_unit(&mut iso_rng, iso);
-            axpy((1.0 - cw) * difficulty.min(2.5), iso, out);
-        }
+        let mut iso_rng = self
+            .seeds
+            .child_idx("noise-iso", seed)
+            .child_idx("l", layer as u64)
+            .rng();
+        iso.resize(dim, 0.0);
+        fill_random_unit(&mut iso_rng, iso);
+        axpy((1.0 - CLASS_NOISE_WEIGHT) * difficulty.min(2.5), iso, out);
     }
 }
 
@@ -554,7 +515,7 @@ mod tests {
     fn setup() -> (FeatureUniverse, ClientProfile, ClientFeatureView) {
         let arch = zoo::resnet101();
         let seeds = SeedTree::new(7);
-        let uni = FeatureUniverse::new(&arch, 50, &seeds, FeatureConfig::default());
+        let uni = FeatureUniverse::new(&arch, 50, &seeds);
         let client = ClientProfile::new(0, 0.25, 0.7, &seeds);
         let view = ClientFeatureView::new();
         (uni, client, view)
@@ -681,7 +642,7 @@ mod tests {
     fn drift_moves_data_away_from_global_centers() {
         let arch = zoo::resnet101();
         let seeds = SeedTree::new(8);
-        let uni = FeatureUniverse::new(&arch, 50, &seeds, FeatureConfig::default());
+        let uni = FeatureUniverse::new(&arch, 50, &seeds);
         let clean = ClientProfile::new(1, 0.0, 0.7, &seeds);
         let drifted = ClientProfile::new(1, 0.8, 0.7, &seeds);
         let mut view_c = ClientFeatureView::new();
@@ -738,12 +699,56 @@ mod tests {
     }
 
     #[test]
+    fn synthesis_bits_are_pinned() {
+        // FNV-1a over the bits of every cache point's and the head's vector
+        // plus the classifier margin, for ResNet101/UCF101-50 at drift 0 and
+        // drift 0.3 (70 % shared), then over the run confusion along its
+        // ramp. Every calibration constant of the geometry reaches these
+        // bits: moving one changes the hash.
+        let seeds = SeedTree::new(7);
+        let dataset = coca_data::DatasetSpec::ucf101().subset(50);
+        let rt = crate::ModelRuntime::new(crate::ModelId::ResNet101, &dataset, &seeds);
+        let uni = rt.universe();
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |word: u32| {
+            for b in word.to_le_bytes() {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let fs = frames(200, 12);
+        for (id, drift) in [(0, 0.0), (1, 0.3)] {
+            let client = ClientProfile::new(id, drift, 0.7, &seeds);
+            let mut view = ClientFeatureView::new();
+            for f in &fs {
+                for layer in 0..=uni.head_layer() {
+                    for x in uni.semantic_vector(f, &client, layer, &mut view) {
+                        mix(x.to_bits());
+                    }
+                }
+                mix(rt.classify(f, &client, &mut view).margin.to_bits());
+            }
+        }
+        // The stream's difficulty modes miss the ramp: a generated run's m
+        // is 0 (below the onset) or clamped to the cap. Sweep the ramp.
+        for (i, f) in fs.iter().enumerate() {
+            let f = Frame {
+                run_difficulty: 1.3 + 0.001 * i as f32,
+                ..*f
+            };
+            let (confuser, m) = uni.run_confusion(&f);
+            mix(confuser as u32);
+            mix(m.to_bits());
+        }
+        assert_eq!(hash, 0xdd25_2063_89d4_f38b, "synthesis hash {hash:#018x}");
+    }
+
+    #[test]
     fn shared_drift_is_common_across_clients() {
         // Two clients with fully shared drift see the same drifted center;
         // with fully individual drift they do not.
         let arch = zoo::resnet50();
         let seeds = SeedTree::new(9);
-        let uni = FeatureUniverse::new(&arch, 20, &seeds, FeatureConfig::default());
+        let uni = FeatureUniverse::new(&arch, 20, &seeds);
         let a = ClientProfile::new(1, 0.4, 1.0, &seeds);
         let b = ClientProfile::new(2, 0.4, 1.0, &seeds);
         let ca = uni.drifted_center(5, 3, &a);

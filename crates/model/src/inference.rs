@@ -13,7 +13,7 @@ use coca_math::{l2_norm, top1};
 use coca_sim::{SeedTree, SimDuration};
 
 use crate::arch::{ModelArch, ModelId};
-use crate::features::{FeatureConfig, FeatureUniverse};
+use crate::features::{FeatureUniverse, HEAD_SCALE};
 use crate::latency::LatencyProfile;
 use crate::view::{ClientFeatureView, ClientProfile};
 use crate::zoo;
@@ -41,22 +41,11 @@ pub struct ModelRuntime {
 }
 
 impl ModelRuntime {
-    /// Builds the runtime with default feature configuration.
+    /// Builds the runtime for model `id` on `dataset`.
     pub fn new(id: ModelId, dataset: &DatasetSpec, seeds: &SeedTree) -> Self {
-        Self::with_config(id, dataset, seeds, FeatureConfig::default())
-    }
-
-    /// Builds the runtime with an explicit feature configuration (used by
-    /// calibration and ablation experiments).
-    pub fn with_config(
-        id: ModelId,
-        dataset: &DatasetSpec,
-        seeds: &SeedTree,
-        cfg: FeatureConfig,
-    ) -> Self {
         let arch = zoo::model(id);
         let latency = LatencyProfile::new(&arch, dataset.input_cost_factor);
-        let universe = FeatureUniverse::new(&arch, dataset.num_classes, seeds, cfg);
+        let universe = FeatureUniverse::new(&arch, dataset.num_classes, seeds);
         Self {
             arch,
             latency,
@@ -150,7 +139,6 @@ impl ModelRuntime {
         let head = self.universe.head_layer();
         let v = self.universe.semantic_vector(frame, client, head, view);
         let v_norm = l2_norm(&v);
-        let scale = self.universe.config().head_scale;
         let mut logits: Vec<f32> = self
             .universe
             .head_center_norms()
@@ -158,7 +146,7 @@ impl ModelRuntime {
             .enumerate()
             .map(|(c, &norm)| {
                 let center = self.universe.global_center(head, c);
-                scale * cosine_with_norms(&v, v_norm, center, norm)
+                HEAD_SCALE * cosine_with_norms(&v, v_norm, center, norm)
             })
             .collect();
         softmax_inplace(&mut logits);
@@ -295,9 +283,8 @@ mod tests {
             let v = rt
                 .universe()
                 .semantic_vector(&f, &client, head, &mut ref_view);
-            let scale = rt.universe().config().head_scale;
             let mut logits: Vec<f32> = (0..rt.num_classes())
-                .map(|c| scale * coca_math::cosine(&v, rt.universe().global_center(head, c)))
+                .map(|c| HEAD_SCALE * coca_math::cosine(&v, rt.universe().global_center(head, c)))
                 .collect();
             softmax_inplace(&mut logits);
             assert_eq!(bits(&p.probs), bits(&logits));

@@ -41,7 +41,7 @@ pub mod view;
 pub mod zoo;
 
 pub use arch::{CachePoint, ModelArch, ModelId};
-pub use features::{FeatureConfig, FeatureUniverse};
+pub use features::FeatureUniverse;
 pub use inference::{ModelRuntime, Prediction};
 pub use latency::LatencyProfile;
 pub use view::{ClientFeatureView, ClientProfile};

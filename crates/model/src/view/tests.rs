@@ -1,5 +1,5 @@
 use super::*;
-use crate::features::{FeatureConfig, FeatureUniverse};
+use crate::features::FeatureUniverse;
 use crate::zoo;
 use crate::ModelRuntime;
 use coca_data::distribution::uniform_weights;
@@ -9,7 +9,7 @@ const LAYER: usize = 4;
 
 fn fixture() -> (FeatureUniverse, ClientProfile, Vec<Frame>) {
     let seeds = SeedTree::new(3);
-    let uni = FeatureUniverse::new(&zoo::resnet50(), 10, &seeds, FeatureConfig::default());
+    let uni = FeatureUniverse::new(&zoo::resnet50(), 10, &seeds);
     let client = ClientProfile::new(1, 0.4, 0.5, &seeds);
     let frames = StreamGenerator::new(
         StreamConfig::new(uniform_weights(10), 8.0),

@@ -16,7 +16,7 @@
 //! * every count field overwritten with `u32::MAX` is a typed error, not
 //!   an allocation;
 //! * corruption, truncation and cross-key swaps of whole storage states
-//!   driven through `Durability::load_for_recovery`;
+//!   driven through `Durability::replay`;
 //! * one structurally invalid snapshot per preserved check (wrong version,
 //!   unsorted registry, ragged τ/φ, out-of-range pending layers/dims/
 //!   classes, allocation indices, precision tags, trailing bytes) produces
@@ -366,17 +366,18 @@ proptest! {
                 _ => store.remove(key),
             }
         }
-        let mut d = Durability::new(Box::new(store), 4);
-        if let Ok((snap, records, _info)) = d.load_for_recovery() {
-            // Whatever loads must be internally coherent enough to
-            // re-serialize without panicking.
-            if let Some(s) = snap {
-                let _ = s.to_bytes();
-            }
-            for r in &records {
-                let _ = r.to_frame();
-            }
-        }
+        // Whatever loads must be internally coherent enough to
+        // re-serialize without panicking.
+        let _ = Durability::new(Box::new(store), 4).replay(
+            &mut (),
+            |_, snap| {
+                if let Some(s) = snap {
+                    let _ = s.to_bytes();
+                }
+                Ok(())
+            },
+            |_, r| drop(r.to_frame()),
+        );
     }
 
     /// WAL segment truncation recovers exactly the whole-frame prefix:
@@ -717,7 +718,7 @@ fn retired_wal_tags_are_refused_with_a_typed_error() {
             let mut store = MemStorage::new();
             store.save(key, &segment);
             let err = Durability::new(Box::new(store), 4)
-                .load_for_recovery()
+                .replay(&mut (), |_, _| Ok(()), |_, _| {})
                 .unwrap_err();
             assert!(matches!(err, PersistError::Decode(_)), "{key}: {err}");
         }
@@ -726,10 +727,11 @@ fn retired_wal_tags_are_refused_with_a_typed_error() {
         // before it.
         let mut store = MemStorage::new();
         store.save(WAL_CUR, &segment[..segment.len() - 1]);
-        let (_, records, info) = Durability::new(Box::new(store), 4)
-            .load_for_recovery()
+        let mut records = 0;
+        let info = Durability::new(Box::new(store), 4)
+            .replay(&mut records, |_, _| Ok(()), |n, _| *n += 1)
             .unwrap();
-        assert_eq!(records.len(), 1);
+        assert_eq!(records, 1);
         assert_eq!(info.truncated_bytes, segment.len() - 1 - good.len());
     }
 }
