@@ -46,7 +46,7 @@ pub use edge_only::{run_edge_only, EdgeOnlyDriver};
 pub use foggycache::{FoggyCacheConfig, FoggyCacheDriver};
 pub use learnedcache::{LearnedCacheConfig, LearnedCacheDriver};
 pub use replacement::{ReplacementDriver, ReplacementPolicy};
-pub use smtm::{SmtmConfig, SmtmDriver};
+pub use smtm::SmtmDriver;
 
 #[cfg(test)]
 mod fairness_tests {
@@ -55,7 +55,7 @@ mod fairness_tests {
 
     use crate::{
         run_edge_only, EdgeOnlyDriver, FoggyCacheConfig, FoggyCacheDriver, LearnedCacheConfig,
-        LearnedCacheDriver, ReplacementDriver, ReplacementPolicy, SmtmConfig, SmtmDriver,
+        LearnedCacheDriver, ReplacementDriver, ReplacementPolicy, SmtmDriver,
     };
     use coca_core::driver::{drive, drive_plan, DriveConfig};
     use coca_core::engine::{Engine, EngineConfig, EngineReport, Scenario, ScenarioConfig};
@@ -84,7 +84,7 @@ mod fairness_tests {
             },
             {
                 let s = Scenario::build(sc.clone());
-                let mut d = SmtmDriver::new(&s, SmtmConfig::from_coca(&coca_cfg));
+                let mut d = SmtmDriver::new(&s, &coca_cfg);
                 drive(&s, &mut d, &drive_cfg)
             },
             {
@@ -153,7 +153,7 @@ mod fairness_tests {
             },
             {
                 let (s, plan) = spec.materialize();
-                let mut d = SmtmDriver::new(&s, SmtmConfig::from_coca(&coca_cfg));
+                let mut d = SmtmDriver::new(&s, &coca_cfg);
                 drive_plan(&s, &mut d, &plan)
             },
             {
@@ -204,7 +204,7 @@ mod fairness_tests {
             Box::new(move || run_edge_only(&Scenario::build(scenario_cfg(301)), rounds, frames)),
             Box::new(move || {
                 let s = Scenario::build(scenario_cfg(301));
-                let mut d = SmtmDriver::new(&s, SmtmConfig::from_coca(&coca_cfg));
+                let mut d = SmtmDriver::new(&s, &coca_cfg);
                 drive(&s, &mut d, &drive_cfg)
             }),
             Box::new(move || {

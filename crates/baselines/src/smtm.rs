@@ -21,6 +21,7 @@
 //! Hot-spot refresh runs at the shared round boundary inside
 //! [`MethodDriver::end_round`].
 
+use coca_core::aca::select_hot_classes;
 use coca_core::driver::{FrameOutcome, FrameStep, MethodDriver, NoMsg};
 use coca_core::engine::Scenario;
 use coca_core::global::GlobalCacheTable;
@@ -31,38 +32,12 @@ use coca_core::status::ClientStatus;
 use coca_core::CocaConfig;
 use coca_data::Frame;
 use coca_model::ClientFeatureView;
-use serde::{Deserialize, Serialize};
 
-/// SMTM driver configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct SmtmConfig {
-    /// Hit threshold (shared with CoCa for fairness).
-    pub theta: f32,
-    /// Hot-spot selection period in frames (SMTM "frequently assesses the
-    /// importance of each class"; reuse the round length).
-    pub refresh_frames: usize,
-    /// Hot-spot score mass.
-    pub hotspot_mass: f64,
-    /// Recency decay base.
-    pub recency_base: f64,
-}
-
-impl SmtmConfig {
-    /// Derives SMTM settings from a CoCa configuration so comparisons
-    /// share every threshold.
-    pub fn from_coca(cfg: &CocaConfig) -> Self {
-        Self {
-            theta: cfg.theta,
-            refresh_frames: cfg.round_frames,
-            hotspot_mass: cfg.hotspot_mass,
-            // SMTM weighs total frequency much more heavily than recency:
-            // its hot set keeps every class that appears at all, which is
-            // exactly why its lookups get expensive when many classes are
-            // active (the paper's §VI.E critique of SMTM).
-            recency_base: 0.85,
-        }
-    }
-}
+/// SMTM's recency decay base. SMTM weighs total frequency much more
+/// heavily than recency: its hot set keeps every class that appears at
+/// all, which is exactly why its lookups get expensive when many classes
+/// are active (the paper's §VI.E critique of SMTM).
+const RECENCY_BASE: f64 = 0.85;
 
 /// One SMTM client: its local status and the hot-spot cache it built from
 /// the seeded centroids.
@@ -75,35 +50,10 @@ struct SmtmClient {
 }
 
 impl SmtmClient {
-    fn refresh_cache(&mut self, table: &GlobalCacheTable, cfg: &SmtmConfig) {
-        // Local importance score: total frequency × recency decay, exactly
-        // the structure SMTM describes (and CoCa's Eq. 10 inherits).
-        let scores: Vec<f64> = self
-            .total_freq
-            .iter()
-            .zip(self.status.timestamps())
-            .map(|(&f, &tau)| {
-                let staleness = (tau as f64 / cfg.refresh_frames as f64).floor();
-                f as f64 * cfg.recency_base.powf(staleness)
-            })
-            .collect();
-        let total: f64 = scores.iter().sum();
-        let classes: Vec<usize> = if total <= 0.0 {
-            (0..scores.len()).collect()
-        } else {
-            let mut order: Vec<usize> = (0..scores.len()).collect();
-            order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
-            let mut acc = 0.0;
-            let mut hot = Vec::new();
-            for i in order {
-                hot.push(i);
-                acc += scores[i];
-                if acc >= total * cfg.hotspot_mass {
-                    break;
-                }
-            }
-            hot
-        };
+    fn refresh_cache(&mut self, table: &GlobalCacheTable, cfg: &CocaConfig) {
+        // Local importance score: total frequency × recency decay, the
+        // structure SMTM describes and CoCa's Algorithm 1 inherits.
+        let classes = select_hot_classes(cfg, &self.total_freq, self.status.timestamps());
         // All preset layers, hot classes only.
         let layers: Vec<usize> = (0..table.num_layers()).collect();
         self.cache = table.extract(&layers, &classes);
@@ -115,10 +65,9 @@ impl SmtmClient {
 /// seeded centroids, and a leaver takes its status with it.
 pub struct SmtmDriver<'s> {
     scenario: &'s Scenario,
-    cfg: SmtmConfig,
-    /// The lookup path reuses CoCa's Eq. 1/2 implementation via a
-    /// CocaConfig carrying SMTM's threshold.
-    lookup_cfg: CocaConfig,
+    /// The caller's configuration (θ, α, mass and round length shared
+    /// with CoCa for fairness) with SMTM's recency base.
+    cfg: CocaConfig,
     /// The seeded centroid table every client's cache is extracted from;
     /// no client ever writes it.
     table: GlobalCacheTable,
@@ -128,11 +77,15 @@ pub struct SmtmDriver<'s> {
 }
 
 impl<'s> SmtmDriver<'s> {
-    /// Builds the driver over a scenario.
-    pub fn new(scenario: &'s Scenario, cfg: SmtmConfig) -> Self {
+    /// Builds the driver over a scenario. Lookups use `cfg`'s θ and α;
+    /// the hot set is CoCa's Algorithm 1 stage 1 over the client's own
+    /// frequencies, at SMTM's recency base.
+    pub fn new(scenario: &'s Scenario, cfg: &CocaConfig) -> Self {
         let rt = &scenario.rt;
-        let mut lookup_cfg = CocaConfig::for_model(rt.arch().id);
-        lookup_cfg.theta = cfg.theta;
+        let cfg = CocaConfig {
+            recency_base: RECENCY_BASE,
+            ..*cfg
+        };
         let table = seed_global_table(rt, scenario.seeds());
         let clients: Vec<SmtmClient> = (0..scenario.profiles.len())
             .map(|_| {
@@ -149,7 +102,6 @@ impl<'s> SmtmDriver<'s> {
         Self {
             scenario,
             cfg,
-            lookup_cfg,
             table,
             clients,
             scratch: coca_core::LookupScratch::new(),
@@ -175,7 +127,7 @@ impl MethodDriver for SmtmDriver<'_> {
             &self.scenario.profiles[k],
             frame,
             &client.cache,
-            &self.lookup_cfg,
+            &self.cfg,
             &mut client.view,
             &mut self.scratch,
         );
@@ -215,8 +167,12 @@ mod tests {
     fn smtm_beats_edge_only_on_latency() {
         let s = scenario(81);
         let full = s.rt.full_compute().as_millis_f64();
-        let cfg = SmtmConfig::from_coca(&CocaConfig::for_model(ModelId::ResNet101));
-        let r = drive(&s, &mut SmtmDriver::new(&s, cfg), &DriveConfig::new(3, 150));
+        let cfg = CocaConfig::for_model(ModelId::ResNet101);
+        let r = drive(
+            &s,
+            &mut SmtmDriver::new(&s, &cfg),
+            &DriveConfig::new(3, 150),
+        );
         assert_eq!(r.frames, 2 * 3 * 150);
         assert!(r.hit_ratio > 0.2, "hit ratio {}", r.hit_ratio);
         assert!(r.mean_latency_ms < full, "{} vs {full}", r.mean_latency_ms);
@@ -224,10 +180,14 @@ mod tests {
 
     #[test]
     fn smtm_is_deterministic() {
-        let cfg = SmtmConfig::from_coca(&CocaConfig::for_model(ModelId::ResNet101));
+        let cfg = CocaConfig::for_model(ModelId::ResNet101);
         let run = || {
             let s = scenario(82);
-            drive(&s, &mut SmtmDriver::new(&s, cfg), &DriveConfig::new(2, 100))
+            drive(
+                &s,
+                &mut SmtmDriver::new(&s, &cfg),
+                &DriveConfig::new(2, 100),
+            )
         };
         let (a, b) = (run(), run());
         assert_eq!(a.mean_latency_ms, b.mean_latency_ms);

@@ -1,11 +1,21 @@
-//! Criterion micro-benchmarks over the hot paths of the reproduction:
-//! semantic lookup, the fused scoring kernel, ACA allocation, the
-//! columnar global-table merge and extract, wire codec, end-to-end frame
-//! throughput, and the generic engine's per-frame overhead (a degenerate
-//! driver through `drive()` — the event-loop tax every method pays, split
-//! into stream-gen / digest / scheduling components). The kernel, server
-//! and engine benches also refresh the committed `BENCH_lookup.json` /
-//! `BENCH_server.json` / `BENCH_engine.json` baselines at the repo root.
+//! Micro-benchmarks over the hot paths of the reproduction: a plain
+//! `harness = false` program with one timer ([`measure_ns`], and
+//! [`measure_ns_min3`] where the heap churns). It runs three sections in
+//! order, and every row it prints is committed to a baseline at the repo
+//! root or gated:
+//!
+//! 1. **Lookup kernels** (`BENCH_lookup.json`): the fused `score_top2`
+//!    per entry at d ∈ {64, 256} × {8, 64, 512} entries, and the canonical
+//!    scalar kernels against the runtime-dispatched AVX2 bodies.
+//! 2. **Server tables** (`BENCH_server.json`): the whole-round batched
+//!    merge and the gather extract per cell over a classes × layers ×
+//!    fleet grid, then the durability costs (snapshot encode/decode, WAL
+//!    append/replay per record, the table digest).
+//! 3. **Engine** (`BENCH_engine.json`): `drive()`'s per-frame overhead
+//!    with a degenerate driver (split into stream-gen / digest /
+//!    scheduling), one real `CocaClient::process_frame`,
+//!    `fill_random_unit` per coordinate, and the 2000-member fleet's cost
+//!    per event through `drive_plan`.
 //!
 //! Environment knobs (both used by CI):
 //!
@@ -23,23 +33,17 @@ use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
 use coca_bench::fleet::FleetNullDriver;
-use coca_core::collect::UpdateTable;
 use coca_core::driver::{
     drive, drive_plan, frame_digest, DriveConfig, DrivePlan, FrameOutcome, FrameStep, MethodDriver,
     NoMsg,
 };
 use coca_core::engine::{Scenario, ScenarioConfig};
-use coca_core::server::seed_global_table;
-use coca_core::{aca, infer_with_cache, CocaConfig, CocaServer, LookupScratch};
-use coca_daemon::{ClientMsg, RunSpec, ServerMsg, Workload};
+use coca_core::{CocaConfig, CocaServer, LookupScratch};
 use coca_data::{DatasetSpec, Frame};
 use coca_math::vector::fill_random_unit;
 use coca_math::{random_unit, ScoreScratch, VectorStore};
-use coca_model::{ClientFeatureView, ModelId};
-use coca_net::{decode_message, encode_frame, WireSize};
+use coca_model::ModelId;
 use coca_sim::{SeedTree, SimDuration};
 use rand::{Rng, SeedableRng};
 
@@ -155,38 +159,12 @@ fn scenario() -> Scenario {
     Scenario::build(sc)
 }
 
-fn bench_lookup(c: &mut Criterion) {
-    let scenario = scenario();
-    let rt = &scenario.rt;
-    let cfg = CocaConfig::for_model(ModelId::ResNet101);
-    let table = seed_global_table(rt, scenario.seeds());
-    let client = scenario.profiles[0].clone();
-    let mut group = c.benchmark_group("semantic_lookup");
-    for layers in [2usize, 6, 12] {
-        let pts: Vec<usize> = (0..layers)
-            .map(|i| i * rt.num_cache_points() / layers)
-            .collect();
-        let classes: Vec<usize> = (0..50).collect();
-        let cache = table.extract(&pts, &classes);
-        let mut stream = scenario.stream(0);
-        let mut view = ClientFeatureView::new();
-        let mut scratch = LookupScratch::new();
-        group.bench_with_input(BenchmarkId::new("layers", layers), &layers, |b, _| {
-            b.iter(|| {
-                let f = stream.next_frame();
-                infer_with_cache(rt, &client, &f, &cache, &cfg, &mut view, &mut scratch)
-            })
-        });
-    }
-    group.finish();
-}
-
 /// Per-entry cost of the fused `score_top2` kernel over a contiguous
 /// [`VectorStore`] with reusable scratch, across the layer shapes the
 /// paper's models produce. Refreshes `BENCH_lookup.json`, gates every
 /// point against its committed cost and the headline point (d = 256,
 /// 64 entries) against an absolute budget.
-fn bench_lookup_kernels(_c: &mut Criterion) {
+fn bench_lookup_kernels() {
     let committed = read_baseline("BENCH_lookup.json");
     let committed_fused = |dim: usize, entries: usize| -> Option<f64> {
         committed
@@ -439,60 +417,13 @@ fn bench_lookup_kernels(_c: &mut Criterion) {
     }
 }
 
-fn bench_aca(c: &mut Criterion) {
-    let cfg = CocaConfig::for_model(ModelId::ResNet101);
-    let mut rng = SeedTree::new(9002).rng_for("aca");
-    let n = 100usize;
-    let l = 34usize;
-    let freq: Vec<u64> = (0..n).map(|_| rng.gen_range(0..5000)).collect();
-    let tau: Vec<u32> = (0..n).map(|_| rng.gen_range(0..3000)).collect();
-    let r: Vec<f64> = (0..l).map(|_| rng.gen_range(0.0..1.0)).collect();
-    let saved: Vec<f64> = (0..l).map(|j| 40.0 * (1.0 - j as f64 / l as f64)).collect();
-    let bytes: Vec<usize> = (0..l).map(|_| 512usize).collect();
-    c.bench_function("aca_allocate_100c_34l", |b| {
-        b.iter(|| {
-            aca::allocate(
-                &cfg,
-                &aca::AcaInputs {
-                    global_freq: &freq,
-                    timestamps: &tau,
-                    hit_ratio: &r,
-                    saved_ms: &saved,
-                    entry_bytes: &bytes,
-                    budget_bytes: 96 * 1024,
-                },
-            )
-        })
-    });
-}
-
-fn bench_global_merge(c: &mut Criterion) {
-    let scenario = scenario();
-    let rt = &scenario.rt;
-    let mut table = seed_global_table(rt, scenario.seeds());
-    let mut rng = SeedTree::new(9003).rng_for("merge");
-    let mut upload = UpdateTable::new();
-    for class in 0..50usize {
-        for layer in (0..34usize).step_by(3) {
-            let dim = rt.feature_dim(layer);
-            let v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-            upload.absorb(class, layer, &v, 0.95);
-        }
-    }
-    let phi: Vec<u64> = (0..50).map(|_| rng.gen_range(1u64..50)).collect();
-    let mut scratch = coca_core::MergeScratch::new();
-    c.bench_function("global_merge_50c_12l", |b| {
-        b.iter(|| table.merge_update(&upload, &phi, 0.99, &mut scratch))
-    });
-}
-
 /// Per-cell cost of the columnar server core (per-layer `VectorStore` +
-/// occupancy bitmap, sequential and batched merge, gather extract) across
-/// a classes × layers × fleet-size grid at a fixed entry dimension.
-/// Refreshes `BENCH_server.json`, gates the grid-mean merge and extract
-/// costs against their committed values and the fleet-scale batched
-/// merge against an absolute budget.
-fn bench_server_tables(_c: &mut Criterion) {
+/// occupancy bitmap, the whole-round batched merge production runs, gather
+/// extract) across a classes × layers × fleet-size grid at a fixed entry
+/// dimension. Refreshes `BENCH_server.json`, gates the grid-mean batched
+/// merge and extract costs against their committed values and the
+/// fleet-scale batched merge against an absolute budget.
+fn bench_server_tables() {
     use coca_core::collect::UpdateTable;
     use coca_core::{GlobalCacheTable, MergeScratch};
 
@@ -509,7 +440,7 @@ fn bench_server_tables(_c: &mut Criterion) {
     };
 
     let mut points_json = Vec::new();
-    let mut fused_merge_all = Vec::new();
+    let mut batched_merge_all = Vec::new();
     let mut fused_extract_all = Vec::new();
     let mut batched_merge_at_scale = Vec::new();
     // 200 classes × deep layer stacks (34 = ResNet101's preset cache
@@ -551,14 +482,10 @@ fn bench_server_tables(_c: &mut Criterion) {
                     .collect();
                 let merge_cells: usize = uploads.iter().map(|(u, _)| u.len()).sum();
 
-                // Steady-state merge cost: repeated merging into the live
-                // table (Φ grows, per-cell work is constant).
+                // Steady-state merge cost: the round's uploads folded into
+                // the live table in one batched pass, repeatedly (Φ grows,
+                // per-cell work is constant).
                 let mut scratch = MergeScratch::new();
-                let fused_merge_ns = measure_ns_min3(|| {
-                    for (u, phi) in &uploads {
-                        columnar.merge_update(u, phi, 0.99, &mut scratch);
-                    }
-                }) / merge_cells as f64;
                 let batch: Vec<(&UpdateTable, &[u64])> =
                     uploads.iter().map(|(u, phi)| (u, phi.as_slice())).collect();
                 let batched_merge_ns = measure_ns_min3(|| {
@@ -577,7 +504,7 @@ fn bench_server_tables(_c: &mut Criterion) {
                     }
                 }) / extract_cells;
 
-                fused_merge_all.push(fused_merge_ns);
+                batched_merge_all.push(batched_merge_ns);
                 fused_extract_all.push(fused_extract_ns);
                 // Fleet-scale subset: the table no longer fits in cache
                 // (≥ 2 MB of entries), the regime the batched per-layer
@@ -587,12 +514,11 @@ fn bench_server_tables(_c: &mut Criterion) {
                 }
                 println!(
                     "bench server c={classes:<3} l={layers:<3} fleet={fleet:<4} \
-                     merge {fused_merge_ns:>6.1} ns/cell (batched {batched_merge_ns:.1})  \
+                     batched merge {batched_merge_ns:>6.1} ns/cell  \
                      extract {fused_extract_ns:>5.1} ns/cell"
                 );
                 points_json.push(format!(
                     "    {{\"classes\": {classes}, \"layers\": {layers}, \"fleet\": {fleet}, \
-                     \"fused_merge_ns_per_cell\": {fused_merge_ns:.2}, \
                      \"batched_merge_ns_per_cell\": {batched_merge_ns:.2}, \
                      \"fused_extract_ns_per_cell\": {fused_extract_ns:.2}}}"
                 ));
@@ -605,14 +531,14 @@ fn bench_server_tables(_c: &mut Criterion) {
     // mean over the grid, geometric mean over the fleet-scale subset).
     let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
     let geomean = |xs: &[f64]| (xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp();
-    let mean_merge = mean(&fused_merge_all);
+    let mean_merge = mean(&batched_merge_all);
     let mean_extract = mean(&fused_extract_all);
     let batched_at_scale = geomean(&batched_merge_at_scale);
     enforce_no_regression(
         "server_merge_grid_mean",
         mean_merge,
-        committed_summary("mean_fused_merge_ns_per_cell"),
-        "summary.mean_fused_merge_ns_per_cell",
+        committed_summary("mean_batched_merge_ns_per_cell"),
+        "summary.mean_batched_merge_ns_per_cell",
     );
     enforce_no_regression(
         "server_extract_grid_mean",
@@ -757,11 +683,11 @@ fn bench_server_tables(_c: &mut Criterion) {
 
     let json = format!(
         "{{\n  \"bench\": \"server_tables\",\n  \"description\": \"per-cell global-table cost \
-         of the columnar per-layer VectorStore + occupancy bitmap: sequential (fused) and \
-         whole-round batched merge, gather extract; dim 256, one round of uploads per fleet, \
+         of the columnar per-layer VectorStore + occupancy bitmap: whole-round batched \
+         merge, gather extract; dim 256, one round of uploads per fleet, \
          ACA-shaped sub-table extraction\",\n  \
          \"unit\": \"ns_per_cell\",\n  \"dim\": {DIM},\n  \"summary\": {{\n    \
-         \"mean_fused_merge_ns_per_cell\": {mean_merge:.2},\n    \
+         \"mean_batched_merge_ns_per_cell\": {mean_merge:.2},\n    \
          \"mean_fused_extract_ns_per_cell\": {mean_extract:.2},\n    \
          \"fleet_scale_batched_merge_ns_per_cell\": {batched_at_scale:.2},\n    \
          \"persist_snapshot_bytes\": {snapshot_bytes},\n    \
@@ -781,59 +707,6 @@ fn bench_server_tables(_c: &mut Criterion) {
         ),
         Err(e) => eprintln!("warning: could not write baseline: {e}"),
     }
-}
-
-fn bench_codec(c: &mut Criterion) {
-    // The frames `cocad` actually carries on the paper's normal exchange
-    // (the benchmark's `daemon_bulk` shape): a quarter of the classes
-    // uploaded at every third layer, and the Π = 1/8-cache allocation the
-    // server answers with once those uploads are merged.
-    let spec = RunSpec::default();
-    let wl = Workload {
-        spec,
-        clients: 1,
-        rounds: 1,
-    };
-    let (rt, cfg, seeds) = spec.build();
-    let mut server = CocaServer::new(&rt, cfg, &seeds);
-    let upload = wl.upload(&rt, &seeds, 0, 0);
-    server.handle_upload(upload.clone());
-    let request = wl.request(&rt, server.base_hit_profile(), 0, 0);
-    let (alloc, _) = server.handle_request(&request);
-    for (name, wire_bytes, frame) in [
-        (
-            "upload",
-            upload.wire_bytes(),
-            encode_frame(&ClientMsg::Upload(upload.clone())).unwrap(),
-        ),
-        (
-            "alloc",
-            alloc.wire_bytes(),
-            encode_frame(&ServerMsg::Alloc(alloc.clone())).unwrap(),
-        ),
-    ] {
-        println!(
-            "codec {name} frame: {} bytes for a {wire_bytes}-byte WireSize ({:.3}×)",
-            frame.len(),
-            frame.len() as f64 / wire_bytes as f64
-        );
-    }
-    let up_msg = ClientMsg::Upload(upload);
-    let up_frame = encode_frame(&up_msg).unwrap();
-    c.bench_function("codec_encode_upload_bulk", |b| {
-        b.iter(|| encode_frame(black_box(&up_msg)).unwrap())
-    });
-    c.bench_function("codec_decode_upload_bulk", |b| {
-        b.iter(|| decode_message::<ClientMsg>(black_box(&up_frame)).unwrap())
-    });
-    let alloc_msg = ServerMsg::Alloc(alloc);
-    let alloc_frame = encode_frame(&alloc_msg).unwrap();
-    c.bench_function("codec_encode_alloc_bulk", |b| {
-        b.iter(|| encode_frame(black_box(&alloc_msg)).unwrap())
-    });
-    c.bench_function("codec_decode_alloc_bulk", |b| {
-        b.iter(|| decode_message::<ServerMsg>(black_box(&alloc_frame)).unwrap())
-    });
 }
 
 /// End-to-end CoCa client frame processing (feature synthesis, lookup,
@@ -911,7 +784,7 @@ impl MethodDriver for NullDriver {
     }
 }
 
-fn bench_engine_overhead(c: &mut Criterion) {
+fn bench_engine_overhead() {
     let mut sc = ScenarioConfig::new(ModelId::ResNet101, DatasetSpec::ucf101().subset(20));
     sc.seed = 9004;
     sc.num_clients = 4;
@@ -920,13 +793,9 @@ fn bench_engine_overhead(c: &mut Criterion) {
     let frames: u64 = 4 * 2 * 250;
     let clients = 4usize;
     let per_client = 2 * 250usize;
-    c.bench_function("engine_drive_null_2k_frames", |b| {
-        b.iter(|| drive(&scenario, &mut NullDriver, &cfg))
-    });
 
-    // Explicit measurements for the committed baseline (the shim's
-    // Criterion does not expose its mean), split into the engine's three
-    // per-frame components so a future regression localizes immediately:
+    // The drive's cost per frame, split into the engine's three per-frame
+    // components so a future regression localizes immediately:
     //
     // * stream-gen — producing the same frames the drive consumes,
     // * digest    — folding every (client, frame) into the fairness digest,
@@ -1078,14 +947,8 @@ fn bench_engine_overhead(c: &mut Criterion) {
     }
 }
 
-criterion_group!(
-    benches,
-    bench_lookup,
-    bench_lookup_kernels,
-    bench_aca,
-    bench_global_merge,
-    bench_server_tables,
-    bench_codec,
-    bench_engine_overhead
-);
-criterion_main!(benches);
+fn main() {
+    bench_lookup_kernels();
+    bench_server_tables();
+    bench_engine_overhead();
+}

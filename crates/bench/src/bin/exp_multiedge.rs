@@ -18,10 +18,11 @@
 //! 4. **Determinism** — an explicit one-cell topology against the same
 //!    spec with no topology block.
 //!
-//! Env knobs (CI): `COCA_MULTIEDGE_QUICK=1` shrinks rounds/frames (the
-//! record then differs from the committed full-size one — CI restores
-//! it); `COCA_MULTIEDGE_ENFORCE=1` asserts the one-cell ≡ no-topology
-//! digest match and Φ conservation (no echo) in every synced run.
+//! Every run asserts Φ conservation (no echo) across the synced runs and
+//! the one-cell ≡ no-topology digest match: both are exact in virtual
+//! time. Env knob (CI): `COCA_MULTIEDGE_QUICK=1` shrinks rounds/frames
+//! (the record then differs from the committed full-size one — CI
+//! restores it).
 
 use coca_bench::output::save_record;
 use coca_bench::scenario_exp::save_spec;
@@ -129,7 +130,6 @@ fn phi_staleness(servers: &[CocaServer]) -> (f64, bool) {
 
 fn main() {
     let quick = std::env::var("COCA_MULTIEDGE_QUICK").as_deref() == Ok("1");
-    let enforce = std::env::var("COCA_MULTIEDGE_ENFORCE").as_deref() == Ok("1");
     let d = if quick {
         Dims {
             rounds: 2,
@@ -236,12 +236,10 @@ fn main() {
     }
     print!("{}", sweep.render());
     println!("Φ conservation (no echo) across synced runs: {all_synced_conserved}");
-    if enforce {
-        assert!(
-            all_synced_conserved,
-            "peer-sync echoed Φ mass back to an origin"
-        );
-    }
+    assert!(
+        all_synced_conserved,
+        "peer-sync echoed Φ mass back to an origin"
+    );
 
     // -- 2. flash crowd ------------------------------------------------------
     // Cell 0's residents (round-robin: clients 0, 2, 4) pile onto cell 1
@@ -341,12 +339,10 @@ fn main() {
             json!(format!("{:016x}", no_topology.1)),
         ),
     ]);
-    if enforce {
-        assert!(
-            onecell_match,
-            "one-cell topology diverged from the no-topology path"
-        );
-    }
+    assert!(
+        onecell_match,
+        "one-cell topology diverged from the no-topology path"
+    );
 
     save_record(&record);
 }

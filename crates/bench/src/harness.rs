@@ -20,7 +20,7 @@
 
 use coca_baselines::{
     EdgeOnlyDriver, FoggyCacheConfig, FoggyCacheDriver, LearnedCacheConfig, LearnedCacheDriver,
-    ReplacementDriver, ReplacementPolicy, SmtmConfig, SmtmDriver,
+    ReplacementDriver, ReplacementPolicy, SmtmDriver,
 };
 use coca_core::driver::{drive_plan, DriveConfig, DrivePlan};
 use coca_core::engine::{Engine, EngineConfig, EngineReport, Scenario, ScenarioConfig};
@@ -84,7 +84,7 @@ impl Method {
                 drive_plan(s, &mut driver, plan)
             }
             Method::Smtm => {
-                let mut driver = SmtmDriver::new(s, SmtmConfig::from_coca(&coca));
+                let mut driver = SmtmDriver::new(s, &coca);
                 drive_plan(s, &mut driver, plan)
             }
             Method::ReplacementLru => {

@@ -92,14 +92,13 @@ impl AcaOutput {
 ///
 /// Falls back to *all* classes when every score is zero (cold start before
 /// any frequency information exists).
-pub fn select_hot_classes(cfg: &CocaConfig, inputs: &AcaInputs<'_>) -> Vec<usize> {
-    let n = inputs.global_freq.len();
-    assert_eq!(inputs.timestamps.len(), n, "τ length mismatch");
+pub fn select_hot_classes(cfg: &CocaConfig, global_freq: &[u64], timestamps: &[u32]) -> Vec<usize> {
+    let n = global_freq.len();
+    assert_eq!(timestamps.len(), n, "τ length mismatch");
     let f = cfg.round_frames as f64;
-    let scores: Vec<f64> = inputs
-        .global_freq
+    let scores: Vec<f64> = global_freq
         .iter()
-        .zip(inputs.timestamps)
+        .zip(timestamps)
         .map(|(&phi, &tau)| {
             let staleness = (tau as f64 / f).floor();
             phi as f64 * cfg.recency_base.powf(staleness)
@@ -176,7 +175,7 @@ pub fn select_layers(cfg: &CocaConfig, inputs: &AcaInputs<'_>, num_hot: usize) -
 
 /// The full two-stage allocation (Algorithm 1).
 pub fn allocate(cfg: &CocaConfig, inputs: &AcaInputs<'_>) -> AcaOutput {
-    let hot_classes = select_hot_classes(cfg, inputs);
+    let hot_classes = select_hot_classes(cfg, inputs.global_freq, inputs.timestamps);
     let layers = select_layers(cfg, inputs, hot_classes.len());
     AcaOutput {
         hot_classes,
@@ -217,11 +216,7 @@ mod tests {
         let freq = [1000u64, 1000, 10, 10];
         // Class 1 was last seen 3 rounds ago: decays by 0.2³ = 0.008.
         let tau = [0u32, 900, 0, 900];
-        let r = [0.5];
-        let u = [10.0];
-        let b = [100usize];
-        let inp = inputs(&freq, &tau, &r, &u, &b, 1000);
-        let hot = select_hot_classes(&cfg, &inp);
+        let hot = select_hot_classes(&cfg, &freq, &tau);
         // Scores: 1000, 8, 10, 0.08 → class 0 alone holds 98 % ≥ 95 %.
         assert_eq!(hot, vec![0]);
     }
@@ -231,10 +226,7 @@ mod tests {
         let cfg = cfg();
         let freq = [100u64; 10];
         let tau = [0u32; 10];
-        let r = [0.5];
-        let u = [10.0];
-        let b = [100usize];
-        let hot = select_hot_classes(&cfg, &inputs(&freq, &tau, &r, &u, &b, 0));
+        let hot = select_hot_classes(&cfg, &freq, &tau);
         // Uniform scores: need ⌈0.95·10⌉ = 10 classes to reach 95 %.
         assert_eq!(hot.len(), 10);
     }
@@ -244,10 +236,7 @@ mod tests {
         let cfg = cfg();
         let freq = [0u64; 5];
         let tau = [u32::MAX / 2; 5];
-        let r = [0.5];
-        let u = [10.0];
-        let b = [100usize];
-        let hot = select_hot_classes(&cfg, &inputs(&freq, &tau, &r, &u, &b, 0));
+        let hot = select_hot_classes(&cfg, &freq, &tau);
         assert_eq!(hot.len(), 5);
     }
 

@@ -72,13 +72,9 @@ const CLASS_NOISE_SPAN: usize = 3;
 const VISIBILITY_REF: f32 = 0.50;
 /// Exponent of the visibility attenuation `(ref/d)^power`.
 const VISIBILITY_POWER: f32 = 1.8;
-/// Run difficulty at which class ambiguity begins.
+/// Run difficulty above which a run's content is a pure sibling look-alike
+/// (mixing weight `m = 1`; features stay inside the class manifold).
 const CONFUSION_ONSET: f32 = 1.30;
-/// Slope of ambiguity mixing weight vs. run difficulty.
-const CONFUSION_SCALE: f32 = 8.0;
-/// Cap on the raw mixing weight `m` (1.0 = the content is a pure sibling
-/// look-alike; features stay inside the class manifold).
-const CONFUSION_MAX: f32 = 1.00;
 /// Fraction of a layer's disambiguation subtracted from the ambiguity
 /// mixing weight (subtractive depth relief).
 const AMBIGUITY_RELIEF: f32 = 0.58;
@@ -276,14 +272,20 @@ impl FeatureUniverse {
 
     /// The ambiguity of a run: `(confuser_class, mixing_weight m)`.
     ///
-    /// Deterministic per run. `m = 0` means the content is unambiguous.
+    /// Deterministic per run. `m = 0` means the content is unambiguous;
+    /// a run harder than [`CONFUSION_ONSET`] reads `m = 1`. The stream's
+    /// medium runs end at the onset and its hard runs start at 1.60, so
+    /// every generated run gets the weight a ramp from the onset to 1.60
+    /// would give it.
     pub fn run_confusion(&self, frame: &Frame) -> (usize, f32) {
         let sibs = &self.siblings[frame.class];
         let mut rng = self.seeds.rng_for_idx("confusion", frame.run_seed);
         let confuser = sibs[rng.gen_range(0..sibs.len())];
-        let u: f32 = rng.gen_range(0.5..1.0);
-        let raw = CONFUSION_SCALE * (frame.run_difficulty - CONFUSION_ONSET);
-        let m = (raw * u).clamp(0.0, CONFUSION_MAX);
+        let m = if frame.run_difficulty > CONFUSION_ONSET {
+            1.0
+        } else {
+            0.0
+        };
         (confuser, m)
     }
 
@@ -698,23 +700,27 @@ mod tests {
         assert!(deep > shallow, "shallow {shallow} deep {deep}");
     }
 
+    /// Folds `word`'s little-endian bytes into the FNV-1a hash `hash`.
+    fn fnv_mix(hash: &mut u64, word: u32) {
+        for b in word.to_le_bytes() {
+            *hash = (*hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
     #[test]
     fn synthesis_bits_are_pinned() {
         // FNV-1a over the bits of every cache point's and the head's vector
         // plus the classifier margin, for ResNet101/UCF101-50 at drift 0 and
-        // drift 0.3 (70 % shared), then over the run confusion along its
-        // ramp. Every calibration constant of the geometry reaches these
-        // bits: moving one changes the hash.
+        // drift 0.3 (70 % shared), 200 frames each. Every calibration
+        // constant of the geometry reaches these bits: moving one changes
+        // the hash.
         let seeds = SeedTree::new(7);
         let dataset = coca_data::DatasetSpec::ucf101().subset(50);
         let rt = crate::ModelRuntime::new(crate::ModelId::ResNet101, &dataset, &seeds);
         let uni = rt.universe();
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |word: u32| {
-            for b in word.to_le_bytes() {
-                hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut hash = FNV_OFFSET;
         let fs = frames(200, 12);
         for (id, drift) in [(0, 0.0), (1, 0.3)] {
             let client = ClientProfile::new(id, drift, 0.7, &seeds);
@@ -722,24 +728,40 @@ mod tests {
             for f in &fs {
                 for layer in 0..=uni.head_layer() {
                     for x in uni.semantic_vector(f, &client, layer, &mut view) {
-                        mix(x.to_bits());
+                        fnv_mix(&mut hash, x.to_bits());
                     }
                 }
-                mix(rt.classify(f, &client, &mut view).margin.to_bits());
+                fnv_mix(
+                    &mut hash,
+                    rt.classify(f, &client, &mut view).margin.to_bits(),
+                );
             }
         }
-        // The stream's difficulty modes miss the ramp: a generated run's m
-        // is 0 (below the onset) or clamped to the cap. Sweep the ramp.
-        for (i, f) in fs.iter().enumerate() {
-            let f = Frame {
-                run_difficulty: 1.3 + 0.001 * i as f32,
+        assert_eq!(hash, 0xc2d6_6f69_7bd9_a160, "synthesis hash {hash:#018x}");
+
+        // The run confusion over a band from the onset up, then at the
+        // onset and its two f32 neighbours (written out, not read from the
+        // constant), so a one-ulp move of the onset either way changes
+        // the hash.
+        let onset = 1.30f32;
+        let around_onset = [
+            f32::from_bits(onset.to_bits() - 1),
+            onset,
+            f32::from_bits(onset.to_bits() + 1),
+        ];
+        let difficulties = (0..fs.len())
+            .map(|i| 1.3 + 0.001 * i as f32)
+            .chain(around_onset);
+        let mut hash = FNV_OFFSET;
+        for (f, run_difficulty) in fs.iter().cycle().zip(difficulties) {
+            let (confuser, m) = uni.run_confusion(&Frame {
+                run_difficulty,
                 ..*f
-            };
-            let (confuser, m) = uni.run_confusion(&f);
-            mix(confuser as u32);
-            mix(m.to_bits());
+            });
+            fnv_mix(&mut hash, confuser as u32);
+            fnv_mix(&mut hash, m.to_bits());
         }
-        assert_eq!(hash, 0xdd25_2063_89d4_f38b, "synthesis hash {hash:#018x}");
+        assert_eq!(hash, 0x7939_e9ee_4de4_0ede, "confusion hash {hash:#018x}");
     }
 
     #[test]

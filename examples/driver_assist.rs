@@ -10,7 +10,7 @@
 //! cargo run --release --example driver_assist
 //! ```
 
-use coca::baselines::{run_edge_only, SmtmConfig, SmtmDriver};
+use coca::baselines::{run_edge_only, SmtmDriver};
 use coca::core::driver::{drive, DriveConfig};
 use coca::prelude::*;
 
@@ -28,7 +28,7 @@ fn main() {
     let edge = run_edge_only(&scenario, rounds, frames);
 
     let scenario = Scenario::build(sc.clone());
-    let mut driver = SmtmDriver::new(&scenario, SmtmConfig::from_coca(&coca_cfg));
+    let mut driver = SmtmDriver::new(&scenario, &coca_cfg);
     let smtm = drive(&scenario, &mut driver, &DriveConfig::new(rounds, frames));
 
     let mut engine_cfg = EngineConfig::new(coca_cfg);

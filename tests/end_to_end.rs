@@ -1,6 +1,6 @@
 //! Cross-crate integration tests: the full CoCa stack end to end.
 
-use coca::baselines::{run_edge_only, SmtmConfig, SmtmDriver};
+use coca::baselines::{run_edge_only, SmtmDriver};
 use coca::core::driver::{drive, DriveConfig};
 use coca::prelude::*;
 
@@ -73,7 +73,7 @@ fn coca_dominates_smtm_on_accuracy_at_comparable_latency() {
     sc.global_popularity = uniform_weights(50);
     let coca_cfg = CocaConfig::for_model(ModelId::ResNet101).with_round_frames(200);
     let scenario = Scenario::build(sc.clone());
-    let mut driver = SmtmDriver::new(&scenario, SmtmConfig::from_coca(&coca_cfg));
+    let mut driver = SmtmDriver::new(&scenario, &coca_cfg);
     let smtm = drive(&scenario, &mut driver, &DriveConfig::new(4, 200));
     let coca = run_coca(&sc, 4, 200);
     assert!(
