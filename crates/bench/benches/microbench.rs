@@ -25,12 +25,15 @@
 //!   over its absolute ns budget (the fused kernel at d = 256 / 64
 //!   entries, the fleet-scale batched merge, the five `persist_*` costs),
 //!   or — with AVX2 dispatch active — a `simd_kernel_speedup` geomean
-//!   below 1.5× (guard band under the committed ≥2×). The ns gates are
+//!   below 1.5× (guard band under the committed ≥2×). Every gate prints
+//!   its verdict; an enforced run measures all three sections, lists every
+//!   failed gate at the end and then exits non-zero. The ns gates are
 //!   host-relative: baselines are regenerated on the machine that commits
 //!   them.
 
 use std::hint::black_box;
 use std::path::PathBuf;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use coca_bench::fleet::FleetNullDriver;
@@ -59,6 +62,16 @@ fn enforce_mode() -> bool {
 
 /// Maximum tolerated per-frame regression vs a committed baseline.
 const MAX_REGRESSION: f64 = 1.25;
+
+/// The failed gates of this run, listed together by `main` at the end.
+static FAILURES: Mutex<Vec<String>> = Mutex::new(Vec::new());
+
+/// Records a failed gate when the run enforces its gates.
+fn fail(msg: String) {
+    if enforce_mode() {
+        FAILURES.lock().unwrap().push(msg);
+    }
+}
 
 /// Mean ns per call of `f`, with a calibration warmup (quick mode shrinks
 /// the measurement burst ~7×).
@@ -106,16 +119,16 @@ fn read_baseline(name: &str) -> Option<serde_json::Value> {
     serde_json::from_str(&text).ok()
 }
 
-/// Fails the bench run (under `COCA_BENCH_ENFORCE=1`) when `current_ns`
+/// Fails the gate (under `COCA_BENCH_ENFORCE=1`) when `current_ns`
 /// regressed more than [`MAX_REGRESSION`] over `committed_ns`, or when the
 /// committed baseline has no value at `key` — a renamed or missing key
 /// must not switch its gate off.
 fn enforce_no_regression(label: &str, current_ns: f64, committed_ns: Option<f64>, key: &str) {
     let Some(committed) = committed_ns else {
         println!("gate  {label:<40} {current_ns:>10.1} ns, no committed {key}");
-        if enforce_mode() {
-            panic!("{label}: the committed baseline has no {key} to gate against");
-        }
+        fail(format!(
+            "{label}: the committed baseline has no {key} to gate against"
+        ));
         return;
     };
     let ratio = current_ns / committed.max(1e-9);
@@ -128,16 +141,15 @@ fn enforce_no_regression(label: &str, current_ns: f64, committed_ns: Option<f64>
         "gate  {label:<40} {current_ns:>10.1} ns vs committed {committed:.1} ns \
          ({ratio:.2}x, {verdict})"
     );
-    if enforce_mode() && ratio > MAX_REGRESSION {
-        panic!(
+    if ratio > MAX_REGRESSION {
+        fail(format!(
             "{label}: {current_ns:.1} ns regressed {ratio:.2}x over the committed \
-             {committed:.1} ns baseline (limit {MAX_REGRESSION}x) — \
-             investigate or regenerate with `cargo bench -p coca-bench`"
-        );
+             {committed:.1} ns baseline (limit {MAX_REGRESSION}x)"
+        ));
     }
 }
 
-/// Fails the bench run (under `COCA_BENCH_ENFORCE=1`) when `current_ns`
+/// Fails the gate (under `COCA_BENCH_ENFORCE=1`) when `current_ns`
 /// exceeds a fixed budget — the gate for costs whose committed trajectory
 /// is a target met, not a baseline to drift from.
 fn enforce_budget(label: &str, current_ns: f64, budget_ns: f64) {
@@ -147,8 +159,10 @@ fn enforce_budget(label: &str, current_ns: f64, budget_ns: f64) {
         "ok"
     };
     println!("gate  {label:<40} {current_ns:>10.1} ns vs budget {budget_ns:.0} ns ({verdict})");
-    if enforce_mode() && current_ns > budget_ns {
-        panic!("{label}: {current_ns:.1} ns is over its {budget_ns:.0} ns budget");
+    if current_ns > budget_ns {
+        fail(format!(
+            "{label}: {current_ns:.1} ns is over its {budget_ns:.0} ns budget"
+        ));
     }
 }
 
@@ -385,12 +399,12 @@ fn bench_lookup_kernels() {
     /// baseline shows ≥2×; the guard band absorbs scalar-side noise on
     /// shared runners.
     const SIMD_SPEEDUP_FLOOR: f64 = 1.5;
-    if enforce_mode() && simd_active && simd_kernel_speedup < SIMD_SPEEDUP_FLOOR {
-        panic!(
+    if simd_active && simd_kernel_speedup < SIMD_SPEEDUP_FLOOR {
+        fail(format!(
             "simd_kernel_speedup {simd_kernel_speedup:.2}x at d={SIMD_DIM} is below the \
              {SIMD_SPEEDUP_FLOOR}x enforcement floor with AVX2 dispatch active \
              (the committed baseline shows >=2x)"
-        );
+        ));
     }
 
     let json = format!(
@@ -951,4 +965,15 @@ fn main() {
     bench_lookup_kernels();
     bench_server_tables();
     bench_engine_overhead();
+    let failures = FAILURES.lock().unwrap();
+    if !failures.is_empty() {
+        eprintln!(
+            "{} gate(s) failed — investigate or regenerate with `cargo bench -p coca-bench`:",
+            failures.len()
+        );
+        for f in failures.iter() {
+            eprintln!("  {f}");
+        }
+        std::process::exit(1);
+    }
 }

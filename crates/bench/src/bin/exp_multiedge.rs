@@ -20,9 +20,7 @@
 //!
 //! Every run asserts Φ conservation (no echo) across the synced runs and
 //! the one-cell ≡ no-topology digest match: both are exact in virtual
-//! time. Env knob (CI): `COCA_MULTIEDGE_QUICK=1` shrinks rounds/frames
-//! (the record then differs from the committed full-size one — CI
-//! restores it).
+//! time.
 
 use coca_bench::output::save_record;
 use coca_bench::scenario_exp::save_spec;
@@ -38,11 +36,10 @@ use serde_json::json;
 const CLIENTS: usize = 6;
 const CLASSES: usize = 30;
 const SEED: u64 = 23_001;
-
-struct Dims {
-    rounds: usize,
-    frames: usize,
-}
+const ROUNDS: usize = 4;
+const FRAMES: usize = 150;
+/// Peer-sync periods of the sweep (ms).
+const PERIODS: [f64; 3] = [250.0, 1000.0, 4000.0];
 
 fn base_scenario() -> ScenarioConfig {
     let mut sc = ScenarioConfig::new(ModelId::ResNet101, DatasetSpec::ucf101().subset(CLASSES));
@@ -51,12 +48,8 @@ fn base_scenario() -> ScenarioConfig {
     sc
 }
 
-fn coca_cfg(frames: usize) -> CocaConfig {
-    CocaConfig::for_model(ModelId::ResNet101).with_round_frames(frames)
-}
-
-fn base_spec(d: &Dims) -> ScenarioSpec {
-    ScenarioSpec::new(base_scenario(), d.rounds, d.frames)
+fn base_spec() -> ScenarioSpec {
+    ScenarioSpec::new(base_scenario(), ROUNDS, FRAMES)
 }
 
 /// Runs one spec on as many server cells as its topology names and
@@ -129,19 +122,6 @@ fn phi_staleness(servers: &[CocaServer]) -> (f64, bool) {
 }
 
 fn main() {
-    let quick = std::env::var("COCA_MULTIEDGE_QUICK").as_deref() == Ok("1");
-    let d = if quick {
-        Dims {
-            rounds: 2,
-            frames: 100,
-        }
-    } else {
-        Dims {
-            rounds: 4,
-            frames: 150,
-        }
-    };
-
     let mut record = ExperimentRecord::new(
         "multiedge",
         "multi-edge topology — peer-synced server cells, migration, cell failure",
@@ -150,8 +130,8 @@ fn main() {
         .param("model", "resnet101")
         .param("dataset", format!("ucf101-{CLASSES}"))
         .param("clients", CLIENTS as u64)
-        .param("rounds", d.rounds as u64)
-        .param("frames_per_round", d.frames as u64)
+        .param("rounds", ROUNDS as u64)
+        .param("frames_per_round", FRAMES as u64)
         .param("seed", SEED);
 
     // -- 1. sync-period sweep ------------------------------------------------
@@ -167,9 +147,9 @@ fn main() {
         ],
     );
 
-    let coca = coca_cfg(d.frames);
+    let coca = CocaConfig::for_model(ModelId::ResNet101).with_round_frames(FRAMES);
     let oracle = run_cells(
-        &base_spec(&d).topology(TopologySpec::uniform(1, CLIENTS)),
+        &base_spec().topology(TopologySpec::uniform(1, CLIENTS)),
         coca,
     );
     sweep.row(&[
@@ -191,16 +171,11 @@ fn main() {
         ("phi_staleness", json!(oracle.staleness)),
     ]);
 
-    let periods: &[f64] = if quick {
-        &[500.0, 4000.0]
-    } else {
-        &[250.0, 1000.0, 4000.0]
-    };
     let mut all_synced_conserved = true;
     for mode in [SyncMode::Gossip, SyncMode::HubAndSpoke] {
-        for &period in periods {
+        for period in PERIODS {
             let spec =
-                base_spec(&d).topology(TopologySpec::uniform(3, CLIENTS).with_sync(period, mode));
+                base_spec().topology(TopologySpec::uniform(3, CLIENTS).with_sync(period, mode));
             let run = run_cells(&spec, coca);
             all_synced_conserved &= run.phi_conserved;
             let label = match mode {
@@ -244,9 +219,9 @@ fn main() {
     // -- 2. flash crowd ------------------------------------------------------
     // Cell 0's residents (round-robin: clients 0, 2, 4) pile onto cell 1
     // midway — a flash crowd at one edge.
-    let mut flash_spec = base_spec(&d)
-        .topology(TopologySpec::uniform(2, CLIENTS).with_sync(1000.0, SyncMode::Gossip));
-    let mid = (d.rounds / 2).max(1);
+    let mut flash_spec =
+        base_spec().topology(TopologySpec::uniform(2, CLIENTS).with_sync(1000.0, SyncMode::Gossip));
+    let mid = ROUNDS / 2;
     for k in [0usize, 2, 4] {
         flash_spec = flash_spec.migrate(k, mid, 1);
     }
@@ -294,8 +269,8 @@ fn main() {
     // Cell 1 "fails" mid-run: its residents (clients 1, 3, 5) re-home to
     // cell 0 via Migrate — the old cell drains its in-flight uploads at
     // the handover, the migrants re-allocate from cell 0's merged view.
-    let mut fail_spec = base_spec(&d)
-        .topology(TopologySpec::uniform(2, CLIENTS).with_sync(1000.0, SyncMode::Gossip));
+    let mut fail_spec =
+        base_spec().topology(TopologySpec::uniform(2, CLIENTS).with_sync(1000.0, SyncMode::Gossip));
     for k in [1usize, 3, 5] {
         fail_spec = fail_spec.migrate(k, mid, 0);
     }
@@ -322,7 +297,7 @@ fn main() {
     // table digest is the one the pre-topology engine committed — the
     // proof its event sequence survives in the one engine there is.
     let key = |run: &CellRun| (run.report.frame_digest, run.digests[0]);
-    let no_topology = key(&run_cells(&base_spec(&d), coca));
+    let no_topology = key(&run_cells(&base_spec(), coca));
     let onecell = key(&oracle);
     let onecell_match = no_topology == onecell;
     println!(

@@ -1,7 +1,9 @@
-//! Generic dynamic-scenario runner: loads a JSON [`ScenarioSpec`] and
-//! runs **all six methods** (Edge-Only, LearnedCache, FoggyCache, SMTM,
+//! The dynamic-scenario runner: loads a JSON [`ScenarioSpec`] and runs
+//! **all six methods** (Edge-Only, LearnedCache, FoggyCache, SMTM,
 //! Replacement-LRU, CoCa) over it through the shared harness, reporting
-//! overall and windowed (per-interval) metrics.
+//! overall and windowed (per-interval) metrics. The committed specs under
+//! `results/specs/` are the only source of the dynamics worlds: churn,
+//! drift and hetero regenerate their records from them.
 //!
 //! ```sh
 //! cargo run --release -p coca-bench --bin exp_scenario -- results/specs/churn.json
@@ -14,13 +16,12 @@
 //! the sweep is bit-identical to running the specs one by one — and then
 //! renders the per-spec tables sequentially in filename order.
 //!
-//! Each record is saved as `results/scenario_<stem>.json`. See the
-//! README's "Dynamic scenarios" section for the JSON format.
+//! Each record is saved as `results/<stem>.json` with record id `<stem>`.
+//! See the README's "Dynamic scenarios" section for the JSON format.
 
 use coca_bench::harness::parallel_sweep;
 use coca_bench::scenario_exp::{compute_spec_reports, render_spec_experiment};
 use coca_core::spec::ScenarioSpec;
-use coca_core::CocaConfig;
 
 /// Loads and parses one spec file, exiting with a diagnostic on failure.
 fn load_spec(path: &str) -> ScenarioSpec {
@@ -52,7 +53,7 @@ fn main() {
         Some(p) => p,
         None => {
             eprintln!("usage: exp_scenario <spec.json | spec-directory>");
-            eprintln!("  (curated specs land in results/specs/ via exp_churn / exp_drift)");
+            eprintln!("  (the curated specs are committed under results/specs/)");
             std::process::exit(2);
         }
     };
@@ -90,16 +91,10 @@ fn main() {
     // Compute in parallel (each job is an isolated scenario-seeded run),
     // render sequentially so the per-spec tables never interleave.
     let results = parallel_sweep(jobs, |(stem, spec)| {
-        let coca = CocaConfig::for_model(spec.scenario.model);
-        let reports = compute_spec_reports(&spec, coca);
+        let reports = compute_spec_reports(&spec);
         (stem, spec, reports)
     });
     for (stem, spec, reports) in &results {
-        render_spec_experiment(
-            &format!("scenario_{stem}"),
-            &format!("Dynamic scenario — {stem}"),
-            spec,
-            reports,
-        );
+        render_spec_experiment(stem, &format!("Dynamic scenario — {stem}"), spec, reports);
     }
 }

@@ -13,10 +13,11 @@
 //! [`coca_core::driver::drive`] run bit for bit; a timeline comparison
 //! ([`run_all_methods_spec`]) runs under a materialized [`ScenarioSpec`].
 //!
-//! Sweeps fan out over a rayon-style thread pool via [`parallel_sweep`]:
-//! each job rebuilds its scenario deterministically and runs in isolation,
-//! and results come back **in input order**, so a parallel sweep is
-//! bit-identical to running the same jobs serially.
+//! Sweeps fan out over scoped threads via [`parallel_sweep`], one worker
+//! per core the process may use: each job rebuilds its scenario
+//! deterministically and runs in isolation, and results come back **in
+//! input order**, so a parallel sweep is bit-identical to running the same
+//! jobs serially.
 
 use coca_baselines::{
     EdgeOnlyDriver, FoggyCacheConfig, FoggyCacheDriver, LearnedCacheConfig, LearnedCacheDriver,
@@ -26,7 +27,8 @@ use coca_core::driver::{drive_plan, DriveConfig, DrivePlan};
 use coca_core::engine::{Engine, EngineConfig, EngineReport, Scenario, ScenarioConfig};
 use coca_core::spec::ScenarioSpec;
 use coca_core::CocaConfig;
-use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Entries-per-layer budget for the Replacement (LRU) row of the
 /// six-method dynamic comparisons (Fig. 8's mid-size setting).
@@ -41,16 +43,41 @@ pub fn standard_run() -> DriveConfig {
     DriveConfig::new(6, 300)
 }
 
-/// Runs `job` over every item on the workspace thread pool, returning
-/// results in input order (bit-identical to a serial map — each job must
-/// derive all randomness from its input, which scenario-seeded runs do).
+/// Runs `job` over every item on `available_parallelism()` scoped
+/// workers pulling indices from a shared counter, returning results in
+/// input order (bit-identical to a serial map — each job must derive all
+/// randomness from its input, which scenario-seeded runs do). At width 1
+/// (one core, or one item) the map runs inline and spawns nothing.
 pub fn parallel_sweep<T, R, F>(items: Vec<T>, job: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    items.into_par_iter().map(job).collect()
+    let n = items.len();
+    let workers = std::thread::available_parallelism().map_or(1, |w| w.get().min(n));
+    if workers <= 1 {
+        return items.into_iter().map(job).collect();
+    }
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
+    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let item = slots[i].lock().unwrap().take().unwrap();
+                *results[i].lock().unwrap() = Some(job(item));
+            });
+        }
+    });
+    results
+        .into_iter()
+        .map(|r| r.into_inner().unwrap().unwrap())
+        .collect()
 }
 
 /// The methods of the paper's comparison tables, as sweepable jobs.
@@ -322,11 +349,15 @@ mod tests {
                 run_coca(&sc, coca, &cfg)
             })
             .collect();
+        assert_eq!(parallel.len(), serial.len());
         for (p, q) in parallel.iter().zip(&serial) {
             assert_eq!(p.mean_latency_ms, q.mean_latency_ms);
             assert_eq!(p.accuracy_pct, q.accuracy_pct);
             assert_eq!(p.hit_ratio, q.hit_ratio);
             assert_eq!(p.frame_digest, q.frame_digest);
         }
+        // The degenerate widths: nothing to run, and one item run inline.
+        assert!(parallel_sweep(Vec::<u32>::new(), |x| x + 1).is_empty());
+        assert_eq!(parallel_sweep(vec![9u32], |x| x + 1), vec![10]);
     }
 }

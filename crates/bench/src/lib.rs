@@ -11,8 +11,9 @@
 //! * [`fleet`] — the degenerate driver that prices the event loop alone
 //!   (`exp_fleet` and the engine bench).
 //! * [`output`] — result directory conventions and printing helpers.
-//! * [`scenario_exp`] — the dynamic-scenario runner shared by
-//!   `exp_scenario` (generic, JSON-driven), `exp_churn` and `exp_drift`.
+//! * [`scenario_exp`] — the dynamic-scenario runner behind `exp_scenario`,
+//!   which regenerates each dynamics record (churn, drift, hetero) from its
+//!   committed spec under `results/specs/`.
 //!
 //! Run e.g. `cargo run --release -p coca-bench --bin exp_table2`, or a
 //! declarative scenario via

@@ -1,9 +1,8 @@
-//! Shared plumbing for the dynamic-scenario experiment binaries
-//! (`exp_scenario`, `exp_churn`, `exp_drift`): run all six methods over
-//! one [`ScenarioSpec`], print overall + windowed tables, and persist
-//! both the experiment record and the spec JSON it was driven by.
-
-use std::path::PathBuf;
+//! The dynamic-scenario runner behind `exp_scenario`: run all six methods
+//! over one [`ScenarioSpec`], print overall + windowed tables and save the
+//! experiment record. The committed spec under `results/specs/` is the one
+//! source of each dynamics world; [`save_spec`] writes the spec a binary
+//! builds in code (`exp_multiedge`'s flash crowd) so it replays the same way.
 
 use coca_core::engine::EngineReport;
 use coca_core::spec::{ScenarioEvent, ScenarioSpec};
@@ -16,16 +15,10 @@ use serde_json::json;
 use crate::harness::run_all_methods_spec;
 use crate::output::{results_dir, save_record};
 
-/// Directory where canonical scenario-spec JSON files land
-/// (`results/specs/`); `exp_scenario` replays them.
-pub fn specs_dir() -> PathBuf {
-    results_dir().join("specs")
-}
-
 /// Writes the spec's canonical JSON to `results/specs/<name>.json` so the
 /// experiment is replayable via `exp_scenario`. Prints the path.
 pub fn save_spec(name: &str, spec: &ScenarioSpec) {
-    let dir = specs_dir();
+    let dir = results_dir().join("specs");
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("warning: could not create {}: {e}", dir.display());
         return;
@@ -38,7 +31,7 @@ pub fn save_spec(name: &str, spec: &ScenarioSpec) {
 }
 
 /// One-line description of the timeline's composition.
-pub fn timeline_summary(spec: &ScenarioSpec) -> String {
+fn timeline_summary(spec: &ScenarioSpec) -> String {
     let (mut joins, mut leaves, mut shifts, mut links, mut speeds, mut migrations) =
         (0, 0, 0, 0, 0, 0);
     for ev in &spec.timeline {
@@ -92,21 +85,12 @@ fn group_windows(windows: &[WindowStats], stride: usize) -> Vec<WindowStats> {
         .collect()
 }
 
-/// Runs all six methods over `spec`, prints the overall comparison and the
-/// windowed hit-ratio / latency series, and saves an [`ExperimentRecord`]
-/// named `name`. Asserts the cross-method digest invariant before
-/// reporting anything.
-pub fn run_spec_experiment(name: &str, title: &str, spec: &ScenarioSpec, coca: CocaConfig) {
-    let reports = compute_spec_reports(spec, coca);
-    render_spec_experiment(name, title, spec, &reports);
-}
-
-/// The compute half of [`run_spec_experiment`]: runs all six methods and
+/// Runs all six methods over `spec` (CoCa with its model's defaults) and
 /// asserts the cross-method digest invariant, printing nothing. Directory
 /// sweeps fan these out over `parallel_sweep` and render sequentially so
 /// per-spec tables never interleave.
-pub fn compute_spec_reports(spec: &ScenarioSpec, coca: CocaConfig) -> Vec<EngineReport> {
-    let reports = run_all_methods_spec(spec, coca);
+pub fn compute_spec_reports(spec: &ScenarioSpec) -> Vec<EngineReport> {
+    let reports = run_all_methods_spec(spec, CocaConfig::for_model(spec.scenario.model));
     let digest = reports[0].frame_digest;
     for r in &reports {
         assert_eq!(
@@ -118,8 +102,8 @@ pub fn compute_spec_reports(spec: &ScenarioSpec, coca: CocaConfig) -> Vec<Engine
     reports
 }
 
-/// The render half of [`run_spec_experiment`]: prints the tables and saves
-/// the [`ExperimentRecord`].
+/// Prints the overall comparison and the windowed hit-ratio / latency
+/// series of `reports`, and saves an [`ExperimentRecord`] named `name`.
 pub fn render_spec_experiment(
     name: &str,
     title: &str,

@@ -291,7 +291,7 @@ impl DriveConfig {
         Self {
             rounds,
             frames_per_round,
-            link: LinkModel::testbed(),
+            link: LinkModel::default(),
             boot_window_ms: coca_net::TESTBED_BOOT_WINDOW_MS,
         }
     }

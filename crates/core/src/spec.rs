@@ -194,7 +194,7 @@ impl TopologySpec {
         Self {
             cells: vec![CellSpec { link: None }; cells.max(1)],
             assignment: (0..clients).map(|k| k % cells.max(1)).collect(),
-            peer_link: LinkModel::testbed(),
+            peer_link: LinkModel::default(),
             sync_period_ms: None,
             sync_mode: SyncMode::Gossip,
         }
@@ -300,7 +300,7 @@ impl ScenarioSpec {
             rounds,
             frames_per_round,
             boot_window_ms: TESTBED_BOOT_WINDOW_MS,
-            base_link: LinkModel::testbed(),
+            base_link: LinkModel::default(),
             metrics_window_ms: DEFAULT_METRICS_WINDOW_MS,
             timeline: Vec::new(),
             topology: None,
@@ -783,7 +783,7 @@ mod tests {
     fn link_changes_compile_into_per_client_schedules() {
         let spec = ScenarioSpec::new(base_cfg(603), 3, 50)
             .link_change(Some(0), 5_000.0, slow_link())
-            .link_change(None, 9_000.0, LinkModel::testbed());
+            .link_change(None, 9_000.0, LinkModel::default());
         let (_, plan) = spec.materialize();
         assert!(!plan.links[0].is_static());
         assert_eq!(plan.links[0].changes().len(), 2);
@@ -795,7 +795,7 @@ mod tests {
         );
         assert_eq!(
             plan.links[1].link_at(t).one_way_delay,
-            LinkModel::testbed().one_way_delay
+            LinkModel::default().one_way_delay
         );
     }
 

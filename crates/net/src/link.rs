@@ -39,12 +39,6 @@ impl Default for LinkModel {
 }
 
 impl LinkModel {
-    /// The paper's router-based WiFi testbed link (alias of
-    /// [`LinkModel::default`], named so call sites read as intent).
-    pub fn testbed() -> Self {
-        Self::default()
-    }
-
     /// An idealized link with zero cost (unit tests, single-node runs).
     pub fn zero() -> Self {
         Self {

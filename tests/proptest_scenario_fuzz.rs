@@ -223,7 +223,9 @@ fn print_generated_spec() {
 }
 
 /// Every curated spec — the committed dynamics records' specs and the
-/// fuzzer's regression finds — replays cleanly through the same oracle.
+/// fuzzer's regression finds — is canonical (its file is byte for byte its
+/// own `to_json()`, up to a final newline) and replays cleanly through the
+/// same oracle.
 #[test]
 fn curated_specs_hold_engine_invariants() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/results/specs");
@@ -236,6 +238,13 @@ fn curated_specs_hold_engine_invariants() {
         let text = std::fs::read_to_string(&path).unwrap();
         let spec =
             ScenarioSpec::from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        // A file may end with the one newline a text file ends with (the
+        // fuzz pins do); every other byte is the canonical `to_json()`.
+        assert!(
+            spec.to_json() == text.strip_suffix('\n').unwrap_or(&text),
+            "curated spec {} is not canonical: it must equal its own to_json()",
+            path.display()
+        );
         if let Some(reason) = violates(&spec) {
             panic!(
                 "curated spec {} violates invariants: {reason}",
