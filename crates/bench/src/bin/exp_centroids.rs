@@ -112,7 +112,7 @@ fn main() {
          {:.4} -> {:.4} — the collected samples carry the client's context drift the \
          shared-dataset seeds cannot see. The inter column rises too: every drifted \
          sample shares the client's context direction, which k-means centers absorb — \
-         the same common-mode shift exp_fig2 shows for GCU-evolved centers.)",
+         the same common-mode shift `exp_paper fig2` shows for GCU-evolved centers.)",
         sep_seeded.intra, sep_derived.intra
     );
     assert!(

@@ -1,5 +1,5 @@
 //! The one method dispatch and the parallel sweep engine shared by the
-//! experiment binaries.
+//! experiments.
 //!
 //! Every method consumes a scenario rebuilt from the same
 //! [`ScenarioConfig`] — identical feature universe, client drift profiles
@@ -35,13 +35,6 @@ use std::sync::Mutex;
 pub const SPEC_REPLACEMENT_ENTRIES: usize = 30;
 /// Fixed high-benefit layer count for the Replacement row.
 pub const SPEC_REPLACEMENT_LAYERS: usize = 4;
-
-/// The default experiment length (6 rounds × 300 frames): enough rounds
-/// for the collaborative machinery to reach steady state while keeping
-/// sweeps fast.
-pub fn standard_run() -> DriveConfig {
-    DriveConfig::new(6, 300)
-}
 
 /// Runs `job` over every item on `available_parallelism()` scoped
 /// workers pulling indices from a shared counter, returning results in
@@ -80,20 +73,36 @@ where
         .collect()
 }
 
-/// The methods of the paper's comparison tables, as sweepable jobs.
-#[derive(Debug, Clone, Copy)]
-enum Method {
+/// The methods of the comparisons, as sweepable jobs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Method {
+    /// Full-model inference on every frame; reads no `CocaConfig`.
     EdgeOnly,
+    /// Multi-exit inference; its exits read the config's Θ.
     LearnedCache,
+    /// Cross-device reuse under `FoggyCacheConfig::default()`; reads no
+    /// `CocaConfig`.
     FoggyCache,
+    /// Single-client semantic caching; reads the config's Θ and α.
     Smtm,
     /// The Fig. 8-style managed cache (only part of the six-method
     /// dynamic comparisons; the five-method paper tables omit it).
     ReplacementLru,
+    /// The full engine.
     Coca,
 }
 
 impl Method {
+    /// The five methods of the paper's comparison tables, in its reporting
+    /// order.
+    pub const PAPER: [Method; 5] = [
+        Method::EdgeOnly,
+        Method::LearnedCache,
+        Method::FoggyCache,
+        Method::Smtm,
+        Method::Coca,
+    ];
+
     /// Runs this method over `scenario` under `plan` — the one set of
     /// engine knobs every method of the comparison shares, so all rows
     /// price identical network, boot and churn conditions.
@@ -149,23 +158,17 @@ pub fn run_coca(sc: &ScenarioConfig, coca: CocaConfig, cfg: &DriveConfig) -> Eng
     Method::Coca.run_static(sc, coca, cfg)
 }
 
-/// Runs all five methods of the paper's comparison tables **in parallel**,
-/// returned in the paper's reporting order: Edge-Only, LearnedCache,
-/// FoggyCache, SMTM, CoCa. Each method rebuilds the scenario from `sc`, so
-/// every row of the comparison consumed byte-identical frame streams.
+/// Runs `methods` **in parallel**, one report each in the order given
+/// ([`Method::PAPER`] for the paper's comparison tables). Each method
+/// rebuilds the scenario from `sc`, so every row of the comparison
+/// consumed byte-identical frame streams.
 pub fn run_all_methods(
     sc: &ScenarioConfig,
     coca: CocaConfig,
     cfg: &DriveConfig,
+    methods: &[Method],
 ) -> Vec<EngineReport> {
-    let methods = vec![
-        Method::EdgeOnly,
-        Method::LearnedCache,
-        Method::FoggyCache,
-        Method::Smtm,
-        Method::Coca,
-    ];
-    parallel_sweep(methods, |m| m.run_static(sc, coca, cfg))
+    parallel_sweep(methods.to_vec(), |m| m.run_static(sc, coca, cfg))
 }
 
 /// Runs **all six methods** (Edge-Only, LearnedCache, FoggyCache, SMTM,
@@ -202,7 +205,7 @@ mod tests {
         sc.num_clients = 2;
         sc.seed = 200;
         let coca = CocaConfig::for_model(ModelId::ResNet101);
-        let reports = run_all_methods(&sc, coca, &DriveConfig::new(2, 80));
+        let reports = run_all_methods(&sc, coca, &DriveConfig::new(2, 80), &Method::PAPER);
         assert_eq!(reports.len(), 5);
         let names: Vec<&str> = reports.iter().map(|r| r.method.as_str()).collect();
         assert_eq!(
@@ -266,7 +269,7 @@ mod tests {
         sc.num_clients = 2;
         sc.seed = 204;
         let coca = CocaConfig::for_model(ModelId::ResNet101);
-        let fixed = run_all_methods(&sc, coca, &DriveConfig::new(2, 60));
+        let fixed = run_all_methods(&sc, coca, &DriveConfig::new(2, 60), &Method::PAPER);
         let timeline = run_all_methods_spec(&ScenarioSpec::new(sc, 2, 60), coca);
         let shared: Vec<&EngineReport> = timeline.iter().filter(|r| r.method != "LRU").collect();
         assert_eq!(fixed.len(), shared.len());

@@ -209,7 +209,8 @@ proptest! {
 /// Curation helper (run with `--ignored --nocapture`): prints the JSON
 /// of a few generator draws so interesting ones can be committed under
 /// `results/specs/` — `fuzz_join_drift.json` is seed 3,
-/// `fuzz_leave_drift.json` is seed 42.
+/// `fuzz_leave_drift.json` is seed 42. A pin is its `to_json()` with no
+/// final newline: `curated_specs_hold_engine_invariants` compares bytes.
 #[test]
 #[ignore]
 fn print_generated_spec() {
@@ -224,8 +225,7 @@ fn print_generated_spec() {
 
 /// Every curated spec — the committed dynamics records' specs and the
 /// fuzzer's regression finds — is canonical (its file is byte for byte its
-/// own `to_json()`, up to a final newline) and replays cleanly through the
-/// same oracle.
+/// own `to_json()`) and replays cleanly through the same oracle.
 #[test]
 fn curated_specs_hold_engine_invariants() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/results/specs");
@@ -238,10 +238,8 @@ fn curated_specs_hold_engine_invariants() {
         let text = std::fs::read_to_string(&path).unwrap();
         let spec =
             ScenarioSpec::from_json(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        // A file may end with the one newline a text file ends with (the
-        // fuzz pins do); every other byte is the canonical `to_json()`.
         assert!(
-            spec.to_json() == text.strip_suffix('\n').unwrap_or(&text),
+            spec.to_json() == text,
             "curated spec {} is not canonical: it must equal its own to_json()",
             path.display()
         );
@@ -254,7 +252,7 @@ fn curated_specs_hold_engine_invariants() {
         checked += 1;
     }
     assert!(
-        checked >= 4,
+        checked >= 6,
         "expected the curated spec corpus, found {checked}"
     );
 }
