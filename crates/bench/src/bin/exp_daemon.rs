@@ -20,13 +20,12 @@
 
 use std::net::TcpListener;
 
-use coca_bench::output::save_record;
+use coca_bench::output::{rows_table, save_record};
 use coca_core::CocaServer;
 use coca_daemon::{
     run_load, run_verify, serve, Arrival, DaemonHandle, RunSpec, ServerCore, Workload,
 };
-use coca_metrics::table::fmt_f;
-use coca_metrics::{ExperimentRecord, Table};
+use coca_metrics::ExperimentRecord;
 use coca_model::ModelId;
 
 /// A fresh daemon for `spec` on an ephemeral loopback port.
@@ -52,18 +51,6 @@ fn main() {
         rounds: if quick { 5 } else { 30 },
     };
 
-    let mut out = Table::new(
-        "exp_daemon — closed-loop daemon latency/throughput over loopback TCP",
-        &[
-            "Ops",
-            "Wall (s)",
-            "ops/s",
-            "p50 (ms)",
-            "p99 (ms)",
-            "p999 (ms)",
-            "max (ms)",
-        ],
-    );
     let mut record = ExperimentRecord::new(
         "daemon",
         "cocad serve path over loopback TCP: closed-loop per-request \
@@ -101,15 +88,6 @@ fn main() {
         report.hist.p999().unwrap_or(0.0),
         report.hist.max_ms().unwrap_or(0.0),
     );
-    out.row(&[
-        report.ops.to_string(),
-        fmt_f(report.wall.as_secs_f64(), 2),
-        fmt_f(report.throughput_ops_s(), 0),
-        fmt_f(p50, 3),
-        fmt_f(p99, 3),
-        fmt_f(p999, 3),
-        fmt_f(max, 3),
-    ]);
     record.push_row(&[
         ("ops", serde_json::json!(report.ops)),
         ("ops_served", serde_json::json!(served)),
@@ -120,11 +98,6 @@ fn main() {
         ("p999_ms", serde_json::json!(p999)),
         ("max_ms", serde_json::json!(max)),
     ]);
-    print!("{}", out.render());
-    println!(
-        "(closed loop: one outstanding op per client; the latency row is \
-         wall-clock and host-dependent)"
-    );
 
     // ---- Digest contract: a sequential pass over the wire must land
     // the exact in-process reference state.
@@ -136,25 +109,17 @@ fn main() {
     let outcome = run_verify(handle.addr(), &verify_wl).expect("verify run");
     handle.shutdown();
     handle.join();
-    println!(
-        "verify: {} sequential ops — daemon {:016x} vs reference {:016x} — {}",
-        outcome.ops,
-        outcome.daemon_digest,
-        outcome.local_digest,
-        if outcome.matches() {
-            "MATCH"
-        } else {
-            "DIVERGED"
-        }
-    );
     record.push_row(&[
         ("verify_ops", serde_json::json!(outcome.ops)),
         ("digest_match", serde_json::json!(outcome.matches())),
     ]);
     assert!(
         outcome.matches(),
-        "daemon digest diverged from the in-process reference"
+        "daemon digest {:016x} diverged from the in-process reference {:016x}",
+        outcome.daemon_digest,
+        outcome.local_digest
     );
 
     save_record(&record);
+    print!("{}", rows_table(&record));
 }

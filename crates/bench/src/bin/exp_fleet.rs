@@ -23,13 +23,13 @@
 //!
 //! * `COCA_FLEET_QUICK=1` — cap the engine sweep at 100 000 members;
 //! * `COCA_FLEET_ENFORCE=1` — fail if per-event cost at 100 000 members
-//!   exceeds 2x the 128-member cost, or peak RSS exceeds the ceiling;
-//! * `COCA_FLEET_RSS_CEILING_MB` — peak-RSS ceiling (default 4096).
+//!   exceeds 2x the 128-member cost, or peak RSS exceeds
+//!   `RSS_CEILING_MB` (4 096 MB).
 
 use std::time::Instant;
 
 use coca_bench::fleet::FleetNullDriver;
-use coca_bench::output::save_record;
+use coca_bench::output::{rows_table, save_record};
 use coca_core::collect::UpdateTable;
 use coca_core::driver::{drive_plan, DriveConfig, DrivePlan};
 use coca_core::engine::{Scenario, ScenarioConfig};
@@ -37,8 +37,7 @@ use coca_core::proto::{CacheRequest, UpdateUpload};
 use coca_core::{CocaConfig, CocaServer};
 use coca_data::DatasetSpec;
 use coca_math::random_unit;
-use coca_metrics::table::fmt_f;
-use coca_metrics::{ExperimentRecord, Table};
+use coca_metrics::ExperimentRecord;
 use coca_model::ModelId;
 use coca_sim::SeedTree;
 use rand::Rng;
@@ -49,6 +48,8 @@ const FLEETS: [usize; 3] = [8, 32, 128];
 const TOUCH_EVERY: usize = 3;
 /// Wall-clock repetitions per measurement (min taken).
 const REPS: usize = 5;
+/// Peak-RSS ceiling of the enforced run (MB).
+const RSS_CEILING_MB: f64 = 4096.0;
 
 /// One round of synthetic uploads with real per-layer dimensions.
 fn build_uploads(
@@ -193,17 +194,6 @@ fn main() {
     let rt = &scenario.rt;
     let coca = CocaConfig::for_model(model);
 
-    let mut out = Table::new(
-        "exp_fleet — per-round server merge wall-clock by upload pipeline",
-        &[
-            "Clients",
-            "Pipeline",
-            "Merge (ms)",
-            "Requests (ms)",
-            "Round total (ms)",
-            "us/client",
-        ],
-    );
     let mut record = ExperimentRecord::new(
         "fleet",
         "per-round server merge + allocation wall-clock vs fleet size",
@@ -250,14 +240,6 @@ fn main() {
         let pipeline = "queue_and_flush";
         let round_ms = merge_ms + req_ms;
         let per_client_us = round_ms * 1e3 / fleet as f64;
-        out.row(&[
-            fleet.to_string(),
-            pipeline.to_string(),
-            fmt_f(merge_ms, 2),
-            fmt_f(req_ms, 2),
-            fmt_f(round_ms, 2),
-            fmt_f(per_client_us, 1),
-        ]);
         record.push_row(&[
             ("clients", serde_json::json!(fleet)),
             ("cells_per_round", serde_json::json!(cells)),
@@ -268,22 +250,12 @@ fn main() {
             ("us_per_client", serde_json::json!(per_client_us)),
         ]);
     }
-    print!("{}", out.render());
-    println!(
-        "(the queue's batched merge is bit-identical to merging each upload \
-         on arrival — proptested in tests/proptest_global.rs and \
-         tests/proptest_upload_queue.rs)"
-    );
 
     // ---- Engine-scale sweep: drive_plan itself at fleet sizes the paper
     // only gestures at. Wall-clock per event and peak RSS are the two
     // numbers that decide whether a million-member fleet is simulable.
     let quick = std::env::var("COCA_FLEET_QUICK").as_deref() == Ok("1");
     let enforce = std::env::var("COCA_FLEET_ENFORCE").as_deref() == Ok("1");
-    let rss_ceiling_mb: f64 = std::env::var("COCA_FLEET_RSS_CEILING_MB")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4096.0);
     let engine_fleets: &[usize] = if quick {
         &[128, 1_024, 10_000, 100_000]
     } else {
@@ -294,27 +266,10 @@ fn main() {
         .param("engine_frames_per_round", ENGINE_FRAMES)
         .param("engine_quick", quick);
 
-    let mut engine_table = Table::new(
-        "exp_fleet — virtual-time engine scaling (degenerate method, pure engine overhead)",
-        &[
-            "Members",
-            "Events",
-            "Wall (ms)",
-            "ns/event",
-            "Peak RSS (MB)",
-        ],
-    );
     let mut per_event_at: Vec<(usize, f64)> = Vec::new();
     for &members in engine_fleets {
         let (events, wall_ms, per_event_ns) = measure_engine_fleet(members);
         let rss_mb = peak_rss_mb();
-        engine_table.row(&[
-            members.to_string(),
-            events.to_string(),
-            fmt_f(wall_ms, 1),
-            fmt_f(per_event_ns, 0),
-            fmt_f(rss_mb, 0),
-        ]);
         record.push_row(&[
             ("clients", serde_json::json!(members)),
             ("pipeline", serde_json::json!("engine")),
@@ -325,12 +280,6 @@ fn main() {
         ]);
         per_event_at.push((members, per_event_ns));
     }
-    print!("{}", engine_table.render());
-    println!(
-        "(per-event = frames + scheduled request/deliver/upload events; \
-         peak RSS is the process VmHWM high-water mark, monotone across rows)"
-    );
-
     let base = per_event_at
         .iter()
         .find(|(m, _)| *m == 128)
@@ -338,10 +287,6 @@ fn main() {
         .unwrap_or(f64::INFINITY);
     if let Some(&(_, at_100k)) = per_event_at.iter().find(|(m, _)| *m == 100_000) {
         let ratio = at_100k / base.max(1e-9);
-        println!(
-            "engine headline: per-event cost at 100k members is {ratio:.2}x the \
-             128-member cost (gate: <= 2x)"
-        );
         if enforce {
             assert!(
                 ratio <= 2.0,
@@ -350,11 +295,12 @@ fn main() {
             );
             let rss = peak_rss_mb();
             assert!(
-                rss <= rss_ceiling_mb,
-                "peak RSS {rss:.0} MB exceeds the {rss_ceiling_mb:.0} MB ceiling"
+                rss <= RSS_CEILING_MB,
+                "peak RSS {rss:.0} MB exceeds the {RSS_CEILING_MB:.0} MB ceiling"
             );
         }
     }
 
     save_record(&record);
+    print!("{}", rows_table(&record));
 }

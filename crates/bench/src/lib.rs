@@ -1,9 +1,18 @@
 //! # coca-bench — the experiment harness
 //!
-//! The experiment binaries (`src/bin/exp_*.rs`) and the code they share:
+//! Three binaries (`src/bin/`): `exp` regenerates every deterministic
+//! committed record; `exp_fleet` and `exp_daemon` write the two wall-clock,
+//! host-dependent ones. The code they share:
 //!
-//! * [`paper`] — the paper's 13 experiments (Figs. 1a/1b, 2, 5–9, 10a/10b;
-//!   Tables I–III) as one registry, run by `exp_paper`.
+//! * [`paper`] — the registry of the 20 deterministic records: the paper's
+//!   13 experiments (Figs. 1a/1b, 2, 5–9, 10a/10b; Tables I–III), the
+//!   systems records and the dynamics records, run by `exp`.
+//! * [`systems`] — the fills of the systems records: centroid
+//!   re-derivation, the precision sweep, durability, the multi-edge
+//!   topology.
+//! * [`scenario_exp`] — the dynamics records (churn, drift, hetero), each
+//!   replayed from its committed spec under `results/specs/`, and any other
+//!   spec `exp` is given as a path.
 //! * [`harness`] — the one method dispatch: CoCa and every baseline run
 //!   through the same event loop over the *same*
 //!   [`coca_core::engine::Scenario`] and return one
@@ -13,16 +22,14 @@
 //!   (`exp_fleet` and the engine bench).
 //! * [`output`] — result directory conventions and the console table of a
 //!   record's rows.
-//! * [`scenario_exp`] — the dynamic-scenario runner behind `exp_scenario`,
-//!   which regenerates each dynamics record (churn, drift, hetero) from its
-//!   committed spec under `results/specs/`.
 //!
-//! Run e.g. `cargo run --release -p coca-bench --bin exp_paper -- table2`
-//! (no ids: all 13), or a declarative scenario via
-//! `cargo run --release -p coca-bench --bin exp_scenario -- results/specs/churn.json`.
+//! Run e.g. `cargo run --release -p coca-bench --bin exp -- table2` (no
+//! ids: all 20), or a declarative scenario via
+//! `cargo run --release -p coca-bench --bin exp -- results/specs/churn.json`.
 
 pub mod fleet;
 pub mod harness;
 pub mod output;
 pub mod paper;
 pub mod scenario_exp;
+pub mod systems;

@@ -3,7 +3,7 @@
 use coca_metrics::table::fmt_f;
 use coca_metrics::{ExperimentRecord, Table};
 use serde_json::{Number, Value};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Directory where experiment records land (workspace-relative).
 pub fn results_dir() -> PathBuf {
@@ -15,12 +15,32 @@ pub fn results_dir() -> PathBuf {
     p
 }
 
-/// Saves a record into the standard results directory and prints the path.
-pub fn save_record(record: &ExperimentRecord) {
-    match record.save(results_dir()) {
-        Ok(path) => println!("\n[record saved to {}]", path.display()),
-        Err(e) => eprintln!("warning: could not save record: {e}"),
+/// Writes `contents` to `<dir>/<file>`, creating `dir` if needed, and
+/// returns the path. The error names the path and the `io::Error`.
+fn write_in(dir: &Path, file: &str, contents: &str) -> Result<PathBuf, String> {
+    let path = dir.join(file);
+    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, contents)) {
+        Ok(()) => Ok(path),
+        Err(e) => Err(format!("cannot write {}: {e}", path.display())),
     }
+}
+
+/// [`write_in`], ending the process with status 1 when the write fails: a
+/// producer that cannot write its output must not exit 0 and leave the
+/// stale committed file looking regenerated.
+pub(crate) fn save_or_exit(dir: &Path, file: &str, contents: &str) -> PathBuf {
+    write_in(dir, file, contents).unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        std::process::exit(1);
+    })
+}
+
+/// Saves a record as `results/<id>.json` and prints the path; a failed
+/// write ends the process with status 1.
+pub fn save_record(record: &ExperimentRecord) {
+    let file = format!("{}.json", record.id);
+    let path = save_or_exit(&results_dir(), &file, &record.to_json());
+    println!("\n[record saved to {}]", path.display());
 }
 
 /// Renders a record's rows as one console table titled `<id> — <title>`:
@@ -83,6 +103,21 @@ mod tests {
         );
         assert_eq!(cells(lines[3]), ["LRU", "31.26", "", "", ""]);
         assert_eq!(cells(lines[4]), ["ACA", "28.00", "4096", "-", "0.027"]);
+    }
+
+    #[test]
+    fn a_failed_write_names_the_path_and_the_error() {
+        // The target directory is a regular file, so neither creating it
+        // nor writing into it can succeed.
+        let blocker = std::env::temp_dir().join(format!("coca-write-in-{}", std::process::id()));
+        std::fs::write(&blocker, "").unwrap();
+        let err = write_in(&blocker, "fig1a.json", "{}").expect_err("the write must fail");
+        std::fs::remove_file(&blocker).unwrap();
+        let path = blocker.join("fig1a.json");
+        assert!(
+            err.starts_with(&format!("cannot write {}: ", path.display())),
+            "{err}"
+        );
     }
 
     #[test]

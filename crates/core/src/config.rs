@@ -70,7 +70,7 @@ pub struct CocaConfig {
     /// arms of Fig. 9: the global table stays at its initial contents.
     pub enable_gcu: bool,
     /// Algorithm 1 lines 19–21: deflate later layers' expected hit ratios
-    /// after selecting a layer. Exposed for ablation (`exp_paper fig8` runs
+    /// after selecting a layer. Exposed for ablation (`exp fig8` runs
     /// ACA without it).
     pub aca_deflation: bool,
     /// Rank layers by expected benefit **per byte** (`ζ_j / m_j`) instead

@@ -242,7 +242,7 @@ pub const MAX_EVENT_MS: f64 = 1.0e9;
 
 /// A fully declarative dynamic scenario: base workload, engine lengths,
 /// network defaults and a timeline of dynamics events. Serializable to
-/// JSON (`coca-bench`'s `exp_scenario` binary runs one from a file).
+/// JSON (`coca-bench`'s `exp` binary runs one from a file).
 #[derive(Debug, Clone, Deserialize)]
 pub struct ScenarioSpec {
     /// The base workload (model, dataset, base fleet size, popularity,

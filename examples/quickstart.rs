@@ -20,7 +20,7 @@ fn main() {
     let edge = run_edge_only(&scenario, 6, 300);
 
     // CoCa: the paper's configuration with Θ tuned for this deployment's
-    // accuracy SLO (see the `exp_paper fig5` sweep — stricter Θ trades a little
+    // accuracy SLO (see the `exp fig5` sweep — stricter Θ trades a little
     // latency for hit accuracy).
     let coca = CocaConfig::for_model(ModelId::ResNet101).with_theta(0.016);
     let mut engine_cfg = EngineConfig::new(coca);

@@ -64,7 +64,7 @@ fn main() {
     print!("{}", table.render());
     println!(
         "\nGlobal updates change accuracy by {:+.2} points and hit accuracy by {:+.1} points \
-         (direction depends on drift strength and round count — see `exp_paper fig9`).",
+         (direction depends on drift strength and round count — see `exp fig9`).",
         collab.accuracy_pct - solo.accuracy_pct,
         {
             let acc = |r: &EngineReport| {
