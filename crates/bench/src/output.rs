@@ -1,8 +1,7 @@
 //! Output conventions for experiment binaries.
 
-use coca_metrics::table::fmt_f;
 use coca_metrics::{ExperimentRecord, Table};
-use serde_json::{Number, Value};
+use serde_json::Value;
 use std::path::{Path, PathBuf};
 
 /// Directory where experiment records land (workspace-relative).
@@ -45,8 +44,9 @@ pub fn save_record(record: &ExperimentRecord) {
 
 /// Renders a record's rows as one console table titled `<id> — <title>`:
 /// columns in first-seen key order, a cell a row lacks blank, `null` as
-/// `-`, floats to 2 places (3 below 1, so sweep values such as Θ = 0.027
-/// and 0.031 stay apart), strings bare.
+/// `-`, strings bare, and numbers as the record writes them (floats in
+/// their shortest round-trip form), so the console shows what the record
+/// holds.
 pub fn rows_table(record: &ExperimentRecord) -> String {
     let mut columns: Vec<&str> = Vec::new();
     for row in &record.rows {
@@ -70,7 +70,6 @@ pub fn rows_table(record: &ExperimentRecord) -> String {
 fn cell(value: &Value) -> String {
     match value {
         Value::Null => "-".into(),
-        Value::Number(Number::F(f)) => fmt_f(*f, if f.abs() < 1.0 { 3 } else { 2 }),
         Value::String(s) => s.clone(),
         other => other.to_string(),
     }
@@ -101,8 +100,8 @@ mod tests {
             cells(lines[1]),
             ["method", "latency_ms", "budget_bytes", "acc", "theta"]
         );
-        assert_eq!(cells(lines[3]), ["LRU", "31.26", "", "", ""]);
-        assert_eq!(cells(lines[4]), ["ACA", "28.00", "4096", "-", "0.027"]);
+        assert_eq!(cells(lines[3]), ["LRU", "31.256", "", "", ""]);
+        assert_eq!(cells(lines[4]), ["ACA", "28.0", "4096", "-", "0.0271"]);
     }
 
     #[test]

@@ -875,7 +875,9 @@ mod tests {
         assert_eq!(ids.len(), EXPERIMENTS.len(), "duplicate experiment id");
         for e in &EXPERIMENTS {
             let path = results_dir().join(format!("{}.json", e.id));
-            let record = ExperimentRecord::load(&path)
+            let record: ExperimentRecord = std::fs::read_to_string(&path)
+                .map_err(|err| err.to_string())
+                .and_then(|text| serde_json::from_str(&text).map_err(|err| err.to_string()))
                 .unwrap_or_else(|err| panic!("{}: {err}", path.display()));
             assert_eq!(record.id, e.id, "{}", path.display());
             assert_eq!(record.title, e.title, "{}", path.display());

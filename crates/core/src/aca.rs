@@ -12,7 +12,8 @@
 //!
 //! Stage 2 (cache layers): estimate each layer's expected latency benefit
 //! as `ζ_j = Υ_j · R_j` (saved compute × expected hit ratio) and greedily
-//! take the best layer while the allocation fits the memory budget Π.
+//! take the layer with the best benefit per entry byte, `ζ_j / m_j`, while
+//! the allocation fits the memory budget Π.
 //! After selecting layer `b`, deflate `R_j` for `j ≥ b` by `R_b` — the
 //! paper's hypothesis that samples hitting at `b` would also have hit at
 //! any deeper layer, so deeper layers should only be credited for the
@@ -88,6 +89,9 @@ impl AcaOutput {
     }
 }
 
+/// Hot-spot class selection mass (Algorithm 1 line 9). Paper: 0.95.
+const HOTSPOT_MASS: f64 = 0.95;
+
 /// Stage 1: hot-spot class selection (Algorithm 1 lines 1–10).
 ///
 /// Falls back to *all* classes when every score is zero (cold start before
@@ -115,7 +119,7 @@ pub fn select_hot_classes(cfg: &CocaConfig, global_freq: &[u64], timestamps: &[u
     for i in order {
         hot.push(i);
         acc += scores[i];
-        if acc >= total * cfg.hotspot_mass {
+        if acc >= total * HOTSPOT_MASS {
             break;
         }
     }
@@ -136,17 +140,17 @@ pub fn select_layers(cfg: &CocaConfig, inputs: &AcaInputs<'_>, num_hot: usize) -
     let mut layers = Vec::new();
     let mut used_bytes = 0usize;
     loop {
-        // ζ = Υ ⊙ R over unchosen layers, optionally normalized by the
-        // layer's memory cost (budgeted greedy).
+        // ζ = Υ ⊙ R over unchosen layers, per byte of the layer's entry.
+        // Entry sizes vary 8× across depths, so the budgeted greedy
+        // normalizes by cost: our reading of the paper's "order of
+        // expected benefits" under the memory constraint, and it yields
+        // the spread allocations of the paper's Fig. 4 example.
         let mut best: Option<(usize, f64)> = None;
         for j in 0..l {
             if chosen[j] {
                 continue;
             }
-            let mut zeta = inputs.saved_ms[j] * r[j].max(0.0);
-            if cfg.aca_per_byte {
-                zeta /= inputs.entry_bytes[j].max(1) as f64;
-            }
+            let zeta = inputs.saved_ms[j] * r[j].max(0.0) / inputs.entry_bytes[j].max(1) as f64;
             if zeta > 0.0 && best.is_none_or(|(_, bz)| zeta > bz) {
                 best = Some((j, zeta));
             }

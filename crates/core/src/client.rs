@@ -247,6 +247,13 @@ impl FrameInputs {
     }
 }
 
+/// β — update-table decay (Eq. 3). Paper default 0.95.
+const BETA: f32 = 0.95;
+
+/// EWMA smoothing of the per-layer hit-ratio estimates (the R vector
+/// uploaded to the server).
+const HIT_RATIO_EWMA_ALPHA: f64 = 0.3;
+
 impl Ledger {
     /// The apply phase of one frame: `pass` and the vectors its pure phase
     /// absorbed, in that phase's order.
@@ -277,12 +284,11 @@ impl Ledger {
         self.round_frames += 1;
 
         // Collection rules (§IV.C), Eq. 3 in frame order.
-        let beta = inputs.cfg.beta;
         let mut rows = absorbed;
         let mut absorb = |point: usize| {
             let (v, rest) = rows.split_at(rt.feature_dim(point));
             rows = rest;
-            self.update.absorb(pass.predicted, point, v, beta);
+            self.update.absorb(pass.predicted, point, v, BETA);
         };
         match pass.rule {
             Some(AbsorbRule::Reinforce) => {
@@ -464,7 +470,7 @@ impl CocaClient {
             let mut cumulative = 0.0f64;
             for &p in &activated {
                 cumulative += ledger.round_hits[p] as f64 / ledger.round_frames as f64;
-                let a = cfg.hit_ratio_ewma_alpha;
+                let a = HIT_RATIO_EWMA_ALPHA;
                 self.hit_ratio_est[p] = a * cumulative + (1.0 - a) * self.hit_ratio_est[p];
             }
         }
@@ -638,14 +644,14 @@ mod tests {
             match absorb_rule(hit_score, miss_margin, cfg.gamma_collect, cfg.delta_collect) {
                 Some(AbsorbRule::Reinforce) => {
                     for (point, v) in &res.observed {
-                        update.absorb(res.predicted, *point, v, cfg.beta);
+                        update.absorb(res.predicted, *point, v, BETA);
                     }
                 }
                 Some(AbsorbRule::Expand) => {
                     for point in 0..rt.num_cache_points() {
                         let mut fresh = ClientFeatureView::new();
                         let v = rt.semantic_vector(f, &profile, point, &mut fresh);
-                        update.absorb(res.predicted, point, &v, cfg.beta);
+                        update.absorb(res.predicted, point, &v, BETA);
                     }
                 }
                 None => {}

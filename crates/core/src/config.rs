@@ -24,6 +24,9 @@ pub enum MergeMode {
 }
 
 /// All tunables of the CoCa framework. Field docs cite the paper values.
+/// The paper parameters no run varies are `const`s beside their one
+/// reader: β and the R-estimate EWMA in `client.rs`, γ in `server.rs`,
+/// the hot-spot mass and the per-byte layer ranking in `aca.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CocaConfig {
     /// Θ — discriminative-score threshold for a cache hit (Eq. 2). Paper:
@@ -38,10 +41,6 @@ pub struct CocaConfig {
     pub delta_collect: f32,
     /// α — cross-layer accumulation decay (Eq. 1). Paper default 0.5.
     pub alpha: f32,
-    /// β — update-table decay (Eq. 3). Paper default 0.95.
-    pub beta: f32,
-    /// γ — global-cache decay (Eq. 4). Paper default 0.99.
-    pub gamma_global: f32,
     /// β — exponential Φ decay applied when a client leaves the fleet:
     /// `Φ_i ← ⌈β·Φ_i⌉`. The paper models a static fleet, so the default
     /// `1.0` disables it; under churn a sub-unit β ages a leaver's
@@ -51,8 +50,6 @@ pub struct CocaConfig {
     pub leave_phi_decay: f64,
     /// F — frames per round / cache update cycle (§IV.C). Paper: 300.
     pub round_frames: usize,
-    /// Hot-spot class selection mass (Algorithm 1 line 9). Paper: 0.95.
-    pub hotspot_mass: f64,
     /// Recency decay base in the class score `s_i = Φ_i · base^⌊τ_i/F⌋`
     /// (Eq. 10). Paper: 0.20.
     pub recency_base: f64,
@@ -60,9 +57,6 @@ pub struct CocaConfig {
     /// sets it to 1/8 of the model's full cache size for the task (the
     /// paper's optimum sits near 10 % of the full cache, Fig. 1(a)).
     pub cache_budget_bytes: usize,
-    /// EWMA smoothing for the client's per-layer hit-ratio estimates
-    /// (the R vector uploaded to the server).
-    pub hit_ratio_ewma_alpha: f64,
     /// Ablation: dynamic cache allocation (ACA per round). Off = the
     /// "Normal"/"GCU" arms of Fig. 9: a static allocation computed once.
     pub enable_dca: bool,
@@ -73,13 +67,6 @@ pub struct CocaConfig {
     /// after selecting a layer. Exposed for ablation (`exp fig8` runs
     /// ACA without it).
     pub aca_deflation: bool,
-    /// Rank layers by expected benefit **per byte** (`ζ_j / m_j`) instead
-    /// of raw `ζ_j`. Entry sizes vary 8× across depths, so a budgeted
-    /// greedy normalizes by cost — this is our reading of the paper's
-    /// "order of expected benefits" under the memory constraint, and it
-    /// yields the spread allocations of the paper's Fig. 4 example.
-    /// Exposed for ablation.
-    pub aca_per_byte: bool,
     /// Storage precision of the data that *moves*: upload tables,
     /// allocation frames and the server's global-table layers. The
     /// default [`Precision::F32`] is the committed-record reference;
@@ -95,7 +82,7 @@ pub struct CocaConfig {
     pub wal_rotate_records: usize,
 }
 
-/// Every field in declaration order, fixed width (85 bytes): `f32`/`f64`
+/// Every field in declaration order, fixed width (60 bytes): `f32`/`f64`
 /// as themselves, `usize` as `u64`, `bool` and the precision enum as one
 /// byte each. The snapshot embeds this so recovery can refuse a store
 /// written under a different configuration.
@@ -105,18 +92,13 @@ impl Wire for CocaConfig {
         self.gamma_collect.encode(out);
         self.delta_collect.encode(out);
         self.alpha.encode(out);
-        self.beta.encode(out);
-        self.gamma_global.encode(out);
         self.leave_phi_decay.encode(out);
         self.round_frames.encode(out);
-        self.hotspot_mass.encode(out);
         self.recency_base.encode(out);
         self.cache_budget_bytes.encode(out);
-        self.hit_ratio_ewma_alpha.encode(out);
         self.enable_dca.encode(out);
         self.enable_gcu.encode(out);
         self.aca_deflation.encode(out);
-        self.aca_per_byte.encode(out);
         self.precision.encode(out);
         self.wal_rotate_records.encode(out);
     }
@@ -127,18 +109,13 @@ impl Wire for CocaConfig {
             gamma_collect: Wire::decode(r)?,
             delta_collect: Wire::decode(r)?,
             alpha: Wire::decode(r)?,
-            beta: Wire::decode(r)?,
-            gamma_global: Wire::decode(r)?,
             leave_phi_decay: Wire::decode(r)?,
             round_frames: Wire::decode(r)?,
-            hotspot_mass: Wire::decode(r)?,
             recency_base: Wire::decode(r)?,
             cache_budget_bytes: Wire::decode(r)?,
-            hit_ratio_ewma_alpha: Wire::decode(r)?,
             enable_dca: Wire::decode(r)?,
             enable_gcu: Wire::decode(r)?,
             aca_deflation: Wire::decode(r)?,
-            aca_per_byte: Wire::decode(r)?,
             precision: Wire::decode(r)?,
             wal_rotate_records: Wire::decode(r)?,
         })
@@ -159,18 +136,13 @@ impl CocaConfig {
             gamma_collect: 0.015,
             delta_collect: 0.25,
             alpha: 0.5,
-            beta: 0.95,
-            gamma_global: 0.99,
             leave_phi_decay: 1.0, // churn decay off: the paper's static fleet
             round_frames: 300,
-            hotspot_mass: 0.95,
             recency_base: 0.20,
             cache_budget_bytes: 0, // 0 = auto: 1/8 of the task's full cache
-            hit_ratio_ewma_alpha: 0.3,
             enable_dca: true,
             enable_gcu: true,
             aca_deflation: true,
-            aca_per_byte: true,
             precision: Precision::F32,
             wal_rotate_records: 256,
         }
@@ -231,26 +203,14 @@ impl CocaConfig {
         if !(0.0..1.0).contains(&self.alpha) {
             return Err("alpha must be in [0,1)".into());
         }
-        if !(0.0..1.0).contains(&self.beta) {
-            return Err("beta must be in [0,1)".into());
-        }
-        if !(0.0..=1.0).contains(&self.gamma_global) {
-            return Err("gamma must be in [0,1]".into());
-        }
         if !(self.leave_phi_decay > 0.0 && self.leave_phi_decay <= 1.0) {
             return Err("leave_phi_decay must be in (0,1]".into());
         }
         if self.round_frames == 0 {
             return Err("round_frames must be positive".into());
         }
-        if !(0.0..=1.0).contains(&self.hotspot_mass) {
-            return Err("hotspot_mass must be in [0,1]".into());
-        }
         if !(0.0..1.0).contains(&self.recency_base) || self.recency_base <= 0.0 {
             return Err("recency_base must be in (0,1)".into());
-        }
-        if self.hit_ratio_ewma_alpha <= 0.0 || self.hit_ratio_ewma_alpha > 1.0 {
-            return Err("hit_ratio_ewma_alpha must be in (0,1]".into());
         }
         if self.wal_rotate_records == 0 {
             return Err("wal_rotate_records must be positive".into());
@@ -268,10 +228,7 @@ mod tests {
         let cfg = CocaConfig::for_model(ModelId::ResNet101);
         assert!((cfg.theta - 0.012).abs() < 1e-9);
         assert!((cfg.alpha - 0.5).abs() < 1e-9);
-        assert!((cfg.beta - 0.95).abs() < 1e-9);
-        assert!((cfg.gamma_global - 0.99).abs() < 1e-9);
         assert_eq!(cfg.round_frames, 300);
-        assert!((cfg.hotspot_mass - 0.95).abs() < 1e-12);
         assert!((cfg.recency_base - 0.20).abs() < 1e-12);
         assert!(cfg.validate().is_ok());
     }
@@ -343,13 +300,15 @@ mod tests {
         cfg.leave_phi_decay = 0.75;
         let mut bytes = Vec::new();
         cfg.encode(&mut bytes);
-        assert_eq!(bytes.len(), 6 * 4 + 4 * 8 + 3 * 8 + 5);
+        assert_eq!(bytes.len(), 4 * 4 + 4 * 8 + 4 + 8, "60 bytes");
+        // enable_gcu (off) and the F16 tag sit where the layout puts them.
+        assert_eq!((bytes[48], bytes[49], bytes[51]), (1, 0, 1));
         let mut r = Reader::new(&bytes);
         assert_eq!(CocaConfig::decode(&mut r).unwrap(), cfg);
         assert!(r.finish().is_ok());
-        // The four bools, then the precision tag: every one is
+        // The three bools, then the precision tag: every one is
         // range-checked. A short buffer errors.
-        for at in 72..77 {
+        for at in 48..52 {
             let mut bad = bytes.clone();
             bad[at] = 9;
             assert!(

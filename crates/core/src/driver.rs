@@ -268,30 +268,26 @@ pub trait MethodDriver {
     fn on_run_end(&mut self) {}
 }
 
-/// Method-agnostic engine knobs: how long to run and what the network and
-/// boot pattern look like. Two methods compared under the same
-/// `DriveConfig` and [`Scenario`] face identical contention.
+/// Method-agnostic engine knobs: how long to run and what the boot
+/// pattern looks like. Two methods compared under the same `DriveConfig`
+/// and [`Scenario`] face identical contention.
 #[derive(Debug, Clone, Copy)]
 pub struct DriveConfig {
     /// Rounds each client executes.
     pub rounds: usize,
     /// Frames per round (CoCa's F; every method runs the same count).
     pub frames_per_round: usize,
-    /// Client↔server link shared by all traffic.
-    pub link: LinkModel,
     /// Clients boot uniformly at random within this window (ms).
     pub boot_window_ms: f64,
 }
 
 impl DriveConfig {
-    /// Defaults: the paper's router-based WiFi testbed link and boot
-    /// window — both read from `coca-net`, the single source of truth for
-    /// the shared-testbed constants.
+    /// Defaults: the paper's testbed boot window, read from `coca-net`,
+    /// the single source of truth for the shared-testbed constants.
     pub fn new(rounds: usize, frames_per_round: usize) -> Self {
         Self {
             rounds,
             frames_per_round,
-            link: LinkModel::default(),
             boot_window_ms: coca_net::TESTBED_BOOT_WINDOW_MS,
         }
     }
@@ -427,7 +423,9 @@ pub struct DrivePlan {
 impl DrivePlan {
     /// The static plan a [`DriveConfig`] induces over `num_clients`
     /// members: everyone boots in the window, runs `cfg.rounds` rounds and
-    /// shares `cfg.link`. [`drive`] under this plan is bit-identical to
+    /// shares the paper's router-based WiFi testbed link,
+    /// [`LinkModel::default`] (≈2 ms one-way, 150 Mbit/s goodput), which
+    /// every method runs under. [`drive`] under this plan is bit-identical to
     /// the pre-dynamics engine.
     pub fn from_config(cfg: &DriveConfig, num_clients: usize) -> Self {
         Self {
@@ -442,7 +440,7 @@ impl DrivePlan {
                 };
                 num_clients
             ],
-            links: vec![LinkSchedule::fixed(cfg.link); num_clients],
+            links: vec![LinkSchedule::fixed(LinkModel::default()); num_clients],
             metrics_window_ms: DEFAULT_METRICS_WINDOW_MS,
             per_client: true,
             topology: TopologyPlan::single(num_clients),

@@ -33,7 +33,7 @@ use coca_data::{DatasetSpec, Frame, PopularityPhase, StreamConfig, StreamGenerat
 use coca_metrics::recorder::{LatencyRecorder, RunSummary};
 use coca_metrics::WindowedSummary;
 use coca_model::{ClientProfile, ModelId, ModelRuntime};
-use coca_net::{LinkModel, WireSize};
+use coca_net::WireSize;
 use coca_sim::{SeedTree, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -194,29 +194,23 @@ pub struct EngineConfig {
     pub coca: CocaConfig,
     /// Rounds each client executes.
     pub rounds: usize,
-    /// Client↔server link. The default is the paper's router-based WiFi
-    /// testbed model (≈2 ms one-way, 150 Mbit/s goodput), shared with
-    /// every baseline driver so cross-method numbers price the same
-    /// network.
-    pub link: LinkModel,
     /// Clients boot uniformly at random within this window.
     pub boot_window_ms: f64,
 }
 
 impl EngineConfig {
-    /// Defaults used by the experiments. The link is the shared
-    /// [`LinkModel::default`] testbed model (≈2 ms one-way, 150 Mbit/s) —
-    /// the *same* link every baseline driver runs under, so cross-method
-    /// latency numbers price identical network conditions.
+    /// Defaults used by the experiments. A static run prices the shared
+    /// [`coca_net::LinkModel::default`] testbed link (≈2 ms one-way,
+    /// 150 Mbit/s) — the *same* link every baseline driver runs under, so
+    /// cross-method latency numbers price identical network conditions.
     pub fn new(coca: CocaConfig) -> Self {
-        // Network/boot defaults come from DriveConfig (which in turn reads
-        // the shared-testbed constants from coca-net) so CoCa and the
+        // Boot defaults come from DriveConfig (which in turn reads the
+        // shared-testbed constants from coca-net) so CoCa and the
         // baseline drivers share a single source of truth.
         let shared = DriveConfig::new(10, coca.round_frames);
         Self {
             coca,
             rounds: shared.rounds,
-            link: shared.link,
             boot_window_ms: shared.boot_window_ms,
         }
     }
@@ -226,7 +220,6 @@ impl EngineConfig {
         DriveConfig {
             rounds: self.rounds,
             frames_per_round: self.coca.round_frames,
-            link: self.link,
             boot_window_ms: self.boot_window_ms,
         }
     }

@@ -52,8 +52,8 @@
 //! A snapshot is exactly one frame holding a [`Snapshot`]:
 //!
 //! ```text
-//! [u8 version = 4]
-//! [CocaConfig]                              85 bytes, fields in order
+//! [u8 version = 5]
+//! [CocaConfig]                              60 bytes, fields in order
 //! [GlobalCacheTable]                        precision, Φ, per-layer
 //!                                           occupancy words + stores
 //! [u32 n][n × ([u64 client id][ClientStatus])]   ascending by id
@@ -68,10 +68,11 @@
 //! re-encoding a decoded snapshot or record reproduces its bytes exactly.
 //! There is one format: a store written by an older build — one that
 //! framed JSON payloads (version 1), one whose config still carried the
-//! merge-mode and parallel-merge bytes (version 2), or one that carried
-//! the flush-policy byte and the flush watermark (version 3) — fails the
-//! version / tag byte and is refused with [`PersistError::Decode`], not
-//! migrated.
+//! merge-mode and parallel-merge bytes (version 2), one that carried
+//! the flush-policy byte and the flush watermark (version 3), or one whose
+//! config still carried β, γ, the hot-spot mass, the R-estimate EWMA and
+//! the per-byte ranking switch (version 4) — fails the version / tag
+//! byte and is refused with [`PersistError::Decode`], not migrated.
 //!
 //! ## Torn writes and corruption
 //!
@@ -103,8 +104,9 @@ use crate::status::ClientStatus;
 
 /// Snapshot payload version byte (bumped on incompatible changes;
 /// version 1 was the JSON payload, version 2 the 88-byte config, version 3
-/// the 86-byte config and the flush watermark).
-const SNAPSHOT_VERSION: u8 = 4;
+/// the 86-byte config and the flush watermark, version 4 the 85-byte
+/// config).
+const SNAPSHOT_VERSION: u8 = 5;
 
 /// Storage key of the current-generation snapshot.
 pub const SNAP_CUR: &str = "snap.cur";
@@ -1299,7 +1301,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_version_3_snapshot_with_the_flush_policy_is_refused() {
+    fn a_version_4_snapshot_with_the_five_fixed_values_is_refused() {
         let snap = Snapshot {
             config: CocaConfig::for_model(coca_model::ModelId::ResNet101),
             global: GlobalCacheTable::new(3, 2),
@@ -1312,17 +1314,21 @@ mod tests {
         let (payloads, _, _) = decode_frames(&current, false).unwrap();
         let mut payload = payloads[0].to_vec();
         assert_eq!(payload[0], SNAPSHOT_VERSION);
-        // Version 3's 86-byte config held the flush-policy tag between the
-        // four ablation bools and the precision tag, and the u64 flush
-        // watermark sat between the pending queue and the static
-        // allocation (here `None`, the payload's last byte).
-        payload[0] = 3;
-        payload.splice(1 + 76..1 + 76, [0u8]);
-        let at = payload.len() - 1;
-        payload.splice(at..at, 0u64.to_le_bytes());
+        // Version 4's 85-byte config held β and γ (f32) after α, the
+        // hot-spot mass (f64) after F, the R-estimate EWMA (f64) after Π
+        // and the per-byte ranking bool before the precision tag. Offsets
+        // count from the config's first byte, after the version byte.
+        let len = payload.len();
+        payload[0] = 4;
+        payload.splice(1 + 51..1 + 51, [1u8]);
+        payload.splice(1 + 48..1 + 48, 0.3f64.to_le_bytes());
+        payload.splice(1 + 32..1 + 32, 0.95f64.to_le_bytes());
+        let betas = [0.95f32.to_le_bytes(), 0.99f32.to_le_bytes()];
+        payload.splice(1 + 16..1 + 16, betas.concat());
+        assert_eq!(payload.len(), len + 25);
         let err = Snapshot::from_bytes(&encode_frame(&payload)).unwrap_err();
         assert!(
-            matches!(err, PersistError::Decode(ref m) if m.contains("version 3")),
+            matches!(err, PersistError::Decode(ref m) if m.contains("version 4")),
             "{err}"
         );
     }

@@ -26,6 +26,10 @@ use crate::proto::{CacheAllocation, CacheRequest, PeerDelta, PeerDeltaEntry, Upd
 use crate::semantic::LocalCache;
 use crate::status::ClientStatus;
 
+/// γ — global-cache decay (Eq. 4). Paper default 0.99. Public only for
+/// the tests that merge a reference table beside the server.
+pub const GAMMA_GLOBAL: f32 = 0.99;
+
 /// Samples per class used to seed the global cache from the shared dataset.
 const SEED_SAMPLES_PER_CLASS: usize = 6;
 
@@ -414,7 +418,7 @@ impl CocaServer {
         if self.cfg.enable_gcu {
             let batch: Vec<(&UpdateTable, &[u64])> = batch.collect();
             self.global
-                .merge_batch(&batch, self.cfg.gamma_global, &mut self.scratch);
+                .merge_batch(&batch, GAMMA_GLOBAL, &mut self.scratch);
         } else {
             for (_, phi) in batch {
                 self.global.advance_frequency(phi);

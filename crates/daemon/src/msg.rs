@@ -294,7 +294,7 @@ mod tests {
 
     #[test]
     fn unknown_versions_and_tags_are_decode_errors() {
-        let good = encode_frame(&ClientMsg::Flush).unwrap().to_vec();
+        let good = encode_frame(&ClientMsg::Flush).unwrap();
         assert!(decode_message::<ClientMsg>(&good).is_ok());
         for (at, byte) in [(4, WIRE_VERSION + 1), (4, 0), (5, 9), (5, 0xFF)] {
             let mut bad = good.clone();

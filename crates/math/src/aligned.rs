@@ -2,11 +2,11 @@
 //! aligned.
 //!
 //! [`crate::store::VectorStore`] keeps its flat row-major buffer in one of
-//! these so the AVX2 kernels of `crate::simd` can use aligned
-//! 256-bit loads on the main loop (rows whose byte offset is a multiple of
-//! 32 — any row when `dim % 8 == 0`). Alignment never changes results:
-//! the kernels fall back to unaligned loads per call, bit-identically —
-//! this is purely a load-port optimization.
+//! these so that no 256-bit load of the AVX2 kernels in `crate::simd`
+//! splits a cache line (rows whose byte offset is a multiple of 32 — any
+//! row when `dim % 8 == 0`). The kernels use the same unaligned-load
+//! instruction either way, so alignment never changes results; a split
+//! line costs up to ~16 % per entry at d = 256 on an AVX-512 Xeon.
 //!
 //! The API is the small slice of `Vec<f32>` the store actually uses;
 //! everything else comes through `Deref<Target = [f32]>`.

@@ -18,9 +18,9 @@ use crate::matrix::{self, ScoreScratch, Top2};
 
 /// Contiguous row-major storage of equal-dimension f32 vectors.
 ///
-/// The buffer is 32-byte aligned ([`AlignedF32`]) so the AVX2 kernels
-/// (x86_64, `crate::simd`) take aligned loads whenever `dim % 8 == 0`;
-/// alignment is invisible to results.
+/// The buffer is 32-byte aligned ([`AlignedF32`]) so no 256-bit load of
+/// the AVX2 kernels (x86_64, `crate::simd`) splits a cache line whenever
+/// `dim % 8 == 0`; alignment is invisible to results.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct VectorStore {
     /// Row dimension; 0 while the store has never held a row.

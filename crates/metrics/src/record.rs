@@ -5,9 +5,6 @@
 
 use serde::{Deserialize, Serialize};
 use serde_json::{Map, Value};
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
 
 /// A machine-readable record of one experiment run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -53,21 +50,6 @@ impl ExperimentRecord {
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("ExperimentRecord is always serializable")
     }
-
-    /// Writes `<dir>/<id>.json`, creating `dir` if needed. Returns the path.
-    pub fn save(&self, dir: impl AsRef<Path>) -> io::Result<PathBuf> {
-        let dir = dir.as_ref();
-        fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.json", self.id));
-        fs::write(&path, self.to_json())?;
-        Ok(path)
-    }
-
-    /// Loads a record back from a JSON file.
-    pub fn load(path: impl AsRef<Path>) -> io::Result<Self> {
-        let text = fs::read_to_string(path)?;
-        serde_json::from_str(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-    }
 }
 
 #[cfg(test)]
@@ -90,17 +72,5 @@ mod tests {
         assert_eq!(back.rows.len(), 1);
         assert_eq!(back.rows[0]["classes"], json!(50));
         assert_eq!(back.params["seed"], json!(42));
-    }
-
-    #[test]
-    fn save_and_load() {
-        let dir = std::env::temp_dir().join("coca-metrics-test");
-        let mut r = ExperimentRecord::new("fig8", "replacement policies");
-        r.push_row(&[("cache_size", json!(30)), ("lat_ms", json!(31.2))]);
-        let path = r.save(&dir).unwrap();
-        let back = ExperimentRecord::load(&path).unwrap();
-        assert_eq!(back.id, "fig8");
-        assert_eq!(back.rows[0]["cache_size"], json!(30));
-        let _ = std::fs::remove_file(path);
     }
 }

@@ -80,12 +80,6 @@ impl Table {
     }
 }
 
-/// Formats a float with `digits` decimal places — the standard cell format
-/// used across experiment binaries.
-pub fn fmt_f(v: f64, digits: usize) -> String {
-    format!("{:.*}", digits, v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,11 +106,5 @@ mod tests {
         let s = t.render();
         assert!(!s.contains("==")); // no title line
         assert!(s.lines().count() >= 3);
-    }
-
-    #[test]
-    fn fmt_f_controls_precision() {
-        assert_eq!(fmt_f(1.23456, 2), "1.23");
-        assert_eq!(fmt_f(40.0, 1), "40.0");
     }
 }

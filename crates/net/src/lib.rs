@@ -23,6 +23,5 @@ pub mod wire;
 pub use link::{LinkChangePoint, LinkModel, LinkSchedule, TESTBED_BOOT_WINDOW_MS};
 pub use queue::ServerQueue;
 pub use wire::{
-    decode_frame, decode_message, encode_frame, write_message, FrameError, FrameReader, Reader,
-    Wire, WireSize,
+    decode_message, encode_frame, write_message, FrameError, FrameReader, Reader, Wire, WireSize,
 };

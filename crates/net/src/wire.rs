@@ -11,7 +11,7 @@
 //!   the bounds-checked [`Reader`] cursor. It carries what `WireSize`
 //!   leaves out (a `u32` count per sequence, variant tags, the version
 //!   byte), so a real frame runs a few percent over the priced size.
-//! * [`encode_frame`]/[`decode_frame`] — the byte framing the daemon
+//! * [`encode_frame`]/[`decode_message`] — the byte framing the daemon
 //!   speaks: a 4-byte big-endian length prefix followed by one
 //!   [`Wire`]-encoded payload. [`FrameReader`] and [`write_message`] are
 //!   the two ends of it over a blocking stream.
@@ -29,7 +29,6 @@
 
 use std::io::{Read, Write};
 
-use bytes::Bytes;
 use coca_math::{Precision, QuantizedStore, VectorStore};
 
 /// Logical wire size of a message in bytes.
@@ -375,46 +374,43 @@ fn decode_payload<T: Wire>(payload: &[u8]) -> Result<T, FrameError> {
     Ok(msg)
 }
 
-/// Encodes `msg` as `[u32 big-endian length][payload]` in a fresh buffer.
-pub fn encode_frame<T: Wire>(msg: &T) -> Result<Bytes, FrameError> {
-    let mut out = Vec::new();
-    frame_into(msg, &mut out)?;
-    Ok(Bytes::from(out))
-}
-
-/// Decodes one frame from `buf`. On success returns the message and the
-/// total bytes consumed; returns `Ok(None)` if `buf` does not yet hold a
-/// complete frame.
-pub fn decode_frame<T: Wire>(buf: &[u8]) -> Result<Option<(T, usize)>, FrameError> {
-    let Some((prefix, rest)) = buf.split_first_chunk::<4>() else {
+/// Reads the `[u32 big-endian length]` prefix at the head of `buf`.
+/// Returns the whole frame's length (prefix + payload), `Ok(None)` when
+/// fewer than four bytes have arrived, and [`FrameError::TooLarge`] for a
+/// payload over [`MAX_FRAME_BYTES`].
+fn frame_len(buf: &[u8]) -> Result<Option<usize>, FrameError> {
+    let Some((prefix, _)) = buf.split_first_chunk::<4>() else {
         return Ok(None);
     };
-    let len = u32::from_be_bytes(*prefix) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(FrameError::TooLarge(len));
+    match u32::from_be_bytes(*prefix) as usize {
+        len if len > MAX_FRAME_BYTES => Err(FrameError::TooLarge(len)),
+        len => Ok(Some(4 + len)),
     }
-    if rest.len() < len {
-        return Ok(None);
-    }
-    Ok(Some((decode_payload(&rest[..len])?, 4 + len)))
+}
+
+/// Encodes `msg` as `[u32 big-endian length][payload]` in a fresh buffer.
+pub fn encode_frame<T: Wire>(msg: &T) -> Result<Vec<u8>, FrameError> {
+    let mut out = Vec::new();
+    frame_into(msg, &mut out)?;
+    Ok(out)
 }
 
 /// Decodes exactly one complete frame occupying the whole buffer — the
 /// message-oriented boundary (datagram-style transports that deliver one
-/// frame per receive). Unlike the stream-oriented [`decode_frame`], for
-/// which an incomplete buffer is a normal `Ok(None)` ("wait for more
-/// bytes"), a short or length-inconsistent buffer here can never be
-/// completed and is an error: [`FrameError::Truncated`] when the buffer
-/// ends mid-frame, [`FrameError::LengthMismatch`] when bytes trail the
-/// frame the length prefix delimits. Never panics, whatever the input.
+/// frame per receive). Unlike the stream-oriented [`FrameReader`], for
+/// which an incomplete frame means "wait for more bytes", a short or
+/// length-inconsistent buffer here can never be completed and is an
+/// error: [`FrameError::Truncated`] when the buffer ends mid-frame,
+/// [`FrameError::LengthMismatch`] when bytes trail the frame the length
+/// prefix delimits. Never panics, whatever the input.
 pub fn decode_message<T: Wire>(buf: &[u8]) -> Result<T, FrameError> {
-    match decode_frame::<T>(buf)? {
-        None => Err(FrameError::Truncated),
-        Some((msg, used)) if used == buf.len() => Ok(msg),
-        Some((_, used)) => Err(FrameError::LengthMismatch {
+    match frame_len(buf)? {
+        Some(used) if used == buf.len() => decode_payload(&buf[4..]),
+        Some(used) if used < buf.len() => Err(FrameError::LengthMismatch {
             frame_bytes: used,
             buffer_bytes: buf.len(),
         }),
+        _ => Err(FrameError::Truncated),
     }
 }
 
@@ -471,21 +467,12 @@ impl<R: Read> FrameReader<R> {
     pub fn next<T: Wire>(&mut self) -> Result<Option<T>, FrameError> {
         loop {
             let pending = &self.buf[self.start..self.end];
-            let frame_bytes = match pending.split_first_chunk::<4>() {
-                Some((prefix, rest)) => {
-                    let len = u32::from_be_bytes(*prefix) as usize;
-                    if len > MAX_FRAME_BYTES {
-                        return Err(FrameError::TooLarge(len));
-                    }
-                    if let Some(payload) = rest.get(..len) {
-                        let msg = decode_payload(payload);
-                        self.start += 4 + len;
-                        return msg.map(Some);
-                    }
-                    Some(4 + len)
-                }
-                None => None,
-            };
+            let frame_bytes = frame_len(pending)?;
+            if let Some(frame) = frame_bytes.and_then(|n| pending.get(..n)) {
+                let msg = decode_payload(&frame[4..]);
+                self.start += frame.len();
+                return msg.map(Some);
+            }
             if self.fill(frame_bytes)? == 0 {
                 return if self.start == self.end {
                     Ok(None)
@@ -573,9 +560,11 @@ mod tests {
         };
         let bytes = encode_frame(&msg).unwrap();
         assert_eq!(bytes.len(), 4 + 4 + 4 + 3 * 8, "prefix + id + count + xs");
-        let (back, used): (Demo, usize) = decode_frame(&bytes).unwrap().unwrap();
-        assert_eq!(back, msg);
-        assert_eq!(used, bytes.len());
+        assert_eq!(decode_message::<Demo>(&bytes).unwrap(), msg);
+        let mut r = FrameReader::new(&bytes[..]);
+        assert_eq!(r.next::<Demo>().unwrap().unwrap(), msg);
+        assert_eq!(r.start, bytes.len(), "the frame is consumed whole");
+        assert!(r.next::<Demo>().unwrap().is_none());
     }
 
     #[test]
@@ -585,9 +574,12 @@ mod tests {
             xs: vec![0.0; 16],
         };
         let bytes = encode_frame(&msg).unwrap();
-        for cut in [0usize, 3, 4, bytes.len() - 1] {
-            let r: Option<(Demo, usize)> = decode_frame(&bytes[..cut]).unwrap();
-            assert!(r.is_none(), "cut at {cut} should be incomplete");
+        // The first read ends inside the prefix, at its end, or inside
+        // the payload: the reader asks for the rest before decoding.
+        for cut in [1usize, 3, 4, bytes.len() - 1] {
+            let mut r = FrameReader::new(ChunkedReader::new(bytes.clone(), vec![cut]));
+            assert_eq!(r.next::<Demo>().unwrap().unwrap(), msg, "cut at {cut}");
+            assert_eq!(r.inner.reads, 2, "cut at {cut} should be incomplete");
         }
     }
 
@@ -598,13 +590,15 @@ mod tests {
             id: 2,
             xs: vec![9.0],
         };
-        let mut stream = encode_frame(&a).unwrap().to_vec();
+        let mut stream = encode_frame(&a).unwrap();
+        let used = stream.len();
         stream.extend_from_slice(&encode_frame(&b).unwrap());
-        let (m1, used): (Demo, usize) = decode_frame(&stream).unwrap().unwrap();
-        assert_eq!(m1, a);
-        let (m2, used2): (Demo, usize) = decode_frame(&stream[used..]).unwrap().unwrap();
-        assert_eq!(m2, b);
-        assert_eq!(used + used2, stream.len());
+        let mut r = FrameReader::new(&stream[..]);
+        assert_eq!(r.next::<Demo>().unwrap().unwrap(), a);
+        assert_eq!(r.start, used);
+        assert_eq!(r.next::<Demo>().unwrap().unwrap(), b);
+        assert_eq!(r.start, stream.len());
+        assert!(r.next::<Demo>().unwrap().is_none());
     }
 
     #[test]
@@ -626,7 +620,7 @@ mod tests {
             );
         }
         // Trailing bytes are a length inconsistency, not silently dropped.
-        let mut long = bytes.to_vec();
+        let mut long = bytes.clone();
         long.push(0x7f);
         let r: Result<Demo, _> = decode_message(&long);
         assert!(matches!(
@@ -637,7 +631,7 @@ mod tests {
             }) if frame_bytes == bytes.len() && buffer_bytes == bytes.len() + 1
         ));
         // …and so are bytes trailing the message *inside* its frame.
-        let mut padded = bytes.to_vec();
+        let mut padded = bytes.clone();
         padded.push(0);
         let len = (padded.len() - 4) as u32;
         padded[..4].copy_from_slice(&len.to_be_bytes());
@@ -649,7 +643,9 @@ mod tests {
     fn oversized_length_prefix_errors() {
         let mut garbage = u32::MAX.to_be_bytes().to_vec();
         garbage.extend_from_slice(&[0u8; 8]);
-        let r: Result<Option<(Demo, usize)>, _> = decode_frame(&garbage);
+        let r: Result<Demo, _> = decode_message(&garbage);
+        assert!(matches!(r, Err(FrameError::TooLarge(_))));
+        let r = FrameReader::new(&garbage[..]).next::<Demo>();
         assert!(matches!(r, Err(FrameError::TooLarge(_))));
     }
 
@@ -657,7 +653,7 @@ mod tests {
     fn corrupt_payload_is_a_codec_error() {
         let mut buf = 3u32.to_be_bytes().to_vec();
         buf.extend_from_slice(b"zzz");
-        let r: Result<Option<(Demo, usize)>, _> = decode_frame(&buf);
+        let r: Result<Demo, _> = decode_message(&buf);
         assert!(matches!(r, Err(FrameError::Codec(_))));
     }
 
@@ -807,7 +803,7 @@ mod tests {
             id: 42,
             xs: vec![1.0, -2.0, 3.5],
         };
-        let bytes = encode_frame(&msg).unwrap().to_vec();
+        let bytes = encode_frame(&msg).unwrap();
         // Delivery split at every byte boundary: first `cut` bytes in one
         // chunk, the rest byte by byte (a zero-length chunk would read as
         // EOF under the `Read` contract, so cut = 0 emits none).
@@ -898,7 +894,7 @@ mod tests {
             id: 3,
             xs: vec![1.0, 2.0],
         };
-        let bytes = encode_frame(&msg).unwrap().to_vec();
+        let bytes = encode_frame(&msg).unwrap();
         for cut in 1..bytes.len() {
             let mut r = FrameReader::new(ChunkedReader::new(bytes[..cut].to_vec(), vec![]));
             let res: Result<Option<Demo>, _> = r.next();
@@ -915,7 +911,7 @@ mod tests {
         for prefix in [u32::MAX.to_be_bytes(), over_cap] {
             // A good frame first, so "no growth" is measured on a buffer
             // that exists.
-            let mut data = encode_frame(&Demo { id: 1, xs: vec![] }).unwrap().to_vec();
+            let mut data = encode_frame(&Demo { id: 1, xs: vec![] }).unwrap();
             data.extend_from_slice(&prefix);
             data.extend_from_slice(&[0u8; 16]);
             let mut r = FrameReader::new(ChunkedReader::new(data, vec![]));
@@ -950,7 +946,7 @@ mod tests {
             id: 9,
             xs: vec![0.125; 5000],
         };
-        let frame = encode_frame(&big).unwrap().to_vec();
+        let frame = encode_frame(&big).unwrap();
         let mut data = frame.clone();
         data.extend_from_slice(&frame);
         let mut r = FrameReader::new(ChunkedReader::new(data, vec![]));
@@ -987,7 +983,7 @@ mod tests {
         let mut wire: Vec<u8> = Vec::new();
         let mut scratch = vec![0xEE; 64]; // stale contents are replaced
         write_message(&mut wire, &msg, &mut scratch).unwrap();
-        assert_eq!(wire, encode_frame(&msg).unwrap().to_vec());
+        assert_eq!(wire, encode_frame(&msg).unwrap());
         let mut r = FrameReader::new(std::io::Cursor::new(wire));
         assert_eq!(r.next::<Demo>().unwrap().unwrap(), msg);
     }

@@ -9,7 +9,7 @@ use coca::data::distribution::{dirichlet, long_tail_weights};
 use coca::data::partition::{client_distributions, NonIidLevel};
 use coca::math::{l2_norm, l2_normalized};
 use coca::model::ModelId;
-use coca::net::{decode_frame, encode_frame};
+use coca::net::{encode_frame, FrameReader};
 use coca::prelude::SeedTree;
 use proptest::prelude::*;
 
@@ -118,9 +118,10 @@ proptest! {
     ) {
         let msg = CacheRequest { client_id: id, round: id ^ 1, timestamps, hit_ratio, budget_bytes: !id };
         let bytes = encode_frame(&msg).unwrap();
-        let (back, used): (CacheRequest, usize) = decode_frame(&bytes).unwrap().unwrap();
+        let mut stream = FrameReader::new(&bytes[..]);
+        let back: CacheRequest = stream.next().unwrap().unwrap();
         prop_assert_eq!(format!("{back:?}"), format!("{msg:?}"));
-        prop_assert_eq!(used, bytes.len());
+        prop_assert!(stream.next::<CacheRequest>().unwrap().is_none(), "the frame is consumed whole");
     }
 
     /// Dirichlet draws are probability vectors.

@@ -476,10 +476,10 @@ fn invalid_snapshots_yield_typed_errors() {
         );
     };
 
-    // Wrong version: the next one, the three before it, and the first
+    // Wrong version: the next one, the four before it, and the first
     // byte of the JSON payloads version 1 framed.
-    assert_eq!(payload[0], 4);
-    for version in [5u8, 3, 2, 1, b'{'] {
+    assert_eq!(payload[0], 5);
+    for version in [6u8, 4, 3, 2, 1, b'{'] {
         let mut bumped = payload.clone();
         bumped[0] = version;
         assert_payload_rejected(&bumped, "version");

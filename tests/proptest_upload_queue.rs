@@ -13,6 +13,7 @@
 
 use coca::core::global::MergeScratch;
 use coca::core::persist::{decode_frames, Durability, MemStorage, WalRecord, WAL_CUR};
+use coca::core::server::GAMMA_GLOBAL;
 use coca::core::spec::PopularityShift;
 use coca::net::LinkModel;
 use coca::prelude::*;
@@ -71,7 +72,7 @@ proptest! {
         let mut uploads = 0;
         for payload in payloads {
             if let WalRecord::Upload(up) = WalRecord::from_payload(payload).unwrap() {
-                reference.merge_update(&up.table, &up.frequency, coca.gamma_global, &mut scratch);
+                reference.merge_update(&up.table, &up.frequency, GAMMA_GLOBAL, &mut scratch);
                 uploads += 1;
             }
         }

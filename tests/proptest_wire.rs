@@ -25,7 +25,7 @@ use coca::core::semantic::CacheLayer;
 use coca::daemon::{ClientMsg, ServerMsg};
 use coca::math::{random_unit, Precision};
 use coca::net::wire::WIRE_VERSION;
-use coca::net::{decode_frame, decode_message, encode_frame, FrameError, FrameReader, Wire};
+use coca::net::{decode_message, encode_frame, FrameError, FrameReader, Wire};
 use coca::prelude::*;
 use proptest::prelude::*;
 use rand::Rng;
@@ -287,15 +287,17 @@ impl Viewed for PeerDelta {
 
 /// The codec contract for one message: the frame decodes to the value
 /// that went in, a second trip through the wire changes nothing at all,
-/// and the stream and message boundaries agree.
+/// and the stream and message boundaries agree — the stream consumes
+/// the frame whole and then ends.
 fn check_round_trip<T: Wire + Viewed>(msg: &T) -> Result<T, TestCaseError> {
     let frame = encode_frame(msg).unwrap();
     let back: T = decode_message(&frame).unwrap();
     prop_assert_eq!(back.view(), msg.view());
     let again: T = decode_message(&encode_frame(&back).unwrap()).unwrap();
     prop_assert_eq!(again.view(), back.view());
-    let (streamed, used) = decode_frame::<T>(&frame).unwrap().unwrap();
-    prop_assert_eq!(used, frame.len());
+    let mut stream = FrameReader::new(&frame[..]);
+    let streamed: T = stream.next().unwrap().unwrap();
+    prop_assert!(stream.next::<T>().unwrap().is_none());
     prop_assert_eq!(streamed.view(), back.view());
     Ok(back)
 }
@@ -371,7 +373,7 @@ proptest! {
                     1 => encode_frame(&allocation(&mut rng)),
                     _ => encode_frame(&upload(&mut rng)),
                 };
-                (kind, frame.unwrap().to_vec())
+                (kind, frame.unwrap())
             })
             .collect();
         let data = frames.iter().flat_map(|(_, f)| f.iter().copied()).collect::<Vec<u8>>();
@@ -455,11 +457,13 @@ fn sample_delta() -> PeerDelta {
     }
 }
 
-/// Decodes `bytes` as every frame type through both decode boundaries.
-/// Success and error are both fine; a panic fails the test.
+/// Decodes `bytes` as every frame type through both decode boundaries:
+/// a stream of frames read to its end, and one whole message. Success and
+/// error are both fine; a panic fails the test.
 fn decode_all_ways(bytes: &[u8]) {
     fn both<T: Wire>(bytes: &[u8]) {
-        let _ = decode_frame::<T>(bytes);
+        let mut stream = FrameReader::new(bytes);
+        while let Ok(Some(_)) = stream.next::<T>() {}
         let _ = decode_message::<T>(bytes);
     }
     both::<CacheRequest>(bytes);
@@ -479,22 +483,14 @@ fn valid_frames() -> &'static [Vec<u8>] {
     static FRAMES: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
     FRAMES.get_or_init(|| {
         vec![
-            encode_frame(&sample_request()).unwrap().to_vec(),
-            encode_frame(&sample_allocation()).unwrap().to_vec(),
-            encode_frame(&sample_upload()).unwrap().to_vec(),
-            encode_frame(&sample_delta()).unwrap().to_vec(),
-            encode_frame(&ClientMsg::Request(sample_request()))
-                .unwrap()
-                .to_vec(),
-            encode_frame(&ClientMsg::Upload(sample_upload()))
-                .unwrap()
-                .to_vec(),
-            encode_frame(&ClientMsg::Peer(sample_delta()))
-                .unwrap()
-                .to_vec(),
-            encode_frame(&ServerMsg::Alloc(sample_allocation()))
-                .unwrap()
-                .to_vec(),
+            encode_frame(&sample_request()).unwrap(),
+            encode_frame(&sample_allocation()).unwrap(),
+            encode_frame(&sample_upload()).unwrap(),
+            encode_frame(&sample_delta()).unwrap(),
+            encode_frame(&ClientMsg::Request(sample_request())).unwrap(),
+            encode_frame(&ClientMsg::Upload(sample_upload())).unwrap(),
+            encode_frame(&ClientMsg::Peer(sample_delta())).unwrap(),
+            encode_frame(&ServerMsg::Alloc(sample_allocation())).unwrap(),
         ]
     })
 }
@@ -515,8 +511,9 @@ proptest! {
         }
     }
 
-    /// Every truncation of a valid frame decodes without panicking: the
-    /// stream boundary reports "incomplete", the message boundary errors.
+    /// Every truncation of a valid frame decodes without panicking: a
+    /// stream that ends there is a torn frame (or, cut at 0, a clean EOF),
+    /// the message boundary errors.
     #[test]
     fn truncated_frames_never_panic(seed in 0u64..500) {
         let mut rng = SeedTree::new(seed).rng_for("cut");
@@ -525,6 +522,11 @@ proptest! {
             let head = &frame[..cut];
             decode_all_ways(head);
             prop_assert!(decode_message::<CacheRequest>(head).is_err());
+            let streamed = FrameReader::new(head).next::<CacheRequest>();
+            prop_assert!(match cut {
+                0 => matches!(streamed, Ok(None)),
+                _ => matches!(streamed, Err(FrameError::Truncated)),
+            });
         }
     }
 
@@ -588,7 +590,7 @@ fn inflated_counts_are_typed_errors_not_allocations() {
     // format" documents (offsets into the frame, after the 4-byte
     // prefix): each one, inflated, fails its own message's decode.
     fn assert_counts_rejected<T: Wire>(msg: &T, count_offsets: &[usize]) {
-        let frame = encode_frame(msg).unwrap().to_vec();
+        let frame = encode_frame(msg).unwrap();
         for &at in count_offsets {
             let mut bytes = frame.clone();
             bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
