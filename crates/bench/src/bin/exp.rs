@@ -1,9 +1,9 @@
-//! Regenerates the committed deterministic records (`coca_bench::paper`):
-//! writes `results/<id>.json` for each and prints its rows and what it
-//! should show.
+//! Regenerates the committed records (`coca_bench::paper`): writes
+//! `results/<id>.json` for each and prints its rows and what it should
+//! show.
 //!
 //! ```sh
-//! cargo run --release -p coca-bench --bin exp                    # all 20
+//! cargo run --release -p coca-bench --bin exp                    # all 22
 //! cargo run --release -p coca-bench --bin exp -- table2 churn
 //! cargo run --release -p coca-bench --bin exp -- results/specs   # every spec in it
 //! ```

@@ -1,5 +1,5 @@
 //! The degenerate method that prices the virtual-time engine alone:
-//! `exp_fleet`'s engine-scale sweep and the `engine_fleet_per_event`
+//! `exp fleet`'s engine-scale sweep and the `engine_fleet_per_event`
 //! bench row both run it through `drive_plan`.
 
 use coca_core::driver::{FrameOutcome, FrameStep, MethodDriver, NoMsg};

@@ -1,14 +1,15 @@
-//! The registry of every deterministic committed record, run by the `exp`
-//! binary: the paper's 13 experiments (Figs. 1a/1b, 2, 5–9, 10a/10b;
-//! Tables I–III), the systems records ([`crate::systems`]: centroids,
+//! The registry of every committed record, run by the `exp` binary: the
+//! paper's 13 experiments (Figs. 1a/1b, 2, 5–9, 10a/10b; Tables I–III),
+//! the systems records ([`crate::systems`]: fleet, daemon, centroids,
 //! quant, recovery, multiedge) and the dynamics records replayed from
 //! their committed specs ([`crate::scenario_exp`]: churn, drift, hetero).
 //!
 //! Each [`Experiment`] names the record it writes (`results/<id>.json`),
 //! the result it should show, and the function that fills the record's
-//! params and rows. Every experiment is a pure function of the seeds
-//! written here (or of its committed spec), so a rerun regenerates its
-//! record byte for byte.
+//! params and rows. `fleet` and `daemon` measure wall-clock time on the
+//! host that runs them. Every other experiment is a pure function of the
+//! seeds written here (or of its committed spec), so a rerun regenerates
+//! its record byte for byte.
 
 use std::path::{Path, PathBuf};
 
@@ -52,8 +53,26 @@ impl Experiment {
     }
 }
 
-/// The 20 records, in the order `exp` runs them.
-pub const EXPERIMENTS: [Experiment; 20] = [
+/// The 22 records, in the order `exp` runs them. `fleet` comes first: its
+/// `peak_rss_mb` is the process's high-water mark, which reads the sweep's
+/// own peak only before any other experiment has run.
+pub const EXPERIMENTS: [Experiment; 22] = [
+    Experiment {
+        id: "fleet",
+        title: "per-round server merge + allocation wall-clock vs fleet size",
+        expected: "per-event engine cost at 100k members within 2x of the 128-member cost, \
+                   peak RSS under 4 096 MB",
+        fill: systems::fleet,
+    },
+    Experiment {
+        id: "daemon",
+        title: "cocad serve path over loopback TCP: closed-loop per-request latency \
+                quantiles and throughput; wall-clock rows are host-dependent, digests are \
+                deterministic",
+        expected: "every op sent is served exactly once, and a sequential pass over the wire \
+                   lands the in-process reference digest",
+        fill: systems::daemon,
+    },
     Experiment {
         id: "fig1a",
         title: "latency/accuracy vs cache size",
@@ -888,10 +907,12 @@ mod tests {
         }
     }
 
-    /// Every committed record is a registry id or one of the two
-    /// wall-clock records (`exp_fleet`, `exp_daemon`); an orphan fails.
+    /// Every record under `results/` is a registry id or the output of a
+    /// spec under `results/specs/` (`exp results/specs` writes
+    /// `results/<stem>.json` for each); an orphan fails.
     #[test]
     fn every_committed_paper_record_has_a_producer() {
+        let specs = results_dir().join("specs");
         let mut orphans = Vec::new();
         for entry in std::fs::read_dir(results_dir()).expect("results/ exists") {
             let name = entry.expect("readable entry").file_name();
@@ -899,7 +920,7 @@ mod tests {
             let Some(stem) = name.strip_suffix(".json") else {
                 continue;
             };
-            if !["fleet", "daemon"].contains(&stem) && !EXPERIMENTS.iter().any(|e| e.id == stem) {
+            if !EXPERIMENTS.iter().any(|e| e.id == stem) && !specs.join(&*name).is_file() {
                 orphans.push(name.into_owned());
             }
         }
@@ -913,14 +934,18 @@ mod tests {
     fn select_keeps_order_and_rejects_unknown_ids() {
         let registry: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
         assert_eq!(ids(&select(&[]).unwrap()), registry);
+        // The fleet sweep reads the process's peak RSS, so it runs first.
+        assert_eq!(registry[..2], ["fleet", "daemon"]);
 
         let specs = results_dir().join("specs");
         let churn_spec = specs.join("churn.json");
         let args = [
             "table2".to_string(),
+            "daemon".to_string(),
             churn_spec.to_str().unwrap().to_string(),
             "churn".to_string(),
             specs.to_str().unwrap().to_string(),
+            "fleet".to_string(),
             "fig9".to_string(),
         ];
         let picked = select(&args).unwrap();
@@ -928,9 +953,9 @@ mod tests {
             ids(&picked),
             args.iter().map(String::as_str).collect::<Vec<_>>()
         );
-        assert!(matches!(picked[1], Target::Specs(_)));
-        assert!(matches!(picked[2], Target::Experiment(_)));
-        assert!(matches!(picked[3], Target::Specs(_)));
+        assert!(matches!(picked[2], Target::Specs(_)));
+        assert!(matches!(picked[3], Target::Experiment(_)));
+        assert!(matches!(picked[4], Target::Specs(_)));
 
         // A flag, an unknown id, a missing spec, a file that is not JSON.
         for word in [

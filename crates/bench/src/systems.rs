@@ -1,25 +1,370 @@
-//! The systems records of [`crate::paper::EXPERIMENTS`]: centroid
-//! re-derivation, the precision sweep, durability and the multi-edge
-//! topology. Each fill writes one deterministic record and asserts the
-//! contract its registry entry names.
+//! The systems records of [`crate::paper::EXPERIMENTS`]: the server's
+//! per-round cost against fleet size and the daemon's serve path (both
+//! wall-clock), centroid re-derivation, the precision sweep, durability
+//! and the multi-edge topology. Each fill writes one record and asserts
+//! the contract its registry entry names; every row but the wall-clock
+//! ones is deterministic.
+
+use std::net::TcpListener;
+use std::time::Instant;
 
 use coca_core::collect::UpdateTable;
+use coca_core::driver::{drive_plan, DriveConfig, DrivePlan};
 use coca_core::engine::{Engine, EngineConfig, EngineReport, Scenario, ScenarioConfig};
 use coca_core::persist::{CrashFault, CrashPlan, Durability, MemStorage, SnapshotSource, WAL_CUR};
-use coca_core::proto::UpdateUpload;
+use coca_core::proto::{CacheRequest, UpdateUpload};
 use coca_core::server::seed_global_table;
 use coca_core::spec::{PopularityShift, ScenarioSpec, SyncMode, TopologySpec};
 use coca_core::{CocaClient, CocaConfig, CocaServer, LookupScratch};
+use coca_daemon::{
+    run_load, run_verify, serve, Arrival, DaemonHandle, RunSpec, ServerCore, Workload,
+};
 use coca_data::DatasetSpec;
 use coca_math::cluster::{center_separation, kmeans_unit, silhouette_cosine};
-use coca_math::{cosine, Precision};
+use coca_math::{cosine, random_unit, Precision};
 use coca_metrics::{ExperimentRecord, LatencyRecorder, RunSummary, WindowedSummary};
-use coca_model::{ClientFeatureView, ModelId};
+use coca_model::{ClientFeatureView, ModelId, ModelRuntime};
 use coca_net::{LinkModel, WireSize};
-use coca_sim::SimDuration;
+use coca_sim::{SeedTree, SimDuration};
+use rand::Rng;
 use serde_json::json;
 
+use crate::fleet::FleetNullDriver;
 use crate::scenario_exp::save_spec;
+
+/// Server-core fleet sizes.
+const FLEETS: [usize; 3] = [8, 32, 128];
+/// A client's round touches one class in `TOUCH_EVERY` (the long-tail hot
+/// sets the engine produces).
+const TOUCH_EVERY: usize = 3;
+/// Wall-clock repetitions per server-core measurement (min taken).
+const REPS: usize = 5;
+/// Engine-scale fleet sizes; the first is the per-event baseline.
+const ENGINE_FLEETS: [usize; 5] = [128, 1_024, 10_000, 100_000, 1_000_000];
+/// The fleet size whose per-event cost must stay within 2x of the
+/// baseline's.
+const ENGINE_CHECKED: usize = 100_000;
+/// Rounds and frames per member of the engine-scale sweep: enough work per
+/// member to amortize boot, small enough that a million-member fleet
+/// finishes in seconds.
+const ENGINE_ROUNDS: usize = 2;
+const ENGINE_FRAMES: usize = 8;
+/// Peak-RSS ceiling of the whole sweep (MB).
+const RSS_CEILING_MB: f64 = 4096.0;
+
+/// One round of synthetic uploads with real per-layer dimensions.
+fn build_uploads(rt: &ModelRuntime, fleet: usize, seeds: &SeedTree) -> Vec<UpdateUpload> {
+    let classes = rt.num_classes();
+    let layers = rt.num_cache_points();
+    (0..fleet)
+        .map(|k| {
+            let mut rng = seeds.child_idx("upload", k as u64).rng();
+            let mut table = UpdateTable::new();
+            for c in 0..classes {
+                if (c + k) % TOUCH_EVERY == 0 {
+                    // A client's collected cells concentrate on a spread
+                    // of layers (rule-2 expansions touch all of them).
+                    for l in (0..layers).step_by(3) {
+                        let v = random_unit(&mut rng, rt.feature_dim(l));
+                        table.absorb(c, l, &v, 0.95);
+                    }
+                }
+            }
+            let frequency: Vec<u64> = (0..classes).map(|_| rng.gen_range(1u64..30)).collect();
+            UpdateUpload {
+                client_id: k as u64,
+                round: 0,
+                table,
+                frequency,
+                precision: Precision::F32,
+            }
+        })
+        .collect()
+}
+
+/// Best-of-[`REPS`] wall-clock of `run` in ms. Each repetition gets its own
+/// `input`, made outside the timed section (the engine moves uploads in,
+/// it never clones them).
+fn min_wallclock_ms<T>(mut input: impl FnMut() -> T, mut run: impl FnMut(T)) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..REPS {
+        let input = input();
+        let t = Instant::now();
+        run(input);
+        best = best.min(t.elapsed().as_secs_f64() * 1e3);
+    }
+    best
+}
+
+/// Process peak RSS (VmHWM) in MB, from `/proc/self/status`. A high-water
+/// mark: monotone over the process lifetime, so a row reports the peak *up
+/// to and including* its run. Returns 0 where procfs is unavailable.
+fn peak_rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|kb| kb.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
+        .map_or(0.0, |kb| kb / 1024.0)
+}
+
+/// One engine-scale measurement: runs the degenerate method over a
+/// `members`-sized fleet and returns (events, wall_ms, per_event_ns).
+/// Small fleets repeat until enough events accumulate for a stable
+/// per-event figure; the fastest repetition is reported.
+fn measure_engine_fleet(members: usize) -> (u64, f64, f64) {
+    let mut sc = ScenarioConfig::new(ModelId::ResNet101, DatasetSpec::ucf101().subset(10));
+    sc.seed = 13_200;
+    sc.num_clients = members;
+    let scenario = Scenario::build(sc);
+    let mut plan = DrivePlan::from_config(
+        &DriveConfig::new(ENGINE_ROUNDS, ENGINE_FRAMES),
+        scenario.config().num_clients,
+    );
+    // Fleet-scale metrics: one aggregate summary instead of O(members)
+    // recorders.
+    plan.per_client = false;
+
+    // Repeat small fleets until the run is long enough to time reliably;
+    // a 128-member run is microseconds, a million-member run is seconds.
+    // Up to the checked size at least three runs, so one noisy window on a
+    // shared host cannot fail the 2x check alone.
+    let target_events = 400_000u64;
+    let run_events = (members * ENGINE_ROUNDS * (ENGINE_FRAMES + 3)) as u64;
+    let min_reps = if members <= ENGINE_CHECKED { 3 } else { 1 };
+    let reps = (target_events / run_events.max(1)).clamp(min_reps, 64);
+
+    let mut best_ns = f64::INFINITY;
+    let mut events = 0u64;
+    let mut wall_ms = 0.0f64;
+    for _ in 0..reps {
+        let mut driver = FleetNullDriver::default();
+        let t = Instant::now();
+        let report = drive_plan(&scenario, &mut driver, &plan);
+        let elapsed = t.elapsed();
+        let ev = driver.events(report.frames);
+        let ns = elapsed.as_nanos() as f64 / ev.max(1) as f64;
+        if ns < best_ns {
+            best_ns = ns;
+            events = ev;
+            wall_ms = elapsed.as_secs_f64() * 1e3;
+        }
+        assert_eq!(
+            report.frames,
+            (members * ENGINE_ROUNDS * ENGINE_FRAMES) as u64,
+            "every member must process its full frame budget"
+        );
+        assert_eq!(
+            ev, run_events,
+            "every member-round is its frames plus a request, a delivery and an upload"
+        );
+    }
+    (events, wall_ms, best_ns)
+}
+
+/// Fleet scale, wall-clock: per-round server time at 8 / 32 / 128 clients,
+/// then the virtual-time engine itself at 128 → 1 000 000 members.
+///
+/// Every round the edge server (a) merges one upload per client into the
+/// global cache table (Eq. 4/5) and (b) answers one cache request per
+/// client (ACA + personalized sub-table extraction). The server is seeded
+/// exactly as the engine seeds it (ResNet101 on UCF101-50), one round of
+/// per-client uploads is synthesized with real per-layer feature
+/// dimensions, and the merge runs the server's one pipeline: enqueue the
+/// round, drain at the flush boundary (`handle_upload` + `flush_pending`).
+///
+/// The engine sweep drives `drive_plan` with [`FleetNullDriver`]
+/// (constant compute, tiny protocol messages) and reports wall-clock per
+/// processed event (frames + request/deliver/upload events) and the
+/// process peak RSS: the machinery of the timer-wheel scheduler, the
+/// compact `ClientState` and the fleet-aggregate summary
+/// (`DrivePlan::per_client = false`). Asserts the per-event cost at
+/// 100 000 members within 2x of the 128-member cost and the peak RSS
+/// under [`RSS_CEILING_MB`].
+///
+/// `peak_rss_mb` is the process's high-water mark, so its rows read this
+/// sweep's own peak only when it runs first in its process.
+pub(crate) fn fleet(record: &mut ExperimentRecord) {
+    let model = ModelId::ResNet101;
+    let mut sc = ScenarioConfig::new(model, DatasetSpec::ucf101().subset(50));
+    sc.seed = 13_001;
+    sc.num_clients = 1; // the scenario only provides the runtime here
+    let scenario = Scenario::build(sc);
+    let rt = &scenario.rt;
+    let coca = CocaConfig::for_model(model);
+
+    record
+        .param("model", format!("{model:?}"))
+        .param("classes", rt.num_classes())
+        .param("layers", rt.num_cache_points())
+        .param("reps", REPS);
+
+    for fleet in FLEETS {
+        let seeds = SeedTree::new(13_100 + fleet as u64);
+        let uploads = build_uploads(rt, fleet, &seeds);
+        let cells: usize = uploads.iter().map(|u| u.table.len()).sum();
+
+        // (b) allocation phase — one ACA + extraction per client (the
+        // requests are the flush boundary, not part of the merge).
+        let mut server_req = CocaServer::new(rt, coca, scenario.seeds());
+        let requests: Vec<CacheRequest> = (0..fleet)
+            .map(|k| CacheRequest {
+                client_id: k as u64,
+                round: 1,
+                timestamps: vec![(k % 7) as u32 * 40; rt.num_classes()],
+                hit_ratio: server_req.base_hit_profile().to_vec(),
+                budget_bytes: (rt.arch().full_cache_bytes(rt.num_classes()) / 8) as u64,
+            })
+            .collect();
+        let req_ms = min_wallclock_ms(
+            || (),
+            |()| {
+                for req in &requests {
+                    let _ = std::hint::black_box(server_req.handle_request(req));
+                }
+            },
+        );
+
+        // (a) merge phase, the engine's pipeline: enqueue the round,
+        // drain at the flush boundary.
+        let mut server = CocaServer::new(rt, coca, scenario.seeds());
+        let merge_ms = min_wallclock_ms(
+            || uploads.to_vec(),
+            |round| {
+                for up in round {
+                    let _ = server.handle_upload(up);
+                }
+                server.flush_pending();
+            },
+        );
+
+        let round_ms = merge_ms + req_ms;
+        record.push_row(&[
+            ("clients", json!(fleet)),
+            ("cells_per_round", json!(cells)),
+            ("pipeline", json!("queue_and_flush")),
+            ("merge_ms", json!(merge_ms)),
+            ("requests_ms", json!(req_ms)),
+            ("round_total_ms", json!(round_ms)),
+            ("us_per_client", json!(round_ms * 1e3 / fleet as f64)),
+        ]);
+    }
+
+    // ---- Engine-scale sweep: wall-clock per event and peak RSS are the
+    // two numbers that decide whether a million-member fleet is simulable.
+    record
+        .param("engine_rounds", ENGINE_ROUNDS)
+        .param("engine_frames_per_round", ENGINE_FRAMES);
+    let mut base_ns = f64::NAN;
+    for members in ENGINE_FLEETS {
+        let (events, wall_ms, per_event_ns) = measure_engine_fleet(members);
+        record.push_row(&[
+            ("clients", json!(members)),
+            ("pipeline", json!("engine")),
+            ("events", json!(events)),
+            ("wall_ms", json!(wall_ms)),
+            ("per_event_ns", json!(per_event_ns)),
+            ("peak_rss_mb", json!(peak_rss_mb())),
+        ]);
+        if members == ENGINE_FLEETS[0] {
+            base_ns = per_event_ns;
+        } else if members == ENGINE_CHECKED {
+            let ratio = per_event_ns / base_ns;
+            assert!(
+                ratio <= 2.0,
+                "per-event cost at {members} members regressed: {per_event_ns:.0} ns vs \
+                 {base_ns:.0} ns at {} ({ratio:.2}x > 2x)",
+                ENGINE_FLEETS[0]
+            );
+        }
+    }
+    let rss = peak_rss_mb();
+    assert!(
+        rss <= RSS_CEILING_MB,
+        "peak RSS {rss:.0} MB exceeds the {RSS_CEILING_MB:.0} MB ceiling"
+    );
+}
+
+/// A fresh daemon for `spec` on an ephemeral loopback port.
+fn start_daemon(spec: &RunSpec) -> DaemonHandle {
+    let (rt, cfg, seeds) = spec.build();
+    let core = ServerCore::new(CocaServer::new(&rt, cfg, &seeds));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    serve(core, listener).expect("daemon starts")
+}
+
+/// The daemon's serve path, wall-clock: `coca_daemon::serve` (the loop
+/// `cocad` runs) in this process on an ephemeral loopback port, driven by
+/// the closed-loop load generator (one thread per client, per-request
+/// wall-clock latency into one `LatencyHistogram`): 8 clients × 30 rounds,
+/// 480 ops. A second, sequential pass (one op in flight) pins the digest
+/// contract. Asserts exact op accounting (every op sent is served once)
+/// and the digest MATCH; the latency/throughput row is host-dependent.
+pub(crate) fn daemon(record: &mut ExperimentRecord) {
+    let spec = RunSpec {
+        model: ModelId::ResNet101,
+        classes: 30,
+        seed: 4_600,
+        precision: Precision::F32,
+    };
+    let wl = Workload {
+        spec,
+        clients: 8,
+        rounds: 30,
+    };
+    record
+        .param("model", format!("{:?}", spec.model))
+        .param("classes", spec.classes)
+        .param("seed", spec.seed)
+        .param("merge_mode", "queue_and_flush")
+        .param("clients", wl.clients)
+        .param("rounds", wl.rounds)
+        .param("arrival", "closed_loop")
+        .param("wall_clock_host_dependent", true);
+
+    let handle = start_daemon(&spec);
+    let report = run_load(
+        handle.addr(),
+        &wl,
+        Arrival::Closed {
+            think: std::time::Duration::ZERO,
+        },
+    )
+    .expect("closed-loop run");
+    handle.shutdown();
+    let daemon_report = handle.join();
+    let served = daemon_report.requests + daemon_report.uploads;
+    assert_eq!(report.ops, wl.total_ops(), "load generator lost operations");
+    assert_eq!(served, wl.total_ops(), "daemon under/over-served");
+    let hist = &report.hist;
+    record.push_row(&[
+        ("ops", json!(report.ops)),
+        ("ops_served", json!(served)),
+        ("wall_s", json!(report.wall.as_secs_f64())),
+        ("ops_per_s", json!(report.throughput_ops_s())),
+        ("p50_ms", json!(hist.p50().unwrap_or(0.0))),
+        ("p99_ms", json!(hist.p99().unwrap_or(0.0))),
+        ("p999_ms", json!(hist.p999().unwrap_or(0.0))),
+        ("max_ms", json!(hist.max_ms().unwrap_or(0.0))),
+    ]);
+
+    // ---- Digest contract: a sequential pass over the wire must land the
+    // exact in-process reference state.
+    let handle = start_daemon(&spec);
+    let outcome = run_verify(handle.addr(), &Workload { rounds: 4, ..wl }).expect("verify run");
+    handle.shutdown();
+    handle.join();
+    record.push_row(&[
+        ("verify_ops", json!(outcome.ops)),
+        ("digest_match", json!(outcome.matches())),
+    ]);
+    assert!(
+        outcome.matches(),
+        "daemon digest {:016x} diverged from the in-process reference {:016x}",
+        outcome.daemon_digest,
+        outcome.local_digest
+    );
+}
 
 /// Centroid quality: re-derive hot-spot centers from collected samples with
 /// deterministic spherical k-means (`coca_math::cluster::kmeans_unit`) and

@@ -2,12 +2,11 @@
 //!
 //! Owns everything that lives on one edge device: the installed local
 //! cache, the status vectors τ/φ, the cache-update table U, the per-layer
-//! hit-ratio estimates R it uploads, and its metrics.
+//! hit-ratio estimates R it uploads, and its collection-rule counters.
 
 use std::ops::Range;
 
 use coca_data::Frame;
-use coca_metrics::RunSummary;
 use coca_model::{ClientFeatureView, ClientProfile, ModelRuntime};
 use serde::{Deserialize, Serialize};
 
@@ -95,7 +94,6 @@ struct Ledger {
     round_hits: Vec<u64>,
     round_frames: u64,
     absorb: AbsorbStats,
-    summary: RunSummary,
 }
 
 /// The verdict of one frame's pure phase: everything its apply phase
@@ -164,7 +162,7 @@ impl FramePool {
 /// rule-2 synthesis of the preset layers not looked up — is a function of
 /// the frame, the installed cache and the client profile alone (the
 /// feature view is only a memo). The **apply phase** — status τ/φ,
-/// metrics, absorb counters and the Eq. 3 absorbs into U — depends on
+/// hit and absorb counters and the Eq. 3 absorbs into U — depends on
 /// frame order. [`CocaClient::process_frame`] runs both for one frame;
 /// `CocaClient::process_frames` runs a round's pure phases on several
 /// threads and its apply phases in frame order, with the same result.
@@ -267,19 +265,12 @@ impl Ledger {
         // Status tracks *predicted* classes — the client has no labels.
         self.status.observe(pass.predicted);
 
-        // Metrics.
-        self.summary.latency.record(pass.latency);
-        self.summary.accuracy.record(pass.correct);
         match pass.hit_point {
             Some(p) => {
-                self.summary.hits.record_hit(p, pass.correct);
                 self.round_hits[p] += 1;
                 self.absorb.hits += 1;
             }
-            None => {
-                self.summary.hits.record_miss(pass.correct);
-                self.absorb.misses += 1;
-            }
+            None => self.absorb.misses += 1,
         }
         self.round_frames += 1;
 
@@ -337,7 +328,6 @@ impl CocaClient {
                 round_hits: vec![0; l],
                 round_frames: 0,
                 absorb: AbsorbStats::default(),
-                summary: RunSummary::new(l),
             },
             hit_ratio_est: initial_hit_profile,
             round: 0,
@@ -352,11 +342,6 @@ impl CocaClient {
     /// The currently installed cache.
     pub fn cache(&self) -> &LocalCache {
         &self.inputs.cache
-    }
-
-    /// Accumulated metrics.
-    pub fn summary(&self) -> &RunSummary {
-        &self.ledger.summary
     }
 
     /// Collection-rule accounting.
@@ -537,13 +522,14 @@ mod tests {
         let (rt, mut client, mut stream) = setup();
         client.install_cache(center_cache(&rt, &[10, 25, 33]));
         let mut scratch = LookupScratch::new();
+        let mut hits = 0;
         for f in stream.take(200) {
-            client.process_frame(&rt, &f, &mut scratch);
+            hits += u64::from(client.process_frame(&rt, &f, &mut scratch).is_hit());
         }
-        assert_eq!(client.summary().accuracy.total(), 200);
         assert_eq!(client.status().round_total(), 200);
-        assert!(client.summary().hits.hit_ratio() > 0.3);
-        assert!(client.absorb_stats().hits > 0);
+        let stats = client.absorb_stats();
+        assert_eq!((stats.hits, stats.hits + stats.misses), (hits, 200));
+        assert!(hits > 60, "hit ratio {hits}/200 should exceed 0.3");
     }
 
     #[test]
@@ -603,7 +589,8 @@ mod tests {
         // Reference: rule 2 synthesizes every preset layer afresh, each
         // vector with a fresh view. The client reuses the looked-up layers'
         // vectors instead; its upload must not differ by one byte — neither
-        // frame by frame nor as a batch on one, two or three threads.
+        // frame by frame nor as a batch on one, two or three threads — and
+        // the batch must yield the per-frame path's outcome for each frame.
         use coca_net::Wire;
         let (rt, mut client, mut stream) = setup();
         // Half the classes cached: frames of the other half miss at every
@@ -634,8 +621,10 @@ mod tests {
         let mut status = ClientStatus::new(rt.num_classes());
         let mut update = UpdateTable::new();
         let (mut scratch, mut ref_scratch) = (LookupScratch::new(), LookupScratch::new());
+        let mut outcomes = Vec::new();
         for f in &frames {
-            client.process_frame(&rt, f, &mut scratch);
+            let r = client.process_frame(&rt, f, &mut scratch);
+            outcomes.push((r.latency, r.correct, r.hit_point));
             let mut view = ClientFeatureView::new();
             let res = infer_with_cache(&rt, &profile, f, &cache, &cfg, &mut view, &mut ref_scratch);
             status.observe(res.predicted);
@@ -660,14 +649,17 @@ mod tests {
         // The batch path over the same frames, split where a driver would
         // split them (rounds of uneven length).
         for (c, pool) in &mut batches {
+            let mut batch_outcomes = Vec::new();
             for part in [&frames[..7], &frames[7..150], &frames[150..]] {
                 let mut seen = 0;
-                c.process_frames(&rt, part, pool, |f, _| {
+                c.process_frames(&rt, part, pool, |f, pass| {
                     assert_eq!(f.seq, part[seen].seq);
                     seen += 1;
+                    batch_outcomes.push((pass.latency, pass.correct, pass.hit_point));
                 });
                 assert_eq!(seen, part.len());
             }
+            assert_eq!(batch_outcomes, outcomes);
         }
         assert!(client.absorb_stats().expanded > 0);
         let mut table = update.take();
@@ -688,9 +680,6 @@ mod tests {
         assert_eq!(per_frame, bytes(&reference));
         for (c, _) in &mut batches {
             assert_eq!(bytes(&c.end_round()), per_frame);
-            let (a, b) = (c.summary(), client.summary());
-            assert_eq!(a.latency.mean_ms().to_bits(), b.latency.mean_ms().to_bits());
-            assert_eq!(a.hits.hit_ratio(), b.hits.hit_ratio());
             assert_eq!(c.absorb_stats().expanded, client.absorb_stats().expanded);
             assert_eq!(
                 c.absorb_stats().reinforced,

@@ -219,16 +219,6 @@ pub trait MethodDriver {
         self.serve_request(k, req)
     }
 
-    /// Cell-addressed variant of [`MethodDriver::serve_query`].
-    fn serve_query_at(
-        &mut self,
-        _cell: usize,
-        k: usize,
-        query: Self::Query,
-    ) -> (Self::Reply, SimDuration) {
-        self.serve_query(k, query)
-    }
-
     /// Cell-addressed variant of [`MethodDriver::serve_upload`].
     fn serve_upload_at(&mut self, _cell: usize, k: usize, upload: Self::Upload) -> SimDuration {
         self.serve_upload(k, upload)
@@ -907,7 +897,7 @@ pub fn drive_plan<D: MethodDriver>(
                 sent,
                 query,
             } => {
-                let (reply, service) = driver.serve_query_at(cell, k, query);
+                let (reply, service) = driver.serve_query(k, query);
                 let done = exec.queues[cell].serve(now, service);
                 exec.events.schedule(
                     done.finish + xfer(&exec.plan, &exec.cell, k, done.finish, reply.wire_bytes()),

@@ -567,17 +567,6 @@ impl MemStorage {
         Self::default()
     }
 
-    /// XORs `0xFF` into byte `index % len` under `key` (fault injection).
-    /// No-op on an absent or empty key.
-    pub fn corrupt_byte(&mut self, key: &str, index: usize) {
-        if let Some(bytes) = self.map.get_mut(key) {
-            if !bytes.is_empty() {
-                let i = index % bytes.len();
-                bytes[i] ^= 0xFF;
-            }
-        }
-    }
-
     /// Truncates the contents under `key` to `len` bytes (torn-write
     /// injection). No-op on an absent key.
     pub fn truncate(&mut self, key: &str, len: usize) {
@@ -1480,11 +1469,6 @@ mod tests {
         s.append("k", b"ab");
         s.append("k", b"cd");
         assert_eq!(s.load("k").as_deref(), Some(&b"abcd"[..]));
-        s.corrupt_byte("k", 5); // 5 % 4 == 1
-        assert_eq!(
-            s.load("k").as_deref(),
-            Some(&[b'a', b'b' ^ 0xFF, b'c', b'd'][..])
-        );
         s.truncate("k", 1);
         assert_eq!(s.load("k").as_deref(), Some(&b"a"[..]));
         s.remove("k");

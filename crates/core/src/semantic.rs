@@ -236,18 +236,6 @@ impl LocalCache {
         self.layers.iter().map(|l| l.bytes_at(precision)).sum()
     }
 
-    /// The union of cached classes across layers (sorted, deduplicated).
-    pub fn cached_classes(&self) -> Vec<usize> {
-        let mut all: Vec<usize> = self
-            .layers
-            .iter()
-            .flat_map(|l| l.classes.iter().copied())
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        all
-    }
-
     /// The activated model points, shallow to deep.
     pub fn activated_points(&self) -> Vec<usize> {
         self.layers.iter().map(|l| l.point).collect()
@@ -365,7 +353,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_classes_dedups_across_layers() {
+    fn total_bytes_sums_across_layers() {
         let mut a = CacheLayer::new(0);
         a.insert(3, unit(2, 0));
         a.insert(1, unit(2, 1));
@@ -373,7 +361,6 @@ mod tests {
         b.insert(1, unit(2, 0));
         b.insert(2, unit(2, 1));
         let cache = LocalCache::from_layers(vec![a, b]);
-        assert_eq!(cache.cached_classes(), vec![1, 2, 3]);
         assert_eq!(cache.total_bytes(), 4 * 8);
     }
 }

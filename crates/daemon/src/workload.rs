@@ -1,5 +1,5 @@
 //! Deterministic workload synthesis shared by the load generator, the
-//! `exp_daemon` experiment, and the digest-equivalence tests.
+//! `exp daemon` experiment, and the digest-equivalence tests.
 //!
 //! Every message is a pure function of `(RunSpec, client, round)` —
 //! the daemon and an in-process reference server fed the same

@@ -80,11 +80,6 @@ impl OccupancyBitmap {
         was_set
     }
 
-    /// Clears every slot.
-    pub fn clear_all(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
-    }
-
     /// Number of occupied slots (word-at-a-time popcount).
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -245,8 +240,6 @@ mod tests {
         assert!(b.clear(64));
         assert!(!b.clear(64));
         assert_eq!(b.count_ones(), 2);
-        b.clear_all();
-        assert_eq!(b.count_ones(), 0);
     }
 
     #[test]

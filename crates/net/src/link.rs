@@ -104,12 +104,6 @@ impl LinkSchedule {
         self.changes.insert(idx, LinkChangePoint { at, link });
     }
 
-    /// Builder form of [`LinkSchedule::push_change`].
-    pub fn with_change(mut self, at: SimTime, link: LinkModel) -> Self {
-        self.push_change(at, link);
-        self
-    }
-
     /// True iff the schedule has no change points (a static link).
     pub fn is_static(&self) -> bool {
         self.changes.is_empty()
@@ -186,8 +180,8 @@ mod tests {
             one_way_delay: SimDuration::from_millis(20),
             bandwidth_bps: 1.0e6,
         };
-        let s = LinkSchedule::fixed(LinkModel::default())
-            .with_change(SimTime::from_millis_f64(100.0), slow);
+        let mut s = LinkSchedule::fixed(LinkModel::default());
+        s.push_change(SimTime::from_millis_f64(100.0), slow);
         assert!(!s.is_static());
         let before = SimTime::from_millis_f64(99.9);
         let at = SimTime::from_millis_f64(100.0);
@@ -221,7 +215,8 @@ mod tests {
 
     #[test]
     fn schedule_round_trips_through_json() {
-        let s = LinkSchedule::fixed(LinkModel::default()).with_change(
+        let mut s = LinkSchedule::fixed(LinkModel::default());
+        s.push_change(
             SimTime::from_millis_f64(250.0),
             LinkModel {
                 one_way_delay: SimDuration::from_millis(10),

@@ -101,11 +101,6 @@ impl SimDuration {
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }
-
-    /// Scales the duration by a non-negative factor.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        SimDuration(ms_to_nanos(self.as_millis_f64() * factor))
-    }
 }
 
 /// Converts fractional milliseconds to nanoseconds, clamping negatives and
@@ -237,7 +232,6 @@ mod tests {
         ];
         let total: SimDuration = parts.iter().copied().sum();
         assert_eq!(total, SimDuration::from_millis(2));
-        assert_eq!(total.mul_f64(2.5), SimDuration::from_millis(5));
         assert_eq!(total * 3, SimDuration::from_millis(6));
         assert_eq!(total / 2, SimDuration::from_millis(1));
     }

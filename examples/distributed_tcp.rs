@@ -87,6 +87,7 @@ fn main() {
                 let mut scratch = coca::core::LookupScratch::new();
                 let mut total_ms = 0.0;
                 let mut frames = 0u64;
+                let mut correct = 0u64;
                 for _ in 0..ROUNDS {
                     let alloc: CacheAllocation = match conn
                         .call(&ClientMsg::Request(client.cache_request()))
@@ -100,6 +101,7 @@ fn main() {
                         let frame = stream.next_frame();
                         let r = client.process_frame(rt, &frame, &mut scratch);
                         total_ms += r.latency.as_millis_f64();
+                        correct += u64::from(r.correct);
                         frames += 1;
                     }
                     let upload = client.end_round();
@@ -116,7 +118,7 @@ fn main() {
                 (
                     k,
                     total_ms / frames as f64,
-                    client.summary().accuracy.accuracy_pct(),
+                    100.0 * correct as f64 / frames as f64,
                 )
             })
         })
