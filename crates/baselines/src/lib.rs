@@ -232,4 +232,43 @@ mod fairness_tests {
             assert_eq!(a.frame_digest, b.frame_digest, "{} digest", a.method);
         }
     }
+
+    #[test]
+    fn foggycache_and_learnedcache_pin_their_reports() {
+        // Bit-exact pins of both baselines on the determinism test's world:
+        // a moved constant, threshold or retrain period changes a value
+        // here, where tier-1 sees it, not only in the committed records.
+        let (rounds, frames) = (2, 60);
+        let coca_cfg = CocaConfig::for_model(ModelId::ResNet101).with_round_frames(frames);
+        let drive_cfg = DriveConfig::new(rounds, frames);
+        let foggy = {
+            let s = Scenario::build(scenario_cfg(301));
+            let mut d = FoggyCacheDriver::new(&s, FoggyCacheConfig::default());
+            drive(&s, &mut d, &drive_cfg)
+        };
+        let learned = {
+            let s = Scenario::build(scenario_cfg(301));
+            let cfg = LearnedCacheConfig::for_model(coca_cfg.theta, frames);
+            drive(&s, &mut LearnedCacheDriver::new(&s, cfg), &drive_cfg)
+        };
+        // The f64 bits of (latency ms, accuracy %, hit ratio):
+        // FoggyCache ≈ (26.124, 98.611, 0.4667),
+        // LearnedCache ≈ (24.501, 97.5, 0.4972).
+        let pins: [(_, [u64; 3]); 2] = [
+            (
+                &foggy,
+                [0x403a1fd9656d71e0, 0x4058a71c71c71c72, 0x3fddddddddddddde],
+            ),
+            (
+                &learned,
+                [0x40388050e0b735a2, 0x4058600000000000, 0x3fdfd27d27d27d28],
+            ),
+        ];
+        for (r, [latency, accuracy, hit_ratio]) in pins {
+            assert_eq!(r.mean_latency_ms.to_bits(), latency, "{} latency", r.method);
+            assert_eq!(r.accuracy_pct.to_bits(), accuracy, "{} accuracy", r.method);
+            assert_eq!(r.hit_ratio.to_bits(), hit_ratio, "{} hit ratio", r.method);
+            assert_eq!(r.frame_digest, 0x9e0c_c1bc_e4c2_d738, "{} digest", r.method);
+        }
+    }
 }
