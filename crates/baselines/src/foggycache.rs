@@ -30,46 +30,24 @@ use coca_data::Frame;
 use coca_model::ClientFeatureView;
 use coca_net::WireSize;
 use coca_sim::{SeedTree, SimDuration};
-use serde::{Deserialize, Serialize};
-
-/// FoggyCache driver configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct FoggyCacheConfig {
-    /// Neighbours consulted by H-kNN.
-    pub k: usize,
-    /// Minimum fraction of the k neighbours agreeing on one class.
-    pub homogeneity: f64,
-    /// Minimum mean cosine similarity of the majority neighbours.
-    pub min_similarity: f32,
-    /// Local sample-cache capacity.
-    pub local_capacity: usize,
-    /// Server global-store capacity.
-    pub server_capacity: usize,
-    /// LSH tables.
-    pub lsh_tables: usize,
-    /// Initial hyperplanes (bits) per table; adapted per round.
-    pub lsh_bits: usize,
-    /// Input-level jitter added to the matching key. FoggyCache keys on
-    /// *raw input* features, which vary across consecutive video frames
-    /// (motion, exposure) far more than pooled semantic features do; the
-    /// jitter models that brittleness.
-    pub input_jitter: f32,
-}
-
-impl Default for FoggyCacheConfig {
-    fn default() -> Self {
-        Self {
-            k: 5,
-            homogeneity: 1.0,
-            min_similarity: 0.65,
-            local_capacity: 300,
-            server_capacity: 12_000,
-            lsh_tables: 4,
-            lsh_bits: 10,
-            input_jitter: 0.08,
-        }
-    }
-}
+/// Neighbours consulted by H-kNN. A hit needs all of them to agree on
+/// one class (homogeneity 1.0).
+const K: usize = 5;
+/// Minimum mean cosine similarity of the [`K`] neighbours.
+const MIN_SIMILARITY: f32 = 0.65;
+/// Local sample-cache capacity.
+const LOCAL_CAPACITY: usize = 300;
+/// Server global-store capacity.
+const SERVER_CAPACITY: usize = 12_000;
+/// LSH tables.
+const LSH_TABLES: usize = 4;
+/// Initial hyperplanes (bits) per table; adapted per round.
+const LSH_BITS: usize = 10;
+/// Input-level jitter added to the matching key. FoggyCache keys on *raw
+/// input* features, which vary across consecutive video frames (motion,
+/// exposure) far more than pooled semantic features do; the jitter models
+/// that brittleness.
+const INPUT_JITTER: f32 = 0.08;
 
 /// One stored sample. Its whitened match key lives as a row of the
 /// store's contiguous [`coca_math::VectorStore`], not here — the H-kNN
@@ -216,9 +194,9 @@ struct Store {
 }
 
 impl Store {
-    fn new(dim: usize, capacity: usize, cfg: &FoggyCacheConfig, seeds: SeedTree) -> Self {
-        let alsh = Alsh::new(dim, cfg.lsh_tables, cfg.lsh_bits, &seeds);
-        let k = cfg.k as f64;
+    fn new(dim: usize, capacity: usize, seeds: SeedTree) -> Self {
+        let alsh = Alsh::new(dim, LSH_TABLES, LSH_BITS, &seeds);
+        let k = K as f64;
         Self {
             samples: HashMap::new(),
             keys: coca_math::VectorStore::new(dim),
@@ -355,7 +333,7 @@ impl Store {
 
     /// H-kNN lookup: `Some((label, candidates_scanned))` on a homogeneous,
     /// sufficiently similar neighbourhood.
-    fn lookup(&mut self, v: &[f32], cfg: &FoggyCacheConfig) -> (Option<usize>, usize) {
+    fn lookup(&mut self, v: &[f32]) -> (Option<usize>, usize) {
         if self.center.is_none() {
             // Warmup: the key space is not yet established.
             return (None, 0);
@@ -364,7 +342,7 @@ impl Store {
         let v = v.as_slice();
         let cand = self.alsh.candidates(v);
         let scanned = cand.len();
-        if cand.len() < cfg.k {
+        if cand.len() < K {
             return (None, scanned);
         }
         // k nearest among the candidates: one fused pass over the
@@ -376,35 +354,23 @@ impl Store {
             .into_iter()
             .filter_map(|id| self.slot_of.get(id).map(|row| (row, id)))
             .collect();
-        let scored = self.keys.knn_k(v, &rows, cfg.k);
-        if scored.len() < cfg.k {
+        let scored = self.keys.knn_k(v, &rows, K);
+        if scored.len() < K {
             return (None, scanned);
         }
-        // Majority vote + homogeneity + similarity checks.
-        let mut votes: HashMap<usize, (usize, f32)> = HashMap::new();
-        for &(sim, id) in &scored {
-            let label = self.samples[&id].label;
-            let e = votes.entry(label).or_insert((0, 0.0));
-            e.0 += 1;
-            e.1 += sim;
+        // Homogeneity 1.0: all K neighbours carry one label.
+        let label = self.samples[&scored[0].1].label;
+        if scored.iter().any(|(_, id)| self.samples[id].label != label) {
+            return (None, scanned);
         }
-        // Tie-break equal vote counts by smallest label: HashMap iteration
-        // order is per-process random, and cross-process runs must be
-        // byte-identical.
-        let (&label, &(count, sim_sum)) = votes
-            .iter()
-            .max_by_key(|(&l, &(c, _))| (c, std::cmp::Reverse(l)))
-            .expect("non-empty");
-        let homogeneity = count as f64 / cfg.k as f64;
-        let mean_sim = sim_sum / count as f32;
-        if homogeneity >= cfg.homogeneity && mean_sim >= cfg.min_similarity {
+        let mean_sim = scored.iter().fold(0.0f32, |sum, &(sim, _)| sum + sim) / K as f32;
+        if mean_sim >= MIN_SIMILARITY {
             self.clock += 1;
-            for &(_, id) in &scored {
-                if let Some(s) = self.samples.get_mut(&id) {
-                    if s.label == label {
-                        s.last_used = self.clock;
-                    }
-                }
+            for (_, id) in &scored {
+                self.samples
+                    .get_mut(id)
+                    .expect("scored sample exists")
+                    .last_used = self.clock;
             }
             (Some(label), scanned)
         } else {
@@ -414,7 +380,7 @@ impl Store {
 
     /// Adapts the LSH granularity toward the target candidate band by
     /// rebuilding with more/fewer bits (the "A" in A-LSH).
-    fn adapt(&mut self, cfg: &FoggyCacheConfig) {
+    fn adapt(&mut self) {
         let mean = self.alsh.mean_candidates();
         let new_bits = if mean > self.target.1 && self.alsh.bits < 24 {
             self.alsh.bits + 1
@@ -427,7 +393,7 @@ impl Store {
         let dim = self.alsh.dim;
         let mut alsh = Alsh::new(
             dim,
-            cfg.lsh_tables,
+            LSH_TABLES,
             new_bits,
             &self.seeds.child_idx("rebuild", new_bits as u64),
         );
@@ -479,7 +445,6 @@ struct FoggyClient {
 /// local store.
 pub struct FoggyCacheDriver<'s> {
     scenario: &'s Scenario,
-    cfg: FoggyCacheConfig,
     seeds: SeedTree,
     server_store: Store,
     clients: Vec<FoggyClient>,
@@ -492,27 +457,21 @@ pub struct FoggyCacheDriver<'s> {
 
 impl<'s> FoggyCacheDriver<'s> {
     /// Builds the driver over a scenario.
-    pub fn new(scenario: &'s Scenario, cfg: FoggyCacheConfig) -> Self {
+    pub fn new(scenario: &'s Scenario) -> Self {
         let rt = &scenario.rt;
         let feature_point = 0usize; // shallow, input-level features
         let dim = rt.feature_dim(feature_point);
         let seeds = scenario.seeds().child("foggycache");
-        let server_store = Store::new(dim, cfg.server_capacity, &cfg, seeds.child("server"));
+        let server_store = Store::new(dim, SERVER_CAPACITY, seeds.child("server"));
         let clients = (0..scenario.profiles.len())
             .map(|k| FoggyClient {
-                local: Store::new(
-                    dim,
-                    cfg.local_capacity,
-                    &cfg,
-                    seeds.child_idx("local", k as u64),
-                ),
+                local: Store::new(dim, LOCAL_CAPACITY, seeds.child_idx("local", k as u64)),
                 view: ClientFeatureView::new(),
                 pending_vec: None,
             })
             .collect();
         Self {
             scenario,
-            cfg,
             seeds,
             server_store,
             clients,
@@ -536,7 +495,6 @@ impl MethodDriver for FoggyCacheDriver<'_> {
 
     fn process_frame(&mut self, k: usize, frame: &Frame) -> FrameStep<FoggyQuery> {
         let rt = &self.scenario.rt;
-        let cfg = &self.cfg;
         let client = &mut self.clients[k];
         let mut v = rt.semantic_vector(
             frame,
@@ -544,16 +502,14 @@ impl MethodDriver for FoggyCacheDriver<'_> {
             self.feature_point,
             &mut client.view,
         );
-        if cfg.input_jitter > 0.0 {
-            let mut jrng = self.seeds.child_idx("jitter", frame.frame_seed).rng();
-            let eta = coca_math::random_unit(&mut jrng, v.len());
-            coca_math::vector::axpy(cfg.input_jitter, &eta, &mut v);
-            coca_math::vector::l2_normalize(&mut v);
-        }
+        let mut jrng = self.seeds.child_idx("jitter", frame.frame_seed).rng();
+        let eta = coca_math::random_unit(&mut jrng, v.len());
+        coca_math::vector::axpy(INPUT_JITTER, &eta, &mut v);
+        coca_math::vector::l2_normalize(&mut v);
 
         // Local lookup.
-        let (local_hit, scanned) = client.local.lookup(&v, cfg);
-        let elapsed = self.feature_time + rt.lookup_cost(self.feature_point, scanned + cfg.k);
+        let (local_hit, scanned) = client.local.lookup(&v);
+        let elapsed = self.feature_time + rt.lookup_cost(self.feature_point, scanned + K);
         match local_hit {
             Some(label) => FrameStep::Done(FrameOutcome {
                 compute: elapsed,
@@ -574,9 +530,9 @@ impl MethodDriver for FoggyCacheDriver<'_> {
 
     fn serve_query(&mut self, _k: usize, query: FoggyQuery) -> (FoggyReply, SimDuration) {
         let rt = &self.scenario.rt;
-        let (label, scanned) = self.server_store.lookup(&query.vector, &self.cfg);
+        let (label, scanned) = self.server_store.lookup(&query.vector);
         // Server compute: the H-kNN scan over the candidate set.
-        let service = rt.lookup_cost(self.feature_point, scanned + self.cfg.k);
+        let service = rt.lookup_cost(self.feature_point, scanned + K);
         (FoggyReply { label }, service)
     }
 
@@ -617,10 +573,10 @@ impl MethodDriver for FoggyCacheDriver<'_> {
     fn end_round(&mut self, k: usize) -> Option<NoMsg> {
         // Per-round A-LSH adaptation: each local store at its own round
         // boundary, the shared store once per full sweep of the fleet.
-        self.clients[k].local.adapt(&self.cfg);
+        self.clients[k].local.adapt();
         self.rounds_completed += 1;
         if self.rounds_completed.is_multiple_of(self.clients.len()) {
-            self.server_store.adapt(&self.cfg);
+            self.server_store.adapt();
         }
         None
     }
@@ -678,11 +634,7 @@ mod tests {
 
     #[test]
     fn store_lru_evicts_oldest() {
-        let cfg = FoggyCacheConfig {
-            local_capacity: 4,
-            ..Default::default()
-        };
-        let mut store = Store::new(8, 4, &cfg, SeedTree::new(91));
+        let mut store = Store::new(8, 4, SeedTree::new(91));
         let mut rng = SmallRng::seed_from_u64(2);
         for i in 0..8 {
             let v = coca_math::random_unit(&mut rng, 8);
@@ -705,17 +657,11 @@ mod tests {
 
     #[test]
     fn hknn_requires_homogeneity() {
-        let cfg = FoggyCacheConfig {
-            k: 4,
-            homogeneity: 1.0,
-            min_similarity: 0.0,
-            ..Default::default()
-        };
         let mut rng = SmallRng::seed_from_u64(3);
         let base = coca_math::random_unit(&mut rng, 8);
         // Two conflicting labels in the neighbourhood: homogeneity 1.0
         // cannot be met.
-        let mut store = Store::new(8, 1000, &cfg, SeedTree::new(92));
+        let mut store = Store::new(8, 1000, SeedTree::new(92));
         warm_up(&mut store, &mut rng, 8);
         for i in 0..8 {
             let mut v = base.clone();
@@ -723,10 +669,10 @@ mod tests {
             coca_math::vector::l2_normalize(&mut v);
             store.insert(v, i % 2, 0);
         }
-        let (hit, _) = store.lookup(&base, &cfg);
+        let (hit, _) = store.lookup(&base);
         assert_eq!(hit, None);
         // Uniform labels satisfy it.
-        let mut store = Store::new(8, 1000, &cfg, SeedTree::new(93));
+        let mut store = Store::new(8, 1000, SeedTree::new(93));
         warm_up(&mut store, &mut rng, 8);
         for i in 0..8 {
             let mut v = base.clone();
@@ -734,7 +680,7 @@ mod tests {
             coca_math::vector::l2_normalize(&mut v);
             store.insert(v, 7, 0);
         }
-        let (hit, _) = store.lookup(&base, &cfg);
+        let (hit, _) = store.lookup(&base);
         assert_eq!(hit, Some(7));
     }
 
@@ -742,7 +688,7 @@ mod tests {
     fn foggycache_reuses_and_saves_time() {
         let s = scenario(94);
         let full = s.rt.full_compute().as_millis_f64();
-        let mut driver = FoggyCacheDriver::new(&s, FoggyCacheConfig::default());
+        let mut driver = FoggyCacheDriver::new(&s);
         let r = drive(&s, &mut driver, &DriveConfig::new(3, 150));
         assert_eq!(r.frames, 2 * 3 * 150);
         assert!(r.hit_ratio > 0.15, "hit ratio {}", r.hit_ratio);
@@ -752,8 +698,7 @@ mod tests {
 
     #[test]
     fn retire_owner_removes_only_the_leavers_samples() {
-        let cfg = FoggyCacheConfig::default();
-        let mut store = Store::new(8, 1000, &cfg, SeedTree::new(95));
+        let mut store = Store::new(8, 1000, SeedTree::new(95));
         let mut rng = SmallRng::seed_from_u64(5);
         for i in 0..30u32 {
             let v = coca_math::random_unit(&mut rng, 8);
@@ -773,10 +718,9 @@ mod tests {
 
     #[test]
     fn foggycache_is_deterministic() {
-        let cfg = FoggyCacheConfig::default();
         let run = || {
             let s = scenario(94);
-            let mut driver = FoggyCacheDriver::new(&s, cfg);
+            let mut driver = FoggyCacheDriver::new(&s);
             drive(&s, &mut driver, &DriveConfig::new(2, 100))
         };
         let (a, b) = (run(), run());

@@ -9,7 +9,7 @@
 //! the exit layer's pooled features, trained on a buffer of recent
 //! *self-labelled* samples (labels come from the full model — the exact
 //! self-distillation loop learned caches use). Retraining runs every
-//! `retrain_frames` frames and its compute is charged to the client,
+//! round (F frames) and its compute is charged to the client,
 //! reproducing the paper's criticism: retraining overhead degrades QoS,
 //! and rare classes never accumulate enough buffer samples for a usable
 //! exit predictor — the long-tail weakness.
@@ -22,45 +22,20 @@ use std::collections::VecDeque;
 
 use coca_core::driver::{FrameOutcome, FrameStep, MethodDriver, NoMsg};
 use coca_core::engine::Scenario;
+use coca_core::CocaConfig;
 use coca_data::Frame;
 use coca_math::{ScoreScratch, VectorStore};
 use coca_model::ClientFeatureView;
 use coca_sim::SimDuration;
-use serde::{Deserialize, Serialize};
-
-/// LearnedCache driver configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct LearnedCacheConfig {
-    /// Number of exits, spread evenly over the preset cache points.
-    pub num_exits: usize,
-    /// Exit fires when the relative margin between the two best centroid
-    /// similarities exceeds this threshold (same scale as CoCa's Θ).
-    pub exit_threshold: f32,
-    /// Per-exit training buffer capacity (samples).
-    pub buffer_capacity: usize,
-    /// Retraining period in frames.
-    pub retrain_frames: usize,
-    /// Retraining compute charged per buffered sample per exit (ms) —
-    /// lightweight probe fitting on the device.
-    pub retrain_ms_per_sample: f64,
-    /// Minimum buffered samples before a class gets a centroid.
-    pub min_samples_per_class: usize,
-}
-
-impl LearnedCacheConfig {
-    /// Defaults matched to a CoCa configuration (same Θ scale and round
-    /// length, so comparisons isolate the mechanism).
-    pub fn for_model(theta: f32, round_frames: usize) -> Self {
-        Self {
-            num_exits: 5,
-            exit_threshold: theta,
-            buffer_capacity: 600,
-            retrain_frames: round_frames,
-            retrain_ms_per_sample: 0.05,
-            min_samples_per_class: 3,
-        }
-    }
-}
+/// Number of exits, spread evenly over the preset cache points.
+const NUM_EXITS: usize = 5;
+/// Per-exit training buffer capacity (samples).
+const BUFFER_CAPACITY: usize = 600;
+/// Retraining compute charged per buffered sample per exit (ms) —
+/// lightweight probe fitting on the device.
+const RETRAIN_MS_PER_SAMPLE: f64 = 0.05;
+/// Minimum buffered samples before a class gets a centroid.
+const MIN_SAMPLES_PER_CLASS: usize = 3;
 
 /// One exit's learned predictor: per-class centroids in a contiguous
 /// [`VectorStore`] (classes with too few buffered samples have no row).
@@ -152,20 +127,26 @@ struct LearnedClient {
 /// starts with empty training buffers.
 pub struct LearnedCacheDriver<'s> {
     scenario: &'s Scenario,
-    cfg: LearnedCacheConfig,
+    /// An exit fires when the relative margin between the two best
+    /// centroid similarities exceeds this: CoCa's Θ, so comparisons
+    /// isolate the mechanism.
+    exit_threshold: f32,
+    /// Retraining period in frames: CoCa's round length F.
+    retrain_frames: usize,
     clients: Vec<LearnedClient>,
 }
 
 impl<'s> LearnedCacheDriver<'s> {
-    /// Builds the driver over a scenario.
-    pub fn new(scenario: &'s Scenario, cfg: LearnedCacheConfig) -> Self {
+    /// Builds the driver over a scenario, with the exit threshold and the
+    /// retraining period of the CoCa configuration it is compared with.
+    pub fn new(scenario: &'s Scenario, coca: &CocaConfig) -> Self {
         let rt = &scenario.rt;
         let l = rt.num_cache_points();
         let classes = rt.num_classes();
         // Exits spread evenly, skipping the very first point (too little
         // compute saved to matter for a learned gate).
-        let exits: Vec<usize> = (1..=cfg.num_exits)
-            .map(|e| ((e * l) / (cfg.num_exits + 1)).min(l - 1))
+        let exits: Vec<usize> = (1..=NUM_EXITS)
+            .map(|e| ((e * l) / (NUM_EXITS + 1)).min(l - 1))
             .collect();
         let clients = (0..scenario.profiles.len())
             .map(|_| LearnedClient {
@@ -178,7 +159,8 @@ impl<'s> LearnedCacheDriver<'s> {
             .collect();
         Self {
             scenario,
-            cfg,
+            exit_threshold: coca.theta,
+            retrain_frames: coca.round_frames,
             clients,
         }
     }
@@ -197,7 +179,6 @@ impl MethodDriver for LearnedCacheDriver<'_> {
 
     fn process_frame(&mut self, k: usize, frame: &Frame) -> FrameStep<NoMsg> {
         let rt = &self.scenario.rt;
-        let cfg = &self.cfg;
         let profile = &self.scenario.profiles[k];
         let client = &mut self.clients[k];
         let mut time = SimDuration::ZERO;
@@ -211,7 +192,7 @@ impl MethodDriver for LearnedCacheDriver<'_> {
         let mut outcome: Option<(usize, usize)> = None; // (class, point)
         for probe in &client.probes {
             let v = rt.semantic_vector(frame, profile, probe.point, &mut client.view);
-            let (pred, present) = probe.predict(&v, cfg.exit_threshold, &mut client.scratch);
+            let (pred, present) = probe.predict(&v, self.exit_threshold, &mut client.scratch);
             time += rt.lookup_cost(probe.point, present);
             if let Some(class) = pred {
                 outcome = Some((class, probe.point));
@@ -230,21 +211,21 @@ impl MethodDriver for LearnedCacheDriver<'_> {
                 time += rt.full_compute();
                 for probe in client.probes.iter_mut() {
                     let v = rt.semantic_vector(frame, profile, probe.point, &mut client.view);
-                    probe.push_sample(v, p.class, cfg.buffer_capacity);
+                    probe.push_sample(v, p.class, BUFFER_CAPACITY);
                 }
                 (p.class, None)
             }
         };
 
         client.since_retrain += 1;
-        if client.since_retrain >= cfg.retrain_frames {
+        if client.since_retrain >= self.retrain_frames {
             client.since_retrain = 0;
             let mut samples = 0usize;
             for probe in client.probes.iter_mut() {
                 let dim = rt.feature_dim(probe.point);
-                samples += probe.retrain(dim, cfg.min_samples_per_class);
+                samples += probe.retrain(dim, MIN_SAMPLES_PER_CLASS);
             }
-            client.pending_retrain_ms = samples as f64 * cfg.retrain_ms_per_sample;
+            client.pending_retrain_ms = samples as f64 * RETRAIN_MS_PER_SAMPLE;
         }
 
         FrameStep::Done(FrameOutcome {
@@ -296,8 +277,8 @@ mod tests {
     fn learnedcache_exits_after_warmup() {
         let s = scenario(95);
         let full = s.rt.full_compute().as_millis_f64();
-        let cfg = LearnedCacheConfig::for_model(0.012, 150);
-        let mut driver = LearnedCacheDriver::new(&s, cfg);
+        let coca = CocaConfig::for_model(ModelId::ResNet101).with_round_frames(150);
+        let mut driver = LearnedCacheDriver::new(&s, &coca);
         let r = drive(&s, &mut driver, &DriveConfig::new(4, 150));
         assert_eq!(r.frames, 2 * 4 * 150);
         assert!(r.hit_ratio > 0.1, "hit ratio {}", r.hit_ratio);
@@ -306,10 +287,10 @@ mod tests {
 
     #[test]
     fn learnedcache_is_deterministic() {
-        let cfg = LearnedCacheConfig::for_model(0.012, 100);
+        let coca = CocaConfig::for_model(ModelId::ResNet101).with_round_frames(100);
         let run = || {
             let s = scenario(96);
-            let mut driver = LearnedCacheDriver::new(&s, cfg);
+            let mut driver = LearnedCacheDriver::new(&s, &coca);
             drive(&s, &mut driver, &DriveConfig::new(2, 100))
         };
         let (a, b) = (run(), run());

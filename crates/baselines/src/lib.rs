@@ -43,8 +43,8 @@ pub mod replacement;
 pub mod smtm;
 
 pub use edge_only::{run_edge_only, EdgeOnlyDriver};
-pub use foggycache::{FoggyCacheConfig, FoggyCacheDriver};
-pub use learnedcache::{LearnedCacheConfig, LearnedCacheDriver};
+pub use foggycache::FoggyCacheDriver;
+pub use learnedcache::LearnedCacheDriver;
 pub use replacement::{ReplacementDriver, ReplacementPolicy};
 pub use smtm::SmtmDriver;
 
@@ -54,8 +54,8 @@ mod fairness_tests {
     //! streams from the shared scenario, and every run is deterministic.
 
     use crate::{
-        run_edge_only, EdgeOnlyDriver, FoggyCacheConfig, FoggyCacheDriver, LearnedCacheConfig,
-        LearnedCacheDriver, ReplacementDriver, ReplacementPolicy, SmtmDriver,
+        run_edge_only, EdgeOnlyDriver, FoggyCacheDriver, LearnedCacheDriver, ReplacementDriver,
+        ReplacementPolicy, SmtmDriver,
     };
     use coca_core::driver::{drive, drive_plan, DriveConfig};
     use coca_core::engine::{Engine, EngineConfig, EngineReport, Scenario, ScenarioConfig};
@@ -89,13 +89,12 @@ mod fairness_tests {
             },
             {
                 let s = Scenario::build(sc.clone());
-                let mut d = FoggyCacheDriver::new(&s, FoggyCacheConfig::default());
+                let mut d = FoggyCacheDriver::new(&s);
                 drive(&s, &mut d, &drive_cfg)
             },
             {
                 let s = Scenario::build(sc.clone());
-                let cfg = LearnedCacheConfig::for_model(coca_cfg.theta, frames);
-                drive(&s, &mut LearnedCacheDriver::new(&s, cfg), &drive_cfg)
+                drive(&s, &mut LearnedCacheDriver::new(&s, &coca_cfg), &drive_cfg)
             },
             {
                 let s = Scenario::build(sc.clone());
@@ -158,13 +157,12 @@ mod fairness_tests {
             },
             {
                 let (s, plan) = spec.materialize();
-                let mut d = FoggyCacheDriver::new(&s, FoggyCacheConfig::default());
+                let mut d = FoggyCacheDriver::new(&s);
                 drive_plan(&s, &mut d, &plan)
             },
             {
                 let (s, plan) = spec.materialize();
-                let cfg = LearnedCacheConfig::for_model(coca_cfg.theta, frames);
-                drive_plan(&s, &mut LearnedCacheDriver::new(&s, cfg), &plan)
+                drive_plan(&s, &mut LearnedCacheDriver::new(&s, &coca_cfg), &plan)
             },
             {
                 let (s, plan) = spec.materialize();
@@ -209,13 +207,12 @@ mod fairness_tests {
             }),
             Box::new(move || {
                 let s = Scenario::build(scenario_cfg(301));
-                let mut d = FoggyCacheDriver::new(&s, FoggyCacheConfig::default());
+                let mut d = FoggyCacheDriver::new(&s);
                 drive(&s, &mut d, &drive_cfg)
             }),
             Box::new(move || {
                 let s = Scenario::build(scenario_cfg(301));
-                let cfg = LearnedCacheConfig::for_model(coca_cfg.theta, frames);
-                drive(&s, &mut LearnedCacheDriver::new(&s, cfg), &drive_cfg)
+                drive(&s, &mut LearnedCacheDriver::new(&s, &coca_cfg), &drive_cfg)
             }),
             Box::new(move || {
                 let s = Scenario::build(scenario_cfg(301));
@@ -243,13 +240,12 @@ mod fairness_tests {
         let drive_cfg = DriveConfig::new(rounds, frames);
         let foggy = {
             let s = Scenario::build(scenario_cfg(301));
-            let mut d = FoggyCacheDriver::new(&s, FoggyCacheConfig::default());
+            let mut d = FoggyCacheDriver::new(&s);
             drive(&s, &mut d, &drive_cfg)
         };
         let learned = {
             let s = Scenario::build(scenario_cfg(301));
-            let cfg = LearnedCacheConfig::for_model(coca_cfg.theta, frames);
-            drive(&s, &mut LearnedCacheDriver::new(&s, cfg), &drive_cfg)
+            drive(&s, &mut LearnedCacheDriver::new(&s, &coca_cfg), &drive_cfg)
         };
         // The f64 bits of (latency ms, accuracy %, hit ratio):
         // FoggyCache ≈ (26.124, 98.611, 0.4667),

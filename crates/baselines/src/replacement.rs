@@ -22,10 +22,9 @@ use coca_data::Frame;
 use coca_model::ClientFeatureView;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The replacement policy under test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplacementPolicy {
     /// Evict the least-recently-used class entry.
     Lru,

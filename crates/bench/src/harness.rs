@@ -20,8 +20,8 @@
 //! jobs serially.
 
 use coca_baselines::{
-    EdgeOnlyDriver, FoggyCacheConfig, FoggyCacheDriver, LearnedCacheConfig, LearnedCacheDriver,
-    ReplacementDriver, ReplacementPolicy, SmtmDriver,
+    EdgeOnlyDriver, FoggyCacheDriver, LearnedCacheDriver, ReplacementDriver, ReplacementPolicy,
+    SmtmDriver,
 };
 use coca_core::driver::{drive_plan, DriveConfig, DrivePlan};
 use coca_core::engine::{Engine, EngineConfig, EngineReport, Scenario, ScenarioConfig};
@@ -78,10 +78,10 @@ where
 pub enum Method {
     /// Full-model inference on every frame; reads no `CocaConfig`.
     EdgeOnly,
-    /// Multi-exit inference; its exits read the config's Θ.
+    /// Multi-exit inference; its exits read the config's Θ and it
+    /// retrains every round of F frames.
     LearnedCache,
-    /// Cross-device reuse under `FoggyCacheConfig::default()`; reads no
-    /// `CocaConfig`.
+    /// Cross-device reuse; reads no `CocaConfig`.
     FoggyCache,
     /// Single-client semantic caching; reads the config's Θ and α.
     Smtm,
@@ -111,14 +111,8 @@ impl Method {
         let s = &scenario;
         match self {
             Method::EdgeOnly => drive_plan(s, &mut EdgeOnlyDriver::new(s), plan),
-            Method::LearnedCache => {
-                let cfg = LearnedCacheConfig::for_model(coca.theta, plan.frames_per_round);
-                drive_plan(s, &mut LearnedCacheDriver::new(s, cfg), plan)
-            }
-            Method::FoggyCache => {
-                let mut driver = FoggyCacheDriver::new(s, FoggyCacheConfig::default());
-                drive_plan(s, &mut driver, plan)
-            }
+            Method::LearnedCache => drive_plan(s, &mut LearnedCacheDriver::new(s, &coca), plan),
+            Method::FoggyCache => drive_plan(s, &mut FoggyCacheDriver::new(s), plan),
             Method::Smtm => {
                 let mut driver = SmtmDriver::new(s, &coca);
                 drive_plan(s, &mut driver, plan)

@@ -8,7 +8,6 @@ use std::ops::Range;
 
 use coca_data::Frame;
 use coca_model::{ClientFeatureView, ClientProfile, ModelRuntime};
-use serde::{Deserialize, Serialize};
 
 use crate::collect::{absorb_rule, AbsorbRule, UpdateTable};
 use crate::config::CocaConfig;
@@ -20,7 +19,7 @@ use crate::status::ClientStatus;
 use coca_sim::SimDuration;
 
 /// Collection-rule accounting for one client (Fig. 6's absorption ratios).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct AbsorbStats {
     /// Cache hits observed (rule-1 candidates).
     pub hits: u64,

@@ -13,12 +13,11 @@
 //!   of one run genuinely resemble each other.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use coca_sim::SeedTree;
 
 /// One simulated stream frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Frame {
     /// Frame index within this client's stream.
     pub seq: u64,
@@ -71,7 +70,7 @@ const RUN_FOLLOW_FACTOR: f32 = 0.72;
 /// digest) must survive popularity drift. A phase boundary therefore
 /// applies when the client's own stream crosses `from_seq`, wherever that
 /// falls in virtual time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PopularityPhase {
     /// First frame sequence number governed by this phase.
     pub from_seq: u64,
@@ -81,7 +80,7 @@ pub struct PopularityPhase {
 }
 
 /// Configuration of one client's stream.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StreamConfig {
     /// Class-popularity distribution of this client (must sum to 1).
     pub class_weights: Vec<f64>,

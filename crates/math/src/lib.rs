@@ -26,7 +26,7 @@
 //! * [`stats`] — Welford online mean/variance.
 //! * [`softmax`] — numerically stable softmax and top-2 probability margin
 //!   (the paper's rule-2 sample-collection test `prob₁ − prob₂ > Δ`).
-//! * [`topk`] — index-returning top-1/top-2/top-k selection.
+//! * [`topk`] — index-returning top-1 selection.
 //! * [`pca`] — top-k principal components by power iteration (Fig. 2's
 //!   projection substitute for t-SNE).
 //! * [`cluster`] — silhouette score and intra/inter-class cosine statistics
@@ -56,7 +56,7 @@ pub use matrix::{
 pub use quant::{snap_row, Precision, QuantizedStore};
 pub use stats::OnlineStats;
 pub use store::VectorStore;
-pub use topk::{top1, top2, top_k_indices};
+pub use topk::top1;
 pub use vector::{
     cosine, dot, is_unit, l2_norm, l2_normalize, l2_normalized, mean_vector, random_unit,
 };

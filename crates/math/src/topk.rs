@@ -1,8 +1,6 @@
-//! Index-returning top-k selection over f32 scores.
-//!
-//! The semantic-cache lookup needs the *identities* of the two classes with
-//! the largest accumulated cosine similarity (paper Eq. (2)), not just their
-//! values.
+//! Index-returning top-1 selection over f32 scores: the classifier's
+//! predicted class. (The semantic-cache lookup's best and second-best
+//! classes, paper Eq. (2), come from the fused [`crate::matrix::score_top2`].)
 
 /// Index of the maximum value (first on ties). `None` for empty input.
 pub fn top1(values: &[f32]) -> Option<usize> {
@@ -16,38 +14,6 @@ pub fn top1(values: &[f32]) -> Option<usize> {
     best.map(|(i, _)| i)
 }
 
-/// Indices of the largest and second-largest values, first-wins on ties.
-/// `None` unless at least two values are present.
-pub fn top2(values: &[f32]) -> Option<(usize, usize)> {
-    if values.len() < 2 {
-        return None;
-    }
-    let (mut bi, mut bv) = (0usize, values[0]);
-    let (mut si, mut sv) = (usize::MAX, f32::NEG_INFINITY);
-    for (i, &v) in values.iter().enumerate().skip(1) {
-        if v > bv {
-            si = bi;
-            sv = bv;
-            bi = i;
-            bv = v;
-        } else if v > sv {
-            si = i;
-            sv = v;
-        }
-    }
-    Some((bi, si))
-}
-
-/// Indices of the `k` largest values in descending value order (stable:
-/// earlier indices win ties). `k` larger than the input returns all indices.
-pub fn top_k_indices(values: &[f32], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..values.len()).collect();
-    let k = k.min(values.len());
-    idx.sort_by(|&a, &b| values[b].total_cmp(&values[a]).then(a.cmp(&b)));
-    idx.truncate(k);
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,35 +23,5 @@ mod tests {
         assert_eq!(top1(&[1.0, 5.0, 3.0]), Some(1));
         assert_eq!(top1(&[]), None);
         assert_eq!(top1(&[2.0, 2.0]), Some(0)); // first wins ties
-    }
-
-    #[test]
-    fn top2_orders_pair() {
-        assert_eq!(top2(&[0.1, 0.9, 0.5]), Some((1, 2)));
-        assert_eq!(top2(&[0.9, 0.1]), Some((0, 1)));
-        assert_eq!(top2(&[0.9]), None);
-        // Ties: first occurrence is the winner, second occurrence runner-up.
-        assert_eq!(top2(&[0.5, 0.5, 0.1]), Some((0, 1)));
-    }
-
-    #[test]
-    fn top2_with_max_first() {
-        assert_eq!(top2(&[3.0, 1.0, 2.0]), Some((0, 2)));
-    }
-
-    #[test]
-    fn top_k_sorted_descending() {
-        let v = [0.3f32, 0.9, 0.1, 0.7];
-        assert_eq!(top_k_indices(&v, 3), vec![1, 3, 0]);
-        assert_eq!(top_k_indices(&v, 10), vec![1, 3, 0, 2]);
-        assert!(top_k_indices(&v, 0).is_empty());
-    }
-
-    #[test]
-    fn top2_agrees_with_top_k() {
-        let v = [0.2f32, 0.8, 0.5, 0.8, 0.1];
-        let (a, b) = top2(&v).unwrap();
-        let k = top_k_indices(&v, 2);
-        assert_eq!(vec![a, b], k);
     }
 }

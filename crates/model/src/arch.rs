@@ -50,7 +50,7 @@ impl ModelId {
 }
 
 /// One preset cache point: where a semantic cache layer may be activated.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CachePoint {
     /// Dimension of the pooled semantic vector at this depth (channel
     /// count after global average pooling; shallow layers are narrow).
@@ -68,7 +68,7 @@ pub struct CachePoint {
 }
 
 /// A model architecture as the simulator sees it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModelArch {
     /// Which model this is.
     pub id: ModelId,

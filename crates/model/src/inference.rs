@@ -4,8 +4,6 @@
 //! universe for one (model, dataset) pair, and implements the full-model
 //! classifier head.
 
-use serde::{Deserialize, Serialize};
-
 use coca_data::{DatasetSpec, Frame};
 use coca_math::softmax::{softmax_inplace, top2_margin};
 use coca_math::vector::cosine_with_norms;
@@ -19,7 +17,7 @@ use crate::view::{ClientFeatureView, ClientProfile};
 use crate::zoo;
 
 /// Outcome of a full (uncached) inference.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Prediction {
     /// Predicted class (argmax of the softmax output).
     pub class: usize,

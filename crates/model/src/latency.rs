@@ -13,7 +13,6 @@
 //!   to the layer's feature dimension (one cosine per cached class).
 
 use coca_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 use crate::arch::ModelArch;
 
@@ -34,7 +33,7 @@ pub const PER_ENTRY_MS_AT_DIM128: f64 = 0.013_03;
 pub const REF_DIM: f64 = 128.0;
 
 /// Per-model, per-dataset virtual-time costs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyProfile {
     /// Latency of each of the `L + 1` blocks.
     blocks: Vec<SimDuration>,

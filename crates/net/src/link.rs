@@ -59,7 +59,7 @@ impl LinkModel {
 }
 
 /// One scheduled link change: from `at` onward the client uses `link`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LinkChangePoint {
     /// Virtual instant the change takes effect.
     pub at: SimTime,
@@ -74,7 +74,7 @@ pub struct LinkChangePoint {
 /// message is handed to the link), so a transfer started before a change
 /// completes under the old model — matching how an in-flight packet train
 /// is not re-priced mid-air.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkSchedule {
     base: LinkModel,
     /// Change points sorted by `at` ascending (enforced on construction).
@@ -211,22 +211,5 @@ mod tests {
         // A second change at the same instant supersedes the first.
         s.push_change(t1, b);
         assert_eq!(s.link_at(t1).one_way_delay, SimDuration::from_millis(9));
-    }
-
-    #[test]
-    fn schedule_round_trips_through_json() {
-        let mut s = LinkSchedule::fixed(LinkModel::default());
-        s.push_change(
-            SimTime::from_millis_f64(250.0),
-            LinkModel {
-                one_way_delay: SimDuration::from_millis(10),
-                bandwidth_bps: 5.0e6,
-            },
-        );
-        let text = serde::json::to_string(&s.to_value());
-        let back = LinkSchedule::from_value(&serde::json::from_str(&text).unwrap()).unwrap();
-        assert_eq!(back.changes().len(), 1);
-        let t = SimTime::from_millis_f64(300.0);
-        assert_eq!(back.transfer_time(t, 4096), s.transfer_time(t, 4096));
     }
 }

@@ -2,7 +2,7 @@
 //! timelines must preserve the cross-method fairness digest, never
 //! deadlock the server FIFO, and survive a JSON round trip bit-for-bit.
 
-use coca::baselines::{EdgeOnlyDriver, FoggyCacheConfig, FoggyCacheDriver};
+use coca::baselines::{EdgeOnlyDriver, FoggyCacheDriver};
 use coca::core::driver::drive_plan;
 use coca::core::spec::PopularityShift;
 use coca::core::{DrivePlan, ScenarioSpec};
@@ -78,7 +78,7 @@ proptest! {
         let (s1, p1) = spec.materialize();
         let edge = drive_plan(&s1, &mut EdgeOnlyDriver::new(&s1), &p1);
         let (s2, p2) = spec.materialize();
-        let foggy = drive_plan(&s2, &mut FoggyCacheDriver::new(&s2, FoggyCacheConfig::default()), &p2);
+        let foggy = drive_plan(&s2, &mut FoggyCacheDriver::new(&s2), &p2);
         let (s3, p3) = spec.materialize();
         let mut coca_cfg = CocaConfig::for_model(ModelId::ResNet101);
         coca_cfg.round_frames = FRAMES;
@@ -114,7 +114,7 @@ proptest! {
             .leave(2, leave_b)
             .join(join_at, join_rounds);
         let (scenario, plan) = spec.materialize();
-        let mut driver = FoggyCacheDriver::new(&scenario, FoggyCacheConfig::default());
+        let mut driver = FoggyCacheDriver::new(&scenario);
         let report = drive_plan(&scenario, &mut driver, &plan);
         // Termination itself is the deadlock-freedom proof; the counts
         // prove the drain was exact (no frame lost, none double-run).
