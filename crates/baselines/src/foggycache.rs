@@ -43,6 +43,8 @@ const SERVER_CAPACITY: usize = 12_000;
 const LSH_TABLES: usize = 4;
 /// Initial hyperplanes (bits) per table; adapted per round.
 const LSH_BITS: usize = 10;
+/// A-LSH adaptation target band for mean candidates per probe.
+const TARGET_CANDIDATES: (f64, f64) = (2.0 * K as f64, 10.0 * K as f64);
 /// Input-level jitter added to the matching key. FoggyCache keys on *raw
 /// input* features, which vary across consecutive video frames (motion,
 /// exposure) far more than pooled semantic features do; the jitter models
@@ -76,9 +78,9 @@ struct Alsh {
 }
 
 impl Alsh {
-    fn new(dim: usize, tables: usize, bits: usize, seeds: &SeedTree) -> Self {
-        let mut planes = Vec::with_capacity(tables);
-        for t in 0..tables {
+    fn new(dim: usize, bits: usize, seeds: &SeedTree) -> Self {
+        let mut planes = Vec::with_capacity(LSH_TABLES);
+        for t in 0..LSH_TABLES {
             let mut rng = seeds.rng_for_idx("alsh-table", t as u64);
             let mut p = Vec::with_capacity(bits * dim);
             for _ in 0..bits * dim {
@@ -90,7 +92,7 @@ impl Alsh {
             planes,
             bits,
             dim,
-            tables: vec![HashMap::new(); tables],
+            tables: vec![HashMap::new(); LSH_TABLES],
             probe_count: 0,
             candidate_sum: 0,
         }
@@ -183,8 +185,6 @@ struct Store {
     capacity: usize,
     alsh: Alsh,
     clock: u64,
-    /// A-LSH adaptation target band for mean candidates per probe.
-    target: (f64, f64),
     seeds: SeedTree,
     /// Running sum of observed features until freeze.
     center_sum: Vec<f32>,
@@ -195,8 +195,7 @@ struct Store {
 
 impl Store {
     fn new(dim: usize, capacity: usize, seeds: SeedTree) -> Self {
-        let alsh = Alsh::new(dim, LSH_TABLES, LSH_BITS, &seeds);
-        let k = K as f64;
+        let alsh = Alsh::new(dim, LSH_BITS, &seeds);
         Self {
             samples: HashMap::new(),
             keys: coca_math::VectorStore::new(dim),
@@ -206,7 +205,6 @@ impl Store {
             capacity,
             alsh,
             clock: 0,
-            target: (2.0 * k, 10.0 * k),
             seeds,
             center_sum: vec![0.0; dim],
             center_seen: 0,
@@ -252,8 +250,7 @@ impl Store {
             // so the rebuilt key store's row order is deterministic.
             let dim = self.alsh.dim;
             let bits = self.alsh.bits;
-            let tables = self.alsh.tables.len();
-            let mut alsh = Alsh::new(dim, tables, bits, &self.seeds.child("post-freeze"));
+            let mut alsh = Alsh::new(dim, bits, &self.seeds.child("post-freeze"));
             let mut ids: Vec<u32> = self.samples.keys().copied().collect();
             ids.sort_unstable();
             let mut keys = coca_math::VectorStore::new(dim);
@@ -382,9 +379,9 @@ impl Store {
     /// rebuilding with more/fewer bits (the "A" in A-LSH).
     fn adapt(&mut self) {
         let mean = self.alsh.mean_candidates();
-        let new_bits = if mean > self.target.1 && self.alsh.bits < 24 {
+        let new_bits = if mean > TARGET_CANDIDATES.1 && self.alsh.bits < 24 {
             self.alsh.bits + 1
-        } else if mean < self.target.0 && self.alsh.bits > 4 {
+        } else if mean < TARGET_CANDIDATES.0 && self.alsh.bits > 4 {
             self.alsh.bits - 1
         } else {
             self.alsh.reset_stats();
@@ -393,7 +390,6 @@ impl Store {
         let dim = self.alsh.dim;
         let mut alsh = Alsh::new(
             dim,
-            LSH_TABLES,
             new_bits,
             &self.seeds.child_idx("rebuild", new_bits as u64),
         );
@@ -611,7 +607,7 @@ mod tests {
     #[test]
     fn alsh_groups_similar_vectors() {
         let seeds = SeedTree::new(90);
-        let mut alsh = Alsh::new(16, 4, 8, &seeds);
+        let mut alsh = Alsh::new(16, 8, &seeds);
         let mut rng = SmallRng::seed_from_u64(1);
         let base = coca_math::random_unit(&mut rng, 16);
         // Insert perturbed copies of one vector plus unrelated vectors.
